@@ -1,7 +1,7 @@
 //! `btcfast-audit`: a dependency-free, seed-deterministic fuzzing and
 //! differential-testing harness for the escrow pipeline.
 //!
-//! Three engines, all driven by the same byte-stream model (the case's
+//! Six engines, all driven by the same byte-stream model (the case's
 //! bytes are the schedule — see [`source::ByteSource`]):
 //!
 //! * [`Engine::Codec`] — structure-aware round-trip fuzzers for the
@@ -13,8 +13,9 @@
 //! * [`Engine::Invariant`] — cross-cutting conservation/solvency/
 //!   monotonicity checks evaluated after every step of a fuzzed scenario;
 //! * [`Engine::Store`] — durable-store targets: hostile WAL/snapshot
-//!   media must scan without panicking, and a journal crash-truncated at
-//!   every byte offset must recover exactly the clean-prefix state;
+//!   media must scan without panicking, and a journal crashed at every
+//!   byte offset of its log tail and at every checkpoint step must
+//!   recover exactly the state after the records that survived;
 //! * [`Engine::Crypto`] — differential targets pinning the secp256k1
 //!   wNAF/table/cached fast path to the binary double-and-add oracle,
 //!   plus hostile sign→verify round trips (high-S, zero components,

@@ -6,17 +6,20 @@
 //! * hostile WAL media never panic the scanner, and the valid prefix it
 //!   reports re-scans clean (truncation repair is a fixed point);
 //! * hostile snapshot media never panic the loader — a corrupt slot is
-//!   `Ok(None)` (full-replay fallback), never garbage state;
-//! * for a journal built from a fuzzed step schedule, crashing at
-//!   **every** byte offset of the WAL and re-opening recovers exactly the
-//!   state a fresh manager reaches by replaying the surviving record
-//!   prefix — and the full-length "crash" recovers the uninterrupted
-//!   run's digest bit-for-bit.
+//!   `Ok(None)`, never garbage state — and recovery over such a slot is a
+//!   full replay while the log still reaches sequence 0, a typed error
+//!   once it does not, and a fresh ledger only on two byte-empty media;
+//! * for a journal built from a fuzzed step schedule with several
+//!   checkpoints, crashing at **every** byte offset of the log tail and at
+//!   each of the three crash points of every checkpoint, then re-opening,
+//!   recovers exactly the state after the records that survived. The
+//!   oracle is a shadow fold of the journaled steps, not the log: a
+//!   checkpoint truncates the log, so the log keeps no history to replay.
 
 use crate::source::ByteSource;
-use btcfast::recovery::{Outcome, RecoveryManager, Step};
+use btcfast::recovery::{Outcome, RecoveryError, RecoveryManager, Step};
 use btcfast_crypto::Hash256;
-use btcfast_store::{MemStorage, SnapshotStore, Wal};
+use btcfast_store::{MemStorage, SnapshotStore, Storage, Wal};
 
 /// Hostile bytes as a WAL medium: the scanner must not panic, must
 /// report a consistent valid prefix, and repairing by truncation must be
@@ -62,17 +65,64 @@ pub fn fuzz_wal_scan(bytes: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
+/// One pending intent journaled on fresh media, behind a checkpoint when
+/// `truncated` (so the log no longer reaches sequence 0): the log bytes
+/// and the digest a full replay of them must reach.
+fn probe_journal(truncated: bool) -> Result<(Vec<u8>, Hash256), RecoveryError> {
+    let wal = MemStorage::new();
+    let (mut manager, _) = RecoveryManager::open(wal.clone(), MemStorage::new())?;
+    let step = Step::EscrowOpen {
+        deposit_units: 1,
+        psc_nonce: 0,
+    };
+    if truncated {
+        manager.begin(step.clone())?;
+        manager.checkpoint()?;
+    }
+    manager.begin(step)?;
+    Ok((wal.bytes(), manager.digest()))
+}
+
 /// Hostile bytes as a snapshot slot: loading must never panic and a
-/// corrupt slot must read as absent, after which a fresh save round-trips.
+/// corrupt slot must read as absent; recovery over it follows the
+/// contract in the module docs; and a fresh save round-trips.
 pub fn fuzz_snapshot_slot(bytes: &[u8]) -> Result<(), String> {
     let mut store = SnapshotStore::new(MemStorage::from_bytes(bytes.to_vec()));
     // Lenient load: anything unparseable is None, never an error/panic.
     let loaded = store.load().map_err(|e| format!("lenient load: {e}"))?;
+
+    let probe = |truncated| probe_journal(truncated).map_err(|e| format!("probe journal: {e}"));
+    let ((whole_log, whole_digest), (tail_log, _)) = (probe(false)?, probe(true)?);
+    let reopen = |wal: &[u8]| {
+        RecoveryManager::open(
+            MemStorage::from_bytes(wal.to_vec()),
+            MemStorage::from_bytes(bytes.to_vec()),
+        )
+        .map(|(manager, report)| (manager, report.snapshot_used))
+    };
+    let lost = |wal: &[u8]| matches!(reopen(wal), Err(RecoveryError::HistoryLost { .. }));
     if let Some(snap) = &loaded {
+        // A slot the loader accepts may still hold a state blob recovery
+        // rejects; either way it must not panic.
+        let _ = (reopen(&whole_log), reopen(&tail_log));
         // Whatever parsed must survive a save/load round-trip unchanged.
         store
             .save(snap.wal_seq, &snap.state)
             .map_err(|e| format!("re-save: {e}"))?;
+    } else {
+        let full_replay =
+            matches!(reopen(&whole_log), Ok((m, false)) if m.digest() == whole_digest);
+        let empty_log = if bytes.is_empty() {
+            matches!(reopen(&[]), Ok((m, false)) if m.ledger().payments.is_empty())
+        } else {
+            lost(&[])
+        };
+        if !(full_replay && lost(&tail_log) && empty_log) {
+            return Err(format!(
+                "unusable slot: full replay of a whole log {full_replay}, \
+                 empty log handled {empty_log}, truncated log must be HistoryLost"
+            ));
+        }
     }
     store
         .save(7, b"probe-state")
@@ -152,99 +202,133 @@ fn journal_workload(src: &mut ByteSource<'_>) -> Vec<(Step, Option<Outcome>)> {
     out
 }
 
+/// Re-opens copies of the given media and requires the recovered digest
+/// to be `expected` — and, when `then_journal`, the recovered manager to
+/// be a working journal: an intent it accepts next must survive the next
+/// re-open.
+fn check_recovery(
+    wal: &[u8],
+    snapshot: &[u8],
+    expected: Hash256,
+    then_journal: bool,
+    crash: impl Fn() -> String,
+) -> Result<(), String> {
+    let wal = MemStorage::from_bytes(wal.to_vec());
+    let snapshot = MemStorage::from_bytes(snapshot.to_vec());
+    let reopen = || {
+        RecoveryManager::open(wal.clone(), snapshot.clone())
+            .map_err(|e| format!("{}: re-open: {e}", crash()))
+    };
+    let (mut recovered, report) = reopen()?;
+    if recovered.digest() != expected {
+        return Err(format!(
+            "{}: recovery diverged from the fold of the surviving records \
+             (replayed {}, snapshot_used {})",
+            crash(),
+            report.replayed_records,
+            report.snapshot_used
+        ));
+    }
+    if !then_journal {
+        return Ok(());
+    }
+    recovered
+        .begin(Step::JudgeCall {
+            payment_id: 0,
+            psc_nonce: 0,
+        })
+        .map_err(|e| format!("{}: journal after recovery: {e}", crash()))?;
+    if reopen()?.0.digest() != recovered.digest() {
+        return Err(format!(
+            "{}: an intent journaled after recovery did not survive the next one",
+            crash()
+        ));
+    }
+    Ok(())
+}
+
 /// The crash-at-every-offset differential. See the module docs.
 pub fn diff_store_crash_every_offset(bytes: &[u8]) -> Result<(), String> {
     let mut src = ByteSource::new(bytes);
     let workload = journal_workload(&mut src);
-    // Checkpoint partway through on some schedules so the sweep also
-    // crosses snapshot-plus-tail recoveries.
-    let checkpoint_after = if src.bool() {
-        Some(workload.len() / 2)
-    } else {
-        None
-    };
+    // At least three checkpoints per schedule, at a fuzzed stride.
+    let stride = 1 + src.choice(workload.len() / 3);
 
     let wal_medium = MemStorage::new();
     let snap_medium = MemStorage::new();
-    let (mut manager, _) = RecoveryManager::open(wal_medium.clone(), snap_medium.clone())
-        .map_err(|e| format!("fresh open: {e}"))?;
-    // A crash can only tear bytes written *after* the snapshot became
-    // durable, so the snapshot-assisted sweep starts at the WAL length
-    // captured at checkpoint time.
-    let mut snapshot_floor = 0usize;
+    let open = |wal, snap| RecoveryManager::open(wal, snap).map_err(|e| format!("fresh open: {e}"));
+    let (mut manager, _) = open(wal_medium.clone(), snap_medium.clone())?;
+    // The oracle: the same steps folded by a manager that is never
+    // checkpointed, crashed or re-opened. `digests[k]` is its digest after
+    // the first `k` records, so it is what any crash that leaves exactly
+    // those records durable must recover to.
+    let (mut shadow, _) = open(MemStorage::new(), MemStorage::new())?;
+    let mut digests = vec![shadow.digest()];
+    // Records the snapshot slot covers, and where each later frame ends
+    // in the tail that is on the WAL medium now.
+    let mut covered = 0usize;
+    let mut frame_ends: Vec<usize> = Vec::new();
+
     for (i, (step, outcome)) in workload.iter().enumerate() {
-        let intent = manager
-            .begin(step.clone())
-            .map_err(|e| format!("begin: {e}"))?;
+        let mut intent = 0;
+        for m in [&mut manager, &mut shadow] {
+            intent = m.begin(step.clone()).map_err(|e| format!("begin: {e}"))?;
+        }
+        digests.push(shadow.digest());
+        frame_ends.push(wal_medium.len() as usize);
         if let Some(outcome) = outcome {
-            manager
-                .complete(intent, *outcome)
-                .map_err(|e| format!("complete: {e}"))?;
+            for m in [&mut manager, &mut shadow] {
+                m.complete(intent, *outcome)
+                    .map_err(|e| format!("complete: {e}"))?;
+            }
+            digests.push(shadow.digest());
+            frame_ends.push(wal_medium.len() as usize);
         }
-        if checkpoint_after == Some(i) {
-            manager
-                .checkpoint()
-                .map_err(|e| format!("checkpoint: {e}"))?;
-            snapshot_floor = wal_medium.bytes().len();
+        let checkpoint = (i + 1) % stride == 0;
+        if !checkpoint && i + 1 != workload.len() {
+            continue;
         }
+
+        // Every byte cut of the tail, over a slot covering `slot_covers`
+        // records: what is durable is whichever reaches further. Cuts
+        // inside one frame repair to the same log, so journaling on is
+        // tried once per distinct log.
+        let tail = wal_medium.bytes();
+        let sweep = |slot: &[u8], slot_covers: usize, crash: &str| {
+            (0..=tail.len()).try_for_each(|cut| {
+                let in_log = covered + frame_ends.iter().filter(|&&end| end <= cut).count();
+                let durable = digests[in_log.max(slot_covers)];
+                let clean = cut == 0 || frame_ends.contains(&cut);
+                check_recovery(&tail[..cut], slot, durable, clean, || {
+                    format!("step {i}, {crash}, log cut at {cut}")
+                })
+            })
+        };
+        // The full cut is the crash that loses nothing — also the state
+        // a crash just before the slot replace leaves.
+        sweep(&snap_medium.bytes(), covered, "slot not yet replaced")?;
+        if !checkpoint {
+            break;
+        }
+        manager
+            .checkpoint()
+            .map_err(|e| format!("checkpoint: {e}"))?;
+        if !wal_medium.is_empty() {
+            return Err(format!("checkpoint at step {i} left bytes in the log"));
+        }
+        // Between replace and truncate the new slot covers the whole
+        // tail, however much of it a repair cuts away; after the
+        // truncate the slot stands alone.
+        let (slot, all) = (snap_medium.bytes(), covered + frame_ends.len());
+        sweep(&slot, all, "slot replaced, log not yet truncated")?;
+        check_recovery(&[], &slot, digests[all], true, || {
+            format!("step {i}, checkpoint complete")
+        })?;
+        covered = all;
+        frame_ends.clear();
     }
-    let uninterrupted_digest = manager.digest();
-    let wal_bytes = wal_medium.bytes();
-    let snap_bytes = snap_medium.bytes();
-
-    // The reference recovery for a cut: pure replay of the clean record
-    // prefix the scanner salvages, no snapshot involved.
-    let reference_digest = |cut: usize| -> Result<Hash256, String> {
-        let torn = &wal_bytes[..cut];
-        let clean = btcfast_store::wal::scan(torn);
-        let (reference, _) = RecoveryManager::open(
-            MemStorage::from_bytes(torn[..clean.valid_len as usize].to_vec()),
-            MemStorage::new(),
-        )
-        .map_err(|e| format!("reference open at cut {cut}: {e}"))?;
-        Ok(reference.digest())
-    };
-
-    // Sweep 1 — pure-WAL recovery crashes at every byte offset: a torn
-    // tail must recover exactly the clean-prefix state.
-    for cut in 0..=wal_bytes.len() {
-        let (recovered, _) = RecoveryManager::open(
-            MemStorage::from_bytes(wal_bytes[..cut].to_vec()),
-            MemStorage::new(),
-        )
-        .map_err(|e| format!("torn re-open at cut {cut}: {e}"))?;
-        if recovered.digest() != reference_digest(cut)? {
-            return Err(format!(
-                "cut {cut}: torn-WAL recovery diverged from prefix replay"
-            ));
-        }
-    }
-
-    // Sweep 2 — snapshot-assisted recovery at every physically possible
-    // offset must agree with pure WAL replay of the same prefix.
-    for cut in snapshot_floor..=wal_bytes.len() {
-        let (recovered, report) = RecoveryManager::open(
-            MemStorage::from_bytes(wal_bytes[..cut].to_vec()),
-            MemStorage::from_bytes(snap_bytes.clone()),
-        )
-        .map_err(|e| format!("snapshot re-open at cut {cut}: {e}"))?;
-        if recovered.digest() != reference_digest(cut)? {
-            return Err(format!(
-                "cut {cut}: snapshot-assisted recovery diverged from pure WAL replay \
-                 (replayed {}, snapshot_used {})",
-                report.replayed_records, report.snapshot_used
-            ));
-        }
-    }
-
-    // A "crash" that loses nothing must recover the uninterrupted state.
-    let (full, _) = RecoveryManager::open(
-        MemStorage::from_bytes(wal_bytes.clone()),
-        MemStorage::from_bytes(snap_bytes),
-    )
-    .map_err(|e| format!("full re-open: {e}"))?;
-    if full.digest() != uninterrupted_digest {
-        return Err("full-length recovery diverged from the uninterrupted run".into());
+    if manager.digest() != shadow.digest() {
+        return Err("the live manager diverged from its shadow".into());
     }
     Ok(())
 }

@@ -10,6 +10,9 @@
 //! 3. journals `Done(intent, outcome)`.
 //!
 //! A crash between 1 and 3 leaves a *pending* intent on durable media.
+//! [`RecoveryManager::checkpoint`] replaces the snapshot slot atomically
+//! and then truncates the WAL to nothing, so the media hold one snapshot
+//! plus the tail journaled since — however old the ledger is.
 //! On restart, [`RecoveryManager::open`] replays snapshot + WAL tail and
 //! surfaces the pending set; the caller then resolves each intent
 //! **exactly once**: every PSC-call step records the account nonce its
@@ -237,6 +240,14 @@ pub enum RecoveryError {
         /// The intent id the caller passed.
         intent: u64,
     },
+    /// The snapshot slot is unusable and the log no longer reaches back to
+    /// sequence 0: the history the slot covered was truncated away, so
+    /// there is nothing to rebuild the ledger from. Starting empty would
+    /// silently forget payments, so recovery refuses instead.
+    HistoryLost {
+        /// Sequence number of the first surviving log record, if any.
+        log_starts_at: Option<u64>,
+    },
 }
 
 impl fmt::Display for RecoveryError {
@@ -247,6 +258,11 @@ impl fmt::Display for RecoveryError {
             RecoveryError::UnknownIntent { intent } => {
                 write!(f, "unknown journal intent {intent}")
             }
+            RecoveryError::HistoryLost { log_starts_at } => write!(
+                f,
+                "snapshot slot unusable and the log (first record: {log_starts_at:?}) \
+                 no longer holds the history it covered"
+            ),
         }
     }
 }
@@ -303,6 +319,9 @@ fn take_bool(bytes: &mut &[u8]) -> Result<bool, RecoveryError> {
 }
 
 impl Step {
+    /// The longest encoding of any step (`OpenPayment`): sizes a buffer.
+    const MAX_ENCODED_BYTES: usize = 1 + 32 + 8 + 16 + 8;
+
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Step::EscrowOpen {
@@ -458,20 +477,19 @@ enum JournalRecord {
 }
 
 impl JournalRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.clear();
         match self {
             JournalRecord::Begin { step } => {
                 out.push(1);
-                step.encode(&mut out);
+                step.encode(out);
             }
             JournalRecord::Done { intent, outcome } => {
                 out.push(2);
                 out.extend_from_slice(&intent.to_le_bytes());
-                outcome.encode(&mut out);
+                outcome.encode(out);
             }
         }
-        out
     }
 
     fn decode(mut bytes: &[u8]) -> Result<JournalRecord, RecoveryError> {
@@ -545,6 +563,9 @@ impl PaymentState {
 }
 
 impl PaymentLedger {
+    /// Encoded bytes per ledger payment: id, txid, amount, flags, verdict.
+    const PAYMENT_BYTES: usize = 8 + 32 + 8 + 1 + 1;
+
     /// Canonical encoding (snapshot payload; digest input).
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.push(u8::from(self.escrow_opened));
@@ -559,11 +580,13 @@ impl PaymentLedger {
     fn decode(bytes: &mut &[u8]) -> Result<PaymentLedger, RecoveryError> {
         let escrow_opened = take_bool(bytes)?;
         let count = u32::from_le_bytes(take(bytes, 4)?.try_into().expect("sized slice"));
-        let mut payments = BTreeMap::new();
-        for _ in 0..count {
-            let id = take_u64(bytes)?;
-            payments.insert(id, PaymentState::decode(bytes)?);
-        }
+        // The encoder writes ids ascending, so collecting bulk-builds the
+        // tree from an already-sorted stream instead of descending it once
+        // per payment. A hostile slot with unsorted or repeated ids decodes
+        // exactly as sequential inserts would (the last entry wins).
+        let payments = (0..count)
+            .map(|_| Ok((take_u64(bytes)?, PaymentState::decode(bytes)?)))
+            .collect::<Result<BTreeMap<_, _>, RecoveryError>>()?;
         Ok(PaymentLedger {
             escrow_opened,
             payments,
@@ -667,28 +690,36 @@ pub struct RecoveryManager<S: Storage> {
     ledger: PaymentLedger,
     pending: BTreeMap<u64, Step>,
     stats: RecoveryStats,
+    /// The journal record being appended, kept so journaling does not
+    /// allocate per record.
+    record: Vec<u8>,
 }
 
 impl<S: Storage> RecoveryManager<S> {
     /// Opens (or re-opens after a crash) the manager on its two durable
-    /// media. Recovery order: load the snapshot (a damaged slot falls
-    /// back to full replay), then replay every WAL record the snapshot
-    /// does not cover. A damaged WAL tail is repaired by truncation —
-    /// exactly the records whose side effects may not have executed, and
-    /// the pending set re-drives those.
+    /// media. Recovery order: load the snapshot, then fold every WAL
+    /// record the snapshot does not cover into it, in one pass over the
+    /// log. A damaged WAL tail is repaired by truncation — exactly the
+    /// records whose side effects may not have executed, and the pending
+    /// set re-drives those. New records continue the sequence past both
+    /// the log and the snapshot.
+    ///
+    /// With no usable snapshot (absent or damaged slot) the log must be
+    /// the whole history: it is replayed in full if it still starts at
+    /// sequence 0, and two byte-empty media are a fresh ledger.
     ///
     /// # Errors
     ///
     /// [`RecoveryError::Store`] on medium failure;
     /// [`RecoveryError::Malformed`] when a CRC-valid record does not
-    /// decode (version skew, not media damage).
+    /// decode (version skew, not media damage);
+    /// [`RecoveryError::HistoryLost`] when the slot is unusable and the
+    /// history it covered has been truncated out of the log.
     pub fn open(
         wal_medium: S,
         snapshot_medium: S,
     ) -> Result<(RecoveryManager<S>, RecoveryReport), RecoveryError> {
-        let (wal, recovered) = Wal::open(wal_medium)?;
         let snapshots = SnapshotStore::new(snapshot_medium);
-
         let mut ledger = PaymentLedger::default();
         let mut pending = BTreeMap::new();
         let mut replay_from = 0u64;
@@ -703,21 +734,35 @@ impl<S: Storage> RecoveryManager<S> {
         }
 
         let mut replayed = 0u64;
-        for (seq, payload) in &recovered.records {
-            if *seq < replay_from {
-                continue;
+        let mut log_starts_at = None;
+        let mut malformed = None;
+        let (wal, recovered) = Wal::open_with(wal_medium, replay_from, |seq, payload| {
+            log_starts_at.get_or_insert(seq);
+            if seq < replay_from || malformed.is_some() {
+                return;
             }
             replayed += 1;
-            match JournalRecord::decode(payload)? {
-                JournalRecord::Begin { step } => {
-                    pending.insert(*seq, step);
+            match JournalRecord::decode(payload) {
+                Ok(JournalRecord::Begin { step }) => {
+                    pending.insert(seq, step);
                 }
-                JournalRecord::Done { intent, outcome } => {
+                Ok(JournalRecord::Done { intent, outcome }) => {
                     if let Some(step) = pending.remove(&intent) {
                         ledger.apply(&step, outcome);
                     }
                 }
+                Err(e) => malformed = Some(e),
             }
+        })?;
+        if let Some(e) = malformed {
+            return Err(e);
+        }
+        let log_is_whole_history = match log_starts_at {
+            Some(first) => first == 0,
+            None => snapshots.storage().is_empty(),
+        };
+        if !snapshot_used && !log_is_whole_history {
+            return Err(RecoveryError::HistoryLost { log_starts_at });
         }
 
         let report = RecoveryReport {
@@ -740,13 +785,14 @@ impl<S: Storage> RecoveryManager<S> {
                 ledger,
                 pending,
                 stats,
+                record: Vec::new(),
             },
             report,
         ))
     }
 
-    /// Journals the intent to perform `step`. **Call before the side
-    /// effect.** Returns the intent id to pass to
+    /// Journals the intent to perform `step` and syncs it. **Call before
+    /// the side effect.** Returns the intent id to pass to
     /// [`RecoveryManager::complete`].
     ///
     /// # Errors
@@ -754,16 +800,18 @@ impl<S: Storage> RecoveryManager<S> {
     /// [`RecoveryError::Store`] when the journal write fails — in which
     /// case the side effect must not run.
     pub fn begin(&mut self, step: Step) -> Result<u64, RecoveryError> {
-        let seq = self
-            .wal
-            .append(&JournalRecord::Begin { step: step.clone() }.encode())?;
+        JournalRecord::Begin { step: step.clone() }.encode(&mut self.record);
+        let seq = self.wal.append(&self.record)?;
+        self.wal.sync()?;
         self.pending.insert(seq, step);
         self.stats.journal_appends += 1;
         Ok(seq)
     }
 
     /// Journals that intent `intent` resolved with `outcome` and applies
-    /// it to the ledger. **Call after the side effect.**
+    /// it to the ledger. **Call after the side effect.** Not synced: a
+    /// `Done` lost to a host crash leaves the intent pending, which the
+    /// exactly-once check resolves.
     ///
     /// # Errors
     ///
@@ -773,8 +821,8 @@ impl<S: Storage> RecoveryManager<S> {
         if !self.pending.contains_key(&intent) {
             return Err(RecoveryError::UnknownIntent { intent });
         }
-        self.wal
-            .append(&JournalRecord::Done { intent, outcome }.encode())?;
+        JournalRecord::Done { intent, outcome }.encode(&mut self.record);
+        self.wal.append(&self.record)?;
         let step = self.pending.remove(&intent).expect("checked above");
         self.ledger.apply(&step, outcome);
         self.stats.journal_appends += 1;
@@ -792,35 +840,43 @@ impl<S: Storage> RecoveryManager<S> {
         &self.ledger
     }
 
-    /// Canonical digest over ledger + pending intents: byte-identical
-    /// across a crash/recover cycle iff the recovered state is.
-    pub fn digest(&self) -> Hash256 {
-        let mut bytes = Vec::new();
+    /// Canonical encoding of ledger + pending intents, reserved up front:
+    /// the snapshot payload and the digest input.
+    fn encode_state(&self) -> Vec<u8> {
+        let ledger_bytes = 1 + 4 + self.ledger.payments.len() * PaymentLedger::PAYMENT_BYTES + 8;
+        let pending_bytes = 4 + self.pending.len() * (8 + Step::MAX_ENCODED_BYTES);
+        let mut bytes = Vec::with_capacity(ledger_bytes + pending_bytes);
         self.ledger.encode(&mut bytes);
         bytes.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
         for (intent, step) in &self.pending {
             bytes.extend_from_slice(&intent.to_le_bytes());
             step.encode(&mut bytes);
         }
-        sha256d(&bytes)
+        bytes
     }
 
-    /// Checkpoints the current state so future recoveries replay only the
-    /// WAL tail past this point.
+    /// Canonical digest over ledger + pending intents: byte-identical
+    /// across a crash/recover cycle iff the recovered state is.
+    pub fn digest(&self) -> Hash256 {
+        sha256d(&self.encode_state())
+    }
+
+    /// Checkpoints the current state and truncates the log: the snapshot
+    /// slot is replaced atomically and durably, and only then is the WAL
+    /// cut to zero bytes, so future recoveries read one snapshot plus the
+    /// records journaled after this point. A crash before the replace
+    /// leaves the old slot and the whole tail; between the two steps, the
+    /// new slot and a tail it fully covers (skipped on replay); after
+    /// both, the new slot and an empty log.
     ///
     /// # Errors
     ///
-    /// [`RecoveryError::Store`] when the snapshot write fails (the WAL is
-    /// untouched, so recovery still works from the previous checkpoint).
+    /// [`RecoveryError::Store`] when the snapshot write fails (both media
+    /// are untouched) or the truncation fails (the log stays, covered).
     pub fn checkpoint(&mut self) -> Result<(), RecoveryError> {
-        let mut state = Vec::new();
-        self.ledger.encode(&mut state);
-        state.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
-        for (intent, step) in &self.pending {
-            state.extend_from_slice(&intent.to_le_bytes());
-            step.encode(&mut state);
-        }
-        self.snapshots.save(self.wal.next_seq(), &state)?;
+        self.snapshots
+            .save(self.wal.next_seq(), &self.encode_state())?;
+        self.wal.reset()?;
         self.stats.checkpoints += 1;
         Ok(())
     }
@@ -852,11 +908,9 @@ fn decode_snapshot_state(
     let mut bytes = bytes;
     let ledger = PaymentLedger::decode(&mut bytes)?;
     let count = u32::from_le_bytes(take(&mut bytes, 4)?.try_into().expect("sized slice"));
-    let mut pending = BTreeMap::new();
-    for _ in 0..count {
-        let intent = take_u64(&mut bytes)?;
-        pending.insert(intent, Step::decode(&mut bytes)?);
-    }
+    let pending = (0..count)
+        .map(|_| Ok((take_u64(&mut bytes)?, Step::decode(&mut bytes)?)))
+        .collect::<Result<BTreeMap<_, _>, RecoveryError>>()?;
     if !bytes.is_empty() {
         return Err(RecoveryError::Malformed("trailing snapshot bytes".into()));
     }
@@ -1037,8 +1091,157 @@ mod tests {
         assert_eq!(restored.digest(), digest_after);
     }
 
+    /// Journals one registered payment (two records) under `payment_id`.
+    fn journal_payment(mgr: &mut RecoveryManager<MemStorage>, payment_id: u64) {
+        let id = mgr
+            .begin(Step::OpenPayment {
+                txid: txid(payment_id as u8),
+                amount_sats: 42,
+                collateral: 1,
+                psc_nonce: payment_id,
+            })
+            .unwrap();
+        mgr.complete(id, Outcome::PaymentRegistered { payment_id })
+            .unwrap();
+    }
+
+    fn flip_last_byte(medium: &MemStorage) -> MemStorage {
+        let mut bytes = medium.bytes();
+        *bytes.last_mut().unwrap() ^= 0xFF;
+        MemStorage::from_bytes(bytes)
+    }
+
     #[test]
-    fn corrupt_snapshot_falls_back_to_full_replay() {
+    fn checkpoint_truncates_the_log_and_sequence_numbers_continue() {
+        let wal = MemStorage::new();
+        let snap = MemStorage::new();
+        let (mut mgr, _) = RecoveryManager::open(wal.clone(), snap.clone()).unwrap();
+        journal_payment(&mut mgr, 1);
+        mgr.checkpoint().unwrap();
+        assert!(wal.bytes().is_empty(), "a checkpointed log is byte-empty");
+        assert_eq!(mgr.wal_stats().medium_bytes, 0);
+        let digest = mgr.digest();
+
+        // Snapshot alone recovers everything; the next record continues
+        // the sequence instead of restarting below the snapshot.
+        let (mut restored, report) = RecoveryManager::open(wal.clone(), snap.clone()).unwrap();
+        assert!(report.snapshot_used);
+        assert_eq!(report.replayed_records, 0);
+        assert_eq!(restored.digest(), digest);
+        journal_payment(&mut restored, 2);
+        let digest = restored.digest();
+        let (restored, report) = RecoveryManager::open(wal, snap).unwrap();
+        assert_eq!(report.replayed_records, 2);
+        assert_eq!(restored.digest(), digest);
+        assert!(restored.ledger().payments.contains_key(&2));
+    }
+
+    #[test]
+    fn every_checkpoint_crash_point_recovers_the_same_state() {
+        let wal = MemStorage::new();
+        let snap = MemStorage::new();
+        let (mut mgr, _) = RecoveryManager::open(wal.clone(), snap.clone()).unwrap();
+        journal_payment(&mut mgr, 1);
+        mgr.checkpoint().unwrap();
+        journal_payment(&mut mgr, 2);
+        let (wal_before, snap_before) = (wal.bytes(), snap.bytes());
+        mgr.checkpoint().unwrap();
+        let (wal_after, snap_after) = (wal.bytes(), snap.bytes());
+        let digest = mgr.digest();
+        for (crash_point, wal, snap, replayed) in [
+            ("before replace", &wal_before, &snap_before, 2),
+            (
+                "after replace, before truncate",
+                &wal_before,
+                &snap_after,
+                0,
+            ),
+            ("after truncate", &wal_after, &snap_after, 0),
+        ] {
+            let (restored, report) = RecoveryManager::open(
+                MemStorage::from_bytes(wal.clone()),
+                MemStorage::from_bytes(snap.clone()),
+            )
+            .unwrap();
+            assert_eq!(restored.digest(), digest, "{crash_point}");
+            assert_eq!(report.replayed_records, replayed, "{crash_point}");
+        }
+    }
+
+    #[test]
+    fn records_journaled_after_a_repair_below_the_snapshot_survive() {
+        // The slot was replaced but the log not yet truncated, and a bit
+        // rots in an early, covered frame: the repair cuts the log below
+        // the snapshot's sequence number.
+        let wal = MemStorage::new();
+        let snap = MemStorage::new();
+        let (mut mgr, _) = RecoveryManager::open(wal.clone(), snap.clone()).unwrap();
+        journal_payment(&mut mgr, 1);
+        journal_payment(&mut mgr, 2);
+        let mut covered_log = wal.bytes();
+        mgr.checkpoint().unwrap();
+        covered_log[20] ^= 0x01;
+        let wal = MemStorage::from_bytes(covered_log);
+
+        let (mut mgr, report) = RecoveryManager::open(wal.clone(), snap.clone()).unwrap();
+        assert!(report.snapshot_used && report.truncated_bytes > 0);
+        journal_payment(&mut mgr, 3);
+        let digest = mgr.digest();
+        let (restored, _) = RecoveryManager::open(wal, snap).unwrap();
+        assert!(
+            restored.ledger().payments.contains_key(&3),
+            "a payment journaled after the repair must not be skipped as covered"
+        );
+        assert_eq!(restored.digest(), digest);
+    }
+
+    #[test]
+    fn corrupt_snapshot_replays_a_whole_log_or_is_a_typed_error() {
+        let wal = MemStorage::new();
+        let snap = MemStorage::new();
+        let (mut mgr, _) = RecoveryManager::open(wal.clone(), snap.clone()).unwrap();
+        journal_payment(&mut mgr, 1);
+        let whole_log = wal.bytes();
+        mgr.checkpoint().unwrap();
+        let digest = mgr.digest();
+        let damaged = flip_last_byte(&snap);
+
+        // The log still reaches back to sequence 0: full replay.
+        let (restored, report) =
+            RecoveryManager::open(MemStorage::from_bytes(whole_log), damaged.clone()).unwrap();
+        assert!(!report.snapshot_used);
+        assert_eq!(report.replayed_records, 2, "full WAL replay");
+        assert_eq!(restored.digest(), digest);
+
+        // The log was truncated: the slot was the only copy of the
+        // history, so an empty ledger would be a lie. Typed error.
+        assert!(matches!(
+            RecoveryManager::open(wal.clone(), damaged.clone()),
+            Err(RecoveryError::HistoryLost {
+                log_starts_at: None
+            })
+        ));
+        journal_payment(&mut mgr, 2);
+        assert!(matches!(
+            RecoveryManager::open(wal.clone(), damaged),
+            Err(RecoveryError::HistoryLost {
+                log_starts_at: Some(2)
+            })
+        ));
+        // So is a slot that went missing altogether under a tail.
+        assert!(matches!(
+            RecoveryManager::open(wal, MemStorage::new()),
+            Err(RecoveryError::HistoryLost { .. })
+        ));
+
+        // Two byte-empty media are a fresh ledger, not an error.
+        let (fresh, report) = RecoveryManager::open(MemStorage::new(), MemStorage::new()).unwrap();
+        assert!(!report.snapshot_used);
+        assert_eq!(fresh.ledger(), &PaymentLedger::default());
+    }
+
+    #[test]
+    fn begin_is_synced_done_rides_and_checkpoint_syncs_the_slot() {
         let wal = MemStorage::new();
         let snap = MemStorage::new();
         let (mut mgr, _) = RecoveryManager::open(wal.clone(), snap.clone()).unwrap();
@@ -1048,19 +1251,79 @@ mod tests {
                 psc_nonce: 0,
             })
             .unwrap();
+        assert_eq!((wal.syncs(), mgr.wal_stats().syncs), (1, 1));
         mgr.complete(id, Outcome::Applied).unwrap();
+        assert_eq!(wal.syncs(), 1, "a Done record waits for the next sync");
         mgr.checkpoint().unwrap();
-        let digest = mgr.digest();
-        // Damage the snapshot slot.
-        let mut bytes = snap.bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        snap.replace(bytes);
+        assert_eq!(snap.syncs(), 1);
+    }
 
-        let (restored, report) = RecoveryManager::open(wal, snap).unwrap();
-        assert!(!report.snapshot_used);
-        assert_eq!(report.replayed_records, 2, "full WAL replay");
-        assert_eq!(restored.digest(), digest);
+    /// The decoder the bulk-building one replaced: one insert per entry.
+    fn decode_ledger_by_inserts(mut bytes: &[u8]) -> Result<PaymentLedger, RecoveryError> {
+        let bytes = &mut bytes;
+        let escrow_opened = take_bool(bytes)?;
+        let count = u32::from_le_bytes(take(bytes, 4)?.try_into().unwrap());
+        let mut payments = BTreeMap::new();
+        for _ in 0..count {
+            let id = take_u64(bytes)?;
+            payments.insert(id, PaymentState::decode(bytes)?);
+        }
+        Ok(PaymentLedger {
+            escrow_opened,
+            payments,
+            value_accepted_sats: take_u64(bytes)?,
+        })
+    }
+
+    #[test]
+    fn bulk_built_ledger_decode_equals_sequential_inserts() {
+        // Hostile snapshots: ids unsorted and repeated, states differing
+        // per entry so "which duplicate won" shows; also truncated input.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..200 {
+            let count = next() % 40;
+            let mut bytes = vec![1u8];
+            bytes.extend_from_slice(&(count as u32).to_le_bytes());
+            for entry in 0..count {
+                let id = if case % 2 == 0 { entry } else { next() % 8 };
+                bytes.extend_from_slice(&id.to_le_bytes());
+                PaymentState {
+                    txid: txid(entry as u8),
+                    amount_sats: next(),
+                    offered: next() % 2 == 0,
+                    ..PaymentState::default()
+                }
+                .encode(&mut bytes);
+            }
+            bytes.extend_from_slice(&next().to_le_bytes());
+            if case % 5 == 4 {
+                bytes.truncate(bytes.len().saturating_sub((next() % 30) as usize + 1));
+            }
+            let bulk = PaymentLedger::decode(&mut &bytes[..]);
+            let inserts = decode_ledger_by_inserts(&bytes);
+            match (bulk, inserts) {
+                (Ok(bulk), Ok(inserts)) => assert_eq!(bulk, inserts, "case {case}"),
+                (Err(_), Err(_)) => {}
+                (bulk, inserts) => panic!("case {case}: {bulk:?} vs {inserts:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_crc_valid_record_that_does_not_decode_is_a_typed_error() {
+        let wal = MemStorage::new();
+        let (mut log, _) = Wal::open(wal.clone()).unwrap();
+        log.append(&[0xEE, 1, 2, 3]).unwrap();
+        assert!(matches!(
+            RecoveryManager::open(wal, MemStorage::new()),
+            Err(RecoveryError::Malformed(_))
+        ));
     }
 
     #[test]

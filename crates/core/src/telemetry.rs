@@ -128,6 +128,8 @@ pub fn publish_recovery<S: btcfast_store::Storage>(
     registry.set_gauge("btcfast_wal_records_recovered", wal.records_recovered);
     registry.set_gauge("btcfast_wal_truncated_bytes", wal.truncated_bytes);
     registry.set_gauge("btcfast_wal_duplicates_skipped", wal.duplicates_skipped);
+    registry.set_gauge("btcfast_wal_syncs", wal.syncs);
+    registry.set_gauge("btcfast_wal_medium_bytes", wal.medium_bytes);
 }
 
 /// Publishes an open-loop load run: aggregate offered/served/shed
@@ -306,6 +308,16 @@ mod tests {
         assert_eq!(registry.gauge("btcfast_recovery_payments_tracked").get(), 1);
         assert!(registry.gauge("btcfast_wal_appends").get() >= 10);
         assert!(registry.gauge("btcfast_wal_bytes_appended").get() > 0);
+        // One sync per Begin record; nothing checkpointed, so the medium
+        // still holds every byte appended.
+        assert_eq!(
+            registry.gauge("btcfast_wal_syncs").get() * 2,
+            registry.gauge("btcfast_wal_appends").get()
+        );
+        assert_eq!(
+            registry.gauge("btcfast_wal_medium_bytes").get(),
+            registry.gauge("btcfast_wal_bytes_appended").get()
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! A snapshot is an encoded state blob plus the WAL sequence number it
 //! covers: recovery loads the snapshot, then replays only WAL records
 //! with `seq >= wal_seq`. One slot is enough — a newer checkpoint always
-//! supersedes an older one — so `save` is truncate-then-append on its own
-//! medium (kept separate from the WAL medium, so a crash mid-save can
-//! never damage the log).
+//! supersedes an older one — and `save` is one [`Storage::replace`] of its
+//! own medium: after a crash the slot is the old checkpoint or the new
+//! one. That atomicity carries the whole store, because the log is
+//! truncated once the slot covers it — the slot *is* the history.
 //!
 //! # Slot format
 //!
@@ -14,9 +15,9 @@
 //! ```
 //!
 //! `crc` is CRC-32 over `wal_seq_le || state`. A slot that fails any
-//! check loads as *absent* on the lenient path — recovery then falls back
-//! to a full WAL replay, which is always sufficient — or as a typed
-//! [`StoreError::Corrupt`] on the strict path.
+//! check loads as *absent* on the lenient path — the caller decides
+//! whether its log still holds the history to replay instead — or as a
+//! typed [`StoreError::Corrupt`] on the strict path.
 
 use crate::storage::Storage;
 use crate::wal::Corruption;
@@ -49,7 +50,9 @@ pub struct SnapshotStore<S: Storage> {
     storage: S,
 }
 
-fn decode(bytes: &[u8]) -> Result<Option<Snapshot>, Corruption> {
+/// Validates a whole slot and turns its buffer into the snapshot: the
+/// state is checked and kept in place, never copied.
+fn decode(mut bytes: Vec<u8>) -> Result<Option<Snapshot>, Corruption> {
     if bytes.is_empty() {
         return Ok(None);
     }
@@ -69,13 +72,14 @@ fn decode(bytes: &[u8]) -> Result<Option<Snapshot>, Corruption> {
         });
     }
     let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("sized slice"));
-    let body = &bytes[12..];
-    if crc32(body) != crc {
+    if crc32(&bytes[12..]) != crc {
         return Err(Corruption::BadChecksum { offset: 0 });
     }
+    let wal_seq = u64::from_le_bytes(bytes[12..HEADER_BYTES].try_into().expect("sized slice"));
+    bytes.drain(..HEADER_BYTES);
     Ok(Some(Snapshot {
-        wal_seq: u64::from_le_bytes(body[0..8].try_into().expect("sized slice")),
-        state: body[8..].to_vec(),
+        wal_seq,
+        state: bytes,
     }))
 }
 
@@ -86,8 +90,8 @@ impl<S: Storage> SnapshotStore<S> {
         SnapshotStore { storage }
     }
 
-    /// Replaces the slot with a checkpoint of `state` covering every WAL
-    /// record below `wal_seq`.
+    /// Atomically and durably replaces the slot with a checkpoint of
+    /// `state` covering every WAL record below `wal_seq`.
     ///
     /// # Errors
     ///
@@ -103,24 +107,24 @@ impl<S: Storage> SnapshotStore<S> {
         let mut slot = Vec::with_capacity(HEADER_BYTES + state.len());
         slot.extend_from_slice(&MAGIC);
         slot.extend_from_slice(&(state.len() as u32).to_le_bytes());
-        let mut body = Vec::with_capacity(8 + state.len());
-        body.extend_from_slice(&wal_seq.to_le_bytes());
-        body.extend_from_slice(state);
-        slot.extend_from_slice(&crc32(&body).to_le_bytes());
-        slot.extend_from_slice(&body);
-        self.storage.truncate(0)?;
-        self.storage.append(&slot)
+        slot.extend_from_slice(&[0; 4]); // crc, patched once the body is in place
+        slot.extend_from_slice(&wal_seq.to_le_bytes());
+        slot.extend_from_slice(state);
+        let crc = crc32(&slot[12..]);
+        slot[8..12].copy_from_slice(&crc.to_le_bytes());
+        self.storage.replace(slot)
     }
 
-    /// Loads the checkpoint, treating a damaged slot as *absent* so the
-    /// caller falls back to full WAL replay.
+    /// Loads the checkpoint, treating a damaged slot as *absent*: the
+    /// caller replays the whole log if it still starts at the beginning,
+    /// and must refuse to start if it does not.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] only — corruption is the `Ok(None)` fallback on
     /// this path.
     pub fn load(&self) -> Result<Option<Snapshot>, StoreError> {
-        Ok(decode(&self.storage.read_all()?).unwrap_or(None))
+        Ok(decode(self.storage.read_all()?).unwrap_or(None))
     }
 
     /// Loads the checkpoint, surfacing a damaged slot as a typed error.
@@ -130,7 +134,7 @@ impl<S: Storage> SnapshotStore<S> {
     /// [`StoreError::Corrupt`] for a damaged slot; [`StoreError::Io`]
     /// when the medium cannot be read.
     pub fn load_strict(&self) -> Result<Option<Snapshot>, StoreError> {
-        decode(&self.storage.read_all()?).map_err(StoreError::Corrupt)
+        decode(self.storage.read_all()?).map_err(StoreError::Corrupt)
     }
 
     /// The underlying medium (inspection, digests).
@@ -159,17 +163,19 @@ mod tests {
         let snap = store.load().unwrap().unwrap();
         assert_eq!(snap.wal_seq, 42);
         assert_eq!(snap.state, b"state-v2-longer");
+        // One replace per save, each synced: a crash leaves v1 or v2.
+        assert_eq!(store.storage().syncs(), 2);
     }
 
     #[test]
     fn corrupt_slot_is_absent_leniently_and_typed_strictly() {
-        let medium = MemStorage::new();
+        let mut medium = MemStorage::new();
         let mut store = SnapshotStore::new(medium.clone());
         store.save(3, b"precious").unwrap();
         let mut bytes = medium.bytes();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
-        medium.replace(bytes);
+        medium.replace(bytes).unwrap();
 
         assert_eq!(store.load().unwrap(), None);
         assert!(matches!(
@@ -180,12 +186,12 @@ mod tests {
 
     #[test]
     fn torn_save_is_absent_not_a_panic() {
-        let medium = MemStorage::new();
+        let mut medium = MemStorage::new();
         let mut store = SnapshotStore::new(medium.clone());
         store.save(9, b"half-written").unwrap();
         let mut bytes = medium.bytes();
         bytes.truncate(bytes.len() - 5);
-        medium.replace(bytes);
+        medium.replace(bytes).unwrap();
         assert_eq!(store.load().unwrap(), None);
         assert!(matches!(
             store.load_strict(),
@@ -195,12 +201,10 @@ mod tests {
 
     #[test]
     fn hostile_length_prefix_is_corruption() {
-        let medium = MemStorage::new();
         let mut slot = MAGIC.to_vec();
         slot.extend_from_slice(&u32::MAX.to_le_bytes());
         slot.extend_from_slice(&[0u8; 12]);
-        medium.replace(slot);
-        let store = SnapshotStore::new(medium);
+        let store = SnapshotStore::new(MemStorage::from_bytes(slot));
         assert_eq!(store.load().unwrap(), None);
         assert!(matches!(
             store.load_strict(),

@@ -9,10 +9,21 @@ use crate::StoreError;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// An append-and-truncate byte medium. Deliberately minimal: the WAL only
-/// appends, and recovery only truncates back to a clean prefix.
+/// An append-and-truncate byte medium. Deliberately minimal: the WAL
+/// appends, recovery truncates back to a clean prefix, a checkpoint
+/// replaces the snapshot slot whole and then truncates the log to nothing.
+///
+/// # Durability policy
+///
+/// `append` and `truncate` hand bytes to the medium; only [`Storage::sync`]
+/// and [`Storage::replace`] promise they survive a host crash. The journal
+/// syncs every `Begin` record before `begin` returns — the side effect it
+/// announces must never outlive its intent — and every snapshot replace.
+/// `Done` records ride on the next sync: a lost `Done` leaves the intent
+/// pending, which the exactly-once nonce check resolves on restart.
 pub trait Storage {
     /// Current medium length in bytes.
     fn len(&self) -> u64;
@@ -22,8 +33,9 @@ pub trait Storage {
         self.len() == 0
     }
 
-    /// Reads the entire medium. Logs in this system are bounded (snapshots
-    /// keep them short), so whole-medium reads are the simple, safe choice.
+    /// Reads the entire medium. Both media are bounded — a checkpoint
+    /// truncates the log to nothing and the snapshot is a single slot — so
+    /// whole-medium reads are the simple, safe choice.
     ///
     /// # Errors
     ///
@@ -43,6 +55,22 @@ pub trait Storage {
     ///
     /// [`StoreError::Io`] when the truncation fails.
     fn truncate(&mut self, len: u64) -> Result<(), StoreError>;
+
+    /// Atomically replaces the whole medium with `bytes`, durably: after a
+    /// crash at any point the medium holds either the old bytes or the new
+    /// ones, never a mixture and never nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when the replacement fails (the old bytes stay).
+    fn replace(&mut self, bytes: Vec<u8>) -> Result<(), StoreError>;
+
+    /// Makes every byte appended so far survive a host crash.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when the medium cannot confirm durability.
+    fn sync(&mut self) -> Result<(), StoreError>;
 }
 
 /// An in-memory durable medium: a byte vector behind a shared handle.
@@ -50,10 +78,11 @@ pub trait Storage {
 /// Cloning a `MemStorage` clones the *handle*, not the bytes — exactly the
 /// semantics of a disk that survives a process crash: the simulated node
 /// drops all volatile state, but a clone of the handle re-opens the same
-/// bytes. Fully deterministic; no I/O can fail.
+/// bytes. Fully deterministic; no I/O can fail, and `sync` only counts.
 #[derive(Clone, Debug, Default)]
 pub struct MemStorage {
     bytes: Arc<Mutex<Vec<u8>>>,
+    syncs: Arc<AtomicU64>,
 }
 
 impl MemStorage {
@@ -66,6 +95,7 @@ impl MemStorage {
     pub fn from_bytes(bytes: Vec<u8>) -> MemStorage {
         MemStorage {
             bytes: Arc::new(Mutex::new(bytes)),
+            syncs: Arc::default(),
         }
     }
 
@@ -74,10 +104,9 @@ impl MemStorage {
         self.bytes.lock().expect("storage lock").clone()
     }
 
-    /// Replaces the media bytes wholesale (corruption injection in tests
-    /// and fuzz targets; a real disk has no such operation).
-    pub fn replace(&self, bytes: Vec<u8>) {
-        *self.bytes.lock().expect("storage lock") = bytes;
+    /// Syncs requested on this medium, through any handle.
+    pub fn syncs(&self) -> u64 {
+        self.syncs.load(Ordering::Relaxed)
     }
 }
 
@@ -105,12 +134,22 @@ impl Storage for MemStorage {
         }
         Ok(())
     }
+
+    fn replace(&mut self, bytes: Vec<u8>) -> Result<(), StoreError> {
+        *self.bytes.lock().expect("storage lock") = bytes;
+        self.sync()
+    }
+
+    fn sync(&mut self) -> Result<(), StoreError> {
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
 }
 
-/// A real file as durable medium. Appends are flushed before returning,
-/// so a record acknowledged as appended survives a process crash (host
-/// crashes additionally need the host's fsync guarantees; the sim treats
-/// flush as the durability point).
+/// A real file as durable medium. Appends reach the kernel before
+/// returning, so they survive a process crash; `sync` (`sync_data`) and
+/// `replace` (temp file, `sync_all`, rename, directory sync) make them
+/// survive a host crash.
 #[derive(Debug)]
 pub struct FileStorage {
     path: PathBuf,
@@ -146,6 +185,10 @@ impl FileStorage {
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    fn io_err(&self, what: &str, e: std::io::Error) -> StoreError {
+        StoreError::Io(format!("{what} {}: {e}", self.path.display()))
+    }
 }
 
 impl Storage for FileStorage {
@@ -154,11 +197,10 @@ impl Storage for FileStorage {
     }
 
     fn read_all(&self) -> Result<Vec<u8>, StoreError> {
-        let mut file = File::open(&self.path)
-            .map_err(|e| StoreError::Io(format!("open {}: {e}", self.path.display())))?;
+        let mut file = File::open(&self.path).map_err(|e| self.io_err("open", e))?;
         let mut bytes = Vec::with_capacity(self.len as usize);
         file.read_to_end(&mut bytes)
-            .map_err(|e| StoreError::Io(format!("read {}: {e}", self.path.display())))?;
+            .map_err(|e| self.io_err("read", e))?;
         Ok(bytes)
     }
 
@@ -166,7 +208,7 @@ impl Storage for FileStorage {
         self.file
             .write_all(bytes)
             .and_then(|()| self.file.flush())
-            .map_err(|e| StoreError::Io(format!("append {}: {e}", self.path.display())))?;
+            .map_err(|e| self.io_err("append", e))?;
         self.len += bytes.len() as u64;
         Ok(())
     }
@@ -177,12 +219,38 @@ impl Storage for FileStorage {
         }
         self.file
             .set_len(len)
-            .map_err(|e| StoreError::Io(format!("truncate {}: {e}", self.path.display())))?;
+            .map_err(|e| self.io_err("truncate", e))?;
         self.file
             .seek(SeekFrom::End(0))
-            .map_err(|e| StoreError::Io(format!("seek {}: {e}", self.path.display())))?;
+            .map_err(|e| self.io_err("seek", e))?;
         self.len = len;
         Ok(())
+    }
+
+    fn replace(&mut self, bytes: Vec<u8>) -> Result<(), StoreError> {
+        let mut tmp_path = self.path.clone().into_os_string();
+        tmp_path.push(".tmp");
+        let tmp_path = PathBuf::from(tmp_path);
+        let mut tmp = File::create(&tmp_path).map_err(|e| self.io_err("create temp for", e))?;
+        tmp.write_all(&bytes)
+            .and_then(|()| tmp.sync_all())
+            .map_err(|e| self.io_err("write temp for", e))?;
+        std::fs::rename(&tmp_path, &self.path).map_err(|e| self.io_err("rename over", e))?;
+        // The rename is durable once its directory entry is.
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| self.io_err("sync directory of", e))?;
+        // The old handle still names the unlinked file.
+        *self = FileStorage::open(&self.path)?;
+        Ok(())
+    }
+
+    fn sync(&mut self) -> Result<(), StoreError> {
+        self.file.sync_data().map_err(|e| self.io_err("sync", e))
     }
 }
 
@@ -202,6 +270,11 @@ mod tests {
         // Truncating longer than the medium is a no-op, not an error.
         a.truncate(100).unwrap();
         assert_eq!(b.len(), 2);
+        // Replace swaps the bytes for every handle and counts as a sync.
+        a.replace(b"whole".to_vec()).unwrap();
+        assert_eq!(b.bytes(), b"whole");
+        a.sync().unwrap();
+        assert_eq!(b.syncs(), 2);
     }
 
     #[test]
@@ -220,12 +293,19 @@ mod tests {
             assert_eq!(storage.read_all().unwrap(), b"abc");
             // Appending after a truncation lands at the new tail.
             storage.append(b"Z").unwrap();
+            storage.sync().unwrap();
             assert_eq!(storage.read_all().unwrap(), b"abcZ");
+            // Replace swaps the file under the handle; appends follow it.
+            storage.replace(b"new".to_vec()).unwrap();
+            assert_eq!(storage.len(), 3);
+            storage.append(b"!").unwrap();
+            assert_eq!(storage.read_all().unwrap(), b"new!");
         }
-        // Re-open sees the persisted bytes.
+        // Re-open sees the persisted bytes, and no temp file is left.
         let storage = FileStorage::open(&path).unwrap();
         assert_eq!(storage.len(), 4);
-        assert_eq!(storage.read_all().unwrap(), b"abcZ");
+        assert_eq!(storage.read_all().unwrap(), b"new!");
+        assert!(!PathBuf::from(format!("{}.tmp", path.display())).exists());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -32,6 +32,14 @@
 //! the same scan but surfaces the first corruption as a typed
 //! [`StoreError`] instead of repairing, for callers that must distinguish
 //! "clean restart" from "media damage".
+//!
+//! # Truncation
+//!
+//! The log does not keep history. Once a snapshot covering every record
+//! is durable, [`Wal::reset`] truncates the medium to zero bytes;
+//! sequence numbers continue (see [`Wal::open_with`]), so the log holds
+//! only the tail since the last checkpoint and recovery time is bounded
+//! by the checkpoint interval, not by the age of the ledger.
 
 use crate::storage::Storage;
 use crate::{crc32, StoreError};
@@ -95,8 +103,12 @@ impl fmt::Display for Corruption {
 /// if anything, was repaired away.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveredLog {
-    /// The accepted records, in sequence order: `(seq, payload)`.
+    /// The accepted records, in sequence order: `(seq, payload)`. Left
+    /// empty by the visiting forms ([`scan_with`], [`Wal::open_with`]),
+    /// which hand each record to the caller instead of collecting it.
     pub records: Vec<(u64, Vec<u8>)>,
+    /// One past the last accepted sequence number (0 on an empty log).
+    pub next_seq: u64,
     /// Byte length of the accepted clean prefix.
     pub valid_len: u64,
     /// Bytes discarded past the clean prefix (0 on a clean medium).
@@ -105,13 +117,6 @@ pub struct RecoveredLog {
     pub corruption: Option<Corruption>,
     /// CRC-valid records skipped because their seq was already applied.
     pub duplicates_skipped: u64,
-}
-
-impl RecoveredLog {
-    /// The next sequence number an appender should use.
-    pub fn next_seq(&self) -> u64 {
-        self.records.last().map_or(0, |(seq, _)| seq + 1)
-    }
 }
 
 /// Cheap counters for the telemetry layer (scraped as gauges).
@@ -129,11 +134,25 @@ pub struct WalStats {
     pub truncated_bytes: u64,
     /// Duplicate records skipped by recovery scans.
     pub duplicates_skipped: u64,
+    /// Syncs this handle asked of the medium.
+    pub syncs: u64,
+    /// Current length of the medium, in bytes.
+    pub medium_bytes: u64,
 }
 
 /// Scans `bytes` and returns the longest clean record prefix. Pure
 /// function of the bytes; never panics.
 pub fn scan(bytes: &[u8]) -> RecoveredLog {
+    let mut records = Vec::new();
+    let mut recovered = scan_with(bytes, |seq, payload| records.push((seq, payload.to_vec())));
+    recovered.records = records;
+    recovered
+}
+
+/// The scan itself, in one pass and without allocating: every record of
+/// the clean prefix is handed to `visit` as `(seq, payload)`, the payload
+/// borrowed from `bytes`, and [`RecoveredLog::records`] stays empty.
+pub fn scan_with(bytes: &[u8], mut visit: impl FnMut(u64, &[u8])) -> RecoveredLog {
     let mut recovered = RecoveredLog::default();
     let mut offset = 0usize;
     let mut last_seq: Option<u64> = None;
@@ -174,8 +193,9 @@ pub fn scan(bytes: &[u8]) -> RecoveredLog {
             // applied, so skip it but keep its bytes in the clean prefix.
             recovered.duplicates_skipped += 1;
         } else {
-            recovered.records.push((seq, body[8..].to_vec()));
+            visit(seq, &body[8..]);
             last_seq = Some(seq);
+            recovered.next_seq = seq.saturating_add(1);
         }
         recovered.valid_len = offset as u64;
     }
@@ -190,6 +210,8 @@ pub struct Wal<S: Storage> {
     storage: S,
     next_seq: u64,
     stats: WalStats,
+    /// The frame being appended, kept so appends do not allocate.
+    frame: Vec<u8>,
 }
 
 impl<S: Storage> Wal<S> {
@@ -202,14 +224,42 @@ impl<S: Storage> Wal<S> {
     /// [`StoreError::Io`] when the medium cannot be read or repaired.
     /// Corruption is *not* an error on this path — it is repaired and
     /// reported inside [`RecoveredLog`].
-    pub fn open(mut storage: S) -> Result<(Wal<S>, RecoveredLog), StoreError> {
-        let recovered = scan(&storage.read_all()?);
+    pub fn open(storage: S) -> Result<(Wal<S>, RecoveredLog), StoreError> {
+        let mut records = Vec::new();
+        let (wal, mut recovered) = Wal::open_with(storage, 0, |seq, payload| {
+            records.push((seq, payload.to_vec()));
+        })?;
+        recovered.records = records;
+        Ok((wal, recovered))
+    }
+
+    /// [`Wal::open`] in one pass: each recovered record goes to `visit`
+    /// (see [`scan_with`]) instead of into [`RecoveredLog::records`].
+    /// `first_seq` is the sequence number the caller's snapshot says the
+    /// log resumes from: the appender continues at whichever is larger,
+    /// that or one past the last record found, so a record written after
+    /// a truncation (or after a repair that cut into covered records)
+    /// never sorts below the snapshot that precedes it.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when the medium cannot be read or repaired.
+    pub fn open_with(
+        mut storage: S,
+        first_seq: u64,
+        mut visit: impl FnMut(u64, &[u8]),
+    ) -> Result<(Wal<S>, RecoveredLog), StoreError> {
+        let mut records_recovered = 0;
+        let recovered = scan_with(&storage.read_all()?, |seq, payload| {
+            records_recovered += 1;
+            visit(seq, payload);
+        });
         if recovered.truncated_bytes > 0 {
             storage.truncate(recovered.valid_len)?;
         }
         let stats = WalStats {
             recoveries: 1,
-            records_recovered: recovered.records.len() as u64,
+            records_recovered,
             truncated_bytes: recovered.truncated_bytes,
             duplicates_skipped: recovered.duplicates_skipped,
             ..WalStats::default()
@@ -217,8 +267,9 @@ impl<S: Storage> Wal<S> {
         Ok((
             Wal {
                 storage,
-                next_seq: recovered.next_seq(),
+                next_seq: recovered.next_seq.max(first_seq),
                 stats,
+                frame: Vec::new(),
             },
             recovered,
         ))
@@ -232,28 +283,15 @@ impl<S: Storage> Wal<S> {
     /// [`StoreError::Corrupt`] when the medium is not a clean record
     /// sequence; [`StoreError::Io`] when it cannot be read.
     pub fn open_strict(storage: S) -> Result<(Wal<S>, RecoveredLog), StoreError> {
-        let recovered = scan(&storage.read_all()?);
-        if let Some(corruption) = recovered.corruption {
-            return Err(StoreError::Corrupt(corruption));
+        match scan(&storage.read_all()?).corruption {
+            Some(corruption) => Err(StoreError::Corrupt(corruption)),
+            None => Wal::open(storage),
         }
-        let stats = WalStats {
-            recoveries: 1,
-            records_recovered: recovered.records.len() as u64,
-            duplicates_skipped: recovered.duplicates_skipped,
-            ..WalStats::default()
-        };
-        Ok((
-            Wal {
-                storage,
-                next_seq: recovered.next_seq(),
-                stats,
-            },
-            recovered,
-        ))
     }
 
-    /// Appends a record and returns its sequence number. The record is on
-    /// the durable medium when this returns.
+    /// Appends a record and returns its sequence number. The record is
+    /// with the medium when this returns and survives a host crash after
+    /// the next [`Wal::sync`] (see the policy on [`Storage`]).
     ///
     /// # Errors
     ///
@@ -267,18 +305,42 @@ impl<S: Storage> Wal<S> {
             });
         }
         let seq = self.next_seq;
-        let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
+        let frame = &mut self.frame;
+        frame.clear();
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let mut body = Vec::with_capacity(8 + payload.len());
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(payload);
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
-        self.storage.append(&frame)?;
+        frame.extend_from_slice(&[0; 4]); // crc, patched once the body is in place
+        frame.extend_from_slice(&seq.to_le_bytes());
+        frame.extend_from_slice(payload);
+        let crc = crc32(&frame[8..]);
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        self.storage.append(frame)?;
         self.next_seq += 1;
         self.stats.appends += 1;
         self.stats.bytes_appended += frame.len() as u64;
         Ok(seq)
+    }
+
+    /// Makes every record appended so far survive a host crash.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when the medium cannot confirm durability.
+    pub fn sync(&mut self) -> Result<(), StoreError> {
+        self.storage.sync()?;
+        self.stats.syncs += 1;
+        Ok(())
+    }
+
+    /// Truncates the medium to zero bytes; sequence numbers continue.
+    /// Call only once a snapshot covering every record is durable — from
+    /// then on that snapshot is the only copy of the history.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when the truncation fails (the records stay,
+    /// and stay covered).
+    pub fn reset(&mut self) -> Result<(), StoreError> {
+        self.storage.truncate(0)
     }
 
     /// The sequence number the next append will receive.
@@ -293,7 +355,10 @@ impl<S: Storage> Wal<S> {
 
     /// Counters for the telemetry layer.
     pub fn stats(&self) -> WalStats {
-        self.stats
+        WalStats {
+            medium_bytes: self.storage.len(),
+            ..self.stats
+        }
     }
 
     /// The underlying medium (inspection, digests).
@@ -336,12 +401,12 @@ mod tests {
 
     #[test]
     fn torn_tail_is_repaired_by_truncation() {
-        let (wal, medium) = filled_wal(&[b"one", b"two"]);
+        let (wal, mut medium) = filled_wal(&[b"one", b"two"]);
         let full = wal.len_bytes();
         // Tear the last record: keep its header but lose payload bytes.
         let mut bytes = medium.bytes();
         bytes.truncate(bytes.len() - 2);
-        medium.replace(bytes);
+        medium.replace(bytes).unwrap();
 
         let (wal, recovered) = Wal::open(medium.clone()).unwrap();
         assert_eq!(recovered.records, vec![(0, b"one".to_vec())]);
@@ -365,12 +430,12 @@ mod tests {
 
     #[test]
     fn flipped_bit_stops_the_scan_and_strict_mode_types_it() {
-        let (_wal, medium) = filled_wal(&[b"first", b"second", b"third"]);
+        let (_wal, mut medium) = filled_wal(&[b"first", b"second", b"third"]);
         let mut bytes = medium.bytes();
         // Flip one bit inside the second record's payload.
         let second_frame = HEADER_BYTES + 5;
         bytes[second_frame + HEADER_BYTES + 2] ^= 0x40;
-        medium.replace(bytes);
+        medium.replace(bytes).unwrap();
 
         let strict = Wal::open_strict(medium.clone());
         assert!(
@@ -392,11 +457,11 @@ mod tests {
 
     #[test]
     fn hostile_length_prefix_is_corruption_not_allocation() {
-        let medium = MemStorage::new();
+        let mut medium = MemStorage::new();
         let mut frame = Vec::new();
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
         frame.extend_from_slice(&[0u8; 12]);
-        medium.replace(frame);
+        medium.replace(frame).unwrap();
         let (_, recovered) = Wal::open(medium).unwrap();
         assert!(recovered.records.is_empty());
         assert!(matches!(
@@ -407,12 +472,12 @@ mod tests {
 
     #[test]
     fn duplicate_records_are_skipped_exactly_once() {
-        let (_wal, medium) = filled_wal(&[b"aa", b"bb"]);
+        let (_wal, mut medium) = filled_wal(&[b"aa", b"bb"]);
         let mut bytes = medium.bytes();
         // Duplicate the second frame wholesale (at-least-once journaling).
         let second = bytes[HEADER_BYTES + 2..].to_vec();
         bytes.extend_from_slice(&second);
-        medium.replace(bytes);
+        medium.replace(bytes).unwrap();
         let (wal, recovered) = Wal::open(medium).unwrap();
         assert_eq!(
             recovered.records,
@@ -446,13 +511,32 @@ mod tests {
     }
 
     #[test]
+    fn reset_empties_the_medium_and_the_sequence_continues() {
+        let (mut wal, medium) = filled_wal(&[b"one", b"two"]);
+        wal.sync().unwrap();
+        wal.reset().unwrap();
+        assert!(medium.is_empty());
+        assert_eq!((wal.stats().syncs, wal.stats().medium_bytes), (1, 0));
+        assert_eq!(wal.append(b"three").unwrap(), 2);
+        // A re-open told where the snapshot left off resumes past it even
+        // though the medium is empty; the visitor borrows each payload.
+        wal.reset().unwrap();
+        let mut visited = 0;
+        let (mut wal, recovered) = Wal::open_with(medium.clone(), 3, |_, _| visited += 1).unwrap();
+        assert_eq!((visited, recovered.next_seq), (0, 0));
+        assert_eq!(wal.append(b"four").unwrap(), 3);
+        let (_, recovered) = Wal::open(medium).unwrap();
+        assert_eq!(recovered.records, vec![(3, b"four".to_vec())]);
+    }
+
+    #[test]
     fn stats_track_appends_and_recoveries() {
-        let (wal, medium) = filled_wal(&[b"x", b"y"]);
+        let (wal, mut medium) = filled_wal(&[b"x", b"y"]);
         assert_eq!(wal.stats().appends, 2);
         assert!(wal.stats().bytes_appended > 2 * HEADER_BYTES as u64);
         let mut bytes = medium.bytes();
         bytes.push(0xAB); // torn byte
-        medium.replace(bytes);
+        medium.replace(bytes).unwrap();
         let (wal, _) = Wal::open(medium).unwrap();
         assert_eq!(wal.stats().recoveries, 1);
         assert_eq!(wal.stats().records_recovered, 2);

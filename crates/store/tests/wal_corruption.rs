@@ -4,10 +4,13 @@
 //! crash-at-random-offset equivalence at the heart of the durability
 //! story: opening a log cut at *any* byte offset recovers exactly the
 //! records the pure scanner salvages from that prefix, and appending
-//! afterwards leaves a clean log.
+//! afterwards leaves a clean log. The same equivalence is checked across
+//! checkpoints, where the log is truncated and the snapshot slot carries
+//! the history: every byte cut of every tail and the three crash points
+//! of every checkpoint.
 
-use btcfast_store::wal::{scan, Corruption, HEADER_BYTES};
-use btcfast_store::{MemStorage, Storage, StoreError, Wal};
+use btcfast_store::wal::{scan, scan_with, Corruption, HEADER_BYTES};
+use btcfast_store::{MemStorage, SnapshotStore, Storage, StoreError, Wal};
 use proptest::prelude::*;
 use proptest::sample::Index;
 
@@ -27,6 +30,53 @@ fn build_wal(payloads: &[Vec<u8>]) -> (MemStorage, Vec<usize>) {
 
 fn payloads() -> impl Strategy<Value = Vec<Vec<u8>>> {
     proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 1..8)
+}
+
+/// The smallest state machine over the store: the state is the list of
+/// payloads appended so far, a snapshot is that list length-prefixed.
+fn encode_state(state: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for payload in state {
+        out.push(payload.len() as u8);
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+/// Recovery as a user of the store does it: snapshot, then the records
+/// the snapshot does not cover, with the appender resuming past both.
+fn recover(wal: &MemStorage, slot: &MemStorage) -> (Wal<MemStorage>, Vec<Vec<u8>>) {
+    let mut state = Vec::new();
+    let mut covered = 0;
+    if let Some(snap) = SnapshotStore::new(slot.clone()).load().expect("load") {
+        covered = snap.wal_seq;
+        let mut rest = &snap.state[..];
+        while let Some((&len, tail)) = rest.split_first() {
+            let (payload, tail) = tail.split_at(len as usize);
+            state.push(payload.to_vec());
+            rest = tail;
+        }
+    }
+    let (wal, _) = Wal::open_with(wal.clone(), covered, |seq, payload| {
+        if seq >= covered {
+            state.push(payload.to_vec());
+        }
+    })
+    .expect("open");
+    (wal, state)
+}
+
+/// Recovers copies of the media, requires exactly `expected`, then
+/// requires a record appended after the recovery to survive the next one.
+fn check_crash(wal: &[u8], slot: &[u8], expected: &[Vec<u8>]) {
+    let wal = MemStorage::from_bytes(wal.to_vec());
+    let slot = MemStorage::from_bytes(slot.to_vec());
+    let (mut log, state) = recover(&wal, &slot);
+    assert_eq!(&state[..], expected);
+    log.append(b"post-crash").expect("append after recovery");
+    let (_, state) = recover(&wal, &slot);
+    assert_eq!(&state[..expected.len()], expected);
+    assert_eq!(&state[expected.len()..], &[b"post-crash".to_vec()][..]);
 }
 
 proptest! {
@@ -73,6 +123,72 @@ proptest! {
         prop_assert_eq!(after.corruption, None);
         prop_assert_eq!(after.records.len(), survivors + 1);
         prop_assert_eq!(&after.records[survivors].1, &b"post-crash".to_vec());
+    }
+
+    /// The same equivalence across checkpoints. Each segment's records
+    /// are appended, every byte cut of that tail is crashed over the
+    /// current slot, then the slot is replaced and the log truncated —
+    /// crashing before the replace, between replace and truncate (at
+    /// every cut of the covered tail, too) and after the truncate.
+    #[test]
+    fn crash_at_any_offset_and_checkpoint_step_recovers_the_prefix(
+        segments in proptest::collection::vec(payloads(), 4..6),
+    ) {
+        let (wal_medium, slot_medium) = (MemStorage::new(), MemStorage::new());
+        let (mut wal, _) = Wal::open(wal_medium.clone()).expect("open fresh medium");
+        let mut snapshots = SnapshotStore::new(slot_medium.clone());
+        let mut history: Vec<Vec<u8>> = Vec::new();
+        let last = segments.len() - 1;
+        for (index, segment) in segments.iter().enumerate() {
+            let covered = history.len();
+            let mut frame_ends = Vec::new();
+            for payload in segment {
+                wal.append(payload).expect("append");
+                history.push(payload.clone());
+                frame_ends.push(wal.len_bytes() as usize);
+            }
+            let (tail, slot) = (wal_medium.bytes(), slot_medium.bytes());
+            for cut in 0..=tail.len() {
+                let survivors = frame_ends.iter().filter(|&&end| end <= cut).count();
+                check_crash(&tail[..cut], &slot, &history[..covered + survivors]);
+            }
+            if index == last {
+                break; // the last segment stays a tail
+            }
+            snapshots.save(wal.next_seq(), &encode_state(&history)).expect("save");
+            let new_slot = slot_medium.bytes();
+            for cut in 0..=tail.len() {
+                check_crash(&tail[..cut], &new_slot, &history);
+            }
+            wal.reset().expect("truncate");
+            prop_assert!(wal_medium.is_empty());
+            check_crash(&[], &new_slot, &history);
+        }
+    }
+
+    /// The visiting scan hands out exactly the records the collecting
+    /// scan returns, with the same summary, on hostile bytes: a real log
+    /// with a run of bytes overwritten, then cut anywhere.
+    #[test]
+    fn scan_with_visits_exactly_the_scanned_records(
+        payloads in payloads(),
+        garbage in proptest::collection::vec(any::<u8>(), 0..24),
+        at_sel in any::<Index>(),
+        cut_sel in any::<Index>(),
+    ) {
+        let (medium, _) = build_wal(&payloads);
+        let mut bytes = medium.bytes();
+        let at = at_sel.index(bytes.len());
+        for (slot, byte) in bytes[at..].iter_mut().zip(&garbage) {
+            *slot = *byte;
+        }
+        bytes.truncate(cut_sel.index(bytes.len() + 1));
+
+        let mut visited = Vec::new();
+        let mut summary = scan_with(&bytes, |seq, payload| visited.push((seq, payload.to_vec())));
+        prop_assert!(summary.records.is_empty());
+        summary.records = visited;
+        prop_assert_eq!(&summary, &scan(&bytes));
     }
 
     /// A cut inside a frame *header* (the truncated-length-prefix case)
