@@ -10,7 +10,9 @@
 //! * `psc-replay` — a transaction schedule (hostile faucets, saturating
 //!   gas prices, reverting and overflowing contract calls) runs on two
 //!   chains; receipts, state commitments, and submit verdicts must match,
-//!   and native value must be conserved after every block.
+//!   native value must be conserved after every block, and every block's
+//!   incrementally maintained state commitment must equal a from-scratch
+//!   rebuild of the Merkle trie from the state maps.
 //! * `evidence-cache` — the parallel memoizing [`EvidenceVerifier`] must
 //!   return the byte-identical verdict as the sequential verifier, cold
 //!   and warm, and cache hits must not change gas accounting.
@@ -416,7 +418,23 @@ fn run_psc_schedule(
                         receipt.status, receipt.gas_used, receipt.fee_paid
                     ));
                 }
-                transcript.push(format!("commitment: {:?}", chain.state_commitment()));
+                // Incremental vs from-scratch: the cached Merkle root must
+                // equal a rebuild from the two state maps, and the header
+                // must carry it.
+                let commitment = chain.state_commitment();
+                let rebuilt = chain.state_commitment_from_scratch();
+                let sealed = chain
+                    .block(chain.height())
+                    .ok_or("sealed block is missing")?
+                    .state_commitment;
+                if commitment != rebuilt || sealed != commitment {
+                    return Err(format!(
+                        "state commitment diverged at block {}: incremental {commitment:?}, \
+                         from scratch {rebuilt:?}, header {sealed:?}",
+                        chain.height()
+                    ));
+                }
+                transcript.push(format!("commitment: {commitment:?}"));
 
                 // Conservation: every unit in the system came from a faucet.
                 let mut total: u128 = 0;

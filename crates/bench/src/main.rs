@@ -190,7 +190,9 @@ fn run_bench(args: &[String]) -> Result<ExitCode, CliError> {
             }
             if let Some(derived) = doc.get("derived") {
                 for (key, value) in derived.entries().unwrap_or(&[]) {
-                    println!("{key:<24} {:.2}x", value.as_f64().unwrap_or(0.0));
+                    // `*_ms` keys are latencies; everything else is a ratio.
+                    let unit = if key.ends_with("_ms") { " ms" } else { "x" };
+                    println!("{key:<24} {:.2}{unit}", value.as_f64().unwrap_or(0.0));
                 }
             }
             println!("wrote {}", out.display());

@@ -375,55 +375,58 @@ impl Chain {
         let fork_height = if cursor == Hash256::ZERO {
             0
         } else {
-            self.blocks[&cursor].height
+            self.blocks[&cursor].height as usize
         };
 
-        // Snapshot for rollback on validation failure.
-        let snapshot_utxo = self.utxo.clone();
-        let snapshot_active = self.active.clone();
-        let snapshot_undo = self.undo_logs.clone();
-        let snapshot_index = self.tx_index.clone();
+        let disconnected = self.disconnect_to(fork_height);
+        for hash in &branch {
+            if let Err(e) = self.connect(*hash) {
+                // Undo what connected, then re-apply what was disconnected:
+                // undo logs restore the fork-point set exactly, and a block
+                // that was active on exactly that set applies to it again.
+                self.disconnect_to(fork_height);
+                for hash in &disconnected {
+                    self.connect(*hash)
+                        .expect("re-applying a block that was active on this exact set");
+                }
+                return Err(ChainError::Utxo(e));
+            }
+        }
+        Ok(!disconnected.is_empty())
+    }
 
-        // Disconnect blocks above the fork point, tip first.
-        let mut disconnected = 0usize;
-        while self.height() > fork_height {
-            let tip = *self.active.last().expect("height > 0");
+    /// Disconnects the active blocks above `height`, tip first, and
+    /// returns them in chain order.
+    fn disconnect_to(&mut self, height: usize) -> Vec<Hash256> {
+        let removed = self.active.split_off(height);
+        for tip in removed.iter().rev() {
             let undo = self
                 .undo_logs
-                .remove(&tip)
+                .remove(tip)
                 .expect("active blocks have undo logs");
             self.utxo.undo_block(&undo);
-            for tx in &self.blocks[&tip].block.transactions {
+            for tx in &self.blocks[tip].block.transactions {
                 self.tx_index.remove(&tx.txid());
             }
-            self.active.pop();
-            disconnected += 1;
         }
+        removed
+    }
 
-        // Connect the new branch.
-        for hash in &branch {
-            let stored = self.blocks[hash].clone();
-            let subsidy = Amount::from_sats(self.params.subsidy_at(stored.height))
-                .expect("subsidy within money supply");
-            match self.utxo.apply_block(&stored.block, stored.height, subsidy) {
-                Ok(undo) => {
-                    self.undo_logs.insert(*hash, undo);
-                    for tx in &stored.block.transactions {
-                        self.tx_index.insert(tx.txid(), *hash);
-                    }
-                    self.active.push(*hash);
-                }
-                Err(e) => {
-                    // Restore everything.
-                    self.utxo = snapshot_utxo;
-                    self.active = snapshot_active;
-                    self.undo_logs = snapshot_undo;
-                    self.tx_index = snapshot_index;
-                    return Err(ChainError::Utxo(e));
-                }
-            }
+    /// Applies the stored block `hash` on top of the active tip (its
+    /// parent). On error nothing changed — `apply_block` stages.
+    fn connect(&mut self, hash: Hash256) -> Result<(), UtxoError> {
+        let stored = &self.blocks[&hash];
+        let subsidy = Amount::from_sats(self.params.subsidy_at(stored.height))
+            .expect("subsidy within money supply");
+        let undo = self
+            .utxo
+            .apply_block(&stored.block, stored.height, subsidy)?;
+        self.undo_logs.insert(hash, undo);
+        for tx in &stored.block.transactions {
+            self.tx_index.insert(tx.txid(), hash);
         }
-        Ok(disconnected > 0)
+        self.active.push(hash);
+        Ok(())
     }
 
     /// Returns the active-chain headers for heights `[from, from+count)`

@@ -1058,12 +1058,14 @@ impl FastPaySession {
         let txs = self.mempool.select_for_block(1000);
         let time = self.clock.as_secs().max(self.btc.tip_time());
         let block = self.honest_miner.mine_block(&self.btc, txs, time);
+        let hash = block.hash();
         self.btc
-            .submit_block(block.clone())
+            .submit_block(block)
             .map_err(|e| SessionError::BlockRejected {
                 context: "honest-mining",
                 reason: e.to_string(),
             })?;
+        let block = self.btc.block(&hash).expect("accepted blocks are stored");
         self.mempool.purge_confirmed(&block.transactions);
         Ok(())
     }

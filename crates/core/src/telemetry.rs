@@ -68,6 +68,13 @@ pub fn publish_session(registry: &Registry, session: &FastPaySession) {
         "btcfast_psc_journal_high_water",
         session.psc.journal_high_water() as u64,
     );
+    let commit = session.psc.commit_stats();
+    registry.set_gauge("btcfast_psc_commit_leaves", commit.leaves as u64);
+    registry.set_gauge(
+        "btcfast_psc_commit_dirty_high_water",
+        commit.dirty_high_water as u64,
+    );
+    registry.set_gauge("btcfast_psc_commit_nodes_hashed", commit.nodes_hashed);
 
     let cache = session.verifier().cache_stats();
     registry.set_gauge("btcfast_verify_full_hits", cache.full_hits);
@@ -196,6 +203,9 @@ mod tests {
             "btcfast_mempool_admitted",
             "btcfast_psc_gas_used",
             "btcfast_psc_journal_high_water",
+            "btcfast_psc_commit_leaves",
+            "btcfast_psc_commit_dirty_high_water",
+            "btcfast_psc_commit_nodes_hashed",
             "btcfast_verify_headers_verified",
             "btcfast_sig_cache_hits",
             "btcfast_sig_cache_primed",

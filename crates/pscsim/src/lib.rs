@@ -49,6 +49,7 @@ pub mod contract;
 pub mod gas;
 pub mod params;
 pub mod state;
+mod trie;
 pub mod tx;
 
 pub use account::AccountId;

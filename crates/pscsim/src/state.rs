@@ -1,8 +1,9 @@
 //! The world state: accounts and contract storage.
 
 use crate::account::{Account, AccountId};
-use btcfast_crypto::sha256::Sha256;
+use crate::trie::{self, Trie, KEY_ACCOUNT, KEY_STORAGE, LEAF};
 use btcfast_crypto::Hash256;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -77,10 +78,71 @@ enum JournalEntry {
 #[must_use = "a checkpoint must be committed or rolled back"]
 pub struct Checkpoint(usize);
 
+/// One state entry — the unit the commitment is marked dirty by.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Slot {
+    Account(AccountId),
+    Storage(AccountId, Vec<u8>),
+}
+
+/// Commitment-maintenance counters (observability, like
+/// [`WorldState::journal_high_water`]): deterministic, never consulted by
+/// execution, excluded from equality and from every replay fingerprint.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CommitStats {
+    /// Entries in the trie as of the last `commitment()` call.
+    pub leaves: usize,
+    /// Most distinct entries any one `commitment()` call had to refresh.
+    pub dirty_high_water: usize,
+    /// Leaf and branch hashes computed since construction.
+    pub nodes_hashed: u64,
+}
+
+/// The incrementally maintained Merkle commitment: the trie as of the last
+/// [`WorldState::commitment`] call plus the entries written since.
+#[derive(Clone, Debug, Default)]
+struct Commit {
+    trie: Trie,
+    dirty: Vec<Slot>,
+    stats: CommitStats,
+}
+
+impl Commit {
+    /// Re-reads every dirty entry from `state`'s maps into the trie
+    /// (present: set its leaf; absent: remove it) and returns the root.
+    fn refresh(&mut self, state: &WorldState) -> trie::Digest {
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        self.stats.dirty_high_water = self.stats.dirty_high_water.max(self.dirty.len());
+        for slot in self.dirty.drain(..) {
+            let (key, leaf) = match &slot {
+                Slot::Account(id) => {
+                    let key = trie::hash_parts(KEY_ACCOUNT, &[&id.0]);
+                    let leaf = state.accounts.get(id).map(|account| {
+                        let code = account.code_id.as_deref();
+                        let balance = account.balance.to_le_bytes();
+                        let nonce = account.nonce.to_le_bytes();
+                        let flag = [code.is_some() as u8];
+                        let code = code.unwrap_or("").as_bytes();
+                        trie::hash_parts(LEAF, &[&key, &balance, &nonce, &flag, code])
+                    });
+                    (key, leaf)
+                }
+                Slot::Storage(contract, slot_key) => {
+                    let key = trie::hash_parts(KEY_STORAGE, &[&contract.0, slot_key]);
+                    let value = state.storage_get(contract, slot_key);
+                    (key, value.map(|v| trie::hash_parts(LEAF, &[&key, v])))
+                }
+            };
+            self.trie.set(&key, leaf);
+        }
+        let root = self.trie.root();
+        (self.stats.leaves, self.stats.nodes_hashed) = (self.trie.leaves, self.trie.hashed);
+        root
+    }
+}
+
 /// Accounts plus per-contract key/value storage.
-///
-/// `BTreeMap`s keep iteration deterministic, which makes the state
-/// commitment reproducible across runs.
 ///
 /// Between [`begin_transaction`](WorldState::begin_transaction) and
 /// [`commit`](WorldState::commit)/[`rollback`](WorldState::rollback) every
@@ -90,15 +152,20 @@ pub struct Checkpoint(usize);
 #[derive(Clone, Debug, Default)]
 pub struct WorldState {
     accounts: BTreeMap<AccountId, Account>,
-    storage: BTreeMap<(AccountId, Vec<u8>), Vec<u8>>,
+    /// Nested per contract so a read borrows its `&[u8]` key instead of
+    /// building an owned tuple; a contract with no slots has no entry.
+    storage: BTreeMap<AccountId, BTreeMap<Vec<u8>, Vec<u8>>>,
     /// Pre-images of entries touched since the outermost open checkpoint.
     journal: Vec<JournalEntry>,
     /// True while a transaction is open; mutations outside one skip the
-    /// journal entirely, so steady-state writes stay allocation-free.
+    /// journal entirely.
     recording: bool,
     /// Deepest the journal has ever grown (observability: the checkpoint
     /// depth metric). Like the journal itself, excluded from equality.
     journal_high_water: usize,
+    /// A cache of a pure function of the two maps, so equality ignores it;
+    /// in a `RefCell` because `commitment(&self)` refreshes it.
+    commit: RefCell<Commit>,
 }
 
 impl PartialEq for WorldState {
@@ -128,12 +195,18 @@ impl WorldState {
         self.journal_high_water = self.journal_high_water.max(self.journal.len());
     }
 
+    /// Marks an entry as written since the last `commitment()`.
+    fn touch(&mut self, slot: Slot) {
+        self.commit.get_mut().dirty.push(slot);
+    }
+
     /// Mutable account access, creating a default record on first touch.
     pub fn account_mut(&mut self, id: AccountId) -> &mut Account {
         if self.recording {
             let prev = self.accounts.get(&id).cloned();
             self.record(JournalEntry::Account { id, prev });
         }
+        self.touch(Slot::Account(id));
         self.accounts.entry(id).or_default()
     }
 
@@ -210,7 +283,7 @@ impl WorldState {
 
     /// Reads a contract storage slot.
     pub fn storage_get(&self, contract: &AccountId, key: &[u8]) -> Option<&Vec<u8>> {
-        self.storage.get(&(*contract, key.to_vec()))
+        self.storage.get(contract)?.get(key)
     }
 
     /// Writes a contract storage slot, returning the previous value.
@@ -220,8 +293,10 @@ impl WorldState {
         key: Vec<u8>,
         value: Vec<u8>,
     ) -> Option<Vec<u8>> {
+        self.touch(Slot::Storage(contract, key.clone()));
+        let slots = self.storage.entry(contract).or_default();
         if self.recording {
-            let prev = self.storage.insert((contract, key.clone()), value);
+            let prev = slots.insert(key.clone(), value);
             self.record(JournalEntry::Storage {
                 contract,
                 key,
@@ -229,13 +304,27 @@ impl WorldState {
             });
             prev
         } else {
-            self.storage.insert((contract, key), value)
+            slots.insert(key, value)
         }
+    }
+
+    /// Removes a slot from the nested map, dropping the contract's entry
+    /// with its last slot (equality compares the maps as they are).
+    fn take_slot(&mut self, contract: &AccountId, key: &[u8]) -> Option<Vec<u8>> {
+        let slots = self.storage.get_mut(contract)?;
+        let prev = slots.remove(key);
+        if slots.is_empty() {
+            self.storage.remove(contract);
+        }
+        prev
     }
 
     /// Deletes a contract storage slot, returning the previous value.
     pub fn storage_remove(&mut self, contract: &AccountId, key: &[u8]) -> Option<Vec<u8>> {
-        let prev = self.storage.remove(&(*contract, key.to_vec()));
+        let prev = self.take_slot(contract, key);
+        if prev.is_some() {
+            self.touch(Slot::Storage(*contract, key.to_vec()));
+        }
         if self.recording {
             self.record(JournalEntry::Storage {
                 contract: *contract,
@@ -248,7 +337,7 @@ impl WorldState {
 
     /// Number of live storage slots (diagnostics).
     pub fn storage_len(&self) -> usize {
-        self.storage.len()
+        self.storage.values().map(BTreeMap::len).sum()
     }
 
     /// Opens a transaction: mutations from here on record pre-images so
@@ -276,26 +365,28 @@ impl WorldState {
     pub fn rollback(&mut self, checkpoint: Checkpoint) {
         while self.journal.len() > checkpoint.0 {
             match self.journal.pop().expect("length checked above") {
-                JournalEntry::Account { id, prev } => match prev {
-                    Some(account) => {
-                        self.accounts.insert(id, account);
-                    }
-                    None => {
-                        self.accounts.remove(&id);
-                    }
-                },
+                JournalEntry::Account { id, prev } => {
+                    match prev {
+                        Some(account) => self.accounts.insert(id, account),
+                        None => self.accounts.remove(&id),
+                    };
+                    self.touch(Slot::Account(id));
+                }
                 JournalEntry::Storage {
                     contract,
                     key,
                     prev,
-                } => match prev {
-                    Some(value) => {
-                        self.storage.insert((contract, key), value);
-                    }
-                    None => {
-                        self.storage.remove(&(contract, key));
-                    }
-                },
+                } => {
+                    match prev {
+                        Some(value) => self
+                            .storage
+                            .entry(contract)
+                            .or_default()
+                            .insert(key.clone(), value),
+                        None => self.take_slot(&contract, &key),
+                    };
+                    self.touch(Slot::Storage(contract, key));
+                }
             }
         }
         if checkpoint.0 == 0 {
@@ -314,27 +405,38 @@ impl WorldState {
         self.journal_high_water
     }
 
-    /// A deterministic commitment over the full state (hash of the sorted
-    /// account and storage entries) — stands in for a Merkle-Patricia root.
+    /// The Merkle root of the state: a binary trie keyed by
+    /// `sha256(domain ‖ key)` over every account and storage slot, with
+    /// domain-separated leaf and branch hashes (module `trie`). A pure
+    /// function of the two maps — any two histories reaching the same
+    /// content commit equally — maintained incrementally: each call
+    /// refreshes the entries written since the previous one and re-hashes
+    /// only the paths above them, so a clean state costs nothing.
     pub fn commitment(&self) -> Hash256 {
-        let mut hasher = Sha256::new();
-        for (id, account) in &self.accounts {
-            hasher.update(&id.0);
-            hasher.update(&account.balance.to_le_bytes());
-            hasher.update(&account.nonce.to_le_bytes());
-            if let Some(code_id) = &account.code_id {
-                hasher.update(code_id.as_bytes());
-            }
-            hasher.update(&[0xFE]); // account-record separator
-        }
-        for ((contract, key), value) in &self.storage {
-            hasher.update(&contract.0);
-            hasher.update(&(key.len() as u64).to_le_bytes());
-            hasher.update(key);
-            hasher.update(&(value.len() as u64).to_le_bytes());
-            hasher.update(value);
-        }
-        Hash256(hasher.finalize())
+        Hash256(self.commit.borrow_mut().refresh(self))
+    }
+
+    /// Counters of the commitment's incremental upkeep.
+    pub fn commit_stats(&self) -> CommitStats {
+        self.commit.borrow().stats
+    }
+
+    /// Test oracle: the root of a fresh trie built from the two maps
+    /// alone, with no history of dirty marks, removals or cached hashes.
+    /// Differential suites hold `commitment()` equal to this.
+    #[doc(hidden)]
+    pub fn commitment_from_scratch(&self) -> Hash256 {
+        let accounts = self.accounts.keys().map(|id| Slot::Account(*id));
+        let slots = self.storage.iter().flat_map(|(contract, slots)| {
+            slots
+                .keys()
+                .map(|key| Slot::Storage(*contract, key.clone()))
+        });
+        let mut fresh = Commit {
+            dirty: accounts.chain(slots).collect(),
+            ..Commit::default()
+        };
+        Hash256(fresh.refresh(self))
     }
 }
 
@@ -509,6 +611,48 @@ mod tests {
         assert_eq!(a, b);
         a.credit(id(1), 1).unwrap();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn commitment_is_the_trie_definition_over_the_two_maps() {
+        // Both the incremental root and the rebuild oracle the external
+        // suites compare it to must equal the root *defined* over the
+        // sorted (hashed key, encoded value) entries — which also pins
+        // the key domains and the account encoding byte for byte.
+        let mut state = WorldState::new();
+        assert_eq!(state.commitment(), Hash256::ZERO);
+        state.credit(id(1), 7).unwrap();
+        state.account_mut(id(2)); // default record: present, all zero
+        let contract = state.account_mut(id(3));
+        contract.code_id = Some("judger".into());
+        contract.nonce = 9;
+        state.storage_set(id(3), b"slot".to_vec(), b"value".to_vec());
+        state.storage_set(id(3), b"gone".to_vec(), b"x".to_vec());
+        state.storage_set(id(4), Vec::new(), Vec::new());
+        state.storage_remove(&id(3), b"gone");
+
+        let account = |tag: u8, balance: u128, nonce: u64, code: Option<&str>| {
+            let mut value = balance.to_le_bytes().to_vec();
+            value.extend_from_slice(&nonce.to_le_bytes());
+            value.push(code.is_some() as u8);
+            value.extend_from_slice(code.unwrap_or("").as_bytes());
+            (trie::hash_parts(0x00, &[&[tag; 20]]), value)
+        };
+        let slot = |tag: u8, key: &[u8], value: &[u8]| {
+            (trie::hash_parts(0x01, &[&[tag; 20], key]), value.to_vec())
+        };
+        let mut entries = vec![
+            account(1, 7, 0, None),
+            account(2, 0, 0, None),
+            account(3, 0, 9, Some("judger")),
+            slot(3, b"slot", b"value"),
+            slot(4, b"", b""),
+        ];
+        entries.sort();
+        let defined = Hash256(trie::tests::root_by_definition(&entries, 0));
+        assert_eq!(state.commitment(), defined);
+        assert_eq!(state.commitment_from_scratch(), defined);
+        assert_eq!(state.commit_stats().leaves, 5);
     }
 
     #[test]
