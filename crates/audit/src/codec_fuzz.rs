@@ -135,7 +135,7 @@ pub fn fuzz_compact_bits(bytes: &[u8]) -> Result<(), String> {
     // mantissa from the boundary set (zero, sign bit, extremes) that a
     // uniform u32 essentially never hits. The sign-bit-with-zero-mantissa
     // misclassification lived in exactly that 2^-24 corner.
-    let bits = if src.u8() % 4 == 0 {
+    let bits = if src.u8().is_multiple_of(4) {
         let exponent = u32::from(src.u8()) % 40;
         let mantissa = match src.u8() % 6 {
             0 => 0,

@@ -68,7 +68,7 @@ pub fn hex_encode(bytes: &[u8]) -> String {
 /// Decodes lowercase/uppercase hex.
 pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
     let s = s.trim();
-    if s.len() % 2 != 0 {
+    if !s.len().is_multiple_of(2) {
         return Err("odd-length hex string".into());
     }
     let mut out = Vec::with_capacity(s.len() / 2);

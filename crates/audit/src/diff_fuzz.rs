@@ -232,7 +232,7 @@ fn draw_schedule(src: &mut ByteSource<'_>) -> Vec<PscOp> {
                 from: src.choice(3),
                 to: src.choice(4),
                 value: u128::from(src.u32()),
-                hostile_gas: src.u8() % 4 == 0,
+                hostile_gas: src.u8().is_multiple_of(4),
             },
             2 => {
                 let from = src.choice(3);

@@ -103,7 +103,7 @@ pub fn invariant_chain_conservation(bytes: &[u8]) -> Result<(), String> {
     let steps = 4 + src.choice(9);
     for _ in 0..steps {
         // Mostly extend the tip; sometimes fork a few blocks back.
-        let parent = if src.u8() % 4 == 0 && chain.height() > 1 {
+        let parent = if src.u8().is_multiple_of(4) && chain.height() > 1 {
             let back = 1 + src.choice(chain.height() as usize - 1) as u64;
             *chain
                 .active_hashes()
@@ -266,7 +266,7 @@ pub fn invariant_escrow_dispute(bytes: &[u8]) -> Result<(), String> {
     audit!();
 
     // Open a payment; sometimes over-collateralised to probe the revert path.
-    let overdraw = src.u8() % 8 == 0;
+    let overdraw = src.u8().is_multiple_of(8);
     let collateral = if overdraw {
         deposit + 1 + u128::from(src.u16())
     } else {
@@ -365,7 +365,7 @@ pub fn invariant_escrow_dispute(bytes: &[u8]) -> Result<(), String> {
             audit!();
 
             // Customer may answer with inclusion evidence…
-            let customer_submits = src.u8() % 4 != 0;
+            let customer_submits = !src.u8().is_multiple_of(4);
             let customer_tip = 6 + src.choice(5) as u64; // heights 6..=10
             if customer_submits {
                 let evidence =

@@ -48,11 +48,12 @@ fn plan_for(loss: f64, partition: Option<(u64, u64)>) -> FaultPlan {
 }
 
 fn session_config() -> SessionConfig {
-    let mut config = SessionConfig::default();
-    // Short window keeps the full dispute (window expiry included) cheap
-    // per trial without changing any verdict.
-    config.challenge_window_secs = 1800;
-    config
+    SessionConfig {
+        // Short window keeps the full dispute (window expiry included) cheap
+        // per trial without changing any verdict.
+        challenge_window_secs: 1800,
+        ..SessionConfig::default()
+    }
 }
 
 /// Runs E10.
@@ -179,17 +180,17 @@ pub fn run(quick: bool) -> Vec<Table> {
                     // Only a failure in a dispute phase forfeits the
                     // merchant's claim; a payment-phase failure means no
                     // sale happened, so there is nothing at risk.
-                    Err(e) => match e.phase() {
-                        Some(
+                    Err(e) => {
+                        if let Some(
                             ProtocolPhase::DisputeOpen
                             | ProtocolPhase::EvidenceSubmission
                             | ProtocolPhase::JudgeCall,
-                        ) => {
+                        ) = e.phase()
+                        {
                             races_lost += 1;
                             funds_safe = false;
                         }
-                        _ => {}
-                    },
+                    }
                 }
             }
             let mean_duration = if races_lost > 0 {

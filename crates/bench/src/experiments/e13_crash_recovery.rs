@@ -46,9 +46,10 @@ fn chaos_config() -> ChaosConfig {
 }
 
 fn session_config() -> SessionConfig {
-    let mut config = SessionConfig::default();
-    config.challenge_window_secs = 1800;
-    config
+    SessionConfig {
+        challenge_window_secs: 1800,
+        ..SessionConfig::default()
+    }
 }
 
 /// Schedules `crashes` bounces cycling over the phase's landing times and
@@ -204,17 +205,17 @@ pub fn run(quick: bool) -> Vec<Table> {
                         }
                     }
                 }
-                Err(e) => match e.phase() {
-                    Some(
+                Err(e) => {
+                    if let Some(
                         ProtocolPhase::DisputeOpen
                         | ProtocolPhase::EvidenceSubmission
                         | ProtocolPhase::JudgeCall,
-                    ) => {
+                    ) = e.phase()
+                    {
                         races_lost += 1;
                         funds_safe = false;
                     }
-                    _ => {}
-                },
+                }
             }
             recoveries += chaos.recoveries();
         }

@@ -73,7 +73,7 @@ fn run_trial(loss: f64, seed: u64) -> Trial {
     let trees = build_trees(&jsonl).expect("trace reconstructs into a forest");
     let tree = trees
         .iter()
-        .find(|t| t.root_node().name == "chaos.payment")
+        .find(|t| t.root_node().name == "session.payment")
         .expect("the payment has a root span");
     check_nesting(tree).expect("child spans nest inside their parents");
 
@@ -249,7 +249,9 @@ mod tests {
     fn e15_span_tree_artifact_reconstructs() {
         let jsonl = span_tree_jsonl();
         let trees = build_trees(&jsonl).expect("artifact parses");
-        assert!(trees.iter().any(|t| t.root_node().name == "chaos.payment"));
+        assert!(trees
+            .iter()
+            .any(|t| t.root_node().name == "session.payment"));
         for tree in &trees {
             check_nesting(tree).expect("artifact trees nest");
         }

@@ -40,8 +40,10 @@ pub fn run(quick: bool) -> Vec<Table> {
         let mut pos_waits = Vec::with_capacity(trials);
         let mut e2e_waits = Vec::with_capacity(trials);
         for trial in 0..trials {
-            let mut config = SessionConfig::default();
-            config.latency = latency;
+            let config = SessionConfig {
+                latency,
+                ..SessionConfig::default()
+            };
             let mut session = FastPaySession::new(config, 1000 + trial as u64);
             let report = session.run_fast_payment(amount).expect("honest payment");
             assert!(report.accepted, "{:?}", report.reject);
@@ -87,8 +89,10 @@ pub fn run(quick: bool) -> Vec<Table> {
         for z in [1u64, 2, 6] {
             let mut waits = Vec::with_capacity(baseline_trials);
             for trial in 0..baseline_trials {
-                let mut config = SessionConfig::default();
-                config.latency = latency;
+                let config = SessionConfig {
+                    latency,
+                    ..SessionConfig::default()
+                };
                 let mut session = FastPaySession::new(config, 3000 + trial as u64 + z * 101);
                 let report = session
                     .run_baseline_payment(amount, z)

@@ -66,8 +66,10 @@ pub fn run(quick: bool) -> Vec<Table> {
         let mut compensated = 0u32;
         let mut net_loss = 0u32;
         for trial in 0..trials {
-            let mut config = SessionConfig::default();
-            config.challenge_window_secs = 100_000; // window covers the race
+            let config = SessionConfig {
+                challenge_window_secs: 100_000, // window covers the race
+                ..SessionConfig::default()
+            };
             let mut session = FastPaySession::new(config, 7000 + trial as u64);
             let report = session
                 .run_double_spend_attack(1_000_000, q, 12)

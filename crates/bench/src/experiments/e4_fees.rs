@@ -14,8 +14,10 @@ use btcfast_netsim::time::SimTime;
 
 /// Drives a session through every contract operation, capturing gas.
 pub fn measure_gas_usage(seed: u64) -> GasUsage {
-    let mut config = SessionConfig::default();
-    config.challenge_window_secs = 1200;
+    let config = SessionConfig {
+        challenge_window_secs: 1200,
+        ..SessionConfig::default()
+    };
     let window = config.challenge_window_secs;
     let mut session = FastPaySession::new(config, seed);
     let mut usage = GasUsage {

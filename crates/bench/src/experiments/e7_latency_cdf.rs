@@ -13,8 +13,10 @@ pub fn run(quick: bool) -> Vec<Table> {
 
     // One long-lived session; a block is mined after each payment so the
     // wallet's change re-confirms.
-    let mut config = SessionConfig::default();
-    config.escrow_deposit = 500_000_000_000;
+    let config = SessionConfig {
+        escrow_deposit: 500_000_000_000,
+        ..SessionConfig::default()
+    };
     let mut session = FastPaySession::new(config, 777);
     let mut waits: Vec<f64> = Vec::with_capacity(trials);
     for _ in 0..trials {

@@ -544,8 +544,10 @@ pub fn run_suite(quick: bool) -> (Json, Vec<Summary>) {
     // the transport, per-retransmission child spans, and the nesting
     // watermark all on the clock — against the identical untraced run.
     let chaos_payment = |tracing: bool| {
-        let mut session_config = SessionConfig::default();
-        session_config.tracing = tracing;
+        let session_config = SessionConfig {
+            tracing,
+            ..SessionConfig::default()
+        };
         let mut chaos_config = ChaosConfig::default();
         chaos_config.transport.max_attempts = 12;
         chaos_config.phase_deadline = SimTime::from_secs(60);
@@ -567,8 +569,10 @@ pub fn run_suite(quick: bool) -> (Json, Vec<Summary>) {
     let mut seed = 0u64;
     summaries.push(bench("dispute_e2e", dsamples, 1, || {
         seed += 1;
-        let mut config = SessionConfig::default();
-        config.challenge_window_secs = 600;
+        let config = SessionConfig {
+            challenge_window_secs: 600,
+            ..SessionConfig::default()
+        };
         let mut session = FastPaySession::new(config, 1000 + seed);
         let (_, gas) = session
             .run_dispute_resolution(1_000_000, SHORT_SEGMENT)

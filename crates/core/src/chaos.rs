@@ -1,14 +1,16 @@
 //! Chaos-mode protocol sessions: the escrow flow under fault injection.
 //!
-//! [`ChaosSession`] wraps a [`FastPaySession`] and routes every
-//! network-crossing protocol phase — open-payment registration, offer
-//! delivery, acceptance, dispute open, evidence submission, judge call —
-//! through a reliable [`Transport`] while a seeded
+//! [`ChaosSession`] runs the protocol driver ([`crate::flow`]) over a
+//! [`FastPaySession`] with the effects of a hostile network: every message
+//! leg and every PSC call crosses a reliable [`Transport`] while a seeded
 //! [`FaultPlan`] injects loss windows, partitions, crashes, and PSC
-//! block-production stalls. Three nodes live on the chaos fabric:
-//! customer (`node0`), merchant (`node1`), and the PSC endpoint
-//! (`node2`); a PSC call first travels caller → PSC node, so a partition
-//! around `node2` *is* "the chain is unreachable".
+//! block-production stalls, and every side-effecting step is journaled
+//! through a [`RecoveryManager`]. This module owns only what is genuinely
+//! chaos: fault application, crash re-hydration, the gas-bumped PSC
+//! resubmission loop, and the merchant's degradation policy. Three nodes
+//! live on the chaos fabric: customer (`node0`), merchant (`node1`), and
+//! the PSC endpoint (`node2`); a PSC call first travels caller → PSC node,
+//! so a partition around `node2` *is* "the chain is unreachable".
 //!
 //! Two invariants drive the design:
 //!
@@ -22,12 +24,11 @@
 //!   classic k-confirmation baseline.
 
 use crate::config::SessionConfig;
+use crate::flow::{self, Effects, Leg, Party};
 use crate::protocol::RejectReason;
 use crate::recovery::{Outcome, RecoveryError, RecoveryManager, Step};
 use crate::robustness::{ChaosConfig, FallbackPolicy, ProtocolPhase, RobustnessError};
 use crate::session::{FastPaySession, RaceOutcome, SessionError};
-use btcfast_btcsim::transaction::Transaction;
-use btcfast_btcsim::Amount;
 use btcfast_crypto::keys::KeyPair;
 use btcfast_crypto::Hash256;
 use btcfast_netsim::faults::{FaultAction, FaultPlan};
@@ -38,9 +39,9 @@ use btcfast_obs::TraceContext;
 use btcfast_payjudger::client::CALL_GAS_LIMIT;
 use btcfast_payjudger::retry::{submit_with_retry, AttemptResult, RetryReport};
 use btcfast_payjudger::types::DisputeVerdict;
-use btcfast_payjudger::PayJudgerClient;
 use btcfast_pscsim::tx::PscTransaction;
 use btcfast_store::MemStorage;
+use std::collections::HashSet;
 
 /// The customer's node on the chaos fabric.
 pub const CUSTOMER_NODE: NodeId = NodeId(0);
@@ -48,15 +49,6 @@ pub const CUSTOMER_NODE: NodeId = NodeId(0);
 pub const MERCHANT_NODE: NodeId = NodeId(1);
 /// The PSC chain endpoint on the chaos fabric.
 pub const PSC_NODE: NodeId = NodeId(2);
-
-/// One resolved message phase: how long it took and how hard it was.
-#[derive(Clone, Copy, Debug)]
-struct PhaseDelivery {
-    /// Send → first arrival at the receiver.
-    arrival: SimTime,
-    /// Transmissions needed.
-    attempts: u32,
-}
 
 /// Report of one fast payment attempted under chaos.
 #[derive(Clone, Debug)]
@@ -122,7 +114,7 @@ pub struct EscrowSnapshot {
 /// A [`FastPaySession`] driven through a reliable transport under a
 /// scripted fault plan. See the module docs.
 pub struct ChaosSession {
-    /// The wrapped protocol session.
+    /// The protocol state the driver acts on.
     pub session: FastPaySession,
     /// Chaos knobs (deadlines, retry policy, fallback).
     pub config: ChaosConfig,
@@ -135,11 +127,12 @@ pub struct ChaosSession {
     wal_medium: MemStorage,
     snap_medium: MemStorage,
     recovery: RecoveryManager<MemStorage>,
+    /// The journal intent begun last and not yet retired.
+    open_intent: u64,
     recoveries: u64,
-    /// Root context of the payment/dispute currently being driven, so
-    /// mid-flight observations (recovery restarts, degradation) are
-    /// attributed to the causal tree that triggered them. Unattributed
-    /// between payments.
+    /// Root context of the payment/dispute being driven (or driven last),
+    /// so mid-flight observations (recovery restarts) are attributed to
+    /// the causal tree that triggered them.
     active_ctx: TraceContext,
     /// Latest span end (session-clock µs) produced by transport legs of
     /// the active payment; wrapper spans extend to cover it, keeping the
@@ -188,6 +181,7 @@ impl ChaosSession {
             wal_medium,
             snap_medium,
             recovery,
+            open_intent: intent,
             recoveries: 0,
             active_ctx: TraceContext::UNATTRIBUTED,
             obs_high_water: 0,
@@ -225,11 +219,6 @@ impl ChaosSession {
         );
     }
 
-    /// The fault plan's canonical fingerprint.
-    pub fn plan_fingerprint(&self) -> String {
-        self.plan.fingerprint()
-    }
-
     /// The durable payment ledger reconstructed from the journal.
     pub fn recovery(&self) -> &RecoveryManager<MemStorage> {
         &self.recovery
@@ -245,39 +234,32 @@ impl ChaosSession {
         self.recovery.digest()
     }
 
-    /// Journals the start of a side-effecting step (idempotent intent).
-    fn journal_begin(&mut self, step: Step) -> Result<u64, RobustnessError> {
-        self.recovery.begin(step).map_err(journal_err)
-    }
-
-    /// Journals a step's outcome, retiring its intent.
-    fn journal_done(&mut self, intent: u64, outcome: Outcome) -> Result<(), RobustnessError> {
-        self.recovery.complete(intent, outcome).map_err(journal_err)
-    }
-
     /// Simulated process crash + restart-from-store: volatile transport
     /// state for `node` is lost, the in-memory recovery manager is
     /// dropped, and a fresh one re-hydrates from the surviving media.
-    /// Recovery must be lossless: the rebuilt digest must equal the
-    /// pre-crash digest, pending intents included.
-    fn crash_restart(&mut self, node: NodeId) {
+    /// Recovery must be lossless: media that no longer re-open, or re-open
+    /// to a digest other than the pre-crash one (pending intents
+    /// included), are a journal error.
+    fn crash_restart(&mut self, node: NodeId) -> Result<(), RobustnessError> {
         self.transport.crash(node);
         self.transport.restart(node);
         let digest_before = self.recovery.digest();
         let (recovered, report) =
             RecoveryManager::open(self.wal_medium.clone(), self.snap_medium.clone())
-                .expect("durable media re-hydrate after crash");
-        assert_eq!(
-            digest_before,
-            recovered.digest(),
-            "recovered state diverged from pre-crash state"
-        );
+                .map_err(journal_err)?;
+        if recovered.digest() != digest_before {
+            return Err(RobustnessError::Session(SessionError::Psc(
+                "recovery journal: recovered state diverged from pre-crash state".into(),
+            )));
+        }
         self.recovery = recovered;
         self.recoveries += 1;
-        let restart_ctx = self.session.trace_child(&self.active_ctx);
-        self.session.trace_point_ctx(
+        let tracer = &mut self.session.tracer;
+        let restart_ctx = tracer.child_of(&self.active_ctx);
+        tracer.point_ctx(
             "recovery.restart",
             restart_ctx,
+            self.session.clock.as_micros(),
             vec![
                 ("node", u64::from(node.0).into()),
                 ("replayed", report.replayed_records.into()),
@@ -285,11 +267,7 @@ impl ChaosSession {
                 ("snapshot_used", report.snapshot_used.into()),
             ],
         );
-    }
-
-    /// True while PSC block production is stalled by the fault plan.
-    pub fn psc_stalled(&self) -> bool {
-        self.psc_stalled
+        Ok(())
     }
 
     /// Escrow-side balances right now, for conservation assertions.
@@ -326,258 +304,60 @@ impl ChaosSession {
         &mut self,
         amount_sats: u64,
     ) -> Result<ChaosPaymentReport, RobustnessError> {
-        let start = self.session.clock;
-        let root = self.session.mint_trace_root();
-        self.active_ctx = root;
-        self.obs_high_water = start.as_micros();
-        let result = self.run_payment_phases(amount_sats, root);
-        // The root span is recorded on every exit path — success, fault
-        // degradation, or hard failure — so no child span is ever left
-        // orphaned in the trace forest.
-        let end = self.session.clock.as_micros().max(self.obs_high_water);
-        let mut fields = vec![(
-            "accepted",
-            matches!(&result, Ok(report) if report.accepted).into(),
-        )];
-        if let Ok(report) = &result {
-            if let Some(id) = report.payment_id {
-                fields.push(("payment", id.into()));
-            }
-        }
-        self.session
-            .trace_span_abs_ctx("chaos.payment", root, start.as_micros(), end, fields);
-        self.active_ctx = TraceContext::UNATTRIBUTED;
-        result
+        flow::payment(
+            self,
+            |chaos, root| chaos.run_payment_phases(amount_sats, root),
+            |report| (report.payment_id, report.accepted),
+        )
     }
 
-    /// The phase pipeline of [`Self::run_fast_payment_chaos`], with every
-    /// span nested under the payment's `root` context.
+    /// The driver's units under the payment's `root`, with the one thing
+    /// between them that only chaos has: degrading when registration
+    /// never reached the chain.
     fn run_payment_phases(
         &mut self,
         amount_sats: u64,
         root: TraceContext,
     ) -> Result<ChaosPaymentReport, RobustnessError> {
-        self.apply_faults_due(self.transport.now());
-
-        let amount = Amount::from_sats(amount_sats)
-            .map_err(|e| RobustnessError::Session(SessionError::Btc(e.to_string())))?;
-        let fee = Amount::from_sats(self.session.config.btc_fee_sats)
-            .map_err(|e| RobustnessError::Session(SessionError::Btc(e.to_string())))?;
-        let tx = self
-            .session
-            .customer
-            .build_btc_payment(
-                &self.session.btc,
-                self.session.merchant.btc_wallet().address(),
-                amount,
-                fee,
-                None,
-            )
-            .map_err(|e| RobustnessError::Session(SessionError::Btc(e.to_string())))?;
+        self.apply_faults_due(self.transport.now())?;
+        let tx = self.session.build_payment(amount_sats, &HashSet::new())?;
         let txid = tx.txid();
 
-        // -- Registration (customer → PSC), with graceful degradation. ----
-        let registration_start = self.session.clock;
-        let collateral = self.session.config.required_collateral(amount_sats);
-        // Journal the intent before the side effect: a crash between here
-        // and the Done record leaves a pending intent whose recorded
-        // psc_nonce lets recovery decide whether the call landed.
-        let open_intent = self.journal_begin(Step::OpenPayment {
-            txid,
-            amount_sats,
-            collateral,
-            psc_nonce: self
-                .session
-                .psc
-                .nonce_of(&self.session.customer.psc_account()),
-        })?;
-        let register_ctx = self.session.trace_child(&root);
-        let registration = self.submit_psc_with_retry(
-            ProtocolPhase::OpenPayment,
-            CUSTOMER_NODE,
-            None,
-            register_ctx,
-            |session, gas| {
-                let tx = session.customer.build_open_payment(
-                    &session.judger,
-                    &session.psc,
-                    session.merchant.psc_account(),
-                    txid,
-                    amount_sats,
-                    collateral,
-                );
-                regas(tx, gas, session.customer.psc_keys())
-            },
-        );
-        // Record the register span before branching so the transport leg
-        // recorded under `register_ctx` keeps its parent on every path.
-        let mut register_fields = vec![("ok", registration.is_ok().into())];
-        if let Ok(report) = &registration {
-            register_fields.push(("attempts", u64::from(report.attempts).into()));
-        }
-        let register_end = self.session.clock.as_micros().max(self.obs_high_water);
-        self.session.trace_span_abs_ctx(
-            "chaos.register",
-            register_ctx,
-            registration_start.as_micros(),
-            register_end,
-            register_fields,
-        );
-        let payment_id = match registration {
-            Ok(report) => {
-                let id = PayJudgerClient::payment_id_from(&report.receipt).ok_or(
-                    RobustnessError::Session(SessionError::MissingPaymentId {
-                        context: "chaos-open-payment",
-                    }),
-                )?;
-                self.journal_done(open_intent, Outcome::PaymentRegistered { payment_id: id })?;
-                id
-            }
+        let registered = match flow::register(self, root, txid, amount_sats) {
+            Ok(registered) => registered,
+            // The open never reached the chain: nothing is in doubt, so
+            // the intent is retired as abandoned and the sale degrades.
             Err(
                 RobustnessError::PscUnreachable { .. }
                 | RobustnessError::DeliveryFailed { .. }
                 | RobustnessError::DeadlineExceeded { .. },
             ) => {
-                self.journal_done(open_intent, Outcome::Abandoned)?;
-                let degrade_ctx = self.session.trace_child(&root);
-                self.session
-                    .trace_point_ctx("chaos.degrade", degrade_ctx, vec![]);
+                self.journal_done(Outcome::Abandoned)?;
+                let tracer = &mut self.session.tracer;
+                let degrade_ctx = tracer.child_of(&root);
+                tracer.point_ctx(
+                    "chaos.degrade",
+                    degrade_ctx,
+                    self.session.clock.as_micros(),
+                    vec![],
+                );
                 return self.degrade(amount_sats, txid);
             }
             Err(e) => return Err(e),
         };
-
-        // -- Point of sale: offer → checks → acceptance over transport. ---
-        let pos_start = self.session.clock;
-        let accept_ctx = self.session.trace_child(&root);
-        let pos = self.run_pos_legs(&tx, payment_id, amount_sats, accept_ctx);
-        // Close the accept span on both paths so every transport leg
-        // recorded under `accept_ctx` keeps its parent in the forest.
-        let mut accept_fields = vec![("payment", payment_id.into())];
-        if let Ok((_, decision, offer_leg, response_leg)) = &pos {
-            accept_fields.push(("accepted", decision.is_ok().into()));
-            accept_fields.push(("offer_attempts", u64::from(offer_leg.attempts).into()));
-            accept_fields.push((
-                "acceptance_attempts",
-                u64::from(response_leg.attempts).into(),
-            ));
-        }
-        let accept_end = self.session.clock.as_micros().max(self.obs_high_water);
-        self.session.trace_span_abs_ctx(
-            "chaos.accept",
-            accept_ctx,
-            pos_start.as_micros(),
-            accept_end,
-            accept_fields,
-        );
-        let (waiting, decision, offer_leg, response_leg) = pos?;
-        let (accepted, reject) = match decision {
-            Ok(_) => {
-                let broadcast_intent = self.journal_begin(Step::Broadcast { payment_id, txid })?;
-                self.session
-                    .mempool
-                    .insert(
-                        tx,
-                        self.session.btc.utxo(),
-                        self.session.btc.height() + 1,
-                        self.session.clock.as_secs(),
-                    )
-                    .map_err(|e| RobustnessError::Session(SessionError::Btc(e.to_string())))?;
-                self.journal_done(broadcast_intent, Outcome::Applied)?;
-                (true, None)
-            }
-            Err(reason) => (false, Some(reason)),
-        };
-
+        let payment_id = registered.payment_id;
+        let pos = flow::point_of_sale(self, root, tx, txid, payment_id, amount_sats)?;
         Ok(ChaosPaymentReport {
-            accepted,
+            accepted: pos.reject.is_none(),
             protected: true,
             fell_back: false,
-            waiting,
+            waiting: pos.waiting,
             txid,
             payment_id: Some(payment_id),
-            offer_attempts: offer_leg.attempts,
-            acceptance_attempts: response_leg.attempts,
-            reject,
+            offer_attempts: pos.offer_attempts,
+            acceptance_attempts: pos.acceptance_attempts,
+            reject: pos.reject,
         })
-    }
-
-    /// The fallible middle of the point of sale: offer leg, merchant
-    /// verification, acceptance leg — every span a child of `accept_ctx`.
-    /// The caller closes the `chaos.accept` span whatever this returns.
-    #[allow(clippy::type_complexity)]
-    fn run_pos_legs(
-        &mut self,
-        tx: &Transaction,
-        payment_id: u64,
-        amount_sats: u64,
-        accept_ctx: TraceContext,
-    ) -> Result<
-        (
-            SimTime,
-            Result<(), RejectReason>,
-            PhaseDelivery,
-            PhaseDelivery,
-        ),
-        RobustnessError,
-    > {
-        let txid = tx.txid();
-        let offer_intent = self.journal_begin(Step::OfferSend { payment_id, txid })?;
-        let offer_ctx = self.session.trace_child(&accept_ctx);
-        let offer_leg = self.drive_message(
-            CUSTOMER_NODE,
-            MERCHANT_NODE,
-            ProtocolPhase::Offer,
-            offer_ctx,
-        )?;
-        self.session.advance_clock(offer_leg.arrival);
-        self.journal_done(offer_intent, Outcome::Applied)?;
-
-        let offer = self
-            .session
-            .customer
-            .make_offer(tx.clone(), payment_id, amount_sats);
-        let verify_start = self.session.clock;
-        let decision = self.session.merchant.evaluate_offer(
-            &offer,
-            &self.session.btc,
-            &self.session.mempool,
-            &self.session.psc,
-            &self.session.judger,
-        );
-        let verify = SimTime::from_secs_f64(self.session.config.verify_secs);
-        self.session.advance_clock(verify);
-        let verify_ctx = self.session.trace_child(&accept_ctx);
-        self.session.trace_span_from_ctx(
-            "chaos.verify",
-            verify_ctx,
-            verify_start,
-            vec![("ok", decision.is_ok().into())],
-        );
-
-        let accept_intent = self.journal_begin(Step::AcceptanceSend {
-            payment_id,
-            accepted: decision.is_ok(),
-        })?;
-        let response_ctx = self.session.trace_child(&accept_ctx);
-        let response_leg = self.drive_message(
-            MERCHANT_NODE,
-            CUSTOMER_NODE,
-            ProtocolPhase::Acceptance,
-            response_ctx,
-        )?;
-        self.session.advance_clock(response_leg.arrival);
-        self.journal_done(
-            accept_intent,
-            if decision.is_ok() {
-                Outcome::Applied
-            } else {
-                Outcome::Rejected
-            },
-        )?;
-
-        let waiting = offer_leg.arrival + verify + response_leg.arrival;
-        Ok((waiting, decision.map(|_| ()), offer_leg, response_leg))
     }
 
     /// A double-spend attack resolved under chaos: protected payment,
@@ -599,200 +379,39 @@ impl ChaosSession {
         max_race_blocks: u64,
     ) -> Result<ChaosDisputeReport, RobustnessError> {
         let payment = self.run_fast_payment_chaos(amount_sats)?;
-        if !payment.accepted || !payment.protected {
+        let Some(payment_id) = payment.payment_id.filter(|_| payment.accepted) else {
             return Err(RobustnessError::Session(SessionError::Btc(format!(
                 "payment not escrow-protected under chaos: {payment:?}"
             ))));
-        }
-        let payment_id =
-            payment
-                .payment_id
-                .ok_or(RobustnessError::Session(SessionError::MissingPaymentId {
-                    context: "chaos-dispute",
-                }))?;
-        let txid = payment.txid;
-
-        let race = self
-            .session
-            .run_double_spend_race(&txid, attacker_hashrate, max_race_blocks)?;
-        if !race.merchant_lost_payment {
-            return Ok(ChaosDisputeReport {
-                payment,
-                race,
-                verdict: None,
-                merchant_compensated: false,
-                merchant_net_loss_sats: 0,
-                dispute_attempts: 0,
-                evidence_attempts: 0,
-                judge_attempts: 0,
-                merchant_fee_units: 0,
-                dispute_duration: SimTime::ZERO,
-            });
-        }
-
-        // The dispute must land inside the challenge window measured from
-        // now (the contract enforces the true bound; this is the
-        // simulation's own give-up clock for retries).
-        let dispute_start = self.session.clock;
-        let window_deadline =
-            dispute_start + SimTime::from_secs(self.session.config.challenge_window_secs);
-        let dispute_root = self.session.mint_trace_root();
-        self.active_ctx = dispute_root;
-        self.obs_high_water = dispute_start.as_micros();
-        let phases = self.run_dispute_phases(payment_id, txid, window_deadline, dispute_root);
-        // As with payments, the root span closes on every exit path so the
-        // phase legs recorded under `dispute_root` are never orphaned.
-        let mut dispute_fields = vec![("payment", payment_id.into())];
-        if let Ok((dispute, evidence, judge, verdict)) = &phases {
-            dispute_fields.push((
-                "merchant_wins",
-                (*verdict == Some(DisputeVerdict::MerchantWins)).into(),
-            ));
-            dispute_fields.push(("dispute_attempts", u64::from(dispute.attempts).into()));
-            dispute_fields.push(("evidence_attempts", u64::from(evidence.attempts).into()));
-            dispute_fields.push(("judge_attempts", u64::from(judge.attempts).into()));
-        }
-        let dispute_end = self.session.clock.as_micros().max(self.obs_high_water);
-        self.session.trace_span_abs_ctx(
-            "chaos.dispute",
-            dispute_root,
-            dispute_start.as_micros(),
-            dispute_end,
-            dispute_fields,
-        );
-        self.active_ctx = TraceContext::UNATTRIBUTED;
-        let (dispute, evidence, judge, verdict) = phases?;
-        let merchant_compensated = verdict == Some(DisputeVerdict::MerchantWins);
-        self.trace_transport_stats();
-        let collateral_sats = (self.session.config.required_collateral(amount_sats) as f64
-            / self.session.config.psc_units_per_sat) as i64;
-        let merchant_net_loss_sats = if merchant_compensated {
-            amount_sats as i64 - collateral_sats
-        } else {
-            amount_sats as i64
         };
-
+        let (race, dispute) = flow::double_spend(
+            self,
+            payment_id,
+            payment.txid,
+            amount_sats,
+            attacker_hashrate,
+            max_race_blocks,
+        )?;
+        if race.merchant_lost_payment {
+            self.trace_transport_stats();
+        }
+        let [dispute_attempts, evidence_attempts, judge_attempts] = dispute.attempts;
         Ok(ChaosDisputeReport {
             payment,
             race,
-            verdict,
-            merchant_compensated,
-            merchant_net_loss_sats,
-            dispute_attempts: dispute.attempts,
-            evidence_attempts: evidence.attempts,
-            judge_attempts: judge.attempts,
-            merchant_fee_units: dispute.total_fees + evidence.total_fees + judge.total_fees,
-            dispute_duration: self.session.clock - dispute_start,
+            verdict: dispute.verdict,
+            merchant_compensated: dispute.merchant_compensated,
+            merchant_net_loss_sats: dispute.merchant_net_loss_sats,
+            dispute_attempts,
+            evidence_attempts,
+            judge_attempts,
+            merchant_fee_units: dispute.fee_units,
+            dispute_duration: dispute.duration,
         })
     }
 
-    /// The transport-routed dispute pipeline under `dispute_root`: open →
-    /// evidence → window wait → judge call, journaled end to end. Each
-    /// phase leg is a direct child of `dispute_root`; the caller closes
-    /// the `chaos.dispute` root span whatever this returns.
-    #[allow(clippy::type_complexity)]
-    fn run_dispute_phases(
-        &mut self,
-        payment_id: u64,
-        txid: Hash256,
-        window_deadline: SimTime,
-        dispute_root: TraceContext,
-    ) -> Result<
-        (
-            RetryReport,
-            RetryReport,
-            RetryReport,
-            Option<DisputeVerdict>,
-        ),
-        RobustnessError,
-    > {
-        let customer_account = self.session.customer.psc_account();
-        let merchant_account = self.session.merchant.psc_account();
-
-        let dispute_intent = self.journal_begin(Step::DisputeOpen {
-            payment_id,
-            psc_nonce: self.session.psc.nonce_of(&merchant_account),
-        })?;
-        let dispute = self.submit_psc_with_retry(
-            ProtocolPhase::DisputeOpen,
-            MERCHANT_NODE,
-            Some(window_deadline),
-            dispute_root,
-            |session, gas| {
-                let tx = session.merchant.build_dispute(
-                    &session.judger,
-                    &session.psc,
-                    customer_account,
-                    payment_id,
-                );
-                regas(tx, gas, session.merchant.psc_keys())
-            },
-        )?;
-        self.journal_done(dispute_intent, Outcome::Applied)?;
-
-        let evidence_intent = self.journal_begin(Step::EvidenceSubmit {
-            payment_id,
-            txid,
-            psc_nonce: self.session.psc.nonce_of(&merchant_account),
-        })?;
-        let evidence = self.submit_psc_with_retry(
-            ProtocolPhase::EvidenceSubmission,
-            MERCHANT_NODE,
-            Some(window_deadline),
-            dispute_root,
-            |session, gas| {
-                let proof = session.merchant.build_dispute_evidence(&session.btc, &txid);
-                let tx = session.merchant.build_evidence_submission(
-                    &session.judger,
-                    &session.psc,
-                    customer_account,
-                    payment_id,
-                    proof,
-                );
-                regas(tx, gas, session.merchant.psc_keys())
-            },
-        )?;
-        self.journal_done(evidence_intent, Outcome::Applied)?;
-
-        // Wait out the evidence window, then judge (no window bound: the
-        // judge call is valid any time after expiry).
-        self.session.advance_clock(SimTime::from_secs(
-            self.session.config.challenge_window_secs + 1,
-        ));
-        let judge_intent = self.journal_begin(Step::JudgeCall {
-            payment_id,
-            psc_nonce: self.session.psc.nonce_of(&merchant_account),
-        })?;
-        let judge = self.submit_psc_with_retry(
-            ProtocolPhase::JudgeCall,
-            MERCHANT_NODE,
-            None,
-            dispute_root,
-            |session, gas| {
-                let tx = session.merchant.build_judge(
-                    &session.judger,
-                    &session.psc,
-                    customer_account,
-                    payment_id,
-                );
-                regas(tx, gas, session.merchant.psc_keys())
-            },
-        )?;
-
-        self.journal_done(judge_intent, Outcome::Applied)?;
-
-        let verdict = PayJudgerClient::verdict_from(&judge.receipt);
-        let merchant_compensated = verdict == Some(DisputeVerdict::MerchantWins);
-        let verdict_intent = self.journal_begin(Step::Verdict {
-            payment_id,
-            merchant_wins: merchant_compensated,
-        })?;
-        self.journal_done(verdict_intent, Outcome::Applied)?;
-        Ok((dispute, evidence, judge, verdict))
-    }
-
     /// Applies every fault-plan action due at or before `t`.
-    fn apply_faults_due(&mut self, t: SimTime) {
+    fn apply_faults_due(&mut self, t: SimTime) -> Result<(), RobustnessError> {
         for event in self.plan.pop_due(t) {
             match event.action {
                 FaultAction::SetLoss { p } => {
@@ -805,99 +424,84 @@ impl ChaosSession {
                 FaultAction::Heal { a, b } => self.transport.network_mut().heal(a, b),
                 FaultAction::Crash { node } => self.transport.crash(node),
                 FaultAction::Restart { node } => self.transport.restart(node),
-                FaultAction::CrashRestart { node } => self.crash_restart(node),
+                FaultAction::CrashRestart { node } => self.crash_restart(node)?,
                 FaultAction::PscStall => self.psc_stalled = true,
                 FaultAction::PscResume => self.psc_stalled = false,
             }
         }
+        Ok(())
     }
 
-    /// The span name a phase's transport leg records under.
-    fn leg_name(phase: ProtocolPhase) -> &'static str {
-        match phase {
-            ProtocolPhase::Offer => "chaos.offer_delivery",
-            ProtocolPhase::Acceptance => "chaos.acceptance_delivery",
-            _ => "chaos.psc_delivery",
-        }
-    }
-
-    /// Drives one message phase to resolution, interleaving fault-plan
-    /// actions with transport events in time order.
+    /// Drives one message from `from` to `to` to resolution, interleaving
+    /// fault-plan actions with transport events in time order, and
+    /// advances the session clock to the first arrival.
     ///
     /// When `ctx` is attributed, the frame carries it on the wire: the
     /// transport's retransmissions, backoff waits, dedup drops, and
-    /// give-ups come back as child spans, a `chaos.*_delivery` leg span
-    /// wraps them, and the leg's end feeds the nesting high-water mark.
+    /// give-ups come back as child events. The leg resolves — at or after
+    /// the arrival, and at or after every child event — at the returned
+    /// µs, which also feed the nesting high-water mark.
     fn drive_message(
         &mut self,
         from: NodeId,
         to: NodeId,
         phase: ProtocolPhase,
         ctx: TraceContext,
-    ) -> Result<PhaseDelivery, RobustnessError> {
+    ) -> Leg<RobustnessError> {
         let send_at = self.transport.now();
         let obs_base = self.session.clock.as_micros();
         let deadline = send_at + self.config.phase_deadline;
-        self.apply_faults_due(send_at);
-        let id = self
-            .transport
-            .send_traced(from, to, phase, &ctx.to_wire(), obs_base);
-        let result = loop {
-            match self.transport.status(id) {
-                SendStatus::Delivered { at, attempts } => {
-                    let arrival = self
-                        .transport
-                        .take_inbox(to)
-                        .into_iter()
-                        .map(|(t, _)| t)
-                        .next_back()
-                        .unwrap_or(at);
-                    break Ok(PhaseDelivery {
-                        arrival: arrival.saturating_sub(send_at),
-                        attempts,
-                    });
-                }
-                SendStatus::Failed { attempts } => {
-                    break Err(RobustnessError::DeliveryFailed { phase, attempts });
-                }
-                SendStatus::Pending => {
-                    let Some(next) = self.transport.next_event_at() else {
-                        break Err(RobustnessError::DeadlineExceeded { phase, deadline });
-                    };
-                    if next > deadline {
-                        break Err(RobustnessError::DeadlineExceeded { phase, deadline });
+        let delivery = self.apply_faults_due(send_at).and_then(|()| {
+            let id = self
+                .transport
+                .send_traced(from, to, phase, &ctx.to_wire(), obs_base);
+            loop {
+                match self.transport.status(id) {
+                    SendStatus::Delivered { at, attempts } => {
+                        let arrival = self
+                            .transport
+                            .take_inbox(to)
+                            .into_iter()
+                            .map(|(t, _)| t)
+                            .next_back()
+                            .unwrap_or(at);
+                        break Ok((arrival.saturating_sub(send_at), attempts));
                     }
-                    self.apply_faults_due(next);
-                    self.transport.run_until(next);
+                    SendStatus::Failed { attempts } => {
+                        break Err(RobustnessError::DeliveryFailed { phase, attempts });
+                    }
+                    SendStatus::Pending => {
+                        let Some(next) = self.transport.next_event_at() else {
+                            break Err(RobustnessError::DeadlineExceeded { phase, deadline });
+                        };
+                        if next > deadline {
+                            break Err(RobustnessError::DeadlineExceeded { phase, deadline });
+                        }
+                        self.apply_faults_due(next)?;
+                        self.transport.run_until(next);
+                    }
                 }
             }
-        };
-        // Merge the transport's attributed events and wrap them in the
-        // leg span. The leg ends at the transport's resolution point —
-        // at or after the arrival the session clock will advance to, and
-        // at or after every child event.
-        let leg_end = obs_base.saturating_add(
+        });
+        let end_micros = obs_base.saturating_add(
             self.transport
                 .now()
                 .as_micros()
                 .saturating_sub(send_at.as_micros()),
         );
         let transport_events = self.transport.take_trace_events();
-        self.session.trace_extend(transport_events);
-        self.session.trace_span_abs_ctx(
-            Self::leg_name(phase),
-            ctx,
-            obs_base,
-            leg_end,
-            vec![("ok", result.is_ok().into())],
-        );
-        self.obs_high_water = self.obs_high_water.max(leg_end);
-        result
+        self.session.tracer.extend(transport_events);
+        self.obs_high_water = self.obs_high_water.max(end_micros);
+        let attempts = delivery.map(|(arrival, attempts)| {
+            self.session.advance_clock(arrival);
+            attempts
+        });
+        (end_micros, attempts)
     }
 
     /// Waits out a PSC block-production stall by fast-forwarding to the
     /// fault plan's next actions, up to [`ChaosConfig::psc_deadline`].
-    fn wait_psc_reachable(&mut self, phase: ProtocolPhase) -> Result<SimTime, RobustnessError> {
+    fn wait_psc_reachable(&mut self, phase: ProtocolPhase) -> Result<(), RobustnessError> {
         let mut waited = SimTime::ZERO;
         let mut vnow = self.transport.now();
         while self.psc_stalled {
@@ -910,40 +514,10 @@ impl ChaosSession {
                 return Err(RobustnessError::PscUnreachable { phase, waited });
             }
             vnow = vnow.max(next);
-            self.apply_faults_due(next);
+            self.apply_faults_due(next)?;
             self.session.advance_clock(delta);
         }
-        Ok(waited)
-    }
-
-    /// Routes a PSC call through the transport to the PSC node, waits out
-    /// any production stall, then runs the gas-bumped resubmission loop.
-    fn submit_psc_with_retry(
-        &mut self,
-        phase: ProtocolPhase,
-        from: NodeId,
-        window_deadline: Option<SimTime>,
-        ctx: TraceContext,
-        mut build: impl FnMut(&mut FastPaySession, u64) -> PscTransaction,
-    ) -> Result<RetryReport, RobustnessError> {
-        let leg_ctx = self.session.trace_child(&ctx);
-        let leg = self.drive_message(from, PSC_NODE, phase, leg_ctx)?;
-        self.session.advance_clock(leg.arrival);
-        self.wait_psc_reachable(phase)?;
-
-        let retry_policy = self.config.retry.clone();
-        let session = &mut self.session;
-        submit_with_retry(&retry_policy, CALL_GAS_LIMIT, |gas| {
-            if window_deadline.is_some_and(|d| session.clock > d) {
-                return AttemptResult::WindowClosed;
-            }
-            let tx = build(session, gas);
-            match session.run_psc_tx(tx) {
-                Ok(receipt) => AttemptResult::Executed(receipt),
-                Err(e) => AttemptResult::Aborted(e.to_string()),
-            }
-        })
-        .map_err(|error| RobustnessError::Retry { phase, error })
+        Ok(())
     }
 
     /// The merchant's degradation path: escrow protection unavailable, so
@@ -953,55 +527,134 @@ impl ChaosSession {
         amount_sats: u64,
         txid: Hash256,
     ) -> Result<ChaosPaymentReport, RobustnessError> {
+        let unprotected = ChaosPaymentReport {
+            accepted: false,
+            protected: false,
+            fell_back: true,
+            waiting: SimTime::ZERO,
+            txid,
+            payment_id: None,
+            offer_attempts: 0,
+            acceptance_attempts: 0,
+            reject: None,
+        };
         match self.config.fallback {
             FallbackPolicy::RejectUnprotected => Ok(ChaosPaymentReport {
-                accepted: false,
-                protected: false,
-                fell_back: true,
-                waiting: SimTime::ZERO,
-                txid,
-                payment_id: None,
-                offer_attempts: 0,
-                acceptance_attempts: 0,
                 reject: Some(RejectReason::EscrowNotFound(
                     "PSC unreachable past deadline; policy rejects unprotected sales".into(),
                 )),
+                ..unprotected
             }),
             FallbackPolicy::KConfirmations(k) => {
-                let baseline = self
-                    .session
-                    .run_baseline_payment(amount_sats, k)
-                    .map_err(RobustnessError::Session)?;
+                let baseline = self.session.run_baseline_payment(amount_sats, k)?;
                 Ok(ChaosPaymentReport {
                     accepted: true,
-                    protected: false,
-                    fell_back: true,
                     waiting: baseline.waiting,
                     txid: baseline.txid,
-                    payment_id: None,
-                    offer_attempts: 0,
-                    acceptance_attempts: 0,
-                    reject: None,
+                    ..unprotected
                 })
             }
         }
     }
 }
 
-/// Maps a journal failure into the session error surface.
-fn journal_err(e: RecoveryError) -> RobustnessError {
-    RobustnessError::Session(SessionError::Psc(format!("recovery journal: {e}")))
+/// The hostile environment: legs cross the reliable transport between the
+/// parties' nodes, PSC calls travel to the PSC node, wait out stalls and
+/// run the gas-bumped resubmission loop, every step is journaled, and
+/// wrapper spans extend to the retransmission high-water mark.
+impl Effects for ChaosSession {
+    type Error = RobustnessError;
+
+    fn session(&mut self) -> &mut FastPaySession {
+        &mut self.session
+    }
+
+    fn leg(&mut self, phase: ProtocolPhase, ctx: TraceContext) -> Leg<RobustnessError> {
+        let (from, to) = match phase {
+            ProtocolPhase::Acceptance => (MERCHANT_NODE, CUSTOMER_NODE),
+            _ => (CUSTOMER_NODE, MERCHANT_NODE),
+        };
+        self.drive_message(from, to, phase, ctx)
+    }
+
+    fn psc_call(
+        &mut self,
+        phase: ProtocolPhase,
+        from: Party,
+        ctx: TraceContext,
+        window_deadline: Option<SimTime>,
+        mut build: impl FnMut(&FastPaySession) -> PscTransaction,
+    ) -> Result<RetryReport, RobustnessError> {
+        let node = match from {
+            Party::Customer => CUSTOMER_NODE,
+            Party::Merchant => MERCHANT_NODE,
+        };
+        let start = self.session.clock.as_micros();
+        let leg_ctx = self.session.tracer.child_of(&ctx);
+        let (end, delivered) = self.drive_message(node, PSC_NODE, phase, leg_ctx);
+        let fields = vec![("ok", delivered.is_ok().into())];
+        let tracer = &mut self.session.tracer;
+        tracer.span_ctx("chaos.psc_delivery", leg_ctx, start, end, fields);
+        delivered?;
+        self.wait_psc_reachable(phase)?;
+
+        let session = &mut self.session;
+        submit_with_retry(&self.config.retry, CALL_GAS_LIMIT, |gas| {
+            if window_deadline.is_some_and(|d| session.clock > d) {
+                return AttemptResult::WindowClosed;
+            }
+            let keys = match from {
+                Party::Customer => session.customer.psc_keys(),
+                Party::Merchant => session.merchant.psc_keys(),
+            };
+            let tx = regas(build(session), gas, keys);
+            match session.run_psc_tx(tx) {
+                Ok(receipt) => AttemptResult::Executed(receipt),
+                Err(e) => AttemptResult::Aborted(e.to_string()),
+            }
+        })
+        .map_err(|error| RobustnessError::Retry { phase, error })
+    }
+
+    fn journal_begin(&mut self, step: Step) -> Result<(), RobustnessError> {
+        self.open_intent = self.recovery.begin(step).map_err(journal_err)?;
+        Ok(())
+    }
+
+    fn journal_done(&mut self, outcome: Outcome) -> Result<(), RobustnessError> {
+        self.recovery
+            .complete(self.open_intent, outcome)
+            .map_err(journal_err)
+    }
+
+    fn span_end(&mut self) -> u64 {
+        self.session.clock.as_micros().max(self.obs_high_water)
+    }
+
+    /// Also makes `root` the context mid-flight observations (recovery
+    /// restarts) are attributed to, and restarts the nesting high-water
+    /// mark at the root's start.
+    fn open_root(&mut self) -> TraceContext {
+        let root = self.session.tracer.mint_root();
+        self.active_ctx = root;
+        self.obs_high_water = self.session.clock.as_micros();
+        root
+    }
 }
 
 /// Re-signs `tx` at a different gas limit (no-op when already there).
-fn regas(tx: PscTransaction, gas: u64, keys: &KeyPair) -> PscTransaction {
-    if tx.gas_limit == gas {
-        return tx;
+fn regas(mut tx: PscTransaction, gas: u64, keys: &KeyPair) -> PscTransaction {
+    if tx.gas_limit != gas {
+        tx.gas_limit = gas;
+        tx.signature = None;
+        tx = tx.sign(keys);
     }
-    let mut tx = tx;
-    tx.gas_limit = gas;
-    tx.signature = None;
-    tx.sign(keys)
+    tx
+}
+
+/// Maps a journal failure into the session error surface.
+fn journal_err(e: RecoveryError) -> RobustnessError {
+    RobustnessError::Session(SessionError::Psc(format!("recovery journal: {e}")))
 }
 
 #[cfg(test)]
@@ -1010,9 +663,10 @@ mod tests {
     use btcfast_netsim::faults::ChaosSpec;
 
     fn quick_config() -> SessionConfig {
-        let mut config = SessionConfig::default();
-        config.challenge_window_secs = 100_000;
-        config
+        SessionConfig {
+            challenge_window_secs: 100_000,
+            ..SessionConfig::default()
+        }
     }
 
     #[test]
@@ -1062,8 +716,10 @@ mod tests {
     fn reject_unprotected_policy_refuses_the_sale() {
         let mut plan = FaultPlan::new();
         plan.psc_stall_window(SimTime::ZERO, SimTime::from_secs(100_000));
-        let mut config = ChaosConfig::default();
-        config.fallback = FallbackPolicy::RejectUnprotected;
+        let config = ChaosConfig {
+            fallback: FallbackPolicy::RejectUnprotected,
+            ..ChaosConfig::default()
+        };
         let mut chaos = ChaosSession::new(quick_config(), config, plan, 14);
         let report = chaos.run_fast_payment_chaos(1_000_000).unwrap();
         assert!(!report.accepted && report.fell_back);
@@ -1094,6 +750,35 @@ mod tests {
             ledger.value_accepted_sats, 1_000_000,
             "accepted value is durably accounted"
         );
+    }
+
+    #[test]
+    fn crash_restart_over_damaged_media_is_a_typed_error_not_a_panic() {
+        use btcfast_store::Storage;
+
+        let mut plan = FaultPlan::new();
+        plan.crash_restart_at(MERCHANT_NODE, SimTime::from_millis(5));
+        let mut chaos = ChaosSession::new(quick_config(), ChaosConfig::default(), plan, 31);
+        // The "disk" loses its log behind the live process: the journal
+        // the next restart re-hydrates from no longer holds the escrow.
+        let mut wal = chaos.recovery().wal_medium().clone();
+        wal.truncate(0).unwrap();
+        let error = chaos.run_fast_payment_chaos(1_000_000).unwrap_err();
+        assert!(
+            matches!(
+                &error,
+                RobustnessError::Session(SessionError::Psc(msg)) if msg.starts_with("recovery journal:")
+            ),
+            "{error}"
+        );
+        assert_eq!(
+            chaos.recoveries(),
+            0,
+            "the failed re-open is not a recovery"
+        );
+        // The root span still closed over the failed payment.
+        let jsonl = btcfast_obs::render_jsonl(chaos.session.trace());
+        assert!(btcfast_obs::build_trees(&jsonl).is_ok(), "{jsonl}");
     }
 
     #[test]

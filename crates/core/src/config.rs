@@ -101,9 +101,11 @@ mod tests {
 
     #[test]
     fn collateral_scales_with_ratio() {
-        let mut config = SessionConfig::default();
-        config.collateral_ratio = 2.0;
-        config.psc_units_per_sat = 1.0;
+        let config = SessionConfig {
+            collateral_ratio: 2.0,
+            psc_units_per_sat: 1.0,
+            ..SessionConfig::default()
+        };
         assert_eq!(config.required_collateral(100), 200);
     }
 

@@ -14,9 +14,14 @@
 //!   exposure limits, exchange rate);
 //! * [`protocol`] — the phase artifacts exchanged between roles
 //!   (payment offers, acceptances, rejection reasons);
-//! * [`session`] — end-to-end discrete-event simulations: honest fast
-//!   payments, confirmation baselines, full double-spend attacks with
-//!   dispute resolution;
+//! * `flow` (crate-private) — the protocol driver: the one implementation
+//!   of registration, the point-of-sale exchange and the dispute
+//!   pipeline, generic over the effects a harness injects (message leg,
+//!   PSC call, journal, span end);
+//! * [`session`] — end-to-end discrete-event simulations: the driver
+//!   under ideal effects (honest fast payments, batches, full
+//!   double-spend attacks with dispute resolution) and the confirmation
+//!   baselines;
 //! * [`engine`] — [`engine::PaymentEngine`]: N concurrent shared-nothing
 //!   payment sessions sharded over a worker pool, with batched escrow
 //!   registration and seed-deterministic, byte-identical replays — plus
@@ -34,9 +39,11 @@
 //!   journaling (WAL + snapshots via `btcfast-store`), so a crashed
 //!   participant re-hydrates a byte-identical ledger and resumes
 //!   in-flight payments and disputes exactly-once;
-//! * [`chaos`] — [`chaos::ChaosSession`]: the full protocol driven through
-//!   a reliable transport under a seeded fault plan (loss, partitions,
-//!   crashes, PSC stalls), with retry-aware dispute submission;
+//! * [`chaos`] — [`chaos::ChaosSession`]: the same driver under the
+//!   effects of a hostile network — a reliable transport under a seeded
+//!   fault plan (loss, partitions, crashes, PSC stalls), retry-aware PSC
+//!   submission, durable journaling — plus what only chaos owns: fault
+//!   application, crash re-hydration, the degradation policy;
 //! * [`telemetry`] — scrapes every substrate's stat counters into one
 //!   `btcfast-obs` registry; sessions also record per-phase spans on the
 //!   sim-time clock, so replays produce byte-identical traces;
@@ -62,6 +69,7 @@ pub mod chaos;
 pub mod config;
 pub mod engine;
 pub mod fees;
+mod flow;
 pub mod policy;
 pub mod protocol;
 pub mod recovery;

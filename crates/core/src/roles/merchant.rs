@@ -9,7 +9,6 @@ use btcfast_btcsim::spv::SpvEvidence;
 use btcfast_btcsim::wallet::Wallet;
 use btcfast_crypto::keys::KeyPair;
 use btcfast_crypto::Hash256;
-use btcfast_payjudger::types::EvidenceSummary;
 use btcfast_payjudger::{EvidenceVerifier, PayJudgerClient};
 use btcfast_pscsim::account::AccountId;
 use btcfast_pscsim::tx::PscTransaction;
@@ -23,8 +22,9 @@ pub struct Merchant {
     btc_wallet: Wallet,
     psc_keys: KeyPair,
     policy: AcceptancePolicy,
-    /// Shared accelerated evidence verifier: dispute evidence is preflighted
-    /// through it so repeated rounds on a growing tip only verify the delta.
+    /// Shared accelerated evidence verifier: the protocol driver preflights
+    /// dispute evidence through it, so repeated rounds on a growing tip
+    /// only verify the delta.
     verifier: Arc<EvidenceVerifier>,
 }
 
@@ -47,29 +47,6 @@ impl Merchant {
     /// other components of the same deployment, e.g. the session driver).
     pub fn verifier(&self) -> &Arc<EvidenceVerifier> {
         &self.verifier
-    }
-
-    /// Preflights dispute evidence off-chain (no gas) through the shared
-    /// accelerated verifier — the same checks `submit_evidence` performs,
-    /// so a rejection here saves a doomed, gas-charged on-chain call.
-    ///
-    /// # Errors
-    ///
-    /// The revert message the contract would emit for this evidence.
-    pub fn preverify_evidence(
-        &self,
-        evidence: &SpvEvidence,
-        checkpoint: &Hash256,
-        min_target_bits: u32,
-        expected_txid: &Hash256,
-    ) -> Result<EvidenceSummary, String> {
-        PayJudgerClient::preflight_evidence(
-            &self.verifier,
-            evidence,
-            checkpoint,
-            min_target_bits,
-            expected_txid,
-        )
     }
 
     /// The BTC receiving wallet.

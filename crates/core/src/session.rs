@@ -11,6 +11,9 @@
 //!   a private-fork double spend racing real mining, followed by dispute,
 //!   evidence, and judgment on the PSC chain.
 //!
+//! The payment and dispute flows themselves are the crate's one protocol
+//! driver (`flow`); a session runs them under the ideal effects.
+//!
 //! # Timing model
 //!
 //! Block *timing* comes from Poisson arrivals on the simulated clock, never
@@ -27,6 +30,7 @@
 //! still sub-second on an EOS-like PSC chain).
 
 use crate::config::SessionConfig;
+use crate::flow::{self, DisputeCall, Party};
 use crate::policy::AcceptancePolicy;
 use crate::protocol::RejectReason;
 use crate::roles::{Customer, Merchant};
@@ -34,12 +38,12 @@ use btcfast_btcsim::attack::PrivateForkAttacker;
 use btcfast_btcsim::chain::Chain;
 use btcfast_btcsim::mempool::Mempool;
 use btcfast_btcsim::miner::Miner;
-use btcfast_btcsim::spv::SpvEvidence;
+use btcfast_btcsim::transaction::{OutPoint, Transaction};
 use btcfast_btcsim::Amount;
 use btcfast_crypto::Hash256;
 use btcfast_netsim::poisson::BlockArrivals;
 use btcfast_netsim::time::SimTime;
-use btcfast_obs::{Field, TraceContext, TraceEvent, Tracer};
+use btcfast_obs::{Field, TraceEvent, Tracer};
 use btcfast_payjudger::contract::PayJudger;
 use btcfast_payjudger::types::{DisputeVerdict, JudgerConfig};
 use btcfast_payjudger::{EvidenceVerifier, PayJudgerClient};
@@ -47,6 +51,7 @@ use btcfast_pscsim::tx::{PscTransaction, Receipt};
 use btcfast_pscsim::PscChain;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -74,6 +79,24 @@ pub struct FastPayReport {
     pub payment_id: u64,
     /// Gas the registration consumed (fee-table input).
     pub registration_gas: u64,
+}
+
+impl FastPayReport {
+    /// The report of payment `txid` from its registration (its own, or the
+    /// batch's shared one) and its point-of-sale exchange.
+    fn new(txid: Hash256, registered: &flow::Registered, pos: flow::PointOfSale) -> FastPayReport {
+        FastPayReport {
+            waiting: pos.waiting,
+            accepted_at: pos.accepted_at,
+            registration: registered.took,
+            end_to_end: pos.waiting + registered.took,
+            accepted: pos.reject.is_none(),
+            reject: pos.reject,
+            txid,
+            payment_id: registered.payment_id,
+            registration_gas: registered.gas,
+        }
+    }
 }
 
 /// Report of one baseline (wait-for-z) payment.
@@ -186,7 +209,7 @@ impl Error for SessionError {}
 pub struct FastPaySession {
     /// The session configuration.
     pub config: SessionConfig,
-    rng: StdRng,
+    pub(crate) rng: StdRng,
     /// The Bitcoin chain (public view).
     pub btc: Chain,
     /// The shared mempool view.
@@ -212,7 +235,7 @@ pub struct FastPaySession {
     verifier: Arc<EvidenceVerifier>,
     /// Per-phase span recorder on the *sim-time* clock (never wall time),
     /// so a replay at the same seed produces a byte-identical trace.
-    tracer: Tracer,
+    pub(crate) tracer: Tracer,
     /// Seed stream for batch signature verification. Deliberately separate
     /// from `rng`: the batch randomizers must never perturb the latency
     /// sample stream, so replay fingerprints stay identical with
@@ -351,120 +374,14 @@ impl FastPaySession {
         self.tracer.point(name, self.clock.as_micros(), fields);
     }
 
-    /// Records a span from `start` (an earlier clock reading) to now.
-    pub fn trace_span_from(
-        &mut self,
-        name: &'static str,
-        start: SimTime,
-        fields: Vec<(&'static str, Field)>,
-    ) {
-        self.tracer
-            .span(name, start.as_micros(), self.clock.as_micros(), fields);
-    }
-
-    /// Mints a payment-root trace context from the session's id stream.
-    /// Harnesses layered above the session (chaos fabric, engine shards)
-    /// use this so their spans join the same causal forest.
-    pub fn mint_trace_root(&mut self) -> TraceContext {
-        self.tracer.mint_root()
-    }
-
-    /// Mints a child context of `parent` from the session's id stream.
-    pub fn trace_child(&mut self, parent: &TraceContext) -> TraceContext {
-        self.tracer.child_of(parent)
-    }
-
-    /// Records an attributed point event at the current sim-time clock.
-    pub fn trace_point_ctx(
-        &mut self,
-        name: &'static str,
-        ctx: TraceContext,
-        fields: Vec<(&'static str, Field)>,
-    ) {
-        self.tracer
-            .point_ctx(name, ctx, self.clock.as_micros(), fields);
-    }
-
-    /// Records an attributed span from `start` to now.
-    pub fn trace_span_from_ctx(
-        &mut self,
-        name: &'static str,
-        ctx: TraceContext,
-        start: SimTime,
-        fields: Vec<(&'static str, Field)>,
-    ) {
-        self.tracer
-            .span_ctx(name, ctx, start.as_micros(), self.clock.as_micros(), fields);
-    }
-
-    /// Records an attributed span with explicit µs endpoints — for
-    /// harness spans whose end can trail the session clock (a transport
-    /// leg whose last retransmission timer outlives the delivery the
-    /// clock advanced to).
-    pub fn trace_span_abs_ctx(
-        &mut self,
-        name: &'static str,
-        ctx: TraceContext,
-        start_micros: u64,
-        end_micros: u64,
-        fields: Vec<(&'static str, Field)>,
-    ) {
-        self.tracer
-            .span_ctx(name, ctx, start_micros, end_micros, fields);
-    }
-
-    /// Merges prebuilt events (e.g. the transport's attributed
-    /// retransmission spans) into the session trace, through the same
-    /// ring bound as locally recorded events.
-    pub fn trace_extend(&mut self, events: Vec<TraceEvent>) {
-        self.tracer.extend(events);
-    }
-
     /// Events discarded by the tracer's ring bound so far.
     pub fn trace_dropped(&self) -> u64 {
         self.tracer.dropped_events()
     }
 
-    /// Deterministic RNG access for sub-simulations.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
     /// The session's shared accelerated evidence verifier.
     pub fn verifier(&self) -> &Arc<EvidenceVerifier> {
         &self.verifier
-    }
-
-    /// Preflights dispute evidence off-chain through the shared verifier
-    /// before paying gas to submit it: the same checks `submit_evidence`
-    /// performs, anchored at the payment's opening checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Psc`] with the revert the contract would emit.
-    fn preflight_evidence(
-        &self,
-        evidence: &SpvEvidence,
-        payment_id: u64,
-        expected_txid: &Hash256,
-    ) -> Result<(), SessionError> {
-        let payment = self
-            .judger
-            .payment(&self.psc, self.customer.psc_account(), payment_id)
-            .map_err(|e| SessionError::Psc(format!("payment view: {e}")))?;
-        let config = self
-            .judger
-            .config(&self.psc)
-            .map_err(|e| SessionError::Psc(format!("config view: {e}")))?;
-        PayJudgerClient::preflight_evidence(
-            &self.verifier,
-            evidence,
-            &payment.checkpoint,
-            config.min_target_bits,
-            expected_txid,
-        )
-        .map(|_| ())
-        .map_err(|msg| SessionError::Psc(format!("evidence preflight: {msg}")))
     }
 
     /// Advances the simulation clock and the PSC chain together.
@@ -517,171 +434,49 @@ impl FastPaySession {
     /// Returns [`SessionError`] if the customer cannot fund the payment or
     /// a PSC step fails unexpectedly.
     pub fn run_fast_payment(&mut self, amount_sats: u64) -> Result<FastPayReport, SessionError> {
-        let amount =
-            Amount::from_sats(amount_sats).map_err(|e| SessionError::Btc(e.to_string()))?;
-        let fee = Amount::from_sats(self.config.btc_fee_sats)
-            .map_err(|e| SessionError::Btc(e.to_string()))?;
+        let tx = self.build_payment(amount_sats, &HashSet::new())?;
+        let txid = tx.txid();
+        // The payment's causal root: registration and acceptance nest
+        // under it, the point-of-sale legs under the acceptance span.
+        flow::payment(
+            self,
+            |session, root| {
+                // Checkout preparation, then the measured point of sale.
+                let registered = flow::register(session, root, txid, amount_sats)?;
+                let pos = flow::point_of_sale(
+                    session,
+                    root,
+                    tx,
+                    txid,
+                    registered.payment_id,
+                    amount_sats,
+                )?;
+                Ok(FastPayReport::new(txid, &registered, pos))
+            },
+            |report| (Some(report.payment_id), report.accepted),
+        )
+    }
 
-        // -- Checkout preparation: build + register the payment. ----------
-        let tx = self
-            .customer
-            .build_btc_payment(
+    /// The customer's signed BTC payment of `amount_sats` to the merchant,
+    /// at the session fee, over confirmed coins outside `exclude`.
+    pub(crate) fn build_payment(
+        &self,
+        amount_sats: u64,
+        exclude: &HashSet<OutPoint>,
+    ) -> Result<Transaction, SessionError> {
+        let btc_err = |e: &dyn fmt::Display| SessionError::Btc(e.to_string());
+        let amount = Amount::from_sats(amount_sats).map_err(|e| btc_err(&e))?;
+        let fee = Amount::from_sats(self.config.btc_fee_sats).map_err(|e| btc_err(&e))?;
+        self.customer
+            .build_btc_payment_excluding(
                 &self.btc,
                 self.merchant.btc_wallet().address(),
                 amount,
                 fee,
                 None,
+                exclude,
             )
-            .map_err(|e| SessionError::Btc(e.to_string()))?;
-        let txid = tx.txid();
-
-        // The payment's causal root: registration and acceptance nest
-        // under it, the point-of-sale legs under the acceptance span.
-        let registration_start = self.clock;
-        let root = self.tracer.mint_root();
-        let register_ctx = self.tracer.child_of(&root);
-        let collateral = self.config.required_collateral(amount_sats);
-        let open = self.customer.build_open_payment(
-            &self.judger,
-            &self.psc,
-            self.merchant.psc_account(),
-            txid,
-            amount_sats,
-            collateral,
-        );
-        let receipt = self.run_psc_tx(open)?;
-        if !receipt.status.is_success() {
-            return Err(SessionError::Psc(format!(
-                "open_payment failed: {:?}",
-                receipt.status
-            )));
-        }
-        let payment_id =
-            PayJudgerClient::payment_id_from(&receipt).ok_or(SessionError::MissingPaymentId {
-                context: "open-payment",
-            })?;
-        let registration = self.clock - registration_start;
-        self.tracer.span_ctx(
-            "session.register",
-            register_ctx,
-            registration_start.as_micros(),
-            self.clock.as_micros(),
-            vec![
-                ("payment", payment_id.into()),
-                ("gas", receipt.gas_used.into()),
-            ],
-        );
-
-        // -- Point of sale: offer → checks → acceptance. -------------------
-        let offer = self
-            .customer
-            .make_offer(tx.clone(), payment_id, amount_sats);
-        let wait_start = self.clock;
-        let accept_ctx = self.tracer.child_of(&root);
-
-        // Offer travels customer → merchant.
-        let delivery = self.config.latency.sample(&mut self.rng);
-        self.clock += delivery;
-        let offer_ctx = self.tracer.child_of(&accept_ctx);
-        self.tracer.span_ctx(
-            "session.offer_delivery",
-            offer_ctx,
-            wait_start.as_micros(),
-            self.clock.as_micros(),
-            vec![("payment", payment_id.into())],
-        );
-
-        // Merchant verifies locally (BTC checks + PSC view calls on its own
-        // node) — budgeted verification time.
-        let verify_start = self.clock;
-        let decision =
-            self.merchant
-                .evaluate_offer(&offer, &self.btc, &self.mempool, &self.psc, &self.judger);
-        self.clock += SimTime::from_secs_f64(self.config.verify_secs);
-        let verify_ctx = self.tracer.child_of(&accept_ctx);
-        self.tracer.span_ctx(
-            "session.merchant_verify",
-            verify_ctx,
-            verify_start.as_micros(),
-            self.clock.as_micros(),
-            vec![
-                ("payment", payment_id.into()),
-                ("ok", decision.is_ok().into()),
-            ],
-        );
-
-        // Acceptance travels merchant → customer.
-        let response_start = self.clock;
-        let response = self.config.latency.sample(&mut self.rng);
-        self.clock += response;
-        let response_ctx = self.tracer.child_of(&accept_ctx);
-        self.tracer.span_ctx(
-            "session.acceptance_delivery",
-            response_ctx,
-            response_start.as_micros(),
-            self.clock.as_micros(),
-            vec![("payment", payment_id.into())],
-        );
-
-        let waiting = self.clock - wait_start;
-
-        // The merchant relays the accepted tx to the network mempool.
-        let (accepted, reject) = match decision {
-            Ok(_) => {
-                self.mempool
-                    .insert(
-                        tx,
-                        self.btc.utxo(),
-                        self.btc.height() + 1,
-                        self.clock.as_secs(),
-                    )
-                    .map_err(|e| SessionError::Btc(e.to_string()))?;
-                let broadcast_ctx = self.tracer.child_of(&accept_ctx);
-                self.tracer.point_ctx(
-                    "session.broadcast",
-                    broadcast_ctx,
-                    self.clock.as_micros(),
-                    vec![
-                        ("payment", payment_id.into()),
-                        ("pool", self.mempool.len().into()),
-                    ],
-                );
-                (true, None)
-            }
-            Err(reason) => (false, Some(reason)),
-        };
-        self.tracer.span_ctx(
-            "session.accept",
-            accept_ctx,
-            wait_start.as_micros(),
-            self.clock.as_micros(),
-            vec![
-                ("payment", payment_id.into()),
-                ("accepted", accepted.into()),
-            ],
-        );
-        self.tracer.span_ctx(
-            "session.payment",
-            root,
-            registration_start.as_micros(),
-            self.clock.as_micros(),
-            vec![
-                ("payment", payment_id.into()),
-                ("accepted", accepted.into()),
-            ],
-        );
-
-        Ok(FastPayReport {
-            waiting,
-            accepted_at: self.clock,
-            registration,
-            end_to_end: waiting + registration,
-            accepted,
-            reject,
-            txid,
-            payment_id,
-            registration_gas: receipt.gas_used,
-        })
+            .map_err(|e| btc_err(&e))
     }
 
     /// Mines blocks paying the customer until they own at least `count`
@@ -737,28 +532,11 @@ impl FastPaySession {
         &mut self,
         amounts: &[u64],
     ) -> Result<Vec<FastPayReport>, SessionError> {
-        use std::collections::HashSet;
-
-        let fee = Amount::from_sats(self.config.btc_fee_sats)
-            .map_err(|e| SessionError::Btc(e.to_string()))?;
-
         // -- Disjoint BTC payments over the confirmed set. -----------------
         let mut exclude = HashSet::new();
         let mut txs = Vec::with_capacity(amounts.len());
         for &amount_sats in amounts {
-            let amount =
-                Amount::from_sats(amount_sats).map_err(|e| SessionError::Btc(e.to_string()))?;
-            let tx = self
-                .customer
-                .build_btc_payment_excluding(
-                    &self.btc,
-                    self.merchant.btc_wallet().address(),
-                    amount,
-                    fee,
-                    None,
-                    &exclude,
-                )
-                .map_err(|e| SessionError::Btc(e.to_string()))?;
+            let tx = self.build_payment(amount_sats, &exclude)?;
             for input in &tx.inputs {
                 exclude.insert(input.previous_output);
             }
@@ -807,131 +585,31 @@ impl FastPaySession {
         // -- Point of sale, one offer at a time. ---------------------------
         let mut reports = Vec::with_capacity(txs.len());
         for (i, tx) in txs.into_iter().enumerate() {
-            let receipt =
-                self.psc
-                    .receipt(&hashes[i])
-                    .cloned()
-                    .ok_or(SessionError::MissingReceipt {
-                        context: "batch-registration",
-                    })?;
-            if !receipt.status.is_success() {
-                return Err(SessionError::Psc(format!(
-                    "batched open_payment {i} failed: {:?}",
-                    receipt.status
-                )));
-            }
-            let payment_id = PayJudgerClient::payment_id_from(&receipt).ok_or(
-                SessionError::MissingPaymentId {
+            let receipt = self
+                .psc
+                .receipt(&hashes[i])
+                .ok_or(SessionError::MissingReceipt {
                     context: "batch-registration",
-                },
-            )?;
+                })?;
+            let payment_id = flow::registered_id(receipt)?;
             let txid = tx.txid();
-            let offer = self.customer.make_offer(tx.clone(), payment_id, amounts[i]);
+            let registered = flow::Registered {
+                payment_id,
+                took: registration,
+                gas: receipt.gas_used,
+            };
 
             // Registration is batch-shared, so each payment's causal root
             // covers its own point-of-sale window: the accept span tiles
             // the root, the exchange legs tile the accept span.
-            let wait_start = self.clock;
-            let root = self.tracer.mint_root();
-            let accept_ctx = self.tracer.child_of(&root);
-            let delivery = self.config.latency.sample(&mut self.rng);
-            self.clock += delivery;
-            let offer_ctx = self.tracer.child_of(&accept_ctx);
-            self.tracer.span_ctx(
-                "session.offer_delivery",
-                offer_ctx,
-                wait_start.as_micros(),
-                self.clock.as_micros(),
-                vec![("payment", payment_id.into())],
-            );
-            let verify_start = self.clock;
-            let decision = self.merchant.evaluate_offer(
-                &offer,
-                &self.btc,
-                &self.mempool,
-                &self.psc,
-                &self.judger,
-            );
-            self.clock += SimTime::from_secs_f64(self.config.verify_secs);
-            let verify_ctx = self.tracer.child_of(&accept_ctx);
-            self.tracer.span_ctx(
-                "session.merchant_verify",
-                verify_ctx,
-                verify_start.as_micros(),
-                self.clock.as_micros(),
-                vec![
-                    ("payment", payment_id.into()),
-                    ("ok", decision.is_ok().into()),
-                ],
-            );
-            let response_start = self.clock;
-            let response = self.config.latency.sample(&mut self.rng);
-            self.clock += response;
-            let response_ctx = self.tracer.child_of(&accept_ctx);
-            self.tracer.span_ctx(
-                "session.acceptance_delivery",
-                response_ctx,
-                response_start.as_micros(),
-                self.clock.as_micros(),
-                vec![("payment", payment_id.into())],
-            );
-            let waiting = self.clock - wait_start;
-
-            let (accepted, reject) = match decision {
-                Ok(_) => {
-                    self.mempool
-                        .insert(
-                            tx,
-                            self.btc.utxo(),
-                            self.btc.height() + 1,
-                            self.clock.as_secs(),
-                        )
-                        .map_err(|e| SessionError::Btc(e.to_string()))?;
-                    let broadcast_ctx = self.tracer.child_of(&accept_ctx);
-                    self.tracer.point_ctx(
-                        "session.broadcast",
-                        broadcast_ctx,
-                        self.clock.as_micros(),
-                        vec![
-                            ("payment", payment_id.into()),
-                            ("pool", self.mempool.len().into()),
-                        ],
-                    );
-                    (true, None)
-                }
-                Err(reason) => (false, Some(reason)),
-            };
-            self.tracer.span_ctx(
-                "session.accept",
-                accept_ctx,
-                wait_start.as_micros(),
-                self.clock.as_micros(),
-                vec![
-                    ("payment", payment_id.into()),
-                    ("accepted", accepted.into()),
-                ],
-            );
-            self.tracer.span_ctx(
-                "session.payment",
-                root,
-                wait_start.as_micros(),
-                self.clock.as_micros(),
-                vec![
-                    ("payment", payment_id.into()),
-                    ("accepted", accepted.into()),
-                ],
-            );
-            reports.push(FastPayReport {
-                waiting,
-                accepted_at: self.clock,
-                registration,
-                end_to_end: waiting + registration,
-                accepted,
-                reject,
-                txid,
-                payment_id,
-                registration_gas: receipt.gas_used,
-            });
+            let pos = flow::payment(
+                self,
+                |session, root| {
+                    flow::point_of_sale(session, root, tx, txid, payment_id, amounts[i])
+                },
+                |pos| (Some(payment_id), pos.reject.is_none()),
+            )?;
+            reports.push(FastPayReport::new(txid, &registered, pos));
         }
         Ok(reports)
     }
@@ -1004,20 +682,7 @@ impl FastPaySession {
         amount_sats: u64,
         confirmations: u64,
     ) -> Result<BaselineReport, SessionError> {
-        let amount =
-            Amount::from_sats(amount_sats).map_err(|e| SessionError::Btc(e.to_string()))?;
-        let fee = Amount::from_sats(self.config.btc_fee_sats)
-            .map_err(|e| SessionError::Btc(e.to_string()))?;
-        let tx = self
-            .customer
-            .build_btc_payment(
-                &self.btc,
-                self.merchant.btc_wallet().address(),
-                amount,
-                fee,
-                None,
-            )
-            .map_err(|e| SessionError::Btc(e.to_string()))?;
+        let tx = self.build_payment(amount_sats, &HashSet::new())?;
         let txid = tx.txid();
 
         let start = self.clock;
@@ -1073,9 +738,8 @@ impl FastPaySession {
     /// The BTC race phase of a double-spend attack on its own: the
     /// customer forks privately with a conflicting self-spend and races
     /// the honest network until they overtake or `max_race_blocks` honest
-    /// blocks pass. No dispute runs — callers (the standard attack flow
-    /// and the chaos harness, which routes its dispute through the
-    /// reliable transport) layer their own resolution on top.
+    /// blocks pass. No dispute runs — the protocol driver layers it on top,
+    /// under whichever effects the harness injects.
     ///
     /// # Errors
     ///
@@ -1195,150 +859,24 @@ impl FastPaySession {
                 report.reject
             )));
         }
-        let txid = report.txid;
         let payment_id = report.payment_id;
-        let RaceOutcome {
-            attacker_won_race,
-            merchant_lost_payment,
-            race_duration,
-        } = self.run_double_spend_race(&txid, attacker_hashrate, max_race_blocks)?;
-
-        if !merchant_lost_payment {
-            return Ok(AttackReport {
-                payment_id,
-                attacker_won_race,
-                merchant_lost_payment: false,
-                merchant_compensated: false,
-                verdict: None,
-                merchant_net_loss_sats: 0,
-                race_duration,
-                dispute_duration: SimTime::ZERO,
-            });
-        }
-
-        // -- Dispute phase. --------------------------------------------------
-        let dispute_start = self.clock;
-        let dispute_root = self.tracer.mint_root();
-        let open_ctx = self.tracer.child_of(&dispute_root);
-        let dispute = self.merchant.build_dispute(
-            &self.judger,
-            &self.psc,
-            self.customer.psc_account(),
+        let (race, dispute) = flow::double_spend(
+            self,
             payment_id,
-        );
-        let dispute_receipt = self.run_psc_tx(dispute)?;
-        self.tracer.span_ctx(
-            "session.dispute_open",
-            open_ctx,
-            dispute_start.as_micros(),
-            self.clock.as_micros(),
-            vec![
-                ("payment", payment_id.into()),
-                ("ok", dispute_receipt.status.is_success().into()),
-            ],
-        );
-        if !dispute_receipt.status.is_success() {
-            // Window already expired: the merchant is unprotected.
-            return Ok(AttackReport {
-                payment_id,
-                attacker_won_race,
-                merchant_lost_payment: true,
-                merchant_compensated: false,
-                verdict: None,
-                merchant_net_loss_sats: amount_sats as i64,
-                race_duration,
-                dispute_duration: SimTime::ZERO,
-            });
-        }
-
-        let evidence_start = self.clock;
-        let evidence = self.merchant.build_dispute_evidence(&self.btc, &txid);
-        // Gas-free preflight through the shared accelerated verifier: a
-        // doomed submission never reaches the chain.
-        self.preflight_evidence(&evidence, payment_id, &txid)?;
-        let submission = self.merchant.build_evidence_submission(
-            &self.judger,
-            &self.psc,
-            self.customer.psc_account(),
-            payment_id,
-            evidence,
-        );
-        let submit_receipt = self.run_psc_tx(submission)?;
-        let evidence_ctx = self.tracer.child_of(&dispute_root);
-        self.tracer.span_ctx(
-            "session.evidence_submit",
-            evidence_ctx,
-            evidence_start.as_micros(),
-            self.clock.as_micros(),
-            vec![
-                ("payment", payment_id.into()),
-                ("gas", submit_receipt.gas_used.into()),
-            ],
-        );
-        if !submit_receipt.status.is_success() {
-            return Err(SessionError::Psc(format!(
-                "evidence submission failed: {:?}",
-                submit_receipt.status
-            )));
-        }
-
-        // The attacker-customer's best counter-evidence would be the stale
-        // branch containing the payment — strictly lighter, so rational
-        // attackers skip the gas. Wait out the evidence window and judge.
-        self.advance_clock(SimTime::from_secs(self.config.challenge_window_secs + 1));
-        let judge_start = self.clock;
-        let judge = self.merchant.build_judge(
-            &self.judger,
-            &self.psc,
-            self.customer.psc_account(),
-            payment_id,
-        );
-        let judge_receipt = self.run_psc_tx(judge)?;
-        let verdict = PayJudgerClient::verdict_from(&judge_receipt);
-        let dispute_duration = self.clock - dispute_start;
-        let judge_ctx = self.tracer.child_of(&dispute_root);
-        self.tracer.span_ctx(
-            "session.judge",
-            judge_ctx,
-            judge_start.as_micros(),
-            self.clock.as_micros(),
-            vec![
-                ("payment", payment_id.into()),
-                ("decided", verdict.is_some().into()),
-            ],
-        );
-        self.tracer.span_ctx(
-            "session.dispute",
-            dispute_root,
-            dispute_start.as_micros(),
-            self.clock.as_micros(),
-            vec![
-                ("payment", payment_id.into()),
-                (
-                    "merchant_wins",
-                    (verdict == Some(DisputeVerdict::MerchantWins)).into(),
-                ),
-            ],
-        );
-
-        let merchant_compensated = verdict == Some(DisputeVerdict::MerchantWins);
-        let collateral_sats = (report_collateral(&self.config, amount_sats) as f64
-            / self.config.psc_units_per_sat) as i64;
-        let merchant_net_loss_sats = if merchant_compensated {
-            amount_sats as i64 - collateral_sats
-        } else {
-            amount_sats as i64
-        };
-
+            report.txid,
+            amount_sats,
+            attacker_hashrate,
+            max_race_blocks,
+        )?;
         Ok(AttackReport {
             payment_id,
-            attacker_won_race,
-            merchant_lost_payment,
-            merchant_compensated,
-            verdict,
-            merchant_net_loss_sats,
-            race_duration,
-            dispute_duration,
+            attacker_won_race: race.attacker_won_race,
+            merchant_lost_payment: race.merchant_lost_payment,
+            merchant_compensated: dispute.merchant_compensated,
+            verdict: dispute.verdict,
+            merchant_net_loss_sats: dispute.merchant_net_loss_sats,
+            race_duration: race.race_duration,
+            dispute_duration: dispute.duration,
         })
     }
 
@@ -1370,97 +908,27 @@ impl FastPaySession {
         self.advance_clock(SimTime::from_secs(5));
         self.mine_public_block()?;
 
-        let start = self.clock;
-        let dispute_root = self.tracer.mint_root();
-        let open_ctx = self.tracer.child_of(&dispute_root);
-        let dispute = self.merchant.build_dispute(
-            &self.judger,
-            &self.psc,
-            self.customer.psc_account(),
-            payment_id,
-        );
-        let receipt = self.run_psc_tx(dispute)?;
-        self.tracer.span_ctx(
-            "session.dispute_open",
-            open_ctx,
-            start.as_micros(),
-            self.clock.as_micros(),
-            vec![
-                ("payment", payment_id.into()),
-                ("ok", receipt.status.is_success().into()),
-            ],
-        );
-        if !receipt.status.is_success() {
-            return Err(SessionError::Psc(format!("dispute: {:?}", receipt.status)));
-        }
-
         // The customer (honest here) answers with an inclusion proof. The
         // segment must anchor at the escrow checkpoint, so its depth is the
         // chain height grown above — `evidence_depth` controls it.
-        let to_height = self.btc.height();
-        let evidence_start = self.clock;
-        let evidence = SpvEvidence::from_chain(&self.btc, 1, to_height, Some(&report.txid));
-        self.preflight_evidence(&evidence, payment_id, &report.txid)?;
-        let submission =
-            self.customer
-                .build_evidence_submission(&self.judger, &self.psc, payment_id, evidence);
-        let submit_receipt = self.run_psc_tx(submission)?;
-        let evidence_ctx = self.tracer.child_of(&dispute_root);
-        self.tracer.span_ctx(
-            "session.evidence_submit",
-            evidence_ctx,
-            evidence_start.as_micros(),
-            self.clock.as_micros(),
-            vec![
-                ("payment", payment_id.into()),
-                ("gas", submit_receipt.gas_used.into()),
-                ("depth", to_height.into()),
-            ],
-        );
-        if !submit_receipt.status.is_success() {
-            return Err(SessionError::Psc(format!(
-                "evidence: {:?}",
-                submit_receipt.status
-            )));
-        }
-        let evidence_gas = submit_receipt.gas_used;
-
-        self.advance_clock(SimTime::from_secs(self.config.challenge_window_secs + 1));
-        let judge_start = self.clock;
-        let judge = self.merchant.build_judge(
-            &self.judger,
-            &self.psc,
-            self.customer.psc_account(),
+        let evidence = self
+            .customer
+            .build_inclusion_evidence(&self.btc, &report.txid)
+            .ok_or_else(|| SessionError::Btc("payment left the active chain".into()))?;
+        let call = DisputeCall {
             payment_id,
-        );
-        let judge_receipt = self.run_psc_tx(judge)?;
-        let judge_ctx = self.tracer.child_of(&dispute_root);
-        self.tracer.span_ctx(
-            "session.judge",
-            judge_ctx,
-            judge_start.as_micros(),
-            self.clock.as_micros(),
-            vec![("payment", payment_id.into())],
-        );
-        if !judge_receipt.status.is_success() {
-            return Err(SessionError::Psc(format!(
-                "judge: {:?}",
-                judge_receipt.status
-            )));
+            txid: report.txid,
+            amount_sats,
+            answered_by: Party::Customer,
+            evidence,
+            open_must_land: true,
+        };
+        let dispute = flow::dispute(self, call)?;
+        if dispute.verdict.is_none() {
+            return Err(SessionError::Psc("judge: call did not decide".into()));
         }
-        self.tracer.span_ctx(
-            "session.dispute",
-            dispute_root,
-            start.as_micros(),
-            self.clock.as_micros(),
-            vec![("payment", payment_id.into())],
-        );
-        Ok((self.clock - start, evidence_gas))
+        Ok((dispute.duration, dispute.evidence_gas))
     }
-}
-
-fn report_collateral(config: &SessionConfig, amount_sats: u64) -> u128 {
-    config.required_collateral(amount_sats)
 }
 
 #[cfg(test)]
@@ -1504,8 +972,10 @@ mod tests {
 
     #[test]
     fn attack_with_majority_hashrate_wins_race_but_merchant_compensated() {
-        let mut config = SessionConfig::default();
-        config.challenge_window_secs = 100_000; // long enough to dispute
+        let config = SessionConfig {
+            challenge_window_secs: 100_000, // long enough to dispute
+            ..SessionConfig::default()
+        };
         let mut session = FastPaySession::new(config, 4);
         let report = session.run_double_spend_attack(1_000_000, 0.8, 30).unwrap();
         assert!(report.attacker_won_race);
@@ -1527,14 +997,18 @@ mod tests {
 
     #[test]
     fn dispute_resolution_latency_scales_with_window() {
-        let mut fast_config = SessionConfig::default();
-        fast_config.challenge_window_secs = 600;
+        let fast_config = SessionConfig {
+            challenge_window_secs: 600,
+            ..SessionConfig::default()
+        };
         let mut session = FastPaySession::new(fast_config, 6);
         let (latency_short, gas) = session.run_dispute_resolution(1_000_000, 6).unwrap();
         assert!(gas > 21_000);
 
-        let mut slow_config = SessionConfig::default();
-        slow_config.challenge_window_secs = 7200;
+        let slow_config = SessionConfig {
+            challenge_window_secs: 7200,
+            ..SessionConfig::default()
+        };
         let mut session = FastPaySession::new(slow_config, 6);
         let (latency_long, _) = session.run_dispute_resolution(1_000_000, 6).unwrap();
         assert!(latency_long > latency_short);
@@ -1599,8 +1073,10 @@ mod tests {
 
         // Toggled off, the same batch takes the sequential path: no
         // priming, same acceptances.
-        let mut config = SessionConfig::default();
-        config.batch_verify = false;
+        let config = SessionConfig {
+            batch_verify: false,
+            ..SessionConfig::default()
+        };
         let mut sequential = FastPaySession::new(config, 23);
         sequential.fund_customer_coins(4).unwrap();
         btcfast_btcsim::utxo::clear_sig_cache();
@@ -1628,8 +1104,10 @@ mod tests {
         assert!(once.contains("\"span\":\"session.accept\""));
         assert!(once.contains("\"event\":\"session.broadcast\""));
 
-        let mut config = SessionConfig::default();
-        config.tracing = false;
+        let config = SessionConfig {
+            tracing: false,
+            ..SessionConfig::default()
+        };
         let mut quiet = FastPaySession::new(config, 9);
         quiet.run_fast_payment(1_000_000).unwrap();
         assert!(quiet.trace().is_empty(), "tracing=false records nothing");
@@ -1637,8 +1115,10 @@ mod tests {
 
     #[test]
     fn dispute_phases_land_on_the_trace() {
-        let mut config = SessionConfig::default();
-        config.challenge_window_secs = 100_000;
+        let config = SessionConfig {
+            challenge_window_secs: 100_000,
+            ..SessionConfig::default()
+        };
         let mut session = FastPaySession::new(config, 4);
         session.run_double_spend_attack(1_000_000, 0.8, 30).unwrap();
         let jsonl = btcfast_obs::render_jsonl(session.trace());
@@ -1654,8 +1134,10 @@ mod tests {
 
     #[test]
     fn undercollateralized_offer_rejected() {
-        let mut config = SessionConfig::default();
-        config.collateral_ratio = 0.5; // customer offers half the value
+        let config = SessionConfig {
+            collateral_ratio: 0.5, // customer offers half the value
+            ..SessionConfig::default()
+        };
         let mut session = FastPaySession::new(config, 7);
         // Merchant policy comes from the same config... so build a stricter
         // merchant by hand.

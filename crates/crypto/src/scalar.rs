@@ -465,8 +465,9 @@ mod tests {
                 assert!(d % 2 != 0, "digit {i} = {d} must be odd");
                 assert!((d as i16).abs() < half, "digit {i} = {d} out of range");
                 // Non-adjacency: next width-1 digits are zero.
-                for j in (i + 1)..digits.len().min(i + width as usize) {
-                    assert_eq!(digits[j], 0, "digits {i} and {j} both nonzero");
+                let window = digits.iter().enumerate().take(i + width as usize);
+                for (j, &next) in window.skip(i + 1) {
+                    assert_eq!(next, 0, "digits {i} and {j} both nonzero");
                 }
             }
         }

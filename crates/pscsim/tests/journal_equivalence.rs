@@ -519,6 +519,6 @@ proptest! {
         let poison = chain
             .call_view(me, contract, "get", b"p")
             .expect("view succeeds");
-        prop_assert!(poison.is_empty() || reference.get(&b'p').is_some());
+        prop_assert!(poison.is_empty() || reference.contains_key(&b'p'));
     }
 }

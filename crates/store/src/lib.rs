@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn sliced_crc32_equals_the_bytewise_reference() {
         use rand::{Rng, RngCore, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC4C3_2);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x000C_4C32);
         let mut buffer = vec![0u8; 4096 + 8];
         for _ in 0..512 {
             rng.fill_bytes(&mut buffer);
