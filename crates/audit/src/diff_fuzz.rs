@@ -544,10 +544,7 @@ pub fn diff_evidence_cache(bytes: &[u8]) -> Result<(), String> {
         .to_target()
         .expect("regtest limit decodes");
     let naive = bundle.0.verify(&min_target);
-    let verifier = EvidenceVerifier::new(VerifierConfig {
-        threads: 1,
-        cache_capacity: 8,
-    });
+    let verifier = EvidenceVerifier::new(VerifierConfig { cache_capacity: 8 });
     let cold = verifier.verify_evidence(&bundle.0, &min_target);
     let warm = verifier.verify_evidence(&bundle.0, &min_target);
     if naive != cold {

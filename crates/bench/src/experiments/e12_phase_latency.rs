@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn two_runs_same_seed_produce_byte_identical_traces() {
-        // The PR's acceptance criterion, asserted directly on trace bytes.
+        // The PR's acceptance condition, asserted directly on trace bytes.
         let once = btcfast_obs::render_jsonl(run_workload(3).trace());
         let twice = btcfast_obs::render_jsonl(run_workload(3).trace());
         assert!(!once.is_empty());

@@ -147,7 +147,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             } else {
                 0.0
             };
-            // Acceptance criterion: zero lost value at every swept crash
+            // Acceptance condition: zero lost value at every swept crash
             // intensity — a non-zero gap is a durability bug, not data.
             assert_eq!(
                 value_lost, 0,

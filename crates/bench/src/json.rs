@@ -1,11 +1,17 @@
-//! A minimal JSON value: enough to emit `BENCH_payjudger.json` and read it
-//! back in the regression gate. The registry is vendored-offline, so no
-//! serde — a hand-rolled renderer and recursive-descent parser instead.
+//! A minimal JSON value: enough to read `BENCHMARK.json` and the result
+//! line a benchmark run prints, and to write one `bench/trajectory.jsonl`
+//! record. The registry is vendored-offline, so no serde — a hand-rolled
+//! renderer and recursive-descent parser instead.
+//!
+//! Numbers are `f64`. That is why the strict trace-line parser in
+//! `btcfast_obs::critical_path` is a separate, integer-exact one: span ids
+//! are `u64` and do not survive a round trip through `f64`. The two are
+//! kept apart on purpose.
 
 use std::fmt::Write as _;
 
-/// A JSON document node. Object keys keep insertion order so emitted files
-/// diff cleanly across runs.
+/// A JSON document node. Object keys keep insertion order so emitted
+/// records diff cleanly across runs.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`
@@ -44,6 +50,14 @@ impl Json {
         }
     }
 
+    /// The node as a boolean, if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
     /// The node as a string, if it is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -52,25 +66,23 @@ impl Json {
         }
     }
 
-    /// The node's object entries, if it is an object.
-    pub fn entries(&self) -> Option<&[(String, Json)]> {
+    /// The node's array items, if it is an array.
+    pub fn items(&self) -> Option<&[Json]> {
         match self {
-            Json::Obj(pairs) => Some(pairs),
+            Json::Arr(items) => Some(items),
             _ => None,
         }
     }
 
-    /// Renders with 2-space indentation and a trailing newline.
+    /// Renders on one line with a trailing newline: one JSONL record.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, 0);
+        self.render_into(&mut out);
         out.push('\n');
         out
     }
 
-    fn render_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth + 1);
-        let close = "  ".repeat(depth);
+    fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => {
@@ -85,36 +97,26 @@ impl Json {
             }
             Json::Str(s) => render_string(out, s),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(", ");
                     }
-                    let _ = write!(out, "\n{pad}");
-                    item.render_into(out, depth + 1);
+                    item.render_into(out);
                 }
-                let _ = write!(out, "\n{close}]");
+                out.push(']');
             }
             Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
                 out.push('{');
                 for (i, (key, value)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(", ");
                     }
-                    let _ = write!(out, "\n{pad}");
                     render_string(out, key);
                     out.push_str(": ");
-                    value.render_into(out, depth + 1);
+                    value.render_into(out);
                 }
-                let _ = write!(out, "\n{close}}}");
+                out.push('}');
             }
         }
     }
@@ -299,44 +301,51 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_a_bench_document() {
+    fn round_trips_a_record() {
         let doc = Json::obj(vec![
-            ("schema", Json::Str("btcfast-bench/v1".into())),
-            ("quick", Json::Bool(true)),
+            ("commit", Json::Str("ac10189".into())),
+            ("correct", Json::Bool(true)),
             (
-                "benches",
+                "workloads",
                 Json::obj(vec![(
-                    "header_verify",
+                    "till_steady",
                     Json::obj(vec![
-                        ("ops_per_sec", Json::Num(12345.67)),
-                        ("p50_ns", Json::Num(81000.0)),
-                        ("iters", Json::Num(40.0)),
+                        ("op_cost_mcal", Json::Num(12345.67)),
+                        ("ok_share", Json::Num(1.0)),
                     ]),
                 )]),
             ),
             ("tags", Json::Arr(vec![Json::Null, Json::Num(-2.5)])),
         ]);
         let text = doc.render();
+        assert_eq!(text.lines().count(), 1, "a record is one line");
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(parsed, doc);
         assert_eq!(
             parsed
-                .get("benches")
-                .and_then(|b| b.get("header_verify"))
-                .and_then(|h| h.get("ops_per_sec"))
+                .get("workloads")
+                .and_then(|w| w.get("till_steady"))
+                .and_then(|t| t.get("op_cost_mcal"))
                 .and_then(Json::as_f64),
             Some(12345.67)
+        );
+        assert_eq!(parsed.get("correct").and_then(Json::as_bool), Some(true));
+        assert_eq!(
+            parsed.get("tags").and_then(Json::items).map(<[Json]>::len),
+            Some(2)
         );
     }
 
     #[test]
     fn parses_escapes_and_whitespace() {
         let parsed = Json::parse(" { \"a\\n\\\"b\" : [ 1 , true , null ] } ").unwrap();
-        let entries = parsed.entries().unwrap();
-        assert_eq!(entries[0].0, "a\n\"b");
         assert_eq!(
-            entries[0].1,
-            Json::Arr(vec![Json::Num(1.0), Json::Bool(true), Json::Null])
+            parsed.get("a\n\"b"),
+            Some(&Json::Arr(vec![
+                Json::Num(1.0),
+                Json::Bool(true),
+                Json::Null
+            ]))
         );
     }
 

@@ -7,13 +7,19 @@
 //! Each experiment module returns its rows as data *and* renders them, so
 //! the same code backs the CLI harness, the integration tests, and
 //! EXPERIMENTS.md.
+//!
+//! Performance is measured by the stand-alone `benchmark/` package only;
+//! [`ab`] is the gate that compares two builds of it, and [`overhead`]
+//! holds the instrumentation to its budget.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ab;
 pub mod experiments;
+pub mod json;
 pub mod load;
-pub mod perf;
+pub mod overhead;
 pub mod table;
 
 pub use table::Table;

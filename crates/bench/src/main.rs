@@ -4,8 +4,8 @@
 //! harness                      # run every experiment (full trial counts)
 //! harness e3                   # run one experiment
 //! harness e1 e5 e6 e10 quick   # several experiments, reduced trials (CI)
-//! harness bench --quick        # micro-benchmarks -> BENCH_payjudger.json
-//! harness gate                 # compare BENCH json against the baseline
+//! harness ab BASE_BIN HEAD_BIN # the perf gate: two benchmark/ builds, paired
+//! harness overhead             # instrumentation cost against its 5 % budget
 //! harness trace                # chaos run -> JSONL trace + Prometheus dump
 //! harness fuzz --seed 7 --iters 2000   # corpus replay + fresh fuzzing
 //! ```
@@ -14,15 +14,15 @@
 //! an empty table (an empty table means the experiment silently produced
 //! no data — CI must treat that as a failure, not a pass). Malformed
 //! flags exit 2 with a one-line diagnostic plus the usage text — never a
-//! panic.
+//! panic. `ab` and `overhead` exit 1 when the gate or the budget fails.
 //!
-//! When `$GITHUB_STEP_SUMMARY` is set (GitHub Actions), experiment tables
-//! and the gate verdict are also appended there as markdown.
+//! When `$GITHUB_STEP_SUMMARY` is set (GitHub Actions), every table printed
+//! is also appended there as markdown.
 
-use btcfast_bench::experiments;
-use btcfast_bench::perf::{self, gate, json::Json};
+use btcfast_bench::{ab, experiments, overhead};
 use std::fmt;
-use std::path::PathBuf;
+use std::num::NonZeroUsize;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -33,8 +33,8 @@ fn main() -> ExitCode {
             usage();
             Ok(ExitCode::SUCCESS)
         }
-        Some("bench") => run_bench(&args[1..]),
-        Some("gate") => run_gate(&args[1..]),
+        Some("ab") => run_ab(&args[1..]),
+        Some("overhead") => Ok(run_overhead()),
         Some("trace") => run_trace(&args[1..]),
         Some("fuzz") => run_fuzz(&args[1..]),
         _ => run_experiments(&args),
@@ -52,8 +52,8 @@ fn main() -> ExitCode {
 
 fn usage() {
     println!("usage: harness [e1..e15|all ...] [quick]");
-    println!("       harness bench [--quick] [--out PATH]");
-    println!("       harness gate [--baseline PATH] [--current PATH] [--threshold FRAC]");
+    println!("       harness ab BASE_BIN HEAD_BIN [--pairs N] [--record PATH]");
+    println!("       harness overhead");
     println!("       harness trace [--seed N] [--trace PATH] [--metrics PATH]");
     println!(
         "       harness fuzz [--seed N] [--iters N] [--engine codec|diff|invariant|store|crypto|batch] \
@@ -65,31 +65,52 @@ fn usage() {
 }
 
 /// A malformed command-line argument: which flag, what it should have
-/// been, and what was actually passed.
+/// been, and what was actually passed (`None`: the flag came last, with
+/// no value after it).
 #[derive(Debug, PartialEq, Eq)]
 struct CliError {
     flag: &'static str,
     expected: &'static str,
-    got: String,
+    got: Option<String>,
 }
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} expects {}, got {:?}",
-            self.flag, self.expected, self.got
-        )
+        write!(f, "{} expects {}, got ", self.flag, self.expected)?;
+        match &self.got {
+            Some(got) => write!(f, "{got:?}"),
+            None => f.write_str("nothing"),
+        }
     }
 }
 
 impl std::error::Error for CliError {}
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The argument after `flag`: `None` when the flag is absent, a typed
+/// [`CliError`] when it is given last, with nothing after it.
+fn flag_value<'a>(
+    args: &'a [String],
+    flag: &'static str,
+    expected: &'static str,
+) -> Result<Option<&'a str>, CliError> {
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(at + 1) {
+        Some(value) => Ok(Some(value)),
+        None => Err(CliError {
+            flag,
+            expected,
+            got: None,
+        }),
+    }
+}
+
+/// `flag`'s value as a path, or `default` when the flag is absent.
+fn path_flag(args: &[String], flag: &'static str, default: &str) -> Result<PathBuf, CliError> {
+    Ok(PathBuf::from(
+        flag_value(args, flag, "a path")?.unwrap_or(default),
+    ))
 }
 
 /// Parses `flag`'s value (or `default` when absent) as a `T`, turning a
@@ -100,11 +121,11 @@ fn parse_flag<T: FromStr>(
     default: &str,
     expected: &'static str,
 ) -> Result<T, CliError> {
-    let raw = flag_value(args, flag).unwrap_or(default);
+    let raw = flag_value(args, flag, expected)?.unwrap_or(default);
     raw.parse().map_err(|_| CliError {
         flag,
         expected,
-        got: raw.to_string(),
+        got: Some(raw.to_string()),
     })
 }
 
@@ -119,14 +140,17 @@ fn append_step_summary(markdown: &str) {
     if path.is_empty() {
         return;
     }
-    let result = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut file| std::io::Write::write_all(&mut file, markdown.as_bytes()));
-    if let Err(e) = result {
+    if let Err(e) = append_to(&path, markdown) {
         eprintln!("warning: could not append step summary to {path}: {e}");
     }
+}
+
+fn append_to(path: &str, text: &str) -> std::io::Result<()> {
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    std::io::Write::write_all(&mut file, text.as_bytes())
 }
 
 /// `harness [ids...] [quick]` — one or more experiments; `all` by default.
@@ -176,35 +200,6 @@ fn run_experiments(args: &[String]) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `harness bench [--quick] [--out PATH]`.
-fn run_bench(args: &[String]) -> Result<ExitCode, CliError> {
-    let quick = args.iter().any(|a| a == "--quick" || a == "quick");
-    let out = PathBuf::from(flag_value(args, "--out").unwrap_or(perf::DEFAULT_OUT));
-    match perf::run_and_write(quick, &out) {
-        Ok((doc, summaries)) => {
-            for s in &summaries {
-                println!(
-                    "{:<24} {:>12.1} ops/s  p50 {:>12.0} ns  p95 {:>12.0} ns",
-                    s.name, s.ops_per_sec, s.p50_ns, s.p95_ns
-                );
-            }
-            if let Some(derived) = doc.get("derived") {
-                for (key, value) in derived.entries().unwrap_or(&[]) {
-                    // `*_ms` keys are latencies; everything else is a ratio.
-                    let unit = if key.ends_with("_ms") { " ms" } else { "x" };
-                    println!("{key:<24} {:.2}{unit}", value.as_f64().unwrap_or(0.0));
-                }
-            }
-            println!("wrote {}", out.display());
-            Ok(ExitCode::SUCCESS)
-        }
-        Err(e) => {
-            eprintln!("bench failed: {e}");
-            Ok(ExitCode::FAILURE)
-        }
-    }
-}
-
 /// `harness trace [--seed N] [--trace PATH] [--metrics PATH]` — run one
 /// seeded chaos scenario (payment under 20% loss, then a dispute) and
 /// export its sim-time span trace as JSONL plus a Prometheus-style dump
@@ -220,9 +215,8 @@ fn run_trace(args: &[String]) -> Result<ExitCode, CliError> {
     // Default seed chosen so the dispute leg's race is actually lost and
     // the dispute phases land on the exported trace.
     let seed: u64 = parse_flag(args, "--seed", "17", "a u64 seed")?;
-    let trace_path = PathBuf::from(flag_value(args, "--trace").unwrap_or("TRACE_btcfast.jsonl"));
-    let metrics_path =
-        PathBuf::from(flag_value(args, "--metrics").unwrap_or("METRICS_btcfast.prom"));
+    let trace_path = path_flag(args, "--trace", "TRACE_btcfast.jsonl")?;
+    let metrics_path = path_flag(args, "--metrics", "METRICS_btcfast.prom")?;
 
     let mut plan = FaultPlan::new();
     plan.loss_window(SimTime::ZERO, SimTime::from_secs(86_400), 0.2);
@@ -288,22 +282,23 @@ fn run_fuzz(args: &[String]) -> Result<ExitCode, CliError> {
 
     let seed: u64 = parse_flag(args, "--seed", "7", "a u64 seed")?;
     let iters: u64 = parse_flag(args, "--iters", "200", "a u64 iteration count")?;
-    let engine = match flag_value(args, "--engine") {
+    const ENGINES: &str = "codec, diff, invariant, store, crypto, or batch";
+    let engine = match flag_value(args, "--engine", ENGINES)? {
         None => None,
         Some(name) => match Engine::parse(name) {
             Some(engine) => Some(engine),
             None => {
                 return Err(CliError {
                     flag: "--engine",
-                    expected: "codec, diff, invariant, store, crypto, or batch",
-                    got: name.to_string(),
+                    expected: ENGINES,
+                    got: Some(name.to_string()),
                 });
             }
         },
     };
-    let corpus_dir = PathBuf::from(flag_value(args, "--corpus").unwrap_or("fuzz/corpus"));
-    let failure_dir = PathBuf::from(flag_value(args, "--out").unwrap_or("fuzz/out"));
-    let metrics_path = PathBuf::from(flag_value(args, "--metrics").unwrap_or("FUZZ_btcfast.prom"));
+    let corpus_dir = path_flag(args, "--corpus", "fuzz/corpus")?;
+    let failure_dir = path_flag(args, "--out", "fuzz/out")?;
+    let metrics_path = path_flag(args, "--metrics", "FUZZ_btcfast.prom")?;
 
     let config = FuzzConfig {
         seed,
@@ -356,38 +351,104 @@ fn run_fuzz(args: &[String]) -> Result<ExitCode, CliError> {
     }
 }
 
-/// `harness gate [--baseline PATH] [--current PATH] [--threshold FRAC]`.
-fn run_gate(args: &[String]) -> Result<ExitCode, CliError> {
-    let baseline_path = flag_value(args, "--baseline").unwrap_or("bench/baseline.json");
-    let current_path = flag_value(args, "--current").unwrap_or(perf::DEFAULT_OUT);
-    let threshold: f64 = parse_flag(args, "--threshold", "0.30", "a fraction in (0, 1)")?;
-    if !(0.0..1.0).contains(&threshold) || threshold == 0.0 {
-        return Err(CliError {
-            flag: "--threshold",
-            expected: "a fraction in (0, 1)",
-            got: format!("{threshold}"),
-        });
-    }
-    let load = |path: &str| -> Result<Json, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))
+/// `harness ab BASE_BIN HEAD_BIN [--pairs N] [--record PATH]` — the perf
+/// gate (see [`ab`]): runs the two `benchmark/` builds as interleaved pairs
+/// over the workloads, metrics, bounds and run length of `./BENCHMARK.json`,
+/// prints one row per metric × workload and exits 1 on any `worse`.
+/// `--record` appends the run to a trajectory file as one JSON line.
+fn run_ab(args: &[String]) -> Result<ExitCode, CliError> {
+    let bins = |got: String| CliError {
+        flag: "ab",
+        expected: "two built benchmark binaries, BASE_BIN HEAD_BIN",
+        got: Some(got),
     };
-    let report = load(baseline_path)
-        .and_then(|baseline| Ok((baseline, load(current_path)?)))
-        .and_then(|(baseline, current)| gate::compare(&baseline, &current, threshold));
-    match report {
-        Ok(report) => {
-            print!("{}", report.render());
-            append_step_summary(&report.render_markdown());
-            if report.passes() {
-                Ok(ExitCode::SUCCESS)
-            } else {
-                Ok(ExitCode::FAILURE)
+    let paths: Vec<&Path> = args
+        .iter()
+        .take_while(|a| !a.starts_with("--"))
+        .map(Path::new)
+        .collect();
+    let &[base, head] = paths.as_slice() else {
+        return Err(bins(format!("{} path(s)", paths.len())));
+    };
+    if let Some(missing) = paths.iter().find(|bin| !bin.is_file()) {
+        return Err(bins(missing.display().to_string()));
+    }
+    let pairs: NonZeroUsize = parse_flag(args, "--pairs", "10", "a pair count of at least 1")?;
+    let record = flag_value(args, "--record", "a path")?;
+
+    let outcome = match ab::run(base, head, pairs.get()) {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            eprintln!("ab failed: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
+    outcome.table.print();
+    append_step_summary(&outcome.table.render_markdown());
+    if let Some(path) = record {
+        match append_to(path, &outcome.record) {
+            Ok(()) => println!("recorded in {path}"),
+            Err(e) => {
+                eprintln!("append the record to {path}: {e}");
+                return Ok(ExitCode::FAILURE);
             }
         }
-        Err(e) => {
-            eprintln!("gate failed: {e}");
-            Ok(ExitCode::FAILURE)
-        }
+    }
+    for failure in &outcome.failures {
+        eprintln!("{failure}");
+    }
+    Ok(if outcome.failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}
+
+/// `harness overhead` — the two paired plain/instrumented measurements
+/// (see [`overhead`]); exits 1 when either is over the 5 % budget.
+fn run_overhead() -> ExitCode {
+    let (table, ok) = overhead::run();
+    table.print();
+    append_step_summary(&table.render_markdown());
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("instrumentation overhead is over budget");
+        ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn a_flag_given_last_without_a_value_is_a_typed_error() {
+        let seed = |line: &str| parse_flag::<u64>(&args(line), "--seed", "7", "a u64 seed");
+        assert_eq!(seed("--iters 5"), Ok(7), "absent: the default");
+        assert_eq!(seed("--iters 5 --seed 9"), Ok(9));
+        let dangling = seed("--iters 5 --seed").unwrap_err();
+        assert_eq!(dangling.got, None);
+        assert_eq!(
+            dangling.to_string(),
+            "--seed expects a u64 seed, got nothing"
+        );
+        let banana = "--seed expects a u64 seed, got \"banana\"";
+        assert_eq!(seed("--seed banana").unwrap_err().to_string(), banana);
+        // Path flags and every subcommand that takes flags refuse it too.
+        assert!(path_flag(&args("--seed 1 --out"), "--out", "fuzz/out").is_err());
+        assert!(run_fuzz(&args("--iters 5 --seed")).is_err());
+        assert!(run_fuzz(&args("--engine")).is_err());
+        assert!(run_trace(&args("--metrics")).is_err());
+        // The binary paths go in whole: a checkout path may hold a space.
+        let this = std::env::current_exe().unwrap().display().to_string();
+        let ab = |argv: &[&str]| run_ab(&argv.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        assert!(ab(&[&this, &this, "--record"]).is_err());
+        assert!(ab(&[&this, &this, "--pairs", "0"]).is_err());
+        assert!(ab(&[&this]).is_err(), "one binary is not a pair");
     }
 }

@@ -1,0 +1,151 @@
+//! `harness overhead`: what the instrumentation costs, against a 5 % budget.
+//!
+//! Tracing is on by default, so every payment pays for it. Two paired
+//! measurements hold it down: the sharded engine with
+//! `SessionConfig::tracing` off and on (`engine_tracing`), and one chaos
+//! payment under 25 % loss with the causal span forest off and on
+//! (`causal_tracing`). The gated number is a ratio measured inside one
+//! process, and needs no baseline but 1.0.
+
+use crate::table::Table;
+use btcfast::chaos::ChaosSession;
+use btcfast::config::SessionConfig;
+use btcfast::engine::{EngineConfig, PaymentEngine};
+use btcfast::robustness::ChaosConfig;
+use btcfast_crypto::WorkerPool;
+use btcfast_netsim::faults::FaultPlan;
+use btcfast_netsim::time::SimTime;
+use std::time::Instant;
+
+/// Instrumented hot paths may cost at most this fraction over their plain
+/// twins.
+const BUDGET: f64 = 0.05;
+
+/// Interleaved paired measurement: each round times `plain` immediately
+/// followed by `instrumented`, after one untimed round of both, and yields
+/// the round's plain/instrumented time ratio (≈ 1.0; below it when
+/// instrumentation costs). Both halves of a round run back to back, so
+/// slow-host noise hits them near-equally and mostly cancels.
+fn bench_pair(rounds: usize, mut plain: impl FnMut(), mut instrumented: impl FnMut()) -> Vec<f64> {
+    let time = |op: &mut dyn FnMut()| {
+        let start = Instant::now();
+        op();
+        (start.elapsed().as_nanos() as f64).max(1.0)
+    };
+    let mut round = || time(&mut plain) / time(&mut instrumented);
+    round(); // warmup both sides
+    (0..rounds).map(|_| round()).collect()
+}
+
+/// `[median, best, gated]` of one pair's ratios. The gated number is the
+/// better of the median and the best round, the best capped at 1.0: the
+/// median cancels symmetric noise; the best round as a floor keeps one
+/// unlucky interrupt inside an instrumented half from tripping a 5 %
+/// budget, and cannot mask a systematic cost, which lowers every round.
+fn summarize(ratios: &mut [f64]) -> [f64; 3] {
+    ratios.sort_by(f64::total_cmp);
+    let median = btcfast_obs::stats::quantile_sorted_f64(ratios, 0.5).expect("rounds ran");
+    let best = ratios[ratios.len() - 1];
+    [median, best, median.max(best.min(1.0))]
+}
+
+fn engine_tracing() -> Vec<f64> {
+    let pool = WorkerPool::with_default_parallelism();
+    let run = |tracing: bool| {
+        let engine = PaymentEngine::new(EngineConfig {
+            session: SessionConfig {
+                tracing,
+                ..SessionConfig::default()
+            },
+            shards: 4,
+            payments_per_shard: 12,
+            batch_size: 4,
+            ..EngineConfig::default()
+        });
+        move || {
+            let report = engine.run(0xB7CF, &pool).expect("engine run succeeds");
+            assert_eq!(report.total_accepted, report.total_payments);
+        }
+    };
+    bench_pair(8, run(false), run(true))
+}
+
+fn causal_tracing() -> Vec<f64> {
+    // Root minting, wire-context propagation through the transport,
+    // per-retransmission child spans and the nesting watermark are all on
+    // the clock in the traced half.
+    let run = |tracing: bool| {
+        move || {
+            let session_config = SessionConfig {
+                tracing,
+                ..SessionConfig::default()
+            };
+            let mut chaos_config = ChaosConfig::default();
+            chaos_config.transport.max_attempts = 12;
+            chaos_config.phase_deadline = SimTime::from_secs(60);
+            let mut plan = FaultPlan::new();
+            plan.loss_window(SimTime::ZERO, SimTime::from_secs(86_400), 0.25);
+            let mut chaos = ChaosSession::new(session_config, chaos_config, plan, 0xB7CF);
+            let report = chaos
+                .run_fast_payment_chaos(1_000_000)
+                .expect("chaos payment completes");
+            assert!(report.accepted);
+            assert_eq!(tracing, !chaos.session.trace().is_empty());
+        }
+    };
+    bench_pair(50, run(false), run(true))
+}
+
+/// Measures both pairs. Returns the table and whether both are within the
+/// budget.
+pub fn run() -> (Table, bool) {
+    let title = "Instrumentation overhead: plain/instrumented time, budget 5 %";
+    let mut table = Table::new(
+        title,
+        &["pair", "rounds", "median", "best", "gated", "verdict"],
+    );
+    let mut all_ok = true;
+    for (name, mut ratios) in [
+        ("engine_tracing", engine_tracing()),
+        ("causal_tracing", causal_tracing()),
+    ] {
+        let summary = summarize(&mut ratios);
+        let ok = summary[2] >= 1.0 - BUDGET;
+        all_ok &= ok;
+        let mut row = vec![name.to_string(), ratios.len().to_string()];
+        row.extend(summary.map(|ratio| format!("{ratio:.3}")));
+        row.push(if ok { "ok" } else { "over budget" }.to_string());
+        table.push(row);
+    }
+    (table, all_ok)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn paired_rounds_of_identical_work_ratio_near_one() {
+        let twin = || {
+            std::hint::black_box(btcfast_crypto::sha256::sha256d(&[7; 4096]));
+        };
+        let mut ratios = bench_pair(10, twin, twin);
+        assert_eq!(ratios.len(), 10);
+        let gated = summarize(&mut ratios)[2];
+        assert!((0.5..2.0).contains(&gated), "twin work ratios {gated}");
+    }
+
+    #[test]
+    fn the_budget_trips_on_a_systematic_cost_and_not_on_one_bad_round() {
+        let within = |ratios: &mut [f64]| summarize(ratios)[2] >= 1.0 - BUDGET;
+        // A consistent 10 % slowdown of the instrumented side lowers every
+        // round, so the gated number too; 6 % fails, 4 % passes.
+        assert!(!within(&mut [0.89, 0.90, 0.91, 0.91, 0.92]));
+        assert!(!within(&mut [0.94, 0.94, 0.94]));
+        assert!(within(&mut [0.96, 0.96, 0.96]));
+        // One 0.7 outlier among clean rounds leaves it at ~1.0, and a lucky
+        // round above 1.0 is not credited beyond 1.0.
+        assert!(within(&mut [0.70, 0.99, 1.0, 1.0, 1.01]));
+        assert_eq!(summarize(&mut [0.5, 1.3, 0.5, 0.5, 0.5]), [0.5, 1.3, 1.0]);
+    }
+}

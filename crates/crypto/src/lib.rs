@@ -22,8 +22,8 @@
 //!   culprit bisection preserving the sequential loop's exact verdicts.
 //! * [`keys`] — key pairs, compressed public-key encoding, addresses.
 //! * [`merkle`] — Bitcoin-style Merkle trees with inclusion proofs.
-//! * [`pool`] — a scoped-thread worker pool for batched SHA-256d and
-//!   Merkle-proof verification on the dispute hot path.
+//! * [`pool`] — a scoped-thread worker pool that runs the payment
+//!   engine's shards side by side.
 //! * [`base58`] — Base58Check for human-readable addresses.
 //! * [`hex`] — minimal hex encode/decode helpers.
 //!
@@ -61,7 +61,7 @@ pub mod sha256;
 pub use hash::Hash256;
 pub use keys::{KeyPair, PublicKey, SecretKey};
 pub use merkle::{MerkleProof, MerkleTree};
-pub use pool::{MerkleCheck, WorkerPool};
+pub use pool::WorkerPool;
 
 /// Decodes a 64-character hex string into a 32-byte big-endian array.
 ///

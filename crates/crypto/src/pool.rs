@@ -1,33 +1,13 @@
-//! A scoped worker pool for batch-parallel cryptographic verification.
+//! A scoped worker pool for coarse-grained parallel work.
 //!
-//! The dispute hot path of PayJudger verifies hundreds of independent
-//! SHA-256d header hashes and Merkle proofs; each check is pure and
-//! embarrassingly parallel. This pool fans such batches out over scoped
-//! `std::thread` workers (no external dependencies, no long-lived threads)
-//! and preserves input order in the results, so callers can substitute
-//! [`WorkerPool::map`] for `iter().map()` without changing semantics.
-//!
-//! Small batches are executed inline: spawning a thread costs far more
-//! than hashing a handful of 88-byte headers, so parallelism only kicks in
-//! past [`WorkerPool::MIN_PARALLEL_ITEMS`] items (and when more than one
-//! worker is configured).
+//! The sharded payment engine runs whole shared-nothing simulation shards
+//! side by side. This pool fans such items out over scoped `std::thread`
+//! workers (no external dependencies, no long-lived threads) and
+//! preserves input order in the results, so callers can substitute
+//! [`WorkerPool::map_coarse`] for `iter().map()` without changing
+//! semantics.
 
-use crate::hash::Hash256;
-use crate::merkle::MerkleProof;
-use crate::sha256::sha256d;
 use std::num::NonZeroUsize;
-
-/// A batch of independent Merkle inclusion checks (see
-/// [`WorkerPool::merkle_verify_batch`]).
-#[derive(Clone, Copy, Debug)]
-pub struct MerkleCheck<'a> {
-    /// The sibling path being checked.
-    pub proof: &'a MerkleProof,
-    /// The leaf (txid) the proof claims to include.
-    pub leaf: Hash256,
-    /// The root the path must reproduce.
-    pub root: Hash256,
-}
 
 /// A fixed-width scoped-thread worker pool for pure batch computations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,10 +22,6 @@ impl Default for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Batches smaller than this run inline; thread spawn latency would
-    /// dominate the hashing work below it.
-    pub const MIN_PARALLEL_ITEMS: usize = 32;
-
     /// A pool with an explicit worker count (clamped to at least 1).
     pub fn new(threads: usize) -> WorkerPool {
         WorkerPool {
@@ -67,44 +43,11 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Applies `f` to every item, preserving order. Runs inline for small
-    /// batches or a single-worker pool; otherwise splits the items into
-    /// contiguous chunks, one scoped thread each.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from `f` (the worker's panic aborts the batch).
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        if self.threads == 1 || items.len() < Self::MIN_PARALLEL_ITEMS {
-            return items.iter().map(f).collect();
-        }
-        let chunk_len = items.len().div_ceil(self.threads);
-        let f = &f;
-        let mut chunks: Vec<Vec<R>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk_len)
-                .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
-                .collect();
-            chunks = handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect();
-        });
-        chunks.into_iter().flatten().collect()
-    }
-
-    /// Like [`WorkerPool::map`], but parallelizes even tiny batches: for
-    /// coarse-grained items (whole simulation shards, not 88-byte headers)
-    /// the per-item work dwarfs thread-spawn latency, so the
-    /// [`WorkerPool::MIN_PARALLEL_ITEMS`] inline cutoff would serialize
-    /// exactly the workloads that benefit most. Order is preserved, so
-    /// results are independent of the worker count.
+    /// Applies `f` to every item, preserving order, so results are
+    /// independent of the worker count. Runs inline on a single-worker
+    /// pool or for fewer than two items; otherwise splits the items into
+    /// contiguous chunks, one scoped thread each. Meant for coarse items
+    /// (whole simulation shards) whose work dwarfs thread-spawn latency.
     ///
     /// # Panics
     ///
@@ -133,82 +76,11 @@ impl WorkerPool {
         });
         chunks.into_iter().flatten().collect()
     }
-
-    /// Double-SHA256 over every input, in input order.
-    pub fn sha256d_batch<I>(&self, inputs: &[I]) -> Vec<Hash256>
-    where
-        I: AsRef<[u8]> + Sync,
-    {
-        self.map(inputs, |input| sha256d(input.as_ref()))
-    }
-
-    /// Verifies every Merkle inclusion check, in input order.
-    pub fn merkle_verify_batch(&self, checks: &[MerkleCheck<'_>]) -> Vec<bool> {
-        self.map(checks, |check| check.proof.verify(&check.leaf, &check.root))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merkle::MerkleTree;
-
-    fn leaves(n: usize) -> Vec<Hash256> {
-        (0..n).map(|i| sha256d(&(i as u64).to_le_bytes())).collect()
-    }
-
-    #[test]
-    fn map_matches_sequential_and_preserves_order() {
-        let items: Vec<u64> = (0..257).collect();
-        let expected: Vec<u64> = items.iter().map(|i| i * 3 + 1).collect();
-        for threads in [1, 2, 7, 64] {
-            let pool = WorkerPool::new(threads);
-            assert_eq!(
-                pool.map(&items, |i| i * 3 + 1),
-                expected,
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn map_handles_empty_and_tiny_batches() {
-        let pool = WorkerPool::new(8);
-        assert_eq!(pool.map::<u8, u8, _>(&[], |x| *x), Vec::<u8>::new());
-        assert_eq!(pool.map(&[9u8], |x| *x + 1), vec![10u8]);
-    }
-
-    #[test]
-    fn sha256d_batch_matches_one_shot() {
-        let inputs: Vec<Vec<u8>> = (0..100u8).map(|i| vec![i; (i as usize % 90) + 1]).collect();
-        let pool = WorkerPool::new(4);
-        let batch = pool.sha256d_batch(&inputs);
-        for (input, digest) in inputs.iter().zip(&batch) {
-            assert_eq!(*digest, sha256d(input));
-        }
-    }
-
-    #[test]
-    fn merkle_verify_batch_matches_individual_checks() {
-        let l = leaves(65);
-        let tree = MerkleTree::from_leaves(l.clone()).unwrap();
-        let proofs: Vec<MerkleProof> = (0..l.len()).map(|i| tree.prove(i).unwrap()).collect();
-        let mut checks: Vec<MerkleCheck<'_>> = proofs
-            .iter()
-            .enumerate()
-            .map(|(i, proof)| MerkleCheck {
-                proof,
-                leaf: l[i],
-                root: tree.root(),
-            })
-            .collect();
-        // Corrupt one leaf so the batch has a failing entry.
-        checks[40].leaf = sha256d(b"foreign");
-        let verdicts = WorkerPool::new(3).merkle_verify_batch(&checks);
-        for (i, ok) in verdicts.iter().enumerate() {
-            assert_eq!(*ok, i != 40, "check {i}");
-        }
-    }
 
     #[test]
     fn map_coarse_parallelizes_tiny_batches_and_preserves_order() {
@@ -222,9 +94,23 @@ mod tests {
                 "threads={threads}"
             );
         }
+        // Chunks that do not divide evenly, and more workers than chunks.
+        let items: Vec<u64> = (0..257).collect();
+        let expected: Vec<u64> = items.iter().map(|i| i * 3 + 1).collect();
+        for threads in [2, 7, 64, 1000] {
+            assert_eq!(
+                WorkerPool::new(threads).map_coarse(&items, |i| i * 3 + 1),
+                expected,
+                "threads={threads}"
+            );
+        }
         assert_eq!(
             WorkerPool::new(8).map_coarse::<u8, u8, _>(&[], |x| *x),
             Vec::<u8>::new()
+        );
+        assert_eq!(
+            WorkerPool::new(8).map_coarse(&[9u8], |x| *x + 1),
+            vec![10u8]
         );
     }
 

@@ -1,7 +1,7 @@
 //! Shared quantile math for every latency summary in the workspace.
 //!
-//! Both the micro-benchmark summaries (`bench/src/perf/stats.rs`), the
-//! engine's accept-latency quantiles, and the bucketed [`crate::Histogram`]
+//! The perf gate's quartiles (`bench/src/ab.rs`), the engine's
+//! accept-latency quantiles, and the bucketed [`crate::Histogram`] all
 //! extract percentiles the same way: **nearest rank** over a sorted sample
 //! set. Centralizing the rank rule here keeps every reported p50/p95/p99
 //! in the repo comparable — a histogram quantile and an exact-sort quantile
@@ -60,7 +60,7 @@ mod tests {
 
     #[test]
     fn hundred_samples_match_the_perf_stats_convention() {
-        // The exact values bench/src/perf/stats.rs has asserted since PR 2.
+        // The ranges every summary in the workspace has relied on since PR 2.
         let sorted: Vec<f64> = (1..=100).map(|i| i as f64).collect();
         assert_eq!(quantile_sorted_f64(&sorted, 0.0), Some(1.0));
         assert_eq!(quantile_sorted_f64(&sorted, 1.0), Some(100.0));

@@ -455,10 +455,7 @@ mod tests {
     fn accelerated_path_matches_sequential_verdict_and_gas() {
         use crate::verify::{EvidenceVerifier, VerifierConfig};
         let (chain, txid) = chain_with_payment();
-        let verifier = EvidenceVerifier::new(VerifierConfig {
-            threads: 2,
-            cache_capacity: 8,
-        });
+        let verifier = EvidenceVerifier::new(VerifierConfig { cache_capacity: 8 });
         let good = EvidenceBundle(SpvEvidence::from_chain(&chain, 1, 8, Some(&txid)));
         let mut bad = good.clone();
         bad.0.segment.headers[5].merkle_root = Hash256([7; 32]);

@@ -22,8 +22,8 @@
 //!   decodes receipts, used by the protocol roles in `btcfast`;
 //! * [`retry`] — a rebuild-and-resubmit loop so dispute-path calls survive
 //!   `OutOfGas` and land before the challenge window closes;
-//! * [`verify`] — the off-chain accelerated verifier: parallel PoW checks
-//!   plus an LRU memo of verified header-segment prefixes (byte-identical
+//! * [`verify`] — the off-chain accelerated verifier: an LRU memo of
+//!   verified header-segment prefixes over the sequential PoW check (byte-identical
 //!   verdicts to the sequential path; on-chain gas semantics untouched).
 //!
 //! # Lifecycle
@@ -55,4 +55,4 @@ pub use client::PayJudgerClient;
 pub use contract::{PayJudger, CODE_ID};
 pub use retry::{submit_with_retry, AttemptResult, RetryError, RetryPolicy, RetryReport};
 pub use types::{DisputeVerdict, EscrowRecord, PaymentRecord, PaymentState};
-pub use verify::{CacheStats, EvidenceVerifier, VerifierConfig, VerifyMetrics};
+pub use verify::{CacheStats, EvidenceVerifier, VerifierConfig};

@@ -1,18 +1,14 @@
-//! The off-chain accelerated evidence verifier: parallel PoW checking plus
-//! an LRU memo of already-verified header-segment prefixes.
+//! The off-chain accelerated evidence verifier: an LRU memo of
+//! already-verified header-segment prefixes in front of the sequential PoW
+//! check.
 //!
 //! The dispute hot path re-verifies the same header runs over and over:
 //! overlapping disputes share an anchor, and tip-extension evidence is the
-//! previous segment plus a few new headers. [`EvidenceVerifier`] exploits
-//! both:
-//!
-//! * **Parallelism** — header hashing, compact-bits decoding, and per-header
-//!   work computation are independent; large segments fan out over a
-//!   [`WorkerPool`] of scoped `std::thread` workers.
-//! * **Memoization** — successfully verified segments are cached in an LRU
-//!   keyed by `(anchor, tip_hash, len, min_target)`. A re-submission is a
-//!   cache hit (no hashing at all); a tip extension only verifies the new
-//!   delta headers.
+//! previous segment plus a few new headers. [`EvidenceVerifier`] caches
+//! successfully verified segments in an LRU keyed by
+//! `(anchor, tip_hash, len, min_target)`: a re-submission is a cache hit
+//! (no hashing at all); a tip extension only verifies the new delta
+//! headers.
 //!
 //! Entries additionally pin the exact serialized header bytes, and lookups
 //! compare them, so a forged segment that collides on `(anchor, tip, len)`
@@ -27,24 +23,20 @@
 //! cache (see [`crate::evidence::verify_on_chain_with`]): gas meters the
 //! work an L1 validator would do, not the work our optimized client did.
 
-use btcfast_btcsim::block::BlockHeader;
 use btcfast_btcsim::pow::hash_meets_target;
 use btcfast_btcsim::spv::{HeaderSegment, SpvError, SpvEvidence};
 use btcfast_btcsim::u256::U256;
 use btcfast_crypto::batch::{verify_batch, BatchItem, BatchOutcome, BatchStats};
-use btcfast_crypto::{Hash256, WorkerPool};
-use btcfast_obs::{Counter, Registry};
+use btcfast_crypto::Hash256;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
-/// Serialized size of one [`BlockHeader`].
+/// Serialized size of one [`btcfast_btcsim::block::BlockHeader`].
 const HEADER_BYTES: usize = 88;
 
 /// Tuning knobs for [`EvidenceVerifier`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VerifierConfig {
-    /// Worker threads for batch hashing; `0` means host parallelism.
-    pub threads: usize,
     /// Maximum number of memoized segments before LRU eviction.
     pub cache_capacity: usize,
 }
@@ -52,7 +44,6 @@ pub struct VerifierConfig {
 impl Default for VerifierConfig {
     fn default() -> VerifierConfig {
         VerifierConfig {
-            threads: 0,
             cache_capacity: 128,
         }
     }
@@ -73,35 +64,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Headers actually PoW-verified (cache hits skip these). Saturating.
     pub headers_verified: u64,
-}
-
-/// Live metric handles a host can attach to a verifier so the registry
-/// sees cache behavior without polling [`EvidenceVerifier::cache_stats`].
-/// Bumping these `Arc<Counter>`s is the *instrumented* hot path the
-/// `header_verify_warm_6_instr` bench family measures against its plain
-/// twin.
-#[derive(Clone, Debug)]
-pub struct VerifyMetrics {
-    /// Mirrors [`CacheStats::full_hits`].
-    pub full_hits: Arc<Counter>,
-    /// Mirrors [`CacheStats::prefix_hits`].
-    pub prefix_hits: Arc<Counter>,
-    /// Mirrors [`CacheStats::misses`].
-    pub misses: Arc<Counter>,
-    /// Mirrors [`CacheStats::headers_verified`].
-    pub headers_verified: Arc<Counter>,
-}
-
-impl VerifyMetrics {
-    /// Creates the standard `payjudger_*` counters in `registry`.
-    pub fn register(registry: &Registry) -> VerifyMetrics {
-        VerifyMetrics {
-            full_hits: registry.counter("payjudger_cache_full_hits_total"),
-            prefix_hits: registry.counter("payjudger_cache_prefix_hits_total"),
-            misses: registry.counter("payjudger_cache_misses_total"),
-            headers_verified: registry.counter("payjudger_headers_verified_total"),
-        }
-    }
 }
 
 /// One memoized verified segment.
@@ -219,17 +181,14 @@ impl SegmentCache {
     }
 }
 
-/// The accelerated (parallel + memoizing) evidence verifier.
+/// The accelerated (memoizing) evidence verifier.
 ///
 /// Thread-safe behind `&self`; share one per role (merchant, customer) so
 /// every dispute in a session warms the same memo.
 #[derive(Debug)]
 pub struct EvidenceVerifier {
-    pool: WorkerPool,
     cache: Mutex<SegmentCache>,
     capacity: usize,
-    /// Optional live metric handles; set once, bumped lock-free.
-    metrics: OnceLock<VerifyMetrics>,
     /// Accumulated batch-ECDSA counters across every
     /// [`Self::verify_signature_batch`] call (any thread).
     sig_batch: Mutex<BatchStats>,
@@ -244,16 +203,9 @@ impl Default for EvidenceVerifier {
 impl EvidenceVerifier {
     /// Builds a verifier with the given tuning.
     pub fn new(config: VerifierConfig) -> EvidenceVerifier {
-        let pool = if config.threads == 0 {
-            WorkerPool::with_default_parallelism()
-        } else {
-            WorkerPool::new(config.threads)
-        };
         EvidenceVerifier {
-            pool,
             cache: Mutex::new(SegmentCache::default()),
             capacity: config.cache_capacity.max(1),
-            metrics: OnceLock::new(),
             sig_batch: Mutex::new(BatchStats::default()),
         }
     }
@@ -280,17 +232,6 @@ impl EvidenceVerifier {
         *self.sig_batch.lock().expect("sig batch stats poisoned")
     }
 
-    /// Attaches live metric handles. The first attachment wins; later
-    /// calls are ignored (the verifier is shared behind `Arc`).
-    pub fn attach_metrics(&self, metrics: VerifyMetrics) {
-        let _ = self.metrics.set(metrics);
-    }
-
-    /// The worker count actually in use.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
     /// A snapshot of the memo counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.lock().expect("cache poisoned").stats
@@ -304,7 +245,9 @@ impl EvidenceVerifier {
     }
 
     /// Verifies a header segment, byte-equivalently to
-    /// [`HeaderSegment::verify`], using the memo and the worker pool.
+    /// [`HeaderSegment::verify`]: the memo answers what it has seen, and
+    /// the rest goes through the reference's per-header checks in the
+    /// reference's order.
     ///
     /// # Errors
     ///
@@ -332,51 +275,41 @@ impl EvidenceVerifier {
             let mut cache = self.cache.lock().expect("cache poisoned");
             if let Some(work) = cache.lookup_full(&full_key, &encoded) {
                 cache.stats.full_hits += 1;
-                if let Some(metrics) = self.metrics.get() {
-                    metrics.full_hits.inc();
-                }
                 return Ok(work);
             }
             match cache.lookup_prefix(&segment.anchor, &min_target_bytes, &encoded) {
                 Some((prefix, work, tip)) => {
                     cache.stats.prefix_hits += 1;
-                    if let Some(metrics) = self.metrics.get() {
-                        metrics.prefix_hits.inc();
-                    }
                     (prefix, work, tip)
                 }
                 None => {
                     cache.stats.misses += 1;
-                    if let Some(metrics) = self.metrics.get() {
-                        metrics.misses.inc();
-                    }
                     (0, U256::ZERO, segment.anchor)
                 }
             }
         };
 
-        // Hash/decode/work for the unverified delta, batched in parallel.
-        // Per-header checks then run in segment order so the first error —
-        // and its index — match the sequential verifier exactly.
+        // The unverified delta, folded exactly as `HeaderSegment::verify`
+        // folds a whole segment, so the first error — and its index —
+        // match the reference.
         let delta = &segment.headers[start..];
-        let precomputed = self.pool.map(delta, precompute_header);
         for (offset, header) in delta.iter().enumerate() {
             let index = start + offset;
             if header.prev_hash != prev_hash {
                 return Err(SpvError::BrokenLink { index });
             }
-            let (hash, decoded) = &precomputed[offset];
-            let (target, work) = decoded.as_ref().map_err(|_| SpvError::BadBits { index })?;
-            if *target > *min_target {
+            let target = header.target().map_err(|_| SpvError::BadBits { index })?;
+            if target > *min_target {
                 return Err(SpvError::TargetTooEasy { index });
             }
-            if !hash_meets_target(hash, target) {
+            let hash = header.hash();
+            if !hash_meets_target(&hash, &target) {
                 return Err(SpvError::PowFailure { index });
             }
             total = total
-                .checked_add(work)
+                .checked_add(&U256::work_from_target(&target))
                 .expect("segment work cannot overflow");
-            prev_hash = *hash;
+            prev_hash = hash;
         }
 
         let mut cache = self.cache.lock().expect("cache poisoned");
@@ -385,9 +318,6 @@ impl EvidenceVerifier {
             .stats
             .headers_verified
             .saturating_add(delta.len() as u64);
-        if let Some(metrics) = self.metrics.get() {
-            metrics.headers_verified.add(delta.len() as u64);
-        }
         cache.insert(
             full_key,
             prev_hash,
@@ -417,21 +347,6 @@ impl EvidenceVerifier {
     }
 }
 
-/// The per-header parallel portion: hash, target, and work. Link order and
-/// policy checks stay sequential in the caller.
-#[allow(clippy::type_complexity)]
-fn precompute_header(header: &BlockHeader) -> (Hash256, Result<(U256, U256), ()>) {
-    let hash = header.hash();
-    let decoded = header
-        .target()
-        .map(|target| {
-            let work = U256::work_from_target(&target);
-            (target, work)
-        })
-        .map_err(|_| ());
-    (hash, decoded)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,10 +371,7 @@ mod tests {
     }
 
     fn verifier() -> EvidenceVerifier {
-        EvidenceVerifier::new(VerifierConfig {
-            threads: 2,
-            cache_capacity: 8,
-        })
+        EvidenceVerifier::new(VerifierConfig { cache_capacity: 8 })
     }
 
     #[test]
@@ -505,37 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn attached_metrics_mirror_cache_stats() {
-        let chain = chain(10);
-        let v = verifier();
-        let registry = Registry::new();
-        v.attach_metrics(VerifyMetrics::register(&registry));
-        let short = HeaderSegment::from_chain(&chain, 1, 6);
-        v.verify_segment(&short, &limit()).unwrap(); // miss
-        v.verify_segment(&short, &limit()).unwrap(); // full hit
-        let long = HeaderSegment::from_chain(&chain, 1, 10);
-        v.verify_segment(&long, &limit()).unwrap(); // prefix hit
-        let stats = v.cache_stats();
-        assert_eq!(
-            registry.counter("payjudger_cache_misses_total").get(),
-            stats.misses
-        );
-        assert_eq!(
-            registry.counter("payjudger_cache_full_hits_total").get(),
-            stats.full_hits
-        );
-        assert_eq!(
-            registry.counter("payjudger_cache_prefix_hits_total").get(),
-            stats.prefix_hits
-        );
-        assert_eq!(
-            registry.counter("payjudger_headers_verified_total").get(),
-            stats.headers_verified
-        );
-        assert_eq!(stats.headers_verified, 10);
-    }
-
-    #[test]
     fn forged_middle_header_cannot_borrow_a_cached_verdict() {
         let chain = chain(8);
         let v = verifier();
@@ -566,10 +447,7 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_entries() {
         let chain = chain(12);
-        let v = EvidenceVerifier::new(VerifierConfig {
-            threads: 1,
-            cache_capacity: 2,
-        });
+        let v = EvidenceVerifier::new(VerifierConfig { cache_capacity: 2 });
         for to in [3u64, 5, 7, 9] {
             let segment = HeaderSegment::from_chain(&chain, 1, to);
             v.verify_segment(&segment, &limit()).unwrap();

@@ -1,4 +1,4 @@
-//! Property: the parallel + memoizing [`EvidenceVerifier`] is
+//! Property: the memoizing [`EvidenceVerifier`] is
 //! **byte-identical** to the sequential cold verifier — same `Ok` work,
 //! same first error and error index — for random header segments, random
 //! tampering, and arbitrary dispute orderings sharing one warm cache. On
@@ -9,7 +9,7 @@
 use btcfast_btcsim::chain::Chain;
 use btcfast_btcsim::miner::Miner;
 use btcfast_btcsim::params::ChainParams;
-use btcfast_btcsim::spv::SpvEvidence;
+use btcfast_btcsim::spv::{HeaderSegment, SpvEvidence};
 use btcfast_btcsim::transaction::{OutPoint, Transaction, TxIn, TxOut};
 use btcfast_btcsim::u256::U256;
 use btcfast_btcsim::Amount;
@@ -69,12 +69,7 @@ fn fixture() -> &'static (Chain, Hash256) {
 /// a deliberately small capacity keeps the LRU churning too.
 fn shared_verifier() -> &'static EvidenceVerifier {
     static VERIFIER: OnceLock<EvidenceVerifier> = OnceLock::new();
-    VERIFIER.get_or_init(|| {
-        EvidenceVerifier::new(VerifierConfig {
-            threads: 3,
-            cache_capacity: 6,
-        })
-    })
+    VERIFIER.get_or_init(|| EvidenceVerifier::new(VerifierConfig { cache_capacity: 6 }))
 }
 
 fn with_storage<T>(f: impl FnOnce(&mut dyn Storage) -> T) -> (T, u64) {
@@ -195,10 +190,7 @@ proptest! {
 #[test]
 fn growing_tip_rounds_stay_equivalent() {
     let (chain, txid) = fixture();
-    let verifier = EvidenceVerifier::new(VerifierConfig {
-        threads: 2,
-        cache_capacity: 8,
-    });
+    let verifier = EvidenceVerifier::new(VerifierConfig { cache_capacity: 8 });
     let min_target = limit();
     for to in 6..=CHAIN_BLOCKS {
         let evidence = SpvEvidence::from_chain(chain, 1, to, Some(txid));
@@ -217,4 +209,40 @@ fn growing_tip_rounds_stay_equivalent() {
     let stats = verifier.cache_stats();
     assert!(stats.full_hits >= (CHAIN_BLOCKS - 6), "{stats:?}");
     assert!(stats.prefix_hits >= (CHAIN_BLOCKS - 6), "{stats:?}");
+}
+
+/// One fixed long segment: 256 headers, eight times the batch size at
+/// which the verifier used to switch to a different code path. Cold, warm,
+/// extended from a memoized 200-header prefix, and forged deep inside, the
+/// verdict is the reference's.
+#[test]
+fn a_256_header_segment_stays_equivalent() {
+    let params = ChainParams::regtest();
+    let mut chain = Chain::new(params.clone());
+    let mut miner = Miner::new(params, KeyPair::from_seed(b"equiv long").address());
+    for i in 1..=256u64 {
+        let block = miner.mine_block(&chain, vec![], i * 600);
+        chain.submit_block(block).unwrap();
+    }
+    let min_target = limit();
+    let long = HeaderSegment::from_chain(&chain, 1, 256);
+    let prefix = HeaderSegment::from_chain(&chain, 1, 200);
+    // A changed header either fails its own PoW or breaks the next link.
+    let mut forged = long.clone();
+    forged.headers[230].nonce ^= 1;
+    assert!(long.verify(&min_target).is_ok() && forged.verify(&min_target).is_err());
+
+    let verifier = EvidenceVerifier::new(VerifierConfig { cache_capacity: 4 });
+    let check = |step: &str, segment: &HeaderSegment| {
+        let verdict = verifier.verify_segment(segment, &min_target);
+        assert_eq!(verdict, segment.verify(&min_target), "{step}");
+    };
+    check("cold", &long);
+    check("warm", &long);
+    check("forged, its honest twin memoized", &forged);
+    verifier.clear_cache();
+    check("forged, cold", &forged);
+    check("prefix", &prefix);
+    check("extended from the memoized prefix", &long);
+    assert_eq!(verifier.cache_stats().prefix_hits, 1);
 }
