@@ -24,9 +24,13 @@ use btcfast_crypto::scalar::Scalar;
 /// mutation. Returns the item; validity is decided later by the oracle,
 /// never assumed from the mutation (some mutations are no-ops on some
 /// draws, e.g. a zeroed digest byte that was already zero).
-fn draw_item(src: &mut ByteSource, index: usize) -> BatchItem {
-    let seed = src.bytes(8);
-    let kp = KeyPair::from_seed(&[seed.as_slice(), &index.to_le_bytes()].concat());
+///
+/// Keys come from a pool of three per case, so most batches hold several
+/// signatures under one key and reach the verifier's same-key folding.
+fn draw_item(src: &mut ByteSource, pool: &[u8]) -> BatchItem {
+    let pooled = |pick: usize| KeyPair::from_seed(&[pool, &[pick as u8]].concat());
+    let pick = src.choice(3);
+    let kp = pooled(pick);
     let mut digest = [0u8; 32];
     src.fill(&mut digest);
     let (signature, recovery) = kp.sign_recoverable(&digest);
@@ -52,8 +56,9 @@ fn draw_item(src: &mut ByteSource, index: usize) -> BatchItem {
         6 => {
             // Wrong key — with the *original* key's hint riding along
             // (a stale hint naming a nonce point that can't satisfy the
-            // wrong key's equation).
-            let wrong = KeyPair::from_seed(&[seed.as_slice(), b"wrong"].concat());
+            // wrong key's equation). The wrong key is another of the pool,
+            // so the item lands in that key's folded term.
+            let wrong = pooled((pick + 1) % 3);
             item.pubkey = *wrong.public().point();
         }
         7 => {
@@ -82,7 +87,8 @@ fn draw_item(src: &mut ByteSource, index: usize) -> BatchItem {
 pub fn diff_batch_verify(bytes: &[u8]) -> Result<(), String> {
     let mut src = ByteSource::new(bytes);
     let n = 1 + src.choice(12);
-    let mut items: Vec<BatchItem> = (0..n).map(|i| draw_item(&mut src, i)).collect();
+    let pool = src.bytes(8);
+    let mut items: Vec<BatchItem> = (0..n).map(|_| draw_item(&mut src, &pool)).collect();
     // Duplicates stress the MSM's shared-table path: the same statement
     // (or the same key under different digests) at two indices must be
     // judged independently.

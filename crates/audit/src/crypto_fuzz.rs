@@ -1,40 +1,50 @@
-//! `crypto` engine: differential targets for the secp256k1 wNAF fast
-//! path against the retained binary double-and-add ladder, plus a hostile
-//! sign→verify round-trip.
+//! `crypto` engine: differential targets for the secp256k1 fast paths
+//! against their retained oracles — multiplication against the binary
+//! double-and-add ladder, the Euclidean inverses against the Fermat
+//! ladders — plus a hostile sign→verify round-trip.
 //!
-//! The fast path (odd-multiple tables, the static generator table, the
-//! per-key table cache — `btcfast_crypto::mul_table`) must agree with
+//! The fast paths (odd-multiple tables, the fixed-base comb, the per-key
+//! table cache — `btcfast_crypto::mul_table`) must agree with
 //! `Point::mul_binary` on *every* scalar, and ECDSA verify verdicts must
 //! be a pure function of `(key, digest, signature)` — never of cache
-//! state. Scalar draws are edge-biased (0, 1, 2, n−1, n−2, 2^k,
-//! all-ones) because wNAF bugs live at carries, leading zeros, and the
-//! 257th digit. Points are drawn as `k*G` through the *binary* ladder, so
-//! the group-closure guarantee holds even when the fast path under test
-//! is the thing that is broken.
+//! state. Scalar draws are edge-biased (0, 1, 2, n−1, n−2, 2^k, runs of
+//! ones, all-ones) because recoding bugs live at carries, leading zeros,
+//! and the 257th digit. Points are drawn as `k*G` through the *binary*
+//! ladder, so the group-closure guarantee holds even when the fast path
+//! under test is the thing that is broken.
 
 use crate::source::ByteSource;
 use btcfast_crypto::ecdsa::{self, verify_uncached, Signature};
+use btcfast_crypto::field::FieldElement;
 use btcfast_crypto::keys::KeyPair;
 use btcfast_crypto::mul_table::{generator_mul, mul_wnaf, OddMultiplesTable};
 use btcfast_crypto::point::{AffinePoint, Point};
 use btcfast_crypto::scalar::Scalar;
 
-/// Draws a scalar, biased toward the wNAF edge cases.
+/// `2^k` as a scalar, for `k < 256`.
+fn pow2(k: usize) -> Scalar {
+    let mut b = [0u8; 32];
+    b[31 - k / 8] = 1 << (k % 8);
+    Scalar::from_be_bytes_reduced(&b)
+}
+
+/// Draws a scalar, biased toward the recoding edge cases.
 fn draw_scalar(src: &mut ByteSource) -> Scalar {
-    match src.choice(8) {
+    match src.choice(9) {
         0 => Scalar::ZERO,
         1 => Scalar::ONE,
         2 => Scalar::from_u64(2),
         3 => -Scalar::ONE,         // n - 1
         4 => -Scalar::from_u64(2), // n - 2
-        5 => {
-            // A single power of two: the sparsest wNAF.
-            let k = src.choice(256);
-            let mut b = [0u8; 32];
-            b[31 - k / 8] = 1 << (k % 8);
-            Scalar::from_be_bytes_reduced(&b)
-        }
+        // A single power of two: the sparsest wNAF.
+        5 => pow2(src.choice(256)),
         6 => Scalar::from_be_bytes_reduced(&[0xFF; 32]), // densest bits
+        7 => {
+            // A run of ones, bits lo..hi: all-ones comb windows whose
+            // carry ripples upwards, and a long zero run below.
+            let (a, b) = (src.choice(256), src.choice(256));
+            pow2(a.max(b)) - pow2(a.min(b))
+        }
         _ => {
             let mut b = [0u8; 32];
             src.fill(&mut b);
@@ -106,6 +116,24 @@ pub fn diff_crypto_mul(bytes: &[u8]) -> Result<(), String> {
         return Err(format!(
             "lincomb diverges: a={a:?} b={k:?} base_k={base_k:?}"
         ));
+    }
+    Ok(())
+}
+
+/// Differential: the Euclidean inverses of both moduli must equal the
+/// retained Fermat ladders on a fuzzed draw (and its negation, which sits
+/// at the other end of the range).
+pub fn diff_crypto_inverse(bytes: &[u8]) -> Result<(), String> {
+    let mut src = ByteSource::new(bytes);
+    let s = draw_scalar(&mut src);
+    let f = FieldElement::from_be_bytes_reduced(&s.to_be_bytes());
+    for (s, f) in [(s, f), (-s, -f)] {
+        if !s.is_zero() && s.invert() != s.invert_fermat() {
+            return Err(format!("Scalar::invert diverges from Fermat: {s:?}"));
+        }
+        if !f.is_zero() && f.invert() != f.invert_fermat() {
+            return Err(format!("FieldElement::invert diverges from Fermat: {f:?}"));
+        }
     }
     Ok(())
 }
@@ -201,6 +229,17 @@ mod tests {
                 .map(|i| seed.wrapping_mul(31).wrapping_add(i))
                 .collect();
             assert_eq!(diff_crypto_mul(&bytes), Ok(()), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn inverse_differential_clean_on_fixed_cases() {
+        assert_eq!(diff_crypto_inverse(&[]), Ok(()));
+        for seed in 0u8..32 {
+            let bytes: Vec<u8> = (0..40)
+                .map(|i| seed.wrapping_mul(29).wrapping_add(i))
+                .collect();
+            assert_eq!(diff_crypto_inverse(&bytes), Ok(()), "seed {seed}");
         }
     }
 

@@ -199,6 +199,11 @@ pub const TARGETS: &[Target] = &[
     },
     Target {
         engine: Engine::Crypto,
+        name: "inverse-differential",
+        check: crypto_fuzz::diff_crypto_inverse,
+    },
+    Target {
+        engine: Engine::Crypto,
         name: "sign-verify",
         check: crypto_fuzz::fuzz_crypto_sign_verify,
     },

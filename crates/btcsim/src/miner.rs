@@ -7,6 +7,7 @@ use crate::params::ChainParams;
 use crate::pow::hash_meets_target;
 use crate::transaction::Transaction;
 use btcfast_crypto::keys::Address;
+use btcfast_crypto::sha256::{sha256, Sha256};
 use btcfast_crypto::Hash256;
 
 /// A miner: assembles block templates paying itself subsidy + fees, and
@@ -108,9 +109,22 @@ impl Miner {
             nonce: 0,
         };
         let target = header.target().expect("consensus bits are valid");
-        while !hash_meets_target(&header.hash(), &target) {
+        // The nonce is the last field: the first SHA-256 block of the
+        // encoding is the same for every try, so compress it once and
+        // resume from that state per nonce.
+        let mut encoded = header.encode();
+        let mut midstate = Sha256::new();
+        midstate.update(&encoded[..64]);
+        loop {
+            let mut inner = midstate.clone();
+            inner.update(&encoded[64..]);
+            if hash_meets_target(&Hash256(sha256(&inner.finalize())), &target) {
+                break;
+            }
             header.nonce += 1;
+            encoded[80..].copy_from_slice(&header.nonce.to_le_bytes());
         }
+        debug_assert!(hash_meets_target(&header.hash(), &target));
         Block {
             header,
             transactions,
@@ -138,6 +152,24 @@ mod tests {
             chain.submit_block(block).unwrap();
         }
         assert_eq!(chain.height(), 3);
+    }
+
+    #[test]
+    fn the_midstate_search_finds_the_first_nonce_a_full_rehash_finds() {
+        let params = ChainParams::regtest();
+        let mut chain = Chain::new(params.clone());
+        let mut miner = Miner::new(params, KeyPair::from_seed(b"m").address());
+        for i in 1..=8 {
+            let block = miner.mine_block(&chain, vec![], i * 600);
+            let target = block.header.target().unwrap();
+            let mut naive = block.header;
+            naive.nonce = 0;
+            while !hash_meets_target(&naive.hash(), &target) {
+                naive.nonce += 1;
+            }
+            assert_eq!(block.header.nonce, naive.nonce, "block {i}");
+            chain.submit_block(block).unwrap();
+        }
     }
 
     #[test]

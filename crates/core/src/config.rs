@@ -43,13 +43,6 @@ pub struct SessionConfig {
     /// cannot grow memory without bound. The generous default holds
     /// every experiment in the repo with zero drops.
     pub trace_capacity: usize,
-    /// Pre-verify each shard's payment signatures with the randomized
-    /// batch verifier (`btcfast_crypto::batch`) and prime the signature
-    /// cache, instead of verifying one at a time inside admission. On by
-    /// default: verdicts, reject reasons, and replay fingerprints are
-    /// bit-identical either way (the batch verifier bisects failures back
-    /// to the per-signature oracle), only the cost changes.
-    pub batch_verify: bool,
 }
 
 impl Default for SessionConfig {
@@ -67,7 +60,6 @@ impl Default for SessionConfig {
             escrow_deposit: 500_000_000,
             tracing: true,
             trace_capacity: btcfast_obs::trace::DEFAULT_TRACE_CAPACITY,
-            batch_verify: true,
         }
     }
 }

@@ -800,32 +800,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_verification_never_changes_the_replay_fingerprint() {
-        // Batch signature pre-verification is cost-only: the verdicts, the
-        // latency sample stream, the traces, and therefore the replay
-        // fingerprint must be bit-identical with the toggle on or off, at
-        // any worker count.
-        let batched = PaymentEngine::new(small());
-        assert!(batched.config().session.batch_verify, "defaults on");
-        let mut config = small();
-        config.session.batch_verify = false;
-        let sequential_only = PaymentEngine::new(config);
-
-        let on_1 = batched.run(11, &WorkerPool::new(1)).unwrap();
-        let on_4 = batched.run(11, &WorkerPool::new(4)).unwrap();
-        let off_1 = sequential_only.run(11, &WorkerPool::new(1)).unwrap();
-        let off_4 = sequential_only.run(11, &WorkerPool::new(4)).unwrap();
-
-        assert_eq!(on_1.fingerprint, off_1.fingerprint);
-        assert_eq!(on_1.fingerprint, on_4.fingerprint);
-        assert_eq!(on_1.fingerprint, off_4.fingerprint);
-        assert_eq!(on_1.outcomes, off_1.outcomes);
-        for (a, b) in on_1.outcomes.iter().zip(&off_1.outcomes) {
-            assert_eq!(a.trace_jsonl, b.trace_jsonl);
-        }
-    }
-
-    #[test]
     fn crash_restart_drills_recover_byte_identical_state() {
         let clean = PaymentEngine::new(small())
             .run(5, &WorkerPool::new(2))

@@ -238,8 +238,7 @@ pub struct FastPaySession {
     pub(crate) tracer: Tracer,
     /// Seed stream for batch signature verification. Deliberately separate
     /// from `rng`: the batch randomizers must never perturb the latency
-    /// sample stream, so replay fingerprints stay identical with
-    /// `batch_verify` on or off.
+    /// sample stream.
     batch_seed: u64,
 }
 
@@ -546,26 +545,28 @@ impl FastPaySession {
         // -- Batched registration: K opens, one PSC block. -----------------
         let registration_start = self.clock;
         let nonce_base = self.psc.nonce_of(&self.customer.psc_account());
-        let mut hashes = Vec::with_capacity(txs.len());
-        for (i, tx) in txs.iter().enumerate() {
-            let collateral = self.config.required_collateral(amounts[i]);
-            let open = self.customer.build_open_payment_at(
-                &self.judger,
-                nonce_base + i as u64,
-                self.merchant.psc_account(),
-                tx.txid(),
-                amounts[i],
-                collateral,
-            );
-            let hash = self
-                .psc
-                .submit_transaction(open)
-                .map_err(|e| SessionError::TxRejected {
-                    context: "batch-registration",
-                    reason: e.to_string(),
-                })?;
-            hashes.push(hash);
-        }
+        let opens = txs
+            .iter()
+            .zip(amounts)
+            .enumerate()
+            .map(|(i, (tx, &amount_sats))| {
+                self.customer.build_open_payment_at(
+                    &self.judger,
+                    nonce_base + i as u64,
+                    self.merchant.psc_account(),
+                    tx.txid(),
+                    amount_sats,
+                    self.config.required_collateral(amount_sats),
+                )
+            })
+            .collect();
+        let hashes = self
+            .psc
+            .submit_batch(opens)
+            .map_err(|rejected| SessionError::TxRejected {
+                context: "batch-registration",
+                reason: rejected.error.to_string(),
+            })?;
         self.clock += SimTime::from_secs_f64(self.config.psc_params.block_interval_secs);
         let t = self.clock.as_secs().max(self.psc.tip_time() + 1);
         self.psc.produce_block(t);
@@ -578,9 +579,7 @@ impl FastPaySession {
         );
 
         // -- Batch signature pre-verification (cost only, never verdicts).
-        if self.config.batch_verify {
-            self.batch_preverify(&txs);
-        }
+        self.batch_preverify(&txs);
 
         // -- Point of sale, one offer at a time. ---------------------------
         let mut reports = Vec::with_capacity(txs.len());
@@ -632,8 +631,7 @@ impl FastPaySession {
     ///   so only fully-valid transactions are ever primed;
     /// * randomizer seeds come from a dedicated stream (`batch_seed`),
     ///   never from the session `rng`, and nothing here touches the
-    ///   sim-clock or the tracer — replay fingerprints are byte-identical
-    ///   with `batch_verify` on or off.
+    ///   sim-clock or the tracer, so it cannot reach a replay fingerprint.
     fn batch_preverify(&mut self, txs: &[btcfast_btcsim::transaction::Transaction]) {
         use btcfast_crypto::batch::BatchItem;
 
@@ -1070,23 +1068,6 @@ mod tests {
         assert_eq!(stats.hinted, 4);
         assert_eq!(stats.oracle_checks, 0);
         assert_eq!(stats.msm_evals, 1);
-
-        // Toggled off, the same batch takes the sequential path: no
-        // priming, same acceptances.
-        let config = SessionConfig {
-            batch_verify: false,
-            ..SessionConfig::default()
-        };
-        let mut sequential = FastPaySession::new(config, 23);
-        sequential.fund_customer_coins(4).unwrap();
-        btcfast_btcsim::utxo::clear_sig_cache();
-        btcfast_btcsim::utxo::reset_sig_cache_stats();
-        let reports = sequential.run_fast_payment_batch(&[1_000_000; 4]).unwrap();
-        assert!(reports.iter().all(|r| r.accepted));
-        let stats = btcfast_btcsim::utxo::sig_cache_stats();
-        assert_eq!(stats.primed, 0);
-        assert_eq!(stats.misses, 4);
-        assert_eq!(sequential.verifier().sig_batch_stats().items, 0);
     }
 
     #[test]

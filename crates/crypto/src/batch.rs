@@ -17,26 +17,28 @@
 //! other term: the equation is linear in `a_i` with a nonzero coefficient,
 //! so at most one of the 2¹²⁸−1 choices of `a_i` satisfies it).
 //!
-//! The `G` coefficients fold into a single scalar, every `Q_i`/`R_i` table
-//! shares one Montgomery batch inversion, and all digit streams share one
-//! ~129-step doubling run ([`crate::mul_table::msm_with_generator`], which
-//! also keeps the 128-bit `a_i` coefficients un-split and serves `G` from
-//! its static table) — so per-signature cost is a fraction of a cold
-//! sequential verify.
+//! The `G` coefficients fold into a single scalar, the `Q` coefficients of
+//! signatures under the *same key* fold into one term per key (a shard's
+//! payments come from one customer: eight signatures, one `Q`), every
+//! `Q`/`R_i` table shares one Montgomery batch inversion, and all digit
+//! streams share one ~129-step doubling run
+//! ([`crate::mul_table::msm_with_generator`], which also keeps the 128-bit
+//! `a_i` coefficients un-split and serves `G` from its static table) — so
+//! per-signature cost is a fraction of a cold sequential verify.
 //!
 //! **Verdicts are exactly the sequential loop's.** Items without a usable
 //! hint (absent, malformed, or an `r` that does not lift to the curve) are
-//! verified by the per-signature oracle [`ecdsa::verify`] directly. A
-//! failing multi-scalar check bisects, and every bisection *leaf* is
-//! decided by the oracle, never probabilistically — a hostile or corrupted
-//! hint can cost time (it forces bisection) but can never flip a verdict
-//! or misname a culprit.
+//! verified by the per-signature oracle [`ecdsa::verify`] directly, and so
+//! is every item of a batch with fewer than two hinted ones. A failing
+//! multi-scalar check bisects, and every bisection *leaf* is decided by
+//! the oracle, never probabilistically — a hostile or corrupted hint can
+//! cost time (it forces bisection) but can never flip a verdict or misname
+//! a culprit.
 //!
 //! Randomizers come from a caller-seeded splitmix64 stream, **never**
 //! ambient entropy, so a replay with the same seed performs byte-identical
-//! work; and the stream is private to the batch call, so enabling or
-//! disabling batching cannot perturb any other deterministic stream in a
-//! session.
+//! work; and the stream is private to the batch call, so it cannot perturb
+//! any other deterministic stream in a session.
 
 use crate::ecdsa::{self, RecoveryId, Signature};
 use crate::field::FieldElement;
@@ -109,6 +111,10 @@ impl BatchOutcome {
 struct Prepared {
     index: usize,
     pubkey: Point,
+    /// Position in the prepared list of the first item signed by this
+    /// same key: the items of one signer share one `Q` term in every
+    /// combination (see [`msm_check`]).
+    key_group: usize,
     u1: Scalar,
     u2: Scalar,
     r_point: Point,
@@ -138,7 +144,7 @@ fn randomizer(state: &mut u64) -> Scalar {
 }
 
 /// Montgomery batch inversion over nonzero scalars: prefix products, one
-/// Fermat inversion, unwind.
+/// inversion, unwind.
 fn batch_invert(values: &[Scalar]) -> Vec<Scalar> {
     if values.is_empty() {
         return Vec::new();
@@ -175,21 +181,29 @@ fn lift_nonce_point(sig: &Signature, rec: RecoveryId) -> Option<Point> {
 
 /// One randomized multi-scalar check over a set of prepared items: draws a
 /// fresh randomizer per item (in slice order — the draw sequence is part
-/// of the deterministic replay), folds the `G` coefficients, and tests the
-/// combination against `∞`.
+/// of the deterministic replay), folds the `G` coefficients into one
+/// scalar and the `Q` coefficients of items signed by the same key into
+/// one term `(Σ a_i·u2_i)·Q` — the same group element as the separate
+/// terms, for one table and one pair of digit streams instead of one per
+/// signature — and tests the combination against `∞`.
 fn msm_check(prepared: &[Prepared], rng: &mut u64) -> bool {
     let mut g_coeff = Scalar::ZERO;
+    let mut q_terms: Vec<(usize, Scalar, Point)> = Vec::new();
     let mut terms = Vec::with_capacity(prepared.len() * 2);
     for p in prepared {
         let a = randomizer(rng);
         g_coeff = g_coeff + a * p.u1;
-        terms.push((a * p.u2, p.pubkey));
+        match q_terms.iter_mut().find(|(group, ..)| *group == p.key_group) {
+            Some((_, coeff, _)) => *coeff = *coeff + a * p.u2,
+            None => q_terms.push((p.key_group, a * p.u2, p.pubkey)),
+        }
         // `−a_i·R_i` is carried as `a_i·(−R_i)`: negating the *point* keeps
         // the coefficient at 128 bits, so the MSM runs it as one un-split
         // half-length digit stream instead of GLV-splitting a full-width
         // `n − a_i`.
         terms.push((a, p.r_point.negate()));
     }
+    terms.extend(q_terms.into_iter().map(|(_, coeff, q)| (coeff, q)));
     msm_with_generator(&g_coeff, &terms).is_infinity()
 }
 
@@ -237,22 +251,34 @@ pub fn verify_batch(items: &[BatchItem], seed: u64) -> BatchOutcome {
     let mut invalid = Vec::new();
     let mut rng = seed;
 
-    let mut prepared = Vec::with_capacity(items.len());
+    // The combination only pays from two signatures up: with fewer hinted
+    // items every verdict would come from the oracle anyway (a bisection
+    // leaf), so skip the nonce-point lift and the `s⁻¹` it would discard.
+    let batchable = items.iter().filter(|it| it.recovery.is_some()).count() >= 2;
+
+    let mut prepared: Vec<Prepared> = Vec::with_capacity(items.len());
     let mut s_values = Vec::with_capacity(items.len());
     for (index, item) in items.iter().enumerate() {
         // Only items that pass the cheap prechecks *and* carry a usable
         // hint enter the fast path; everything else goes straight to the
         // oracle, which reproduces the sequential loop's verdict (and its
         // cheap-rejection behavior) bit for bit.
-        let fast = ecdsa::precheck(&item.pubkey, &item.signature)
+        let fast = (batchable && ecdsa::precheck(&item.pubkey, &item.signature))
             .then_some(item.recovery)
             .flatten()
             .and_then(|rec| lift_nonce_point(&item.signature, rec));
         match fast {
             Some(r_point) => {
+                // Keys are compared by coordinates: a digest of the key
+                // could collide, equal coordinates cannot.
+                let key_group = prepared
+                    .iter()
+                    .find(|p| p.pubkey == item.pubkey)
+                    .map_or(prepared.len(), |p| p.key_group);
                 prepared.push(Prepared {
                     index,
                     pubkey: item.pubkey,
+                    key_group,
                     u1: Scalar::ZERO, // filled after batch inversion
                     u2: Scalar::ZERO,
                     r_point,
@@ -378,6 +404,17 @@ mod tests {
         let outcome = verify_batch(&one, 1);
         assert!(outcome.all_valid());
         assert_eq!(outcome.stats.oracle_checks, 1);
+        assert_eq!(outcome.stats.msm_evals, 0);
+        // So is any batch with fewer than two hinted items, before any
+        // nonce point is lifted for a combination that cannot happen.
+        let mut three = [item(5, b"a"), item(6, b"b"), item(7, b"c")];
+        three[0].recovery = None;
+        three[2].recovery = None;
+        three[2].digest = sha256(b"tampered");
+        let outcome = verify_batch(&three, 1);
+        assert_eq!(outcome.invalid, vec![2]);
+        assert_eq!(outcome.stats.hinted, 0);
+        assert_eq!(outcome.stats.oracle_checks, 3);
         assert_eq!(outcome.stats.msm_evals, 0);
     }
 

@@ -15,7 +15,7 @@ const P: [u64; 4] = [
 /// `2^256 - p = 2^32 + 977`.
 const C: [u64; 4] = [0x1000003D1, 0, 0, 0];
 
-/// Intermediate powers shared by the `invert` and `sqrt` addition chains;
+/// Intermediate powers shared by the `sqrt` and `invert_fermat` addition chains;
 /// `x{k}` is `self^(2^k - 1)`.
 struct Ladder {
     x2: FieldElement,
@@ -109,17 +109,29 @@ impl FieldElement {
         out
     }
 
-    /// Multiplicative inverse via Fermat's little theorem (`x^(p-2)`),
-    /// computed with the standard secp256k1 addition chain: 255 squarings
-    /// and 15 multiplications, versus ~240 multiplications for naive
-    /// square-and-multiply over the nearly-all-ones exponent. Inversions sit
-    /// on the verify path (odd-multiples table normalization, `to_affine`),
-    /// so the chain is worth its explicitness.
+    /// Multiplicative inverse by the variable-time extended Euclid in
+    /// `limbs` (safegcd divsteps). Inversions sit on the signing path
+    /// (`to_affine` of the nonce point) and under every table
+    /// normalization.
     ///
     /// # Panics
     ///
     /// Panics if `self` is zero, which has no inverse.
     pub fn invert(self) -> FieldElement {
+        assert!(!self.is_zero(), "zero has no multiplicative inverse");
+        FieldElement(limbs::mod_inverse(&self.0, &P))
+    }
+
+    /// Test oracle for [`FieldElement::invert`]: Fermat's little theorem
+    /// (`x^(p-2)`) through the standard secp256k1 addition chain (255
+    /// squarings, 15 multiplications). The differential tests and the
+    /// `crypto` fuzz engine compare against it; nothing else calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is zero, which has no inverse.
+    #[doc(hidden)]
+    pub fn invert_fermat(self) -> FieldElement {
         assert!(!self.is_zero(), "zero has no multiplicative inverse");
         // The exponent p - 2 is
         // 2^256 - 2^32 - 979 = (223 ones)·0·(22 ones)·0·1111110·0·1·0·1101.
@@ -132,7 +144,7 @@ impl FieldElement {
     }
 
     /// The shared prefix of the `p - 2` and `(p + 1) / 4` addition chains:
-    /// both exponents open with 223 ones, so `invert` and `sqrt` reuse the
+    /// both exponents open with 223 ones, so `invert_fermat` and `sqrt` reuse the
     /// same ladder up to `x223` and differ only in their tails.
     fn ladder(self) -> Ladder {
         // x{k} denotes self^(2^k - 1).

@@ -12,9 +12,9 @@
 //! * [`ripemd160`] — RIPEMD-160, for Bitcoin-style `hash160` addresses.
 //! * [`hmac`] — HMAC-SHA256, used for RFC 6979 deterministic ECDSA nonces.
 //! * [`field`], [`scalar`], [`point`] — secp256k1 arithmetic.
-//! * [`mul_table`] — wNAF scalar multiplication: precomputed odd-multiple
-//!   tables, a static generator table, and a per-key table cache feeding
-//!   the ECDSA accept path.
+//! * [`mul_table`] — table-driven scalar multiplication: wNAF
+//!   odd-multiple tables with a per-key cache feeding the ECDSA accept
+//!   path, and a fixed-base comb for the generator on the signing path.
 //! * [`ecdsa`] — ECDSA over secp256k1 with RFC 6979 nonces and low-S
 //!   normalization.
 //! * [`batch`] — randomized-linear-combination batch ECDSA verification:

@@ -65,7 +65,7 @@ pub(crate) fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
 /// Schoolbook squaring `a * a` into an 8-limb product, exploiting the
 /// symmetry of the cross terms: 6 off-diagonal products (doubled once at
 /// the end) plus 4 diagonal squares, versus 16 products for `mul_wide`.
-/// Point doubling and Fermat inversions are dominated by squarings, so
+/// Point doubling and the `sqrt` chain are dominated by squarings, so
 /// this is on the ECDSA accept path's critical loop.
 pub(crate) fn sqr_wide(a: &[u64; 4]) -> [u64; 8] {
     // cross = sum of a[i]*a[j] for i < j, at weight 2^(64*(i+j)). Row i
@@ -317,6 +317,210 @@ pub(crate) fn to_be_bytes(limbs: &[u64; 4]) -> [u8; 32] {
         out[i * 8..(i + 1) * 8].copy_from_slice(&limbs[3 - i].to_be_bytes());
     }
     out
+}
+
+/// Limb mask of the signed 62-bit representation [`mod_inverse`] works in.
+const M62: u64 = u64::MAX >> 2;
+
+/// Splits a 256-bit value into five 62-bit limbs (the top one holds 8 bits).
+fn to_signed62(a: &[u64; 4]) -> [i64; 5] {
+    [
+        (a[0] & M62) as i64,
+        ((a[0] >> 62 | a[1] << 2) & M62) as i64,
+        ((a[1] >> 60 | a[2] << 4) & M62) as i64,
+        ((a[2] >> 58 | a[3] << 6) & M62) as i64,
+        (a[3] >> 56) as i64,
+    ]
+}
+
+/// Inverse of [`to_signed62`] for a value in `[0, 2^256)` whose limbs are
+/// all in `[0, 2^62)`.
+fn from_signed62(a: &[i64; 5]) -> [u64; 4] {
+    let a = a.map(|limb| limb as u64);
+    [
+        a[0] | a[1] << 62,
+        a[1] >> 2 | a[2] << 60,
+        a[2] >> 4 | a[3] << 58,
+        a[3] >> 6 | a[4] << 56,
+    ]
+}
+
+/// The transition matrix of one batch of 62 divsteps, scaled by `2^62`:
+/// `2^62·(f', g') = [[u, v], [q, r]]·(f, g)`, with `|u|+|v|` and `|q|+|r|`
+/// at most `2^62`.
+struct Transition {
+    u: i64,
+    v: i64,
+    q: i64,
+    r: i64,
+}
+
+/// Runs 62 divsteps on the low limbs of `f` (odd) and `g`, returning the
+/// new `eta` (= −δ) and the matrix to apply to the full-width values. Runs
+/// of zero bits in `g` are shifted out at once, and a multiple of `f` that
+/// clears up to six low bits of `g` is added in one step.
+fn divsteps_62(mut eta: i64, f0: u64, g0: u64) -> (i64, Transition) {
+    let (mut u, mut v, mut q, mut r) = (1u64, 0u64, 0u64, 1u64);
+    let (mut f, mut g) = (f0, g0);
+    let mut left = 62u32;
+    loop {
+        // The sentinel bit caps the count at the divsteps still owed.
+        let zeros = (g | (u64::MAX << left)).trailing_zeros();
+        g >>= zeros;
+        u <<= zeros;
+        v <<= zeros;
+        eta -= i64::from(zeros);
+        left -= zeros;
+        if left == 0 {
+            break;
+        }
+        // g is odd here: add the multiple of f that clears its low bits.
+        let swapped = eta < 0;
+        if swapped {
+            eta = -eta;
+            (f, g) = (g, f.wrapping_neg());
+            (u, q) = (q, u.wrapping_neg());
+            (v, r) = (r, v.wrapping_neg());
+        }
+        // No more than `left` bits may be cleared, and no more than
+        // eta + 1, after which eta changes sign again.
+        let limit = (eta + 1).min(i64::from(left)) as u32;
+        let mask = u64::MAX >> (64 - limit);
+        let w = if swapped {
+            // f·(f² − 2) = −1/f mod 64, so w = −g/f mod 2^min(limit, 6).
+            f.wrapping_mul(g)
+                .wrapping_mul(f.wrapping_mul(f).wrapping_sub(2))
+                & mask
+                & 63
+        } else {
+            // eta tends to be small on this side: 1/f mod 16 is enough.
+            let f_inv = f.wrapping_add((f.wrapping_add(1) & 4) << 1);
+            f_inv.wrapping_neg().wrapping_mul(g) & mask & 15
+        };
+        g = g.wrapping_add(f.wrapping_mul(w));
+        q = q.wrapping_add(u.wrapping_mul(w));
+        r = r.wrapping_add(v.wrapping_mul(w));
+    }
+    let t = Transition {
+        u: u as i64,
+        v: v as i64,
+        q: q as i64,
+        r: r as i64,
+    };
+    (eta, t)
+}
+
+/// `(d, e) ← t·(d, e) / 2^62 (mod m)`: a multiple of `m` chosen through
+/// `m_inv62 = m⁻¹ mod 2^62` makes the division exact. Keeps `d` and `e` in
+/// `(−2m, m)`.
+fn update_de(d: &mut [i64; 5], e: &mut [i64; 5], t: &Transition, m: &[i64; 5], m_inv62: u64) {
+    let (u, v, q, r) = (t.u as i128, t.v as i128, t.q as i128, t.r as i128);
+    let (sd, se) = (d[4] >> 63, e[4] >> 63);
+    let mut md = (t.u & sd) + (t.v & se);
+    let mut me = (t.q & sd) + (t.r & se);
+    let mut cd = u * d[0] as i128 + v * e[0] as i128;
+    let mut ce = q * d[0] as i128 + r * e[0] as i128;
+    md -= (m_inv62.wrapping_mul(cd as u64).wrapping_add(md as u64) & M62) as i64;
+    me -= (m_inv62.wrapping_mul(ce as u64).wrapping_add(me as u64) & M62) as i64;
+    cd += m[0] as i128 * md as i128;
+    ce += m[0] as i128 * me as i128;
+    debug_assert!(cd as u64 & M62 == 0 && ce as u64 & M62 == 0);
+    cd >>= 62;
+    ce >>= 62;
+    for i in 1..5 {
+        cd += u * d[i] as i128 + v * e[i] as i128 + m[i] as i128 * md as i128;
+        ce += q * d[i] as i128 + r * e[i] as i128 + m[i] as i128 * me as i128;
+        d[i - 1] = (cd as u64 & M62) as i64;
+        e[i - 1] = (ce as u64 & M62) as i64;
+        cd >>= 62;
+        ce >>= 62;
+    }
+    d[4] = cd as i64;
+    e[4] = ce as i64;
+}
+
+/// `(f, g) ← t·(f, g) / 2^62` over the low `len` limbs; the division is
+/// exact by construction of the divsteps.
+fn update_fg(len: usize, f: &mut [i64; 5], g: &mut [i64; 5], t: &Transition) {
+    let (u, v, q, r) = (t.u as i128, t.v as i128, t.q as i128, t.r as i128);
+    let mut cf = u * f[0] as i128 + v * g[0] as i128;
+    let mut cg = q * f[0] as i128 + r * g[0] as i128;
+    debug_assert!(cf as u64 & M62 == 0 && cg as u64 & M62 == 0);
+    cf >>= 62;
+    cg >>= 62;
+    for i in 1..len {
+        cf += u * f[i] as i128 + v * g[i] as i128;
+        cg += q * f[i] as i128 + r * g[i] as i128;
+        f[i - 1] = (cf as u64 & M62) as i64;
+        g[i - 1] = (cg as u64 & M62) as i64;
+        cf >>= 62;
+        cg >>= 62;
+    }
+    f[len - 1] = cf as i64;
+    g[len - 1] = cg as i64;
+}
+
+/// Carries every limb but the top one back into `[0, 2^62)`.
+fn propagate(r: &mut [i64; 5]) {
+    for i in 0..4 {
+        r[i + 1] += r[i] >> 62;
+        r[i] &= M62 as i64;
+    }
+}
+
+/// Variable-time modular inverse `a⁻¹ mod modulus` for an odd prime
+/// `modulus` and `0 < a < modulus`: Bernstein–Yang "safegcd" divsteps in
+/// batches of 62, the batch computed on single limbs and then applied to
+/// the full-width values as one 2×2 matrix. About a dozen batches settle a
+/// 256-bit input, against ~256 squarings for a Fermat ladder.
+pub(crate) fn mod_inverse(a: &[u64; 4], modulus: &[u64; 4]) -> [u64; 4] {
+    debug_assert!(modulus[0] & 1 == 1, "the modulus must be odd");
+    debug_assert!(!is_zero(a) && cmp(a, modulus) == std::cmp::Ordering::Less);
+    let m = to_signed62(modulus);
+    // Newton iteration for m⁻¹ mod 2^64: an odd m is its own inverse mod
+    // 8, and every step doubles the number of correct bits.
+    let mut m_inv62 = modulus[0];
+    for _ in 0..5 {
+        m_inv62 = m_inv62.wrapping_mul(2u64.wrapping_sub(modulus[0].wrapping_mul(m_inv62)));
+    }
+
+    let (mut d, mut e) = ([0i64; 5], [1i64, 0, 0, 0, 0]);
+    let (mut f, mut g) = (m, to_signed62(a));
+    let mut len = 5;
+    let mut eta = -1i64;
+    loop {
+        let (next_eta, t) = divsteps_62(eta, f[0] as u64, g[0] as u64);
+        eta = next_eta;
+        update_de(&mut d, &mut e, &t, &m, m_inv62);
+        update_fg(len, &mut f, &mut g, &t);
+        if g[..len].iter().all(|&limb| limb == 0) {
+            break;
+        }
+        // Drop a top limb that is pure sign extension in both f and g.
+        let (f_top, g_top) = (f[len - 1], g[len - 1]);
+        if len > 1 && f_top >> 63 == f_top && g_top >> 63 == g_top {
+            f[len - 2] |= ((f_top as u64) << 62) as i64;
+            g[len - 2] |= ((g_top as u64) << 62) as i64;
+            len -= 1;
+        }
+    }
+    // g = 0, so f = ±gcd = ±1 and d = ±a⁻¹, somewhere in (−2m, m): lift a
+    // negative d by m, apply f's sign, lift again if that left it negative.
+    let lift = |d: &mut [i64; 5]| {
+        if d[4] < 0 {
+            for i in 0..5 {
+                d[i] += m[i];
+            }
+            propagate(d);
+        }
+    };
+    lift(&mut d);
+    if f[len - 1] < 0 {
+        d = d.map(|limb| -limb);
+        propagate(&mut d);
+    }
+    lift(&mut d);
+    from_signed62(&d)
 }
 
 #[cfg(test)]

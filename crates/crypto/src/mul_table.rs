@@ -1,8 +1,10 @@
-//! wNAF scalar multiplication with precomputed odd-multiple tables.
+//! Scalar multiplication from precomputed tables: wNAF odd multiples for
+//! arbitrary points, a signed comb for the generator alone.
 //!
 //! The accept-path hot loop of the payment engine is ECDSA verification,
-//! which is two scalar multiplications (`u1*G + u2*Q`). This module
-//! replaces the seed's 1-bit double-and-add ladder with:
+//! which is two scalar multiplications (`u1*G + u2*Q`); every payment also
+//! signs twice, which is one `k*G` each. This module replaces the seed's
+//! 1-bit double-and-add ladder with:
 //!
 //! - **wNAF recoding** ([`crate::scalar::Scalar::wnaf`]): signed odd digits
 //!   thin the nonzero-digit density from ~1/2 to ~1/(w+1), and negative
@@ -11,9 +13,6 @@
 //!   (2^(w-1)-1)P}` computed once in Jacobian form, then normalized to
 //!   affine *in one shot* with Montgomery's batch-inversion trick so every
 //!   table add is a cheap mixed Jacobian+affine add.
-//! - A **static generator table** at a wider window, built once per process
-//!   behind a `OnceLock`, so `k*G` (signing, key derivation, the `u1*G`
-//!   half of every verify) never rebuilds tables.
 //! - A bounded **per-key LRU** ([`PubkeyTableCache`]) so repeated verifies
 //!   against the same public key — the common case inside a
 //!   `FastPaySession` and across payment batches — skip the Q-table build.
@@ -24,6 +23,17 @@
 //!   ([`Scalar::split_glv`]) turns one 256-bit ladder into two interleaved
 //!   half-length ones, halving the doubling count — and the `φ`-table is
 //!   derived from the base table by one field multiply per entry.
+//! - **Two static generator tables**, each built once per process behind a
+//!   `OnceLock`, because `G` is multiplied in two different settings. A
+//!   stand-alone `k*G` (signing, key derivation) goes through
+//!   [`generator_mul`], a fixed-base **comb**: with every `j·2^(5i)·G`
+//!   precomputed (52 KiB) the product is at most 52 mixed additions and
+//!   *no* doublings. Where `G` rides along with an arbitrary point
+//!   ([`lincomb_wnaf`], [`msm_with_generator`]) the ~129 doublings are
+//!   paid for `Q` anyway, so `G`'s digits cost only their additions and
+//!   the width-8 wNAF `G`/`φ(G)` tables (2 × 4 KiB, ~29 additions) are the
+//!   cheaper way in — a comb there would add ~52 additions to save
+//!   doublings that still have to run.
 //!
 //! Everything here is deliberately *not* constant time; the library backs
 //! a simulator. Correctness is enforced by differential tests against the
@@ -38,8 +48,8 @@ use std::sync::OnceLock;
 /// built fresh or pulled from the per-key cache.
 pub const WINDOW_P: u32 = 5;
 
-/// wNAF window width for the static generator table: 64 odd multiples,
-/// built once per process.
+/// wNAF window width for the static generator tables the interleaved
+/// ladders read: 64 odd multiples, built once per process.
 pub const WINDOW_G: u32 = 8;
 
 /// Precomputed affine odd multiples `{1P, 3P, 5P, …, (2^(width-1)-1)P}` of
@@ -292,7 +302,7 @@ fn interleaved_mul(streams: &[Stream<'_>]) -> Point {
     acc
 }
 
-/// The static generator table, built on first use.
+/// The static wNAF generator table, built on first use.
 pub fn generator_table() -> &'static OddMultiplesTable {
     static TABLE: OnceLock<OddMultiplesTable> = OnceLock::new();
     TABLE.get_or_init(|| {
@@ -308,15 +318,77 @@ fn generator_endo_table() -> &'static OddMultiplesTable {
     TABLE.get_or_init(|| generator_table().endo_mapped())
 }
 
-/// Fixed-base multiplication `k * G` through the static generator and
-/// `φ(G)` tables with a GLV split (~129 doublings). Used by signing
-/// (`k*G`), public-key derivation, and the `u1*G` half of verification.
+/// Window width of the fixed-base comb: signed 5-bit digits in
+/// `[-15, 16]`. The widest signed window whose table stays under 64 KiB
+/// (width 6 needs 43·32 entries = 86 KiB).
+const COMB_WINDOW: usize = 5;
+
+/// Windows of the comb: 52·5 = 260 bits, so the carry out of bit 255
+/// always lands inside the last window.
+const COMB_WINDOWS: usize = 52;
+
+/// Entries per comb window: `1·B, 2·B, …, 16·B` for `B = 2^(5i)·G`.
+const COMB_ENTRIES: usize = 1 << (COMB_WINDOW - 1);
+
+/// The static comb table, built on first use: `52·16` affine points,
+/// 52 KiB, `entries[16·i + j − 1] = j·2^(5i)·G`. About 830 Jacobian
+/// additions and one shared inversion (~0.5 ms).
+fn generator_comb() -> &'static [(FieldElement, FieldElement)] {
+    static TABLE: OnceLock<Vec<(FieldElement, FieldElement)>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut jac = Vec::with_capacity(COMB_WINDOWS * COMB_ENTRIES);
+        let mut base = Point::generator();
+        for _ in 0..COMB_WINDOWS {
+            let start = jac.len();
+            jac.push(base);
+            for j in 2..=COMB_ENTRIES {
+                // Even multiples by doubling (cheaper than an addition).
+                jac.push(if j % 2 == 0 {
+                    jac[start + j / 2 - 1].double()
+                } else {
+                    jac[start + j - 2].add(&base)
+                });
+            }
+            base = jac[start + COMB_ENTRIES - 1].double(); // 32·B = 2·(16·B)
+        }
+        batch_to_affine(&jac)
+            .into_iter()
+            .map(|a| match a {
+                AffinePoint::Coordinates { x, y } => (x, y),
+                AffinePoint::Infinity => {
+                    unreachable!("no j·2^(5i) with j ≤ 16 is a multiple of the prime order")
+                }
+            })
+            .collect()
+    })
+}
+
+/// Fixed-base multiplication `k * G` by a signed comb over the
+/// precomputed multiples `j·2^(5i)·G`: no doublings, at most 52 mixed
+/// additions. Used where `k·G` stands alone — signing, public-key
+/// derivation, and [`Point::lincomb`] with `Q = ∞`.
 pub fn generator_mul(k: &Scalar) -> Point {
-    let (c1, c2) = k.split_glv();
-    interleaved_mul(&[
-        Stream::new(c1, generator_table()),
-        Stream::new(c2, generator_endo_table()),
-    ])
+    let table = generator_comb();
+    let mut acc = Point::INFINITY;
+    let mut carry = 0;
+    for (i, window) in table.chunks_exact(COMB_ENTRIES).enumerate() {
+        // v in 0..=32 stands for the digit v (v ≤ 16) or v − 32 with a
+        // carry into the next window.
+        let v = k.bits(i * COMB_WINDOW, COMB_WINDOW) + carry;
+        carry = usize::from(v > COMB_ENTRIES);
+        if v == 0 || v == 2 * COMB_ENTRIES {
+            continue;
+        }
+        acc = if carry == 0 {
+            let (x, y) = window[v - 1];
+            acc.add_mixed(&x, &y)
+        } else {
+            let (x, y) = window[2 * COMB_ENTRIES - v - 1];
+            acc.add_mixed(&x, &(-y))
+        };
+    }
+    debug_assert_eq!(carry, 0, "the last window holds bit 255 and a carry only");
+    acc
 }
 
 /// Variable-base multiplication `k * P`: builds a one-shot width-

@@ -329,6 +329,11 @@ impl Point {
             (true, false) | (false, true) => return false,
             _ => {}
         }
+        // Same Z (two affine lifts, typically): the coordinates compare
+        // directly.
+        if self.z == other.z {
+            return self.x == other.x && self.y == other.y;
+        }
         let z1z1 = self.z.square();
         let z2z2 = other.z.square();
         self.x * z2z2 == other.x * z1z1 && self.y * z2z2 * other.z == other.y * z1z1 * self.z

@@ -99,27 +99,49 @@ impl Scalar {
         })
     }
 
+    /// The `width` bits (at most 32) starting at bit `offset`, least
+    /// significant first; bits past 255 read as zero.
+    pub(crate) fn bits(&self, offset: usize, width: usize) -> usize {
+        let (limb, shift) = (offset / 64, offset % 64);
+        let mut v = self.0.get(limb).map_or(0, |l| l >> shift);
+        if shift + width > 64 {
+            v |= self.0.get(limb + 1).map_or(0, |l| l << (64 - shift));
+        }
+        (v & ((1u64 << width) - 1)) as usize
+    }
+
     /// Squares the scalar via the dedicated squaring routine.
     pub fn square(self) -> Scalar {
         let wide = limbs::sqr_wide(&self.0);
         Scalar(limbs::reduce_wide_c3(wide, &N, &C))
     }
 
-    /// Multiplicative inverse via Fermat's little theorem (`x^(n-2)`),
-    /// computed with a fixed 4-bit window: 256 squarings plus at most 64
-    /// table multiplications, versus ~194 multiplications for naive
-    /// square-and-multiply over the high-Hamming-weight exponent. One scalar
-    /// inversion (`s^-1`) sits on every ECDSA verify.
+    /// Multiplicative inverse by the variable-time extended Euclid in
+    /// `limbs` (safegcd divsteps). One scalar inversion sits on every
+    /// signature (`k⁻¹`) and every single verify (`s⁻¹`).
     ///
     /// # Panics
     ///
     /// Panics if `self` is zero.
     pub fn invert(self) -> Scalar {
         assert!(!self.is_zero(), "zero has no multiplicative inverse");
+        Scalar(limbs::mod_inverse(&self.0, &N))
+    }
+
+    /// Test oracle for [`Scalar::invert`]: Fermat's little theorem
+    /// (`x^(n-2)`) with a fixed 4-bit window. The differential tests and
+    /// the `crypto` fuzz engine compare against it; nothing else calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is zero.
+    #[doc(hidden)]
+    pub fn invert_fermat(self) -> Scalar {
+        assert!(!self.is_zero(), "zero has no multiplicative inverse");
         let mut exp = limbs::to_be_bytes(&N);
         // N ends in 0x41; subtracting 2 cannot borrow.
         exp[31] -= 2;
-        // odd_and_even[d] = self^d for d in 1..=15 (index 0 unused).
+        // pow[d] = self^d for d in 1..=15 (index 0 unused).
         let mut pow = [Scalar::ONE; 16];
         pow[1] = self;
         for d in 2..16 {
@@ -397,6 +419,22 @@ mod tests {
     #[should_panic(expected = "no multiplicative inverse")]
     fn inverse_of_zero_panics() {
         let _ = Scalar::ZERO.invert();
+    }
+
+    #[test]
+    fn bits_reads_windows_across_limb_boundaries() {
+        let s = Scalar([
+            0x8000_0000_0000_0001,
+            0x0000_0000_0000_0003,
+            0,
+            0xF000_0000_0000_0000,
+        ]);
+        assert_eq!(s.bits(0, 5), 1);
+        assert_eq!(s.bits(60, 5), 0b11000); // bit 63, then bits 64 and 65
+        assert_eq!(s.bits(63, 3), 0b111);
+        assert_eq!(s.bits(250, 5), 0b11100); // bits 252..=254
+        assert_eq!(s.bits(255, 5), 1); // bit 255, then nothing
+        assert_eq!(s.bits(256, 5), 0);
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! Differential equivalence suite: the wNAF fast path (tables, static
-//! generator table, per-key cache) must be byte-identical to the retained
-//! binary double-and-add ladder `Point::mul_binary` on every scalar, and
-//! ECDSA verify verdicts must be independent of cache state (cold, warm,
+//! Differential equivalence suite: every fast path must equal its retained
+//! oracle. The wNAF paths (tables, per-key cache) and the fixed-base comb
+//! against the binary double-and-add ladder `Point::mul_binary` on every
+//! scalar; the Euclidean inverses against the Fermat ladders; the batch
+//! verifier, same-key folding included, against the per-signature loop;
+//! and ECDSA verify verdicts independent of cache state (cold, warm,
 //! evicted).
 
+use btcfast_crypto::batch::{verify_batch, BatchItem};
 use btcfast_crypto::ecdsa::{
     self, pubkey_cache_stats, reset_pubkey_cache, verify_uncached, Signature, PUBKEY_CACHE_CAPACITY,
 };
@@ -42,12 +45,15 @@ fn edge_scalars() -> Vec<Scalar> {
         -Scalar::from_u64(2),                       // n - 2
         Scalar::from_be_bytes_reduced(&[0xFF; 32]), // all-ones, reduced
     ];
-    for k in [1usize, 7, 63, 64, 127, 128, 191, 254, 255] {
-        let mut b = [0u8; 32];
-        b[31 - k / 8] = 1 << (k % 8);
-        edges.push(Scalar::from_be_bytes_reduced(&b)); // 2^k
-    }
+    edges.extend([1usize, 7, 63, 64, 127, 128, 191, 254, 255].map(pow2));
     edges
+}
+
+/// `2^k` as a scalar, for `k < 256`.
+fn pow2(k: usize) -> Scalar {
+    let mut b = [0u8; 32];
+    b[31 - k / 8] = 1 << (k % 8);
+    Scalar::from_be_bytes_reduced(&b)
 }
 
 fn check_mul_equivalence(p: &Point, k: &Scalar) {
@@ -93,6 +99,93 @@ fn generator_table_matches_binary_on_edges() {
             "k = {k:?}"
         );
     }
+}
+
+/// Scalars aimed at the comb's signed 5-bit recoding: both sides of every
+/// window boundary, the digit where the sign flips (16 stays positive, 17
+/// becomes −15 with a carry), a lone all-ones window (−1 with a carry),
+/// and runs of all-ones windows that ripple the carry upwards — into the
+/// last window too.
+fn comb_edge_scalars() -> Vec<Scalar> {
+    let mut edges = vec![
+        Scalar::ZERO,
+        Scalar::ONE,
+        -Scalar::ONE,
+        -Scalar::from_u64(2),
+    ];
+    for k in (0..256).step_by(5) {
+        let boundary = pow2(k);
+        edges.push(boundary);
+        edges.push(boundary - Scalar::ONE);
+        edges.push(boundary + Scalar::ONE);
+        for digit in [15u64, 16, 17, 31] {
+            edges.push(boundary * Scalar::from_u64(digit));
+        }
+        // Ones from bit k up to bit 254: every window above k is all-ones.
+        edges.push(pow2(255) - boundary);
+    }
+    for run in [10, 50, 125, 250] {
+        edges.push(pow2(run) - Scalar::ONE);
+        edges.push((pow2(run) - Scalar::ONE) * pow2(5));
+    }
+    edges
+}
+
+#[test]
+fn comb_matches_binary_on_window_edges() {
+    let g = Point::generator();
+    for k in comb_edge_scalars() {
+        assert_eq!(
+            point_bytes(&generator_mul(&k)),
+            point_bytes(&g.mul_binary(&k)),
+            "k = {k:?}"
+        );
+    }
+}
+
+/// Field and scalar values where a Euclidean inverse is most likely to
+/// slip: the ends of the range, a lone high bit, and long runs of zeros.
+fn inverse_edge_bytes() -> Vec<[u8; 32]> {
+    let mut edges = vec![[0xFF; 32], [0x55; 32]];
+    for k in [
+        0usize, 1, 61, 62, 63, 64, 123, 124, 125, 186, 187, 248, 254, 255,
+    ] {
+        let mut b = [0u8; 32];
+        b[31 - k / 8] = 1 << (k % 8);
+        edges.push(b); // 2^k: zeros all the way down
+        b[31] |= 1;
+        edges.push(b); // 2^k + 1: zeros in between
+    }
+    edges
+}
+
+#[test]
+fn inverses_match_the_fermat_oracles_on_edges() {
+    for bytes in inverse_edge_bytes() {
+        let s = Scalar::from_be_bytes_reduced(&bytes);
+        let f = FieldElement::from_be_bytes_reduced(&bytes);
+        for (s, f) in [(s, f), (-s, -f)] {
+            assert_eq!(s.invert(), s.invert_fermat(), "scalar {s:?}");
+            assert_eq!(f.invert(), f.invert_fermat(), "field {f:?}");
+        }
+    }
+    // 1 and m − 1 are their own inverses.
+    assert_eq!(Scalar::ONE.invert(), Scalar::ONE);
+    assert_eq!((-Scalar::ONE).invert(), -Scalar::ONE);
+    assert_eq!(FieldElement::ONE.invert(), FieldElement::ONE);
+    assert_eq!((-FieldElement::ONE).invert(), -FieldElement::ONE);
+}
+
+#[test]
+#[should_panic(expected = "zero has no multiplicative inverse")]
+fn scalar_inverse_of_zero_still_panics() {
+    let _ = Scalar::ZERO.invert();
+}
+
+#[test]
+#[should_panic(expected = "zero has no multiplicative inverse")]
+fn field_inverse_of_zero_still_panics() {
+    let _ = FieldElement::ZERO.invert();
 }
 
 #[test]
@@ -407,6 +500,18 @@ proptest! {
     }
 
     #[test]
+    fn prop_inverses_match_the_fermat_oracles(bytes in any::<[u8; 32]>()) {
+        let s = Scalar::from_be_bytes_reduced(&bytes);
+        let f = FieldElement::from_be_bytes_reduced(&bytes);
+        if !s.is_zero() {
+            prop_assert_eq!(s.invert(), s.invert_fermat());
+        }
+        if !f.is_zero() {
+            prop_assert_eq!(f.invert(), f.invert_fermat());
+        }
+    }
+
+    #[test]
     fn prop_lincomb_matches_binary(a in arb_scalar(), b in arb_scalar(), qk in arb_scalar()) {
         let g = Point::generator();
         let q = g.mul_binary(&qk);
@@ -444,6 +549,133 @@ proptest! {
         let bad = Signature { r: sig.r, s: -sig.s };
         prop_assert!(!kp.public().verify(&digest, &bad));
         prop_assert!(!verify_uncached(kp.public().point(), &digest, &bad));
+    }
+}
+
+/// Same-key folding in the batch verifier: items signed by one key share
+/// one `Q` term per combination, and the verdicts must stay exactly the
+/// per-signature loop's.
+mod folded_batches {
+    use super::*;
+
+    fn item(kp: &KeyPair, msg: u64) -> BatchItem {
+        let digest = sha256(&msg.to_le_bytes());
+        let (signature, recovery) = kp.sign_recoverable(&digest);
+        BatchItem {
+            pubkey: *kp.public().point(),
+            digest,
+            signature,
+            recovery: Some(recovery),
+        }
+    }
+
+    fn oracle_invalid(items: &[BatchItem]) -> Vec<usize> {
+        (0..items.len())
+            .filter(|&i| !ecdsa::verify(&items[i].pubkey, &items[i].digest, &items[i].signature))
+            .collect()
+    }
+
+    #[test]
+    fn eight_items_from_one_key_cost_one_combination() {
+        let kp = KeyPair::from_seed(b"one customer");
+        let items: Vec<BatchItem> = (0..8).map(|n| item(&kp, n)).collect();
+        let outcome = verify_batch(&items, 1);
+        assert!(outcome.all_valid());
+        assert_eq!(outcome.stats.hinted, 8);
+        assert_eq!(outcome.stats.msm_evals, 1);
+        assert_eq!(outcome.stats.oracle_checks, 0);
+    }
+
+    #[test]
+    fn one_tampered_item_among_eight_same_key_items_is_named_exactly() {
+        let kp = KeyPair::from_seed(b"one customer");
+        for bad in 0..8 {
+            let mut items: Vec<BatchItem> = (0..8).map(|n| item(&kp, n)).collect();
+            items[bad].digest = sha256(b"tampered");
+            for seed in [3, 4] {
+                let outcome = verify_batch(&items, seed);
+                assert_eq!(outcome.invalid, vec![bad], "seed {seed}");
+                assert!(outcome.stats.bisections > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn duplicated_items_are_judged_independently() {
+        let kp = KeyPair::from_seed(b"one customer");
+        let good = item(&kp, 1);
+        let mut bad = item(&kp, 2);
+        bad.signature.s = bad.signature.s + Scalar::ONE;
+        // The same statement three times, and the same bad one twice.
+        let items = [good, bad, good, good, bad];
+        let outcome = verify_batch(&items, 9);
+        assert_eq!(outcome.invalid, vec![1, 4]);
+        assert_eq!(outcome.invalid, oracle_invalid(&items));
+        assert!(verify_batch(&[good, good, good], 9).all_valid());
+    }
+
+    #[test]
+    fn two_keys_interleaved_fold_per_key() {
+        let a = KeyPair::from_seed(b"customer a");
+        let b = KeyPair::from_seed(b"customer b");
+        let build = || -> Vec<BatchItem> {
+            (0..10)
+                .map(|n| item(if n % 2 == 0 { &a } else { &b }, n))
+                .collect()
+        };
+        assert!(verify_batch(&build(), 5).all_valid());
+        // A signature presented under the other key of the pair.
+        let mut items = build();
+        items[3].pubkey = *a.public().point();
+        items[6].pubkey = *b.public().point();
+        let outcome = verify_batch(&items, 5);
+        assert_eq!(outcome.invalid, vec![3, 6]);
+        assert_eq!(outcome.invalid, oracle_invalid(&items));
+    }
+
+    /// The same key handed over in two representations — the affine lift
+    /// and a Jacobian point with `Z ≠ 1` — is still one key.
+    #[test]
+    fn one_key_in_two_representations_folds_and_verifies() {
+        let kp = KeyPair::from_seed(b"one customer");
+        let d = *kp.secret().scalar();
+        let mut items: Vec<BatchItem> = (0..4).map(|n| item(&kp, n)).collect();
+        let jacobian = Point::generator().mul_binary(&d);
+        assert_eq!(jacobian, items[0].pubkey);
+        items[1].pubkey = jacobian;
+        items[2].pubkey = jacobian;
+        assert!(verify_batch(&items, 2).all_valid());
+        items[2].digest = sha256(b"tampered");
+        assert_eq!(verify_batch(&items, 2).invalid, vec![2]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Keys drawn from a pool of three, each item tampered or not.
+        #[test]
+        fn prop_pooled_keys_match_the_oracle(
+            picks in proptest::collection::vec((0usize..3, any::<bool>()), 1..12),
+            seed in any::<u64>(),
+        ) {
+            let pool = [
+                KeyPair::from_seed(b"pool 0"),
+                KeyPair::from_seed(b"pool 1"),
+                KeyPair::from_seed(b"pool 2"),
+            ];
+            let items: Vec<BatchItem> = picks
+                .iter()
+                .enumerate()
+                .map(|(n, &(key, tamper))| {
+                    let mut it = item(&pool[key], n as u64);
+                    if tamper {
+                        it.digest[0] ^= 1;
+                    }
+                    it
+                })
+                .collect();
+            prop_assert_eq!(verify_batch(&items, seed).invalid, oracle_invalid(&items));
+        }
     }
 }
 

@@ -8,9 +8,32 @@ use crate::gas::{GasMeter, GasSchedule};
 use crate::params::PscParams;
 use crate::state::{CommitStats, WorldState};
 use crate::tx::{Action, PscTransaction, PscTxError, Receipt, TxStatus};
+use btcfast_crypto::batch::{verify_batch, BatchItem};
+use btcfast_crypto::sha256::Sha256;
 use btcfast_crypto::Hash256;
 use std::collections::HashMap;
+use std::error::Error;
+use std::fmt;
 use std::sync::Arc;
+
+/// Why [`PscChain::submit_batch`] stopped: transaction `index` failed a
+/// stateless check; the transactions before it are queued, it and the
+/// ones after it are not.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchRejected {
+    /// Position of the first rejected transaction in the batch.
+    pub index: usize,
+    /// What [`PscChain::submit_transaction`] would have returned for it.
+    pub error: PscTxError,
+}
+
+impl fmt::Display for BatchRejected {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "transaction {} of the batch: {}", self.index, self.error)
+    }
+}
+
+impl Error for BatchRejected {}
 
 /// A PSC chain with proof-of-authority block production.
 ///
@@ -23,7 +46,8 @@ pub struct PscChain {
     registry: HashMap<&'static str, Arc<dyn Contract>>,
     state: WorldState,
     blocks: Vec<PscBlock>,
-    pending: Vec<PscTransaction>,
+    /// Admitted transactions with the hash admission computed.
+    pending: Vec<(Hash256, PscTransaction)>,
     receipts: HashMap<Hash256, Receipt>,
     /// Account credited with fees (the validator).
     validator: AccountId,
@@ -155,7 +179,8 @@ impl PscChain {
             .unwrap_or(false)
     }
 
-    /// Queues a transaction for the next block after stateless checks.
+    /// Queues a transaction for the next block after stateless checks:
+    /// the one-element case of [`PscChain::submit_batch`].
     ///
     /// # Errors
     ///
@@ -163,16 +188,73 @@ impl PscChain {
     /// Nonce and balance are checked at execution time (they depend on
     /// in-block ordering).
     pub fn submit_transaction(&mut self, tx: PscTransaction) -> Result<Hash256, PscTxError> {
-        tx.verify_signature()?;
-        if tx.gas_limit > self.params.tx_gas_limit {
-            return Err(PscTxError::GasLimitTooHigh {
-                requested: tx.gas_limit,
-                cap: self.params.tx_gas_limit,
-            });
+        match self.submit_batch(vec![tx]) {
+            Ok(hashes) => Ok(hashes[0]),
+            Err(rejected) => Err(rejected.error),
         }
-        let hash = tx.hash();
-        self.pending.push(tx);
-        Ok(hash)
+    }
+
+    /// Queues `txs` for the next block, in order, exactly as submitting
+    /// them one at a time would — same hashes, same pending queue, and on
+    /// failure the first failing transaction's error with everything
+    /// before it queued — but with all signatures checked by one
+    /// [`verify_batch`] call, so a block of registrations from one key
+    /// costs one `Q` term plus a short `R` term each.
+    ///
+    /// The randomizer seed commits to every hash *and* signature in the
+    /// batch (the hash leaves the signature out, so a seed from hashes
+    /// alone would be known to whoever picks the signatures).
+    ///
+    /// # Errors
+    ///
+    /// [`BatchRejected`] naming the first transaction with a missing or
+    /// invalid signature or an over-cap gas limit.
+    pub fn submit_batch(
+        &mut self,
+        txs: Vec<PscTransaction>,
+    ) -> Result<Vec<Hash256>, BatchRejected> {
+        let hashes: Vec<Hash256> = txs.iter().map(PscTransaction::hash).collect();
+        // Stateless checks in submit order, up to the first failure: what
+        // follows it is never queued, so its signature is never needed.
+        let mut rejected = None;
+        let mut items = Vec::with_capacity(txs.len());
+        let mut transcript = Sha256::new();
+        for (index, (tx, hash)) in txs.iter().zip(&hashes).enumerate() {
+            let Some(signature) = tx.signature else {
+                rejected = Some((index, PscTxError::BadSignature));
+                break;
+            };
+            transcript.update(&hash.0);
+            transcript.update(&signature.to_bytes());
+            items.push(BatchItem {
+                pubkey: *tx.from.point(),
+                digest: hash.0,
+                signature,
+                recovery: tx.recovery,
+            });
+            if tx.gas_limit > self.params.tx_gas_limit {
+                let error = PscTxError::GasLimitTooHigh {
+                    requested: tx.gas_limit,
+                    cap: self.params.tx_gas_limit,
+                };
+                rejected = Some((index, error));
+                break;
+            }
+        }
+        let seed = transcript.finalize();
+        let seed = u64::from_le_bytes(seed[..8].try_into().expect("eight bytes"));
+        // A bad signature comes before the gas cap of the same transaction
+        // and before anything wrong with a later one.
+        if let Some(&index) = verify_batch(&items, seed).invalid.first() {
+            rejected = Some((index, PscTxError::BadSignature));
+        }
+        let admitted = rejected.as_ref().map_or(txs.len(), |&(index, _)| index);
+        self.pending
+            .extend(hashes.iter().copied().zip(txs).take(admitted));
+        match rejected {
+            None => Ok(hashes),
+            Some((index, error)) => Err(BatchRejected { index, error }),
+        }
     }
 
     /// Produces the next block at `time`, executing all pending
@@ -185,9 +267,8 @@ impl PscChain {
         // `&mut self`.
         let schedule = self.params.schedule.clone();
         let mut tx_hashes = Vec::with_capacity(pending.len());
-        for tx in pending {
-            let hash = tx.hash();
-            let receipt = self.execute(tx, number, time, &schedule);
+        for (hash, tx) in pending {
+            let receipt = self.execute(tx, hash, number, time, &schedule);
             self.total_gas_used += receipt.gas_used;
             self.receipts.insert(hash, receipt);
             tx_hashes.push(hash);
@@ -211,11 +292,11 @@ impl PscChain {
     fn execute(
         &mut self,
         tx: PscTransaction,
+        tx_hash: Hash256,
         block_number: u64,
         block_time: u64,
         schedule: &GasSchedule,
     ) -> Receipt {
-        let tx_hash = tx.hash();
         let sender = tx.sender();
         let invalid = |msg: String| Receipt {
             tx_hash,
@@ -988,6 +1069,164 @@ mod tests {
             chain.commit_stats().dirty_high_water,
             stats.dirty_high_water
         );
+    }
+
+    /// Eight transfers from one funded key at sequential nonces — the
+    /// shape of a shard's registration block.
+    fn transfers(alice: &KeyPair) -> Vec<PscTransaction> {
+        (0..8)
+            .map(|nonce| {
+                let to = AccountId([9; 20]);
+                PscTransaction::new(*alice.public(), nonce, 100, Action::Transfer { to })
+                    .with_gas(100_000, 1)
+                    .sign(alice)
+            })
+            .collect()
+    }
+
+    /// Admission as it was before batching, one signature at a time
+    /// through `verify_signature`: the reference for both doors.
+    fn submit_alone(chain: &mut PscChain, tx: PscTransaction) -> Result<Hash256, PscTxError> {
+        tx.verify_signature()?;
+        if tx.gas_limit > chain.params.tx_gas_limit {
+            return Err(PscTxError::GasLimitTooHigh {
+                requested: tx.gas_limit,
+                cap: chain.params.tx_gas_limit,
+            });
+        }
+        let hash = tx.hash();
+        chain.pending.push((hash, tx));
+        Ok(hash)
+    }
+
+    /// Submits `txs` through `submit_batch` on one chain, one at a time
+    /// through `submit_transaction` on a second and through the reference
+    /// on a third, and holds everything observable equal: hashes, the
+    /// error and its index, the pending queue, and after a block the
+    /// blocks, the receipts and the state commitment.
+    fn assert_batch_matches_sequential(txs: Vec<PscTransaction>) -> Result<(), BatchRejected> {
+        let alice = KeyPair::from_seed(b"batch sender");
+        let mut batched = PscChain::new(PscParams::ethereum_like());
+        batched.faucet(alice.address().into(), 1_000_000_000);
+        let mut sequential = batched.clone();
+        let mut reference = batched.clone();
+
+        type Submit = fn(&mut PscChain, PscTransaction) -> Result<Hash256, PscTxError>;
+        let one_by_one = |chain: &mut PscChain, submit: Submit| {
+            let mut hashes = Vec::new();
+            for (index, tx) in txs.iter().enumerate() {
+                match submit(chain, tx.clone()) {
+                    Ok(hash) => hashes.push(hash),
+                    Err(error) => return Err(BatchRejected { index, error }),
+                }
+            }
+            Ok(hashes)
+        };
+        let expected = one_by_one(&mut reference, submit_alone);
+        assert_eq!(
+            one_by_one(&mut sequential, PscChain::submit_transaction),
+            expected
+        );
+        let got = batched.submit_batch(txs.clone());
+        assert_eq!(got, expected);
+
+        for chain in [&mut batched, &mut sequential] {
+            assert_eq!(chain.pending, reference.pending);
+        }
+        reference.produce_block(15);
+        for chain in [&mut batched, &mut sequential] {
+            chain.produce_block(15);
+            assert_eq!(chain.blocks, reference.blocks);
+            for tx in &txs {
+                assert_eq!(chain.receipt(&tx.hash()), reference.receipt(&tx.hash()));
+            }
+            assert_eq!(chain.state_commitment(), reference.state_commitment());
+        }
+        got.map(|_| ())
+    }
+
+    #[test]
+    fn submit_batch_matches_sequential_submission() {
+        let alice = KeyPair::from_seed(b"batch sender");
+        assert_eq!(assert_batch_matches_sequential(Vec::new()), Ok(()));
+        assert_eq!(assert_batch_matches_sequential(transfers(&alice)), Ok(()));
+        assert_eq!(
+            assert_batch_matches_sequential(transfers(&alice)[..1].to_vec()),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn submit_batch_stops_at_a_bad_signature_at_any_position() {
+        let alice = KeyPair::from_seed(b"batch sender");
+        for index in 0..8 {
+            // Tampered after signing, unsigned, and signed by another key.
+            let mut tampered = transfers(&alice);
+            tampered[index].value += 1;
+            let mut unsigned = transfers(&alice);
+            unsigned[index].signature = None;
+            let mut forged = transfers(&alice);
+            forged[index].signature = transfers(&KeyPair::from_seed(b"mallory"))[index].signature;
+            for txs in [tampered, unsigned, forged] {
+                let error = PscTxError::BadSignature;
+                assert_eq!(
+                    assert_batch_matches_sequential(txs),
+                    Err(BatchRejected { index, error })
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn submit_batch_reports_the_gas_cap_after_the_signature() {
+        let alice = KeyPair::from_seed(b"batch sender");
+        let over_cap = |tx: &PscTransaction| tx.clone().with_gas(100_000_000, 1);
+        // Over the cap and validly signed: the cap is the error.
+        let mut txs = transfers(&alice);
+        txs[5] = over_cap(&txs[5]).sign(&alice);
+        let rejected = assert_batch_matches_sequential(txs).unwrap_err();
+        assert_eq!(rejected.index, 5);
+        assert!(matches!(rejected.error, PscTxError::GasLimitTooHigh { .. }));
+        // Over the cap with a signature that no longer covers it: the
+        // signature is checked first, as `submit_transaction` does.
+        let mut txs = transfers(&alice);
+        txs[5] = over_cap(&txs[5]);
+        let error = PscTxError::BadSignature;
+        assert_eq!(
+            assert_batch_matches_sequential(txs),
+            Err(BatchRejected { index: 5, error })
+        );
+        // A bad signature before the over-cap transaction wins.
+        let mut txs = transfers(&alice);
+        txs[5] = over_cap(&txs[5]).sign(&alice);
+        txs[2].nonce += 100;
+        let error = PscTxError::BadSignature;
+        assert_eq!(
+            assert_batch_matches_sequential(txs),
+            Err(BatchRejected { index: 2, error })
+        );
+    }
+
+    #[test]
+    fn hints_never_change_an_admission_verdict() {
+        let alice = KeyPair::from_seed(b"batch sender");
+        for index in 0..8 {
+            let mut missing = transfers(&alice);
+            missing[index].recovery = None;
+            let mut flipped = transfers(&alice);
+            let hint = flipped[index]
+                .recovery
+                .as_mut()
+                .expect("signed with a hint");
+            hint.y_odd = !hint.y_odd;
+            // A flipped hint on a transaction that is invalid anyway.
+            let mut both = flipped.clone();
+            both[7 - index].value += 1;
+            assert_eq!(assert_batch_matches_sequential(missing), Ok(()));
+            assert_eq!(assert_batch_matches_sequential(flipped), Ok(()));
+            let rejected = assert_batch_matches_sequential(both).unwrap_err();
+            assert_eq!(rejected.index, 7 - index);
+        }
     }
 
     #[test]

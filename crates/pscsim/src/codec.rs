@@ -124,7 +124,8 @@ impl Decode for bool {
 
 impl Encode for String {
     fn encode_to(&self, out: &mut Vec<u8>) {
-        self.as_bytes().to_vec().encode_to(out);
+        (self.len() as u32).encode_to(out);
+        out.extend_from_slice(self.as_bytes());
     }
 }
 

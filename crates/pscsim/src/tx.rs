@@ -4,7 +4,7 @@ use crate::account::AccountId;
 use crate::codec::Encode;
 use crate::contract::Event;
 use crate::gas::Gas;
-use btcfast_crypto::ecdsa::Signature;
+use btcfast_crypto::ecdsa::{RecoveryId, Signature};
 use btcfast_crypto::keys::{KeyPair, PublicKey};
 use btcfast_crypto::sha256::sha256d;
 use btcfast_crypto::Hash256;
@@ -55,8 +55,8 @@ impl Action {
             }
             Action::Deploy { code_id, args } => {
                 out.push(1);
-                code_id.clone().encode_to(out);
-                args.clone().encode_to(out);
+                code_id.encode_to(out);
+                args.encode_to(out);
             }
             Action::Call {
                 contract,
@@ -65,15 +65,15 @@ impl Action {
             } => {
                 out.push(2);
                 contract.encode_to(out);
-                method.clone().encode_to(out);
-                args.clone().encode_to(out);
+                method.encode_to(out);
+                args.encode_to(out);
             }
         }
     }
 }
 
 /// A signed PSC transaction.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct PscTransaction {
     /// The signing key (sender = its address).
     pub from: PublicKey,
@@ -90,7 +90,29 @@ pub struct PscTransaction {
     /// ECDSA signature over [`PscTransaction::digest`]; `None` while
     /// unsigned.
     pub signature: Option<Signature>,
+    /// Advisory nonce-point hint making the signature batch-verifiable
+    /// (see `btcfast_crypto::batch`). Outside the digest, the hash and
+    /// equality, and never trusted: a wrong or absent hint only routes
+    /// admission off the batched path.
+    pub recovery: Option<RecoveryId>,
 }
+
+/// Equality ignores the advisory recovery hint, like
+/// `btcfast_btcsim::script::Witness`: the hint is acceleration metadata,
+/// not part of the statement.
+impl PartialEq for PscTransaction {
+    fn eq(&self, other: &PscTransaction) -> bool {
+        self.from == other.from
+            && self.nonce == other.nonce
+            && self.value == other.value
+            && self.action == other.action
+            && self.gas_limit == other.gas_limit
+            && self.gas_price == other.gas_price
+            && self.signature == other.signature
+    }
+}
+
+impl Eq for PscTransaction {}
 
 /// Why a transaction could not be accepted or executed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,6 +173,7 @@ impl PscTransaction {
             gas_limit: 1_000_000,
             gas_price: 0,
             signature: None,
+            recovery: None,
         }
     }
 
@@ -193,7 +216,9 @@ impl PscTransaction {
             key.public() == &self.from,
             "signing key must match the from field"
         );
-        self.signature = Some(key.sign(&self.digest().0));
+        let (signature, recovery) = key.sign_recoverable(&self.digest().0);
+        self.signature = Some(signature);
+        self.recovery = Some(recovery);
         self
     }
 
@@ -311,6 +336,17 @@ mod tests {
         let unsigned = transfer_tx();
         let signed = unsigned.clone().sign(&keypair());
         assert_eq!(unsigned.hash(), signed.hash());
+    }
+
+    #[test]
+    fn hint_is_outside_hash_and_equality() {
+        let signed = transfer_tx().sign(&keypair());
+        assert!(signed.recovery.is_some());
+        let mut stripped = signed.clone();
+        stripped.recovery = None;
+        assert_eq!(stripped, signed);
+        assert_eq!(stripped.hash(), signed.hash());
+        stripped.verify_signature().unwrap();
     }
 
     #[test]
