@@ -1,7 +1,8 @@
-//! `crypto` engine: differential targets for the secp256k1 fast paths
-//! against their retained oracles — multiplication against the binary
+//! `crypto` engine: differential targets for the fast paths against their
+//! retained oracles — secp256k1 multiplication against the binary
 //! double-and-add ladder, the Euclidean inverses against the Fermat
-//! ladders — plus a hostile sign→verify round-trip.
+//! ladders, SHA-256 on whichever block function the host dispatches to
+//! against the portable one — plus a hostile sign→verify round-trip.
 //!
 //! The fast paths (odd-multiple tables, the fixed-base comb, the per-key
 //! table cache — `btcfast_crypto::mul_table`) must agree with
@@ -20,6 +21,9 @@ use btcfast_crypto::keys::KeyPair;
 use btcfast_crypto::mul_table::{generator_mul, mul_wnaf, OddMultiplesTable};
 use btcfast_crypto::point::{AffinePoint, Point};
 use btcfast_crypto::scalar::Scalar;
+use btcfast_crypto::sha256::{
+    backend, compress_blocks_portable, sha256, sha256_with, sha256d, Sha256,
+};
 
 /// `2^k` as a scalar, for `k < 256`.
 fn pow2(k: usize) -> Scalar {
@@ -138,6 +142,42 @@ pub fn diff_crypto_inverse(bytes: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
+/// Differential: SHA-256 as the system computes it — one-shot, doubled,
+/// and streamed through a fuzz-chosen chunking — against the textbook hash
+/// over the portable block function, on a message whose length, content
+/// and chunking all come from the case bytes.
+pub fn diff_crypto_sha256(bytes: &[u8]) -> Result<(), String> {
+    let mut src = ByteSource::new(bytes);
+    // Half the lengths sit beside a block end, where the padding changes
+    // shape (55 | 56) and the buffer hands over (63 | 64 | 65).
+    let beside_block_end = 64 * src.choice(34) + 55 + src.choice(11);
+    let len = [beside_block_end, src.choice(2200)][src.choice(2)];
+    // Content: the rest of the case, cycled — a period that is no multiple
+    // of 64, so no two blocks of a long message are alike.
+    let seed = src.rest();
+    let byte = |i: usize| seed.get(i % seed.len().max(1)).copied().unwrap_or(0);
+    let data: Vec<u8> = (0..len).map(byte).collect();
+
+    let (mut streamed, mut rest) = (Sha256::new(), &data[..]);
+    while !rest.is_empty() {
+        // Mostly short pieces, one in four up to everything left; never
+        // empty, so that an exhausted source still reaches the end.
+        let most = if src.choice(4) == 0 { rest.len() } else { 130 };
+        let (piece, tail) = rest.split_at(1 + src.choice(most.min(rest.len())));
+        streamed.update(piece);
+        rest = tail;
+    }
+    let oracle = sha256_with(compress_blocks_portable, &data);
+    let twice = sha256_with(compress_blocks_portable, &oracle);
+    if (streamed.finalize(), sha256(&data), sha256d(&data).0) != (oracle, oracle, twice) {
+        let on = backend();
+        return Err(format!(
+            "SHA-256 ({on}) diverges from the portable oracle at {len} bytes"
+        ));
+    }
+    Ok(())
+}
+
 /// Hostile sign→verify round-trip: a fresh signature must verify on the
 /// cached and uncached paths, and high-S / zero-component / tampered
 /// mutations must all be rejected — with raw signature bytes never
@@ -240,6 +280,18 @@ mod tests {
                 .map(|i| seed.wrapping_mul(29).wrapping_add(i))
                 .collect();
             assert_eq!(diff_crypto_inverse(&bytes), Ok(()), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn sha256_differential_clean_on_fixed_cases() {
+        assert_eq!(diff_crypto_sha256(&[]), Ok(()));
+        assert_eq!(diff_crypto_sha256(&[1]), Ok(()));
+        for seed in 0u8..32 {
+            let bytes: Vec<u8> = (0..72)
+                .map(|i| seed.wrapping_mul(37).wrapping_add(i))
+                .collect();
+            assert_eq!(diff_crypto_sha256(&bytes), Ok(()), "seed {seed}");
         }
     }
 

@@ -17,9 +17,10 @@
 //!   byte offset of its log tail and at every checkpoint step must
 //!   recover exactly the state after the records that survived;
 //! * [`Engine::Crypto`] — differential targets pinning the secp256k1
-//!   wNAF/table/cached fast path to the binary double-and-add oracle,
-//!   plus hostile sign→verify round trips (high-S, zero components,
-//!   tampered digests, wrong keys);
+//!   wNAF/table/cached fast path to the binary double-and-add oracle
+//!   and the dispatched SHA-256 block function to the portable one, plus
+//!   hostile sign→verify round trips (high-S, zero components, tampered
+//!   digests, wrong keys);
 //! * [`Engine::Batch`] — the randomized batch ECDSA verifier checked
 //!   against the per-signature oracle: fuzzed batches under hostile
 //!   mutations must produce the oracle's exact invalid set, independent
@@ -201,6 +202,11 @@ pub const TARGETS: &[Target] = &[
         engine: Engine::Crypto,
         name: "inverse-differential",
         check: crypto_fuzz::diff_crypto_inverse,
+    },
+    Target {
+        engine: Engine::Crypto,
+        name: "sha256-differential",
+        check: crypto_fuzz::diff_crypto_sha256,
     },
     Target {
         engine: Engine::Crypto,

@@ -17,6 +17,7 @@
 
 use crate::json::Json;
 use crate::table::Table;
+use btcfast_crypto::sha256;
 use std::path::Path;
 use std::process::Command;
 
@@ -162,7 +163,10 @@ fn table(cells: &[Cell], pairs: usize) -> Table {
         let decimals = (3 - v.abs().max(1e-3).log10().floor() as i32).max(0) as usize;
         format!("{v:.decimals$}")
     };
-    let title = format!("A/B against the parent: {pairs} interleaved pairs per workload");
+    let title = format!(
+        "A/B against the parent: {pairs} interleaved pairs per workload, SHA-256 on {}",
+        sha256::backend()
+    );
     let columns =
         "workload|metric|parent q1|parent median|parent q3|change median|delta|bound|verdict";
     let mut table = Table::new(&title, &columns.split('|').collect::<Vec<_>>());
@@ -227,6 +231,7 @@ fn record_line(cells: &[Cell], base: &Path, head: &Path, pairs: usize) -> String
         ("pairs", Json::Num(pairs as f64)),
         ("seed", Json::Num(SEED as f64)),
         ("host_threads", Json::Num(threads as f64)),
+        ("host_sha256", Json::Str(sha256::backend().to_string())),
         ("medians", Json::Obj(medians.collect())),
     ])
     .render()
@@ -395,6 +400,8 @@ mod tests {
         assert!(fresh.starts_with(r#"{"commit": null, "base": null, "pairs": 5, "#));
         assert_eq!(fresh.lines().count(), 1);
         let record = Json::parse(&fresh).unwrap();
+        let host_sha256 = Json::Str(sha256::backend().to_string());
+        assert_eq!(record.get("host_sha256"), Some(&host_sha256));
         for key in cells.iter().map(|c| format!("{}.{}", c.workload, c.metric)) {
             let medians = record.get("medians").and_then(|m| m.get(&key)?.items());
             assert_eq!(

@@ -30,7 +30,7 @@
 //! byte-identical to the digest of the uninterrupted run. The audit
 //! crate's `store` engine checks exactly that at every crash offset.
 
-use btcfast_crypto::sha256::sha256d;
+use btcfast_crypto::sha256::{sha256, Sha256};
 use btcfast_crypto::Hash256;
 use btcfast_store::{SnapshotStore, Storage, StoreError, Wal};
 use std::collections::BTreeMap;
@@ -566,13 +566,15 @@ impl PaymentLedger {
     /// Encoded bytes per ledger payment: id, txid, amount, flags, verdict.
     const PAYMENT_BYTES: usize = 8 + 32 + 8 + 1 + 1;
 
-    /// Canonical encoding (snapshot payload; digest input).
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    /// Canonical encoding (snapshot payload; digest input). `piece` is shown
+    /// `out` after every payment, so a consumer that streams can drain it.
+    fn encode(&self, out: &mut Vec<u8>, piece: &mut impl FnMut(&mut Vec<u8>)) {
         out.push(u8::from(self.escrow_opened));
         out.extend_from_slice(&(self.payments.len() as u32).to_le_bytes());
         for (id, state) in &self.payments {
             out.extend_from_slice(&id.to_le_bytes());
             state.encode(out);
+            piece(out);
         }
         out.extend_from_slice(&self.value_accepted_sats.to_le_bytes());
     }
@@ -840,25 +842,34 @@ impl<S: Storage> RecoveryManager<S> {
         &self.ledger
     }
 
-    /// Canonical encoding of ledger + pending intents, reserved up front:
-    /// the snapshot payload and the digest input.
-    fn encode_state(&self) -> Vec<u8> {
-        let ledger_bytes = 1 + 4 + self.ledger.payments.len() * PaymentLedger::PAYMENT_BYTES + 8;
-        let pending_bytes = 4 + self.pending.len() * (8 + Step::MAX_ENCODED_BYTES);
-        let mut bytes = Vec::with_capacity(ledger_bytes + pending_bytes);
-        self.ledger.encode(&mut bytes);
-        bytes.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
+    /// Appends the canonical encoding of ledger + pending intents to `out`,
+    /// showing it to `piece` after every payment and intent.
+    fn encode_state(&self, out: &mut Vec<u8>, mut piece: impl FnMut(&mut Vec<u8>)) {
+        self.ledger.encode(out, &mut piece);
+        out.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
         for (intent, step) in &self.pending {
-            bytes.extend_from_slice(&intent.to_le_bytes());
-            step.encode(&mut bytes);
+            out.extend_from_slice(&intent.to_le_bytes());
+            step.encode(out);
+            piece(out);
         }
-        bytes
     }
 
     /// Canonical digest over ledger + pending intents: byte-identical
-    /// across a crash/recover cycle iff the recovered state is.
+    /// across a crash/recover cycle iff the recovered state is. The double
+    /// SHA-256 of the snapshot payload, hashed as it is produced through a
+    /// few KiB rather than materialised.
     pub fn digest(&self) -> Hash256 {
-        sha256d(&self.encode_state())
+        const DRAIN_AT: usize = 4096;
+        let mut hasher = Sha256::new();
+        let mut buffer = Vec::with_capacity(2 * DRAIN_AT);
+        self.encode_state(&mut buffer, |buffer| {
+            if buffer.len() >= DRAIN_AT {
+                hasher.update(buffer);
+                buffer.clear();
+            }
+        });
+        hasher.update(&buffer);
+        Hash256(sha256(&hasher.finalize()))
     }
 
     /// Checkpoints the current state and truncates the log: the snapshot
@@ -874,8 +885,12 @@ impl<S: Storage> RecoveryManager<S> {
     /// [`RecoveryError::Store`] when the snapshot write fails (both media
     /// are untouched) or the truncation fails (the log stays, covered).
     pub fn checkpoint(&mut self) -> Result<(), RecoveryError> {
-        self.snapshots
-            .save(self.wal.next_seq(), &self.encode_state())?;
+        // The snapshot payload, reserved up front.
+        let ledger_bytes = 1 + 4 + self.ledger.payments.len() * PaymentLedger::PAYMENT_BYTES + 8;
+        let pending_bytes = 4 + self.pending.len() * (8 + Step::MAX_ENCODED_BYTES);
+        let mut payload = Vec::with_capacity(ledger_bytes + pending_bytes);
+        self.encode_state(&mut payload, |_| {});
+        self.snapshots.save(self.wal.next_seq(), &payload)?;
         self.wal.reset()?;
         self.stats.checkpoints += 1;
         Ok(())
@@ -1033,6 +1048,36 @@ mod tests {
         assert!(mgr.ledger().escrow_opened);
         assert!(mgr.ledger().payments.contains_key(&7));
         assert!(!mgr.ledger().payments[&7].offered);
+    }
+
+    #[test]
+    fn the_streamed_digest_is_the_double_hash_of_the_snapshot_payload() {
+        // Sizes on both sides of the drain threshold, with intents left
+        // pending so the second half of the encoding is streamed too.
+        for payments in [0u64, 1, 81, 82, 500] {
+            let (mut mgr, _) = RecoveryManager::open(MemStorage::new(), MemStorage::new()).unwrap();
+            for n in 0..payments {
+                let step = Step::OpenPayment {
+                    txid: txid(n as u8),
+                    amount_sats: 1_000 + n,
+                    collateral: 1_200,
+                    psc_nonce: n,
+                };
+                let id = mgr.begin(step).unwrap();
+                if n % 3 != 0 {
+                    let outcome = Outcome::PaymentRegistered { payment_id: n };
+                    mgr.complete(id, outcome).unwrap();
+                }
+            }
+            let mut payload = Vec::new();
+            mgr.encode_state(&mut payload, |_| {});
+            assert_eq!(
+                mgr.digest(),
+                btcfast_crypto::sha256::sha256d(&payload),
+                "{payments} payments, {} bytes",
+                payload.len()
+            );
+        }
     }
 
     #[test]

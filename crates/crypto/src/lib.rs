@@ -8,7 +8,8 @@
 //! transactions. To keep that code path honest, this crate implements every
 //! primitive from scratch rather than mocking it:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256 and Bitcoin's double-SHA-256.
+//! * [`sha256`] — FIPS 180-4 SHA-256 and Bitcoin's double-SHA-256, on the
+//!   CPU's SHA instructions where it has them (the crate's one `unsafe` call).
 //! * [`ripemd160`] — RIPEMD-160, for Bitcoin-style `hash160` addresses.
 //! * [`hmac`] — HMAC-SHA256, used for RFC 6979 deterministic ECDSA nonces.
 //! * [`field`], [`scalar`], [`point`] — secp256k1 arithmetic.
@@ -38,7 +39,8 @@
 //! assert!(kp.public().verify(&digest.0, &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod base58;

@@ -1,10 +1,20 @@
 //! SHA-256 (FIPS 180-4) and Bitcoin's double-SHA-256, implemented from
-//! scratch.
+//! scratch — the fast path included: this crate's own code on the CPU's SHA
+//! instructions, not a library.
+//!
+//! Every hash in the system ends in one block primitive, `compress_blocks`,
+//! with two implementations: the portable function below and a kernel on
+//! the x86-64 SHA extensions (`ni`), taken per call whenever the running
+//! CPU reports them — never by a flag. [`backend`] names the one in use.
 //!
 //! The streaming [`Sha256`] hasher supports incremental input; the
 //! free functions [`sha256`] and [`sha256d`] cover the common one-shot cases.
 
 use crate::hash::Hash256;
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni;
 
 /// Round constants: first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes (FIPS 180-4 §4.2.2).
@@ -39,8 +49,8 @@ const H0: [u32; 8] = [
 #[derive(Clone, Debug)]
 pub struct Sha256 {
     state: [u32; 8],
+    /// The input past the last whole block: `total_len % 64` bytes.
     buffer: [u8; 64],
-    buffer_len: usize,
     total_len: u64,
 }
 
@@ -56,87 +66,86 @@ impl Sha256 {
         Sha256 {
             state: H0,
             buffer: [0u8; 64],
-            buffer_len: 0,
             total_len: 0,
         }
     }
 
     /// Absorbs more input.
     pub fn update(&mut self, mut data: &[u8]) {
+        let buffered = (self.total_len % 64) as usize;
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buffer_len > 0 {
-            let take = (64 - self.buffer_len).min(data.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
-            self.buffer_len += take;
+        if buffered > 0 {
+            let take = (64 - buffered).min(data.len());
+            self.buffer[buffered..buffered + take].copy_from_slice(&data[..take]);
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if buffered + take < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, &self.buffer);
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        // Whole blocks go straight from the caller's slice, in one call.
+        let (blocks, rest) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        self.buffer[..rest.len()].copy_from_slice(rest);
     }
 
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 8 bytes remain in the block, then the
-        // big-endian bit length.
-        self.update_padding_byte();
-        while self.buffer_len != 56 {
-            self.update_zero_byte();
-        }
-        let len_bytes = bit_len.to_be_bytes();
-        self.buffer[56..64].copy_from_slice(&len_bytes);
-        let block = self.buffer;
-        self.compress(&block);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        // Padding: 0x80, zeros, and the big-endian bit length in the last
+        // 8 bytes of a block — this one if 9 bytes are free in it, else the next.
+        let buffered = (self.total_len % 64) as usize;
+        let mut tail = [0u8; 128];
+        tail[..buffered].copy_from_slice(&self.buffer[..buffered]);
+        tail[buffered] = 0x80;
+        let end = if buffered < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, &tail[..end]);
+        digest_bytes(&self.state)
     }
+}
 
-    fn update_padding_byte(&mut self) {
-        self.buffer[self.buffer_len] = 0x80;
-        self.buffer_len += 1;
-        if self.buffer_len == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-        }
+/// The digest a final state stands for: its words, big-endian.
+fn digest_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
     }
+    out
+}
 
-    fn update_zero_byte(&mut self) {
-        self.buffer[self.buffer_len] = 0;
-        self.buffer_len += 1;
-        if self.buffer_len == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-        }
+/// The block primitive under every hash in the system: `blocks`, any number
+/// of whole 64-byte blocks, through the compression function — on the SHA
+/// extensions when the running CPU has them, portably otherwise.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole 64-byte blocks only");
+    #[cfg(target_arch = "x86_64")]
+    if ni::compress_blocks(state, blocks) {
+        return;
     }
+    compress_blocks_portable(state, blocks);
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Which implementation hashes on this host, `"sha-ni"` or `"portable"` —
+/// for run records: the second is several times slower.
+pub fn backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if ni::available() {
+        return "sha-ni";
+    }
+    "portable"
+}
+
+/// The compression function in portable arithmetic (FIPS 180-4 §6.2.2):
+/// the only path on hosts without the SHA extensions — production code
+/// reaches it through `compress_blocks` alone — and the tests' oracle.
+#[doc(hidden)]
+pub fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.as_chunks::<64>().0 {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -147,7 +156,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -171,15 +180,24 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
     }
+}
+
+/// SHA-256 by the textbook route — pad a copy, compress it in one call —
+/// over a block function given by name. Over the portable one it is the
+/// oracle that tests and the audit engine hold [`sha256`] against.
+#[doc(hidden)]
+pub fn sha256_with(compress: fn(&mut [u32; 8], &[u8]), data: &[u8]) -> [u8; 32] {
+    let mut padded = data.to_vec();
+    padded.push(0x80);
+    padded.resize((data.len() + 9).next_multiple_of(64) - 8, 0);
+    padded.extend_from_slice(&(data.len() as u64).wrapping_mul(8).to_be_bytes());
+    let mut state = H0;
+    compress(&mut state, &padded);
+    digest_bytes(&state)
 }
 
 /// One-shot SHA-256.
@@ -217,28 +235,65 @@ mod tests {
     use super::*;
     use crate::hex;
 
-    // FIPS 180-4 / NIST CAVP test vectors.
+    use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
+
+    /// FIPS 180-4 / NIST CAVP test vectors.
+    const NIST: &[(&[u8], &str)] = &[
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+        (
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+        ),
+    ];
+    const MILLION_A: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+
+    type Compress = fn(&mut [u32; 8], &[u8]);
+
+    /// The kernel by name, past the dispatcher (callers checked it exists).
+    #[cfg(target_arch = "x86_64")]
+    fn compress_blocks_ni(state: &mut [u32; 8], blocks: &[u8]) {
+        assert!(ni::compress_blocks(state, blocks), "no SHA extensions");
+    }
+
+    /// Every implementation this host can run, by name: the portable one
+    /// always — a SHA host never takes it in production, so only tests keep
+    /// it honest there — and the kernel where the CPU has the instructions.
+    fn implementations() -> Vec<(&'static str, Compress)> {
+        let mut all: Vec<(&'static str, Compress)> = vec![("portable", compress_blocks_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if ni::available() {
+            all.push(("sha-ni", compress_blocks_ni));
+        }
+        if all.len() == 1 {
+            println!("note: no SHA extensions on this host; the sha-ni kernel is not tested");
+        }
+        all
+    }
+
+    fn oracle(data: &[u8]) -> [u8; 32] {
+        sha256_with(compress_blocks_portable, data)
+    }
+
+    fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
+        let mut data = vec![0u8; len];
+        rng.fill_bytes(&mut data);
+        data
+    }
+
     #[test]
     fn nist_vectors() {
-        let cases: &[(&[u8], &str)] = &[
-            (
-                b"",
-                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            ),
-            (
-                b"abc",
-                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
-            ),
-            (
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
-            ),
-            (
-                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
-                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
-            ),
-        ];
-        for (input, expected) in cases {
+        for (input, expected) in NIST {
             assert_eq!(hex::encode(&sha256(input)), *expected);
         }
     }
@@ -246,10 +301,86 @@ mod tests {
     #[test]
     fn million_a() {
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex::encode(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(hex::encode(&sha256(&data)), MILLION_A);
+    }
+
+    #[test]
+    fn each_implementation_passes_the_nist_vectors_and_million_a() {
+        let million = vec![b'a'; 1_000_000];
+        for (name, compress) in implementations() {
+            for (input, expected) in NIST {
+                let digest = sha256_with(compress, input);
+                assert_eq!(hex::encode(&digest), *expected, "{name}");
+            }
+            let digest = sha256_with(compress, &million);
+            assert_eq!(hex::encode(&digest), MILLION_A, "{name}");
+        }
+    }
+
+    #[test]
+    fn the_backend_named_is_the_best_this_cpu_offers() {
+        let (name, _) = *implementations().last().unwrap();
+        assert_eq!(backend(), name);
+    }
+
+    #[test]
+    fn every_implementation_and_every_split_agree_on_every_length_to_257() {
+        // Covers each padding shape of `finalize` (0..=55 one block, 56..=63
+        // two, then again past each block boundary: 55 | 56, 63 | 64 | 65,
+        // 119 | 120 …) and every way `update` can meet a part-filled buffer.
+        let data = random_bytes(&mut StdRng::seed_from_u64(18), 257);
+        for len in 0..=data.len() {
+            let data = &data[..len];
+            let expected = oracle(data);
+            for (name, compress) in implementations() {
+                assert_eq!(sha256_with(compress, data), expected, "{name}, len {len}");
+            }
+            for split in 0..=len {
+                let mut h = Sha256::new();
+                h.update(&data[..split]);
+                h.update(&data[split..]);
+                assert_eq!(h.finalize(), expected, "len {len}, split {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn random_inputs_through_random_chunkings_match_the_portable_oracle() {
+        let mut rng = StdRng::seed_from_u64(1818);
+        for case in 0..64 {
+            let len = rng.gen_range(0..=8192usize);
+            let data = random_bytes(&mut rng, len);
+            let (mut h, mut rest) = (Sha256::new(), &data[..]);
+            while !rest.is_empty() {
+                // Mostly short pieces, sometimes one spanning many blocks.
+                let most = if rng.gen_bool(0.2) { rest.len() } else { 150 };
+                let (piece, tail) = rest.split_at(rng.gen_range(0..=most.min(rest.len())));
+                h.update(piece);
+                rest = tail;
+            }
+            assert_eq!(h.finalize(), oracle(&data), "case {case}, len {len}");
+            assert_eq!(sha256(&data), oracle(&data), "case {case}, len {len}");
+        }
+    }
+
+    #[test]
+    fn a_multi_block_call_equals_block_at_a_time() {
+        let data = random_bytes(&mut StdRng::seed_from_u64(64), 64 * 9);
+        let mut expected = H0;
+        for block in data.chunks(64) {
+            compress_blocks_portable(&mut expected, block);
+        }
+        for (name, compress) in implementations() {
+            for first in 0..=9 {
+                let (mut state, (head, tail)) = (H0, data.split_at(64 * first));
+                compress(&mut state, head);
+                compress(&mut state, tail);
+                assert_eq!(state, expected, "{name}, {first} + {} blocks", 9 - first);
+            }
+        }
+        let mut dispatched = H0;
+        compress_blocks(&mut dispatched, &data);
+        assert_eq!(dispatched, expected);
     }
 
     #[test]
