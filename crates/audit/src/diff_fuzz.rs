@@ -13,21 +13,25 @@
 //!   native value must be conserved after every block, and every block's
 //!   incrementally maintained state commitment must equal a from-scratch
 //!   rebuild of the Merkle trie from the state maps.
-//! * `evidence-cache` — the parallel memoizing [`EvidenceVerifier`] must
-//!   return the byte-identical verdict as the sequential verifier, cold
-//!   and warm, and cache hits must not change gas accounting.
+//! * `evidence-preflight` — the free evidence check a client preflights
+//!   with must be the contract's: same verdict, revert string and summary
+//!   as the metered on-chain path, whose gas depends only on the bundle's
+//!   shape.
 
 use crate::codec_fuzz::shared_btc;
 use crate::invariants::check_chain;
 use crate::source::ByteSource;
 use btcfast_btcsim::miner::Miner;
 use btcfast_btcsim::params::ChainParams;
+use btcfast_btcsim::pow::CompactBits;
 use btcfast_btcsim::spv::SpvEvidence;
 use btcfast_btcsim::wallet::Wallet;
 use btcfast_btcsim::{Amount, Chain, U256};
 use btcfast_crypto::{Hash256, KeyPair};
-use btcfast_payjudger::evidence::{verify_on_chain_with, EvidenceBundle};
-use btcfast_payjudger::{EvidenceVerifier, VerifierConfig};
+use btcfast_payjudger::evidence::{
+    check_evidence, verify_on_chain, EvidenceBundle, VerifiedEvidence,
+};
+use btcfast_payjudger::{EvidenceVerifier, PayJudgerClient};
 use btcfast_pscsim::account::AccountId;
 use btcfast_pscsim::codec::{Decode, Encode};
 use btcfast_pscsim::contract::{Contract, ContractError, Env, HostStorage, Storage};
@@ -480,16 +484,17 @@ pub fn diff_psc_replay(bytes: &[u8]) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// evidence-cache
+// evidence-preflight
 // ---------------------------------------------------------------------------
 
-/// Runs the metered on-chain verification path, returning the verdict
-/// transcript and the gas consumed.
+/// Runs the metered on-chain verification path, returning its verdict and
+/// the gas consumed.
 fn metered_verdict(
     bundle: &EvidenceBundle,
+    checkpoint: &Hash256,
+    bits: CompactBits,
     expected_txid: &Hash256,
-    accel: Option<&EvidenceVerifier>,
-) -> (String, u64) {
+) -> (Result<VerifiedEvidence, ContractError>, u64) {
     let mut world = WorldState::new();
     let mut meter = GasMeter::new(50_000_000);
     let schedule = GasSchedule::evm_shaped();
@@ -501,20 +506,12 @@ fn metered_verdict(
         events: Vec::new(),
         transfers: Vec::new(),
     };
-    let bits = ChainParams::regtest().pow_limit_bits;
-    let verdict = verify_on_chain_with(
-        bundle,
-        &bundle.0.segment.anchor,
-        bits,
-        expected_txid,
-        &mut storage,
-        accel,
-    );
-    (format!("{verdict:?}"), storage.gas_used())
+    let verdict = verify_on_chain(bundle, checkpoint, bits, expected_txid, &mut storage);
+    (verdict, storage.gas_used())
 }
 
-/// Fuzzes the accelerated verifier against the sequential reference.
-pub fn diff_evidence_cache(bytes: &[u8]) -> Result<(), String> {
+/// Fuzzes the free evidence check against the metered contract path.
+pub fn diff_evidence_preflight(bytes: &[u8]) -> Result<(), String> {
     let shared = shared_btc();
     let mut src = ByteSource::new(bytes);
     let from = 1 + src.choice(10) as u64;
@@ -527,6 +524,9 @@ pub fn diff_evidence_cache(bytes: &[u8]) -> Result<(), String> {
         to,
         with_inclusion.then_some(&expected_txid),
     );
+    // The escrow's checkpoint is the honest anchor, so a mutation that
+    // lands in the anchor reaches the checkpoint test.
+    let checkpoint = evidence.segment.anchor;
     let mut buf = EvidenceBundle(evidence).encode();
     if src.bool() {
         let flips = 1 + src.choice(4);
@@ -539,36 +539,38 @@ pub fn diff_evidence_cache(bytes: &[u8]) -> Result<(), String> {
         return Ok(()); // typed rejection is a pass for this engine
     };
 
-    let min_target = ChainParams::regtest()
-        .pow_limit_bits
-        .to_target()
-        .expect("regtest limit decodes");
-    let naive = bundle.0.verify(&min_target);
-    let verifier = EvidenceVerifier::new(VerifierConfig { cache_capacity: 8 });
-    let cold = verifier.verify_evidence(&bundle.0, &min_target);
-    let warm = verifier.verify_evidence(&bundle.0, &min_target);
-    if naive != cold {
+    let bits = ChainParams::regtest().pow_limit_bits;
+    let free = check_evidence(&bundle.0, &checkpoint, bits, &expected_txid);
+    let (metered, gas) = metered_verdict(&bundle, &checkpoint, bits, &expected_txid);
+    if metered != free.clone().map_err(ContractError::Revert) {
         return Err(format!(
-            "accelerated verifier diverged cold: {naive:?} vs {cold:?}"
+            "the contract diverged from the free check: {metered:?} vs {free:?}"
         ));
     }
-    if cold != warm {
+    let preflight = PayJudgerClient::preflight_evidence(
+        &EvidenceVerifier,
+        &bundle.0,
+        &checkpoint,
+        bits.0,
+        &expected_txid,
+    );
+    if preflight != free.map(|verified| verified.summary) {
         return Err(format!(
-            "warm cache changed the verdict: {cold:?} vs {warm:?}"
+            "preflight is not the check's summary: {preflight:?}"
         ));
     }
 
-    // The accelerator must not perturb on-chain verdicts *or* gas.
-    let (plain, plain_gas) = metered_verdict(&bundle, &expected_txid, None);
-    let (accel, accel_gas) = metered_verdict(&bundle, &expected_txid, Some(&verifier));
-    if plain != accel {
-        return Err(format!(
-            "on-chain verdict diverged with accelerator: {plain} vs {accel}"
-        ));
+    // Gas prices the bundle's shape (header count, proof depth), never its
+    // content: a twin tampered in place costs the same.
+    let mut twin = bundle;
+    match twin.0.segment.headers.len() {
+        0 => twin.0.segment.anchor.0[0] ^= 1,
+        n => twin.0.segment.headers[src.choice(n)].nonce ^= 1,
     }
-    if plain_gas != accel_gas {
+    let (_, twin_gas) = metered_verdict(&twin, &checkpoint, bits, &expected_txid);
+    if gas != twin_gas {
         return Err(format!(
-            "cache warmth leaked into gas accounting: {plain_gas} vs {accel_gas}"
+            "gas depends on evidence content: {gas} vs {twin_gas} for the tampered twin"
         ));
     }
     Ok(())
@@ -586,7 +588,7 @@ mod tests {
                 .collect();
             diff_chain_reorg(&bytes).unwrap();
             diff_psc_replay(&bytes).unwrap();
-            diff_evidence_cache(&bytes).unwrap();
+            diff_evidence_preflight(&bytes).unwrap();
         }
     }
 
@@ -594,6 +596,6 @@ mod tests {
     fn empty_input_is_a_boring_schedule() {
         diff_chain_reorg(&[]).unwrap();
         diff_psc_replay(&[]).unwrap();
-        diff_evidence_cache(&[]).unwrap();
+        diff_evidence_preflight(&[]).unwrap();
     }
 }

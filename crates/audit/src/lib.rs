@@ -165,8 +165,8 @@ pub const TARGETS: &[Target] = &[
     },
     Target {
         engine: Engine::Diff,
-        name: "evidence-cache",
-        check: diff_fuzz::diff_evidence_cache,
+        name: "evidence-preflight",
+        check: diff_fuzz::diff_evidence_preflight,
     },
     Target {
         engine: Engine::Invariant,

@@ -10,7 +10,7 @@
 //! phases inside the measured wait, and their sum is the accept span.
 //!
 //! Two companion tables dump the scraped subsystem counters (mempool,
-//! chains, verifier cache) and the determinism evidence: two sharded
+//! chains, signature caches) and the determinism evidence: two sharded
 //! engine runs at the same seed, whose fingerprints — which hash the
 //! rendered JSONL traces — must match byte for byte.
 
@@ -82,13 +82,8 @@ fn phase_table(events: &[TraceEvent]) -> Table {
 fn metrics_table(registry: &Registry) -> Table {
     let mut table = Table::new("E12 — scraped subsystem counters", &["metric", "value"]);
     for (name, value) in registry.snapshot() {
-        let rendered = match value {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => v.to_string(),
-            MetricValue::Histogram(count, sum, p50, p95, p99) => {
-                format!("count={count} sum={sum} p50={p50} p95={p95} p99={p99}")
-            }
-        };
-        table.push(vec![name, rendered]);
+        let (MetricValue::Counter(v) | MetricValue::Gauge(v)) = value;
+        table.push(vec![name, v.to_string()]);
     }
     table
 }

@@ -74,23 +74,11 @@ impl Miner {
         let subsidy =
             Amount::from_sats(self.params.subsidy_at(height)).expect("subsidy within money supply");
 
-        // Select valid transactions and compute their fees.
-        let mut fees = Amount::ZERO;
-        let mut included = Vec::with_capacity(txs.len());
-        if parent == chain.tip_hash() {
-            let mut scratch = chain.utxo().clone();
-            for tx in txs {
-                match scratch.apply_transaction(&tx, height) {
-                    Ok(fee) => {
-                        fees = fees.checked_add(fee).expect("fees within money supply");
-                        included.push(tx);
-                    }
-                    Err(_) => { /* drop invalid transaction */ }
-                }
-            }
+        let (included, fees) = if parent == chain.tip_hash() {
+            chain.utxo().select_valid(txs, height)
         } else {
-            included = txs;
-        }
+            (txs, Amount::ZERO)
+        };
 
         let reward = subsidy.checked_add(fees).expect("reward within supply");
         self.extra_nonce += 1;

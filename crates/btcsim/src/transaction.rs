@@ -319,7 +319,7 @@ impl Transaction {
     /// Returns [`TxError::InputIndexOutOfRange`] when `spent_scripts` is
     /// longer than the input list, or the first [`ScriptError`] in input
     /// order.
-    pub fn signature_statements(
+    pub(crate) fn signature_statements(
         &self,
         spent_scripts: &[ScriptPubKey],
     ) -> Result<Vec<SpendStatement>, TxError> {

@@ -9,6 +9,7 @@ use crate::amount::Amount;
 use crate::block::Block;
 use crate::script::ScriptPubKey;
 use crate::transaction::{OutPoint, Transaction, TxError};
+use btcfast_crypto::batch::{verify_batch, BatchItem, BatchStats};
 use btcfast_crypto::keys::Address;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -166,8 +167,8 @@ pub struct SigCacheStats {
     pub misses: u64,
     /// Times the cache hit capacity and was cleared.
     pub resets: u64,
-    /// Statements inserted by [`prime_sig_cache`] (batch pre-verification)
-    /// rather than by a sequential verification.
+    /// Transactions inserted by [`UtxoSet::preverify_signatures`] rather
+    /// than by a sequential verification.
     pub primed: u64,
 }
 
@@ -271,18 +272,11 @@ fn sig_cache_insert(key: btcfast_crypto::Hash256) {
 }
 
 /// Marks `tx` as script-verified in this thread's signature cache without
-/// re-running any ECDSA, so a later [`UtxoSet::validate_transaction`] /
-/// mempool admission hits the cache exactly as if the transaction had
-/// already been verified sequentially.
-///
-/// Callers must have *proven* every input first — the supported flow is
-/// collecting [`Transaction::signature_statements`] (which runs every
-/// non-signature script rule) and batch-verifying all of them
-/// (`btcfast_crypto::batch`). Priming an unproven transaction would
-/// forge a verification, which is why the statement collection refuses
-/// transactions whose cheap rules fail: a primed hit can only ever replay
-/// a verification that would have succeeded.
-pub fn prime_sig_cache(tx: &Transaction, spent_scripts: &[ScriptPubKey]) {
+/// re-running any ECDSA. Private: priming an unproven transaction would
+/// forge a verification, so the only caller is
+/// [`UtxoSet::preverify_signatures`], which primes a transaction only
+/// after every one of its statements passed the batch verifier.
+fn prime_sig_cache(tx: &Transaction, spent_scripts: &[ScriptPubKey]) {
     let key = sig_cache_key(tx, spent_scripts);
     sig_cache_insert(key);
     SIG_CACHE_STATS.with(|s| {
@@ -306,6 +300,8 @@ struct BlockOverlay<'a> {
     spent: Vec<(OutPoint, Coin)>,
     /// Fast membership for `spent`.
     spent_set: HashSet<OutPoint>,
+    /// Fees of the transactions staged so far.
+    fees: Amount,
 }
 
 /// The net effect of a fully validated block, ready to commit.
@@ -326,7 +322,25 @@ impl<'a> BlockOverlay<'a> {
             created_order: Vec::new(),
             spent: Vec::new(),
             spent_set: HashSet::new(),
+            fees: Amount::ZERO,
         }
+    }
+
+    /// Validates a non-coinbase transaction on top of everything staged so
+    /// far, then stages its effect and adds its fee to `self.fees`. On a
+    /// validation error nothing is staged.
+    fn stage(&mut self, tx: &Transaction, height: u64) -> Result<(), UtxoError> {
+        let fee = validate_against(self, tx, height)?;
+        let fees = self
+            .fees
+            .checked_add(fee)
+            .ok_or(UtxoError::ValueOutOfRange)?;
+        for input in &tx.inputs {
+            self.spend(input.previous_output)?;
+        }
+        self.create_outputs(tx, height, false);
+        self.fees = fees;
+        Ok(())
     }
 
     /// Stages the consumption of an already validated input.
@@ -441,12 +455,9 @@ impl UtxoSet {
         self.coins.get(outpoint)
     }
 
-    /// The scripts locking each input of `tx`, in input order.
-    ///
-    /// Returns `None` when any referenced coin is missing from the set; the
-    /// transaction cannot validate in that case, so callers (like batch
-    /// signature pre-verification) simply fall back to the sequential path.
-    pub fn spent_scripts(&self, tx: &Transaction) -> Option<Vec<ScriptPubKey>> {
+    /// The scripts locking each input of `tx`, in input order, or `None`
+    /// when a referenced coin is missing from the set.
+    fn spent_scripts(&self, tx: &Transaction) -> Option<Vec<ScriptPubKey>> {
         tx.inputs
             .iter()
             .map(|input| {
@@ -455,6 +466,53 @@ impl UtxoSet {
                     .map(|coin| coin.script_pubkey.clone())
             })
             .collect()
+    }
+
+    /// Verifies every input signature of `txs` at once with the randomized
+    /// batch verifier and primes this thread's signature cache for the
+    /// transactions it proved, so the [`Self::validate_transaction`] and
+    /// mempool admission that follow hit the cache instead of running
+    /// ECDSA one signature at a time. Returns the batch's work counters.
+    ///
+    /// A cost optimization only — no verdict moves:
+    ///
+    /// * a transaction that spends a coin missing from this set, or whose
+    ///   witness fails a non-signature script rule, is skipped and left to
+    ///   the sequential path with its exact error;
+    /// * the batch verdict equals the per-signature oracle's (failed
+    ///   batches bisect down to single `ecdsa::verify` calls), and only a
+    ///   transaction with no invalid statement is primed;
+    /// * `seed` drives the randomizers alone, so the same `(txs, seed)`
+    ///   replays identical work.
+    pub fn preverify_signatures(&self, txs: &[Transaction], seed: u64) -> BatchStats {
+        let mut items = Vec::new();
+        let mut spans = Vec::with_capacity(txs.len());
+        for tx in txs {
+            let Some(scripts) = self.spent_scripts(tx) else {
+                continue;
+            };
+            let Ok(statements) = tx.signature_statements(&scripts) else {
+                continue;
+            };
+            let start = items.len();
+            items.extend(statements.iter().map(|s| BatchItem {
+                pubkey: *s.pubkey.point(),
+                digest: s.sighash,
+                signature: s.signature,
+                recovery: s.recovery,
+            }));
+            spans.push((tx, scripts, start..items.len()));
+        }
+        if items.is_empty() {
+            return BatchStats::default();
+        }
+        let outcome = verify_batch(&items, seed);
+        for (tx, scripts, range) in spans {
+            if !outcome.invalid.iter().any(|&i| range.contains(&i)) {
+                prime_sig_cache(tx, &scripts);
+            }
+        }
+        outcome.stats
     }
 
     /// Number of unspent coins.
@@ -532,25 +590,20 @@ impl UtxoSet {
         validate_against(self, tx, height)
     }
 
-    /// Validates and applies a single non-coinbase transaction, mutating the
-    /// set and returning the fee. Used by miners and mempools to evaluate
-    /// chained unconfirmed transactions; block connection goes through
-    /// [`UtxoSet::apply_block`].
-    ///
-    /// # Errors
-    ///
-    /// See [`UtxoError`]; the set is unchanged on error.
-    pub fn apply_transaction(
-        &mut self,
-        tx: &Transaction,
-        height: u64,
-    ) -> Result<Amount, UtxoError> {
-        let fee = self.validate_transaction(tx, height)?;
-        for input in &tx.inputs {
-            self.remove_coin(&input.previous_output);
+    /// Block-template selection: the transactions of `txs`, in order, that
+    /// validate at `height` on top of this set and the ones selected before
+    /// them (so a child may spend its unconfirmed parent, and of two
+    /// conflicting spends the first wins), with the fees they pay in total.
+    /// Invalid candidates are dropped; the set is not touched.
+    pub fn select_valid(&self, txs: Vec<Transaction>, height: u64) -> (Vec<Transaction>, Amount) {
+        let mut overlay = BlockOverlay::new(self);
+        let mut selected = Vec::with_capacity(txs.len());
+        for tx in txs {
+            if overlay.stage(&tx, height).is_ok() {
+                selected.push(tx);
+            }
         }
-        self.add_outputs(tx, height, false);
-        Ok(fee)
+        (selected, overlay.fees)
     }
 
     /// Applies a structurally valid block at `height`, returning the undo
@@ -583,23 +636,14 @@ impl UtxoSet {
         subsidy: Amount,
     ) -> Result<StagedBlock, UtxoError> {
         let mut overlay = BlockOverlay::new(self);
-        let mut total_fees = Amount::ZERO;
-
         for tx in block.transactions.iter().skip(1) {
-            let fee = validate_against(&overlay, tx, height)?;
-            total_fees = total_fees
-                .checked_add(fee)
-                .ok_or(UtxoError::ValueOutOfRange)?;
-            for input in &tx.inputs {
-                overlay.spend(input.previous_output)?;
-            }
-            overlay.create_outputs(tx, height, false);
+            overlay.stage(tx, height)?;
         }
 
         // Coinbase value rule.
         let coinbase = &block.transactions[0];
         let allowed = subsidy
-            .checked_add(total_fees)
+            .checked_add(overlay.fees)
             .ok_or(UtxoError::ValueOutOfRange)?;
         let claimed = coinbase.total_output();
         if claimed > allowed {
@@ -624,28 +668,6 @@ impl UtxoSet {
             undo.created.push(outpoint);
         }
         undo
-    }
-
-    fn add_outputs(&mut self, tx: &Transaction, height: u64, is_coinbase: bool) {
-        let txid = tx.txid();
-        for (vout, output) in tx.outputs.iter().enumerate() {
-            if output.script_pubkey.is_unspendable() {
-                continue;
-            }
-            let outpoint = OutPoint {
-                txid,
-                vout: vout as u32,
-            };
-            self.insert_coin(
-                outpoint,
-                Coin {
-                    value: output.value,
-                    script_pubkey: output.script_pubkey.clone(),
-                    height,
-                    is_coinbase,
-                },
-            );
-        }
     }
 
     /// Sum of every unspent coin's value, or `None` on overflow. The
@@ -1108,49 +1130,148 @@ mod tests {
         fx.utxo.validate_transaction(&valid, height).unwrap();
     }
 
+    /// Three mature coinbases and one spend of each to `to`.
+    fn three_spends(fx: &mut Fixture, to: Address) -> Vec<Transaction> {
+        let blocks: Vec<Block> = (0..3).map(|_| fx.mine(vec![]).0).collect();
+        fx.mine(vec![]);
+        blocks
+            .iter()
+            .map(|block| fx.spend_coinbase(block, to, sats(7_000)))
+            .collect()
+    }
+
     #[test]
     fn primed_cache_entry_replays_a_sequential_verification_exactly() {
         let mut fx = Fixture::new();
-        let (b1, _) = fx.mine(vec![]);
-        fx.mine(vec![]);
         let customer = KeyPair::from_seed(b"primed customer");
-        let valid = fx.spend_coinbase(&b1, customer.address(), sats(7_000));
+        let txs = three_spends(&mut fx, customer.address());
         let height = fx.height + 1;
 
-        // Batch pre-verification flow: resolve scripts, extract statements
-        // (proving every non-signature rule), batch-verify, then prime.
-        let scripts = fx.utxo.spent_scripts(&valid).expect("coins present");
-        let statements = valid.signature_statements(&scripts).expect("clean spend");
-        let items: Vec<btcfast_crypto::batch::BatchItem> = statements
-            .iter()
-            .map(|s| btcfast_crypto::batch::BatchItem {
-                pubkey: *s.pubkey.point(),
-                digest: s.sighash,
-                signature: s.signature,
-                recovery: s.recovery,
-            })
-            .collect();
-        assert!(btcfast_crypto::batch::verify_batch(&items, 42).all_valid());
-        reset_sig_cache_stats();
-        prime_sig_cache(&valid, &scripts);
-        let primed = fx.utxo.validate_transaction(&valid, height).unwrap();
-        let stats = sig_cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.primed), (1, 0, 1));
-
-        // The primed hit returns exactly what a sequential validation would.
+        // An all-valid batch primes every transaction, and the validations
+        // that follow add no miss.
         clear_sig_cache();
         reset_sig_cache_stats();
-        let sequential = fx.utxo.validate_transaction(&valid, height).unwrap();
-        assert_eq!(primed, sequential);
-        assert_eq!(sig_cache_stats().misses, 1);
+        let batch = fx.utxo.preverify_signatures(&txs, 42);
+        assert_eq!(batch.items, 3);
+        let primed: Vec<Amount> = txs
+            .iter()
+            .map(|tx| fx.utxo.validate_transaction(tx, height).unwrap())
+            .collect();
+        let stats = sig_cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.primed), (3, 0, 3));
 
-        // A transaction with a bad witness never reaches priming: statement
-        // extraction itself rejects structural failures, and a tampered
-        // witness keys a different cache entry anyway.
-        let mut tampered = valid.clone();
-        tampered.inputs[0].witness = None;
-        assert!(tampered.signature_statements(&scripts).is_err());
-        assert!(fx.utxo.validate_transaction(&tampered, height).is_err());
+        // A primed hit returns exactly what a sequential validation does.
+        clear_sig_cache();
+        reset_sig_cache_stats();
+        let sequential: Vec<Amount> = txs
+            .iter()
+            .map(|tx| fx.utxo.validate_transaction(tx, height).unwrap())
+            .collect();
+        assert_eq!(primed, sequential);
+        assert_eq!(sig_cache_stats().misses, 3);
+    }
+
+    #[test]
+    fn one_bad_signature_leaves_exactly_that_transaction_unprimed() {
+        let mut fx = Fixture::new();
+        let customer = KeyPair::from_seed(b"stale customer");
+        let mut txs = three_spends(&mut fx, customer.address());
+        let height = fx.height + 1;
+        // Right key, stale signature: the witness passes every cheap script
+        // rule and only ECDSA can tell.
+        txs[1].outputs[0].value = sats(6_999);
+
+        clear_sig_cache();
+        let plain = fx.utxo.validate_transaction(&txs[1], height);
+        assert!(matches!(plain, Err(UtxoError::Tx(_))), "{plain:?}");
+
+        clear_sig_cache();
+        reset_sig_cache_stats();
+        let batch = fx.utxo.preverify_signatures(&txs, 43);
+        assert_eq!(batch.items, 3);
+        assert_eq!(sig_cache_stats().primed, 2);
+        assert_eq!(fx.utxo.validate_transaction(&txs[1], height), plain);
+        assert_eq!(sig_cache_stats().misses, 1, "the bad one ran ECDSA");
+        fx.utxo.validate_transaction(&txs[0], height).unwrap();
+        fx.utxo.validate_transaction(&txs[2], height).unwrap();
+        assert_eq!(sig_cache_stats().hits, 2);
+    }
+
+    #[test]
+    fn preverification_skips_what_it_cannot_state() {
+        let mut fx = Fixture::new();
+        let customer = KeyPair::from_seed(b"skipped customer");
+        let mut txs = three_spends(&mut fx, customer.address());
+        let height = fx.height + 1;
+        // An unknown coin and a missing witness are left to the sequential
+        // path, which names them.
+        let ghost = OutPoint {
+            txid: Hash256([7; 32]),
+            vout: 0,
+        };
+        txs[0].inputs[0].previous_output = ghost;
+        txs[2].inputs[0].witness = None;
+
+        clear_sig_cache();
+        reset_sig_cache_stats();
+        let batch = fx.utxo.preverify_signatures(&txs, 44);
+        assert_eq!(batch.items, 1);
+        assert_eq!(sig_cache_stats().primed, 1);
+        assert_eq!(
+            fx.utxo.validate_transaction(&txs[0], height),
+            Err(UtxoError::MissingCoin(ghost))
+        );
+        assert!(matches!(
+            fx.utxo.validate_transaction(&txs[2], height),
+            Err(UtxoError::Tx(_))
+        ));
+        assert_eq!(
+            fx.utxo.preverify_signatures(&txs[..1], 45),
+            BatchStats::default()
+        );
+    }
+
+    #[test]
+    fn template_selection_chains_drops_and_resolves_conflicts_in_order() {
+        let mut fx = Fixture::new();
+        let customer = KeyPair::from_seed(b"template customer");
+        let merchant = KeyPair::from_seed(b"template merchant");
+        let (b1, _) = fx.mine(vec![]);
+        let txs = three_spends(&mut fx, customer.address());
+        let height = fx.height + 1;
+
+        // A child spending its unconfirmed parent: both stay.
+        let parent = txs[0].clone();
+        let mut child = Transaction::new(
+            vec![TxIn::spend(OutPoint {
+                txid: parent.txid(),
+                vout: 0,
+            })],
+            vec![TxOut::payment(sats(6_500), merchant.address())],
+        );
+        child
+            .sign_input(0, &customer, &parent.outputs[0].script_pubkey)
+            .unwrap();
+        // An invalid one in the middle (stale signature) is dropped and the
+        // independent spend after it kept.
+        let mut stale = txs[1].clone();
+        stale.outputs[0].value = sats(6_999);
+        // Of two spends of the same coin the first wins.
+        let first = fx.spend_coinbase(&b1, customer.address(), sats(1_000));
+        let second = fx.spend_coinbase(&b1, merchant.address(), sats(2_000));
+
+        let candidates = vec![
+            parent.clone(),
+            child.clone(),
+            stale,
+            txs[2].clone(),
+            first.clone(),
+            second,
+        ];
+        let (selected, fees) = fx.utxo.select_valid(candidates, height);
+        assert_eq!(selected, vec![parent, child, txs[2].clone(), first]);
+        // Three coinbase spends pay 1000 each, the child 500.
+        assert_eq!(fees, sats(3_500));
     }
 
     #[test]

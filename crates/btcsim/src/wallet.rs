@@ -56,11 +56,6 @@ impl Wallet {
         }
     }
 
-    /// Wraps an existing key pair.
-    pub fn from_keys(keys: KeyPair) -> Wallet {
-        Wallet { keys }
-    }
-
     /// The wallet's key pair.
     pub fn keys(&self) -> &KeyPair {
         &self.keys

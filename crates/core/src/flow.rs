@@ -30,12 +30,14 @@ use crate::protocol::RejectReason;
 use crate::recovery::{Outcome, Step};
 use crate::robustness::ProtocolPhase;
 use crate::session::{FastPaySession, RaceOutcome, SessionError};
+use btcfast_btcsim::pow::CompactBits;
 use btcfast_btcsim::spv::SpvEvidence;
 use btcfast_btcsim::transaction::Transaction;
 use btcfast_crypto::Hash256;
 use btcfast_netsim::time::SimTime;
 use btcfast_obs::{Field, TraceContext};
 use btcfast_payjudger::client::CALL_GAS_LIMIT;
+use btcfast_payjudger::evidence::check_evidence;
 use btcfast_payjudger::retry::RetryReport;
 use btcfast_payjudger::types::DisputeVerdict;
 use btcfast_payjudger::PayJudgerClient;
@@ -436,10 +438,9 @@ pub(crate) struct Dispute {
     pub fee_units: u128,
 }
 
-/// Preflights `evidence` off-chain through the session's shared verifier
-/// before gas is paid to submit it: the same checks `submit_evidence`
-/// performs, anchored at the payment's opening checkpoint. Pure — no
-/// clock, RNG, gas or trace effect.
+/// Preflights `evidence` off-chain before gas is paid to submit it: the
+/// check `submit_evidence` runs, anchored at the payment's opening
+/// checkpoint. Pure — no clock, RNG, gas or trace effect.
 fn preflight(
     session: &FastPaySession,
     evidence: &SpvEvidence,
@@ -454,11 +455,10 @@ fn preflight(
         .judger
         .config(&session.psc)
         .map_err(|e| SessionError::Psc(format!("config view: {e}")))?;
-    PayJudgerClient::preflight_evidence(
-        session.verifier(),
+    check_evidence(
         evidence,
         &payment.checkpoint,
-        config.min_target_bits,
+        CompactBits(config.min_target_bits),
         txid,
     )
     .map(|_| ())
@@ -511,8 +511,8 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
         }
         fx.journal_done(Outcome::Applied)?;
 
-        // Gas-free preflight through the shared accelerated verifier: a
-        // doomed submission never reaches the chain (nor the journal).
+        // Gas-free preflight with the contract's own check: a doomed
+        // submission never reaches the chain (nor the journal).
         preflight(fx.session(), &call.evidence, payment_id, &txid)?;
         let submitted = psc_phase(
             fx,

@@ -9,11 +9,10 @@ use btcfast_btcsim::spv::SpvEvidence;
 use btcfast_btcsim::wallet::Wallet;
 use btcfast_crypto::keys::KeyPair;
 use btcfast_crypto::Hash256;
-use btcfast_payjudger::{EvidenceVerifier, PayJudgerClient};
+use btcfast_payjudger::PayJudgerClient;
 use btcfast_pscsim::account::AccountId;
 use btcfast_pscsim::tx::PscTransaction;
 use btcfast_pscsim::PscChain;
-use std::sync::Arc;
 
 /// A BTCFast merchant: verifies offers against both chains before releasing
 /// goods at 0 confirmations.
@@ -22,10 +21,6 @@ pub struct Merchant {
     btc_wallet: Wallet,
     psc_keys: KeyPair,
     policy: AcceptancePolicy,
-    /// Shared accelerated evidence verifier: the protocol driver preflights
-    /// dispute evidence through it, so repeated rounds on a growing tip
-    /// only verify the delta.
-    verifier: Arc<EvidenceVerifier>,
 }
 
 impl Merchant {
@@ -39,14 +34,7 @@ impl Merchant {
             btc_wallet: Wallet::from_seed(&btc_seed),
             psc_keys: KeyPair::from_seed(&psc_seed),
             policy,
-            verifier: Arc::new(EvidenceVerifier::default()),
         }
-    }
-
-    /// The shared evidence verifier (clone the `Arc` to share the memo with
-    /// other components of the same deployment, e.g. the session driver).
-    pub fn verifier(&self) -> &Arc<EvidenceVerifier> {
-        &self.verifier
     }
 
     /// The BTC receiving wallet.

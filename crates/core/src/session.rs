@@ -40,6 +40,7 @@ use btcfast_btcsim::mempool::Mempool;
 use btcfast_btcsim::miner::Miner;
 use btcfast_btcsim::transaction::{OutPoint, Transaction};
 use btcfast_btcsim::Amount;
+use btcfast_crypto::batch::BatchStats;
 use btcfast_crypto::Hash256;
 use btcfast_netsim::poisson::BlockArrivals;
 use btcfast_netsim::time::SimTime;
@@ -229,10 +230,6 @@ pub struct FastPaySession {
     pub deploy_gas: u64,
     /// Gas the escrow deposit consumed (fee-table input).
     pub deposit_gas: u64,
-    /// Shared accelerated evidence verifier (the merchant's memo): every
-    /// dispute in the session preflights evidence through it, so repeated
-    /// rounds on a growing tip only re-verify the delta headers.
-    verifier: Arc<EvidenceVerifier>,
     /// Per-phase span recorder on the *sim-time* clock (never wall time),
     /// so a replay at the same seed produces a byte-identical trace.
     pub(crate) tracer: Tracer,
@@ -240,6 +237,8 @@ pub struct FastPaySession {
     /// from `rng`: the batch randomizers must never perturb the latency
     /// sample stream.
     batch_seed: u64,
+    /// Work counters of every batch pre-verification so far.
+    sig_batch: BatchStats,
 }
 
 impl FastPaySession {
@@ -307,7 +306,6 @@ impl FastPaySession {
             config.psc_params.gas_price,
         );
 
-        let verifier = Arc::clone(merchant.verifier());
         // Causal ids are minted from the session seed, so the id stream —
         // and with it every (trace, sid, pid) triple — is a pure function
         // of the seed, independent of worker count or wall clocks.
@@ -326,9 +324,9 @@ impl FastPaySession {
             honest_miner,
             deploy_gas: deploy_receipt.gas_used,
             deposit_gas: 0,
-            verifier,
             tracer,
             batch_seed: seed ^ 0xBA7C_5EED_0F5E_C256,
+            sig_batch: BatchStats::default(),
         };
 
         // --- Escrow deposit (Setup phase), held to PSC finality. ----------
@@ -378,9 +376,16 @@ impl FastPaySession {
         self.tracer.dropped_events()
     }
 
-    /// The session's shared accelerated evidence verifier.
-    pub fn verifier(&self) -> &Arc<EvidenceVerifier> {
-        &self.verifier
+    /// Alias for `benchmark/`'s measured surface (ROADMAP item 2 (c)).
+    #[doc(hidden)]
+    pub fn verifier(&self) -> &EvidenceVerifier {
+        &EvidenceVerifier
+    }
+
+    /// Accumulated batch-ECDSA work of the batch path's signature
+    /// pre-verification.
+    pub fn sig_batch_stats(&self) -> BatchStats {
+        self.sig_batch
     }
 
     /// Advances the simulation clock and the PSC chain together.
@@ -578,8 +583,14 @@ impl FastPaySession {
             vec![("batch", txs.len().into())],
         );
 
-        // -- Batch signature pre-verification (cost only, never verdicts).
-        self.batch_preverify(&txs);
+        // -- Batch signature pre-verification (cost only, never verdicts):
+        // the per-offer admission checks below hit the signature cache.
+        // The seed steps by splitmix64's golden-ratio increment on its own
+        // stream, and nothing here touches the sim-clock, `rng` or the
+        // tracer, so it cannot reach a replay fingerprint.
+        self.batch_seed = self.batch_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let batch = self.btc.utxo().preverify_signatures(&txs, self.batch_seed);
+        self.sig_batch.absorb(&batch);
 
         // -- Point of sale, one offer at a time. ---------------------------
         let mut reports = Vec::with_capacity(txs.len());
@@ -611,62 +622,6 @@ impl FastPaySession {
             reports.push(FastPayReport::new(txid, &registered, pos));
         }
         Ok(reports)
-    }
-
-    /// Verifies every payment signature in the batch at once with the
-    /// randomized batch verifier and primes this thread's signature cache
-    /// for the fully-valid transactions, so the per-offer admission checks
-    /// that follow hit the cache instead of running ECDSA one signature at
-    /// a time.
-    ///
-    /// Strictly a cost optimization — correctness is untouched on every
-    /// axis:
-    ///
-    /// * transactions whose coins or witnesses fail statement extraction
-    ///   (the same cheap rules `verify_spend` runs first) are skipped and
-    ///   take the untouched sequential path, preserving exact
-    ///   [`RejectReason`]s;
-    /// * the batch verdict equals the per-signature oracle's by
-    ///   construction (failed batches bisect to `ecdsa::verify` leaves),
-    ///   so only fully-valid transactions are ever primed;
-    /// * randomizer seeds come from a dedicated stream (`batch_seed`),
-    ///   never from the session `rng`, and nothing here touches the
-    ///   sim-clock or the tracer, so it cannot reach a replay fingerprint.
-    fn batch_preverify(&mut self, txs: &[btcfast_btcsim::transaction::Transaction]) {
-        use btcfast_crypto::batch::BatchItem;
-
-        let mut items = Vec::new();
-        let mut spans = Vec::with_capacity(txs.len());
-        for tx in txs {
-            let Some(scripts) = self.btc.utxo().spent_scripts(tx) else {
-                continue;
-            };
-            let Ok(statements) = tx.signature_statements(&scripts) else {
-                continue;
-            };
-            let start = items.len();
-            items.extend(statements.iter().map(|s| BatchItem {
-                pubkey: *s.pubkey.point(),
-                digest: s.sighash,
-                signature: s.signature,
-                recovery: s.recovery,
-            }));
-            spans.push((tx, scripts, start..items.len()));
-        }
-        if items.is_empty() {
-            return;
-        }
-        // splitmix64's golden-ratio step: a full-period, trivially
-        // deterministic per-batch seed sequence.
-        self.batch_seed = self.batch_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let outcome = self
-            .verifier
-            .verify_signature_batch(&items, self.batch_seed);
-        for (tx, scripts, range) in spans {
-            if !outcome.invalid.iter().any(|&i| range.contains(&i)) {
-                btcfast_btcsim::utxo::prime_sig_cache(tx, &scripts);
-            }
-        }
     }
 
     /// One baseline payment: broadcast, then wait for `confirmations`
@@ -1061,13 +1016,18 @@ mod tests {
         assert_eq!(after.primed - before.primed, 4);
         assert!(after.hits - before.hits >= 4);
         assert_eq!(after.misses, before.misses);
-        // And the shared verifier accumulated the batch work: one MSM for
-        // an all-valid batch, every item hinted, no oracle fallbacks.
-        let stats = session.verifier().sig_batch_stats();
+        // And the session accumulated the batch work: one MSM for an
+        // all-valid batch, every item hinted, no oracle fallbacks.
+        let stats = session.sig_batch_stats();
         assert_eq!(stats.items, 4);
         assert_eq!(stats.hinted, 4);
         assert_eq!(stats.oracle_checks, 0);
         assert_eq!(stats.msm_evals, 1);
+        // A second batch (spending the first one's change) adds to it.
+        session.mine_public_block().unwrap();
+        session.run_fast_payment_batch(&[500_000; 4]).unwrap();
+        let stats = session.sig_batch_stats();
+        assert_eq!((stats.items, stats.msm_evals), (8, 2));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Each substrate keeps its own plain counter struct next to its hot path
 //! (mempool admissions, chain connects, sig-cache hits, PSC journal
-//! high-water, verifier cache behavior, transport retransmissions) — no
+//! high-water, batch-verify work, transport retransmissions) — no
 //! substrate depends on the metrics layer. This module is the one place
 //! that knows all their shapes and publishes them under stable
 //! `btcfast_*` names, so `harness trace` and E12 can dump a single
@@ -21,9 +21,9 @@ use btcfast_obs::Registry;
 /// Publishes every observable counter of `session` into `registry`.
 ///
 /// Covers the BTC side (chain connect/reorg stats, mempool admissions and
-/// depth, this thread's signature-cache behavior), the PSC side (height,
-/// total gas, journal high-water), and the merchant's accelerated
-/// evidence-verifier cache.
+/// depth, this thread's signature-cache behavior, the session's batch
+/// pre-verification work) and the PSC side (height, total gas, journal
+/// high-water, commitment work).
 pub fn publish_session(registry: &Registry, session: &FastPaySession) {
     let chain = session.btc.stats();
     registry.set_gauge("btcfast_btc_blocks_connected", chain.blocks_connected);
@@ -46,16 +46,15 @@ pub fn publish_session(registry: &Registry, session: &FastPaySession) {
     registry.set_gauge("btcfast_sig_cache_resets", sig.resets);
     registry.set_gauge("btcfast_sig_cache_primed", sig.primed);
 
-    // Batch-ECDSA verification work (accumulated in the shared verifier,
-    // so it covers every thread that batched through this session).
-    let batch = session.verifier().sig_batch_stats();
+    // Batch-ECDSA work of the batch path's signature pre-verification.
+    let batch = session.sig_batch_stats();
     registry.set_gauge("btcfast_batch_verify_items", batch.items);
     registry.set_gauge("btcfast_batch_verify_hinted", batch.hinted);
     registry.set_gauge("btcfast_batch_verify_oracle_checks", batch.oracle_checks);
     registry.set_gauge("btcfast_batch_verify_msm_evals", batch.msm_evals);
     registry.set_gauge("btcfast_batch_verify_bisections", batch.bisections);
 
-    // So is the public-key precomputation-table cache inside ecdsa::verify.
+    // The public-key table cache inside ecdsa::verify is per-thread too.
     let tables = btcfast_crypto::ecdsa::pubkey_cache_stats();
     registry.set_gauge("btcfast_pubkey_table_hits", tables.hits);
     registry.set_gauge("btcfast_pubkey_table_misses", tables.misses);
@@ -75,14 +74,6 @@ pub fn publish_session(registry: &Registry, session: &FastPaySession) {
         commit.dirty_high_water as u64,
     );
     registry.set_gauge("btcfast_psc_commit_nodes_hashed", commit.nodes_hashed);
-
-    let cache = session.verifier().cache_stats();
-    registry.set_gauge("btcfast_verify_full_hits", cache.full_hits);
-    registry.set_gauge("btcfast_verify_prefix_hits", cache.prefix_hits);
-    registry.set_gauge("btcfast_verify_misses", cache.misses);
-    registry.set_gauge("btcfast_verify_insertions", cache.insertions);
-    registry.set_gauge("btcfast_verify_evictions", cache.evictions);
-    registry.set_gauge("btcfast_verify_headers_verified", cache.headers_verified);
 
     registry.set_gauge("btcfast_trace_dropped_events", session.trace_dropped());
 }
@@ -206,7 +197,6 @@ mod tests {
             "btcfast_psc_commit_leaves",
             "btcfast_psc_commit_dirty_high_water",
             "btcfast_psc_commit_nodes_hashed",
-            "btcfast_verify_headers_verified",
             "btcfast_sig_cache_hits",
             "btcfast_sig_cache_primed",
             "btcfast_batch_verify_items",

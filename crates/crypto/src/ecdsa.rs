@@ -292,9 +292,10 @@ pub fn verify(q: &Point, digest: &[u8; 32], sig: &Signature) -> bool {
     })
 }
 
-/// [`verify`] without the per-key table cache: always builds a fresh Q
-/// table. The explicit cold path, used by benchmarks and the differential
-/// tests that pin cached and uncached verdicts together.
+/// Test oracle for [`verify`]: the same check without the per-key table
+/// cache, always building a fresh Q table. The differential tests and the
+/// `crypto` fuzz engine compare against it; nothing else calls it.
+#[doc(hidden)]
 pub fn verify_uncached(q: &Point, digest: &[u8; 32], sig: &Signature) -> bool {
     if !precheck(q, sig) {
         return false;

@@ -233,14 +233,6 @@ impl KeyPair {
         }
     }
 
-    /// Wraps an existing secret key.
-    pub fn from_secret(secret: SecretKey) -> KeyPair {
-        KeyPair {
-            public: secret.public_key(),
-            secret,
-        }
-    }
-
     /// The secret half.
     pub fn secret(&self) -> &SecretKey {
         &self.secret

@@ -273,11 +273,6 @@ impl<M: Clone> Transport<M> {
         }
     }
 
-    /// True if the node is currently down.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed.contains(&node)
-    }
-
     /// Queues a reliable send; the message starts transmitting at the
     /// current simulated time. Returns the id to poll via [`Self::status`].
     pub fn send(&mut self, from: NodeId, to: NodeId, payload: M) -> MsgId {

@@ -1,14 +1,13 @@
 //! Lock-cheap metric primitives and the named registry behind them.
 //!
-//! Hot paths hold `Arc` handles to individual [`Counter`]s, [`Gauge`]s, and
-//! [`Histogram`]s and touch only atomics; the [`Registry`]'s mutex is taken
-//! once at registration (and at export time), never per increment.
+//! Hot paths hold `Arc` handles to individual [`Counter`]s and [`Gauge`]s
+//! and touch only atomics; the [`Registry`]'s mutex is taken once at
+//! registration (and at export time), never per increment.
 //!
 //! All counters are **saturation-safe**: an increment can never overflow,
 //! panic in debug builds, or wrap back to zero on a week-long chaos run —
 //! it pins at `u64::MAX` instead.
 
-use crate::stats::nearest_rank;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -75,104 +74,6 @@ impl Gauge {
     }
 }
 
-/// Buckets in a [`Histogram`]: one per possible bit length of a `u64`
-/// (bucket 0 holds the value zero).
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// The bucket index a value lands in: its bit length, so bucket `i > 0`
-/// spans `[2^(i-1), 2^i - 1]` — log-spaced, constant-time, allocation-free.
-pub fn bucket_index(value: u64) -> usize {
-    (u64::BITS - value.leading_zeros()) as usize
-}
-
-/// The largest value bucket `index` can hold (its recorded representative).
-pub fn bucket_upper_bound(index: usize) -> u64 {
-    match index {
-        0 => 0,
-        i if i >= 64 => u64::MAX,
-        i => (1u64 << i) - 1,
-    }
-}
-
-/// A log-bucketed histogram of `u64` samples (latencies in microseconds,
-/// sizes in bytes, gas units). Recording is one saturating atomic add; a
-/// quantile query walks the 65 buckets and returns the upper bound of the
-/// bucket holding the nearest-rank sample — within one bucket width of the
-/// exact-sort answer on the same samples (property-tested).
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: Counter,
-    sum: Counter,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: Counter::new(),
-            sum: Counter::new(),
-        }
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&self, value: u64) {
-        let bucket = &self.buckets[bucket_index(value)];
-        let mut current = bucket.load(Ordering::Relaxed);
-        loop {
-            let next = current.saturating_add(1);
-            match bucket.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => current = seen,
-            }
-        }
-        self.count.inc();
-        self.sum.add(value);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.get()
-    }
-
-    /// Sum of all recorded values (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum.get()
-    }
-
-    /// The `q`-quantile: the upper bound of the bucket holding the
-    /// nearest-rank sample. `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().fold(0u64, |acc, c| acc.saturating_add(*c));
-        if total == 0 {
-            return None;
-        }
-        let len = usize::try_from(total).unwrap_or(usize::MAX);
-        let rank = nearest_rank(len, q) as u64;
-        let mut seen = 0u64;
-        for (index, count) in counts.iter().enumerate() {
-            seen = seen.saturating_add(*count);
-            if seen > rank {
-                return Some(bucket_upper_bound(index));
-            }
-        }
-        Some(u64::MAX)
-    }
-}
-
 /// One exported metric at scrape time.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MetricValue {
@@ -180,20 +81,17 @@ pub enum MetricValue {
     Counter(u64),
     /// An instantaneous gauge value.
     Gauge(u64),
-    /// A histogram summary: `(count, sum, p50, p95, p99)`.
-    Histogram(u64, u64, u64, u64, u64),
 }
 
 #[derive(Default)]
 struct RegistryInner {
     counters: Vec<(String, Arc<Counter>)>,
     gauges: Vec<(String, Arc<Gauge>)>,
-    histograms: Vec<(String, Arc<Histogram>)>,
 }
 
 /// A named collection of metrics with a Prometheus-style text exporter.
 ///
-/// `counter`/`gauge`/`histogram` get-or-create by name and hand back an
+/// `counter`/`gauge` get-or-create by name and hand back an
 /// `Arc` handle; instrumented code keeps the handle and never touches the
 /// registry lock again.
 #[derive(Default)]
@@ -229,17 +127,6 @@ impl Registry {
         g
     }
 
-    /// The histogram named `name`, created empty on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        if let Some((_, h)) = inner.histograms.iter().find(|(n, _)| n == name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::new());
-        inner.histograms.push((name.to_string(), Arc::clone(&h)));
-        h
-    }
-
     /// Convenience: sets the gauge named `name` to `v`.
     pub fn set_gauge(&self, name: &str, v: u64) {
         self.gauge(name).set(v);
@@ -256,25 +143,12 @@ impl Registry {
         for (name, g) in &inner.gauges {
             out.push((name.clone(), MetricValue::Gauge(g.get())));
         }
-        for (name, h) in &inner.histograms {
-            out.push((
-                name.clone(),
-                MetricValue::Histogram(
-                    h.count(),
-                    h.sum(),
-                    h.quantile(0.50).unwrap_or(0),
-                    h.quantile(0.95).unwrap_or(0),
-                    h.quantile(0.99).unwrap_or(0),
-                ),
-            ));
-        }
         out.sort_by(|(a, _), (b, _)| a.cmp(b));
         out
     }
 
-    /// Prometheus-style text exposition: `# TYPE` headers plus one sample
-    /// line per value; histograms expose `_count`, `_sum`, and
-    /// `_p50`/`_p95`/`_p99` summary gauges.
+    /// Prometheus-style text exposition: a `# TYPE` header plus one sample
+    /// line per metric.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         for (name, value) in self.snapshot() {
@@ -284,13 +158,6 @@ impl Registry {
                 }
                 MetricValue::Gauge(v) => {
                     let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
-                }
-                MetricValue::Histogram(count, sum, p50, p95, p99) => {
-                    let _ = writeln!(
-                        out,
-                        "# TYPE {name} histogram\n{name}_count {count}\n{name}_sum {sum}\n\
-                         {name}_p50 {p50}\n{name}_p95 {p95}\n{name}_p99 {p99}"
-                    );
                 }
             }
         }
@@ -334,67 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_geometry() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(u64::MAX), 64);
-        assert_eq!(bucket_upper_bound(0), 0);
-        assert_eq!(bucket_upper_bound(1), 1);
-        assert_eq!(bucket_upper_bound(2), 3);
-        assert_eq!(bucket_upper_bound(64), u64::MAX);
-        for v in [0u64, 1, 2, 3, 100, 1 << 40, u64::MAX] {
-            assert!(bucket_upper_bound(bucket_index(v)) >= v);
-        }
-    }
-
-    #[test]
-    fn histogram_empty_has_no_quantiles() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0);
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.quantile(0.99), None);
-    }
-
-    #[test]
-    fn histogram_single_sample_is_every_quantile() {
-        let h = Histogram::new();
-        h.record(1000);
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            let got = h.quantile(q).unwrap();
-            assert_eq!(bucket_index(got), bucket_index(1000));
-        }
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 1000);
-    }
-
-    #[test]
-    fn histogram_umax_sample_is_representable() {
-        let h = Histogram::new();
-        h.record(u64::MAX);
-        h.record(u64::MAX);
-        assert_eq!(h.quantile(0.5), Some(u64::MAX));
-        // The sum saturates rather than wrapping.
-        assert_eq!(h.sum(), u64::MAX);
-        assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotonic() {
-        let h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v * 17);
-        }
-        let p50 = h.quantile(0.50).unwrap();
-        let p95 = h.quantile(0.95).unwrap();
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p50 <= p95 && p95 <= p99);
-    }
-
-    #[test]
     fn registry_handles_are_shared_and_render_deterministically() {
         let r = Registry::new();
         let a = r.counter("btcfast_b_total");
@@ -402,16 +208,16 @@ mod tests {
         a.inc();
         b.inc();
         assert_eq!(r.counter("btcfast_b_total").get(), 2);
+        r.set_gauge("btcfast_c_depth", 9);
         r.set_gauge("btcfast_a_depth", 4);
-        r.histogram("btcfast_c_us").record(9);
         let text = r.render_prometheus();
         // Sorted by name, independent of registration order.
         let a_pos = text.find("btcfast_a_depth").unwrap();
         let b_pos = text.find("btcfast_b_total").unwrap();
-        let c_pos = text.find("btcfast_c_us_count").unwrap();
+        let c_pos = text.find("btcfast_c_depth").unwrap();
         assert!(a_pos < b_pos && b_pos < c_pos, "{text}");
         assert!(text.contains("# TYPE btcfast_b_total counter"));
-        assert!(text.contains("btcfast_c_us_p99"));
+        assert!(text.contains("# TYPE btcfast_c_depth gauge\nbtcfast_c_depth 9"));
         assert_eq!(text, r.render_prometheus());
     }
 }

@@ -1,12 +1,9 @@
 //! Shared quantile math for every latency summary in the workspace.
 //!
-//! The perf gate's quartiles (`bench/src/ab.rs`), the engine's
-//! accept-latency quantiles, and the bucketed [`crate::Histogram`] all
-//! extract percentiles the same way: **nearest rank** over a sorted sample
-//! set. Centralizing the rank rule here keeps every reported p50/p95/p99
-//! in the repo comparable — a histogram quantile and an exact-sort quantile
-//! of the same samples land in the same bucket by construction (proved by
-//! property test in `tests/quantile_property.rs`).
+//! The perf gate's quartiles (`bench/src/ab.rs`) and the engine's
+//! accept-latency quantiles extract percentiles the same way: **nearest
+//! rank** over a sorted sample set. Centralizing the rank rule here keeps
+//! every reported p50/p95/p99 in the repo comparable.
 
 /// Index of the `q`-quantile in a sorted `len`-sample set (nearest rank).
 ///

@@ -2,7 +2,7 @@
 //! decodes receipts, and performs view queries.
 
 use crate::contract::CODE_ID;
-use crate::evidence::{spv_error_message, EvidenceBundle};
+use crate::evidence::{check_evidence, EvidenceBundle};
 use crate::types::{
     CheckpointRecord, DisputeVerdict, EscrowRecord, EvidenceSummary, JudgerConfig, PaymentRecord,
 };
@@ -269,53 +269,31 @@ impl PayJudgerClient {
         DisputeVerdict::decode(&receipt.return_data).ok()
     }
 
-    /// Preflights evidence off-chain before paying to submit it, using the
-    /// shared accelerated verifier (parallel + segment memo).
+    /// Preflights evidence off-chain before paying to submit it: the
+    /// contract's own [`check_evidence`], without the gas. An `Ok` here
+    /// means the on-chain call can only fail for state reasons (window
+    /// closed, wrong payment phase), never for the evidence itself.
     ///
-    /// Runs the same checks `submit_evidence` performs on-chain — anchor
-    /// equals the checkpoint, every header links and carries enough work,
-    /// the optional inclusion proof binds `expected_txid` — but charges no
-    /// gas and reuses cached segment prefixes, so repeated dispute rounds
-    /// on a growing chain tip only verify the delta. A `Ok` here means the
-    /// on-chain call can only fail for state reasons (window closed, wrong
-    /// payment phase), never for the evidence itself.
+    /// The first parameter is unused; it stays for `benchmark/`'s measured
+    /// surface until ROADMAP item 2 (c).
     ///
     /// # Errors
     ///
     /// The revert message the contract would emit for this evidence.
     pub fn preflight_evidence(
-        verifier: &EvidenceVerifier,
+        _verifier: &EvidenceVerifier,
         evidence: &SpvEvidence,
         checkpoint: &Hash256,
         min_target_bits: u32,
         expected_txid: &Hash256,
     ) -> Result<EvidenceSummary, String> {
-        if evidence.segment.anchor != *checkpoint {
-            return Err("evidence rejected: anchor is not the escrow checkpoint".into());
-        }
-        let min_target = CompactBits(min_target_bits)
-            .to_target()
-            .map_err(|e| format!("bad judge config: {e}"))?;
-        let work = verifier
-            .verify_evidence(evidence, &min_target)
-            .map_err(spv_error_message)?;
-        let (includes_tx, tx_confirmations) = match &evidence.inclusion {
-            Some(inclusion) if &inclusion.txid == expected_txid => {
-                let depth = (evidence.segment.len() - inclusion.header_index) as u64;
-                (true, depth)
-            }
-            Some(_) => {
-                return Err("evidence rejected: inclusion proof is for a different txid".into())
-            }
-            None => (false, 0),
-        };
-        Ok(EvidenceSummary {
-            work: work.to_be_bytes(),
-            blocks: evidence.segment.len() as u64,
-            tip: evidence.segment.tip_hash().expect("verified nonempty"),
-            includes_tx,
-            tx_confirmations,
-        })
+        check_evidence(
+            evidence,
+            checkpoint,
+            CompactBits(min_target_bits),
+            expected_txid,
+        )
+        .map(|verified| verified.summary)
     }
 }
 
@@ -641,13 +619,12 @@ mod tests {
         let payment_id = h.open_payment(200_000);
         let customer_id: AccountId = h.customer.address().into();
         let config = h.judger.config(&h.psc).unwrap();
-        let verifier = EvidenceVerifier::default();
 
         // Good evidence preflights clean and then lands on-chain.
         let evidence =
             btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, 9, Some(&h.pay_txid));
         let summary = PayJudgerClient::preflight_evidence(
-            &verifier,
+            &EvidenceVerifier,
             &evidence,
             &config.checkpoint,
             config.min_target_bits,
@@ -670,12 +647,12 @@ mod tests {
         );
         assert!(h.run(tx).status.is_success());
 
-        // Tampered evidence is rejected off-chain with the exact revert
-        // message the contract would have charged gas to produce.
+        // Tampered evidence is rejected off-chain with the revert message
+        // the contract then charges gas to produce, byte for byte.
         let mut bad = btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, 9, None);
         bad.segment.headers[4].nonce ^= 1;
         let err = PayJudgerClient::preflight_evidence(
-            &verifier,
+            &EvidenceVerifier,
             &bad,
             &config.checkpoint,
             config.min_target_bits,
@@ -683,6 +660,17 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.starts_with("evidence rejected:"), "{err}");
+        let tx = h.judger.submit_evidence_tx(
+            &h.merchant,
+            h.nonce(&h.merchant),
+            customer_id,
+            payment_id,
+            bad,
+        );
+        assert_eq!(
+            h.run(tx).status,
+            TxStatus::Reverted(ContractError::Revert(err).to_string())
+        );
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! The on-chain evidence format: wire codecs for SPV evidence and the
-//! gas-charged verification PayJudger performs on submission.
+//! The on-chain evidence format: wire codecs for SPV evidence, the one
+//! evidence check, and the gas PayJudger charges before running it.
 
 use crate::types::EvidenceSummary;
-use crate::verify::EvidenceVerifier;
 use btcfast_btcsim::block::BlockHeader;
 use btcfast_btcsim::pow::CompactBits;
-use btcfast_btcsim::spv::{HeaderSegment, SpvError, SpvEvidence, TxInclusion};
+use btcfast_btcsim::spv::{HeaderSegment, SpvEvidence, TxInclusion};
 use btcfast_btcsim::u256::U256;
 use btcfast_crypto::{Hash256, MerkleProof};
 use btcfast_pscsim::codec::{take, CodecError, Decode, Encode};
@@ -108,85 +107,34 @@ pub struct VerifiedEvidence {
     pub summary: EvidenceSummary,
 }
 
-/// Rejection reasons mapped to revert messages.
-pub fn spv_error_message(e: SpvError) -> String {
-    format!("evidence rejected: {e}")
-}
-
-/// Verifies an evidence bundle on-chain, charging gas per header and per
-/// Merkle-proof hash, mirroring what a Solidity BTC-relay pays.
+/// The evidence check, stated once: the contract runs it after charging
+/// gas ([`verify_on_chain`]) and a client runs it before paying to submit
+/// (`PayJudgerClient::preflight_evidence`), so the two cannot drift.
 ///
 /// Checks, in order:
 /// 1. anchor equals the configured `checkpoint`;
 /// 2. every header links, meets its own target, and its target is at least
-///    as hard as `min_target`;
+///    as hard as `min_target_bits`;
 /// 3. the optional inclusion proof connects `expected_txid` to a header.
 ///
 /// # Errors
 ///
-/// [`ContractError::Revert`] with a reason, or [`ContractError::OutOfGas`].
-pub fn verify_on_chain(
-    bundle: &EvidenceBundle,
+/// The revert message the contract emits for this evidence.
+pub fn check_evidence(
+    evidence: &SpvEvidence,
     checkpoint: &Hash256,
     min_target_bits: CompactBits,
     expected_txid: &Hash256,
-    storage: &mut dyn Storage,
-) -> Result<VerifiedEvidence, ContractError> {
-    verify_on_chain_with(
-        bundle,
-        checkpoint,
-        min_target_bits,
-        expected_txid,
-        storage,
-        None,
-    )
-}
-
-/// [`verify_on_chain`] with an optional off-chain accelerator.
-///
-/// When `accel` is `Some`, segment verification goes through the parallel
-/// memoizing [`EvidenceVerifier`] — which returns verdicts byte-identical
-/// to the sequential path. **Gas accounting is unchanged either way**: the
-/// meter charges per header and per Merkle hash up front, because gas
-/// prices the work an L1 validator performs, not the work this particular
-/// (possibly cache-warm) verifier saved. The contract entry points pass
-/// `None`; clients preflighting evidence pass their shared verifier.
-///
-/// # Errors
-///
-/// [`ContractError::Revert`] with a reason, or [`ContractError::OutOfGas`].
-pub fn verify_on_chain_with(
-    bundle: &EvidenceBundle,
-    checkpoint: &Hash256,
-    min_target_bits: CompactBits,
-    expected_txid: &Hash256,
-    storage: &mut dyn Storage,
-    accel: Option<&EvidenceVerifier>,
-) -> Result<VerifiedEvidence, ContractError> {
-    let evidence = &bundle.0;
-
-    // Charge before verifying — gas covers the work whether or not the
-    // evidence turns out valid.
-    let schedule = storage.schedule().clone();
-    let header_cost = schedule.header_verify + schedule.hash_cost(88) * 2;
-    storage.charge(header_cost * evidence.segment.headers.len() as u64)?;
-    if let Some(inclusion) = &evidence.inclusion {
-        storage.charge(schedule.hash_cost(64) * 2 * inclusion.proof.depth().max(1) as u64)?;
-    }
-
+) -> Result<VerifiedEvidence, String> {
     if evidence.segment.anchor != *checkpoint {
-        return Err(ContractError::Revert(
-            "evidence rejected: anchor is not the escrow checkpoint".into(),
-        ));
+        return Err("evidence rejected: anchor is not the escrow checkpoint".into());
     }
     let min_target = min_target_bits
         .to_target()
-        .map_err(|e| ContractError::Revert(format!("bad judge config: {e}")))?;
-    let work = match accel {
-        Some(verifier) => verifier.verify_evidence(evidence, &min_target),
-        None => evidence.verify(&min_target),
-    }
-    .map_err(|e| ContractError::Revert(spv_error_message(e)))?;
+        .map_err(|e| format!("bad judge config: {e}"))?;
+    let work = evidence
+        .verify(&min_target)
+        .map_err(|e| format!("evidence rejected: {e}"))?;
 
     let (includes_tx, tx_confirmations) = match &evidence.inclusion {
         Some(inclusion) if &inclusion.txid == expected_txid => {
@@ -194,11 +142,7 @@ pub fn verify_on_chain_with(
             let depth = (evidence.segment.len() - inclusion.header_index) as u64;
             (true, depth)
         }
-        Some(_) => {
-            return Err(ContractError::Revert(
-                "evidence rejected: inclusion proof is for a different txid".into(),
-            ))
-        }
+        Some(_) => return Err("evidence rejected: inclusion proof is for a different txid".into()),
         None => (false, 0),
     };
 
@@ -212,6 +156,34 @@ pub fn verify_on_chain_with(
             tx_confirmations,
         },
     })
+}
+
+/// Verifies an evidence bundle on-chain: charges gas per header and per
+/// Merkle-proof hash, mirroring what a Solidity BTC-relay pays, then runs
+/// [`check_evidence`]. Gas is charged before verifying — it prices the
+/// work an L1 validator performs whether or not the evidence turns out
+/// valid, so it depends only on the bundle's shape.
+///
+/// # Errors
+///
+/// [`ContractError::OutOfGas`], or [`ContractError::Revert`] with
+/// [`check_evidence`]'s reason.
+pub fn verify_on_chain(
+    bundle: &EvidenceBundle,
+    checkpoint: &Hash256,
+    min_target_bits: CompactBits,
+    expected_txid: &Hash256,
+    storage: &mut dyn Storage,
+) -> Result<VerifiedEvidence, ContractError> {
+    let evidence = &bundle.0;
+    let schedule = storage.schedule().clone();
+    let header_cost = schedule.header_verify + schedule.hash_cost(88) * 2;
+    storage.charge(header_cost * evidence.segment.headers.len() as u64)?;
+    if let Some(inclusion) = &evidence.inclusion {
+        storage.charge(schedule.hash_cost(64) * 2 * inclusion.proof.depth().max(1) as u64)?;
+    }
+    check_evidence(evidence, checkpoint, min_target_bits, expected_txid)
+        .map_err(ContractError::Revert)
 }
 
 /// Compares two stored evidence summaries by accumulated work.
@@ -452,34 +424,24 @@ mod tests {
     }
 
     #[test]
-    fn accelerated_path_matches_sequential_verdict_and_gas() {
-        use crate::verify::{EvidenceVerifier, VerifierConfig};
+    fn on_chain_verdict_is_check_evidence_and_gas_depends_on_shape_only() {
         let (chain, txid) = chain_with_payment();
-        let verifier = EvidenceVerifier::new(VerifierConfig { cache_capacity: 8 });
         let good = EvidenceBundle(SpvEvidence::from_chain(&chain, 1, 8, Some(&txid)));
         let mut bad = good.clone();
         bad.0.segment.headers[5].merkle_root = Hash256([7; 32]);
+        let mut gas = Vec::new();
         for bundle in [&good, &bad] {
-            let (seq, gas_seq) = with_storage(|storage| {
+            let (on_chain, used) = with_storage(|storage| {
                 verify_on_chain(bundle, &Hash256::ZERO, bits(), &txid, storage)
             });
-            // Twice: cold then cache-warm, both must match the sequential path.
-            for _ in 0..2 {
-                let (acc, gas_acc) = with_storage(|storage| {
-                    verify_on_chain_with(
-                        bundle,
-                        &Hash256::ZERO,
-                        bits(),
-                        &txid,
-                        storage,
-                        Some(&verifier),
-                    )
-                });
-                assert_eq!(acc, seq);
-                assert_eq!(gas_acc, gas_seq, "gas must not depend on the cache");
-            }
+            let free = check_evidence(&bundle.0, &Hash256::ZERO, bits(), &txid);
+            assert_eq!(on_chain, free.map_err(ContractError::Revert));
+            gas.push(used);
         }
-        assert!(verifier.cache_stats().full_hits >= 1);
+        assert_eq!(
+            gas[0], gas[1],
+            "a tampered twin costs what the original costs"
+        );
     }
 
     #[test]

@@ -14,17 +14,16 @@
 //! dispute.
 //!
 //! * [`types`] — escrow/payment/dispute records and their storage codecs;
-//! * [`evidence`] — the on-chain evidence format and its gas-charged
-//!   verification;
+//! * [`evidence`] — the on-chain evidence format and the one evidence
+//!   check ([`evidence::check_evidence`]): the contract charges gas and
+//!   runs it, the client's preflight runs it for free;
 //! * [`contract`] — the contract state machine (deposit, openPayment, ack,
 //!   dispute, submitEvidence, judge, close, withdraw);
 //! * [`client`] — an off-chain helper that builds the PSC transactions and
 //!   decodes receipts, used by the protocol roles in `btcfast`;
 //! * [`retry`] — a rebuild-and-resubmit loop so dispute-path calls survive
 //!   `OutOfGas` and land before the challenge window closes;
-//! * [`verify`] — the off-chain accelerated verifier: an LRU memo of
-//!   verified header-segment prefixes over the sequential PoW check (byte-identical
-//!   verdicts to the sequential path; on-chain gas semantics untouched).
+//! * [`verify`] — a name kept for the benchmark's measured surface.
 //!
 //! # Lifecycle
 //!
@@ -55,4 +54,4 @@ pub use client::PayJudgerClient;
 pub use contract::{PayJudger, CODE_ID};
 pub use retry::{submit_with_retry, AttemptResult, RetryError, RetryPolicy, RetryReport};
 pub use types::{DisputeVerdict, EscrowRecord, PaymentRecord, PaymentState};
-pub use verify::{CacheStats, EvidenceVerifier, VerifierConfig};
+pub use verify::EvidenceVerifier;

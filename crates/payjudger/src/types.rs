@@ -2,7 +2,7 @@
 
 use btcfast_crypto::Hash256;
 use btcfast_pscsim::account::AccountId;
-use btcfast_pscsim::codec::{take, CodecError, Decode, Encode};
+use btcfast_pscsim::codec::{CodecError, Decode, Encode};
 
 /// Contract-level configuration, fixed at deployment.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -283,11 +283,6 @@ impl Decode for PaymentRecord {
             customer_evidence: EvidenceSummary::decode_from(input)?,
         })
     }
-}
-
-/// Re-export for evidence codecs.
-pub(crate) fn _take_reexport<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
-    take(input, n)
 }
 
 #[cfg(test)]

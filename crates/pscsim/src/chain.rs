@@ -141,11 +141,6 @@ impl PscChain {
         self.blocks.get((number - 1) as usize)
     }
 
-    /// Number of pending transactions.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Cumulative gas used across all blocks.
     pub fn total_gas_used(&self) -> u64 {
         self.total_gas_used

@@ -335,11 +335,6 @@ impl WorldState {
         prev
     }
 
-    /// Number of live storage slots (diagnostics).
-    pub fn storage_len(&self) -> usize {
-        self.storage.values().map(BTreeMap::len).sum()
-    }
-
     /// Opens a transaction: mutations from here on record pre-images so
     /// they can be undone. Checkpoints nest — an inner rollback undoes
     /// only the entries made after it.
