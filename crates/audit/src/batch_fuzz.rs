@@ -8,13 +8,13 @@
 //! Randomizers, the single-MSM fast path, culprit bisection, and recovery
 //! hints may only ever change cost, never a verdict. This target builds
 //! fuzzed batches whose items are individually mutated (tampered digests,
-//! high-S, zero components, wrong/off-curve keys, flipped/dropped/stale
-//! hints, duplicates) and fails on any divergence — including on the
-//! randomizer seed, which must not influence the verdict.
+//! high-S, zero components, wrong/off-curve keys, negated/off-curve/foreign/
+//! dropped/stale hints, duplicates) and fails on any divergence — including
+//! on the randomizer seed, which must not influence the verdict.
 
 use crate::source::ByteSource;
 use btcfast_crypto::batch::{verify_batch, BatchItem};
-use btcfast_crypto::ecdsa::{self, RecoveryId};
+use btcfast_crypto::ecdsa::{self, NonceHint};
 use btcfast_crypto::field::FieldElement;
 use btcfast_crypto::keys::KeyPair;
 use btcfast_crypto::point::{AffinePoint, Point};
@@ -62,13 +62,17 @@ fn draw_item(src: &mut ByteSource, pool: &[u8]) -> BatchItem {
             item.pubkey = *wrong.public().point();
         }
         7 => {
-            // Hostile hint on an honest signature: flipped parity or a
-            // spurious overflow claim. Must cost time, never a verdict.
-            let hinted = RecoveryId {
-                y_odd: recovery.y_odd ^ src.bool(),
-                x_overflow: recovery.x_overflow | src.bool(),
+            // Hostile hint on an honest signature: the other point with this
+            // x, one off the curve, another signature's y, a spurious
+            // overflow claim, or several. Must cost time, never a verdict.
+            let y = match src.choice(4) {
+                0 => -recovery.y,
+                1 => recovery.y + FieldElement::ONE,
+                2 => kp.sign_recoverable(&signature.r.to_be_bytes()).1.y,
+                _ => recovery.y,
             };
-            item.recovery = Some(hinted);
+            let x_overflow = src.bool();
+            item.recovery = Some(NonceHint { y, x_overflow });
         }
         8 => {
             // Off-curve "public key": nudge y off the curve. Both the

@@ -22,7 +22,8 @@ use btcfast_crypto::mul_table::{generator_mul, mul_wnaf, OddMultiplesTable};
 use btcfast_crypto::point::{AffinePoint, Point};
 use btcfast_crypto::scalar::Scalar;
 use btcfast_crypto::sha256::{
-    backend, compress_blocks_portable, sha256, sha256_with, sha256d, Sha256,
+    backend, compress_blocks_portable, midstate, sha256, sha256_with, sha256d, sha256d_resumed,
+    Sha256,
 };
 
 /// `2^k` as a scalar, for `k < 256`.
@@ -143,9 +144,10 @@ pub fn diff_crypto_inverse(bytes: &[u8]) -> Result<(), String> {
 }
 
 /// Differential: SHA-256 as the system computes it — one-shot, doubled,
-/// and streamed through a fuzz-chosen chunking — against the textbook hash
-/// over the portable block function, on a message whose length, content
-/// and chunking all come from the case bytes.
+/// streamed through a fuzz-chosen chunking, and (where the remainder and
+/// its padding fit one block) resumed the miner's way — against the textbook
+/// hash over the portable block function, on a message whose length,
+/// content and chunking all come from the case bytes.
 pub fn diff_crypto_sha256(bytes: &[u8]) -> Result<(), String> {
     let mut src = ByteSource::new(bytes);
     // Half the lengths sit beside a block end, where the padding changes
@@ -169,7 +171,11 @@ pub fn diff_crypto_sha256(bytes: &[u8]) -> Result<(), String> {
     }
     let oracle = sha256_with(compress_blocks_portable, &data);
     let twice = sha256_with(compress_blocks_portable, &oracle);
-    if (streamed.finalize(), sha256(&data), sha256d(&data).0) != (oracle, oracle, twice) {
+    let resumed = (len % 64 < 56).then(|| midstate(&data));
+    let resumed = resumed.map_or(twice, |(state, last)| sha256d_resumed(&state, &last).0);
+    if (streamed.finalize(), sha256(&data)) != (oracle, oracle)
+        || (sha256d(&data).0, resumed) != (twice, twice)
+    {
         let on = backend();
         return Err(format!(
             "SHA-256 ({on}) diverges from the portable oracle at {len} bytes"

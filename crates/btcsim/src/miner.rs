@@ -7,7 +7,7 @@ use crate::params::ChainParams;
 use crate::pow::hash_meets_target;
 use crate::transaction::Transaction;
 use btcfast_crypto::keys::Address;
-use btcfast_crypto::sha256::{sha256, Sha256};
+use btcfast_crypto::sha256::{midstate, sha256d_resumed};
 use btcfast_crypto::Hash256;
 
 /// A miner: assembles block templates paying itself subsidy + fees, and
@@ -66,11 +66,14 @@ impl Miner {
         let parent_height = if parent == Hash256::ZERO {
             0
         } else {
+            // The documented panic: a caller bug, not an input.
             chain
                 .block_height(&parent)
                 .expect("mine_block_on requires a known parent")
         };
         let height = parent_height + 1;
+        // Cannot fire: a subsidy is at most the initial one, 50 BTC in
+        // every `ChainParams` preset (`Chain::connect` relies on the same).
         let subsidy =
             Amount::from_sats(self.params.subsidy_at(height)).expect("subsidy within money supply");
 
@@ -80,6 +83,8 @@ impl Miner {
             (txs, Amount::ZERO)
         };
 
+        // Cannot fire: fees are coins mined below `height`, so the sum is
+        // part of the emission schedule, which totals at most `MAX_MONEY`.
         let reward = subsidy.checked_add(fees).expect("reward within supply");
         self.extra_nonce += 1;
         let coinbase =
@@ -96,21 +101,16 @@ impl Miner {
             bits,
             nonce: 0,
         };
+        // Cannot fire: `expected_bits` returns the pow limit, a connected
+        // parent's bits, or a retarget `from_target` just encoded.
         let target = header.target().expect("consensus bits are valid");
-        // The nonce is the last field: the first SHA-256 block of the
-        // encoding is the same for every try, so compress it once and
-        // resume from that state per nonce.
-        let mut encoded = header.encode();
-        let mut midstate = Sha256::new();
-        midstate.update(&encoded[..64]);
-        loop {
-            let mut inner = midstate.clone();
-            inner.update(&encoded[64..]);
-            if hash_meets_target(&Hash256(sha256(&inner.finalize())), &target) {
-                break;
-            }
+        // The nonce is the last field: compress the encoding's first
+        // SHA-256 block and pad its second once, then per try rewrite the
+        // eight nonce bytes and resume.
+        let (state, mut last) = midstate(&header.encode());
+        while !hash_meets_target(&sha256d_resumed(&state, &last), &target) {
             header.nonce += 1;
-            encoded[80..].copy_from_slice(&header.nonce.to_le_bytes());
+            last[16..24].copy_from_slice(&header.nonce.to_le_bytes());
         }
         debug_assert!(hash_meets_target(&header.hash(), &target));
         Block {
@@ -125,6 +125,7 @@ mod tests {
     use super::*;
     use crate::transaction::{OutPoint, TxIn, TxOut};
     use btcfast_crypto::keys::KeyPair;
+    use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
     fn sats(v: u64) -> Amount {
         Amount::from_sats(v).unwrap()
@@ -144,20 +145,30 @@ mod tests {
 
     #[test]
     fn the_midstate_search_finds_the_first_nonce_a_full_rehash_finds() {
+        // 64 templates that differ in parent, height, time and payout; the
+        // reference is a loop over `BlockHeader::hash`, which shares nothing
+        // with the grind but the encoding.
         let params = ChainParams::regtest();
         let mut chain = Chain::new(params.clone());
-        let mut miner = Miner::new(params, KeyPair::from_seed(b"m").address());
-        for i in 1..=8 {
-            let block = miner.mine_block(&chain, vec![], i * 600);
+        let mut rng = StdRng::seed_from_u64(22);
+        for template in 0..64u64 {
+            let payout = KeyPair::from_seed(&rng.next_u64().to_le_bytes()).address();
+            let mut miner = Miner::new(params.clone(), payout);
+            let parent = [Hash256::ZERO, chain.tip_hash()][rng.gen_range(0..2usize)];
+            let time = chain.tip_time() + rng.gen_range(1..=1200u64);
+            let block = miner.mine_block_on(&chain, parent, vec![], time);
             let target = block.header.target().unwrap();
-            let mut naive = block.header;
-            naive.nonce = 0;
-            while !hash_meets_target(&naive.hash(), &target) {
-                naive.nonce += 1;
+            let mut reference = block.header;
+            reference.nonce = 0;
+            while !hash_meets_target(&reference.hash(), &target) {
+                reference.nonce += 1;
             }
-            assert_eq!(block.header.nonce, naive.nonce, "block {i}");
-            chain.submit_block(block).unwrap();
+            assert_eq!(block.header.nonce, reference.nonce, "template {template}");
+            if parent == chain.tip_hash() {
+                chain.submit_block(block).unwrap();
+            }
         }
+        assert!(chain.height() > 16, "templates sat on a growing chain");
     }
 
     #[test]

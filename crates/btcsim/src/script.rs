@@ -6,7 +6,7 @@
 //! the witness must reveal a public key hashing to the committed address and
 //! a valid ECDSA signature over the transaction sighash.
 
-use btcfast_crypto::ecdsa::{RecoveryId, Signature};
+use btcfast_crypto::ecdsa::{NonceHint, Signature};
 use btcfast_crypto::keys::{Address, PublicKey};
 use std::error::Error;
 use std::fmt;
@@ -69,7 +69,7 @@ pub struct Witness {
     /// (see `btcfast_crypto::batch`). Not part of the wire encoding, never
     /// compared for equality, and never trusted: a wrong or absent hint
     /// only routes verification off the batched fast path.
-    pub recovery: Option<RecoveryId>,
+    pub recovery: Option<NonceHint>,
 }
 
 impl Witness {
@@ -167,7 +167,7 @@ pub struct SpendStatement {
     /// The signature to check.
     pub signature: Signature,
     /// The witness's batching hint, if the signer attached one.
-    pub recovery: Option<RecoveryId>,
+    pub recovery: Option<NonceHint>,
 }
 
 /// Runs every script rule *except* the ECDSA check, in [`verify_spend`]'s

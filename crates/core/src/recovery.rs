@@ -318,9 +318,30 @@ fn take_bool(bytes: &mut &[u8]) -> Result<bool, RecoveryError> {
     }
 }
 
+/// A `u32` count and that many `(u64 id, value)` entries, as a map: a plain
+/// loop into a `Vec` reserved for what `bytes` can hold, then one bulk build
+/// (ids are written ascending; a hostile slot's unsorted or repeated ids
+/// decode as sequential inserts would, last entry winning). Collecting a
+/// `Result` iterator grows a doubling `Vec` behind an adapter whose inlining
+/// moved `crash_recover` by 17 % between otherwise equal builds.
+fn take_map<V>(
+    bytes: &mut &[u8],
+    min_entry_bytes: usize,
+    decode: impl Fn(&mut &[u8]) -> Result<V, RecoveryError>,
+) -> Result<BTreeMap<u64, V>, RecoveryError> {
+    let count = u32::from_le_bytes(take(bytes, 4)?.try_into().expect("sized slice")) as usize;
+    let mut entries = Vec::with_capacity(count.min(bytes.len() / min_entry_bytes));
+    for _ in 0..count {
+        entries.push((take_u64(bytes)?, decode(bytes)?));
+    }
+    Ok(BTreeMap::from_iter(entries))
+}
+
 impl Step {
     /// The longest encoding of any step (`OpenPayment`): sizes a buffer.
     const MAX_ENCODED_BYTES: usize = 1 + 32 + 8 + 16 + 8;
+    /// The shortest (`AcceptanceSend`, `Verdict`): bounds a count read from a slot.
+    const MIN_ENCODED_BYTES: usize = 1 + 8 + 1;
 
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -580,18 +601,9 @@ impl PaymentLedger {
     }
 
     fn decode(bytes: &mut &[u8]) -> Result<PaymentLedger, RecoveryError> {
-        let escrow_opened = take_bool(bytes)?;
-        let count = u32::from_le_bytes(take(bytes, 4)?.try_into().expect("sized slice"));
-        // The encoder writes ids ascending, so collecting bulk-builds the
-        // tree from an already-sorted stream instead of descending it once
-        // per payment. A hostile slot with unsorted or repeated ids decodes
-        // exactly as sequential inserts would (the last entry wins).
-        let payments = (0..count)
-            .map(|_| Ok((take_u64(bytes)?, PaymentState::decode(bytes)?)))
-            .collect::<Result<BTreeMap<_, _>, RecoveryError>>()?;
         Ok(PaymentLedger {
-            escrow_opened,
-            payments,
+            escrow_opened: take_bool(bytes)?,
+            payments: take_map(bytes, Self::PAYMENT_BYTES, PaymentState::decode)?,
             value_accepted_sats: take_u64(bytes)?,
         })
     }
@@ -922,10 +934,7 @@ fn decode_snapshot_state(
 ) -> Result<(PaymentLedger, BTreeMap<u64, Step>), RecoveryError> {
     let mut bytes = bytes;
     let ledger = PaymentLedger::decode(&mut bytes)?;
-    let count = u32::from_le_bytes(take(&mut bytes, 4)?.try_into().expect("sized slice"));
-    let pending = (0..count)
-        .map(|_| Ok((take_u64(&mut bytes)?, Step::decode(&mut bytes)?)))
-        .collect::<Result<BTreeMap<_, _>, RecoveryError>>()?;
+    let pending = take_map(&mut bytes, 8 + Step::MIN_ENCODED_BYTES, Step::decode)?;
     if !bytes.is_empty() {
         return Err(RecoveryError::Malformed("trailing snapshot bytes".into()));
     }

@@ -1,7 +1,7 @@
 //! Randomized-linear-combination batch ECDSA verification.
 //!
 //! A single ECDSA verify checks `R' = u1·G + u2·Q` and compares x-coords,
-//! where `u1 = z/s`, `u2 = r/s`. Given the signer-supplied [`RecoveryId`]
+//! where `u1 = z/s`, `u2 = r/s`. Given the signer-supplied [`NonceHint`]
 //! hint naming the actual nonce point `R` (verification alone cannot
 //! distinguish `R` from `−R` — it only sees `r`), a batch of signatures
 //! collapses into **one** multi-scalar multiplication:
@@ -26,21 +26,27 @@
 //! `a_i` coefficients un-split and serves `G` from its static table) — so
 //! per-signature cost is a fraction of a cold sequential verify.
 //!
+//! **The hint is checked, not trusted and not computed.** It carries the `y`
+//! the signer held; the lift accepts it iff `y² = x³ + 7` for the `x` rebuilt
+//! from `r` — two field operations where a parity bit needed a square root.
+//! An accepted hint is thus one of the two curve points with that `x`, the
+//! set a parity bit chose from: the wrong one fails the multi-scalar check
+//! like any bad signature, bisects, and the oracle decides.
+//!
 //! **Verdicts are exactly the sequential loop's.** Items without a usable
-//! hint (absent, malformed, or an `r` that does not lift to the curve) are
-//! verified by the per-signature oracle [`ecdsa::verify`] directly, and so
-//! is every item of a batch with fewer than two hinted ones. A failing
-//! multi-scalar check bisects, and every bisection *leaf* is decided by
-//! the oracle, never probabilistically — a hostile or corrupted hint can
-//! cost time (it forces bisection) but can never flip a verdict or misname
-//! a culprit.
+//! hint (absent, or naming a point off the curve) are verified by the
+//! per-signature oracle [`ecdsa::verify`] directly, and so is every item of
+//! a batch with fewer than two hinted ones. A failing multi-scalar check
+//! bisects, and every bisection *leaf* is decided by the oracle, never
+//! probabilistically — a hostile or corrupted hint can cost time (it forces
+//! bisection) but can never flip a verdict or misname a culprit.
 //!
 //! Randomizers come from a caller-seeded splitmix64 stream, **never**
 //! ambient entropy, so a replay with the same seed performs byte-identical
 //! work; and the stream is private to the batch call, so it cannot perturb
 //! any other deterministic stream in a session.
 
-use crate::ecdsa::{self, RecoveryId, Signature};
+use crate::ecdsa::{self, NonceHint, Signature};
 use crate::field::FieldElement;
 use crate::mul_table::msm_with_generator;
 use crate::point::Point;
@@ -57,7 +63,7 @@ pub struct BatchItem {
     pub signature: Signature,
     /// The signer's nonce-point hint; `None` routes this item to the
     /// per-signature oracle (correct, just not batched).
-    pub recovery: Option<RecoveryId>,
+    pub recovery: Option<NonceHint>,
 }
 
 /// Work counters for one [`verify_batch`] call. Callers (the payment
@@ -136,6 +142,7 @@ fn randomizer(state: &mut u64) -> Scalar {
         let mut bytes = [0u8; 32];
         bytes[16..24].copy_from_slice(&splitmix64(state).to_be_bytes());
         bytes[24..32].copy_from_slice(&splitmix64(state).to_be_bytes());
+        // Cannot fire: the top 16 bytes are zero and n is above 2^255.
         let a = Scalar::from_be_bytes(&bytes).expect("128-bit value is below n");
         if !a.is_zero() {
             return a;
@@ -165,18 +172,17 @@ fn batch_invert(values: &[Scalar]) -> Vec<Scalar> {
     out
 }
 
-/// Lifts `r` (plus the hint's overflow/parity bits) back to the signer's
-/// nonce point. `None` when the hint is unusable — `r + n` does not fit
-/// the base field, or `r` is not the x-coordinate of any curve point.
-fn lift_nonce_point(sig: &Signature, rec: RecoveryId) -> Option<Point> {
-    let x = if rec.x_overflow {
+/// Rebuilds the signer's nonce point from `r` (plus the hint's overflow
+/// bit) and the hinted `y`. `None` when the hint is unusable — `r + n` does
+/// not fit the base field, or `(x, y)` is not on the curve.
+fn lift_nonce_point(sig: &Signature, hint: NonceHint) -> Option<Point> {
+    let x = if hint.x_overflow {
         FieldElement::from_be_bytes(&sig.r.plus_order_bytes()?)?
     } else {
+        // Cannot fire: a `Scalar` is below n, and n < p.
         FieldElement::from_be_bytes(&sig.r.to_be_bytes()).expect("r < n < p")
     };
-    let y = (x.square() * x + FieldElement::from_u64(7)).sqrt()?;
-    let y = if y.is_odd() == rec.y_odd { y } else { -y };
-    Some(Point::from_affine(x, y))
+    Point::from_affine_checked(x, hint.y)
 }
 
 /// One randomized multi-scalar check over a set of prepared items: draws a
@@ -253,7 +259,7 @@ pub fn verify_batch(items: &[BatchItem], seed: u64) -> BatchOutcome {
 
     // The combination only pays from two signatures up: with fewer hinted
     // items every verdict would come from the oracle anyway (a bisection
-    // leaf), so skip the nonce-point lift and the `s⁻¹` it would discard.
+    // leaf), so skip the curve check and the `s⁻¹` it would discard.
     let batchable = items.iter().filter(|it| it.recovery.is_some()).count() >= 2;
 
     let mut prepared: Vec<Prepared> = Vec::with_capacity(items.len());
@@ -266,7 +272,7 @@ pub fn verify_batch(items: &[BatchItem], seed: u64) -> BatchOutcome {
         let fast = (batchable && ecdsa::precheck(&item.pubkey, &item.signature))
             .then_some(item.recovery)
             .flatten()
-            .and_then(|rec| lift_nonce_point(&item.signature, rec));
+            .and_then(|hint| lift_nonce_point(&item.signature, hint));
         match fast {
             Some(r_point) => {
                 // Keys are compared by coordinates: a digest of the key
@@ -363,21 +369,38 @@ mod tests {
 
     #[test]
     fn hostile_hints_cost_time_but_never_verdicts() {
-        let mut items: Vec<BatchItem> = (1..9).map(|v| item(v, b"pay")).collect();
-        // Flip a parity hint on a valid signature, drop one hint entirely,
-        // and corrupt one signature while keeping its (now stale) hint.
-        items[1].recovery = items[1].recovery.map(|r| RecoveryId {
-            y_odd: !r.y_odd,
-            x_overflow: r.x_overflow,
-        });
-        items[3].recovery = None;
-        items[6].digest = sha256(b"stale hint");
-        let outcome = verify_batch(&items, 3);
-        assert_eq!(outcome.invalid, vec![6]);
-        assert_eq!(outcome.invalid, oracle_invalid(&items));
-        // The unhinted item went to the oracle; the flipped hint forced
-        // bisection down to oracle leaves.
-        assert!(outcome.stats.oracle_checks >= 2);
+        let honest: Vec<BatchItem> = (1..9).map(|v| item(v, b"pay")).collect();
+        let y = |i: usize| honest[i].recovery.unwrap().y;
+        let hint = |y, x_overflow| Some(NonceHint { y, x_overflow });
+        // Each hint rides on valid signature 1, the rest of the batch honest:
+        // (hint, whether the lift accepts it, whether it names the point).
+        let hostile = [
+            (hint(-y(1), false), true, false), // the other point with this x
+            (hint(y(1) + FieldElement::ONE, false), false, false), // off the curve
+            (hint(y(2), false), false, false), // another signature's y
+            (hint(y(1), true), false, false),  // a spurious overflow claim
+            (None, false, false),
+            (hint(y(1), false), true, true), // the signer's own
+        ];
+        for (case, (recovery, lifts, right)) in hostile.into_iter().enumerate() {
+            let mut items = honest.clone();
+            items[1].recovery = recovery;
+            let outcome = verify_batch(&items, 3);
+            assert!(outcome.all_valid(), "case {case}");
+            assert_eq!(outcome.stats.hinted, 7 + u64::from(lifts), "case {case}");
+            // An unusable hint is one oracle check; a usable wrong one
+            // bisects down to oracle leaves; the right one costs neither.
+            assert_eq!(outcome.stats.oracle_checks == 0, right, "case {case}");
+            assert_eq!(outcome.stats.bisections > 0, lifts && !right, "case {case}");
+
+            // The same hint on a signature that is also bad, beside a
+            // stale hint on another bad one: culprits are the oracle's.
+            items[1].digest = sha256(b"tampered");
+            items[6].digest = sha256(b"stale hint");
+            let outcome = verify_batch(&items, 3);
+            assert_eq!(outcome.invalid, vec![1, 6], "case {case}");
+            assert_eq!(outcome.invalid, oracle_invalid(&items), "case {case}");
+        }
     }
 
     #[test]
@@ -420,13 +443,13 @@ mod tests {
 
     #[test]
     fn x_overflow_hint_with_ordinary_r_goes_to_oracle_unharmed() {
-        // A hostile overflow bit on an ordinary r: the lift lands on a
-        // different x (r + n) or fails; either way the bisection/oracle
-        // path must still return the sequential verdict.
+        // A hostile overflow bit on an ordinary r: `r + n` does not fit the
+        // field, or the honest y is off the curve at that other x; either
+        // way the oracle path must still return the sequential verdict.
         let mut it = item(8, b"pay");
-        it.recovery = it.recovery.map(|r| RecoveryId {
-            y_odd: r.y_odd,
+        it.recovery = it.recovery.map(|hint| NonceHint {
             x_overflow: true,
+            ..hint
         });
         let items = [it, item(9, b"pay")];
         let outcome = verify_batch(&items, 5);

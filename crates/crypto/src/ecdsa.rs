@@ -1,6 +1,7 @@
 //! ECDSA over secp256k1 with RFC 6979 deterministic nonces and low-S
 //! normalization (the scheme Bitcoin transactions use).
 
+use crate::field::FieldElement;
 use crate::hmac::hmac_sha256;
 use crate::mul_table::{self, OddMultiplesTable, PubkeyCacheStats, PubkeyTableCache};
 use crate::point::{AffinePoint, Point};
@@ -85,43 +86,25 @@ impl fmt::Display for SignatureError {
 
 impl Error for SignatureError {}
 
-/// The two bits of signer-side context that make a signature *batchable*:
-/// which of the (at most four) curve points with `x ≡ r (mod n)` was the
-/// nonce point `k·G`.
+/// The signer-side context that makes a signature *batchable*: which of
+/// the (at most four) curve points with `x ≡ r (mod n)` was the nonce point
+/// `k·G`.
 ///
 /// ECDSA verification only compares x-coordinates, so `(r, s, z, Q)` alone
 /// determines the nonce point up to sign — a verifier cannot reconstruct
 /// `R = k·G` itself, which the batched equation
 /// `Σ a_i·u1_i·G + Σ a_i·u2_i·Q_i − Σ a_i·R_i = ∞` needs explicitly. The
-/// signer knows `R` for free, and these two bits pin it down exactly (the
-/// same trick as Bitcoin/Ethereum recoverable signatures). The hint is
-/// advisory: it never changes a verdict, only whether the fast batched
-/// path applies (see [`crate::batch`]).
+/// signer holds `R` in affine form while it signs, so the hint carries that
+/// `y` and the verifier checks it against the curve equation instead of
+/// taking a square root. The hint is advisory: it never changes a verdict,
+/// only whether the fast batched path applies (see [`crate::batch`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoveryId {
-    /// True when the nonce point's y-coordinate is odd.
-    pub y_odd: bool,
+pub struct NonceHint {
+    /// The y-coordinate of the nonce point verification reconstructs.
+    pub y: FieldElement,
     /// True when the nonce point's x-coordinate was `>= n` before reduction
     /// (probability ~2^-128; kept for completeness).
     pub x_overflow: bool,
-}
-
-impl RecoveryId {
-    /// Packs into the conventional 2-bit encoding `2·x_overflow + y_odd`.
-    pub fn to_byte(self) -> u8 {
-        (self.x_overflow as u8) << 1 | self.y_odd as u8
-    }
-
-    /// Unpacks the 2-bit encoding; `None` for out-of-range bytes.
-    pub fn from_byte(byte: u8) -> Option<RecoveryId> {
-        if byte > 3 {
-            return None;
-        }
-        Some(RecoveryId {
-            y_odd: byte & 1 == 1,
-            x_overflow: byte & 2 == 2,
-        })
-    }
 }
 
 /// RFC 6979 deterministic nonce derivation for SHA-256.
@@ -178,7 +161,7 @@ pub fn sign(d: &Scalar, digest: &[u8; 32]) -> Result<Signature, SignatureError> 
     sign_recoverable(d, digest).map(|(sig, _)| sig)
 }
 
-/// Signs a 32-byte message digest, also returning the [`RecoveryId`] that
+/// Signs a 32-byte message digest, also returning the [`NonceHint`] that
 /// identifies the nonce point `k·G` among the candidates sharing `r` —
 /// the hint batch verification needs to reconstruct `R` (see
 /// [`crate::batch`]). The signature itself is identical to [`sign`]'s.
@@ -189,7 +172,7 @@ pub fn sign(d: &Scalar, digest: &[u8; 32]) -> Result<Signature, SignatureError> 
 pub fn sign_recoverable(
     d: &Scalar,
     digest: &[u8; 32],
-) -> Result<(Signature, RecoveryId), SignatureError> {
+) -> Result<(Signature, NonceHint), SignatureError> {
     if d.is_zero() {
         return Err(SignatureError::InvalidSecretKey);
     }
@@ -205,18 +188,12 @@ pub fn sign_recoverable(
                 let s = k.invert() * (z + r * *d);
                 if !s.is_zero() {
                     let x_overflow = Scalar::from_be_bytes(&x_bytes).is_none();
-                    let mut y_odd = y.is_odd();
-                    let s = if s.is_high() {
-                        // Low-S normalization replaces s with -s, and a
-                        // verifier computing s⁻¹(z + r·d)·G then lands on
-                        // -k·G instead of k·G: flip the parity hint so it
-                        // names the point verification will reconstruct.
-                        y_odd = !y_odd;
-                        -s
-                    } else {
-                        s
-                    };
-                    return Ok((Signature { r, s }, RecoveryId { y_odd, x_overflow }));
+                    // Low-S normalization replaces s with -s, and a
+                    // verifier computing s⁻¹(z + r·d)·G then lands on
+                    // -k·G instead of k·G: negate the hinted y with it, so
+                    // it names the point verification will reconstruct.
+                    let (s, y) = if s.is_high() { (-s, -y) } else { (s, y) };
+                    return Ok((Signature { r, s }, NonceHint { y, x_overflow }));
                 }
             }
         }
@@ -244,12 +221,7 @@ thread_local! {
 fn compressed_id(q: &Point) -> Option<[u8; 33]> {
     match q.to_affine() {
         AffinePoint::Infinity => None,
-        AffinePoint::Coordinates { x, y } => {
-            let mut id = [0u8; 33];
-            id[0] = if y.is_odd() { 0x03 } else { 0x02 };
-            id[1..].copy_from_slice(&x.to_be_bytes());
-            Some(id)
-        }
+        AffinePoint::Coordinates { x, y } => Some(crate::keys::compress(&x, &y)),
     }
 }
 
@@ -549,22 +521,13 @@ mod tests {
         assert_eq!(Signature::from_bytes(&bytes), Err(SignatureError::HighS));
     }
 
-    #[test]
-    fn recovery_id_byte_round_trip() {
-        for byte in 0u8..4 {
-            assert_eq!(RecoveryId::from_byte(byte).unwrap().to_byte(), byte);
-        }
-        assert_eq!(RecoveryId::from_byte(4), None);
-        assert_eq!(RecoveryId::from_byte(255), None);
-    }
-
     /// `sign_recoverable` emits the same signature as `sign`, and its hint
-    /// names the exact point verification reconstructs: lifting `r` by the
-    /// hinted parity must land on `u1·G + u2·Q` itself, not just a point
-    /// sharing its x-coordinate.
+    /// names the exact point verification reconstructs: `r` with the hinted
+    /// `y` must be `u1·G + u2·Q` itself, not just a point sharing its
+    /// x-coordinate — on high-S-normalised signatures too.
     #[test]
     fn sign_recoverable_names_the_reconstructed_nonce_point() {
-        use crate::field::FieldElement;
+        let mut normalised = 0;
         for seed in 1u64..12 {
             let d = Scalar::from_u64(seed * 104_729 + 7);
             let digest = sha256(&seed.to_be_bytes());
@@ -573,11 +536,10 @@ mod tests {
             assert!(!rec.x_overflow, "overflow has probability ~2^-128");
 
             let x = FieldElement::from_be_bytes(&sig.r.to_be_bytes()).unwrap();
-            let y = (x.square() * x + FieldElement::from_u64(7))
-                .sqrt()
-                .expect("r lifts to the curve");
-            let y = if y.is_odd() == rec.y_odd { y } else { -y };
-            let lifted = Point::from_affine_checked(x, y).unwrap();
+            let lifted = Point::from_affine_checked(x, rec.y).expect("the hint is on the curve");
+            // The signer negated y exactly when it negated s.
+            let k = rfc6979_nonce(&d.to_be_bytes(), &digest);
+            normalised += usize::from(!lifted.equals(&Point::generator().mul(&k)));
 
             let z = Scalar::from_be_bytes_reduced(&digest);
             let s_inv = sig.s.invert();
@@ -586,6 +548,7 @@ mod tests {
                 .add(&pubkey(&d).mul(&(sig.r * s_inv)));
             assert!(reconstructed.equals(&lifted), "seed {seed}");
         }
+        assert!((1..11).contains(&normalised), "both branches ran");
     }
 
     /// Off-curve points must be rejected by both verify paths before any
@@ -594,7 +557,6 @@ mod tests {
     /// could otherwise borrow an honest key's cached table.
     #[test]
     fn verify_rejects_off_curve_points_on_both_paths() {
-        use crate::field::FieldElement;
         let d = Scalar::from_u64(606);
         let digest = sha256(b"off-curve");
         let sig = sign(&d, &digest).unwrap();

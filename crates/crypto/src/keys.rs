@@ -1,6 +1,6 @@
 //! Key pairs, compressed public-key encoding, and Bitcoin-style addresses.
 
-use crate::ecdsa::{self, RecoveryId, Signature, SignatureError};
+use crate::ecdsa::{self, NonceHint, Signature, SignatureError};
 use crate::field::FieldElement;
 use crate::point::{AffinePoint, Point};
 use crate::ripemd160::hash160;
@@ -52,20 +52,23 @@ impl SecretKey {
     /// cache key never pay a field inversion.
     pub fn public_key(&self) -> PublicKey {
         match crate::mul_table::generator_mul(&self.0).to_affine() {
-            AffinePoint::Coordinates { x, y } => PublicKey(Point::from_affine(x, y)),
+            AffinePoint::Coordinates { x, y } => PublicKey::from_affine(x, y),
+            // Cannot fire: a nonzero scalar below the prime order.
             AffinePoint::Infinity => unreachable!("nonzero scalar times G is finite"),
         }
     }
 
     /// Signs a 32-byte digest (RFC 6979 deterministic ECDSA).
     pub fn sign(&self, digest: &[u8; 32]) -> Signature {
+        // Cannot fire: a zero key is the only `Err`, and no constructor makes one.
         ecdsa::sign(&self.0, digest).expect("secret key is nonzero by construction")
     }
 
-    /// [`SecretKey::sign`] plus the [`RecoveryId`] hint that makes the
+    /// [`SecretKey::sign`] plus the [`NonceHint`] hint that makes the
     /// signature batch-verifiable (see [`crate::batch`]). The signature
     /// bytes are identical to `sign`'s.
-    pub fn sign_recoverable(&self, digest: &[u8; 32]) -> (Signature, RecoveryId) {
+    pub fn sign_recoverable(&self, digest: &[u8; 32]) -> (Signature, NonceHint) {
+        // Cannot fire: as in `sign`.
         ecdsa::sign_recoverable(&self.0, digest).expect("secret key is nonzero by construction")
     }
 }
@@ -77,9 +80,15 @@ impl fmt::Debug for SecretKey {
     }
 }
 
-/// A public key: a finite curve point.
+/// A public key: a finite curve point in affine form (`Z = 1`) beside the
+/// address it hashes to — hashed once, where the key is built, not on each
+/// script check a transaction gets. The address is a function of the
+/// point, so derived equality is still equality of points.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct PublicKey(Point);
+pub struct PublicKey {
+    point: Point,
+    address: Address,
+}
 
 /// Errors decoding a compressed public key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,27 +114,23 @@ impl fmt::Display for PublicKeyError {
 impl Error for PublicKeyError {}
 
 impl PublicKey {
+    /// The key at curve point `(x, y)`, which the caller knows is on it.
+    fn from_affine(x: FieldElement, y: FieldElement) -> PublicKey {
+        PublicKey {
+            point: Point::from_affine(x, y),
+            address: Address(hash160(&compress(&x, &y))),
+        }
+    }
+
     /// The underlying curve point.
     pub fn point(&self) -> &Point {
-        &self.0
+        &self.point
     }
 
     /// SEC1 compressed encoding: `02/03 || x` (33 bytes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is the point at infinity, which
-    /// [`SecretKey::public_key`] can never produce.
     pub fn to_compressed(&self) -> [u8; 33] {
-        match self.0.to_affine() {
-            AffinePoint::Infinity => panic!("public key cannot be the point at infinity"),
-            AffinePoint::Coordinates { x, y } => {
-                let mut out = [0u8; 33];
-                out[0] = if y.is_odd() { 0x03 } else { 0x02 };
-                out[1..].copy_from_slice(&x.to_be_bytes());
-                out
-            }
-        }
+        // `from_affine` is the only constructor: Z is one.
+        compress(&self.point.x, &self.point.y)
     }
 
     /// Decodes a SEC1 compressed public key, validating the curve equation.
@@ -145,18 +150,26 @@ impl PublicKey {
         let y_squared = x.square() * x + FieldElement::from_u64(7);
         let y = y_squared.sqrt().ok_or(PublicKeyError::NotOnCurve)?;
         let y = if y.is_odd() == want_odd { y } else { -y };
-        Ok(PublicKey(Point::from_affine(x, y)))
+        Ok(PublicKey::from_affine(x, y))
     }
 
     /// Bitcoin-style 20-byte address: `RIPEMD160(SHA256(compressed))`.
     pub fn address(&self) -> Address {
-        Address(hash160(&self.to_compressed()))
+        self.address
     }
 
     /// Verifies a signature on a 32-byte digest.
     pub fn verify(&self, digest: &[u8; 32], sig: &Signature) -> bool {
-        ecdsa::verify(&self.0, digest, sig)
+        ecdsa::verify(&self.point, digest, sig)
     }
+}
+
+/// SEC1 compressed encoding of the affine point `(x, y)`.
+pub(crate) fn compress(x: &FieldElement, y: &FieldElement) -> [u8; 33] {
+    let mut out = [0u8; 33];
+    out[0] = if y.is_odd() { 0x03 } else { 0x02 };
+    out[1..].copy_from_slice(&x.to_be_bytes());
+    out
 }
 
 impl fmt::Debug for PublicKey {
@@ -255,7 +268,7 @@ impl KeyPair {
 
     /// Signs a 32-byte digest, also returning the batch-verification hint
     /// (see [`SecretKey::sign_recoverable`]).
-    pub fn sign_recoverable(&self, digest: &[u8; 32]) -> (Signature, RecoveryId) {
+    pub fn sign_recoverable(&self, digest: &[u8; 32]) -> (Signature, NonceHint) {
         self.secret.sign_recoverable(digest)
     }
 }

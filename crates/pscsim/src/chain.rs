@@ -1213,7 +1213,7 @@ mod tests {
                 .recovery
                 .as_mut()
                 .expect("signed with a hint");
-            hint.y_odd = !hint.y_odd;
+            hint.y = -hint.y;
             // A flipped hint on a transaction that is invalid anyway.
             let mut both = flipped.clone();
             both[7 - index].value += 1;

@@ -4,7 +4,7 @@ use crate::account::AccountId;
 use crate::codec::Encode;
 use crate::contract::Event;
 use crate::gas::Gas;
-use btcfast_crypto::ecdsa::{RecoveryId, Signature};
+use btcfast_crypto::ecdsa::{NonceHint, Signature};
 use btcfast_crypto::keys::{KeyPair, PublicKey};
 use btcfast_crypto::sha256::sha256d;
 use btcfast_crypto::Hash256;
@@ -94,7 +94,7 @@ pub struct PscTransaction {
     /// (see `btcfast_crypto::batch`). Outside the digest, the hash and
     /// equality, and never trusted: a wrong or absent hint only routes
     /// admission off the batched path.
-    pub recovery: Option<RecoveryId>,
+    pub recovery: Option<NonceHint>,
 }
 
 /// Equality ignores the advisory recovery hint, like
