@@ -17,15 +17,6 @@ use btcfast_netsim::faults::FaultPlan;
 use btcfast_netsim::time::SimTime;
 use btcfast_payjudger::types::DisputeVerdict;
 
-/// A chaos transport policy generous enough to ride out the partition
-/// schedule: more attempts and a longer phase budget than the defaults.
-fn chaos_config() -> ChaosConfig {
-    let mut config = ChaosConfig::default();
-    config.transport.max_attempts = 12;
-    config.phase_deadline = SimTime::from_secs(60);
-    config
-}
-
 /// The partition schedules swept: `None`, or a merchant↔PSC partition
 /// window `(start, end)` in transport time, landing on the dispute phases.
 const PARTITIONS: [(&str, Option<(u64, u64)>); 2] =
@@ -91,7 +82,7 @@ pub fn run(quick: bool) -> Vec<Table> {
                 let seed = 0xE10 + trial as u64 * 7919;
                 let mut chaos = ChaosSession::new(
                     session_config(),
-                    chaos_config(),
+                    ChaosConfig::default(),
                     plan_for(loss, partition),
                     seed,
                 );
@@ -158,7 +149,7 @@ pub fn run(quick: bool) -> Vec<Table> {
                 let seed = 0xD15 + trial as u64 * 104_729;
                 let mut chaos = ChaosSession::new(
                     session_config(),
-                    chaos_config(),
+                    ChaosConfig::default(),
                     plan_for(loss, partition),
                     seed,
                 );

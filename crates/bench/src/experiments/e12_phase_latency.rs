@@ -149,23 +149,4 @@ mod tests {
         let (_, traces_match) = replay_evidence(true);
         assert!(traces_match);
     }
-
-    #[test]
-    fn e12_emits_phase_metrics_and_replay_tables() {
-        let tables = run(true);
-        assert_eq!(tables.len(), 3);
-        assert!(tables.iter().all(|t| !t.is_empty()));
-        let phases = tables[0].render();
-        for phase in [
-            "session.offer_delivery",
-            "session.merchant_verify",
-            "session.acceptance_delivery",
-            "session.accept",
-            "session.register",
-            "session.escrow_open",
-        ] {
-            assert!(phases.contains(phase), "missing {phase} in:\n{phases}");
-        }
-        assert!(tables[1].render().contains("btcfast_mempool_admitted"));
-    }
 }

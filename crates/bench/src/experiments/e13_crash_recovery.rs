@@ -38,13 +38,6 @@ const INTENSITIES: [u32; 3] = [0, 1, 3];
 
 const NODES: [NodeId; 3] = [CUSTOMER_NODE, MERCHANT_NODE, PSC_NODE];
 
-fn chaos_config() -> ChaosConfig {
-    let mut config = ChaosConfig::default();
-    config.transport.max_attempts = 12;
-    config.phase_deadline = SimTime::from_secs(60);
-    config
-}
-
 fn session_config() -> SessionConfig {
     SessionConfig {
         challenge_window_secs: 1800,
@@ -100,7 +93,7 @@ pub fn run(quick: bool) -> Vec<Table> {
                 let run_once = |seed: u64| {
                     let mut chaos = ChaosSession::new(
                         session_config(),
-                        chaos_config(),
+                        ChaosConfig::default(),
                         plan_for(crashes, times_ms, trial),
                         seed,
                     );
@@ -188,7 +181,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             let seed = 0xD13 + u64::from(trial) * 104_729;
             let mut chaos = ChaosSession::new(
                 session_config(),
-                chaos_config(),
+                ChaosConfig::default(),
                 plan_for(crashes, PHASES[2].1, trial),
                 seed,
             );

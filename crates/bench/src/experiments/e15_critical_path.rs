@@ -34,13 +34,6 @@ const AMOUNT_SATS: u64 = 1_000_000;
 /// which case the verdict column names the dominant bucket.
 const SLO_BUDGET_US: u64 = 60_000_000;
 
-fn chaos_config() -> ChaosConfig {
-    let mut config = ChaosConfig::default();
-    config.transport.max_attempts = 12;
-    config.phase_deadline = SimTime::from_secs(60);
-    config
-}
-
 fn plan_for(loss: f64) -> FaultPlan {
     let mut plan = FaultPlan::new();
     if loss > 0.0 {
@@ -60,7 +53,7 @@ struct Trial {
 fn run_trial(loss: f64, seed: u64) -> Trial {
     let mut chaos = ChaosSession::new(
         SessionConfig::default(),
-        chaos_config(),
+        ChaosConfig::default(),
         plan_for(loss),
         seed,
     );

@@ -9,19 +9,13 @@ use crate::table::{f3, Table};
 use btcfast::session::FastPaySession;
 use btcfast::SessionConfig;
 use btcfast_netsim::latency::LatencyModel;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
+use btcfast_obs::stats::quantile_sorted_f64;
 
 fn stats(mut samples: Vec<f64>) -> (f64, f64, f64) {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    (mean, percentile(&samples, 0.5), percentile(&samples, 0.95))
+    let percentile = |p| quantile_sorted_f64(&samples, p).unwrap_or(f64::NAN);
+    (mean, percentile(0.5), percentile(0.95))
 }
 
 /// Runs E1.
@@ -111,16 +105,4 @@ pub fn run(quick: bool) -> Vec<Table> {
     }
 
     vec![table]
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn e1_runs_and_shapes_hold() {
-        let tables = super::run(true);
-        assert_eq!(tables.len(), 1);
-        let rendered = tables[0].render();
-        assert!(rendered.contains("BTCFast"));
-        assert!(rendered.contains("6-confirmation"));
-    }
 }

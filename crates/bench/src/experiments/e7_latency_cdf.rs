@@ -5,6 +5,7 @@
 use crate::table::{f3, Table};
 use btcfast::session::FastPaySession;
 use btcfast::SessionConfig;
+use btcfast_obs::stats::quantile_sorted_f64;
 
 /// Runs E7: samples waits, reports the empirical CDF at fixed quantiles
 /// plus the fraction of payments completing within 1 s.
@@ -32,8 +33,8 @@ pub fn run(quick: bool) -> Vec<Table> {
         &["quantile", "waiting time (s)"],
     );
     for q in [0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99] {
-        let idx = (((waits.len() - 1) as f64) * q).round() as usize;
-        table.push(vec![format!("p{:02.0}", q * 100.0), f3(waits[idx])]);
+        let wait = quantile_sorted_f64(&waits, q).expect("trials ran");
+        table.push(vec![format!("p{:02.0}", q * 100.0), f3(wait)]);
     }
     let under_one = waits.iter().filter(|&&w| w < 1.0).count() as f64 / waits.len() as f64;
     table.push(vec!["P(wait < 1 s)".into(), f3(under_one)]);

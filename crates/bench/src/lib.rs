@@ -17,9 +17,11 @@
 
 pub mod ab;
 pub mod experiments;
+pub mod golden;
 pub mod json;
 pub mod load;
 pub mod overhead;
 pub mod table;
+pub mod trace;
 
 pub use table::Table;

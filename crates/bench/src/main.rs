@@ -7,6 +7,7 @@
 //! harness ab BASE_BIN HEAD_BIN # the perf gate: two benchmark/ builds, paired
 //! harness overhead             # instrumentation cost against its 5 % budget
 //! harness trace                # chaos run -> JSONL trace + Prometheus dump
+//! harness bless                # re-pin bench/golden/ after a table was meant to move
 //! harness fuzz --seed 7 --iters 2000   # corpus replay + fresh fuzzing
 //! ```
 //!
@@ -19,7 +20,7 @@
 //! When `$GITHUB_STEP_SUMMARY` is set (GitHub Actions), every table printed
 //! is also appended there as markdown.
 
-use btcfast_bench::{ab, experiments, overhead};
+use btcfast_bench::{ab, experiments, golden, overhead, trace};
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
@@ -36,6 +37,7 @@ fn main() -> ExitCode {
         Some("ab") => run_ab(&args[1..]),
         Some("overhead") => Ok(run_overhead()),
         Some("trace") => run_trace(&args[1..]),
+        Some("bless") => Ok(run_bless()),
         Some("fuzz") => run_fuzz(&args[1..]),
         _ => run_experiments(&args),
     };
@@ -55,6 +57,7 @@ fn usage() {
     println!("       harness ab BASE_BIN HEAD_BIN [--pairs N] [--record PATH]");
     println!("       harness overhead");
     println!("       harness trace [--seed N] [--trace PATH] [--metrics PATH]");
+    println!("       harness bless");
     println!(
         "       harness fuzz [--seed N] [--iters N] [--engine codec|diff|invariant|store|crypto|batch] \
          [--corpus DIR] [--out DIR] [--metrics PATH]"
@@ -200,61 +203,22 @@ fn run_experiments(args: &[String]) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `harness trace [--seed N] [--trace PATH] [--metrics PATH]` — run one
-/// seeded chaos scenario (payment under 20% loss, then a dispute) and
-/// export its sim-time span trace as JSONL plus a Prometheus-style dump
-/// of every subsystem counter. Same seed → byte-identical trace file.
+/// `harness trace [--seed N] [--trace PATH] [--metrics PATH]` — run the
+/// seeded chaos scenario of [`trace`] and write its two exports. Same seed
+/// → byte-identical trace file.
 fn run_trace(args: &[String]) -> Result<ExitCode, CliError> {
-    use btcfast::chaos::ChaosSession;
-    use btcfast::robustness::ChaosConfig;
-    use btcfast::telemetry;
-    use btcfast::SessionConfig;
-    use btcfast_netsim::faults::FaultPlan;
-    use btcfast_netsim::time::SimTime;
-
-    // Default seed chosen so the dispute leg's race is actually lost and
-    // the dispute phases land on the exported trace.
-    let seed: u64 = parse_flag(args, "--seed", "17", "a u64 seed")?;
+    let default_seed = trace::DEFAULT_SEED.to_string();
+    let seed: u64 = parse_flag(args, "--seed", &default_seed, "a u64 seed")?;
     let trace_path = path_flag(args, "--trace", "TRACE_btcfast.jsonl")?;
     let metrics_path = path_flag(args, "--metrics", "METRICS_btcfast.prom")?;
 
-    let mut plan = FaultPlan::new();
-    plan.loss_window(SimTime::ZERO, SimTime::from_secs(86_400), 0.2);
-    let mut config = ChaosConfig::default();
-    config.transport.max_attempts = 12;
-    config.phase_deadline = SimTime::from_secs(60);
-    let mut chaos = ChaosSession::new(SessionConfig::default(), config, plan, seed);
-
-    if let Err(e) = chaos.run_fast_payment_chaos(1_000_000) {
-        eprintln!("trace scenario: payment leg failed under chaos: {e}");
-        return Ok(ExitCode::FAILURE);
-    }
-    // Confirm the first sale so the dispute leg's payment does not
-    // conflict with it in the mempool.
-    if let Err(e) = chaos.session.mine_public_block() {
-        eprintln!("trace scenario: confirmation block did not connect: {e}");
-        return Ok(ExitCode::FAILURE);
-    }
-    if let Err(e) = chaos.run_dispute_chaos(1_000_000, 0.3, 24) {
-        eprintln!("trace scenario: dispute leg failed under chaos: {e}");
-        return Ok(ExitCode::FAILURE);
-    }
-    // The dispute path already snapshots the transport counters; only add
-    // a final snapshot when the run ended without one.
-    if chaos
-        .session
-        .trace()
-        .last()
-        .is_none_or(|e| e.name != "transport.stats")
-    {
-        chaos.trace_transport_stats();
-    }
-
-    let registry = btcfast_obs::Registry::new();
-    telemetry::publish_chaos(&registry, &chaos);
-
-    let jsonl = btcfast_obs::render_jsonl(&chaos.session.take_trace());
-    let prom = registry.render_prometheus();
+    let trace::TraceRun { jsonl, prom } = match trace::run(seed) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("trace scenario: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
     let events = jsonl.lines().count();
     let metrics = prom.lines().filter(|l| !l.starts_with('#')).count();
     if let Err(e) = std::fs::write(&trace_path, &jsonl) {
@@ -269,6 +233,20 @@ fn run_trace(args: &[String]) -> Result<ExitCode, CliError> {
     println!("wrote {} ({events} events)", trace_path.display());
     println!("wrote {} ({metrics} series)", metrics_path.display());
     Ok(ExitCode::SUCCESS)
+}
+
+/// `harness bless` — rewrite `bench/golden/` from the code (see [`golden`]).
+fn run_bless() -> ExitCode {
+    match golden::bless() {
+        Ok(files) => {
+            println!("wrote {files} files to {}", golden::dir().display());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("bless {}: {e}", golden::dir().display());
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// `harness fuzz [--seed N] [--iters N] [--engine E] [--corpus DIR]

@@ -80,12 +80,9 @@ fn causal_tracing() -> Vec<f64> {
                 tracing,
                 ..SessionConfig::default()
             };
-            let mut chaos_config = ChaosConfig::default();
-            chaos_config.transport.max_attempts = 12;
-            chaos_config.phase_deadline = SimTime::from_secs(60);
             let mut plan = FaultPlan::new();
             plan.loss_window(SimTime::ZERO, SimTime::from_secs(86_400), 0.25);
-            let mut chaos = ChaosSession::new(session_config, chaos_config, plan, 0xB7CF);
+            let mut chaos = ChaosSession::new(session_config, ChaosConfig::default(), plan, 0xB7CF);
             let report = chaos
                 .run_fast_payment_chaos(1_000_000)
                 .expect("chaos payment completes");

@@ -3,7 +3,7 @@
 
 use crate::amount::Amount;
 use crate::block::{Block, BlockError};
-use crate::params::{ChainParams, TimestampRule};
+use crate::params::ChainParams;
 use crate::pow::{retarget, CompactBits};
 use crate::u256::U256;
 use crate::utxo::{UndoLog, UtxoError, UtxoSet};
@@ -288,28 +288,21 @@ impl Chain {
         block.check_structure()?;
 
         let parent_hash = block.header.prev_hash;
-        let (parent_height, parent_work, parent_time) = if parent_hash == Hash256::ZERO {
-            (0u64, U256::ZERO, 0u64)
+        let (parent_height, parent_work) = if parent_hash == Hash256::ZERO {
+            (0u64, U256::ZERO)
         } else {
             let parent = self
                 .blocks
                 .get(&parent_hash)
                 .ok_or(ChainError::UnknownParent(parent_hash))?;
-            (parent.height, parent.chainwork, parent.block.header.time)
+            (parent.height, parent.chainwork)
         };
 
-        match self.params.timestamp_rule {
-            TimestampRule::ParentOnly => {
-                if block.header.time < parent_time {
-                    return Err(ChainError::TimeTooOld);
-                }
-            }
-            TimestampRule::MedianTimePast => {
-                if let Some(mtp) = self.median_time_past(&parent_hash) {
-                    if block.header.time <= mtp {
-                        return Err(ChainError::TimeTooOld);
-                    }
-                }
+        // Bitcoin's rule: strictly above the median of the previous 11
+        // blocks' timestamps.
+        if let Some(mtp) = self.median_time_past(&parent_hash) {
+            if block.header.time <= mtp {
+                return Err(ChainError::TimeTooOld);
             }
         }
         let expected = self.expected_bits(&parent_hash);
@@ -548,41 +541,23 @@ mod tests {
     #[test]
     fn mtp_branch_with_non_monotone_timestamps_connects() {
         // Bitcoin accepts a timestamp below the parent's as long as it
-        // exceeds the median of the last 11 ancestors. The old
-        // parent-only rule wrongly rejected such blocks, so a fuzzer-built
-        // branch that is valid on Bitcoin failed to replay here.
+        // exceeds the median of the last 11 ancestors.
         let (mut chain, mut miner, _) = setup();
-        let mut history = Vec::new();
         for i in 1..=6 {
             let block = miner.mine_block(&chain, vec![], i * 600);
-            history.push(block.clone());
             chain.submit_block(block).unwrap();
         }
         // Ancestor times are 600..=3600; median (6 entries, upper middle)
         // is 2400. A block at 2500 is below the 3600 tip but MTP-valid.
         let non_monotone = miner.mine_block(&chain, vec![], 2500);
-        history.push(non_monotone.clone());
         assert_eq!(
-            chain.submit_block(non_monotone.clone()).unwrap(),
+            chain.submit_block(non_monotone).unwrap(),
             SubmitOutcome::Connected { reorged: false }
         );
 
         // At or below the median is still too old.
         let at_median = miner.mine_block(&chain, vec![], 2400);
         assert_eq!(chain.submit_block(at_median), Err(ChainError::TimeTooOld));
-
-        // The legacy rule stays available behind ChainParams and rejects
-        // the same branch, preserving byte-identical legacy replays.
-        let mut params = ChainParams::regtest();
-        params.timestamp_rule = TimestampRule::ParentOnly;
-        let mut legacy = Chain::new(params);
-        for block in &history[..6] {
-            legacy.submit_block(block.clone()).unwrap();
-        }
-        assert_eq!(
-            legacy.submit_block(history[6].clone()),
-            Err(ChainError::TimeTooOld)
-        );
     }
 
     #[test]

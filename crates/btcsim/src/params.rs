@@ -3,17 +3,6 @@
 use crate::pow::CompactBits;
 use crate::u256::U256;
 
-/// Which rule validates a new block's timestamp against its ancestry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TimestampRule {
-    /// Legacy rule: the timestamp must not precede the parent's. Stricter
-    /// than Bitcoin; kept for byte-identical replay of pre-existing seeds.
-    ParentOnly,
-    /// Bitcoin's rule: the timestamp must strictly exceed the median of
-    /// the previous 11 blocks' timestamps (median-time-past).
-    MedianTimePast,
-}
-
 /// Consensus and simulation parameters for a Bitcoin-style chain.
 ///
 /// The BTCFast evaluation uses Bitcoin mainnet timing (600 s expected block
@@ -23,6 +12,11 @@ pub enum TimestampRule {
 /// parameterized by [`ChainParams::block_interval_secs`], not by how long
 /// the reduced-difficulty solver takes on the host CPU, so the reduced
 /// difficulty does not distort waiting-time results.
+///
+/// One preset exists and every session runs it; the fields stay named
+/// because `Chain`, `Miner`, the SPV checks and the session read them as
+/// consensus rules, and the retarget tests of `chain.rs` reach a
+/// retarget boundary only by shortening `retarget_interval` to 4.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChainParams {
     /// Human-readable network name.
@@ -42,27 +36,9 @@ pub struct ChainParams {
     /// The number of confirmations conventionally treated as final
     /// (the paper's baseline: 6).
     pub finality_confirmations: u64,
-    /// How block timestamps are validated against ancestors.
-    pub timestamp_rule: TimestampRule,
 }
 
 impl ChainParams {
-    /// Mainnet-shaped parameters with real Bitcoin timing but a trivially
-    /// minable PoW target (each hash succeeds with probability ~2^-16).
-    pub fn simnet() -> ChainParams {
-        ChainParams {
-            name: "simnet",
-            block_interval_secs: 600,
-            pow_limit_bits: CompactBits(0x1f00ffff),
-            retarget_interval: 2016,
-            initial_subsidy_sats: 50 * crate::amount::SATS_PER_BTC,
-            halving_interval: 210_000,
-            coinbase_maturity: 100,
-            finality_confirmations: 6,
-            timestamp_rule: TimestampRule::MedianTimePast,
-        }
-    }
-
     /// Regtest-shaped parameters: near-trivial PoW, no coinbase maturity
     /// wait, small retarget window. Convenient for unit tests.
     pub fn regtest() -> ChainParams {
@@ -75,12 +51,13 @@ impl ChainParams {
             halving_interval: 150,
             coinbase_maturity: 1,
             finality_confirmations: 6,
-            timestamp_rule: TimestampRule::MedianTimePast,
         }
     }
 
     /// The proof-of-work limit as a full 256-bit target.
     pub fn pow_limit(&self) -> U256 {
+        // Cannot fire: `regtest()` is the only constructor, nothing assigns
+        // the field, and its constant decodes (`presets_are_sane`).
         self.pow_limit_bits
             .to_target()
             .expect("pow limit constants are valid compact encodings")
@@ -96,24 +73,17 @@ impl ChainParams {
     }
 }
 
-impl Default for ChainParams {
-    fn default() -> Self {
-        ChainParams::simnet()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn presets_are_sane() {
-        for params in [ChainParams::simnet(), ChainParams::regtest()] {
-            assert!(params.block_interval_secs > 0);
-            assert!(params.retarget_interval > 0);
-            assert!(!params.pow_limit().is_zero());
-            assert_eq!(params.finality_confirmations, 6);
-        }
+        let params = ChainParams::regtest();
+        assert!(params.block_interval_secs > 0);
+        assert!(params.retarget_interval > 0);
+        assert!(!params.pow_limit().is_zero());
+        assert_eq!(params.finality_confirmations, 6);
     }
 
     #[test]
@@ -124,10 +94,5 @@ mod tests {
         assert_eq!(p.subsidy_at(p.halving_interval), s0 / 2);
         assert_eq!(p.subsidy_at(p.halving_interval * 2), s0 / 4);
         assert_eq!(p.subsidy_at(p.halving_interval * 64), 0);
-    }
-
-    #[test]
-    fn default_is_simnet() {
-        assert_eq!(ChainParams::default().name, "simnet");
     }
 }

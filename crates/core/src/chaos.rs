@@ -49,6 +49,9 @@ pub const CUSTOMER_NODE: NodeId = NodeId(0);
 pub const MERCHANT_NODE: NodeId = NodeId(1);
 /// The PSC chain endpoint on the chaos fabric.
 pub const PSC_NODE: NodeId = NodeId(2);
+/// How long a caller waits out a PSC stall before declaring the chain
+/// unreachable and degrading.
+pub const PSC_DEADLINE: SimTime = SimTime::from_secs(120);
 
 /// Report of one fast payment attempted under chaos.
 #[derive(Clone, Debug)]
@@ -291,8 +294,8 @@ impl ChaosSession {
 
     /// One fast payment with every phase routed through the transport.
     ///
-    /// When the PSC chain cannot be reached before
-    /// [`ChaosConfig::psc_deadline`] (or registration delivery fails),
+    /// When the PSC chain cannot be reached within [`PSC_DEADLINE`] (or
+    /// registration delivery fails),
     /// the merchant degrades per [`ChaosConfig::fallback`] instead of
     /// accepting unprotected 0-conf.
     ///
@@ -500,7 +503,7 @@ impl ChaosSession {
     }
 
     /// Waits out a PSC block-production stall by fast-forwarding to the
-    /// fault plan's next actions, up to [`ChaosConfig::psc_deadline`].
+    /// fault plan's next actions, up to [`PSC_DEADLINE`].
     fn wait_psc_reachable(&mut self, phase: ProtocolPhase) -> Result<(), RobustnessError> {
         let mut waited = SimTime::ZERO;
         let mut vnow = self.transport.now();
@@ -510,7 +513,7 @@ impl ChaosSession {
             };
             let delta = next.saturating_sub(vnow);
             waited += delta;
-            if waited > self.config.psc_deadline {
+            if waited > PSC_DEADLINE {
                 return Err(RobustnessError::PscUnreachable { phase, waited });
             }
             vnow = vnow.max(next);
@@ -599,7 +602,7 @@ impl Effects for ChaosSession {
         self.wait_psc_reachable(phase)?;
 
         let session = &mut self.session;
-        submit_with_retry(&self.config.retry, CALL_GAS_LIMIT, |gas| {
+        submit_with_retry(CALL_GAS_LIMIT, |gas| {
             if window_deadline.is_some_and(|d| session.clock > d) {
                 return AttemptResult::WindowClosed;
             }

@@ -55,7 +55,10 @@ pub struct EngineConfig {
     pub amount_sats: u64,
     /// Crash-restart drill cadence: after every N batches the shard drops
     /// its volatile recovery manager and re-hydrates from the durable
-    /// media, asserting the recovered digest matches. `0` disables drills.
+    /// media, asserting the recovered digest matches. `0` disables drills,
+    /// and every harness runs 0: the field stays because the drill is
+    /// reached only through it (`crash_restart_drills_recover_…` below) and
+    /// `benchmark/` spells it in its `EngineConfig` literals.
     pub crash_restart_every: usize,
 }
 
@@ -139,16 +142,17 @@ impl EngineReport {
     /// `(p50, p99)` of the simulated accept latency across all shards, in
     /// seconds. `None` when nothing was accepted.
     pub fn accept_latency_quantiles(&self) -> Option<(f64, f64)> {
-        let mut micros: Vec<u64> = self
-            .outcomes
-            .iter()
-            .flat_map(|o| o.accept_latencies.iter().map(SimTime::as_micros))
-            .collect();
-        micros.sort_unstable();
-        let rank =
-            |q: f64| btcfast_obs::stats::quantile_sorted_u64(&micros, q).map(|v| v as f64 / 1e6);
-        Some((rank(0.50)?, rank(0.99)?))
+        p50_p99(self.outcomes.iter().flat_map(|o| &o.accept_latencies))
     }
+}
+
+/// `(p50, p99)` of `latencies` in seconds, by the workspace's one rank rule
+/// ([`btcfast_obs::stats`]). `None` when there are none.
+fn p50_p99<'a>(latencies: impl Iterator<Item = &'a SimTime>) -> Option<(f64, f64)> {
+    let mut micros: Vec<u64> = latencies.map(SimTime::as_micros).collect();
+    micros.sort_unstable();
+    let rank = |q: f64| btcfast_obs::stats::quantile_sorted_u64(&micros, q).map(|v| v as f64 / 1e6);
+    Some((rank(0.50)?, rank(0.99)?))
 }
 
 /// Derives shard `index`'s seed from the base seed: a splitmix64
@@ -349,15 +353,7 @@ impl LoadReport {
     /// `(p50, p99)` accept latency across all shards in seconds, charged
     /// from scheduled arrival. `None` when nothing was accepted.
     pub fn accept_latency_quantiles(&self) -> Option<(f64, f64)> {
-        let mut micros: Vec<u64> = self
-            .outcomes
-            .iter()
-            .flat_map(|o| o.accept_latencies.iter().map(SimTime::as_micros))
-            .collect();
-        micros.sort_unstable();
-        let rank =
-            |q: f64| btcfast_obs::stats::quantile_sorted_u64(&micros, q).map(|v| v as f64 / 1e6);
-        Some((rank(0.50)?, rank(0.99)?))
+        p50_p99(self.outcomes.iter().flat_map(|o| &o.accept_latencies))
     }
 
     /// Total escrow residue across shards — zero iff shed payments left
@@ -466,13 +462,10 @@ impl PaymentEngine {
     ///
     /// # Errors
     ///
-    /// Returns the first [`SessionError`] a shard hits. Overload is *not*
-    /// an error at this level: shed payments are reported, not failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the schedule is not sorted by arrival time or targets
-    /// a shard out of range.
+    /// [`SessionError::BadSchedule`] when the schedule is not sorted by
+    /// arrival time or targets a shard out of range; otherwise the first
+    /// [`SessionError`] a shard hits. Overload is *not* an error at this
+    /// level: shed payments are reported, not failed.
     pub fn run_load(
         &self,
         base_seed: u64,
@@ -482,11 +475,16 @@ impl PaymentEngine {
         let shards = self.config.shards;
         let mut offered = vec![0usize; shards];
         let mut prev = SimTime::ZERO;
-        for arrival in schedule {
-            assert!(arrival.shard < shards, "arrival shard out of range");
-            assert!(arrival.at >= prev, "schedule must be sorted by time");
+        for (index, arrival) in schedule.iter().enumerate() {
+            let bad = |reason| SessionError::BadSchedule { index, reason };
+            let slot = offered
+                .get_mut(arrival.shard)
+                .ok_or_else(|| bad("shard out of range"))?;
+            if arrival.at < prev {
+                return Err(bad("earlier than the arrival before it"));
+            }
             prev = arrival.at;
-            offered[arrival.shard] += arrival.payments;
+            *slot += arrival.payments;
         }
 
         // Provision every shard before t = 0, sized so escrow can cover
@@ -497,12 +495,8 @@ impl PaymentEngine {
             .required_collateral(self.config.amount_sats);
         let mut servers = Vec::with_capacity(shards);
         for (shard, &shard_offered) in offered.iter().enumerate() {
-            let mut session_config = self.config.session.clone();
-            let worst_case = per_payment.saturating_mul(shard_offered as u128 + 1);
-            session_config.escrow_deposit = session_config.escrow_deposit.max(worst_case);
-            let mut session =
-                FastPaySession::new(session_config, shard_seed(base_seed, shard as u64));
-            session.fund_customer_coins(self.config.batch_size.max(1))?;
+            let seed = shard_seed(base_seed, shard as u64);
+            let session = provision_shard(&self.config, shard_offered, seed)?;
             let start = session.clock;
             servers.push(LoadServer {
                 session,
@@ -531,6 +525,8 @@ impl PaymentEngine {
                 (None, Some(_)) => false,
             };
             if completion_first {
+                // Cannot fire: `completion_first` is true only in the two
+                // arms above where `next_done` is `Some`.
                 let (done, shard) = next_done.expect("completion_first implies a busy server");
                 servers[shard].busy_until = None;
                 serve_shard(
@@ -542,6 +538,8 @@ impl PaymentEngine {
                     &mut acc[shard],
                 )?;
             } else {
+                // Cannot fire: with no arrival left the match above either
+                // broke out of the loop or chose the completion.
                 let arrival = *arrival.expect("otherwise the loop broke");
                 next_arrival += 1;
                 for _ in 0..arrival.payments {
@@ -611,6 +609,23 @@ impl PaymentEngine {
     }
 }
 
+/// A shard's session, provisioned for `payments` payments: the escrow
+/// deposit raised (never lowered) to cover every payment's collateral and
+/// one to spare, and one confirmed customer coin per slot of a batch.
+fn provision_shard(
+    config: &EngineConfig,
+    payments: usize,
+    seed: u64,
+) -> Result<FastPaySession, SessionError> {
+    let mut session_config = config.session.clone();
+    let per_payment = session_config.required_collateral(config.amount_sats);
+    let whole_run = per_payment.saturating_mul(payments as u128 + 1);
+    session_config.escrow_deposit = session_config.escrow_deposit.max(whole_run);
+    let mut session = FastPaySession::new(session_config, seed);
+    session.fund_customer_coins(config.batch_size.max(1))?;
+    Ok(session)
+}
+
 /// Wraps a recovery-store failure as a shard error.
 fn store_err(e: crate::recovery::RecoveryError) -> SessionError {
     SessionError::Psc(format!("shard recovery store: {e}"))
@@ -624,14 +639,9 @@ fn store_err(e: crate::recovery::RecoveryError) -> SessionError {
 /// drops its volatile manager and re-hydrates from the media, failing the
 /// run if the recovered digest diverges.
 fn run_shard(config: &EngineConfig, shard: usize, seed: u64) -> Result<ShardOutcome, SessionError> {
-    let mut session_config = config.session.clone();
-    let per_payment = session_config.required_collateral(config.amount_sats);
-    let whole_run = per_payment.saturating_mul(config.payments_per_shard as u128 + 1);
-    session_config.escrow_deposit = session_config.escrow_deposit.max(whole_run);
-
-    let mut session = FastPaySession::new(session_config, seed);
+    let per_payment = config.session.required_collateral(config.amount_sats);
+    let mut session = provision_shard(config, config.payments_per_shard, seed)?;
     let batch = config.batch_size.max(1);
-    session.fund_customer_coins(batch)?;
 
     // Per-shard durable media: clone-shared handles, so dropping the
     // manager models losing volatile state while the "disk" survives.
@@ -962,22 +972,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sorted")]
-    fn unsorted_schedule_panics() {
+    fn a_schedule_the_engine_cannot_run_is_a_typed_error() {
         let engine = load_engine(1);
-        let schedule = vec![
-            LoadArrival {
-                at: SimTime::from_secs(2),
-                shard: 0,
-                payments: 1,
-            },
-            LoadArrival {
-                at: SimTime::from_secs(1),
-                shard: 0,
-                payments: 1,
-            },
-        ];
-        let _ = engine.run_load(1, &schedule, AdmissionConfig::default());
+        let arrival = |secs, shard| LoadArrival {
+            at: SimTime::from_secs(secs),
+            shard,
+            payments: 1,
+        };
+        let run =
+            |schedule: &[LoadArrival]| engine.run_load(1, schedule, AdmissionConfig::default());
+        assert!(matches!(
+            run(&[arrival(2, 0), arrival(1, 0)]),
+            Err(SessionError::BadSchedule { index: 1, .. })
+        ));
+        assert!(matches!(
+            run(&[arrival(1, 0), arrival(2, 1)]),
+            Err(SessionError::BadSchedule { index: 1, .. })
+        ));
     }
 
     #[test]

@@ -43,6 +43,13 @@ use btcfast_payjudger::types::DisputeVerdict;
 use btcfast_payjudger::PayJudgerClient;
 use btcfast_pscsim::tx::{PscTransaction, Receipt};
 
+/// Merchant-side local verification time per payment, seconds: the
+/// signature check plus the escrow lookup against the merchant's own PSC
+/// node. An explicit budget, not a measurement — the decision itself reads
+/// ≈ 0.1 ms (`core.evaluate_offer_us`); 10 ms is conservative about
+/// wallet-software overhead.
+const VERIFY_SECS: f64 = 0.010;
+
 type Fields = Vec<(&'static str, Field)>;
 /// A resolved message leg: see [`Effects::leg`].
 pub(crate) type Leg<E> = (u64, Result<u32, E>);
@@ -343,7 +350,7 @@ pub(crate) fn point_of_sale<E: Effects>(
             &session.judger,
         );
         let accepted = decision.is_ok();
-        session.clock += SimTime::from_secs_f64(session.config.verify_secs);
+        session.clock += SimTime::from_secs_f64(VERIFY_SECS);
         let verify_ctx = session.tracer.child_of(&accept_ctx);
         session.tracer.span_ctx(
             "session.merchant_verify",
@@ -574,10 +581,9 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
         fx.journal_done(Outcome::Applied)?;
 
         // Settlement: the payment is gone either way; a winning merchant is
-        // paid the locked collateral, converted at the session rate.
+        // paid the locked collateral (one PSC unit per satoshi).
         let session = fx.session();
-        let collateral_sats = (session.config.required_collateral(amount_sats) as f64
-            / session.config.psc_units_per_sat) as i64;
+        let collateral_sats = session.config.required_collateral(amount_sats) as i64;
         Ok(Dispute {
             verdict,
             merchant_compensated,

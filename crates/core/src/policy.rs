@@ -4,25 +4,24 @@ use crate::protocol::RejectReason;
 use btcfast_payjudger::types::{EscrowRecord, PaymentRecord, PaymentState};
 use btcfast_pscsim::account::AccountId;
 
+/// Largest payment (satoshis) a merchant accepts at 0-conf, regardless of
+/// collateral: 10 BTC.
+pub(crate) const MAX_PAYMENT_SATS: u64 = 1_000_000_000;
+
 /// A merchant's standing rules for accepting BTCFast payments.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AcceptancePolicy {
     /// Collateral must be at least this multiple of the payment value
-    /// (after exchange-rate conversion). ρ in DESIGN.md's ablations.
+    /// (one PSC unit per satoshi). ρ in DESIGN.md's ablations. A session
+    /// sets it from [`crate::SessionConfig::collateral_ratio`]; the
+    /// stricter-merchant tests set it apart from the customer's ratio.
     pub min_collateral_ratio: f64,
-    /// Exchange rate: PSC native units per satoshi.
-    pub psc_units_per_sat: f64,
-    /// Largest payment (satoshis) accepted at 0-conf, regardless of
-    /// collateral.
-    pub max_payment_sats: u64,
 }
 
 impl Default for AcceptancePolicy {
     fn default() -> Self {
         AcceptancePolicy {
             min_collateral_ratio: 1.0,
-            psc_units_per_sat: 1.0,
-            max_payment_sats: 1_000_000_000, // 10 BTC
         }
     }
 }
@@ -30,7 +29,7 @@ impl Default for AcceptancePolicy {
 impl AcceptancePolicy {
     /// Collateral (PSC units) this policy demands for `sats`.
     pub fn required_collateral(&self, sats: u64) -> u128 {
-        (sats as f64 * self.psc_units_per_sat * self.min_collateral_ratio).ceil() as u128
+        crate::config::collateral_for(sats, self.min_collateral_ratio)
     }
 
     /// Validates the escrow-side facts of a payment offer.
@@ -45,10 +44,10 @@ impl AcceptancePolicy {
         escrow: &EscrowRecord,
         payment: &PaymentRecord,
     ) -> Result<(), RejectReason> {
-        if payment_sats > self.max_payment_sats {
+        if payment_sats > MAX_PAYMENT_SATS {
             return Err(RejectReason::PaymentTooLarge {
                 sats: payment_sats,
-                cap: self.max_payment_sats,
+                cap: MAX_PAYMENT_SATS,
             });
         }
         if payment.merchant != me {
@@ -122,7 +121,6 @@ mod tests {
     fn rejects_undercollateralized() {
         let policy = AcceptancePolicy {
             min_collateral_ratio: 2.0,
-            ..Default::default()
         };
         let result = policy.check_escrow(
             me(),
@@ -173,17 +171,21 @@ mod tests {
 
     #[test]
     fn rejects_oversized_payment() {
-        let policy = AcceptancePolicy {
-            max_payment_sats: 50_000,
-            ..Default::default()
-        };
-        let result = policy.check_escrow(
+        // 11 BTC against the 10 BTC cap, however well collateralised.
+        let sats = 1_100_000_000;
+        let result = AcceptancePolicy::default().check_escrow(
             me(),
-            100_000,
-            &escrow(1_000_000, 100_000),
-            &payment(me(), 100_000, PaymentState::Open),
+            sats,
+            &escrow(u128::MAX, sats as u128),
+            &payment(me(), sats as u128, PaymentState::Open),
         );
-        assert!(matches!(result, Err(RejectReason::PaymentTooLarge { .. })));
+        assert_eq!(
+            result,
+            Err(RejectReason::PaymentTooLarge {
+                sats,
+                cap: MAX_PAYMENT_SATS
+            })
+        );
     }
 
     #[test]
@@ -196,15 +198,5 @@ mod tests {
             &payment(me(), 100_000, PaymentState::Open),
         );
         assert_eq!(result, Err(RejectReason::EscrowInsolvent));
-    }
-
-    #[test]
-    fn required_collateral_uses_rate_and_ratio() {
-        let policy = AcceptancePolicy {
-            min_collateral_ratio: 1.5,
-            psc_units_per_sat: 2.0,
-            ..Default::default()
-        };
-        assert_eq!(policy.required_collateral(100), 300);
     }
 }

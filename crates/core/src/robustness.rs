@@ -12,7 +12,7 @@
 
 use btcfast_netsim::time::SimTime;
 use btcfast_netsim::transport::TransportConfig;
-use btcfast_payjudger::retry::{RetryError, RetryPolicy};
+use btcfast_payjudger::retry::RetryError;
 use std::error::Error;
 use std::fmt;
 
@@ -137,29 +137,29 @@ pub enum FallbackPolicy {
     KConfirmations(u64),
 }
 
-/// Knobs of a chaos run.
+/// What a chaos run varies. The default is what every experiment and test
+/// runs: 12 transmissions inside a 60 s phase budget.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
-    /// Reliable-transport policy (retries, backoff, jitter).
+    /// Reliable-transport policy (attempt budget, jitter, bounded memory).
     pub transport: TransportConfig,
-    /// PSC resubmission policy (attempts, gas bumping).
-    pub retry: RetryPolicy,
     /// Budget for one message phase to resolve (delivery + ack).
     pub phase_deadline: SimTime,
-    /// How long a caller waits out a PSC stall before declaring the chain
-    /// unreachable and degrading.
-    pub psc_deadline: SimTime,
-    /// The merchant's degradation policy.
+    /// The merchant's degradation policy. Every harness runs the
+    /// six-confirmation fallback; it stays because
+    /// `tests/chaos_transport.rs` reaches `RejectUnprotected` only by
+    /// setting it.
     pub fallback: FallbackPolicy,
 }
 
 impl Default for ChaosConfig {
     fn default() -> ChaosConfig {
         ChaosConfig {
-            transport: TransportConfig::default(),
-            retry: RetryPolicy::default(),
-            phase_deadline: SimTime::from_secs(30),
-            psc_deadline: SimTime::from_secs(120),
+            transport: TransportConfig {
+                max_attempts: 12,
+                ..TransportConfig::default()
+            },
+            phase_deadline: SimTime::from_secs(60),
             fallback: FallbackPolicy::KConfirmations(6),
         }
     }
@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn default_chaos_config_is_coherent() {
         let c = ChaosConfig::default();
-        assert!(c.phase_deadline < c.psc_deadline);
+        assert!(c.phase_deadline < crate::chaos::PSC_DEADLINE);
         assert!(matches!(c.fallback, FallbackPolicy::KConfirmations(6)));
     }
 }

@@ -181,6 +181,14 @@ pub enum SessionError {
         /// The chain's rejection.
         reason: String,
     },
+    /// An open-loop arrival schedule the engine cannot run, refused before
+    /// any shard is provisioned.
+    BadSchedule {
+        /// Index of the offending arrival.
+        index: usize,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -199,6 +207,9 @@ impl fmt::Display for SessionError {
             }
             SessionError::BlockRejected { context, reason } => {
                 write!(f, "{context}: mined block failed to connect: {reason}")
+            }
+            SessionError::BadSchedule { index, reason } => {
+                write!(f, "load schedule, arrival {index}: {reason}")
             }
         }
     }
@@ -255,8 +266,6 @@ impl FastPaySession {
             &(seed ^ 0x4D45_5243).to_le_bytes(),
             AcceptancePolicy {
                 min_collateral_ratio: config.collateral_ratio,
-                psc_units_per_sat: config.psc_units_per_sat,
-                ..Default::default()
             },
         );
 
@@ -309,8 +318,7 @@ impl FastPaySession {
         // Causal ids are minted from the session seed, so the id stream —
         // and with it every (trace, sid, pid) triple — is a pure function
         // of the seed, independent of worker count or wall clocks.
-        let mut tracer = Tracer::with_seed(config.tracing, seed);
-        tracer.set_capacity(config.trace_capacity);
+        let tracer = Tracer::with_seed(config.tracing, seed);
         let mut session = FastPaySession {
             clock: SimTime::from_secs(btc.tip_time()),
             config,
@@ -1086,8 +1094,6 @@ mod tests {
             b"strict",
             AcceptancePolicy {
                 min_collateral_ratio: 1.0,
-                psc_units_per_sat: 1.0,
-                ..Default::default()
             },
         );
         let report = session.run_fast_payment(1_000_000).unwrap();

@@ -36,15 +36,6 @@ fn well_formed_forest(jsonl: &str) -> Vec<SpanTree> {
     trees
 }
 
-fn chaos_config() -> ChaosConfig {
-    let mut config = ChaosConfig::default();
-    // e13-style reliability envelope: enough retries and deadline slack
-    // that payments complete even under heavy injected loss.
-    config.transport.max_attempts = 12;
-    config.phase_deadline = SimTime::from_secs(60);
-    config
-}
-
 #[test]
 fn session_payments_and_disputes_build_one_tree_each() {
     let mut session = FastPaySession::new(SessionConfig::default(), 7);
@@ -158,7 +149,7 @@ fn every_harness_speaks_the_session_vocabulary() {
     // Fault-free chaos: the same units over the reliable transport.
     let mut chaos = ChaosSession::new(
         SessionConfig::default(),
-        chaos_config(),
+        ChaosConfig::default(),
         FaultPlan::new(),
         SEED,
     );
@@ -194,7 +185,12 @@ fn every_harness_speaks_the_session_vocabulary() {
 fn chaos_payments_under_loss_build_nested_trees_with_exact_self_times() {
     let mut plan = FaultPlan::new();
     plan.loss_window(SimTime::ZERO, SimTime::from_secs(86_400), 0.25);
-    let mut chaos = ChaosSession::new(SessionConfig::default(), chaos_config(), plan, 0x51AB);
+    let mut chaos = ChaosSession::new(
+        SessionConfig::default(),
+        ChaosConfig::default(),
+        plan,
+        0x51AB,
+    );
 
     for _ in 0..4 {
         let report = chaos.run_fast_payment_chaos(1_000_000).unwrap();
@@ -227,7 +223,7 @@ fn chaos_payments_under_loss_build_nested_trees_with_exact_self_times() {
 fn chaos_dispute_builds_its_own_root_tree() {
     let mut chaos = ChaosSession::new(
         SessionConfig::default(),
-        chaos_config(),
+        ChaosConfig::default(),
         FaultPlan::new(),
         0xD15B,
     );
@@ -266,7 +262,7 @@ proptest! {
             plan.loss_window(SimTime::ZERO, SimTime::from_secs(86_400), loss);
         }
         let mut chaos =
-            ChaosSession::new(SessionConfig::default(), chaos_config(), plan, seed);
+            ChaosSession::new(SessionConfig::default(), ChaosConfig::default(), plan, seed);
         let report = chaos.run_fast_payment_chaos(1_000_000).unwrap();
         prop_assert!(report.accepted);
 

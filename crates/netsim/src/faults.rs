@@ -85,6 +85,14 @@ pub struct FaultEvent {
     pub action: FaultAction,
 }
 
+/// Mean partition and PSC-stall duration, seconds; a crash outage lasts
+/// half of it on average.
+const PARTITION_MEAN_SECS: f64 = 30.0;
+
+/// The nodes seed-generated partitions and crashes fall on: the customer
+/// and the merchant.
+const NODES: [NodeId; 2] = [NodeId(0), NodeId(1)];
+
 /// Shape parameters for seed-generated chaos (see [`FaultPlan::from_seed`]).
 #[derive(Clone, Debug)]
 pub struct ChaosSpec {
@@ -94,19 +102,20 @@ pub struct ChaosSpec {
     pub loss_rate: f64,
     /// Number of partition/heal cycles to scatter over the horizon.
     pub partition_cycles: u32,
-    /// Mean partition duration in seconds.
-    pub partition_mean_secs: f64,
-    /// Number of crash/restart cycles to scatter over the horizon.
+    /// Number of crash/restart cycles to scatter over the horizon. Every
+    /// harness runs 0; it stays because the reproducibility properties
+    /// (`tests/chaos_transport.rs`, this file's tests) reach the
+    /// crash-outage arm of [`FaultPlan::from_seed`] only through it.
     pub crash_cycles: u32,
     /// Number of instantaneous crash-restart bounces (recover-from-store)
     /// to scatter over the horizon.
     pub crash_restart_cycles: u32,
     /// Number of PSC stall/resume cycles to scatter over the horizon.
+    /// Kept for the same tests as `crash_cycles`: the stall arm.
     pub psc_stall_cycles: u32,
-    /// Duplication probability applied at time zero (0 disables).
+    /// Duplication probability applied at time zero (0 disables). Kept for
+    /// the same tests as `crash_cycles`: the duplication action.
     pub duplication: f64,
-    /// Node ids eligible for partitions and crashes.
-    pub nodes: Vec<NodeId>,
 }
 
 impl Default for ChaosSpec {
@@ -115,12 +124,10 @@ impl Default for ChaosSpec {
             horizon: SimTime::from_secs(600),
             loss_rate: 0.1,
             partition_cycles: 1,
-            partition_mean_secs: 30.0,
             crash_cycles: 0,
             crash_restart_cycles: 0,
             psc_stall_cycles: 0,
             duplication: 0.0,
-            nodes: vec![NodeId(0), NodeId(1)],
         }
     }
 }
@@ -171,7 +178,7 @@ impl FaultPlan {
     }
 
     /// Crash `node` during `[start, end)`, restarted after.
-    pub fn crash_window(&mut self, node: NodeId, start: SimTime, end: SimTime) -> &mut Self {
+    fn crash_window(&mut self, node: NodeId, start: SimTime, end: SimTime) -> &mut Self {
         assert!(start < end, "empty crash window");
         self.schedule(start, FaultAction::Crash { node });
         self.schedule(end, FaultAction::Restart { node })
@@ -216,33 +223,26 @@ impl FaultPlan {
             (SimTime::from_secs_f64(start), SimTime::from_secs_f64(end))
         };
 
+        // The draws below — two per partition, the second over a one-value
+        // range — are part of every seeded schedule: do not fold them.
         for _ in 0..spec.partition_cycles {
-            if spec.nodes.len() < 2 {
-                break;
-            }
-            let i = rng.gen_range(0..spec.nodes.len());
-            let j = (i + 1 + rng.gen_range(0..spec.nodes.len() - 1)) % spec.nodes.len();
-            let (start, end) = window(&mut rng, spec.partition_mean_secs);
-            plan.partition_window(spec.nodes[i], spec.nodes[j], start, end);
+            let i = rng.gen_range(0..NODES.len());
+            let j = (i + 1 + rng.gen_range(0..NODES.len() - 1)) % NODES.len();
+            let (start, end) = window(&mut rng, PARTITION_MEAN_SECS);
+            plan.partition_window(NODES[i], NODES[j], start, end);
         }
         for _ in 0..spec.crash_cycles {
-            if spec.nodes.is_empty() {
-                break;
-            }
-            let node = spec.nodes[rng.gen_range(0..spec.nodes.len())];
-            let (start, end) = window(&mut rng, spec.partition_mean_secs * 0.5);
+            let node = NODES[rng.gen_range(0..NODES.len())];
+            let (start, end) = window(&mut rng, PARTITION_MEAN_SECS * 0.5);
             plan.crash_window(node, start, end);
         }
         for _ in 0..spec.crash_restart_cycles {
-            if spec.nodes.is_empty() {
-                break;
-            }
-            let node = spec.nodes[rng.gen_range(0..spec.nodes.len())];
+            let node = NODES[rng.gen_range(0..NODES.len())];
             let at = SimTime::from_secs_f64(rng.gen_range(0.0..horizon * 0.8));
             plan.crash_restart_at(node, at);
         }
         for _ in 0..spec.psc_stall_cycles {
-            let (start, end) = window(&mut rng, spec.partition_mean_secs);
+            let (start, end) = window(&mut rng, PARTITION_MEAN_SECS);
             plan.psc_stall_window(start, end);
         }
         plan

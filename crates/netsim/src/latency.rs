@@ -33,14 +33,6 @@ impl LatencyModel {
         LatencyModel::Constant { secs: 0.0005 }
     }
 
-    /// Metro-area profile: uniform 5–15 ms.
-    pub fn metro() -> LatencyModel {
-        LatencyModel::Uniform {
-            min_secs: 0.005,
-            max_secs: 0.015,
-        }
-    }
-
     /// Wide-area internet profile: log-normal with 80 ms median — the
     /// customer→merchant→chain path the paper's <1 s claim must survive.
     pub fn wan() -> LatencyModel {
@@ -156,7 +148,6 @@ mod tests {
 
     #[test]
     fn profiles_ordered_by_scale() {
-        assert!(LatencyModel::lan().mean_secs() < LatencyModel::metro().mean_secs());
-        assert!(LatencyModel::metro().mean_secs() < LatencyModel::wan().mean_secs());
+        assert!(LatencyModel::lan().mean_secs() < LatencyModel::wan().mean_secs());
     }
 }

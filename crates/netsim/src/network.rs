@@ -59,13 +59,6 @@ impl Network {
         &self.nodes
     }
 
-    /// Adds a node, returning its id.
-    pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(id);
-        id
-    }
-
     /// Sets the per-message loss probability.
     ///
     /// # Panics
@@ -84,11 +77,6 @@ impl Network {
     /// Heals a severed link.
     pub fn heal(&mut self, a: NodeId, b: NodeId) {
         self.partitions.remove(&Self::key(a, b));
-    }
-
-    /// Heals every partition.
-    pub fn heal_all(&mut self) {
-        self.partitions.clear();
     }
 
     /// True if the pair can currently communicate.
@@ -197,9 +185,6 @@ mod tests {
         );
         net.heal(NodeId(0), NodeId(1));
         assert!(net.connected(NodeId(0), NodeId(1)));
-        net.partition(NodeId(0), NodeId(1));
-        net.heal_all();
-        assert!(net.connected(NodeId(0), NodeId(1)));
     }
 
     #[test]
@@ -233,13 +218,5 @@ mod tests {
     #[should_panic(expected = "probability")]
     fn bad_loss_probability_panics() {
         Network::new(1, LatencyModel::lan()).set_loss_probability(1.5);
-    }
-
-    #[test]
-    fn add_node_grows_network() {
-        let mut net = Network::new(1, LatencyModel::lan());
-        let id = net.add_node();
-        assert_eq!(id, NodeId(1));
-        assert_eq!(net.nodes().len(), 2);
     }
 }

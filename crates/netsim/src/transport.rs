@@ -46,28 +46,34 @@ impl fmt::Display for MsgId {
     }
 }
 
-/// Retransmission policy knobs.
+/// Wait before the first retransmission, seconds.
+const ACK_TIMEOUT_SECS: f64 = 0.2;
+/// Multiplier applied to the timeout after each unacked attempt.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Ceiling on the backoff interval, seconds.
+const MAX_BACKOFF_SECS: f64 = 5.0;
+
+/// Retransmission policy. The attempt budget is what harnesses vary; the
+/// other three are set by this file's unit tests only, and say why.
 #[derive(Clone, Debug)]
 pub struct TransportConfig {
     /// Total send attempts per message (first try included).
     pub max_attempts: u32,
-    /// Wait before the first retransmission.
-    pub ack_timeout: SimTime,
-    /// Multiplier applied to the timeout after each unacked attempt.
-    pub backoff_factor: f64,
-    /// Ceiling on the backoff interval.
-    pub max_backoff: SimTime,
     /// Symmetric jitter applied to each backoff interval, as a fraction
     /// (0.1 means ±10%). Deterministic: drawn from the transport's seed.
+    /// Every harness runs 0.1; the backoff test sets 0 to read the exact
+    /// exponential schedule and its cap.
     pub jitter_frac: f64,
     /// Per-node cap on receiver-side dedup memory. When a node has seen
     /// more message ids than this, the oldest (lowest) ids are evicted —
     /// a retransmission of an evicted id would then be re-delivered, the
-    /// standard at-least-once trade-off of bounded dedup state.
+    /// standard at-least-once trade-off of bounded dedup state. Every
+    /// harness runs 4096; the eviction test reaches that path with 3.
     pub dedup_capacity: usize,
     /// How many *resolved* (delivered or failed) send statuses to retain
     /// for [`Transport::status`] queries. Older resolved entries are
-    /// retired; querying a retired id panics.
+    /// retired; querying a retired id panics. Every harness runs 1024; the
+    /// retirement tests reach that path with 1 and 2.
     pub resolved_retention: usize,
 }
 
@@ -75,9 +81,6 @@ impl Default for TransportConfig {
     fn default() -> TransportConfig {
         TransportConfig {
             max_attempts: 6,
-            ack_timeout: SimTime::from_millis(200),
-            backoff_factor: 2.0,
-            max_backoff: SimTime::from_secs(5),
             jitter_frac: 0.1,
             dedup_capacity: 4096,
             resolved_retention: 1024,
@@ -252,6 +255,8 @@ impl<M: Clone> Transport<M> {
     ///
     /// Panics unless `0.0 <= p <= 1.0`.
     pub fn set_duplicate_probability(&mut self, p: f64) {
+        // A precondition, not input: the one caller applies a fault plan's
+        // `SetDuplication`, whose `p` the harness author wrote.
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.duplicate_probability = p;
     }
@@ -374,6 +379,9 @@ impl<M: Clone> Transport<M> {
         if let Some(entry) = self.pending.get(&id) {
             return entry.status;
         }
+        // The documented precondition: ids come from `send` on this
+        // transport only, and the drivers read a status right after driving
+        // its send, long before 1024 later sends retire it.
         *self
             .resolved
             .get(&id)
@@ -409,6 +417,7 @@ impl<M: Clone> Transport<M> {
     pub fn run_until(&mut self, deadline: SimTime) -> usize {
         let mut processed = 0;
         while self.scheduler.peek_time().is_some_and(|t| t <= deadline) {
+            // Cannot fire: `peek_time` just returned this event's time.
             let (time, event) = self.scheduler.pop().expect("peeked event");
             self.handle(time, event);
             processed += 1;
@@ -455,6 +464,8 @@ impl<M: Clone> Transport<M> {
         }
         let attempt = entry.attempts_made + 1;
         let waited = entry.last_backoff;
+        // Cannot fire: the entry was read at the top of this handler and
+        // only `resolve` (which returned above) removes one.
         self.pending
             .get_mut(&id)
             .expect("entry exists")
@@ -508,6 +519,7 @@ impl<M: Clone> Transport<M> {
             ));
         }
         let wait = self.backoff(attempt);
+        // Cannot fire: as above, nothing since the top removed the entry.
         self.pending
             .get_mut(&id)
             .expect("entry exists")
@@ -533,6 +545,8 @@ impl<M: Clone> Transport<M> {
             self.stats.dedup_evictions += 1;
         }
         if first_delivery {
+            // Cannot fire: the entry was read at the top of this handler
+            // and nothing in between removes one.
             let payload = self.pending.get(&id).expect("entry exists").payload.clone();
             self.inboxes.entry(to).or_default().push((now, payload));
             self.push_trace(format_args!("deliver {id} at {to:?}"));
@@ -572,12 +586,8 @@ impl<M: Clone> Transport<M> {
     /// Backoff before the retransmission that follows `attempt`, with
     /// deterministic jitter.
     fn backoff(&mut self, attempt: u32) -> SimTime {
-        let base = self.config.ack_timeout.as_secs_f64()
-            * self
-                .config
-                .backoff_factor
-                .powi(attempt.saturating_sub(1) as i32);
-        let capped = base.min(self.config.max_backoff.as_secs_f64());
+        let base = ACK_TIMEOUT_SECS * BACKOFF_FACTOR.powi(attempt.saturating_sub(1) as i32);
+        let capped = base.min(MAX_BACKOFF_SECS);
         let jitter = if self.config.jitter_frac > 0.0 {
             let u: f64 = self.rng.gen_range(0.0..1.0);
             1.0 + self.config.jitter_frac * (2.0 * u - 1.0)

@@ -52,6 +52,6 @@ pub mod verify;
 
 pub use client::PayJudgerClient;
 pub use contract::{PayJudger, CODE_ID};
-pub use retry::{submit_with_retry, AttemptResult, RetryError, RetryPolicy, RetryReport};
+pub use retry::{submit_with_retry, AttemptResult, RetryError, RetryReport};
 pub use types::{DisputeVerdict, EscrowRecord, PaymentRecord, PaymentState};
 pub use verify::EvidenceVerifier;

@@ -5,8 +5,8 @@
 //! spike, under-estimated limit) must not forfeit the merchant's claim.
 //! [`submit_with_retry`] drives a rebuild-and-resubmit loop: each attempt
 //! rebuilds the transaction (fresh nonce, current state) at a gas limit
-//! that grows by [`RetryPolicy::gas_bump_factor`] after every `OutOfGas`,
-//! until the call succeeds, the attempt budget runs out, or the caller
+//! that grows by `GAS_BUMP_FACTOR` after every `OutOfGas`, until the
+//! call succeeds, the budget of `MAX_ATTEMPTS` runs out, or the caller
 //! reports the challenge window closed.
 //!
 //! The loop is transport-agnostic: the caller's closure performs the
@@ -16,23 +16,10 @@
 use crate::types::DisputeVerdict;
 use btcfast_pscsim::tx::{Receipt, TxStatus};
 
-/// Bounds for the resubmission loop.
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts, the first submission included.
-    pub max_attempts: u32,
-    /// Gas-limit multiplier applied after each `OutOfGas`.
-    pub gas_bump_factor: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            gas_bump_factor: 1.5,
-        }
-    }
-}
+/// Total attempts of one submission, the first included.
+const MAX_ATTEMPTS: u32 = 4;
+/// Gas-limit multiplier applied after each `OutOfGas`.
+const GAS_BUMP_FACTOR: f64 = 1.5;
 
 /// What one submission attempt produced, as reported by the caller.
 #[derive(Clone, Debug)]
@@ -135,20 +122,14 @@ impl RetryReport {
 /// [`RetryError::Exhausted`] when the attempt budget runs out on
 /// `OutOfGas`, [`RetryError::WindowClosed`] when the caller reports the
 /// window shut, [`RetryError::Rejected`] on any revert/invalid status.
-///
-/// # Panics
-///
-/// Panics when the policy allows zero attempts.
 pub fn submit_with_retry(
-    policy: &RetryPolicy,
     initial_gas: u64,
     mut attempt: impl FnMut(u64) -> AttemptResult,
 ) -> Result<RetryReport, RetryError> {
-    assert!(policy.max_attempts > 0, "retry policy allows no attempts");
     let mut gas = initial_gas;
     let mut last_status = TxStatus::OutOfGas;
     let mut total_fees = 0u128;
-    for n in 1..=policy.max_attempts {
+    for n in 1..=MAX_ATTEMPTS {
         match attempt(gas) {
             AttemptResult::WindowClosed => {
                 return Err(RetryError::WindowClosed { attempts: n - 1 });
@@ -172,7 +153,7 @@ pub fn submit_with_retry(
                 TxStatus::OutOfGas => {
                     total_fees += receipt.fee_paid;
                     last_status = receipt.status;
-                    gas = ((gas as f64) * policy.gas_bump_factor).ceil() as u64;
+                    gas = ((gas as f64) * GAS_BUMP_FACTOR).ceil() as u64;
                 }
                 status @ (TxStatus::Reverted(_) | TxStatus::Invalid(_)) => {
                     return Err(RetryError::Rejected {
@@ -184,7 +165,7 @@ pub fn submit_with_retry(
         }
     }
     Err(RetryError::Exhausted {
-        attempts: policy.max_attempts,
+        attempts: MAX_ATTEMPTS,
         last_status,
     })
 }
@@ -210,7 +191,7 @@ mod tests {
     #[test]
     fn first_try_success_uses_initial_gas() {
         let mut gas_seen = vec![];
-        let report = submit_with_retry(&RetryPolicy::default(), 1_000, |gas| {
+        let report = submit_with_retry(1_000, |gas| {
             gas_seen.push(gas);
             AttemptResult::Executed(receipt(TxStatus::Succeeded))
         })
@@ -223,7 +204,7 @@ mod tests {
     #[test]
     fn out_of_gas_bumps_until_success() {
         let mut gas_seen = vec![];
-        let report = submit_with_retry(&RetryPolicy::default(), 1_000, |gas| {
+        let report = submit_with_retry(1_000, |gas| {
             gas_seen.push(gas);
             AttemptResult::Executed(receipt(if gas >= 2_000 {
                 TxStatus::Succeeded
@@ -240,14 +221,14 @@ mod tests {
 
     #[test]
     fn persistent_out_of_gas_exhausts_budget() {
-        let err = submit_with_retry(&RetryPolicy::default(), 1_000, |_| {
+        let err = submit_with_retry(1_000, |_| {
             AttemptResult::Executed(receipt(TxStatus::OutOfGas))
         })
         .unwrap_err();
         assert_eq!(
             err,
             RetryError::Exhausted {
-                attempts: 4,
+                attempts: MAX_ATTEMPTS,
                 last_status: TxStatus::OutOfGas
             }
         );
@@ -256,7 +237,7 @@ mod tests {
     #[test]
     fn revert_is_not_retried() {
         let mut calls = 0;
-        let err = submit_with_retry(&RetryPolicy::default(), 1_000, |_| {
+        let err = submit_with_retry(1_000, |_| {
             calls += 1;
             AttemptResult::Executed(receipt(TxStatus::Reverted("window expired".into())))
         })
@@ -268,7 +249,7 @@ mod tests {
     #[test]
     fn aborted_submission_is_not_retried() {
         let mut calls = 0;
-        let err = submit_with_retry(&RetryPolicy::default(), 1_000, |_| {
+        let err = submit_with_retry(1_000, |_| {
             calls += 1;
             AttemptResult::Aborted("node refused the tx".into())
         })
@@ -280,7 +261,7 @@ mod tests {
     #[test]
     fn window_closing_stops_the_loop() {
         let mut calls = 0;
-        let err = submit_with_retry(&RetryPolicy::default(), 1_000, |_| {
+        let err = submit_with_retry(1_000, |_| {
             calls += 1;
             if calls < 3 {
                 AttemptResult::Executed(receipt(TxStatus::OutOfGas))

@@ -12,14 +12,6 @@ use btcfast_suite::protocol::robustness::{
 use btcfast_suite::protocol::SessionConfig;
 use proptest::prelude::*;
 
-/// Transport policy generous enough to ride out a ~10 s partition.
-fn patient_chaos_config() -> ChaosConfig {
-    let mut config = ChaosConfig::default();
-    config.transport.max_attempts = 12;
-    config.phase_deadline = SimTime::from_secs(60);
-    config
-}
-
 fn session_config() -> SessionConfig {
     SessionConfig {
         challenge_window_secs: 1800,
@@ -140,7 +132,7 @@ fn dispute_completes_correctly_across_lossy_partitioned_network() {
     };
     let run = |seed: u64| {
         let mut chaos =
-            ChaosSession::new(session_config(), patient_chaos_config(), chaos_plan(), seed);
+            ChaosSession::new(session_config(), ChaosConfig::default(), chaos_plan(), seed);
         let before = chaos.escrow_snapshot();
         let report = chaos
             .run_dispute_chaos(1_000_000, 0.35, 24)
@@ -154,7 +146,7 @@ fn dispute_completes_correctly_across_lossy_partitioned_network() {
     let seed = (50..80)
         .find(|&s| {
             let mut probe =
-                ChaosSession::new(session_config(), patient_chaos_config(), chaos_plan(), s);
+                ChaosSession::new(session_config(), ChaosConfig::default(), chaos_plan(), s);
             probe
                 .run_dispute_chaos(1_000_000, 0.35, 24)
                 .map(|r| r.race.merchant_lost_payment)
