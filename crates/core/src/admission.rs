@@ -80,6 +80,45 @@ impl AdmissionConfig {
     pub fn is_bounded(&self) -> bool {
         self.capacity != usize::MAX
     }
+
+    /// The configuration that, applied to each of `shards` shards on a
+    /// queue of its own, makes exactly the decisions this one makes on
+    /// one queue over all of them — or `None` when one shard's queue can
+    /// change another's admission.
+    ///
+    /// Admission is shard-local in three cases:
+    ///
+    /// * `shards <= 1`: there is no other shard (the config is returned
+    ///   unchanged);
+    /// * unbounded, under any policy: nothing is ever refused or
+    ///   displaced, so no decision reads another shard;
+    /// * [`SheddingPolicy::FairPerShard`] with `capacity % shards == 0`:
+    ///   each shard gets `FairPerShard` over `capacity / shards`. Proof:
+    ///   with `C = capacity`, `S = shards`, the quota is `C/S`, and a
+    ///   shard only admits below it, so every shard's length is at most
+    ///   `C/S` at all times. Then `depth >= C` implies every shard sits
+    ///   at its quota, and the refusal test `depth >= C || len_s >= C/S`
+    ///   reduces to `len_s >= C/S` — the one-shard queue's test. Capacity
+    ///   0 refuses everything under both forms.
+    ///
+    /// `RejectNew` and `DropOldest` under a bound read the global depth,
+    /// and `FairPerShard` with `S ∤ C` can hit the global bound before a
+    /// quota (5 over 2: quota 3, and shards at 3 + 2 refuse the second
+    /// shard's third ticket), so those couple.
+    pub fn per_shard(&self, shards: usize) -> Option<AdmissionConfig> {
+        if shards <= 1 || !self.is_bounded() {
+            Some(*self)
+        } else if self.policy == SheddingPolicy::FairPerShard
+            && self.capacity.is_multiple_of(shards)
+        {
+            Some(AdmissionConfig::bounded(
+                self.capacity / shards,
+                SheddingPolicy::FairPerShard,
+            ))
+        } else {
+            None
+        }
+    }
 }
 
 impl Default for AdmissionConfig {
@@ -174,6 +213,8 @@ impl AdmissionQueue {
     ///
     /// Panics when `shards` is zero.
     pub fn new(shards: usize, config: AdmissionConfig) -> AdmissionQueue {
+        // Cannot fire from the engine: it builds one queue per admission
+        // group, and a zero-shard engine forms no group.
         assert!(shards > 0, "at least one shard");
         AdmissionQueue {
             config,
@@ -220,6 +261,8 @@ impl AdmissionQueue {
         arrival: SimTime,
         amount_sats: u64,
     ) -> Result<u64, OverloadError> {
+        // Cannot fire from the engine: `run_load` returns `BadSchedule`
+        // for an out-of-range shard before it offers anything.
         assert!(shard < self.queues.len(), "shard out of range");
         let ticket = Ticket {
             seq: self.next_seq,
@@ -232,23 +275,8 @@ impl AdmissionQueue {
         let at_global_bound = self.depth >= self.config.capacity;
         let refused = match self.config.policy {
             SheddingPolicy::RejectNew => at_global_bound,
-            SheddingPolicy::DropOldest => {
-                // A zero-capacity queue has nothing to displace: refuse.
-                match (at_global_bound, self.oldest_queued()) {
-                    (true, Some(oldest)) => {
-                        let dropped = self.queues[oldest]
-                            .pop_front()
-                            .expect("front exists at the chosen shard");
-                        self.depth -= 1;
-                        self.stats[oldest].depth = self.queues[oldest].len();
-                        self.stats[oldest].dropped_oldest += 1;
-                        self.shed_log.push(dropped);
-                        false
-                    }
-                    (true, None) => true,
-                    (false, _) => false,
-                }
-            }
+            // A zero-capacity queue has nothing to displace: refuse.
+            SheddingPolicy::DropOldest => at_global_bound && !self.drop_oldest(),
             SheddingPolicy::FairPerShard => {
                 at_global_bound || self.queues[shard].len() >= self.fair_quota()
             }
@@ -274,15 +302,14 @@ impl AdmissionQueue {
         Ok(ticket.seq)
     }
 
-    /// Takes the next payment from shard `shard`'s queue, FIFO.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` is out of range.
+    /// Takes the next payment from shard `shard`'s queue, FIFO; `None`
+    /// when that queue is empty or `shard` is out of range.
     pub fn pop(&mut self, shard: usize) -> Option<Ticket> {
-        let ticket = self.queues[shard].pop_front()?;
+        let queue = self.queues.get_mut(shard)?;
+        let ticket = queue.pop_front()?;
         self.depth -= 1;
-        self.stats[shard].depth = self.queues[shard].len();
+        // `stats` has one entry per queue.
+        self.stats[shard].depth = queue.len();
         Some(ticket)
     }
 
@@ -303,18 +330,29 @@ impl AdmissionQueue {
 
     /// Every ticket shed so far, in shed order — the deterministic shed
     /// set hashed into the engine's replay fingerprint.
+    ///
+    /// Shed order is also `seq` order: a refusal sheds the newest ticket,
+    /// a displacement the oldest queued one, and `DropOldest` refuses only
+    /// at capacity 0, where it never displaces.
     pub fn shed_log(&self) -> &[Ticket] {
         &self.shed_log
     }
 
-    /// The shard whose queue front is globally oldest (lowest seq).
-    fn oldest_queued(&self) -> Option<usize> {
-        self.queues
+    /// Displaces the globally oldest queued ticket (lowest seq) into the
+    /// shed log; `false` when nothing is queued.
+    fn drop_oldest(&mut self) -> bool {
+        let oldest = self
+            .queues
             .iter()
             .enumerate()
             .filter_map(|(shard, q)| q.front().map(|t| (t.seq, shard)))
-            .min()
-            .map(|(_, shard)| shard)
+            .min();
+        let Some(dropped) = oldest.and_then(|(_, shard)| self.pop(shard)) else {
+            return false;
+        };
+        self.stats[dropped.shard].dropped_oldest += 1;
+        self.shed_log.push(dropped);
+        true
     }
 }
 
@@ -433,6 +471,51 @@ mod tests {
             assert_eq!(drive(policy), drive(policy), "{policy}");
             assert!(!drive(policy).is_empty(), "{policy} sheds under pressure");
         }
+    }
+
+    #[test]
+    fn admission_is_shard_local_exactly_where_the_rule_says() {
+        use SheddingPolicy::*;
+        let fair = |capacity| AdmissionConfig::bounded(capacity, FairPerShard);
+        assert_eq!(fair(32).per_shard(2), Some(fair(16)));
+        assert_eq!(fair(6).per_shard(3), Some(fair(2)));
+        assert_eq!(fair(0).per_shard(2), Some(fair(0)));
+        for policy in [RejectNew, DropOldest, FairPerShard] {
+            let unbounded = AdmissionConfig {
+                capacity: usize::MAX,
+                policy,
+            };
+            assert_eq!(unbounded.per_shard(3), Some(unbounded));
+            let bounded = AdmissionConfig::bounded(5, policy);
+            assert_eq!(bounded.per_shard(1), Some(bounded));
+            assert_eq!(bounded.per_shard(0), Some(bounded));
+        }
+        assert_eq!(AdmissionConfig::bounded(4, RejectNew).per_shard(2), None);
+        assert_eq!(AdmissionConfig::bounded(4, DropOldest).per_shard(2), None);
+        assert_eq!(fair(5).per_shard(2), None);
+
+        // Why 5 over 2 couples: quota 3, and with shard 0 at 3 the global
+        // bound refuses shard 1's third ticket, which a queue of its own
+        // under the same quota admits.
+        let mut joint = AdmissionQueue::new(2, fair(5));
+        let mut alone = AdmissionQueue::new(1, fair(3));
+        for _ in 0..3 {
+            joint.offer(0, t(1), 1).unwrap();
+        }
+        for _ in 0..2 {
+            joint.offer(1, t(1), 1).unwrap();
+            alone.offer(0, t(1), 1).unwrap();
+        }
+        assert!(joint.offer(1, t(2), 1).is_err());
+        assert!(alone.offer(0, t(2), 1).is_ok());
+    }
+
+    #[test]
+    fn pop_out_of_range_is_none() {
+        let mut q = AdmissionQueue::new(2, AdmissionConfig::default());
+        q.offer(1, t(1), 1).unwrap();
+        assert!(q.pop(2).is_none());
+        assert_eq!(q.depth(), 1);
     }
 
     #[test]

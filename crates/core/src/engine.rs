@@ -8,6 +8,16 @@
 //! so shards share no mutable state and run in parallel on a
 //! [`WorkerPool`] without locks.
 //!
+//! [`PaymentEngine::run`] is always shared-nothing. An open-loop
+//! [`PaymentEngine::run_load`] is too exactly when admission is shard-local
+//! ([`AdmissionConfig::per_shard`]: one shard, an unbounded queue, or
+//! `FairPerShard` with a capacity the shard count divides — the benchmark
+//! and every E14 cell): each shard then gets a queue of its own and the
+//! shards run in parallel. A bounded `RejectNew`/`DropOldest` queue, or an
+//! uneven `FairPerShard` split, couples shards through the global depth,
+//! and one event loop serves them all. Both are the same loop, and they
+//! produce the same report byte for byte.
+//!
 //! # Determinism
 //!
 //! Runs replay byte-identically from a single `u64` base seed:
@@ -363,8 +373,80 @@ impl LoadReport {
     }
 }
 
+/// Shards that share one admission queue, and that queue's configuration.
+/// A load run is a set of groups with disjoint shards; each runs the same
+/// event loop on its own queue.
+#[derive(Debug)]
+pub(crate) struct AdmissionGroup {
+    /// Global shard indices, ascending.
+    shards: Vec<usize>,
+    admission: AdmissionConfig,
+}
+
+impl AdmissionGroup {
+    /// The production grouping: a group per shard when `admission` is
+    /// shard-local ([`AdmissionConfig::per_shard`]), otherwise [one
+    /// group](Self::joint) over all of them.
+    fn split(shards: usize, admission: AdmissionConfig) -> Vec<AdmissionGroup> {
+        match admission.per_shard(shards) {
+            Some(local) => (0..shards)
+                .map(|shard| AdmissionGroup {
+                    shards: vec![shard],
+                    admission: local,
+                })
+                .collect(),
+            None => AdmissionGroup::joint(shards, admission),
+        }
+    }
+
+    /// Every shard behind one queue: the interleaved serializer, which
+    /// makes every decision of the global queue by definition. No group at
+    /// all for zero shards.
+    pub(crate) fn joint(shards: usize, admission: AdmissionConfig) -> Vec<AdmissionGroup> {
+        if shards == 0 {
+            return Vec::new();
+        }
+        vec![AdmissionGroup {
+            shards: (0..shards).collect(),
+            admission,
+        }]
+    }
+}
+
+/// Where the interleaved loop over all shards would meet a failure. The
+/// derived order is the order it meets them in: provisioning in shard
+/// order, then events by time — completions (by shard) before arrivals
+/// (by schedule index) — then the final escrow reads in shard order. A
+/// service round always advances its session's clock, so no event at `t`
+/// schedules another at `t`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Stage {
+    Provision {
+        shard: usize,
+    },
+    Event {
+        at: SimTime,
+        arrival: bool,
+        /// The shard of a completion, the schedule index of an arrival.
+        id: usize,
+    },
+    Report {
+        shard: usize,
+    },
+}
+
+/// What one admission group's run contributes to the [`LoadReport`].
+struct GroupRun {
+    outcomes: Vec<ShardLoadOutcome>,
+    /// Shed tickets, with global `seq` and `shard`.
+    shed: Vec<Ticket>,
+    makespan: SimTime,
+}
+
 /// One shard's server state during an open-loop run.
 struct LoadServer {
+    /// The global shard index.
+    shard: usize,
     session: FastPaySession,
     /// Session-clock reading at `t = 0` of the global timeline.
     start: SimTime,
@@ -383,12 +465,12 @@ struct ShardLoadAcc {
 }
 
 /// Starts one service round on an idle shard at global time `now`: pops
-/// up to `batch_size` queued tickets, runs them as one payment batch, and
-/// marks the server busy until the batch completes. No-op when the
-/// shard's queue is empty.
+/// up to `batch_size` tickets from the shard's queue (at index `local` of
+/// its group's queue), runs them as one payment batch, and marks the
+/// server busy until the batch completes. No-op when the queue is empty.
 fn serve_shard(
     config: &EngineConfig,
-    shard: usize,
+    local: usize,
     now: SimTime,
     server: &mut LoadServer,
     queue: &mut AdmissionQueue,
@@ -397,7 +479,7 @@ fn serve_shard(
     let batch = config.batch_size.max(1);
     let mut tickets = Vec::with_capacity(batch);
     while tickets.len() < batch {
-        match queue.pop(shard) {
+        match queue.pop(local) {
             Some(ticket) => tickets.push(ticket),
             None => break,
         }
@@ -415,9 +497,9 @@ fn serve_shard(
     server.session.trace_point(
         "engine.load_serve",
         vec![
-            ("shard", shard.into()),
+            ("shard", server.shard.into()),
             ("batch", tickets.len().into()),
-            ("queued", queue.shard_depth(shard).into()),
+            ("queued", queue.shard_depth(local).into()),
         ],
     );
 
@@ -457,6 +539,11 @@ impl PaymentEngine {
     /// tie-break that makes the run a pure function of `(schedule,
     /// base_seed, admission)`.
     ///
+    /// When admission is shard-local ([`AdmissionConfig::per_shard`]),
+    /// every shard runs that loop on a queue of its own, in parallel on
+    /// the host's [`WorkerPool`]; otherwise one loop serves every shard.
+    /// The report is byte-identical either way.
+    ///
     /// [`EngineConfig::payments_per_shard`] is ignored here — the
     /// schedule decides how much work each shard sees.
     ///
@@ -464,16 +551,36 @@ impl PaymentEngine {
     ///
     /// [`SessionError::BadSchedule`] when the schedule is not sorted by
     /// arrival time or targets a shard out of range; otherwise the first
-    /// [`SessionError`] a shard hits. Overload is *not* an error at this
-    /// level: shed payments are reported, not failed.
+    /// [`SessionError`] the one loop over every shard would hit. Overload
+    /// is *not* an error at this level: shed payments are reported, not
+    /// failed.
     pub fn run_load(
         &self,
         base_seed: u64,
         schedule: &[LoadArrival],
         admission: AdmissionConfig,
     ) -> Result<LoadReport, SessionError> {
-        let shards = self.config.shards;
-        let mut offered = vec![0usize; shards];
+        self.run_load_grouped(
+            base_seed,
+            schedule,
+            &AdmissionGroup::split(self.config.shards, admission),
+            &WorkerPool::with_default_parallelism(),
+        )
+    }
+
+    /// [`run_load`](Self::run_load) over an explicit grouping, with the
+    /// groups mapped over `pool`. The groups partition the shards in
+    /// ascending order (as [`AdmissionGroup::split`] and
+    /// [`AdmissionGroup::joint`] build them), so their outcomes concatenate
+    /// in shard order.
+    pub(crate) fn run_load_grouped(
+        &self,
+        base_seed: u64,
+        schedule: &[LoadArrival],
+        groups: &[AdmissionGroup],
+        pool: &WorkerPool,
+    ) -> Result<LoadReport, SessionError> {
+        let mut offered = vec![0usize; self.config.shards];
         let mut prev = SimTime::ZERO;
         for (index, arrival) in schedule.iter().enumerate() {
             let bad = |reason| SessionError::BadSchedule { index, reason };
@@ -487,111 +594,38 @@ impl PaymentEngine {
             *slot += arrival.payments;
         }
 
-        // Provision every shard before t = 0, sized so escrow can cover
-        // the worst case (every offered payment admitted).
-        let per_payment = self
-            .config
-            .session
-            .required_collateral(self.config.amount_sats);
-        let mut servers = Vec::with_capacity(shards);
-        for (shard, &shard_offered) in offered.iter().enumerate() {
-            let seed = shard_seed(base_seed, shard as u64);
-            let session = provision_shard(&self.config, shard_offered, seed)?;
-            let start = session.clock;
-            servers.push(LoadServer {
-                session,
-                start,
-                busy_until: None,
-            });
-        }
-
-        let mut queue = AdmissionQueue::new(shards, admission);
-        let mut acc: Vec<ShardLoadAcc> = (0..shards).map(|_| ShardLoadAcc::default()).collect();
-
-        let mut next_arrival = 0usize;
-        loop {
-            let next_done = servers
-                .iter()
-                .enumerate()
-                .filter_map(|(shard, server)| server.busy_until.map(|t| (t, shard)))
-                .min();
-            let arrival = schedule.get(next_arrival);
-            // Completion-before-arrival on ties: capacity frees before
-            // the next admission decision.
-            let completion_first = match (next_done, arrival) {
-                (None, None) => break,
-                (Some((done, _)), Some(a)) => done <= a.at,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-            };
-            if completion_first {
-                // Cannot fire: `completion_first` is true only in the two
-                // arms above where `next_done` is `Some`.
-                let (done, shard) = next_done.expect("completion_first implies a busy server");
-                servers[shard].busy_until = None;
-                serve_shard(
-                    &self.config,
-                    shard,
-                    done,
-                    &mut servers[shard],
-                    &mut queue,
-                    &mut acc[shard],
-                )?;
-            } else {
-                // Cannot fire: with no arrival left the match above either
-                // broke out of the loop or chose the completion.
-                let arrival = *arrival.expect("otherwise the loop broke");
-                next_arrival += 1;
-                for _ in 0..arrival.payments {
-                    // A refusal is a shed, recorded in the queue's shed
-                    // log — not a run failure.
-                    let _ = queue.offer(arrival.shard, arrival.at, self.config.amount_sats);
-                }
-                if servers[arrival.shard].busy_until.is_none() {
-                    serve_shard(
-                        &self.config,
-                        arrival.shard,
-                        arrival.at,
-                        &mut servers[arrival.shard],
-                        &mut queue,
-                        &mut acc[arrival.shard],
-                    )?;
-                }
+        let mut runs = Vec::with_capacity(groups.len());
+        let mut failures = Vec::new();
+        for result in pool.map_coarse(groups, |group| {
+            self.run_group(base_seed, schedule, &offered, group)
+        }) {
+            match result {
+                Ok(run) => runs.push(run),
+                Err(failure) => failures.push(failure),
             }
         }
-        debug_assert_eq!(queue.depth(), 0, "the drain left work queued");
-
-        let mut outcomes = Vec::with_capacity(shards);
-        let mut makespan = SimTime::ZERO;
-        for (shard, (server, acc)) in servers.iter().zip(&acc).enumerate() {
-            let record = server
-                .session
-                .judger
-                .escrow(&server.session.psc, server.session.customer.psc_account())
-                .map_err(|e| SessionError::Psc(format!("escrow view: {e}")))?;
-            makespan = makespan.max(server.session.clock - server.start);
-            outcomes.push(ShardLoadOutcome {
-                shard,
-                seed: shard_seed(base_seed, shard as u64),
-                offered: offered[shard],
-                executed: acc.executed,
-                accepted: acc.accepted,
-                rejected: acc.rejected,
-                admission: queue.stats()[shard],
-                accept_latencies: acc.latencies.clone(),
-                psc_commitment: server.session.psc.state_commitment(),
-                btc_tip: server.session.btc.tip_hash(),
-                escrow_locked: record.locked,
-                escrow_balance: record.balance,
-                expected_locked: per_payment.saturating_mul(acc.executed as u128),
-            });
+        if let Some((_, error)) = failures.into_iter().min_by_key(|&(stage, _)| stage) {
+            return Err(error);
         }
+
+        let mut outcomes = Vec::with_capacity(self.config.shards);
+        let mut shed = Vec::new();
+        let mut makespan = SimTime::ZERO;
+        for run in runs {
+            outcomes.extend(run.outcomes);
+            shed.extend(run.shed);
+            makespan = makespan.max(run.makespan);
+        }
+        // Each group's shed log is in `seq` order (see
+        // `AdmissionQueue::shed_log`) and carries global seqs, so sorting
+        // the concatenation by seq is the joint queue's shed order.
+        shed.sort_by_key(|ticket| ticket.seq);
 
         let mut bytes = Vec::new();
         for outcome in &outcomes {
             outcome.encode(&mut bytes);
         }
-        for ticket in queue.shed_log() {
+        for ticket in &shed {
             bytes.extend_from_slice(&ticket.seq.to_le_bytes());
             bytes.extend_from_slice(&(ticket.shard as u64).to_le_bytes());
             bytes.extend_from_slice(&ticket.arrival.as_micros().to_le_bytes());
@@ -600,11 +634,159 @@ impl PaymentEngine {
 
         Ok(LoadReport {
             offered: offered.iter().sum(),
-            executed: acc.iter().map(|a| a.executed).sum(),
-            shed: queue.shed_log().to_vec(),
+            executed: outcomes.iter().map(|o| o.executed).sum(),
+            shed,
             makespan,
             fingerprint: sha256d(&bytes),
             outcomes,
+        })
+    }
+
+    /// The event loop for one admission group: provisions the group's
+    /// shards, then serves the schedule's arrivals for them through one
+    /// [`AdmissionQueue`] (shard `group.shards[i]` at queue index `i`).
+    /// Arrivals for other shards are skipped but still counted, so queue
+    /// sequence numbers map back to global offer indices.
+    fn run_group(
+        &self,
+        base_seed: u64,
+        schedule: &[LoadArrival],
+        offered: &[usize],
+        group: &AdmissionGroup,
+    ) -> Result<GroupRun, (Stage, SessionError)> {
+        let config = &self.config;
+        // Provision every shard before t = 0, sized so escrow can cover
+        // the worst case (every offered payment admitted).
+        let mut servers = Vec::with_capacity(group.shards.len());
+        for &shard in &group.shards {
+            let seed = shard_seed(base_seed, shard as u64);
+            let session = provision_shard(config, offered[shard], seed)
+                .map_err(|e| (Stage::Provision { shard }, e))?;
+            servers.push(LoadServer {
+                shard,
+                start: session.clock,
+                session,
+                busy_until: None,
+            });
+        }
+
+        let mut queue = AdmissionQueue::new(group.shards.len(), group.admission);
+        let mut acc: Vec<ShardLoadAcc> = servers.iter().map(|_| ShardLoadAcc::default()).collect();
+        // The global offer index of each local queue seq.
+        let mut global_seq: Vec<u64> = Vec::new();
+        let mut arrivals = schedule
+            .iter()
+            .enumerate()
+            .scan(0u64, |next_seq, (index, &arrival)| {
+                let first_seq = *next_seq;
+                *next_seq += arrival.payments as u64;
+                Some((index, first_seq, arrival))
+            })
+            .filter_map(|(index, first_seq, arrival)| {
+                let local = group.shards.binary_search(&arrival.shard).ok()?;
+                Some((index, first_seq, local, arrival))
+            })
+            .peekable();
+
+        loop {
+            let next_done = servers
+                .iter()
+                .enumerate()
+                .filter_map(|(local, server)| server.busy_until.map(|t| (t, local)))
+                .min();
+            // Completion-before-arrival on ties: capacity frees before
+            // the next admission decision.
+            let completion = next_done.filter(|&(done, _)| {
+                arrivals
+                    .peek()
+                    .is_none_or(|&(_, _, _, arrival)| done <= arrival.at)
+            });
+            if let Some((done, local)) = completion {
+                let server = &mut servers[local];
+                server.busy_until = None;
+                let stage = Stage::Event {
+                    at: done,
+                    arrival: false,
+                    id: server.shard,
+                };
+                serve_shard(config, local, done, server, &mut queue, &mut acc[local])
+                    .map_err(|e| (stage, e))?;
+                continue;
+            }
+            let Some((index, first_seq, local, arrival)) = arrivals.next() else {
+                break;
+            };
+            for offset in 0..arrival.payments as u64 {
+                global_seq.push(first_seq + offset);
+                // A refusal is a shed, recorded in the queue's shed log —
+                // not a run failure.
+                let _ = queue.offer(local, arrival.at, config.amount_sats);
+            }
+            let server = &mut servers[local];
+            if server.busy_until.is_none() {
+                let stage = Stage::Event {
+                    at: arrival.at,
+                    arrival: true,
+                    id: index,
+                };
+                serve_shard(
+                    config,
+                    local,
+                    arrival.at,
+                    server,
+                    &mut queue,
+                    &mut acc[local],
+                )
+                .map_err(|e| (stage, e))?;
+            }
+        }
+        debug_assert_eq!(queue.depth(), 0, "the drain left work queued");
+
+        let per_payment = config.session.required_collateral(config.amount_sats);
+        let mut outcomes = Vec::with_capacity(servers.len());
+        let mut makespan = SimTime::ZERO;
+        for ((server, acc), admission) in servers.into_iter().zip(acc).zip(queue.stats()) {
+            let shard = server.shard;
+            let record = server
+                .session
+                .judger
+                .escrow(&server.session.psc, server.session.customer.psc_account())
+                .map_err(|e| {
+                    let error = SessionError::Psc(format!("escrow view: {e}"));
+                    (Stage::Report { shard }, error)
+                })?;
+            makespan = makespan.max(server.session.clock - server.start);
+            outcomes.push(ShardLoadOutcome {
+                shard,
+                seed: shard_seed(base_seed, shard as u64),
+                offered: offered[shard],
+                executed: acc.executed,
+                accepted: acc.accepted,
+                rejected: acc.rejected,
+                admission: *admission,
+                accept_latencies: acc.latencies,
+                psc_commitment: server.session.psc.state_commitment(),
+                btc_tip: server.session.btc.tip_hash(),
+                escrow_locked: record.locked,
+                escrow_balance: record.balance,
+                expected_locked: per_payment.saturating_mul(acc.executed as u128),
+            });
+        }
+        let shed = queue
+            .shed_log()
+            .iter()
+            .map(|ticket| Ticket {
+                // Every local seq was pushed above, and a ticket's shard is
+                // an index into `group.shards`.
+                seq: global_seq[ticket.seq as usize],
+                shard: group.shards[ticket.shard],
+                ..*ticket
+            })
+            .collect();
+        Ok(GroupRun {
+            outcomes,
+            shed,
+            makespan,
         })
     }
 }
@@ -989,6 +1171,132 @@ mod tests {
             run(&[arrival(1, 0), arrival(2, 1)]),
             Err(SessionError::BadSchedule { index: 1, .. })
         ));
+    }
+
+    #[test]
+    fn a_zero_shard_engine_runs_an_empty_load() {
+        let engine = PaymentEngine::new(EngineConfig {
+            shards: 0,
+            ..EngineConfig::default()
+        });
+        let report = engine.run_load(1, &[], AdmissionConfig::default()).unwrap();
+        assert!(report.outcomes.is_empty());
+        assert!(report.shed.is_empty());
+        assert_eq!((report.offered, report.executed), (0, 0));
+        assert_eq!(report.makespan, SimTime::ZERO);
+        assert_eq!(report.fingerprint, sha256d(&[]));
+    }
+
+    #[test]
+    fn failures_order_as_the_interleaved_loop_meets_them() {
+        let event = |at, arrival, id| Stage::Event {
+            at: SimTime::from_millis(at),
+            arrival,
+            id,
+        };
+        let mut stages = vec![
+            Stage::Report { shard: 0 },
+            event(5, true, 0),
+            event(5, false, 3),
+            event(4, true, 9),
+            event(5, false, 1),
+            Stage::Provision { shard: 2 },
+            Stage::Provision { shard: 1 },
+        ];
+        stages.sort();
+        assert_eq!(
+            stages,
+            [
+                Stage::Provision { shard: 1 },
+                Stage::Provision { shard: 2 },
+                event(4, true, 9),
+                event(5, false, 1),
+                event(5, false, 3),
+                event(5, true, 0),
+                Stage::Report { shard: 0 },
+            ]
+        );
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn policy() -> impl Strategy<Value = SheddingPolicy> {
+            prop_oneof![
+                Just(SheddingPolicy::RejectNew),
+                Just(SheddingPolicy::DropOldest),
+                Just(SheddingPolicy::FairPerShard),
+            ]
+        }
+
+        /// `tests/load_solvency.rs`'s schedules over up to three shards:
+        /// up to 9 arrivals of 1–2 payments, millisecond gaps.
+        fn schedule() -> impl Strategy<Value = Vec<LoadArrival>> {
+            proptest::collection::vec((1u64..80, 0usize..3, 1usize..3), 1..10).prop_map(|steps| {
+                let mut at = SimTime::ZERO;
+                steps
+                    .into_iter()
+                    .map(|(gap_ms, shard, payments)| {
+                        at += SimTime::from_millis(gap_ms);
+                        LoadArrival {
+                            at,
+                            shard,
+                            payments,
+                        }
+                    })
+                    .collect()
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The production grouping reports exactly what one loop over
+            /// every shard reports, at any worker count.
+            #[test]
+            fn split_admission_matches_the_one_group_loop(
+                seed in 0u64..1_000,
+                shards in 2usize..4,
+                capacity in prop_oneof![0usize..8, Just(usize::MAX)],
+                policy in policy(),
+                schedule in schedule(),
+            ) {
+                let engine = PaymentEngine::new(EngineConfig {
+                    session: SessionConfig::eos_flavored(),
+                    shards,
+                    batch_size: 3,
+                    ..EngineConfig::default()
+                });
+                let schedule: Vec<LoadArrival> = schedule
+                    .into_iter()
+                    .map(|a| LoadArrival { shard: a.shard % shards, ..a })
+                    .collect();
+                let admission = AdmissionConfig { capacity, policy };
+                let oracle = engine
+                    .run_load_grouped(
+                        seed,
+                        &schedule,
+                        &AdmissionGroup::joint(shards, admission),
+                        &WorkerPool::new(1),
+                    )
+                    .expect("one-group run");
+                let groups = AdmissionGroup::split(shards, admission);
+                for threads in [1, 2, 4] {
+                    let split = engine
+                        .run_load_grouped(seed, &schedule, &groups, &WorkerPool::new(threads))
+                        .expect("split run");
+                    prop_assert_eq!(
+                        &split,
+                        &oracle,
+                        "{} groups, {} threads, {:?}",
+                        groups.len(),
+                        threads,
+                        admission
+                    );
+                }
+            }
+        }
     }
 
     #[test]
