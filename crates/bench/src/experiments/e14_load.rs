@@ -82,7 +82,7 @@ fn run_cell(shards: usize, mult: f64, per_shard_payments: usize) -> CellOutcome 
         rate,
         bounded: measure(
             AdmissionConfig::bounded(capacity, SheddingPolicy::FairPerShard),
-            SheddingPolicy::FairPerShard.name(),
+            "fair-per-shard",
         ),
         unbounded: measure(AdmissionConfig::unbounded(), "unbounded"),
     }

@@ -124,11 +124,9 @@ pub struct ChaosSession {
     transport: Transport<ProtocolPhase>,
     plan: FaultPlan,
     psc_stalled: bool,
-    /// Durable media backing the recovery journal. Handle-shared
-    /// [`MemStorage`] models a disk that survives a simulated process
-    /// crash; [`FaultAction::CrashRestart`] re-hydrates from these.
-    wal_medium: MemStorage,
-    snap_medium: MemStorage,
+    /// The recovery journal. Its media are handle-shared [`MemStorage`], a
+    /// disk that survives a simulated process crash;
+    /// [`FaultAction::CrashRestart`] re-hydrates from them.
     recovery: RecoveryManager<MemStorage>,
     /// The journal intent begun last and not yet retired.
     open_intent: u64,
@@ -159,9 +157,7 @@ impl ChaosSession {
             chaos_config.transport.clone(),
             seed ^ 0xC4A0_5CA0_5EED,
         );
-        let wal_medium = MemStorage::new();
-        let snap_medium = MemStorage::new();
-        let (mut recovery, _) = RecoveryManager::open(wal_medium.clone(), snap_medium.clone())
+        let (mut recovery, _) = RecoveryManager::open(MemStorage::new(), MemStorage::new())
             .expect("fresh durable media open");
         let session = FastPaySession::new(session_config, seed);
         // Provisioning already deposited escrow; journal the fact so a
@@ -181,8 +177,6 @@ impl ChaosSession {
             transport,
             plan,
             psc_stalled: false,
-            wal_medium,
-            snap_medium,
             recovery,
             open_intent: intent,
             recoveries: 0,
@@ -238,24 +232,13 @@ impl ChaosSession {
     }
 
     /// Simulated process crash + restart-from-store: volatile transport
-    /// state for `node` is lost, the in-memory recovery manager is
-    /// dropped, and a fresh one re-hydrates from the surviving media.
-    /// Recovery must be lossless: media that no longer re-open, or re-open
-    /// to a digest other than the pre-crash one (pending intents
-    /// included), are a journal error.
+    /// state for `node` is lost and the recovery manager re-hydrates from
+    /// the surviving media ([`RecoveryManager::restart`]). Media that no
+    /// longer re-open, or re-open to another digest, are a journal error.
     fn crash_restart(&mut self, node: NodeId) -> Result<(), RobustnessError> {
         self.transport.crash(node);
         self.transport.restart(node);
-        let digest_before = self.recovery.digest();
-        let (recovered, report) =
-            RecoveryManager::open(self.wal_medium.clone(), self.snap_medium.clone())
-                .map_err(journal_err)?;
-        if recovered.digest() != digest_before {
-            return Err(RobustnessError::Session(SessionError::Psc(
-                "recovery journal: recovered state diverged from pre-crash state".into(),
-            )));
-        }
-        self.recovery = recovered;
+        let report = self.recovery.restart().map_err(journal_err)?;
         self.recoveries += 1;
         let tracer = &mut self.session.tracer;
         let restart_ctx = tracer.child_of(&self.active_ctx);

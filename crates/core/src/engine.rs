@@ -8,15 +8,10 @@
 //! so shards share no mutable state and run in parallel on a
 //! [`WorkerPool`] without locks.
 //!
-//! [`PaymentEngine::run`] is always shared-nothing. An open-loop
-//! [`PaymentEngine::run_load`] is too exactly when admission is shard-local
-//! ([`AdmissionConfig::per_shard`]: one shard, an unbounded queue, or
-//! `FairPerShard` with a capacity the shard count divides — the benchmark
-//! and every E14 cell): each shard then gets a queue of its own and the
-//! shards run in parallel. A bounded `RejectNew`/`DropOldest` queue, or an
-//! uneven `FairPerShard` split, couples shards through the global depth,
-//! and one event loop serves them all. Both are the same loop, and they
-//! produce the same report byte for byte.
+//! An open-loop [`PaymentEngine::run_load`] is shared-nothing too: each
+//! shard admits into a queue of its own, bounded at its share of the
+//! capacity ([`AdmissionConfig::per_shard`]), and is served by one loop of
+//! its own.
 //!
 //! # Determinism
 //!
@@ -37,7 +32,7 @@
 //! executed the same payments against the same final chain states — and
 //! recorded byte-identical per-phase traces doing it.
 
-use crate::admission::{AdmissionConfig, AdmissionQueue, ShardAdmissionStats, Ticket};
+use crate::admission::{AdmissionConfig, ShardAdmissionStats, ShardQueue, Ticket};
 use crate::config::SessionConfig;
 use crate::recovery::{Outcome, RecoveryManager, Step};
 use crate::session::{FastPaySession, SessionError};
@@ -256,7 +251,7 @@ pub struct ShardLoadOutcome {
     /// Served payments the merchant rejected (protocol rejection, not a
     /// load shed).
     pub rejected: usize,
-    /// This shard's admission accounting (depth, high-water, sheds).
+    /// This shard's admission accounting (admitted, sheds, high-water).
     pub admission: ShardAdmissionStats,
     /// Accept latency of every accepted payment, in service order,
     /// charged from the payment's *scheduled arrival* — not from when a
@@ -296,7 +291,6 @@ impl ShardLoadOutcome {
         out.extend_from_slice(&(self.rejected as u64).to_le_bytes());
         out.extend_from_slice(&self.admission.admitted.to_le_bytes());
         out.extend_from_slice(&self.admission.rejected_new.to_le_bytes());
-        out.extend_from_slice(&self.admission.dropped_oldest.to_le_bytes());
         out.extend_from_slice(&(self.admission.high_water as u64).to_le_bytes());
         out.extend_from_slice(&(self.accept_latencies.len() as u64).to_le_bytes());
         for latency in &self.accept_latencies {
@@ -315,7 +309,7 @@ impl ShardLoadOutcome {
 pub struct LoadReport {
     /// Per-shard outcomes, in shard order.
     pub outcomes: Vec<ShardLoadOutcome>,
-    /// Every shed ticket across the run, in shed order — the
+    /// Every shed ticket across the run, in `seq` order — the
     /// deterministic shed set, hashed into [`LoadReport::fingerprint`].
     pub shed: Vec<Ticket>,
     /// Payments the schedule offered across all shards.
@@ -373,176 +367,107 @@ impl LoadReport {
     }
 }
 
-/// Shards that share one admission queue, and that queue's configuration.
-/// A load run is a set of groups with disjoint shards; each runs the same
-/// event loop on its own queue.
-#[derive(Debug)]
-pub(crate) struct AdmissionGroup {
-    /// Global shard indices, ascending.
-    shards: Vec<usize>,
-    admission: AdmissionConfig,
-}
-
-impl AdmissionGroup {
-    /// The production grouping: a group per shard when `admission` is
-    /// shard-local ([`AdmissionConfig::per_shard`]), otherwise [one
-    /// group](Self::joint) over all of them.
-    fn split(shards: usize, admission: AdmissionConfig) -> Vec<AdmissionGroup> {
-        match admission.per_shard(shards) {
-            Some(local) => (0..shards)
-                .map(|shard| AdmissionGroup {
-                    shards: vec![shard],
-                    admission: local,
-                })
-                .collect(),
-            None => AdmissionGroup::joint(shards, admission),
-        }
-    }
-
-    /// Every shard behind one queue: the interleaved serializer, which
-    /// makes every decision of the global queue by definition. No group at
-    /// all for zero shards.
-    pub(crate) fn joint(shards: usize, admission: AdmissionConfig) -> Vec<AdmissionGroup> {
-        if shards == 0 {
-            return Vec::new();
-        }
-        vec![AdmissionGroup {
-            shards: (0..shards).collect(),
-            admission,
-        }]
-    }
-}
-
-/// Where the interleaved loop over all shards would meet a failure. The
-/// derived order is the order it meets them in: provisioning in shard
-/// order, then events by time — completions (by shard) before arrivals
-/// (by schedule index) — then the final escrow reads in shard order. A
-/// service round always advances its session's clock, so no event at `t`
-/// schedules another at `t`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Stage {
-    Provision {
-        shard: usize,
-    },
-    Event {
-        at: SimTime,
-        arrival: bool,
-        /// The shard of a completion, the schedule index of an arrival.
-        id: usize,
-    },
-    Report {
-        shard: usize,
-    },
-}
-
-/// What one admission group's run contributes to the [`LoadReport`].
-struct GroupRun {
-    outcomes: Vec<ShardLoadOutcome>,
-    /// Shed tickets, with global `seq` and `shard`.
-    shed: Vec<Ticket>,
-    makespan: SimTime,
-}
-
-/// One shard's server state during an open-loop run.
+/// One shard's single server during an open-loop run: its session, its
+/// admission queue and what it has served so far.
 struct LoadServer {
     /// The global shard index.
     shard: usize,
     session: FastPaySession,
     /// Session-clock reading at `t = 0` of the global timeline.
     start: SimTime,
+    queue: ShardQueue,
     /// Global-timeline instant the in-flight service round completes;
     /// `None` when idle.
     busy_until: Option<SimTime>,
-}
-
-/// Per-shard service accounting accumulated by the event loop.
-#[derive(Default)]
-struct ShardLoadAcc {
     executed: usize,
     accepted: usize,
     rejected: usize,
     latencies: Vec<SimTime>,
 }
 
-/// Starts one service round on an idle shard at global time `now`: pops
-/// up to `batch_size` tickets from the shard's queue (at index `local` of
-/// its group's queue), runs them as one payment batch, and marks the
-/// server busy until the batch completes. No-op when the queue is empty.
-fn serve_shard(
-    config: &EngineConfig,
-    local: usize,
-    now: SimTime,
-    server: &mut LoadServer,
-    queue: &mut AdmissionQueue,
-    acc: &mut ShardLoadAcc,
-) -> Result<(), SessionError> {
-    let batch = config.batch_size.max(1);
-    let mut tickets = Vec::with_capacity(batch);
-    while tickets.len() < batch {
-        match queue.pop(local) {
-            Some(ticket) => tickets.push(ticket),
-            None => break,
+impl LoadServer {
+    /// Starts one service round at global time `now`: pops up to
+    /// `batch_size` tickets, runs them as one payment batch, and marks the
+    /// server busy until the batch completes — or idle when the queue is
+    /// empty.
+    fn serve(&mut self, config: &EngineConfig, now: SimTime) -> Result<(), SessionError> {
+        let batch = config.batch_size.max(1);
+        let tickets: Vec<Ticket> = std::iter::from_fn(|| self.queue.pop())
+            .take(batch)
+            .collect();
+        if tickets.is_empty() {
+            self.busy_until = None;
+            return Ok(());
         }
-    }
-    if tickets.is_empty() {
-        return Ok(());
-    }
 
-    // Advance the shard's session clock to the global service start.
-    let target = server.start + now;
-    if target > server.session.clock {
-        let delta = target - server.session.clock;
-        server.session.advance_clock(delta);
-    }
-    server.session.trace_point(
-        "engine.load_serve",
-        vec![
-            ("shard", server.shard.into()),
-            ("batch", tickets.len().into()),
-            ("queued", queue.shard_depth(local).into()),
-        ],
-    );
-
-    let amounts: Vec<u64> = tickets.iter().map(|t| t.amount_sats).collect();
-    let reports = server.session.run_fast_payment_batch(&amounts)?;
-    // Confirm the batch so its change outputs fund the next round.
-    server.session.mine_public_block()?;
-
-    for (ticket, report) in tickets.iter().zip(&reports) {
-        acc.executed += 1;
-        if report.accepted {
-            acc.accepted += 1;
-            // Coordinated-omission-correct: completion minus *scheduled*
-            // arrival, so time spent queued under overload is charged.
-            let completion = report.accepted_at - server.start;
-            acc.latencies
-                .push(completion.saturating_sub(ticket.arrival));
-        } else {
-            acc.rejected += 1;
+        // Advance the shard's session clock to the global service start.
+        let target = self.start + now;
+        if target > self.session.clock {
+            let delta = target - self.session.clock;
+            self.session.advance_clock(delta);
         }
+        self.session.trace_point(
+            "engine.load_serve",
+            vec![
+                ("shard", self.shard.into()),
+                ("batch", tickets.len().into()),
+                ("queued", self.queue.len().into()),
+            ],
+        );
+
+        let amounts: Vec<u64> = tickets.iter().map(|t| t.amount_sats).collect();
+        let reports = self.session.run_fast_payment_batch(&amounts)?;
+        // Confirm the batch so its change outputs fund the next round.
+        self.session.mine_public_block()?;
+
+        for (ticket, report) in tickets.iter().zip(&reports) {
+            self.executed += 1;
+            if report.accepted {
+                self.accepted += 1;
+                // Coordinated-omission-correct: completion minus *scheduled*
+                // arrival, so time spent queued under overload is charged.
+                let completion = report.accepted_at - self.start;
+                self.latencies
+                    .push(completion.saturating_sub(ticket.arrival));
+            } else {
+                self.rejected += 1;
+            }
+        }
+        self.busy_until = Some(self.session.clock - self.start);
+        Ok(())
     }
-    server.busy_until = Some(server.session.clock - server.start);
-    Ok(())
+
+    /// Serves every round that completes at or before `until` (all of
+    /// them when `None`), each starting the instant the one before ends.
+    fn serve_until(
+        &mut self,
+        config: &EngineConfig,
+        until: Option<SimTime>,
+    ) -> Result<(), SessionError> {
+        while let Some(done) = self
+            .busy_until
+            .filter(|&done| until.is_none_or(|until| done <= until))
+        {
+            self.serve(config, done)?;
+        }
+        Ok(())
+    }
 }
 
 impl PaymentEngine {
     /// Drives an open-loop arrival schedule through every shard with
-    /// bounded admission: a discrete-event loop interleaving scheduled
-    /// arrivals with per-shard service completions.
+    /// bounded admission.
     ///
-    /// Arrivals are offered to the [`AdmissionQueue`] the moment they
-    /// occur; a shard serves queued payments [`EngineConfig::batch_size`]
-    /// at a time, and refused/displaced tickets land in the shed set. At
-    /// equal event times a service completion is processed before an
-    /// arrival (capacity frees before the next admission decision), and
-    /// among simultaneous completions the lowest shard goes first — the
-    /// tie-break that makes the run a pure function of `(schedule,
+    /// Each shard has a queue of its own, bounded at
+    /// [`AdmissionConfig::per_shard`], and one server that takes queued
+    /// payments [`EngineConfig::batch_size`] at a time. A shard walks its
+    /// arrivals in schedule order: it serves every round that completes at
+    /// or before the arrival (capacity frees before the next admission
+    /// decision), offers the arrival's payments — a full queue refuses
+    /// them into the shed set — and starts a round if it is idle. Shards
+    /// share nothing, so they run in parallel on the host's
+    /// [`WorkerPool`], and the run is a pure function of `(schedule,
     /// base_seed, admission)`.
-    ///
-    /// When admission is shard-local ([`AdmissionConfig::per_shard`]),
-    /// every shard runs that loop on a queue of its own, in parallel on
-    /// the host's [`WorkerPool`]; otherwise one loop serves every shard.
-    /// The report is byte-identical either way.
     ///
     /// [`EngineConfig::payments_per_shard`] is ignored here — the
     /// schedule decides how much work each shard sees.
@@ -550,34 +475,29 @@ impl PaymentEngine {
     /// # Errors
     ///
     /// [`SessionError::BadSchedule`] when the schedule is not sorted by
-    /// arrival time or targets a shard out of range; otherwise the first
-    /// [`SessionError`] the one loop over every shard would hit. Overload
-    /// is *not* an error at this level: shed payments are reported, not
-    /// failed.
+    /// arrival time or targets a shard out of range; otherwise the lowest
+    /// failing shard's [`SessionError`]. Overload is *not* an error at
+    /// this level: shed payments are reported, not failed.
     pub fn run_load(
         &self,
         base_seed: u64,
         schedule: &[LoadArrival],
         admission: AdmissionConfig,
     ) -> Result<LoadReport, SessionError> {
-        self.run_load_grouped(
+        self.run_load_on(
             base_seed,
             schedule,
-            &AdmissionGroup::split(self.config.shards, admission),
+            admission,
             &WorkerPool::with_default_parallelism(),
         )
     }
 
-    /// [`run_load`](Self::run_load) over an explicit grouping, with the
-    /// groups mapped over `pool`. The groups partition the shards in
-    /// ascending order (as [`AdmissionGroup::split`] and
-    /// [`AdmissionGroup::joint`] build them), so their outcomes concatenate
-    /// in shard order.
-    pub(crate) fn run_load_grouped(
+    /// [`run_load`](Self::run_load) with the shards mapped over `pool`.
+    pub(crate) fn run_load_on(
         &self,
         base_seed: u64,
         schedule: &[LoadArrival],
-        groups: &[AdmissionGroup],
+        admission: AdmissionConfig,
         pool: &WorkerPool,
     ) -> Result<LoadReport, SessionError> {
         let mut offered = vec![0usize; self.config.shards];
@@ -594,31 +514,19 @@ impl PaymentEngine {
             *slot += arrival.payments;
         }
 
-        let mut runs = Vec::with_capacity(groups.len());
-        let mut failures = Vec::new();
-        for result in pool.map_coarse(groups, |group| {
-            self.run_group(base_seed, schedule, &offered, group)
-        }) {
-            match result {
-                Ok(run) => runs.push(run),
-                Err(failure) => failures.push(failure),
-            }
-        }
-        if let Some((_, error)) = failures.into_iter().min_by_key(|&(stage, _)| stage) {
-            return Err(error);
-        }
-
-        let mut outcomes = Vec::with_capacity(self.config.shards);
+        let shards: Vec<usize> = (0..self.config.shards).collect();
+        let results = pool.map_coarse(&shards, |&shard| {
+            self.run_load_shard(base_seed, schedule, offered[shard], shard, admission)
+        });
+        let mut outcomes = Vec::with_capacity(results.len());
         let mut shed = Vec::new();
         let mut makespan = SimTime::ZERO;
-        for run in runs {
-            outcomes.extend(run.outcomes);
-            shed.extend(run.shed);
-            makespan = makespan.max(run.makespan);
+        for result in results {
+            let (outcome, shard_shed, shard_makespan) = result?;
+            outcomes.push(outcome);
+            shed.extend(shard_shed);
+            makespan = makespan.max(shard_makespan);
         }
-        // Each group's shed log is in `seq` order (see
-        // `AdmissionQueue::shed_log`) and carries global seqs, so sorting
-        // the concatenation by seq is the joint queue's shed order.
         shed.sort_by_key(|ticket| ticket.seq);
 
         let mut bytes = Vec::new();
@@ -642,152 +550,82 @@ impl PaymentEngine {
         })
     }
 
-    /// The event loop for one admission group: provisions the group's
-    /// shards, then serves the schedule's arrivals for them through one
-    /// [`AdmissionQueue`] (shard `group.shards[i]` at queue index `i`).
-    /// Arrivals for other shards are skipped but still counted, so queue
-    /// sequence numbers map back to global offer indices.
-    fn run_group(
+    /// One shard's run: provisions its session for the `offered` payments
+    /// the schedule sends it, walks its arrivals, then drains. Returns the
+    /// outcome, the shed tickets in `seq` order and the instant the last
+    /// round completed.
+    fn run_load_shard(
         &self,
         base_seed: u64,
         schedule: &[LoadArrival],
-        offered: &[usize],
-        group: &AdmissionGroup,
-    ) -> Result<GroupRun, (Stage, SessionError)> {
+        offered: usize,
+        shard: usize,
+        admission: AdmissionConfig,
+    ) -> Result<(ShardLoadOutcome, Vec<Ticket>, SimTime), SessionError> {
         let config = &self.config;
-        // Provision every shard before t = 0, sized so escrow can cover
-        // the worst case (every offered payment admitted).
-        let mut servers = Vec::with_capacity(group.shards.len());
-        for &shard in &group.shards {
-            let seed = shard_seed(base_seed, shard as u64);
-            let session = provision_shard(config, offered[shard], seed)
-                .map_err(|e| (Stage::Provision { shard }, e))?;
-            servers.push(LoadServer {
-                shard,
-                start: session.clock,
-                session,
-                busy_until: None,
-            });
-        }
+        let seed = shard_seed(base_seed, shard as u64);
+        // Sized so escrow can cover the worst case (every offered payment
+        // admitted).
+        let session = provision_shard(config, offered, seed)?;
+        let mut server = LoadServer {
+            shard,
+            start: session.clock,
+            session,
+            queue: ShardQueue::new(admission.per_shard(config.shards)),
+            busy_until: None,
+            executed: 0,
+            accepted: 0,
+            rejected: 0,
+            latencies: Vec::new(),
+        };
 
-        let mut queue = AdmissionQueue::new(group.shards.len(), group.admission);
-        let mut acc: Vec<ShardLoadAcc> = servers.iter().map(|_| ShardLoadAcc::default()).collect();
-        // The global offer index of each local queue seq.
-        let mut global_seq: Vec<u64> = Vec::new();
-        let mut arrivals = schedule
-            .iter()
-            .enumerate()
-            .scan(0u64, |next_seq, (index, &arrival)| {
-                let first_seq = *next_seq;
-                *next_seq += arrival.payments as u64;
-                Some((index, first_seq, arrival))
-            })
-            .filter_map(|(index, first_seq, arrival)| {
-                let local = group.shards.binary_search(&arrival.shard).ok()?;
-                Some((index, first_seq, local, arrival))
-            })
-            .peekable();
-
-        loop {
-            let next_done = servers
-                .iter()
-                .enumerate()
-                .filter_map(|(local, server)| server.busy_until.map(|t| (t, local)))
-                .min();
-            // Completion-before-arrival on ties: capacity frees before
-            // the next admission decision.
-            let completion = next_done.filter(|&(done, _)| {
-                arrivals
-                    .peek()
-                    .is_none_or(|&(_, _, _, arrival)| done <= arrival.at)
-            });
-            if let Some((done, local)) = completion {
-                let server = &mut servers[local];
-                server.busy_until = None;
-                let stage = Stage::Event {
-                    at: done,
-                    arrival: false,
-                    id: server.shard,
-                };
-                serve_shard(config, local, done, server, &mut queue, &mut acc[local])
-                    .map_err(|e| (stage, e))?;
+        // A ticket's seq counts every payment offered before it, to any shard.
+        let mut first_seq = 0u64;
+        for arrival in schedule {
+            let seqs = first_seq..first_seq + arrival.payments as u64;
+            first_seq = seqs.end;
+            if arrival.shard != shard {
                 continue;
             }
-            let Some((index, first_seq, local, arrival)) = arrivals.next() else {
-                break;
-            };
-            for offset in 0..arrival.payments as u64 {
-                global_seq.push(first_seq + offset);
-                // A refusal is a shed, recorded in the queue's shed log —
-                // not a run failure.
-                let _ = queue.offer(local, arrival.at, config.amount_sats);
+            server.serve_until(config, Some(arrival.at))?;
+            for seq in seqs {
+                server.queue.offer(Ticket {
+                    seq,
+                    shard,
+                    arrival: arrival.at,
+                    amount_sats: config.amount_sats,
+                });
             }
-            let server = &mut servers[local];
             if server.busy_until.is_none() {
-                let stage = Stage::Event {
-                    at: arrival.at,
-                    arrival: true,
-                    id: index,
-                };
-                serve_shard(
-                    config,
-                    local,
-                    arrival.at,
-                    server,
-                    &mut queue,
-                    &mut acc[local],
-                )
-                .map_err(|e| (stage, e))?;
+                server.serve(config, arrival.at)?;
             }
         }
-        debug_assert_eq!(queue.depth(), 0, "the drain left work queued");
+        server.serve_until(config, None)?;
+        debug_assert_eq!(server.queue.len(), 0, "the drain left work queued");
 
+        let session = &server.session;
+        let record = session
+            .judger
+            .escrow(&session.psc, session.customer.psc_account())
+            .map_err(|e| SessionError::Psc(format!("escrow view: {e}")))?;
         let per_payment = config.session.required_collateral(config.amount_sats);
-        let mut outcomes = Vec::with_capacity(servers.len());
-        let mut makespan = SimTime::ZERO;
-        for ((server, acc), admission) in servers.into_iter().zip(acc).zip(queue.stats()) {
-            let shard = server.shard;
-            let record = server
-                .session
-                .judger
-                .escrow(&server.session.psc, server.session.customer.psc_account())
-                .map_err(|e| {
-                    let error = SessionError::Psc(format!("escrow view: {e}"));
-                    (Stage::Report { shard }, error)
-                })?;
-            makespan = makespan.max(server.session.clock - server.start);
-            outcomes.push(ShardLoadOutcome {
-                shard,
-                seed: shard_seed(base_seed, shard as u64),
-                offered: offered[shard],
-                executed: acc.executed,
-                accepted: acc.accepted,
-                rejected: acc.rejected,
-                admission: *admission,
-                accept_latencies: acc.latencies,
-                psc_commitment: server.session.psc.state_commitment(),
-                btc_tip: server.session.btc.tip_hash(),
-                escrow_locked: record.locked,
-                escrow_balance: record.balance,
-                expected_locked: per_payment.saturating_mul(acc.executed as u128),
-            });
-        }
-        let shed = queue
-            .shed_log()
-            .iter()
-            .map(|ticket| Ticket {
-                // Every local seq was pushed above, and a ticket's shard is
-                // an index into `group.shards`.
-                seq: global_seq[ticket.seq as usize],
-                shard: group.shards[ticket.shard],
-                ..*ticket
-            })
-            .collect();
-        Ok(GroupRun {
-            outcomes,
-            shed,
-            makespan,
-        })
+        let outcome = ShardLoadOutcome {
+            shard,
+            seed,
+            offered,
+            executed: server.executed,
+            accepted: server.accepted,
+            rejected: server.rejected,
+            admission: server.queue.stats(),
+            psc_commitment: session.psc.state_commitment(),
+            btc_tip: session.btc.tip_hash(),
+            escrow_locked: record.locked,
+            escrow_balance: record.balance,
+            expected_locked: per_payment.saturating_mul(server.executed as u128),
+            accept_latencies: server.latencies,
+        };
+        let makespan = server.session.clock - server.start;
+        Ok((outcome, server.queue.into_shed_log(), makespan))
     }
 }
 
@@ -825,12 +663,10 @@ fn run_shard(config: &EngineConfig, shard: usize, seed: u64) -> Result<ShardOutc
     let mut session = provision_shard(config, config.payments_per_shard, seed)?;
     let batch = config.batch_size.max(1);
 
-    // Per-shard durable media: clone-shared handles, so dropping the
-    // manager models losing volatile state while the "disk" survives.
-    let wal_medium = MemStorage::new();
-    let snap_medium = MemStorage::new();
+    // Per-shard durable media: clone-shared handles, so a restart models
+    // losing volatile state while the "disk" survives.
     let (mut recovery, _) =
-        RecoveryManager::open(wal_medium.clone(), snap_medium.clone()).map_err(store_err)?;
+        RecoveryManager::open(MemStorage::new(), MemStorage::new()).map_err(store_err)?;
     let mut recoveries = 0u64;
 
     let mut accepted = 0usize;
@@ -911,16 +747,7 @@ fn run_shard(config: &EngineConfig, shard: usize, seed: u64) -> Result<ShardOutc
             recovery.checkpoint().map_err(store_err)?;
         }
         if config.crash_restart_every > 0 && batches.is_multiple_of(config.crash_restart_every) {
-            let digest_before = recovery.digest();
-            drop(recovery);
-            let (restored, report) = RecoveryManager::open(wal_medium.clone(), snap_medium.clone())
-                .map_err(store_err)?;
-            if restored.digest() != digest_before {
-                return Err(SessionError::Psc(format!(
-                    "shard {shard}: recovered store digest diverged after restart"
-                )));
-            }
-            recovery = restored;
+            let report = recovery.restart().map_err(store_err)?;
             recoveries += 1;
             session.trace_point(
                 "recovery.restart",
@@ -1061,7 +888,7 @@ mod tests {
             .run_load(
                 3,
                 &schedule,
-                AdmissionConfig::bounded(4, SheddingPolicy::RejectNew),
+                AdmissionConfig::bounded(4, SheddingPolicy::FairPerShard),
             )
             .unwrap();
         assert_eq!(report.offered, 24);
@@ -1088,7 +915,7 @@ mod tests {
             .run_load(
                 3,
                 &schedule,
-                AdmissionConfig::bounded(2, SheddingPolicy::RejectNew),
+                AdmissionConfig::bounded(2, SheddingPolicy::FairPerShard),
             )
             .unwrap();
         assert!(bounded.shed_count() > 0);
@@ -1125,14 +952,14 @@ mod tests {
             .run_load(
                 9,
                 &schedule,
-                AdmissionConfig::bounded(2, SheddingPolicy::RejectNew),
+                AdmissionConfig::bounded(2, SheddingPolicy::FairPerShard),
             )
             .unwrap();
         let loose = engine
             .run_load(
                 9,
                 &schedule,
-                AdmissionConfig::bounded(6, SheddingPolicy::RejectNew),
+                AdmissionConfig::bounded(6, SheddingPolicy::FairPerShard),
             )
             .unwrap();
         assert!(tight.shed_count() > loose.shed_count());
@@ -1187,48 +1014,9 @@ mod tests {
         assert_eq!(report.fingerprint, sha256d(&[]));
     }
 
-    #[test]
-    fn failures_order_as_the_interleaved_loop_meets_them() {
-        let event = |at, arrival, id| Stage::Event {
-            at: SimTime::from_millis(at),
-            arrival,
-            id,
-        };
-        let mut stages = vec![
-            Stage::Report { shard: 0 },
-            event(5, true, 0),
-            event(5, false, 3),
-            event(4, true, 9),
-            event(5, false, 1),
-            Stage::Provision { shard: 2 },
-            Stage::Provision { shard: 1 },
-        ];
-        stages.sort();
-        assert_eq!(
-            stages,
-            [
-                Stage::Provision { shard: 1 },
-                Stage::Provision { shard: 2 },
-                event(4, true, 9),
-                event(5, false, 1),
-                event(5, false, 3),
-                event(5, true, 0),
-                Stage::Report { shard: 0 },
-            ]
-        );
-    }
-
-    mod oracle {
+    mod isolation {
         use super::*;
         use proptest::prelude::*;
-
-        fn policy() -> impl Strategy<Value = SheddingPolicy> {
-            prop_oneof![
-                Just(SheddingPolicy::RejectNew),
-                Just(SheddingPolicy::DropOldest),
-                Just(SheddingPolicy::FairPerShard),
-            ]
-        }
 
         /// `tests/load_solvency.rs`'s schedules over up to three shards:
         /// up to 9 arrivals of 1–2 payments, millisecond gaps.
@@ -1252,14 +1040,14 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
-            /// The production grouping reports exactly what one loop over
-            /// every shard reports, at any worker count.
+            /// Merchants share nothing: the report is the same at any worker
+            /// count, and each shard reports exactly what it reports when the
+            /// schedule sends nothing to any other shard.
             #[test]
-            fn split_admission_matches_the_one_group_loop(
+            fn each_shard_reports_what_it_reports_alone_at_any_worker_count(
                 seed in 0u64..1_000,
                 shards in 2usize..4,
                 capacity in prop_oneof![0usize..8, Just(usize::MAX)],
-                policy in policy(),
                 schedule in schedule(),
             ) {
                 let engine = PaymentEngine::new(EngineConfig {
@@ -1272,28 +1060,20 @@ mod tests {
                     .into_iter()
                     .map(|a| LoadArrival { shard: a.shard % shards, ..a })
                     .collect();
-                let admission = AdmissionConfig { capacity, policy };
-                let oracle = engine
-                    .run_load_grouped(
-                        seed,
-                        &schedule,
-                        &AdmissionGroup::joint(shards, admission),
-                        &WorkerPool::new(1),
-                    )
-                    .expect("one-group run");
-                let groups = AdmissionGroup::split(shards, admission);
-                for threads in [1, 2, 4] {
-                    let split = engine
-                        .run_load_grouped(seed, &schedule, &groups, &WorkerPool::new(threads))
-                        .expect("split run");
-                    prop_assert_eq!(
-                        &split,
-                        &oracle,
-                        "{} groups, {} threads, {:?}",
-                        groups.len(),
-                        threads,
-                        admission
-                    );
+                let admission = AdmissionConfig { capacity };
+                let run = |schedule: &[LoadArrival], threads| {
+                    engine
+                        .run_load_on(seed, schedule, admission, &WorkerPool::new(threads))
+                        .expect("load run")
+                };
+                let report = run(&schedule, 1);
+                for threads in [2, 4] {
+                    prop_assert_eq!(&run(&schedule, threads), &report, "{} threads", threads);
+                }
+                for (shard, outcome) in report.outcomes.iter().enumerate() {
+                    let alone: Vec<LoadArrival> =
+                        schedule.iter().filter(|a| a.shard == shard).copied().collect();
+                    prop_assert_eq!(&run(&alone, 1).outcomes[shard], outcome, "shard {}", shard);
                 }
             }
         }

@@ -27,9 +27,8 @@
 //!   registration and seed-deterministic, byte-identical replays — plus
 //!   an open-loop load mode ([`engine::PaymentEngine::run_load`]) that
 //!   drives a fixed arrival schedule through bounded admission;
-//! * [`admission`] — the backpressure layer: a capacity-bounded
-//!   admission queue with pluggable shedding policies and a typed
-//!   [`admission::OverloadError`], whose shed set is part of the replay
+//! * [`admission`] — the backpressure layer: each shard's bounded FIFO,
+//!   whose refusals form a shed set that is part of the replay
 //!   fingerprint;
 //! * [`baseline`] — the comparison schemes (wait-for-z, naive 0-conf);
 //! * [`fees`] — the cost model behind the "no extra operation fee" claim;
@@ -78,9 +77,7 @@ pub mod roles;
 pub mod session;
 pub mod telemetry;
 
-pub use admission::{
-    AdmissionConfig, AdmissionQueue, OverloadError, ShardAdmissionStats, SheddingPolicy, Ticket,
-};
+pub use admission::{AdmissionConfig, ShardAdmissionStats, SheddingPolicy, Ticket};
 pub use chaos::{ChaosDisputeReport, ChaosPaymentReport, ChaosSession, EscrowSnapshot};
 pub use config::SessionConfig;
 pub use engine::{

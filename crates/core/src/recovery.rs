@@ -248,6 +248,9 @@ pub enum RecoveryError {
         /// Sequence number of the first surviving log record, if any.
         log_starts_at: Option<u64>,
     },
+    /// A restart re-opened the media to a state whose digest is not the
+    /// live manager's: recovery would lose or invent history.
+    Diverged,
 }
 
 impl fmt::Display for RecoveryError {
@@ -263,6 +266,9 @@ impl fmt::Display for RecoveryError {
                 "snapshot slot unusable and the log (first record: {log_starts_at:?}) \
                  no longer holds the history it covered"
             ),
+            RecoveryError::Diverged => {
+                f.write_str("recovered state diverged from the pre-crash state")
+            }
         }
     }
 }
@@ -929,6 +935,28 @@ impl<S: Storage> RecoveryManager<S> {
     }
 }
 
+impl<S: Storage + Clone> RecoveryManager<S> {
+    /// A simulated crash and restart: re-opens a manager on (handles to)
+    /// this one's media and swaps it in, losing all volatile state. The
+    /// restart must be lossless, so the recovered digest must equal the
+    /// live one.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`RecoveryManager::open`] returns, and
+    /// [`RecoveryError::Diverged`] when the media re-open to another
+    /// digest; either way `self` is left untouched.
+    pub fn restart(&mut self) -> Result<RecoveryReport, RecoveryError> {
+        let (restored, report) =
+            RecoveryManager::open(self.wal_medium().clone(), self.snapshot_medium().clone())?;
+        if restored.digest() != self.digest() {
+            return Err(RecoveryError::Diverged);
+        }
+        *self = restored;
+        Ok(report)
+    }
+}
+
 fn decode_snapshot_state(
     bytes: &[u8],
 ) -> Result<(PaymentLedger, BTreeMap<u64, Step>), RecoveryError> {
@@ -1110,6 +1138,28 @@ mod tests {
                 recovered.ledger().value_accepted_sats <= reference.ledger().value_accepted_sats
             );
         }
+    }
+
+    #[test]
+    fn restart_keeps_the_digest_or_is_a_typed_divergence() {
+        use btcfast_store::Storage;
+
+        let (wal, snap) = journal_flow(Some(3));
+        let (mut mgr, _) = RecoveryManager::open(wal.clone(), snap).unwrap();
+        let digest = mgr.digest();
+        let report = mgr.restart().unwrap();
+        assert_eq!(report.pending_resumed, 1);
+        assert_eq!(
+            mgr.digest(),
+            digest,
+            "intact media restart to the same state"
+        );
+
+        // The log is lost behind the live manager: the media now re-open to
+        // an empty ledger, and the manager keeps what it had.
+        wal.clone().truncate(0).unwrap();
+        assert!(matches!(mgr.restart(), Err(RecoveryError::Diverged)));
+        assert_eq!(mgr.digest(), digest);
     }
 
     #[test]

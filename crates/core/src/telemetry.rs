@@ -131,8 +131,8 @@ pub fn publish_recovery<S: btcfast_store::Storage>(
 }
 
 /// Publishes an open-loop load run: aggregate offered/served/shed
-/// counters plus every shard's admission depth, high-water, and shed
-/// accounting under stable per-shard names.
+/// counters plus every shard's admitted, high-water, and shed accounting
+/// under stable per-shard names.
 pub fn publish_load(registry: &Registry, report: &LoadReport) {
     registry.set_gauge("btcfast_load_offered", report.offered as u64);
     registry.set_gauge("btcfast_load_executed", report.executed as u64);
@@ -153,16 +153,12 @@ pub fn publish_load(registry: &Registry, report: &LoadReport) {
             stats.admitted,
         );
         registry.set_gauge(
-            &format!("btcfast_admission_shard{shard}_depth"),
-            stats.depth as u64,
-        );
-        registry.set_gauge(
             &format!("btcfast_admission_shard{shard}_high_water"),
             stats.high_water as u64,
         );
         registry.set_gauge(
             &format!("btcfast_admission_shard{shard}_shed"),
-            stats.shed(),
+            stats.rejected_new,
         );
     }
 }
@@ -246,7 +242,7 @@ mod tests {
             .run_load(
                 41,
                 &schedule,
-                AdmissionConfig::bounded(2, SheddingPolicy::RejectNew),
+                AdmissionConfig::bounded(2, SheddingPolicy::FairPerShard),
             )
             .unwrap();
         assert!(report.shed_count() > 0, "the burst must overload");
@@ -261,13 +257,6 @@ mod tests {
         );
         assert_eq!(registry.gauge("btcfast_load_escrow_residue").get(), 0);
         for shard in 0..2 {
-            assert_eq!(
-                registry
-                    .gauge(&format!("btcfast_admission_shard{shard}_depth"))
-                    .get(),
-                0,
-                "queues drain by the end of the run"
-            );
             assert!(
                 registry
                     .gauge(&format!("btcfast_admission_shard{shard}_high_water"))
