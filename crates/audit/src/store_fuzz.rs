@@ -107,7 +107,7 @@ pub fn fuzz_snapshot_slot(bytes: &[u8]) -> Result<(), String> {
         let _ = (reopen(&whole_log), reopen(&tail_log));
         // Whatever parsed must survive a save/load round-trip unchanged.
         store
-            .save(snap.wal_seq, &snap.state)
+            .save(snap.wal_seq, |out| out.extend_from_slice(snap.state()))
             .map_err(|e| format!("re-save: {e}"))?;
     } else {
         let full_replay =
@@ -125,13 +125,13 @@ pub fn fuzz_snapshot_slot(bytes: &[u8]) -> Result<(), String> {
         }
     }
     store
-        .save(7, b"probe-state")
+        .save(7, |out| out.extend_from_slice(b"probe-state"))
         .map_err(|e| format!("save over hostile slot: {e}"))?;
     let reloaded = store
         .load()
         .map_err(|e| format!("load after save: {e}"))?
         .ok_or("saved snapshot did not load back")?;
-    if reloaded.wal_seq != 7 || reloaded.state != b"probe-state" {
+    if reloaded.wal_seq != 7 || reloaded.state() != b"probe-state" {
         return Err("snapshot round-trip mutated the state".into());
     }
     Ok(())

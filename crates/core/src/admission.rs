@@ -214,8 +214,9 @@ mod tests {
     #[test]
     fn reject_new_refuses_at_the_global_bound() {
         let config = AdmissionConfig::bounded(4, SheddingPolicy::FairPerShard);
-        let mut queues: Vec<ShardQueue> =
-            (0..2).map(|_| ShardQueue::new(config.per_shard(2))).collect();
+        let mut queues: Vec<ShardQueue> = (0..2)
+            .map(|_| ShardQueue::new(config.per_shard(2)))
+            .collect();
         for seq in 0..4 {
             queues[(seq % 2) as usize].offer(ticket(seq));
         }
@@ -250,8 +251,9 @@ mod tests {
 
         // 5 over 2 is quota 3: with shard 0 full, shard 1 still admits its
         // third ticket, as a queue of its own under quota 3 does.
-        let mut joint: Vec<ShardQueue> =
-            (0..2).map(|_| ShardQueue::new(fair(5).per_shard(2))).collect();
+        let mut joint: Vec<ShardQueue> = (0..2)
+            .map(|_| ShardQueue::new(fair(5).per_shard(2)))
+            .collect();
         let mut alone = ShardQueue::new(fair(3).per_shard(1));
         for seq in 0..3 {
             joint[0].offer(ticket(seq));

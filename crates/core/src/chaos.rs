@@ -798,7 +798,10 @@ mod tests {
         let report = chaos.run_dispute_chaos(1_000_000, 0.3, 12).unwrap();
         if report.race.merchant_lost_payment {
             let ledger = chaos.recovery().ledger();
-            let state = &ledger.payments[&report.payment.payment_id.unwrap()];
+            let state = ledger
+                .payments
+                .get(&report.payment.payment_id.unwrap())
+                .unwrap();
             assert!(state.disputed && state.evidence_submitted && state.judged);
             assert_eq!(state.merchant_wins, Some(report.merchant_compensated));
         }

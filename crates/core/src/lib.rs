@@ -87,7 +87,8 @@ pub use engine::{
 pub use policy::AcceptancePolicy;
 pub use protocol::{Acceptance, PaymentOffer, RejectReason};
 pub use recovery::{
-    Outcome, PaymentLedger, RecoveryError, RecoveryManager, RecoveryReport, RecoveryStats, Step,
+    Outcome, PaymentLedger, Payments, RecoveryError, RecoveryManager, RecoveryReport,
+    RecoveryStats, Step,
 };
 pub use robustness::{ChaosConfig, FallbackPolicy, ProtocolPhase, RobustnessError};
 pub use session::FastPaySession;

@@ -185,6 +185,63 @@ pub struct PaymentState {
     pub merchant_wins: Option<bool>,
 }
 
+/// Registered payments by escrow payment id, held as one `Vec` in
+/// ascending id order: the contract assigns ids in ascending order, so
+/// registering a payment is a push, a snapshot decodes straight into the
+/// `Vec`, and dropping the ledger is one free.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Payments(Vec<(u64, PaymentState)>);
+
+impl Payments {
+    /// The number of payments.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no payment is registered.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The payment with id `id`, if registered.
+    pub fn get(&self, id: &u64) -> Option<&PaymentState> {
+        let at = self.position(*id).ok()?;
+        Some(&self.0[at].1)
+    }
+
+    /// Whether a payment with id `id` is registered.
+    pub fn contains_key(&self, id: &u64) -> bool {
+        self.position(*id).is_ok()
+    }
+
+    /// Every payment, in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (&u64, &PaymentState)> + '_ {
+        self.0.iter().map(|(id, state)| (id, state))
+    }
+
+    fn position(&self, id: u64) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&id, |(entry, _)| *entry)
+    }
+
+    pub(crate) fn get_mut(&mut self, id: &u64) -> Option<&mut PaymentState> {
+        let at = self.position(*id).ok()?;
+        Some(&mut self.0[at].1)
+    }
+
+    /// Registers `state` under `id`, replacing any payment already there.
+    /// An id above every registered one — what the contract assigns — is a
+    /// push; any other id is a binary-search insert, correct but O(n).
+    pub(crate) fn insert(&mut self, id: u64, state: PaymentState) {
+        match self.0.last() {
+            Some((last, _)) if *last >= id => match self.position(id) {
+                Ok(at) => self.0[at].1 = state,
+                Err(at) => self.0.insert(at, (id, state)),
+            },
+            _ => self.0.push((id, state)),
+        }
+    }
+}
+
 /// The durable view of a participant's protocol state, rebuilt
 /// deterministically from the journal.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -192,7 +249,7 @@ pub struct PaymentLedger {
     /// Has the escrow deposit landed?
     pub escrow_opened: bool,
     /// Registered payments by escrow payment id.
-    pub payments: BTreeMap<u64, PaymentState>,
+    pub payments: Payments,
     /// Total satoshis across accepted payments.
     pub value_accepted_sats: u64,
 }
@@ -296,24 +353,32 @@ fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8], RecoveryError> {
     Ok(head)
 }
 
+fn take_array<const N: usize>(bytes: &mut &[u8]) -> Result<[u8; N], RecoveryError> {
+    let (head, tail) = bytes
+        .split_first_chunk::<N>()
+        .ok_or_else(|| RecoveryError::Malformed("unexpected end".into()))?;
+    *bytes = tail;
+    Ok(*head)
+}
+
 fn take_u8(bytes: &mut &[u8]) -> Result<u8, RecoveryError> {
-    Ok(take(bytes, 1)?[0])
+    take_array(bytes).map(u8::from_le_bytes)
+}
+
+fn take_u32(bytes: &mut &[u8]) -> Result<u32, RecoveryError> {
+    take_array(bytes).map(u32::from_le_bytes)
 }
 
 fn take_u64(bytes: &mut &[u8]) -> Result<u64, RecoveryError> {
-    Ok(u64::from_le_bytes(
-        take(bytes, 8)?.try_into().expect("sized slice"),
-    ))
+    take_array(bytes).map(u64::from_le_bytes)
 }
 
 fn take_u128(bytes: &mut &[u8]) -> Result<u128, RecoveryError> {
-    Ok(u128::from_le_bytes(
-        take(bytes, 16)?.try_into().expect("sized slice"),
-    ))
+    take_array(bytes).map(u128::from_le_bytes)
 }
 
 fn take_hash(bytes: &mut &[u8]) -> Result<Hash256, RecoveryError> {
-    Ok(Hash256(take(bytes, 32)?.try_into().expect("sized slice")))
+    take_array(bytes).map(Hash256)
 }
 
 fn take_bool(bytes: &mut &[u8]) -> Result<bool, RecoveryError> {
@@ -324,21 +389,15 @@ fn take_bool(bytes: &mut &[u8]) -> Result<bool, RecoveryError> {
     }
 }
 
-/// A `u32` count and that many `(u64 id, value)` entries, as a map: a plain
-/// loop into a `Vec` reserved for what `bytes` can hold, then one bulk build
-/// (ids are written ascending; a hostile slot's unsorted or repeated ids
-/// decode as sequential inserts would, last entry winning). Collecting a
-/// `Result` iterator grows a doubling `Vec` behind an adapter whose inlining
-/// moved `crash_recover` by 17 % between otherwise equal builds.
-fn take_map<V>(
-    bytes: &mut &[u8],
-    min_entry_bytes: usize,
-    decode: impl Fn(&mut &[u8]) -> Result<V, RecoveryError>,
-) -> Result<BTreeMap<u64, V>, RecoveryError> {
-    let count = u32::from_le_bytes(take(bytes, 4)?.try_into().expect("sized slice")) as usize;
-    let mut entries = Vec::with_capacity(count.min(bytes.len() / min_entry_bytes));
+/// A `u32` count and that many `(u64 intent, step)` entries, as the pending
+/// map: a plain loop into a `Vec` reserved for what `bytes` can hold, then
+/// one bulk build (a hostile slot's unsorted or repeated ids decode as
+/// sequential inserts would, last entry winning).
+fn take_pending(bytes: &mut &[u8]) -> Result<BTreeMap<u64, Step>, RecoveryError> {
+    let count = take_u32(bytes)? as usize;
+    let mut entries = Vec::with_capacity(count.min(bytes.len() / (8 + Step::MIN_ENCODED_BYTES)));
     for _ in 0..count {
-        entries.push((take_u64(bytes)?, decode(bytes)?));
+        entries.push((take_u64(bytes)?, Step::decode(bytes)?));
     }
     Ok(BTreeMap::from_iter(entries))
 }
@@ -538,9 +597,9 @@ impl JournalRecord {
 }
 
 impl PaymentState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_hash(out, &self.txid);
-        out.extend_from_slice(&self.amount_sats.to_le_bytes());
+    /// The ledger entry for this payment under `id`: id, txid, amount,
+    /// flags, verdict — one fixed-width write per payment.
+    fn encode(&self, id: u64) -> [u8; PaymentLedger::PAYMENT_BYTES] {
         let mut flags = 0u8;
         for (bit, set) in [
             self.offered,
@@ -557,12 +616,18 @@ impl PaymentState {
                 flags |= 1 << bit;
             }
         }
-        out.push(flags);
-        out.push(match self.merchant_wins {
+        let verdict = match self.merchant_wins {
             None => 0,
             Some(false) => 1,
             Some(true) => 2,
-        });
+        };
+        let mut entry = [0u8; PaymentLedger::PAYMENT_BYTES];
+        entry[..8].copy_from_slice(&id.to_le_bytes());
+        entry[8..40].copy_from_slice(self.txid.as_bytes());
+        entry[40..48].copy_from_slice(&self.amount_sats.to_le_bytes());
+        entry[48] = flags;
+        entry[49] = verdict;
+        entry
     }
 
     fn decode(bytes: &mut &[u8]) -> Result<PaymentState, RecoveryError> {
@@ -589,6 +654,31 @@ impl PaymentState {
     }
 }
 
+impl Payments {
+    /// A `u32` count and that many ledger entries, taken as one slice of
+    /// `count × PAYMENT_BYTES` and parsed straight into the `Vec`. Ids are
+    /// written ascending; only a hostile slot's unsorted or repeated ids are
+    /// sorted, as sequential inserts would leave them: last entry wins.
+    fn decode(bytes: &mut &[u8]) -> Result<Payments, RecoveryError> {
+        let count = take_u32(bytes)? as usize;
+        let entries = count
+            .checked_mul(PaymentLedger::PAYMENT_BYTES)
+            .ok_or_else(|| RecoveryError::Malformed("payment count overflows".into()))?;
+        let (entries, _) = take(bytes, entries)?.as_chunks::<{ PaymentLedger::PAYMENT_BYTES }>();
+        let mut payments = Vec::with_capacity(count);
+        for entry in entries {
+            let mut entry = &entry[..];
+            payments.push((take_u64(&mut entry)?, PaymentState::decode(&mut entry)?));
+        }
+        if !payments.is_sorted_by(|(a, _), (b, _)| a < b) {
+            payments.reverse();
+            payments.sort_by_key(|(id, _)| *id);
+            payments.dedup_by_key(|(id, _)| *id);
+        }
+        Ok(Payments(payments))
+    }
+}
+
 impl PaymentLedger {
     /// Encoded bytes per ledger payment: id, txid, amount, flags, verdict.
     const PAYMENT_BYTES: usize = 8 + 32 + 8 + 1 + 1;
@@ -598,9 +688,8 @@ impl PaymentLedger {
     fn encode(&self, out: &mut Vec<u8>, piece: &mut impl FnMut(&mut Vec<u8>)) {
         out.push(u8::from(self.escrow_opened));
         out.extend_from_slice(&(self.payments.len() as u32).to_le_bytes());
-        for (id, state) in &self.payments {
-            out.extend_from_slice(&id.to_le_bytes());
-            state.encode(out);
+        for (id, state) in self.payments.iter() {
+            out.extend_from_slice(&state.encode(*id));
             piece(out);
         }
         out.extend_from_slice(&self.value_accepted_sats.to_le_bytes());
@@ -609,7 +698,7 @@ impl PaymentLedger {
     fn decode(bytes: &mut &[u8]) -> Result<PaymentLedger, RecoveryError> {
         Ok(PaymentLedger {
             escrow_opened: take_bool(bytes)?,
-            payments: take_map(bytes, Self::PAYMENT_BYTES, PaymentState::decode)?,
+            payments: Payments::decode(bytes)?,
             value_accepted_sats: take_u64(bytes)?,
         })
     }
@@ -745,7 +834,7 @@ impl<S: Storage> RecoveryManager<S> {
         let mut replay_from = 0u64;
         let mut snapshot_used = false;
         if let Some(snap) = snapshots.load()? {
-            if let Ok((l, p)) = decode_snapshot_state(&snap.state) {
+            if let Ok((l, p)) = decode_snapshot_state(snap.state()) {
                 ledger = l;
                 pending = p;
                 replay_from = snap.wal_seq;
@@ -860,18 +949,6 @@ impl<S: Storage> RecoveryManager<S> {
         &self.ledger
     }
 
-    /// Appends the canonical encoding of ledger + pending intents to `out`,
-    /// showing it to `piece` after every payment and intent.
-    fn encode_state(&self, out: &mut Vec<u8>, mut piece: impl FnMut(&mut Vec<u8>)) {
-        self.ledger.encode(out, &mut piece);
-        out.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
-        for (intent, step) in &self.pending {
-            out.extend_from_slice(&intent.to_le_bytes());
-            step.encode(out);
-            piece(out);
-        }
-    }
-
     /// Canonical digest over ledger + pending intents: byte-identical
     /// across a crash/recover cycle iff the recovered state is. The double
     /// SHA-256 of the snapshot payload, hashed as it is produced through a
@@ -880,7 +957,7 @@ impl<S: Storage> RecoveryManager<S> {
         const DRAIN_AT: usize = 4096;
         let mut hasher = Sha256::new();
         let mut buffer = Vec::with_capacity(2 * DRAIN_AT);
-        self.encode_state(&mut buffer, |buffer| {
+        encode_state(&self.ledger, &self.pending, &mut buffer, |buffer| {
             if buffer.len() >= DRAIN_AT {
                 hasher.update(buffer);
                 buffer.clear();
@@ -903,12 +980,14 @@ impl<S: Storage> RecoveryManager<S> {
     /// [`RecoveryError::Store`] when the snapshot write fails (both media
     /// are untouched) or the truncation fails (the log stays, covered).
     pub fn checkpoint(&mut self) -> Result<(), RecoveryError> {
-        // The snapshot payload, reserved up front.
-        let ledger_bytes = 1 + 4 + self.ledger.payments.len() * PaymentLedger::PAYMENT_BYTES + 8;
-        let pending_bytes = 4 + self.pending.len() * (8 + Step::MAX_ENCODED_BYTES);
-        let mut payload = Vec::with_capacity(ledger_bytes + pending_bytes);
-        self.encode_state(&mut payload, |_| {});
-        self.snapshots.save(self.wal.next_seq(), &payload)?;
+        let (ledger, pending) = (&self.ledger, &self.pending);
+        self.snapshots.save(self.wal.next_seq(), |out| {
+            // The snapshot payload, reserved up front.
+            let ledger_bytes = 1 + 4 + ledger.payments.len() * PaymentLedger::PAYMENT_BYTES + 8;
+            let pending_bytes = 4 + pending.len() * (8 + Step::MAX_ENCODED_BYTES);
+            out.reserve(ledger_bytes + pending_bytes);
+            encode_state(ledger, pending, out, |_| {});
+        })?;
         self.wal.reset()?;
         self.stats.checkpoints += 1;
         Ok(())
@@ -957,12 +1036,29 @@ impl<S: Storage + Clone> RecoveryManager<S> {
     }
 }
 
+/// Appends the canonical encoding of ledger + pending intents to `out` (the
+/// snapshot payload), showing it to `piece` after every payment and intent.
+fn encode_state(
+    ledger: &PaymentLedger,
+    pending: &BTreeMap<u64, Step>,
+    out: &mut Vec<u8>,
+    mut piece: impl FnMut(&mut Vec<u8>),
+) {
+    ledger.encode(out, &mut piece);
+    out.extend_from_slice(&(pending.len() as u32).to_le_bytes());
+    for (intent, step) in pending {
+        out.extend_from_slice(&intent.to_le_bytes());
+        step.encode(out);
+        piece(out);
+    }
+}
+
 fn decode_snapshot_state(
     bytes: &[u8],
 ) -> Result<(PaymentLedger, BTreeMap<u64, Step>), RecoveryError> {
     let mut bytes = bytes;
     let ledger = PaymentLedger::decode(&mut bytes)?;
-    let pending = take_map(&mut bytes, 8 + Step::MIN_ENCODED_BYTES, Step::decode)?;
+    let pending = take_pending(&mut bytes)?;
     if !bytes.is_empty() {
         return Err(RecoveryError::Malformed("trailing snapshot bytes".into()));
     }
@@ -1064,7 +1160,7 @@ mod tests {
         assert_eq!(report.replayed_records, 14);
         let ledger = mgr.ledger();
         assert!(ledger.escrow_opened);
-        let p = &ledger.payments[&7];
+        let p = ledger.payments.get(&7).unwrap();
         assert!(p.offered && p.accepted && p.broadcast && p.disputed && p.judged);
         assert_eq!(p.merchant_wins, Some(true));
         assert_eq!(ledger.value_accepted_sats, 1_000_000);
@@ -1084,7 +1180,7 @@ mod tests {
         // Ledger reflects everything completed before the crash.
         assert!(mgr.ledger().escrow_opened);
         assert!(mgr.ledger().payments.contains_key(&7));
-        assert!(!mgr.ledger().payments[&7].offered);
+        assert!(!mgr.ledger().payments.get(&7).unwrap().offered);
     }
 
     #[test]
@@ -1107,7 +1203,7 @@ mod tests {
                 }
             }
             let mut payload = Vec::new();
-            mgr.encode_state(&mut payload, |_| {});
+            encode_state(&mgr.ledger, &mgr.pending, &mut payload, |_| {});
             assert_eq!(
                 mgr.digest(),
                 btcfast_crypto::sha256::sha256d(&payload),
@@ -1362,21 +1458,20 @@ mod tests {
         assert_eq!(snap.syncs(), 1);
     }
 
-    /// The decoder the bulk-building one replaced: one insert per entry.
-    fn decode_ledger_by_inserts(mut bytes: &[u8]) -> Result<PaymentLedger, RecoveryError> {
+    /// The decoder the bulk-building one replaced: one map insert per entry,
+    /// as `(escrow_opened, payments, value_accepted_sats)`.
+    fn decode_ledger_by_inserts(
+        mut bytes: &[u8],
+    ) -> Result<(bool, BTreeMap<u64, PaymentState>, u64), RecoveryError> {
         let bytes = &mut bytes;
         let escrow_opened = take_bool(bytes)?;
-        let count = u32::from_le_bytes(take(bytes, 4)?.try_into().unwrap());
+        let count = take_u32(bytes)?;
         let mut payments = BTreeMap::new();
         for _ in 0..count {
             let id = take_u64(bytes)?;
             payments.insert(id, PaymentState::decode(bytes)?);
         }
-        Ok(PaymentLedger {
-            escrow_opened,
-            payments,
-            value_accepted_sats: take_u64(bytes)?,
-        })
+        Ok((escrow_opened, payments, take_u64(bytes)?))
     }
 
     #[test]
@@ -1396,14 +1491,13 @@ mod tests {
             bytes.extend_from_slice(&(count as u32).to_le_bytes());
             for entry in 0..count {
                 let id = if case % 2 == 0 { entry } else { next() % 8 };
-                bytes.extend_from_slice(&id.to_le_bytes());
-                PaymentState {
+                let state = PaymentState {
                     txid: txid(entry as u8),
                     amount_sats: next(),
                     offered: next() % 2 == 0,
                     ..PaymentState::default()
-                }
-                .encode(&mut bytes);
+                };
+                bytes.extend_from_slice(&state.encode(id));
             }
             bytes.extend_from_slice(&next().to_le_bytes());
             if case % 5 == 4 {
@@ -1412,9 +1506,91 @@ mod tests {
             let bulk = PaymentLedger::decode(&mut &bytes[..]);
             let inserts = decode_ledger_by_inserts(&bytes);
             match (bulk, inserts) {
-                (Ok(bulk), Ok(inserts)) => assert_eq!(bulk, inserts, "case {case}"),
+                (Ok(bulk), Ok((escrow_opened, payments, value_accepted_sats))) => {
+                    assert_eq!(bulk.escrow_opened, escrow_opened, "case {case}");
+                    assert!(bulk.payments.iter().eq(&payments), "case {case}");
+                    assert_eq!(bulk.value_accepted_sats, value_accepted_sats, "case {case}");
+                }
                 (Err(_), Err(_)) => {}
                 (bulk, inserts) => panic!("case {case}: {bulk:?} vs {inserts:?}"),
+            }
+        }
+    }
+
+    /// `Payments` against the map it replaced. The model is a `BTreeMap`
+    /// written the way the ledger was before: one map operation per write,
+    /// and the parent's field-by-field encoding.
+    mod payments_model {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn encode_model(model: &BTreeMap<u64, PaymentState>) -> Vec<u8> {
+            let mut out = vec![1];
+            out.extend_from_slice(&(model.len() as u32).to_le_bytes());
+            for (id, state) in model {
+                out.extend_from_slice(&id.to_le_bytes());
+                out.extend_from_slice(state.txid.as_bytes());
+                out.extend_from_slice(&state.amount_sats.to_le_bytes());
+                out.push(u8::from(state.offered) | u8::from(state.accepted) << 1);
+                out.push(match state.merchant_wins {
+                    None => 0,
+                    Some(false) => 1,
+                    Some(true) => 2,
+                });
+            }
+            out.extend_from_slice(&7u64.to_le_bytes());
+            out.extend_from_slice(&0u32.to_le_bytes()); // no pending intents
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Ids ascending (what the contract assigns), descending, or
+            /// drawn from a handful so they repeat; each write registers a
+            /// payment or updates one that may not exist.
+            #[test]
+            fn payments_behave_as_the_map_they_replace(
+                shape in 0u8..3,
+                writes in proptest::collection::vec((any::<bool>(), 0u64..12, any::<u64>()), 0..80),
+            ) {
+                let mut payments = Payments::default();
+                let mut model = BTreeMap::new();
+                let mut cursor = 1_000u64;
+                for (register, step, value) in writes {
+                    let id = match shape {
+                        0 => { cursor += step; cursor }
+                        1 => { cursor -= step; cursor }
+                        _ => step % 5,
+                    };
+                    if register {
+                        let state = PaymentState {
+                            txid: txid(value as u8),
+                            amount_sats: value,
+                            merchant_wins: [None, Some(false), Some(true)][value as usize % 3],
+                            ..PaymentState::default()
+                        };
+                        payments.insert(id, state.clone());
+                        model.insert(id, state);
+                    } else {
+                        for state in [payments.get_mut(&id), model.get_mut(&id)].into_iter().flatten() {
+                            state.offered = true;
+                            state.accepted ^= value % 2 == 0;
+                        }
+                    }
+                    prop_assert_eq!(payments.len(), model.len());
+                    prop_assert_eq!(payments.get(&id), model.get(&id));
+                    prop_assert_eq!(payments.contains_key(&(id + 1)), model.contains_key(&(id + 1)));
+                }
+                prop_assert!(payments.iter().eq(&model));
+                let ledger = PaymentLedger {
+                    escrow_opened: true,
+                    payments,
+                    value_accepted_sats: 7,
+                };
+                let mut encoded = Vec::new();
+                encode_state(&ledger, &BTreeMap::new(), &mut encoded, |_| {});
+                prop_assert_eq!(encoded, encode_model(&model));
             }
         }
     }
@@ -1474,7 +1650,7 @@ mod tests {
             })
             .unwrap();
         mgr.complete(id, Outcome::Rejected).unwrap();
-        let p = &mgr.ledger().payments[&1];
+        let p = mgr.ledger().payments.get(&1).unwrap();
         assert!(p.offered && !p.accepted);
         assert_eq!(mgr.ledger().value_accepted_sats, 0);
     }

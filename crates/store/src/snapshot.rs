@@ -33,14 +33,21 @@ pub const MAX_STATE: usize = 16 << 20;
 /// Fixed bytes ahead of the state blob: magic + len + crc + wal_seq.
 pub const HEADER_BYTES: usize = 20;
 
-/// A decoded checkpoint.
+/// A validated checkpoint: the slot it was read from, kept whole.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// First WAL sequence number *not* covered by this snapshot: replay
     /// resumes from records with `seq >= wal_seq`.
     pub wal_seq: u64,
-    /// The encoded state blob.
-    pub state: Vec<u8>,
+    /// The whole slot, header included, as `decode` validated it.
+    slot: Vec<u8>,
+}
+
+impl Snapshot {
+    /// The encoded state blob: the slot past its header.
+    pub fn state(&self) -> &[u8] {
+        &self.slot[HEADER_BYTES..]
+    }
 }
 
 /// The single-slot checkpoint store. See the module docs for the format
@@ -50,37 +57,44 @@ pub struct SnapshotStore<S: Storage> {
     storage: S,
 }
 
-/// Validates a whole slot and turns its buffer into the snapshot: the
-/// state is checked and kept in place, never copied.
-fn decode(mut bytes: Vec<u8>) -> Result<Option<Snapshot>, Corruption> {
-    if bytes.is_empty() {
+/// The slot header `(magic, len, crc, wal_seq)`, or `None` for a slot
+/// shorter than a header. The last three are one little-endian `u128`.
+fn header(slot: &[u8]) -> Option<([u8; 4], u32, u32, u64)> {
+    let (magic, rest) = slot.split_first_chunk::<4>()?;
+    let fields = u128::from_le_bytes(*rest.first_chunk::<16>()?);
+    Some((
+        *magic,
+        fields as u32,
+        (fields >> 32) as u32,
+        (fields >> 64) as u64,
+    ))
+}
+
+/// Validates a whole slot and keeps its buffer as the snapshot: the state
+/// is checked where it lies, never moved or copied.
+fn decode(slot: Vec<u8>) -> Result<Option<Snapshot>, Corruption> {
+    if slot.is_empty() {
         return Ok(None);
     }
-    if bytes.len() < HEADER_BYTES || bytes[0..4] != MAGIC {
+    let Some((MAGIC, len, crc, wal_seq)) = header(&slot) else {
         return Err(Corruption::TornTail { offset: 0 });
-    }
-    let len = u32::from_le_bytes(bytes[4..8].try_into().expect("sized slice")) as usize;
+    };
+    let len = len as usize;
     if len > MAX_STATE {
         return Err(Corruption::LengthOverCap {
             offset: 4,
             len: len as u64,
         });
     }
-    if bytes.len() != HEADER_BYTES + len {
+    if slot.len() != HEADER_BYTES + len {
         return Err(Corruption::TornTail {
-            offset: bytes.len().min(HEADER_BYTES + len) as u64,
+            offset: slot.len().min(HEADER_BYTES + len) as u64,
         });
     }
-    let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("sized slice"));
-    if crc32(&bytes[12..]) != crc {
+    if crc32(&slot[12..]) != crc {
         return Err(Corruption::BadChecksum { offset: 0 });
     }
-    let wal_seq = u64::from_le_bytes(bytes[12..HEADER_BYTES].try_into().expect("sized slice"));
-    bytes.drain(..HEADER_BYTES);
-    Ok(Some(Snapshot {
-        wal_seq,
-        state: bytes,
-    }))
+    Ok(Some(Snapshot { wal_seq, slot }))
 }
 
 impl<S: Storage> SnapshotStore<S> {
@@ -90,26 +104,34 @@ impl<S: Storage> SnapshotStore<S> {
         SnapshotStore { storage }
     }
 
-    /// Atomically and durably replaces the slot with a checkpoint of
-    /// `state` covering every WAL record below `wal_seq`.
+    /// Atomically and durably replaces the slot with a checkpoint covering
+    /// every WAL record below `wal_seq`. `encode` appends the state to the
+    /// buffer it is handed, which already holds the slot's header; the
+    /// header's length and checksum are filled in afterwards, so the state
+    /// is written once, where it lies in the slot.
     ///
     /// # Errors
     ///
     /// [`StoreError::RecordTooLarge`] over [`MAX_STATE`];
     /// [`StoreError::Io`] when the medium rejects the write.
-    pub fn save(&mut self, wal_seq: u64, state: &[u8]) -> Result<(), StoreError> {
-        if state.len() > MAX_STATE {
+    pub fn save(
+        &mut self,
+        wal_seq: u64,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), StoreError> {
+        let mut slot = Vec::with_capacity(HEADER_BYTES);
+        slot.extend_from_slice(&MAGIC);
+        slot.extend_from_slice(&[0; 8]); // len and crc, filled in below
+        slot.extend_from_slice(&wal_seq.to_le_bytes());
+        encode(&mut slot);
+        let len = slot.len() - HEADER_BYTES;
+        if len > MAX_STATE {
             return Err(StoreError::RecordTooLarge {
-                len: state.len(),
+                len,
                 max: MAX_STATE,
             });
         }
-        let mut slot = Vec::with_capacity(HEADER_BYTES + state.len());
-        slot.extend_from_slice(&MAGIC);
-        slot.extend_from_slice(&(state.len() as u32).to_le_bytes());
-        slot.extend_from_slice(&[0; 4]); // crc, patched once the body is in place
-        slot.extend_from_slice(&wal_seq.to_le_bytes());
-        slot.extend_from_slice(state);
+        slot[4..8].copy_from_slice(&(len as u32).to_le_bytes());
         let crc = crc32(&slot[12..]);
         slot[8..12].copy_from_slice(&crc.to_le_bytes());
         self.storage.replace(slot)
@@ -158,11 +180,15 @@ mod tests {
     #[test]
     fn save_then_load_round_trips_and_supersedes() {
         let mut store = SnapshotStore::new(MemStorage::new());
-        store.save(7, b"state-v1").unwrap();
-        store.save(42, b"state-v2-longer").unwrap();
+        store
+            .save(7, |out| out.extend_from_slice(b"state-v1"))
+            .unwrap();
+        store
+            .save(42, |out| out.extend_from_slice(b"state-v2-longer"))
+            .unwrap();
         let snap = store.load().unwrap().unwrap();
         assert_eq!(snap.wal_seq, 42);
-        assert_eq!(snap.state, b"state-v2-longer");
+        assert_eq!(snap.state(), b"state-v2-longer");
         // One replace per save, each synced: a crash leaves v1 or v2.
         assert_eq!(store.storage().syncs(), 2);
     }
@@ -171,7 +197,9 @@ mod tests {
     fn corrupt_slot_is_absent_leniently_and_typed_strictly() {
         let mut medium = MemStorage::new();
         let mut store = SnapshotStore::new(medium.clone());
-        store.save(3, b"precious").unwrap();
+        store
+            .save(3, |out| out.extend_from_slice(b"precious"))
+            .unwrap();
         let mut bytes = medium.bytes();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
@@ -188,7 +216,9 @@ mod tests {
     fn torn_save_is_absent_not_a_panic() {
         let mut medium = MemStorage::new();
         let mut store = SnapshotStore::new(medium.clone());
-        store.save(9, b"half-written").unwrap();
+        store
+            .save(9, |out| out.extend_from_slice(b"half-written"))
+            .unwrap();
         let mut bytes = medium.bytes();
         bytes.truncate(bytes.len() - 5);
         medium.replace(bytes).unwrap();
@@ -215,9 +245,8 @@ mod tests {
     #[test]
     fn oversized_state_is_a_typed_error() {
         let mut store = SnapshotStore::new(MemStorage::new());
-        let huge = vec![0u8; MAX_STATE + 1];
         assert!(matches!(
-            store.save(0, &huge),
+            store.save(0, |out| out.resize(out.len() + MAX_STATE + 1, 0)),
             Err(StoreError::RecordTooLarge { .. })
         ));
     }

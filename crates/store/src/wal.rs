@@ -158,13 +158,19 @@ pub fn scan_with(bytes: &[u8], mut visit: impl FnMut(u64, &[u8])) -> RecoveredLo
     let mut last_seq: Option<u64> = None;
     while offset < bytes.len() {
         let remaining = &bytes[offset..];
-        if remaining.len() < HEADER_BYTES {
+        // `len | crc | seq` is one little-endian `u128`.
+        let Some(header) = remaining.first_chunk::<HEADER_BYTES>() else {
             recovered.corruption = Some(Corruption::TornTail {
                 offset: offset as u64,
             });
             break;
-        }
-        let len = u32::from_le_bytes(remaining[0..4].try_into().expect("sized slice")) as usize;
+        };
+        let header = u128::from_le_bytes(*header);
+        let (len, crc, seq) = (
+            header as u32 as usize,
+            (header >> 32) as u32,
+            (header >> 64) as u64,
+        );
         if len > MAX_RECORD {
             recovered.corruption = Some(Corruption::LengthOverCap {
                 offset: offset as u64,
@@ -178,7 +184,6 @@ pub fn scan_with(bytes: &[u8], mut visit: impl FnMut(u64, &[u8])) -> RecoveredLo
             });
             break;
         }
-        let crc = u32::from_le_bytes(remaining[4..8].try_into().expect("sized slice"));
         let body = &remaining[8..HEADER_BYTES + len];
         if crc32(body) != crc {
             recovered.corruption = Some(Corruption::BadChecksum {
@@ -186,7 +191,6 @@ pub fn scan_with(bytes: &[u8], mut visit: impl FnMut(u64, &[u8])) -> RecoveredLo
             });
             break;
         }
-        let seq = u64::from_le_bytes(body[0..8].try_into().expect("sized slice"));
         offset += HEADER_BYTES + len;
         if last_seq.is_some_and(|last| seq <= last) {
             // A re-journaled record (at-least-once append) — already

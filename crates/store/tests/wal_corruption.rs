@@ -34,13 +34,11 @@ fn payloads() -> impl Strategy<Value = Vec<Vec<u8>>> {
 
 /// The smallest state machine over the store: the state is the list of
 /// payloads appended so far, a snapshot is that list length-prefixed.
-fn encode_state(state: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::new();
+fn encode_state(state: &[Vec<u8>], out: &mut Vec<u8>) {
     for payload in state {
         out.push(payload.len() as u8);
         out.extend_from_slice(payload);
     }
-    out
 }
 
 /// Recovery as a user of the store does it: snapshot, then the records
@@ -50,7 +48,7 @@ fn recover(wal: &MemStorage, slot: &MemStorage) -> (Wal<MemStorage>, Vec<Vec<u8>
     let mut covered = 0;
     if let Some(snap) = SnapshotStore::new(slot.clone()).load().expect("load") {
         covered = snap.wal_seq;
-        let mut rest = &snap.state[..];
+        let mut rest = snap.state();
         while let Some((&len, tail)) = rest.split_first() {
             let (payload, tail) = tail.split_at(len as usize);
             state.push(payload.to_vec());
@@ -155,7 +153,9 @@ proptest! {
             if index == last {
                 break; // the last segment stays a tail
             }
-            snapshots.save(wal.next_seq(), &encode_state(&history)).expect("save");
+            snapshots
+                .save(wal.next_seq(), |out| encode_state(&history, out))
+                .expect("save");
             let new_slot = slot_medium.bytes();
             for cut in 0..=tail.len() {
                 check_crash(&tail[..cut], &new_slot, &history);
