@@ -39,8 +39,10 @@ use btcfast_btcsim::chain::Chain;
 use btcfast_btcsim::mempool::Mempool;
 use btcfast_btcsim::miner::Miner;
 use btcfast_btcsim::transaction::{OutPoint, Transaction};
+use btcfast_btcsim::wallet::Wallet;
 use btcfast_btcsim::Amount;
 use btcfast_crypto::batch::BatchStats;
+use btcfast_crypto::keys::Address;
 use btcfast_crypto::Hash256;
 use btcfast_netsim::poisson::BlockArrivals;
 use btcfast_netsim::time::SimTime;
@@ -55,7 +57,7 @@ use rand::SeedableRng;
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Report of one honest fast payment.
 #[derive(Clone, Debug)]
@@ -252,6 +254,13 @@ pub struct FastPaySession {
     sig_batch: BatchStats,
 }
 
+/// Where the honest network's blocks pay out. The key is a constant, so
+/// its keygen runs once per process instead of once per session.
+fn honest_network_address() -> Address {
+    static HONEST_NETWORK: OnceLock<Address> = OnceLock::new();
+    *HONEST_NETWORK.get_or_init(|| Wallet::from_seed(b"honest network").address())
+}
+
 impl FastPaySession {
     /// Builds a fully provisioned session: funded customer (BTC + PSC),
     /// deployed PayJudger, finalized escrow deposit.
@@ -277,10 +286,7 @@ impl FastPaySession {
             btc.submit_block(block)
                 .expect("provisioning blocks are valid");
         }
-        let honest_miner = Miner::new(
-            config.btc_params.clone(),
-            btcfast_btcsim::wallet::Wallet::from_seed(b"honest network").address(),
-        );
+        let honest_miner = Miner::new(config.btc_params.clone(), honest_network_address());
 
         // --- PSC provisioning: deploy judger, fund accounts. -------------
         let mut psc = PscChain::new(config.psc_params.clone());
@@ -895,6 +901,44 @@ impl FastPaySession {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_cached_honest_address_is_the_seeds() {
+        assert_eq!(
+            honest_network_address(),
+            Wallet::from_seed(b"honest network").address()
+        );
+    }
+
+    #[test]
+    fn an_idle_window_adds_blocks_and_nothing_else() {
+        let mut session = FastPaySession::new(SessionConfig::default(), 1);
+        session.run_fast_payment(1_000_000).unwrap();
+        let receipts = |psc: &PscChain| -> Vec<Receipt> {
+            (1..=psc.height())
+                .flat_map(|n| psc.block(n).unwrap().tx_hashes.clone())
+                .map(|hash| psc.receipt(&hash).unwrap().clone())
+                .collect()
+        };
+        let (height, commitment, gas) = (
+            session.psc.height(),
+            session.psc.state_commitment(),
+            session.psc.total_gas_used(),
+        );
+        let before = receipts(&session.psc);
+        assert!(!before.is_empty());
+
+        let window = 4 * 3600;
+        let interval = session.config.psc_params.block_interval_secs;
+        session.advance_psc_to(session.psc.tip_time() + window);
+
+        // 960 empty blocks at 15 s.
+        let added = session.psc.height() - height;
+        assert_eq!(added, (window as f64 / interval).floor() as u64);
+        assert_eq!(session.psc.state_commitment(), commitment);
+        assert_eq!(session.psc.total_gas_used(), gas);
+        assert_eq!(receipts(&session.psc), before);
+    }
 
     #[test]
     fn fast_payment_is_sub_second() {

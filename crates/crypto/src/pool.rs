@@ -8,6 +8,7 @@
 //! semantics.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// A fixed-width scoped-thread worker pool for pure batch computations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,13 +30,15 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized to the host's available parallelism.
+    /// A pool sized to the host's available parallelism, read once per
+    /// process: on Linux each read re-parses the cgroup quota files.
     pub fn with_default_parallelism() -> WorkerPool {
-        WorkerPool::new(
+        static THREADS: OnceLock<usize> = OnceLock::new();
+        WorkerPool::new(*THREADS.get_or_init(|| {
             std::thread::available_parallelism()
                 .map(NonZeroUsize::get)
-                .unwrap_or(1),
-        )
+                .unwrap_or(1)
+        }))
     }
 
     /// The configured worker count.

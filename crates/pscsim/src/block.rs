@@ -3,15 +3,15 @@
 use btcfast_crypto::sha256::sha256d;
 use btcfast_crypto::Hash256;
 
-/// A PSC block.
+/// A PSC block. It does not store its parent's hash: nothing on the
+/// payment or dispute path reads one, so [`crate::PscChain::block_hash`]
+/// derives the link on demand instead of every block paying for it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PscBlock {
     /// Block number (genesis = 0, first produced block = 1).
     pub number: u64,
     /// Timestamp.
     pub time: u64,
-    /// Hash of the previous block ([`Hash256::ZERO`] for the first).
-    pub parent_hash: Hash256,
     /// Hashes of included transactions, in execution order.
     pub tx_hashes: Vec<Hash256>,
     /// Commitment over the post-state.
@@ -19,12 +19,13 @@ pub struct PscBlock {
 }
 
 impl PscBlock {
-    /// The block hash.
-    pub fn hash(&self) -> Hash256 {
+    /// The block hash given its parent's ([`Hash256::ZERO`] for block 1):
+    /// `sha256d(number ‖ time ‖ parent ‖ tx hashes ‖ state commitment)`.
+    pub fn hash(&self, parent_hash: &Hash256) -> Hash256 {
         let mut data = Vec::with_capacity(80 + self.tx_hashes.len() * 32);
         data.extend_from_slice(&self.number.to_le_bytes());
         data.extend_from_slice(&self.time.to_le_bytes());
-        data.extend_from_slice(&self.parent_hash.0);
+        data.extend_from_slice(&parent_hash.0);
         for h in &self.tx_hashes {
             data.extend_from_slice(&h.0);
         }
@@ -42,24 +43,24 @@ mod tests {
         let base = PscBlock {
             number: 1,
             time: 15,
-            parent_hash: Hash256::ZERO,
             tx_hashes: vec![Hash256([1; 32])],
             state_commitment: Hash256([2; 32]),
         };
-        let h = base.hash();
+        let h = base.hash(&Hash256::ZERO);
 
         let mut other = base.clone();
         other.number = 2;
-        assert_ne!(other.hash(), h);
+        assert_ne!(other.hash(&Hash256::ZERO), h);
 
         let mut other = base.clone();
         other.tx_hashes.push(Hash256([3; 32]));
-        assert_ne!(other.hash(), h);
+        assert_ne!(other.hash(&Hash256::ZERO), h);
 
         let mut other = base.clone();
         other.state_commitment = Hash256([4; 32]);
-        assert_ne!(other.hash(), h);
+        assert_ne!(other.hash(&Hash256::ZERO), h);
 
-        assert_eq!(base.hash(), h); // stable
+        assert_ne!(base.hash(&Hash256([5; 32])), h);
+        assert_eq!(base.hash(&Hash256::ZERO), h); // stable
     }
 }

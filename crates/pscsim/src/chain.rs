@@ -141,6 +141,19 @@ impl PscChain {
         self.blocks.get((number - 1) as usize)
     }
 
+    /// The hash of produced block `number` (1-based), linked to its
+    /// parent's hash exactly as an eagerly hashed chain would be. Blocks
+    /// store no parent link, so this folds [`PscBlock::hash`] from block 1:
+    /// linear in `number`, and paid only by a caller that reads a hash.
+    pub fn block_hash(&self, number: u64) -> Option<Hash256> {
+        self.block(number)?;
+        Some(
+            self.blocks[..number as usize]
+                .iter()
+                .fold(Hash256::ZERO, |parent, block| block.hash(&parent)),
+        )
+    }
+
     /// Cumulative gas used across all blocks.
     pub fn total_gas_used(&self) -> u64 {
         self.total_gas_used
@@ -236,8 +249,8 @@ impl PscChain {
                 break;
             }
         }
-        let seed = transcript.finalize();
-        let seed = u64::from_le_bytes(seed[..8].try_into().expect("eight bytes"));
+        let [s0, s1, s2, s3, s4, s5, s6, s7, ..] = transcript.finalize();
+        let seed = u64::from_le_bytes([s0, s1, s2, s3, s4, s5, s6, s7]);
         // A bad signature comes before the gas cap of the same transaction
         // and before anything wrong with a later one.
         if let Some(&index) = verify_batch(&items, seed).invalid.first() {
@@ -253,34 +266,32 @@ impl PscChain {
     }
 
     /// Produces the next block at `time`, executing all pending
-    /// transactions in submission order.
+    /// transactions in submission order. An idle block executes nothing
+    /// and hashes nothing: it is one read of the cached state commitment
+    /// and a push ([`PscChain::block_hash`] computes hashes on demand).
     pub fn produce_block(&mut self, time: u64) -> &PscBlock {
         let number = self.height() + 1;
         let pending = std::mem::take(&mut self.pending);
-        // One schedule clone per block, shared by every transaction; the
-        // borrow cannot come from `self.params` because execution takes
-        // `&mut self`.
-        let schedule = self.params.schedule.clone();
         let mut tx_hashes = Vec::with_capacity(pending.len());
-        for (hash, tx) in pending {
-            let receipt = self.execute(tx, hash, number, time, &schedule);
-            self.total_gas_used += receipt.gas_used;
-            self.receipts.insert(hash, receipt);
-            tx_hashes.push(hash);
+        if !pending.is_empty() {
+            // One schedule clone per block, shared by every transaction;
+            // the borrow cannot come from `self.params` because execution
+            // takes `&mut self`.
+            let schedule = self.params.schedule.clone();
+            for (hash, tx) in pending {
+                let receipt = self.execute(tx, hash, number, time, &schedule);
+                self.total_gas_used += receipt.gas_used;
+                self.receipts.insert(hash, receipt);
+                tx_hashes.push(hash);
+            }
         }
         let block = PscBlock {
             number,
             time,
-            parent_hash: self
-                .blocks
-                .last()
-                .map(|b| b.hash())
-                .unwrap_or(Hash256::ZERO),
             tx_hashes,
             state_commitment: self.state.commitment(),
         };
-        self.blocks.push(block);
-        self.blocks.last().expect("just pushed")
+        self.blocks.push_mut(block)
     }
 
     /// Executes one transaction against the state.
@@ -612,7 +623,11 @@ mod tests {
     }
 
     fn deploy_counter() -> Fixture {
-        let mut chain = PscChain::new(PscParams::ethereum_like());
+        deploy_counter_on(PscParams::ethereum_like())
+    }
+
+    fn deploy_counter_on(params: PscParams) -> Fixture {
+        let mut chain = PscChain::new(params);
         chain.register_code(Arc::new(Counter));
         let alice = KeyPair::from_seed(b"alice");
         chain.faucet(alice.address().into(), 10_000_000_000);
@@ -856,15 +871,77 @@ mod tests {
         assert!(fx.chain.is_final(&receipt.tx_hash));
     }
 
+    /// The hash a chain that stored parent links gave `block`: the bytes
+    /// are spelled out here rather than taken from [`PscBlock::hash`].
+    fn eager_hash(block: &PscBlock, parent: &Hash256) -> Hash256 {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&block.number.to_le_bytes());
+        bytes.extend_from_slice(&block.time.to_le_bytes());
+        bytes.extend_from_slice(&parent.0);
+        for tx in &block.tx_hashes {
+            bytes.extend_from_slice(&tx.0);
+        }
+        bytes.extend_from_slice(&block.state_commitment.0);
+        btcfast_crypto::sha256::sha256d(&bytes)
+    }
+
+    /// Produces the next block at the params' interval (whole seconds, as
+    /// `advance_psc_to` rounds it) and appends its eager hash.
+    fn produce_eager(chain: &mut PscChain, eager: &mut Vec<Hash256>) {
+        let interval = chain.params().block_interval_secs;
+        let time = ((chain.tip_time() as f64 + interval).ceil() as u64).max(chain.tip_time() + 1);
+        let parent = eager.last().copied().unwrap_or(Hash256::ZERO);
+        let hash = eager_hash(chain.produce_block(time), &parent);
+        eager.push(hash);
+    }
+
+    /// Transaction blocks, then `idle_secs` of empty blocks, then a
+    /// transaction block again: `block_hash(n)` must equal the eagerly
+    /// linked hash for every `n`.
+    fn lazy_hashes_equal_the_eager_chain(params: PscParams, idle_secs: u64) {
+        let mut fx = deploy_counter_on(params);
+        let mut eager = vec![eager_hash(fx.chain.block(1).unwrap(), &Hash256::ZERO)];
+        let increment_twice = |fx: &mut Fixture, eager: &mut Vec<Hash256>| {
+            let nonce = fx.chain.nonce_of(&fx.alice.address().into());
+            let call = Action::Call {
+                contract: fx.contract,
+                method: "increment".into(),
+                args: vec![],
+            };
+            for n in nonce..nonce + 2 {
+                let tx = PscTransaction::new(*fx.alice.public(), n, 0, call.clone())
+                    .with_gas(1_000_000, 20)
+                    .sign(&fx.alice);
+                fx.chain.submit_transaction(tx).unwrap();
+            }
+            produce_eager(&mut fx.chain, eager);
+        };
+        increment_twice(&mut fx, &mut eager);
+        let idle_from = fx.chain.tip_time();
+        while fx.chain.tip_time() - idle_from < idle_secs {
+            produce_eager(&mut fx.chain, &mut eager);
+        }
+        increment_twice(&mut fx, &mut eager);
+
+        assert_eq!(fx.chain.height(), eager.len() as u64);
+        assert_eq!(fx.chain.block(2).unwrap().tx_hashes.len(), 2);
+        assert_eq!(
+            fx.chain.block(fx.chain.height()).unwrap().tx_hashes.len(),
+            2
+        );
+        for (n, want) in (1..).zip(&eager) {
+            assert_eq!(fx.chain.block_hash(n).as_ref(), Some(want), "block {n}");
+        }
+        assert_eq!(fx.chain.block_hash(0), None);
+        assert_eq!(fx.chain.block_hash(fx.chain.height() + 1), None);
+    }
+
     #[test]
-    fn block_chain_links() {
-        let mut fx = deploy_counter();
-        call(&mut fx, "increment", vec![], 0, 1_000_000);
-        let b1 = fx.chain.block(1).unwrap().clone();
-        let b2 = fx.chain.block(2).unwrap().clone();
-        assert_eq!(b2.parent_hash, b1.hash());
-        assert!(fx.chain.block(0).is_none());
-        assert!(fx.chain.block(99).is_none());
+    fn block_hashes_equal_the_eagerly_linked_chain() {
+        // A 4 h challenge window of empty 15 s blocks: 960 of them. Every
+        // read folds from block 1, so the EOS-like run is kept short.
+        lazy_hashes_equal_the_eager_chain(PscParams::ethereum_like(), 4 * 3600);
+        lazy_hashes_equal_the_eager_chain(PscParams::eos_like(), 300);
     }
 
     #[test]
