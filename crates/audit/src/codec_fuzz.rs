@@ -15,14 +15,15 @@
 //! caught the sign-bit and truncating-cast bugs fixed in
 //! `btcsim::pow` (see the committed corpus).
 
-use crate::corpus::hex_encode;
 use crate::source::ByteSource;
+use btcfast::recovery::{JournalRecord, Outcome, Step};
 use btcfast_btcsim::block::BlockHeader;
 use btcfast_btcsim::params::ChainParams;
 use btcfast_btcsim::pow::{CompactBits, CompactBitsError};
 use btcfast_btcsim::spv::SpvEvidence;
 use btcfast_btcsim::transaction::{OutPoint, TxIn, TxOut};
 use btcfast_btcsim::{Amount, Chain, Transaction, U256};
+use btcfast_crypto::hex;
 use btcfast_crypto::Hash256;
 use btcfast_payjudger::evidence::EvidenceBundle;
 use btcfast_payjudger::types::{
@@ -55,8 +56,8 @@ fn hostile_decode<T: Encode + Decode>(buf: &[u8], label: &str) -> Result<(), Str
             } else {
                 Err(format!(
                     "{label}: accepted non-canonical bytes {} (re-encodes as {})",
-                    hex_encode(buf),
-                    hex_encode(&re)
+                    hex::encode(buf),
+                    hex::encode(&re)
                 ))
             }
         }
@@ -192,7 +193,7 @@ pub fn fuzz_compact_bits(bytes: &[u8]) -> Result<(), String> {
     if compact.0 != ref_bits {
         return Err(format!(
             "from_target({}) = 0x{:08x}, reference says 0x{ref_bits:08x}",
-            hex_encode(&word),
+            hex::encode(&word),
             compact.0
         ));
     }
@@ -202,21 +203,21 @@ pub fn fuzz_compact_bits(bytes: &[u8]) -> Result<(), String> {
                 if decoded > target {
                     return Err(format!(
                         "compact truncation rounded {} up to {}",
-                        hex_encode(&word),
-                        hex_encode(&decoded.to_be_bytes())
+                        hex::encode(&word),
+                        hex::encode(&decoded.to_be_bytes())
                     ));
                 }
                 if CompactBits::from_target(&decoded).0 != compact.0 {
                     return Err(format!(
                         "encoding of {} is not a fixpoint",
-                        hex_encode(&word)
+                        hex::encode(&word)
                     ));
                 }
             }
             Err(e) => {
                 return Err(format!(
                     "encoding of non-zero target {} does not decode: {e:?}",
-                    hex_encode(&word)
+                    hex::encode(&word)
                 ))
             }
         }
@@ -238,8 +239,8 @@ pub fn fuzz_block_header(bytes: &[u8]) -> Result<(), String> {
     if re != raw {
         return Err(format!(
             "header codec is not bijective: {} re-encoded as {}",
-            hex_encode(&raw),
-            hex_encode(&re)
+            hex::encode(&raw),
+            hex::encode(&re)
         ));
     }
     if header.hash() != BlockHeader::decode(&raw).hash() {
@@ -252,13 +253,67 @@ pub fn fuzz_block_header(bytes: &[u8]) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// psc-values: the pscsim storage/ABI codec primitives.
+// psc-values: the pscsim storage/ABI codec primitives, and the recovery
+// journal's records built on them.
 // ---------------------------------------------------------------------------
 
-/// Structural + hostile fuzz of every primitive the pscsim codec ships.
+fn step_from(src: &mut ByteSource<'_>) -> Step {
+    let mut txid = [0u8; 32];
+    src.fill(&mut txid);
+    let (txid, payment_id) = (Hash256(txid), src.u64());
+    match src.choice(9) {
+        0 => Step::EscrowOpen {
+            deposit_units: src.u128(),
+            psc_nonce: src.u64(),
+        },
+        1 => Step::OpenPayment {
+            txid,
+            amount_sats: src.u64(),
+            collateral: src.u128(),
+            psc_nonce: src.u64(),
+        },
+        2 => Step::OfferSend { payment_id, txid },
+        3 => Step::AcceptanceSend {
+            payment_id,
+            accepted: src.bool(),
+        },
+        4 => Step::Broadcast { payment_id, txid },
+        5 => Step::DisputeOpen {
+            payment_id,
+            psc_nonce: src.u64(),
+        },
+        6 => Step::EvidenceSubmit {
+            payment_id,
+            txid,
+            psc_nonce: src.u64(),
+        },
+        7 => Step::JudgeCall {
+            payment_id,
+            psc_nonce: src.u64(),
+        },
+        _ => Step::Verdict {
+            payment_id,
+            merchant_wins: src.bool(),
+        },
+    }
+}
+
+fn outcome_from(src: &mut ByteSource<'_>) -> Outcome {
+    match src.choice(4) {
+        0 => Outcome::Applied,
+        1 => Outcome::PaymentRegistered {
+            payment_id: src.u64(),
+        },
+        2 => Outcome::Rejected,
+        _ => Outcome::Abandoned,
+    }
+}
+
+/// Structural + hostile fuzz of every primitive the pscsim codec ships,
+/// and of the journal records recovery writes with it.
 pub fn fuzz_psc_values(bytes: &[u8]) -> Result<(), String> {
     let mut src = ByteSource::new(bytes);
-    let selector = src.u8() % 13;
+    let selector = src.u8() % 16;
     match selector {
         0 => round_trip(&src.u8())?,
         1 => round_trip(&src.u16())?,
@@ -295,6 +350,18 @@ pub fn fuzz_psc_values(bytes: &[u8]) -> Result<(), String> {
             src.fill(&mut hash);
             round_trip(&(src.u64(), Hash256(hash)))?;
         }
+        13 => round_trip(&step_from(&mut src))?,
+        14 => round_trip(&outcome_from(&mut src))?,
+        15 => round_trip(&if src.bool() {
+            JournalRecord::Begin {
+                step: step_from(&mut src),
+            }
+        } else {
+            JournalRecord::Done {
+                intent: src.u64(),
+                outcome: outcome_from(&mut src),
+            }
+        })?,
         _ => {
             let len = src.choice(64);
             let value: Vec<u8> = src.bytes(len);
@@ -317,6 +384,9 @@ pub fn fuzz_psc_values(bytes: &[u8]) -> Result<(), String> {
         9 => hostile_decode::<Option<u64>>(rest, "Option<u64>")?,
         10 => hostile_decode::<Vec<u32>>(rest, "Vec<u32>")?,
         11 => hostile_decode::<(u64, Hash256)>(rest, "(u64, Hash256)")?,
+        13 => hostile_decode::<Step>(rest, "Step")?,
+        14 => hostile_decode::<Outcome>(rest, "Outcome")?,
+        15 => hostile_decode::<JournalRecord>(rest, "JournalRecord")?,
         _ => hostile_decode::<Vec<u8>>(rest, "Vec<u8>")?,
     }
     Ok(())
@@ -626,7 +696,7 @@ pub fn fuzz_trace_context(bytes: &[u8]) -> Result<(), String> {
         if d.to_wire()[..] != mutated[..] {
             return Err(format!(
                 "accepted non-canonical wire bytes {}",
-                hex_encode(&mutated)
+                hex::encode(&mutated)
             ));
         }
     }
@@ -706,6 +776,12 @@ mod tests {
             fuzz_evidence_bundle(&bytes).unwrap();
             fuzz_btc_transaction(&bytes).unwrap();
             fuzz_trace_context(&bytes).unwrap();
+        }
+        // Every psc-values selector, the journal records included.
+        for selector in 0u8..16 {
+            let mut bytes = vec![0xA5; 96];
+            bytes[0] = selector;
+            fuzz_psc_values(&bytes).unwrap();
         }
     }
 

@@ -5,6 +5,7 @@
 //! in a diff and replays exactly. Corpus replay runs before fresh
 //! fuzzing: every bug ever fixed stays fixed.
 
+use btcfast_crypto::hex;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -56,35 +57,6 @@ impl From<io::Error> for CorpusError {
     }
 }
 
-/// Hex-encodes bytes (lowercase).
-pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-/// Decodes lowercase/uppercase hex.
-pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
-    let s = s.trim();
-    if !s.len().is_multiple_of(2) {
-        return Err("odd-length hex string".into());
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let bytes = s.as_bytes();
-    for pair in bytes.chunks(2) {
-        let hi = (pair[0] as char)
-            .to_digit(16)
-            .ok_or_else(|| format!("bad hex digit {:?}", pair[0] as char))?;
-        let lo = (pair[1] as char)
-            .to_digit(16)
-            .ok_or_else(|| format!("bad hex digit {:?}", pair[1] as char))?;
-        out.push(((hi << 4) | lo) as u8);
-    }
-    Ok(out)
-}
-
 impl FuzzCase {
     /// Renders the case in the corpus text format.
     pub fn render(&self) -> String {
@@ -93,7 +65,7 @@ impl FuzzCase {
             self.engine,
             self.target,
             self.note,
-            hex_encode(&self.bytes)
+            hex::encode(&self.bytes)
         )
     }
 
@@ -119,7 +91,7 @@ impl FuzzCase {
                 "engine" => engine = Some(value.trim().to_string()),
                 "target" => target = Some(value.trim().to_string()),
                 "note" => note = value.trim().to_string(),
-                "bytes" => bytes = Some(hex_decode(value)?),
+                "bytes" => bytes = Some(hex::decode(value.trim()).map_err(|e| e.to_string())?),
                 other => return Err(format!("unknown key {other:?}")),
             }
         }
@@ -195,12 +167,13 @@ mod tests {
 
     #[test]
     fn hex_round_trip_and_errors() {
-        assert_eq!(
-            hex_decode(&hex_encode(&[0, 0xff, 0x7f])).unwrap(),
-            vec![0, 0xff, 0x7f]
-        );
-        assert!(hex_decode("abc").is_err());
-        assert!(hex_decode("zz").is_err());
+        let bytes = |hex: &str| {
+            FuzzCase::parse(&format!("engine = e\ntarget = t\nbytes = {hex}\n")).map(|c| c.bytes)
+        };
+        assert_eq!(bytes("00ff7f"), Ok(vec![0, 0xff, 0x7f]));
+        assert_eq!(bytes(" 00FF7F "), Ok(vec![0, 0xff, 0x7f]));
+        assert!(bytes("abc").is_err());
+        assert!(bytes("zz").is_err());
     }
 
     #[test]

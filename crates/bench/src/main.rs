@@ -309,7 +309,7 @@ fn run_fuzz(args: &[String]) -> Result<ExitCode, CliError> {
             finding.engine,
             finding.target,
             finding.message,
-            btcfast_audit::corpus::hex_encode(&finding.bytes)
+            btcfast_crypto::hex::encode(&finding.bytes)
         );
     }
     println!(

@@ -45,7 +45,6 @@ pub mod block;
 pub mod chain;
 pub mod mempool;
 pub mod miner;
-pub mod node;
 pub mod params;
 pub mod pow;
 pub mod script;

@@ -23,8 +23,9 @@
 //! idempotent at the receiver (transport dedup, mempool keyed by txid),
 //! so re-sending is always safe.
 //!
-//! Everything here is deterministic: the journal encoding is canonical
-//! (little-endian, length-prefixed — the workspace codec idiom), so the
+//! Everything here is deterministic: journal records and the snapshot
+//! payload are encoded with the workspace codec
+//! ([`btcfast_pscsim::codec`]), whose encoding is canonical, so the
 //! same step sequence produces byte-identical media, and
 //! [`RecoveryManager::digest`] over the re-hydrated state is
 //! byte-identical to the digest of the uninterrupted run. The audit
@@ -32,7 +33,9 @@
 
 use btcfast_crypto::sha256::{sha256, Sha256};
 use btcfast_crypto::Hash256;
+use btcfast_pscsim::codec::{take, CodecError, Decode, Encode};
 use btcfast_store::{SnapshotStore, Storage, StoreError, Wal};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -114,6 +117,9 @@ pub enum Step {
 }
 
 impl Step {
+    /// The longest encoding of any step (`OpenPayment`): sizes a buffer.
+    const MAX_ENCODED_BYTES: usize = 1 + 32 + 8 + 16 + 8;
+
     /// The escrow payment id this step concerns, when assigned yet.
     pub fn payment_id(&self) -> Option<u64> {
         match self {
@@ -287,11 +293,11 @@ pub struct RecoveryStats {
 /// Why journaling or recovery failed.
 #[derive(Debug)]
 pub enum RecoveryError {
-    /// The durable medium failed or was corrupt in strict mode.
+    /// The durable medium failed.
     Store(StoreError),
     /// A CRC-valid record failed to decode — an encoding-version bug, not
     /// media damage.
-    Malformed(String),
+    Malformed(CodecError),
     /// The caller referenced an intent the journal does not know.
     UnknownIntent {
         /// The intent id the caller passed.
@@ -314,7 +320,7 @@ impl fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RecoveryError::Store(e) => write!(f, "durable store: {e}"),
-            RecoveryError::Malformed(msg) => write!(f, "malformed journal record: {msg}"),
+            RecoveryError::Malformed(e) => write!(f, "malformed journal record: {e}"),
             RecoveryError::UnknownIntent { intent } => {
                 write!(f, "unknown journal intent {intent}")
             }
@@ -338,261 +344,81 @@ impl From<StoreError> for RecoveryError {
     }
 }
 
-// --- Canonical journal encoding (workspace codec idiom). ----------------
+// --- Canonical journal encoding: the workspace codec. -------------------
 
-fn put_hash(out: &mut Vec<u8>, h: &Hash256) {
-    out.extend_from_slice(h.as_bytes());
-}
-
-fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8], RecoveryError> {
-    if bytes.len() < n {
-        return Err(RecoveryError::Malformed("unexpected end".into()));
-    }
-    let (head, tail) = bytes.split_at(n);
-    *bytes = tail;
-    Ok(head)
-}
-
-fn take_array<const N: usize>(bytes: &mut &[u8]) -> Result<[u8; N], RecoveryError> {
-    let (head, tail) = bytes
-        .split_first_chunk::<N>()
-        .ok_or_else(|| RecoveryError::Malformed("unexpected end".into()))?;
-    *bytes = tail;
-    Ok(*head)
-}
-
-fn take_u8(bytes: &mut &[u8]) -> Result<u8, RecoveryError> {
-    take_array(bytes).map(u8::from_le_bytes)
-}
-
-fn take_u32(bytes: &mut &[u8]) -> Result<u32, RecoveryError> {
-    take_array(bytes).map(u32::from_le_bytes)
-}
-
-fn take_u64(bytes: &mut &[u8]) -> Result<u64, RecoveryError> {
-    take_array(bytes).map(u64::from_le_bytes)
-}
-
-fn take_u128(bytes: &mut &[u8]) -> Result<u128, RecoveryError> {
-    take_array(bytes).map(u128::from_le_bytes)
-}
-
-fn take_hash(bytes: &mut &[u8]) -> Result<Hash256, RecoveryError> {
-    take_array(bytes).map(Hash256)
-}
-
-fn take_bool(bytes: &mut &[u8]) -> Result<bool, RecoveryError> {
-    match take_u8(bytes)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        b => Err(RecoveryError::Malformed(format!("bad bool byte {b}"))),
-    }
-}
-
-/// A `u32` count and that many `(u64 intent, step)` entries, as the pending
-/// map: a plain loop into a `Vec` reserved for what `bytes` can hold, then
-/// one bulk build (a hostile slot's unsorted or repeated ids decode as
-/// sequential inserts would, last entry winning).
-fn take_pending(bytes: &mut &[u8]) -> Result<BTreeMap<u64, Step>, RecoveryError> {
-    let count = take_u32(bytes)? as usize;
-    let mut entries = Vec::with_capacity(count.min(bytes.len() / (8 + Step::MIN_ENCODED_BYTES)));
-    for _ in 0..count {
-        entries.push((take_u64(bytes)?, Step::decode(bytes)?));
-    }
-    Ok(BTreeMap::from_iter(entries))
-}
-
-impl Step {
-    /// The longest encoding of any step (`OpenPayment`): sizes a buffer.
-    const MAX_ENCODED_BYTES: usize = 1 + 32 + 8 + 16 + 8;
-    /// The shortest (`AcceptanceSend`, `Verdict`): bounds a count read from a slot.
-    const MIN_ENCODED_BYTES: usize = 1 + 8 + 1;
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Step::EscrowOpen {
-                deposit_units,
-                psc_nonce,
-            } => {
-                out.push(1);
-                out.extend_from_slice(&deposit_units.to_le_bytes());
-                out.extend_from_slice(&psc_nonce.to_le_bytes());
-            }
-            Step::OpenPayment {
-                txid,
-                amount_sats,
-                collateral,
-                psc_nonce,
-            } => {
-                out.push(2);
-                put_hash(out, txid);
-                out.extend_from_slice(&amount_sats.to_le_bytes());
-                out.extend_from_slice(&collateral.to_le_bytes());
-                out.extend_from_slice(&psc_nonce.to_le_bytes());
-            }
-            Step::OfferSend { payment_id, txid } => {
-                out.push(3);
-                out.extend_from_slice(&payment_id.to_le_bytes());
-                put_hash(out, txid);
-            }
-            Step::AcceptanceSend {
-                payment_id,
-                accepted,
-            } => {
-                out.push(4);
-                out.extend_from_slice(&payment_id.to_le_bytes());
-                out.push(u8::from(*accepted));
-            }
-            Step::Broadcast { payment_id, txid } => {
-                out.push(5);
-                out.extend_from_slice(&payment_id.to_le_bytes());
-                put_hash(out, txid);
-            }
-            Step::DisputeOpen {
-                payment_id,
-                psc_nonce,
-            } => {
-                out.push(6);
-                out.extend_from_slice(&payment_id.to_le_bytes());
-                out.extend_from_slice(&psc_nonce.to_le_bytes());
-            }
-            Step::EvidenceSubmit {
-                payment_id,
-                txid,
-                psc_nonce,
-            } => {
-                out.push(7);
-                out.extend_from_slice(&payment_id.to_le_bytes());
-                put_hash(out, txid);
-                out.extend_from_slice(&psc_nonce.to_le_bytes());
-            }
-            Step::JudgeCall {
-                payment_id,
-                psc_nonce,
-            } => {
-                out.push(8);
-                out.extend_from_slice(&payment_id.to_le_bytes());
-                out.extend_from_slice(&psc_nonce.to_le_bytes());
-            }
-            Step::Verdict {
-                payment_id,
-                merchant_wins,
-            } => {
-                out.push(9);
-                out.extend_from_slice(&payment_id.to_le_bytes());
-                out.push(u8::from(*merchant_wins));
+/// Implements [`Encode`] and [`Decode`] for an enum from one table of
+/// `tag => Variant { fields }` rows: a variant encodes as its tag byte and
+/// then its fields in the order listed, so the two directions cannot
+/// disagree.
+macro_rules! tagged_codec {
+    ($name:ident { $($tag:literal => $variant:ident $({ $($field:ident),* })?,)* }) => {
+        impl Encode for $name {
+            fn encode_to(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($name::$variant $({ $($field),* })? => {
+                        out.push($tag);
+                        $($($field.encode_to(out);)*)?
+                    })*
+                }
             }
         }
-    }
 
-    fn decode(bytes: &mut &[u8]) -> Result<Step, RecoveryError> {
-        match take_u8(bytes)? {
-            1 => Ok(Step::EscrowOpen {
-                deposit_units: take_u128(bytes)?,
-                psc_nonce: take_u64(bytes)?,
-            }),
-            2 => Ok(Step::OpenPayment {
-                txid: take_hash(bytes)?,
-                amount_sats: take_u64(bytes)?,
-                collateral: take_u128(bytes)?,
-                psc_nonce: take_u64(bytes)?,
-            }),
-            3 => Ok(Step::OfferSend {
-                payment_id: take_u64(bytes)?,
-                txid: take_hash(bytes)?,
-            }),
-            4 => Ok(Step::AcceptanceSend {
-                payment_id: take_u64(bytes)?,
-                accepted: take_bool(bytes)?,
-            }),
-            5 => Ok(Step::Broadcast {
-                payment_id: take_u64(bytes)?,
-                txid: take_hash(bytes)?,
-            }),
-            6 => Ok(Step::DisputeOpen {
-                payment_id: take_u64(bytes)?,
-                psc_nonce: take_u64(bytes)?,
-            }),
-            7 => Ok(Step::EvidenceSubmit {
-                payment_id: take_u64(bytes)?,
-                txid: take_hash(bytes)?,
-                psc_nonce: take_u64(bytes)?,
-            }),
-            8 => Ok(Step::JudgeCall {
-                payment_id: take_u64(bytes)?,
-                psc_nonce: take_u64(bytes)?,
-            }),
-            9 => Ok(Step::Verdict {
-                payment_id: take_u64(bytes)?,
-                merchant_wins: take_bool(bytes)?,
-            }),
-            t => Err(RecoveryError::Malformed(format!("bad step tag {t}"))),
+        impl Decode for $name {
+            fn decode_from(input: &mut &[u8]) -> Result<$name, CodecError> {
+                Ok(match u8::decode_from(input)? {
+                    $($tag => $name::$variant $({ $($field: Decode::decode_from(input)?),* })?,)*
+                    t => return Err(CodecError::BadTag(t)),
+                })
+            }
         }
+    };
+}
+
+tagged_codec! {
+    Step {
+        1 => EscrowOpen { deposit_units, psc_nonce },
+        2 => OpenPayment { txid, amount_sats, collateral, psc_nonce },
+        3 => OfferSend { payment_id, txid },
+        4 => AcceptanceSend { payment_id, accepted },
+        5 => Broadcast { payment_id, txid },
+        6 => DisputeOpen { payment_id, psc_nonce },
+        7 => EvidenceSubmit { payment_id, txid, psc_nonce },
+        8 => JudgeCall { payment_id, psc_nonce },
+        9 => Verdict { payment_id, merchant_wins },
     }
 }
 
-impl Outcome {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Outcome::Applied => out.push(1),
-            Outcome::PaymentRegistered { payment_id } => {
-                out.push(2);
-                out.extend_from_slice(&payment_id.to_le_bytes());
-            }
-            Outcome::Rejected => out.push(3),
-            Outcome::Abandoned => out.push(4),
-        }
-    }
-
-    fn decode(bytes: &mut &[u8]) -> Result<Outcome, RecoveryError> {
-        match take_u8(bytes)? {
-            1 => Ok(Outcome::Applied),
-            2 => Ok(Outcome::PaymentRegistered {
-                payment_id: take_u64(bytes)?,
-            }),
-            3 => Ok(Outcome::Rejected),
-            4 => Ok(Outcome::Abandoned),
-            t => Err(RecoveryError::Malformed(format!("bad outcome tag {t}"))),
-        }
+tagged_codec! {
+    Outcome {
+        1 => Applied,
+        2 => PaymentRegistered { payment_id },
+        3 => Rejected,
+        4 => Abandoned,
     }
 }
 
-enum JournalRecord {
-    Begin { step: Step },
-    Done { intent: u64, outcome: Outcome },
+/// One WAL record's payload.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JournalRecord {
+    /// An intent: `step` is about to run. The record's WAL sequence number
+    /// is the intent id.
+    Begin {
+        /// The step journaled before it runs.
+        step: Step,
+    },
+    /// Intent `intent` resolved.
+    Done {
+        /// The intent id (its `Begin` record's sequence number).
+        intent: u64,
+        /// How it resolved.
+        outcome: Outcome,
+    },
 }
 
-impl JournalRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.clear();
-        match self {
-            JournalRecord::Begin { step } => {
-                out.push(1);
-                step.encode(out);
-            }
-            JournalRecord::Done { intent, outcome } => {
-                out.push(2);
-                out.extend_from_slice(&intent.to_le_bytes());
-                outcome.encode(out);
-            }
-        }
-    }
-
-    fn decode(mut bytes: &[u8]) -> Result<JournalRecord, RecoveryError> {
-        let record = match take_u8(&mut bytes)? {
-            1 => JournalRecord::Begin {
-                step: Step::decode(&mut bytes)?,
-            },
-            2 => JournalRecord::Done {
-                intent: take_u64(&mut bytes)?,
-                outcome: Outcome::decode(&mut bytes)?,
-            },
-            t => return Err(RecoveryError::Malformed(format!("bad record tag {t}"))),
-        };
-        if !bytes.is_empty() {
-            return Err(RecoveryError::Malformed("trailing bytes".into()));
-        }
-        Ok(record)
+tagged_codec! {
+    JournalRecord {
+        1 => Begin { step },
+        2 => Done { intent, outcome },
     }
 }
 
@@ -629,16 +455,19 @@ impl PaymentState {
         entry[49] = verdict;
         entry
     }
+}
 
-    fn decode(bytes: &mut &[u8]) -> Result<PaymentState, RecoveryError> {
-        let txid = take_hash(bytes)?;
-        let amount_sats = take_u64(bytes)?;
-        let flags = take_u8(bytes)?;
-        let merchant_wins = match take_u8(bytes)? {
+/// A ledger entry after its id: txid, amount, flags, verdict.
+impl Decode for PaymentState {
+    fn decode_from(input: &mut &[u8]) -> Result<PaymentState, CodecError> {
+        let txid = Decode::decode_from(input)?;
+        let amount_sats = Decode::decode_from(input)?;
+        let flags = u8::decode_from(input)?;
+        let merchant_wins = match u8::decode_from(input)? {
             0 => None,
             1 => Some(false),
             2 => Some(true),
-            b => return Err(RecoveryError::Malformed(format!("bad verdict byte {b}"))),
+            b => return Err(CodecError::BadTag(b)),
         };
         Ok(PaymentState {
             txid,
@@ -654,21 +483,19 @@ impl PaymentState {
     }
 }
 
-impl Payments {
-    /// A `u32` count and that many ledger entries, taken as one slice of
-    /// `count × PAYMENT_BYTES` and parsed straight into the `Vec`. Ids are
-    /// written ascending; only a hostile slot's unsorted or repeated ids are
-    /// sorted, as sequential inserts would leave them: last entry wins.
-    fn decode(bytes: &mut &[u8]) -> Result<Payments, RecoveryError> {
-        let count = take_u32(bytes)? as usize;
-        let entries = count
-            .checked_mul(PaymentLedger::PAYMENT_BYTES)
-            .ok_or_else(|| RecoveryError::Malformed("payment count overflows".into()))?;
-        let (entries, _) = take(bytes, entries)?.as_chunks::<{ PaymentLedger::PAYMENT_BYTES }>();
+/// A `u32` count and that many ledger entries, taken as one slice of
+/// `count × PAYMENT_BYTES` and parsed straight into the `Vec`. Ids are
+/// written ascending; only a hostile slot's unsorted or repeated ids are
+/// sorted, as sequential inserts would leave them: last entry wins.
+impl Decode for Payments {
+    fn decode_from(input: &mut &[u8]) -> Result<Payments, CodecError> {
+        let count = u32::decode_from(input)? as usize;
+        let entries = take(input, count.saturating_mul(PaymentLedger::PAYMENT_BYTES))?;
+        let (entries, _) = entries.as_chunks::<{ PaymentLedger::PAYMENT_BYTES }>();
         let mut payments = Vec::with_capacity(count);
         for entry in entries {
             let mut entry = &entry[..];
-            payments.push((take_u64(&mut entry)?, PaymentState::decode(&mut entry)?));
+            payments.push(<(u64, PaymentState)>::decode_from(&mut entry)?);
         }
         if !payments.is_sorted_by(|(a, _), (b, _)| a < b) {
             payments.reverse();
@@ -679,6 +506,16 @@ impl Payments {
     }
 }
 
+impl Decode for PaymentLedger {
+    fn decode_from(input: &mut &[u8]) -> Result<PaymentLedger, CodecError> {
+        Ok(PaymentLedger {
+            escrow_opened: Decode::decode_from(input)?,
+            payments: Decode::decode_from(input)?,
+            value_accepted_sats: Decode::decode_from(input)?,
+        })
+    }
+}
+
 impl PaymentLedger {
     /// Encoded bytes per ledger payment: id, txid, amount, flags, verdict.
     const PAYMENT_BYTES: usize = 8 + 32 + 8 + 1 + 1;
@@ -686,21 +523,13 @@ impl PaymentLedger {
     /// Canonical encoding (snapshot payload; digest input). `piece` is shown
     /// `out` after every payment, so a consumer that streams can drain it.
     fn encode(&self, out: &mut Vec<u8>, piece: &mut impl FnMut(&mut Vec<u8>)) {
-        out.push(u8::from(self.escrow_opened));
-        out.extend_from_slice(&(self.payments.len() as u32).to_le_bytes());
+        self.escrow_opened.encode_to(out);
+        (self.payments.len() as u32).encode_to(out);
         for (id, state) in self.payments.iter() {
             out.extend_from_slice(&state.encode(*id));
             piece(out);
         }
-        out.extend_from_slice(&self.value_accepted_sats.to_le_bytes());
-    }
-
-    fn decode(bytes: &mut &[u8]) -> Result<PaymentLedger, RecoveryError> {
-        Ok(PaymentLedger {
-            escrow_opened: take_bool(bytes)?,
-            payments: Payments::decode(bytes)?,
-            value_accepted_sats: take_u64(bytes)?,
-        })
+        self.value_accepted_sats.encode_to(out);
     }
 
     fn apply(&mut self, step: &Step, outcome: Outcome) {
@@ -834,9 +663,10 @@ impl<S: Storage> RecoveryManager<S> {
         let mut replay_from = 0u64;
         let mut snapshot_used = false;
         if let Some(snap) = snapshots.load()? {
-            if let Ok((l, p)) = decode_snapshot_state(snap.state()) {
+            // The snapshot payload: the ledger, then the pending intents.
+            if let Ok((l, p)) = <(PaymentLedger, Vec<(u64, Step)>)>::decode(snap.state()) {
                 ledger = l;
-                pending = p;
+                pending = BTreeMap::from_iter(p);
                 replay_from = snap.wal_seq;
                 snapshot_used = true;
             }
@@ -864,7 +694,7 @@ impl<S: Storage> RecoveryManager<S> {
             }
         })?;
         if let Some(e) = malformed {
-            return Err(e);
+            return Err(RecoveryError::Malformed(e));
         }
         let log_is_whole_history = match log_starts_at {
             Some(first) => first == 0,
@@ -909,7 +739,8 @@ impl<S: Storage> RecoveryManager<S> {
     /// [`RecoveryError::Store`] when the journal write fails — in which
     /// case the side effect must not run.
     pub fn begin(&mut self, step: Step) -> Result<u64, RecoveryError> {
-        JournalRecord::Begin { step: step.clone() }.encode(&mut self.record);
+        self.record.clear();
+        JournalRecord::Begin { step: step.clone() }.encode_to(&mut self.record);
         let seq = self.wal.append(&self.record)?;
         self.wal.sync()?;
         self.pending.insert(seq, step);
@@ -927,13 +758,13 @@ impl<S: Storage> RecoveryManager<S> {
     /// [`RecoveryError::UnknownIntent`] for an id never begun (or already
     /// completed); [`RecoveryError::Store`] when the journal write fails.
     pub fn complete(&mut self, intent: u64, outcome: Outcome) -> Result<(), RecoveryError> {
-        if !self.pending.contains_key(&intent) {
+        let Entry::Occupied(pending) = self.pending.entry(intent) else {
             return Err(RecoveryError::UnknownIntent { intent });
-        }
-        JournalRecord::Done { intent, outcome }.encode(&mut self.record);
+        };
+        self.record.clear();
+        JournalRecord::Done { intent, outcome }.encode_to(&mut self.record);
         self.wal.append(&self.record)?;
-        let step = self.pending.remove(&intent).expect("checked above");
-        self.ledger.apply(&step, outcome);
+        self.ledger.apply(&pending.remove(), outcome);
         self.stats.journal_appends += 1;
         Ok(())
     }
@@ -1045,24 +876,12 @@ fn encode_state(
     mut piece: impl FnMut(&mut Vec<u8>),
 ) {
     ledger.encode(out, &mut piece);
-    out.extend_from_slice(&(pending.len() as u32).to_le_bytes());
+    (pending.len() as u32).encode_to(out);
     for (intent, step) in pending {
-        out.extend_from_slice(&intent.to_le_bytes());
-        step.encode(out);
+        intent.encode_to(out);
+        step.encode_to(out);
         piece(out);
     }
-}
-
-fn decode_snapshot_state(
-    bytes: &[u8],
-) -> Result<(PaymentLedger, BTreeMap<u64, Step>), RecoveryError> {
-    let mut bytes = bytes;
-    let ledger = PaymentLedger::decode(&mut bytes)?;
-    let pending = take_pending(&mut bytes)?;
-    if !bytes.is_empty() {
-        return Err(RecoveryError::Malformed("trailing snapshot bytes".into()));
-    }
-    Ok((ledger, pending))
 }
 
 #[cfg(test)]
@@ -1462,16 +1281,16 @@ mod tests {
     /// as `(escrow_opened, payments, value_accepted_sats)`.
     fn decode_ledger_by_inserts(
         mut bytes: &[u8],
-    ) -> Result<(bool, BTreeMap<u64, PaymentState>, u64), RecoveryError> {
+    ) -> Result<(bool, BTreeMap<u64, PaymentState>, u64), CodecError> {
         let bytes = &mut bytes;
-        let escrow_opened = take_bool(bytes)?;
-        let count = take_u32(bytes)?;
+        let escrow_opened = bool::decode_from(bytes)?;
+        let count = u32::decode_from(bytes)?;
         let mut payments = BTreeMap::new();
         for _ in 0..count {
-            let id = take_u64(bytes)?;
-            payments.insert(id, PaymentState::decode(bytes)?);
+            let id = u64::decode_from(bytes)?;
+            payments.insert(id, PaymentState::decode_from(bytes)?);
         }
-        Ok((escrow_opened, payments, take_u64(bytes)?))
+        Ok((escrow_opened, payments, u64::decode_from(bytes)?))
     }
 
     #[test]
@@ -1503,7 +1322,7 @@ mod tests {
             if case % 5 == 4 {
                 bytes.truncate(bytes.len().saturating_sub((next() % 30) as usize + 1));
             }
-            let bulk = PaymentLedger::decode(&mut &bytes[..]);
+            let bulk = PaymentLedger::decode_from(&mut &bytes[..]);
             let inserts = decode_ledger_by_inserts(&bytes);
             match (bulk, inserts) {
                 (Ok(bulk), Ok((escrow_opened, payments, value_accepted_sats))) => {
@@ -1595,6 +1414,122 @@ mod tests {
         }
     }
 
+    /// The journal encoding is a durable format: a flow through every
+    /// `Step` and every `Outcome`, with one intent left pending and a
+    /// checkpoint mid-flow and at the end, writes these exact bytes.
+    #[test]
+    fn journal_media_bytes_are_pinned() {
+        use Outcome::{Abandoned, Applied, PaymentRegistered, Rejected};
+        let steps = [
+            Step::EscrowOpen {
+                deposit_units: u128::MAX - 5,
+                psc_nonce: 0,
+            },
+            Step::OpenPayment {
+                txid: txid(1),
+                amount_sats: 250_000,
+                collateral: 300_000,
+                psc_nonce: 1,
+            },
+            Step::OfferSend {
+                payment_id: 7,
+                txid: txid(1),
+            },
+            Step::AcceptanceSend {
+                payment_id: 7,
+                accepted: true,
+            },
+            Step::Broadcast {
+                payment_id: 7,
+                txid: txid(1),
+            },
+            Step::OpenPayment {
+                txid: txid(2),
+                amount_sats: 9,
+                collateral: 10,
+                psc_nonce: 2,
+            },
+            Step::OpenPayment {
+                txid: txid(3),
+                amount_sats: 11,
+                collateral: 12,
+                psc_nonce: 2,
+            },
+            Step::DisputeOpen {
+                payment_id: 7,
+                psc_nonce: 3,
+            },
+            Step::EvidenceSubmit {
+                payment_id: 7,
+                txid: txid(1),
+                psc_nonce: 4,
+            },
+            Step::JudgeCall {
+                payment_id: 7,
+                psc_nonce: 5,
+            },
+            Step::Verdict {
+                payment_id: 7,
+                merchant_wins: false,
+            },
+        ];
+        let outcomes = [
+            Applied,
+            PaymentRegistered { payment_id: 7 },
+            Applied,
+            Applied,
+            Applied,
+            Rejected,
+            PaymentRegistered { payment_id: 8 },
+            Applied,
+            Abandoned,
+            Applied,
+            Applied,
+        ];
+        let (wal, snap) = (MemStorage::new(), MemStorage::new());
+        let (mut mgr, _) = RecoveryManager::open(wal.clone(), snap.clone()).unwrap();
+        let (mut wal_bytes, mut slot_bytes) = (Vec::new(), Vec::new());
+        let mut checkpoint = |mgr: &mut RecoveryManager<MemStorage>| {
+            wal_bytes.extend(wal.bytes());
+            mgr.checkpoint().unwrap();
+            slot_bytes.extend(snap.bytes());
+        };
+        for (n, (step, outcome)) in steps.into_iter().zip(outcomes).enumerate() {
+            if n == 3 {
+                checkpoint(&mut mgr);
+            }
+            let intent = mgr.begin(step).unwrap();
+            mgr.complete(intent, outcome).unwrap();
+        }
+        let pending = Step::AcceptanceSend {
+            payment_id: 8,
+            accepted: false,
+        };
+        mgr.begin(pending).unwrap();
+        checkpoint(&mut mgr);
+
+        let pin = |bytes: &[u8]| {
+            let digest = btcfast_crypto::sha256::sha256d(bytes);
+            (bytes.len(), btcfast_crypto::hex::encode(digest.as_bytes()))
+        };
+        assert_eq!(
+            pin(&wal_bytes),
+            (
+                921,
+                "274ec6be1bd096b3ae52883dc15143b97758e8ea416eef10fb5d5fda54be0ae6".into()
+            ),
+            "WAL"
+        );
+        assert_eq!(
+            pin(&slot_bytes),
+            (
+                242,
+                "1baa3077285b070cd5dd26a502446d7f80c836bddc790815ce87bf30c2bbd3fe".into()
+            ),
+            "slot"
+        );
+    }
+
     #[test]
     fn a_crc_valid_record_that_does_not_decode_is_a_typed_error() {
         let wal = MemStorage::new();
@@ -1602,7 +1537,7 @@ mod tests {
         log.append(&[0xEE, 1, 2, 3]).unwrap();
         assert!(matches!(
             RecoveryManager::open(wal, MemStorage::new()),
-            Err(RecoveryError::Malformed(_))
+            Err(RecoveryError::Malformed(CodecError::BadTag(0xEE)))
         ));
     }
 

@@ -79,6 +79,7 @@ pub trait Decode: Sized {
 }
 
 /// Reads exactly `n` bytes from the front of the input.
+#[inline]
 pub fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
     if input.len() < n {
         return Err(CodecError::UnexpectedEnd);
@@ -91,14 +92,15 @@ pub fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> 
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Encode for $t {
+            #[inline]
             fn encode_to(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
         }
         impl Decode for $t {
+            #[inline]
             fn decode_from(input: &mut &[u8]) -> Result<Self, CodecError> {
-                let bytes = take(input, std::mem::size_of::<$t>())?;
-                Ok(<$t>::from_le_bytes(bytes.try_into().expect("sized take")))
+                Decode::decode_from(input).map(<$t>::from_le_bytes)
             }
         }
     )*};
@@ -107,12 +109,14 @@ macro_rules! impl_int {
 impl_int!(u8, u16, u32, u64, u128);
 
 impl Encode for bool {
+    #[inline]
     fn encode_to(&self, out: &mut Vec<u8>) {
         out.push(*self as u8);
     }
 }
 
 impl Decode for bool {
+    #[inline]
     fn decode_from(input: &mut &[u8]) -> Result<Self, CodecError> {
         match take(input, 1)?[0] {
             0 => Ok(false),
@@ -137,15 +141,18 @@ impl Decode for String {
 }
 
 impl<const N: usize> Encode for [u8; N] {
+    #[inline]
     fn encode_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self);
     }
 }
 
 impl<const N: usize> Decode for [u8; N] {
+    #[inline]
     fn decode_from(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let bytes = take(input, N)?;
-        Ok(bytes.try_into().expect("sized take"))
+        let (bytes, rest) = input.split_first_chunk().ok_or(CodecError::UnexpectedEnd)?;
+        *input = rest;
+        Ok(*bytes)
     }
 }
 
@@ -204,12 +211,14 @@ impl Decode for crate::account::AccountId {
 }
 
 impl Encode for btcfast_crypto::Hash256 {
+    #[inline]
     fn encode_to(&self, out: &mut Vec<u8>) {
         self.0.encode_to(out);
     }
 }
 
 impl Decode for btcfast_crypto::Hash256 {
+    #[inline]
     fn decode_from(input: &mut &[u8]) -> Result<Self, CodecError> {
         Ok(btcfast_crypto::Hash256(<[u8; 32]>::decode_from(input)?))
     }

@@ -10,8 +10,8 @@
 //! * [`wal::Wal`] — an append-only write-ahead log of length-prefixed,
 //!   CRC-checksummed, sequence-numbered records. Torn tails (a crash mid
 //!   `append`) and flipped bits are *detected*, never trusted: recovery
-//!   either repairs the log by clean prefix truncation or reports a typed
-//!   [`StoreError`] — it never panics on hostile bytes.
+//!   repairs the log by clean prefix truncation and reports what it cut
+//!   as a typed [`Corruption`] — it never panics on hostile bytes.
 //! * [`snapshot::SnapshotStore`] — a single-slot checkpoint of encoded
 //!   state plus the WAL sequence it covers, so recovery replays only the
 //!   tail of the log. The state is encoded into the slot buffer and
@@ -26,9 +26,11 @@
 //! has it — the crate's one `unsafe` call, in the `clmul` module — and
 //! slicing-by-8 otherwise, with identical results.
 //!
-//! The encoding follows the workspace codec idiom: little-endian
-//! fixed-width integers and length-prefixed byte strings, with hard caps
-//! on hostile length prefixes. Everything is deterministic: the same
+//! The frames follow the workspace codec's conventions — little-endian
+//! fixed-width integers, length prefixes with hard caps against hostile
+//! ones — and the payloads they carry are opaque here: `core::recovery`
+//! encodes its journal records and slot state with the codec itself
+//! (`btcfast_pscsim::codec`). Everything is deterministic: the same
 //! append sequence produces byte-identical media, and recovery of
 //! identical media produces identical state — the property the audit
 //! crate's `store` engine checks at every possible crash offset.
@@ -58,9 +60,6 @@ use std::fmt;
 pub enum StoreError {
     /// The underlying medium failed (I/O error, detached handle).
     Io(String),
-    /// A record or snapshot failed validation and strict mode was asked
-    /// to surface it rather than repair it.
-    Corrupt(Corruption),
     /// A record payload exceeds the hard encoding cap.
     RecordTooLarge {
         /// The payload length requested.
@@ -74,7 +73,6 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io(msg) => write!(f, "storage I/O failure: {msg}"),
-            StoreError::Corrupt(c) => write!(f, "corrupt store: {c}"),
             StoreError::RecordTooLarge { len, max } => {
                 write!(f, "record payload {len} bytes exceeds cap {max}")
             }

@@ -15,9 +15,8 @@
 //! ```
 //!
 //! `crc` is CRC-32 over `wal_seq_le || state`. A slot that fails any
-//! check loads as *absent* on the lenient path — the caller decides
-//! whether its log still holds the history to replay instead — or as a
-//! typed [`StoreError::Corrupt`] on the strict path.
+//! check loads as *absent* — the caller decides whether its log still
+//! holds the history to replay instead.
 
 use crate::storage::Storage;
 use crate::wal::Corruption;
@@ -149,16 +148,6 @@ impl<S: Storage> SnapshotStore<S> {
         Ok(decode(self.storage.read_all()?).unwrap_or(None))
     }
 
-    /// Loads the checkpoint, surfacing a damaged slot as a typed error.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] for a damaged slot; [`StoreError::Io`]
-    /// when the medium cannot be read.
-    pub fn load_strict(&self) -> Result<Option<Snapshot>, StoreError> {
-        decode(self.storage.read_all()?).map_err(StoreError::Corrupt)
-    }
-
     /// The underlying medium (inspection, digests).
     pub fn storage(&self) -> &S {
         &self.storage
@@ -174,7 +163,7 @@ mod tests {
     fn empty_slot_loads_as_absent() {
         let store = SnapshotStore::new(MemStorage::new());
         assert_eq!(store.load().unwrap(), None);
-        assert_eq!(store.load_strict().unwrap(), None);
+        assert_eq!(decode(Vec::new()), Ok(None));
     }
 
     #[test]
@@ -207,8 +196,8 @@ mod tests {
 
         assert_eq!(store.load().unwrap(), None);
         assert!(matches!(
-            store.load_strict(),
-            Err(StoreError::Corrupt(Corruption::BadChecksum { .. }))
+            decode(medium.bytes()),
+            Err(Corruption::BadChecksum { .. })
         ));
     }
 
@@ -224,8 +213,8 @@ mod tests {
         medium.replace(bytes).unwrap();
         assert_eq!(store.load().unwrap(), None);
         assert!(matches!(
-            store.load_strict(),
-            Err(StoreError::Corrupt(Corruption::TornTail { .. }))
+            decode(medium.bytes()),
+            Err(Corruption::TornTail { .. })
         ));
     }
 
@@ -234,11 +223,11 @@ mod tests {
         let mut slot = MAGIC.to_vec();
         slot.extend_from_slice(&u32::MAX.to_le_bytes());
         slot.extend_from_slice(&[0u8; 12]);
-        let store = SnapshotStore::new(MemStorage::from_bytes(slot));
+        let store = SnapshotStore::new(MemStorage::from_bytes(slot.clone()));
         assert_eq!(store.load().unwrap(), None);
         assert!(matches!(
-            store.load_strict(),
-            Err(StoreError::Corrupt(Corruption::LengthOverCap { .. }))
+            decode(slot),
+            Err(Corruption::LengthOverCap { .. })
         ));
     }
 

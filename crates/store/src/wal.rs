@@ -28,10 +28,9 @@
 //! * a **duplicate record** (a seq already applied — the at-least-once
 //!   journaling case) is skipped, counted, and scanning continues.
 //!
-//! The scan never panics, whatever the bytes. [`Wal::open_strict`] runs
-//! the same scan but surfaces the first corruption as a typed
-//! [`StoreError`] instead of repairing, for callers that must distinguish
-//! "clean restart" from "media damage".
+//! The scan never panics, whatever the bytes. It reports what it repaired
+//! as a typed [`Corruption`] in [`RecoveredLog::corruption`], so a caller
+//! can tell a clean restart from media damage.
 //!
 //! # Truncation
 //!
@@ -43,7 +42,6 @@
 
 use crate::storage::Storage;
 use crate::{crc32, StoreError};
-use std::fmt;
 
 /// Hard cap on a record payload. Anything larger in a length prefix is
 /// corruption (or hostility), not a real record.
@@ -83,18 +81,6 @@ impl Corruption {
             Corruption::TornTail { offset }
             | Corruption::LengthOverCap { offset, .. }
             | Corruption::BadChecksum { offset } => *offset,
-        }
-    }
-}
-
-impl fmt::Display for Corruption {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Corruption::TornTail { offset } => write!(f, "torn tail at byte {offset}"),
-            Corruption::LengthOverCap { offset, len } => {
-                write!(f, "length prefix {len} over cap at byte {offset}")
-            }
-            Corruption::BadChecksum { offset } => write!(f, "checksum mismatch at byte {offset}"),
         }
     }
 }
@@ -279,20 +265,6 @@ impl<S: Storage> Wal<S> {
         ))
     }
 
-    /// Opens the log, but surfaces corruption as a typed error instead of
-    /// repairing. The medium is left untouched on error.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] when the medium is not a clean record
-    /// sequence; [`StoreError::Io`] when it cannot be read.
-    pub fn open_strict(storage: S) -> Result<(Wal<S>, RecoveredLog), StoreError> {
-        match scan(&storage.read_all()?).corruption {
-            Some(corruption) => Err(StoreError::Corrupt(corruption)),
-            None => Wal::open(storage),
-        }
-    }
-
     /// Appends a record and returns its sequence number. The record is
     /// with the medium when this returns and survives a host crash after
     /// the next [`Wal::sync`] (see the policy on [`Storage`]).
@@ -432,6 +404,7 @@ mod tests {
         assert_eq!(again.corruption, None);
     }
 
+    /// The repair is typed: the scan names the damaged frame.
     #[test]
     fn flipped_bit_stops_the_scan_and_strict_mode_types_it() {
         let (_wal, mut medium) = filled_wal(&[b"first", b"second", b"third"]);
@@ -441,22 +414,14 @@ mod tests {
         bytes[second_frame + HEADER_BYTES + 2] ^= 0x40;
         medium.replace(bytes).unwrap();
 
-        let strict = Wal::open_strict(medium.clone());
-        assert!(
-            matches!(
-                strict,
-                Err(StoreError::Corrupt(Corruption::BadChecksum { offset }))
-                    if offset == second_frame as u64
-            ),
-            "{strict:?}"
-        );
-
         let (_, recovered) = Wal::open(medium).unwrap();
         assert_eq!(recovered.records, vec![(0, b"first".to_vec())]);
-        assert!(matches!(
+        assert_eq!(
             recovered.corruption,
-            Some(Corruption::BadChecksum { .. })
-        ));
+            Some(Corruption::BadChecksum {
+                offset: second_frame as u64
+            })
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! of every checkpoint.
 
 use btcfast_store::wal::{scan, scan_with, Corruption, HEADER_BYTES};
-use btcfast_store::{MemStorage, SnapshotStore, Storage, StoreError, Wal};
+use btcfast_store::{MemStorage, SnapshotStore, Storage, Wal};
 use proptest::prelude::*;
 use proptest::sample::Index;
 
@@ -192,8 +192,7 @@ proptest! {
     }
 
     /// A cut inside a frame *header* (the truncated-length-prefix case)
-    /// is a torn tail at that frame: everything before survives, strict
-    /// mode refuses the medium with a typed error.
+    /// is a torn tail at that frame: everything before survives.
     #[test]
     fn truncated_length_prefix_is_a_torn_tail(
         payloads in payloads(),
@@ -212,17 +211,11 @@ proptest! {
             Some(Corruption::TornTail { offset }) if offset == frames[frame] as u64
         ));
         prop_assert_eq!(log.truncated_bytes, header_cut as u64);
-
-        let strict = Wal::open_strict(MemStorage::from_bytes(bytes));
-        prop_assert!(matches!(
-            strict,
-            Err(StoreError::Corrupt(Corruption::TornTail { .. }))
-        ));
     }
 
     /// Flipping any bit of a frame's checksum field kills exactly that
     /// record: the scan accepts every earlier record, stops at the
-    /// damaged frame, and strict mode surfaces the checksum mismatch.
+    /// damaged frame, and names the checksum mismatch.
     #[test]
     fn flipped_checksum_byte_stops_the_scan_at_that_frame(
         payloads in payloads(),
@@ -246,12 +239,6 @@ proptest! {
             Some(Corruption::BadChecksum { offset }) if offset == frames[frame] as u64
         ));
         prop_assert_eq!(log.valid_len, frames[frame] as u64);
-
-        let strict = Wal::open_strict(MemStorage::from_bytes(bytes));
-        prop_assert!(matches!(
-            strict,
-            Err(StoreError::Corrupt(Corruption::BadChecksum { .. }))
-        ));
     }
 
     /// Flipping any single byte anywhere in the medium never panics the

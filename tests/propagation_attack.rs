@@ -7,9 +7,9 @@
 //! Plain 0-conf loses the payment outright. BTCFast turns the same event
 //! into a compensated dispute.
 
-use btcfast_suite::btcsim::node::Node;
+use btcfast_suite::btcsim::mempool::Mempool;
 use btcfast_suite::btcsim::spv::SpvEvidence;
-use btcfast_suite::btcsim::Amount;
+use btcfast_suite::btcsim::{Amount, Chain};
 use btcfast_suite::netsim::time::SimTime;
 use btcfast_suite::payjudger::types::DisputeVerdict;
 use btcfast_suite::payjudger::PayJudgerClient;
@@ -24,9 +24,16 @@ fn propagation_double_spend_is_detected_and_compensated() {
     let mut session = FastPaySession::new(config, 900);
     let customer_id = session.customer.psc_account();
 
-    // The merchant runs their own node; the session's mempool plays the
-    // miners' view. Network propagation is what the attacker exploits.
-    let mut merchant_node = Node::from_chain(session.btc.clone());
+    // The merchant runs their own node, a chain and a mempool; the
+    // session's mempool plays the miners' view. Network propagation is
+    // what the attacker exploits.
+    let (mut merchant_chain, mut merchant_pool) = (session.btc.clone(), Mempool::new());
+    // Relays the miners' new tip to the merchant's node.
+    let relay_tip = |session: &FastPaySession, chain: &mut Chain, pool: &mut Mempool| {
+        let tip = session.btc.block_at_height(session.btc.height()).unwrap();
+        chain.submit_block(tip.clone()).expect("block connects");
+        pool.purge_confirmed(&tip.transactions);
+    };
 
     // The attacker builds both transactions up front.
     let pay = session
@@ -68,8 +75,13 @@ fn propagation_double_spend_is_detected_and_compensated() {
             session.clock.as_secs(),
         )
         .unwrap();
-    merchant_node
-        .submit_transaction(pay.clone(), session.clock.as_secs())
+    merchant_pool
+        .insert(
+            pay.clone(),
+            merchant_chain.utxo(),
+            merchant_chain.height() + 1,
+            session.clock.as_secs(),
+        )
         .unwrap();
 
     // The merchant's view is clean: the offer passes every check.
@@ -78,8 +90,8 @@ fn propagation_double_spend_is_detected_and_compensated() {
         .make_offer(pay.clone(), payment_id, 1_000_000);
     let decision = session.merchant.evaluate_offer(
         &offer,
-        merchant_node.chain(),
-        merchant_node.mempool(),
+        &merchant_chain,
+        &merchant_pool,
         &session.psc,
         &session.judger,
     );
@@ -95,19 +107,11 @@ fn propagation_double_spend_is_detected_and_compensated() {
 
     // The block propagates to the merchant's node; the payment's coins are
     // gone and the mempool copy was purged as conflicted.
-    let tip = session
-        .btc
-        .block_at_height(session.btc.height())
-        .unwrap()
-        .clone();
-    merchant_node
-        .submit_block(tip, session.clock.as_secs())
-        .unwrap();
-    assert!(session.merchant.detect_double_spend(
-        &pay,
-        merchant_node.chain(),
-        merchant_node.mempool()
-    ));
+    relay_tip(&session, &mut merchant_chain, &mut merchant_pool);
+    assert!(!merchant_pool.contains(&pay.txid()));
+    assert!(session
+        .merchant
+        .detect_double_spend(&pay, &merchant_chain, &merchant_pool));
 
     // Dispute → evidence (the heaviest chain lacks the payment) → verdict.
     let dispute =
@@ -119,23 +123,20 @@ fn propagation_double_spend_is_detected_and_compensated() {
         .expect("psc tx executes")
         .status
         .is_success());
-    // Bury the conflicting spend Δ deep so the evidence is conclusive.
+    // Bury the conflicting spend Δ deep so the evidence is conclusive; the
+    // merchant builds it from its own view of the chain.
     for _ in 0..6 {
         session.advance_clock(SimTime::from_secs(600));
         session.mine_public_block().expect("block connects");
+        relay_tip(&session, &mut merchant_chain, &mut merchant_pool);
     }
+    assert_eq!(merchant_chain.tip_hash(), session.btc.tip_hash());
     let evidence = SpvEvidence::from_chain(
-        merchant_node.chain(),
+        &merchant_chain,
         1,
-        merchant_node.chain().height(),
+        merchant_chain.height(),
         Some(&pay.txid()),
     );
-    // Refresh the merchant node view (blocks mined above went to session.btc).
-    let evidence = if evidence.segment.len() < session.btc.height() as usize {
-        SpvEvidence::from_chain(&session.btc, 1, session.btc.height(), Some(&pay.txid()))
-    } else {
-        evidence
-    };
     assert!(
         evidence.inclusion.is_none(),
         "the payment is not on the chain"
