@@ -10,8 +10,8 @@
 //! * [`Engine::Diff`] — differential executors replaying fuzzed
 //!   block/reorg/dispute schedules through the incremental production
 //!   paths and a naive from-scratch reference;
-//! * [`Engine::Invariant`] — cross-cutting conservation/solvency/
-//!   monotonicity checks evaluated after every step of a fuzzed scenario;
+//! * [`Engine::Invariant`] — UTXO conservation and monotone finality
+//!   checked after every step of a fuzzed mining schedule;
 //! * [`Engine::Store`] — durable-store targets: hostile WAL/snapshot
 //!   media must scan without panicking, and a journal crashed at every
 //!   byte offset of its log tail and at every checkpoint step must
@@ -25,6 +25,10 @@
 //!   against the per-signature oracle: fuzzed batches under hostile
 //!   mutations must produce the oracle's exact invalid set, independent
 //!   of the randomizer seed.
+//!
+//! Beside them, [`invariants::explore_escrow`] checks every schedule of the
+//! escrow contract up to a bound against a reference model (deeper bounds:
+//! `cargo test --release -p btcfast-audit -- --ignored`).
 //!
 //! Determinism contract: `run` with the same seed, iteration count, and
 //! corpus produces a byte-identical [`FuzzReport`] (and therefore
@@ -172,11 +176,6 @@ pub const TARGETS: &[Target] = &[
         engine: Engine::Invariant,
         name: "chain-conservation",
         check: invariants::invariant_chain_conservation,
-    },
-    Target {
-        engine: Engine::Invariant,
-        name: "escrow-dispute",
-        check: invariants::invariant_escrow_dispute,
     },
     Target {
         engine: Engine::Store,

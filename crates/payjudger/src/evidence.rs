@@ -135,6 +135,8 @@ pub fn check_evidence(
     let work = evidence
         .verify(&min_target)
         .map_err(|e| format!("evidence rejected: {e}"))?;
+    let tip = evidence.segment.tip_hash();
+    let tip = tip.ok_or("evidence rejected: header segment is empty")?;
 
     let (includes_tx, tx_confirmations) = match &evidence.inclusion {
         Some(inclusion) if &inclusion.txid == expected_txid => {
@@ -151,7 +153,7 @@ pub fn check_evidence(
         summary: EvidenceSummary {
             work: work.to_be_bytes(),
             blocks: evidence.segment.len() as u64,
-            tip: evidence.segment.tip_hash().expect("verified nonempty"),
+            tip,
             includes_tx,
             tx_confirmations,
         },
@@ -328,10 +330,14 @@ mod tests {
         let (chain, txid) = chain_with_payment();
         let mut bundle = EvidenceBundle(SpvEvidence::from_chain(&chain, 1, 8, None));
         bundle.0.segment.headers[3].merkle_root = Hash256([9; 32]);
-        let (result, _) = with_storage(|storage| {
-            verify_on_chain(&bundle, &Hash256::ZERO, bits(), &txid, storage)
-        });
-        assert!(matches!(result, Err(ContractError::Revert(msg)) if msg.contains("rejected")));
+        let mut empty = bundle.clone();
+        empty.0.segment.headers.clear();
+        for bundle in [bundle, empty] {
+            let (result, _) = with_storage(|storage| {
+                verify_on_chain(&bundle, &Hash256::ZERO, bits(), &txid, storage)
+            });
+            assert!(matches!(result, Err(ContractError::Revert(msg)) if msg.contains("rejected")));
+        }
     }
 
     #[test]
