@@ -712,11 +712,13 @@ pub fn fuzz_trace_context(bytes: &[u8]) -> Result<(), String> {
     };
     let mut traced: Transport<u8> = build();
     let mut plain: Transport<u8> = build();
-    traced.send_traced(NodeId(0), NodeId(1), 7, &mutated, 1_000);
-    plain.send(NodeId(0), NodeId(1), 7);
+    let traced_id = traced.send_traced(NodeId(0), NodeId(1), 7, &mutated, 1_000);
+    let plain_id = plain.send(NodeId(0), NodeId(1), 7);
     traced.run_until_idle();
     plain.run_until_idle();
-    if traced.trace() != plain.trace() {
+    if traced.status(traced_id) != plain.status(plain_id)
+        || traced.take_inbox(NodeId(1)) != plain.take_inbox(NodeId(1))
+    {
         return Err("corrupt context changed transport behavior".into());
     }
     if traced.stats() != plain.stats() {

@@ -3,20 +3,21 @@
 //! [`ChaosSession`] runs the protocol driver ([`crate::flow`]) over a
 //! [`FastPaySession`] with the effects of a hostile network: every message
 //! leg and every PSC call crosses a reliable [`Transport`] while a seeded
-//! [`FaultPlan`] injects loss windows, partitions, crashes, and PSC
-//! block-production stalls, and every side-effecting step is journaled
-//! through a [`RecoveryManager`]. This module owns only what is genuinely
-//! chaos: fault application, crash re-hydration, the gas-bumped PSC
-//! resubmission loop, and the merchant's degradation policy. Three nodes
-//! live on the chaos fabric: customer (`node0`), merchant (`node1`), and
-//! the PSC endpoint (`node2`); a PSC call first travels caller → PSC node,
-//! so a partition around `node2` *is* "the chain is unreachable".
+//! [`FaultPlan`] injects loss windows, partitions, crash-restart bounces,
+//! and PSC block-production stalls, and every side-effecting step is
+//! journaled through a [`RecoveryManager`]. This module owns only what is
+//! genuinely chaos: fault application, crash re-hydration, the gas-bumped
+//! PSC resubmission loop, and the merchant's degradation policy. Three
+//! nodes live on the chaos fabric: customer (`node0`), merchant (`node1`),
+//! and the PSC endpoint (`node2`); a PSC call first travels caller → PSC
+//! node, so a partition around `node2` *is* "the chain is unreachable".
 //!
 //! Two invariants drive the design:
 //!
 //! * **Determinism.** All randomness (fault schedule, loss draws,
-//!   backoff jitter) descends from the run's `u64` seed. The transport's
-//!   event trace plus the plan's fingerprint replay byte-identically.
+//!   backoff jitter) descends from the run's `u64` seed. The session's
+//!   span trace, the transport counters and the plan's fingerprint replay
+//!   byte-identically.
 //! * **Graceful degradation.** When escrow protection cannot be
 //!   established before the deadline, the merchant never silently
 //!   accepts an unprotected 0-conf payment: per
@@ -185,11 +186,6 @@ impl ChaosSession {
         }
     }
 
-    /// The transport's deterministic event trace (replay evidence).
-    pub fn event_trace(&self) -> &[String] {
-        self.transport.trace()
-    }
-
     /// Transport counters (retransmissions, dedups, failures).
     pub fn transport_stats(&self) -> TransportStats {
         self.transport.stats()
@@ -236,8 +232,7 @@ impl ChaosSession {
     /// the surviving media ([`RecoveryManager::restart`]). Media that no
     /// longer re-open, or re-open to another digest, are a journal error.
     fn crash_restart(&mut self, node: NodeId) -> Result<(), RobustnessError> {
-        self.transport.crash(node);
-        self.transport.restart(node);
+        self.transport.bounce(node);
         let report = self.recovery.restart().map_err(journal_err)?;
         self.recoveries += 1;
         let tracer = &mut self.session.tracer;
@@ -403,13 +398,8 @@ impl ChaosSession {
                 FaultAction::SetLoss { p } => {
                     self.transport.network_mut().set_loss_probability(p);
                 }
-                FaultAction::SetDuplication { p } => {
-                    self.transport.set_duplicate_probability(p);
-                }
                 FaultAction::Partition { a, b } => self.transport.network_mut().partition(a, b),
                 FaultAction::Heal { a, b } => self.transport.network_mut().heal(a, b),
-                FaultAction::Crash { node } => self.transport.crash(node),
-                FaultAction::Restart { node } => self.transport.restart(node),
                 FaultAction::CrashRestart { node } => self.crash_restart(node)?,
                 FaultAction::PscStall => self.psc_stalled = true,
                 FaultAction::PscResume => self.psc_stalled = false,
@@ -779,15 +769,17 @@ mod tests {
                 report.waiting,
                 chaos.store_digest(),
                 chaos.recoveries(),
-                chaos.event_trace().to_vec(),
+                chaos.session.trace().to_vec(),
+                chaos.transport_stats(),
             )
         };
-        let (w1, d1, r1, t1) = run(33);
-        let (w2, d2, r2, t2) = run(33);
+        let (w1, d1, r1, t1, s1) = run(33);
+        let (w2, d2, r2, t2, s2) = run(33);
         assert_eq!(w1, w2);
         assert_eq!(d1, d2, "durable digest must replay byte-identically");
         assert_eq!(r1, r2);
         assert_eq!(t1, t2);
+        assert_eq!(s1, s2);
     }
 
     #[test]
@@ -818,11 +810,12 @@ mod tests {
             let plan = FaultPlan::from_seed(seed, &spec);
             let mut chaos = ChaosSession::new(quick_config(), ChaosConfig::default(), plan, seed);
             let report = chaos.run_fast_payment_chaos(1_000_000).unwrap();
-            (report.waiting, chaos.event_trace().to_vec())
+            (
+                report.waiting,
+                chaos.session.trace().to_vec(),
+                chaos.transport_stats(),
+            )
         };
-        let (w1, t1) = run(21);
-        let (w2, t2) = run(21);
-        assert_eq!(w1, w2);
-        assert_eq!(t1, t2);
+        assert_eq!(run(21), run(21));
     }
 }

@@ -141,7 +141,7 @@ pub enum FallbackPolicy {
 /// runs: 12 transmissions inside a 60 s phase budget.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
-    /// Reliable-transport policy (attempt budget, jitter, bounded memory).
+    /// Reliable-transport policy (the attempt budget).
     pub transport: TransportConfig,
     /// Budget for one message phase to resolve (delivery + ack).
     pub phase_deadline: SimTime,
@@ -155,10 +155,7 @@ pub struct ChaosConfig {
 impl Default for ChaosConfig {
     fn default() -> ChaosConfig {
         ChaosConfig {
-            transport: TransportConfig {
-                max_attempts: 12,
-                ..TransportConfig::default()
-            },
+            transport: TransportConfig { max_attempts: 12 },
             phase_deadline: SimTime::from_secs(60),
             fallback: FallbackPolicy::KConfirmations(6),
         }

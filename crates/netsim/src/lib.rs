@@ -10,13 +10,13 @@
 //! * [`scheduler`] — a deterministic priority-queue event loop;
 //! * [`latency`] — pluggable message-delay models (constant, uniform,
 //!   log-normal) with LAN/WAN presets;
-//! * [`network`] — a message-passing fabric with per-link latency,
-//!   loss, and partitions;
+//! * [`network`] — a payload-free fabric that decides per message whether
+//!   and when it arrives: per-link latency, loss, and partitions;
 //! * [`poisson`] — exponential inter-arrival sampling for block discovery;
 //! * [`transport`] — reliable at-least-once delivery (acks, bounded
 //!   retries, exponential backoff, receiver-side dedup) over [`network`];
 //! * [`faults`] — seeded, replayable fault-injection scripts (loss
-//!   windows, partitions, crashes, PSC stalls).
+//!   windows, partitions, crash-restart bounces, PSC stalls).
 //!
 //! # Example
 //!

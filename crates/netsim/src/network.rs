@@ -1,4 +1,5 @@
-//! A message-passing fabric: per-link latency, loss, and partitions.
+//! The fabric under the transport: per-link latency, loss, and partitions.
+//! It carries no payload; it decides whether and when a message arrives.
 
 use crate::latency::LatencyModel;
 use crate::time::SimTime;
@@ -16,23 +17,9 @@ impl fmt::Debug for NodeId {
     }
 }
 
-/// A message scheduled for delivery.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Delivery<M> {
-    /// The sender.
-    pub from: NodeId,
-    /// The recipient.
-    pub to: NodeId,
-    /// Arrival time.
-    pub at: SimTime,
-    /// The payload.
-    pub message: M,
-}
-
-/// The network fabric. It does not own a scheduler; [`Network::send`] and
-/// [`Network::broadcast`] return [`Delivery`] records for the caller to feed
-/// into its event loop — keeping the fabric reusable across simulation
-/// drivers.
+/// The network fabric. It does not own a scheduler: [`Network::send`]
+/// returns the arrival time for the caller to feed into its event loop,
+/// keeping the fabric reusable across simulation drivers.
 #[derive(Clone, Debug)]
 pub struct Network {
     nodes: Vec<NodeId>,
@@ -92,44 +79,22 @@ impl Network {
         }
     }
 
-    /// Sends a message, returning its delivery record — or `None` when the
+    /// Sends one message, returning its arrival time, or `None` when the
     /// link is partitioned or the message was lost.
-    pub fn send<M, R: Rng + ?Sized>(
+    pub fn send<R: Rng + ?Sized>(
         &self,
         from: NodeId,
         to: NodeId,
-        message: M,
         now: SimTime,
         rng: &mut R,
-    ) -> Option<Delivery<M>> {
+    ) -> Option<SimTime> {
         if !self.connected(from, to) {
             return None;
         }
         if self.loss_probability > 0.0 && rng.gen_bool(self.loss_probability) {
             return None;
         }
-        Some(Delivery {
-            from,
-            to,
-            at: now + self.latency.sample(rng),
-            message,
-        })
-    }
-
-    /// Broadcasts to every other node, with independent per-link delays and
-    /// losses.
-    pub fn broadcast<M: Clone, R: Rng + ?Sized>(
-        &self,
-        from: NodeId,
-        message: M,
-        now: SimTime,
-        rng: &mut R,
-    ) -> Vec<Delivery<M>> {
-        self.nodes
-            .iter()
-            .filter(|&&to| to != from)
-            .filter_map(|&to| self.send(from, to, message.clone(), now, rng))
-            .collect()
+        Some(now + self.latency.sample(rng))
     }
 }
 
@@ -146,26 +111,8 @@ mod tests {
     #[test]
     fn send_applies_latency() {
         let net = Network::new(2, LatencyModel::Constant { secs: 0.1 });
-        let d = net
-            .send(
-                NodeId(0),
-                NodeId(1),
-                "hi",
-                SimTime::from_secs(1),
-                &mut rng(),
-            )
-            .unwrap();
-        assert_eq!(d.at, SimTime::from_secs_f64(1.1));
-        assert_eq!(d.message, "hi");
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone_else() {
-        let net = Network::new(5, LatencyModel::lan());
-        let deliveries = net.broadcast(NodeId(2), 7u8, SimTime::ZERO, &mut rng());
-        assert_eq!(deliveries.len(), 4);
-        assert!(deliveries.iter().all(|d| d.to != NodeId(2)));
-        assert!(deliveries.iter().all(|d| d.from == NodeId(2)));
+        let at = net.send(NodeId(0), NodeId(1), SimTime::from_secs(1), &mut rng());
+        assert_eq!(at, Some(SimTime::from_secs_f64(1.1)));
     }
 
     #[test]
@@ -176,13 +123,11 @@ mod tests {
         assert!(!net.connected(NodeId(1), NodeId(0))); // symmetric
         assert!(net.connected(NodeId(0), NodeId(2)));
         assert!(net
-            .send(NodeId(0), NodeId(1), (), SimTime::ZERO, &mut rng())
+            .send(NodeId(0), NodeId(1), SimTime::ZERO, &mut rng())
             .is_none());
-        assert_eq!(
-            net.broadcast(NodeId(0), (), SimTime::ZERO, &mut rng())
-                .len(),
-            1
-        );
+        assert!(net
+            .send(NodeId(0), NodeId(2), SimTime::ZERO, &mut rng())
+            .is_some());
         net.heal(NodeId(0), NodeId(1));
         assert!(net.connected(NodeId(0), NodeId(1)));
     }
@@ -192,11 +137,11 @@ mod tests {
         let mut net = Network::new(2, LatencyModel::lan());
         net.set_loss_probability(1.0);
         assert!(net
-            .send(NodeId(0), NodeId(1), (), SimTime::ZERO, &mut rng())
+            .send(NodeId(0), NodeId(1), SimTime::ZERO, &mut rng())
             .is_none());
         net.set_loss_probability(0.0);
         assert!(net
-            .send(NodeId(0), NodeId(1), (), SimTime::ZERO, &mut rng())
+            .send(NodeId(0), NodeId(1), SimTime::ZERO, &mut rng())
             .is_some());
     }
 
@@ -207,7 +152,7 @@ mod tests {
         let mut r = rng();
         let delivered = (0..1000)
             .filter(|_| {
-                net.send(NodeId(0), NodeId(1), (), SimTime::ZERO, &mut r)
+                net.send(NodeId(0), NodeId(1), SimTime::ZERO, &mut r)
                     .is_some()
             })
             .count();

@@ -11,14 +11,12 @@
 //! * receivers deduplicate retransmissions by message id, so the
 //!   application sees each payload at most once per node incarnation;
 //! * acks travel through the same lossy fabric as data;
-//! * nodes can crash (in-flight deliveries to them are dropped, and
-//!   their dedup memory is lost) and restart;
+//! * a node can be bounced ([`Transport::bounce`]): it crashes and
+//!   restarts at one instant, losing its dedup memory;
 //! * everything runs on simulated time from one seeded RNG, so a run is
-//!   a pure function of `(seed, fault schedule, send sequence)`.
-//!
-//! The transport records a human-readable event trace; two runs with
-//! identical inputs produce byte-identical traces, which the chaos
-//! harness asserts.
+//!   a pure function of `(seed, fault schedule, send sequence)`: two runs
+//!   with identical inputs give identical statuses, inboxes and
+//!   [`TransportStats`].
 //!
 //! Sends submitted via [`Transport::send_traced`] additionally carry a
 //! serialized [`TraceContext`] in their frame: retransmissions, backoff
@@ -34,17 +32,10 @@ use crate::time::SimTime;
 use btcfast_obs::{Field, TraceContext, TraceEvent};
 use rand::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
 /// Identifies one logical message across all of its retransmissions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgId(pub u64);
-
-impl fmt::Display for MsgId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "msg{}", self.0)
-    }
-}
 
 /// Wait before the first retransmission, seconds.
 const ACK_TIMEOUT_SECS: f64 = 0.2;
@@ -52,39 +43,27 @@ const ACK_TIMEOUT_SECS: f64 = 0.2;
 const BACKOFF_FACTOR: f64 = 2.0;
 /// Ceiling on the backoff interval, seconds.
 const MAX_BACKOFF_SECS: f64 = 5.0;
+/// Symmetric jitter applied to each backoff interval, as a fraction (±10%),
+/// drawn from the transport's seed.
+const JITTER_FRAC: f64 = 0.1;
+/// Per-node cap on receiver-side dedup memory. Past it the oldest (lowest)
+/// ids are evicted, and a retransmission of an evicted id is delivered
+/// again: the at-least-once price of bounded dedup state.
+const DEDUP_CAPACITY: usize = 4096;
+/// Resolved (delivered or failed) send statuses kept for
+/// [`Transport::status`]; older ones are retired.
+const RESOLVED_RETENTION: usize = 1024;
 
-/// Retransmission policy. The attempt budget is what harnesses vary; the
-/// other three are set by this file's unit tests only, and say why.
+/// Retransmission policy.
 #[derive(Clone, Debug)]
 pub struct TransportConfig {
     /// Total send attempts per message (first try included).
     pub max_attempts: u32,
-    /// Symmetric jitter applied to each backoff interval, as a fraction
-    /// (0.1 means ±10%). Deterministic: drawn from the transport's seed.
-    /// Every harness runs 0.1; the backoff test sets 0 to read the exact
-    /// exponential schedule and its cap.
-    pub jitter_frac: f64,
-    /// Per-node cap on receiver-side dedup memory. When a node has seen
-    /// more message ids than this, the oldest (lowest) ids are evicted —
-    /// a retransmission of an evicted id would then be re-delivered, the
-    /// standard at-least-once trade-off of bounded dedup state. Every
-    /// harness runs 4096; the eviction test reaches that path with 3.
-    pub dedup_capacity: usize,
-    /// How many *resolved* (delivered or failed) send statuses to retain
-    /// for [`Transport::status`] queries. Older resolved entries are
-    /// retired; querying a retired id panics. Every harness runs 1024; the
-    /// retirement tests reach that path with 1 and 2.
-    pub resolved_retention: usize,
 }
 
 impl Default for TransportConfig {
     fn default() -> TransportConfig {
-        TransportConfig {
-            max_attempts: 6,
-            jitter_frac: 0.1,
-            dedup_capacity: 4096,
-            resolved_retention: 1024,
-        }
+        TransportConfig { max_attempts: 6 }
     }
 }
 
@@ -160,13 +139,13 @@ struct ObsAttribution {
     minted: u64,
 }
 
+/// An unresolved send: [`SendStatus::Pending`] by being in the map.
 #[derive(Clone, Debug)]
 struct PendingSend<M> {
     from: NodeId,
     to: NodeId,
     payload: M,
     attempts_made: u32,
-    status: SendStatus,
     /// The backoff interval scheduled after the latest attempt; charged
     /// to `TransportStats::backoff_wait_micros` if that timer fires.
     last_backoff: SimTime,
@@ -185,19 +164,13 @@ pub struct Transport<M: Clone> {
     /// and drops the payload, so this map is bounded by the number of
     /// messages genuinely in flight.
     pending: BTreeMap<MsgId, PendingSend<M>>,
-    /// Bounded history of resolved send statuses (see
-    /// [`TransportConfig::resolved_retention`]).
+    /// Bounded history of resolved send statuses ([`RESOLVED_RETENTION`]).
     resolved: BTreeMap<MsgId, SendStatus>,
     /// Per-node ids already delivered to the application (dedup memory).
     seen: BTreeMap<NodeId, BTreeSet<MsgId>>,
     /// Per-node delivered payloads awaiting pickup.
     inboxes: BTreeMap<NodeId, Vec<(SimTime, M)>>,
-    crashed: BTreeSet<NodeId>,
-    /// Probability that a successful transmission is delivered twice
-    /// (models duplicating middleboxes; exercises dedup).
-    duplicate_probability: f64,
     stats: TransportStats,
-    trace: Vec<String>,
     /// Structured obs events from traced sends, in scheduler order,
     /// stamped on the senders' session clocks.
     obs_events: Vec<TraceEvent>,
@@ -216,10 +189,7 @@ impl<M: Clone> Transport<M> {
             resolved: BTreeMap::new(),
             seen: BTreeMap::new(),
             inboxes: BTreeMap::new(),
-            crashed: BTreeSet::new(),
-            duplicate_probability: 0.0,
             stats: TransportStats::default(),
-            trace: Vec::new(),
             obs_events: Vec::new(),
         }
     }
@@ -227,11 +197,6 @@ impl<M: Clone> Transport<M> {
     /// Current simulated time (time of the last processed event).
     pub fn now(&self) -> SimTime {
         self.scheduler.now()
-    }
-
-    /// The underlying fabric (for inspection).
-    pub fn network(&self) -> &Network {
-        &self.network
     }
 
     /// Mutable fabric access (loss, partitions) — used by fault plans.
@@ -244,38 +209,11 @@ impl<M: Clone> Transport<M> {
         self.stats
     }
 
-    /// The deterministic event trace so far.
-    pub fn trace(&self) -> &[String] {
-        &self.trace
-    }
-
-    /// Sets the probability that a delivered transmission arrives twice.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn set_duplicate_probability(&mut self, p: f64) {
-        // A precondition, not input: the one caller applies a fault plan's
-        // `SetDuplication`, whose `p` the harness author wrote.
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.duplicate_probability = p;
-    }
-
-    /// Takes a node down: in-flight deliveries to it are dropped and its
-    /// dedup memory is erased (state loss), so post-restart
-    /// retransmissions may be re-delivered — the price of at-least-once.
-    pub fn crash(&mut self, node: NodeId) {
-        if self.crashed.insert(node) {
-            self.seen.remove(&node);
-            self.push_trace(format_args!("crash {node:?}"));
-        }
-    }
-
-    /// Brings a crashed node back.
-    pub fn restart(&mut self, node: NodeId) {
-        if self.crashed.remove(&node) {
-            self.push_trace(format_args!("restart {node:?}"));
-        }
+    /// Bounces `node`: it crashes and restarts at this instant, so its
+    /// dedup memory is lost and a retransmission of a message it already
+    /// delivered is delivered again — the price of at-least-once.
+    pub fn bounce(&mut self, node: NodeId) {
+        self.seen.remove(&node);
     }
 
     /// Queues a reliable send; the message starts transmitting at the
@@ -314,7 +252,6 @@ impl<M: Clone> Transport<M> {
                 to,
                 payload,
                 attempts_made: 0,
-                status: SendStatus::Pending,
                 last_backoff: SimTime::ZERO,
                 obs,
             },
@@ -324,7 +261,6 @@ impl<M: Clone> Transport<M> {
             self.stats.pending_high_water.max(self.pending.len() as u64);
         self.scheduler
             .schedule_in(SimTime::ZERO, Event::Attempt { id });
-        self.push_trace(format_args!("send {id} {from:?}->{to:?}"));
         id
     }
 
@@ -335,49 +271,15 @@ impl<M: Clone> Transport<M> {
         std::mem::take(&mut self.obs_events)
     }
 
-    /// Records an obs event attributed to `id`'s send, stamped on the
-    /// sender's session clock. A span covers the `dur` interval ending at
-    /// `now`; `None` records a point at `now`. No-op for untraced sends.
-    fn record_obs(
-        &mut self,
-        id: MsgId,
-        name: &'static str,
-        now: SimTime,
-        dur: Option<SimTime>,
-        fields: Vec<(&'static str, Field)>,
-    ) {
-        let Some(obs) = self.pending.get_mut(&id).and_then(|e| e.obs.as_mut()) else {
-            return;
-        };
-        let rel = now.as_micros().saturating_sub(obs.sent_at.as_micros());
-        let end_micros = obs.base_micros.saturating_add(rel);
-        let ctx = obs.ctx.derive_child(obs.minted);
-        obs.minted += 1;
-        let (at_micros, dur_micros) = match dur {
-            Some(d) => {
-                let start = end_micros.saturating_sub(d.as_micros());
-                (start, Some(end_micros - start))
-            }
-            None => (end_micros, None),
-        };
-        self.obs_events.push(TraceEvent {
-            at_micros,
-            dur_micros,
-            name,
-            ctx: Some(ctx),
-            fields,
-        });
-    }
-
     /// Lifecycle of a message.
     ///
     /// # Panics
     ///
     /// Panics on an id this transport never issued, or one whose resolved
-    /// status was retired by [`TransportConfig::resolved_retention`].
+    /// status was retired (more than 1024 sends resolved after it).
     pub fn status(&self, id: MsgId) -> SendStatus {
-        if let Some(entry) = self.pending.get(&id) {
-            return entry.status;
+        if self.pending.contains_key(&id) {
+            return SendStatus::Pending;
         }
         // The documented precondition: ids come from `send` on this
         // transport only, and the drivers read a status right after driving
@@ -394,7 +296,7 @@ impl<M: Clone> Transport<M> {
     fn resolve(&mut self, id: MsgId, status: SendStatus) {
         self.pending.remove(&id);
         self.resolved.insert(id, status);
-        while self.resolved.len() > self.config.resolved_retention.max(1) {
+        while self.resolved.len() > RESOLVED_RETENTION {
             self.resolved.pop_first();
             self.stats.resolved_retired += 1;
         }
@@ -439,137 +341,72 @@ impl<M: Clone> Transport<M> {
     }
 
     fn handle_attempt(&mut self, now: SimTime, id: MsgId) {
-        let Some(entry) = self.pending.get(&id) else {
+        let Some(entry) = self.pending.get_mut(&id) else {
             return;
         };
-        if entry.status != SendStatus::Pending {
-            return;
-        }
-        let (from, to) = (entry.from, entry.to);
         if entry.attempts_made >= self.config.max_attempts {
             let attempts = entry.attempts_made;
-            self.record_obs(
-                id,
-                "transport.give_up",
-                now,
-                None,
-                vec![("attempts", Field::U64(u64::from(attempts)))],
-            );
+            let fields = vec![("attempts", Field::U64(u64::from(attempts)))];
+            let events = &mut self.obs_events;
+            record_obs(events, entry, "transport.give_up", now, None, fields);
             self.resolve(id, SendStatus::Failed { attempts });
             self.stats.failed += 1;
-            self.push_trace(format_args!(
-                "give-up {id} {from:?}->{to:?} after {attempts} attempts"
-            ));
             return;
         }
-        let attempt = entry.attempts_made + 1;
-        let waited = entry.last_backoff;
-        // Cannot fire: the entry was read at the top of this handler and
-        // only `resolve` (which returned above) removes one.
-        self.pending
-            .get_mut(&id)
-            .expect("entry exists")
-            .attempts_made = attempt;
+        entry.attempts_made += 1;
+        let attempt = entry.attempts_made;
         if attempt > 1 {
             self.stats.retransmissions += 1;
             // This retransmission fired, so the whole previous backoff
             // interval was spent waiting.
+            let waited = entry.last_backoff;
             self.stats.backoff_wait_micros = self
                 .stats
                 .backoff_wait_micros
                 .saturating_add(waited.as_micros());
-            self.record_obs(
-                id,
-                "transport.wait",
-                now,
-                Some(waited),
-                vec![("attempt", Field::U64(u64::from(attempt)))],
-            );
-            self.record_obs(
-                id,
-                "transport.retransmit",
-                now,
-                None,
-                vec![("attempt", Field::U64(u64::from(attempt)))],
-            );
+            let fields = || vec![("attempt", Field::U64(u64::from(attempt)))];
+            let events = &mut self.obs_events;
+            record_obs(events, entry, "transport.wait", now, Some(waited), fields());
+            record_obs(events, entry, "transport.retransmit", now, None, fields());
         }
-        // A crashed sender cannot transmit, but its timer keeps running:
-        // when it restarts within the budget, retransmission resumes.
-        if self.crashed.contains(&from) {
-            self.push_trace(format_args!("attempt {id} try{attempt} sender-down"));
-        } else {
-            let copies = if self.duplicate_probability > 0.0
-                && self.rng.gen_bool(self.duplicate_probability)
-            {
-                2
-            } else {
-                1
-            };
-            let mut delivered_any = false;
-            for _ in 0..copies {
-                if let Some(delivery) = self.network.send(from, to, (), now, &mut self.rng) {
-                    self.scheduler
-                        .schedule(delivery.at, Event::Deliver { id, attempt });
-                    delivered_any = true;
-                }
-            }
-            self.push_trace(format_args!(
-                "attempt {id} try{attempt} {}",
-                if delivered_any { "in-flight" } else { "lost" }
-            ));
+        if let Some(at) = self.network.send(entry.from, entry.to, now, &mut self.rng) {
+            self.scheduler.schedule(at, Event::Deliver { id, attempt });
         }
-        let wait = self.backoff(attempt);
-        // Cannot fire: as above, nothing since the top removed the entry.
-        self.pending
-            .get_mut(&id)
-            .expect("entry exists")
-            .last_backoff = wait;
-        self.scheduler.schedule(now + wait, Event::Attempt { id });
+        entry.last_backoff = backoff(&mut self.rng, attempt);
+        self.scheduler
+            .schedule(now + entry.last_backoff, Event::Attempt { id });
     }
 
     fn handle_deliver(&mut self, now: SimTime, id: MsgId, attempt: u32) {
-        let Some(entry) = self.pending.get(&id) else {
+        let Some(entry) = self.pending.get_mut(&id) else {
             return;
         };
         let (from, to) = (entry.from, entry.to);
-        if self.crashed.contains(&to) {
-            self.push_trace(format_args!("drop {id} receiver-down"));
-            return;
-        }
-        let dedup_capacity = self.config.dedup_capacity.max(1);
         let seen = self.seen.entry(to).or_default();
         let first_delivery = seen.insert(id);
         self.stats.dedup_high_water = self.stats.dedup_high_water.max(seen.len() as u64);
-        while seen.len() > dedup_capacity {
+        while seen.len() > DEDUP_CAPACITY {
             seen.pop_first();
             self.stats.dedup_evictions += 1;
         }
         if first_delivery {
-            // Cannot fire: the entry was read at the top of this handler
-            // and nothing in between removes one.
-            let payload = self.pending.get(&id).expect("entry exists").payload.clone();
+            let payload = entry.payload.clone();
             self.inboxes.entry(to).or_default().push((now, payload));
-            self.push_trace(format_args!("deliver {id} at {to:?}"));
         } else {
             self.stats.duplicates_dropped += 1;
-            self.record_obs(id, "transport.dedup_drop", now, None, vec![]);
-            self.push_trace(format_args!("dedup {id} at {to:?}"));
+            let events = &mut self.obs_events;
+            record_obs(events, entry, "transport.dedup_drop", now, None, vec![]);
         }
         // Ack every copy (even duplicates) back through the lossy fabric.
-        if let Some(ack) = self.network.send(to, from, (), now, &mut self.rng) {
+        if let Some(at) = self.network.send(to, from, now, &mut self.rng) {
             self.scheduler
-                .schedule(ack.at, Event::AckDeliver { id, attempt });
-        } else {
-            self.push_trace(format_args!("ack-lost {id}"));
+                .schedule(at, Event::AckDeliver { id, attempt });
         }
     }
 
     fn handle_ack(&mut self, now: SimTime, id: MsgId, attempt: u32) {
         // Acks for already-resolved sends find no pending entry: no-op.
-        let Some(entry) = self.pending.get(&id) else {
-            return;
-        };
-        if self.crashed.contains(&entry.from) {
+        if !self.pending.contains_key(&id) {
             return;
         }
         self.resolve(
@@ -580,27 +417,50 @@ impl<M: Clone> Transport<M> {
             },
         );
         self.stats.delivered += 1;
-        self.push_trace(format_args!("acked {id} try{attempt}"));
     }
+}
 
-    /// Backoff before the retransmission that follows `attempt`, with
-    /// deterministic jitter.
-    fn backoff(&mut self, attempt: u32) -> SimTime {
-        let base = ACK_TIMEOUT_SECS * BACKOFF_FACTOR.powi(attempt.saturating_sub(1) as i32);
-        let capped = base.min(MAX_BACKOFF_SECS);
-        let jitter = if self.config.jitter_frac > 0.0 {
-            let u: f64 = self.rng.gen_range(0.0..1.0);
-            1.0 + self.config.jitter_frac * (2.0 * u - 1.0)
-        } else {
-            1.0
-        };
-        SimTime::from_secs_f64(capped * jitter)
-    }
+/// Records an obs event attributed to `entry`'s send, stamped on the
+/// sender's session clock. A span covers the `dur` interval ending at
+/// `now`; `None` records a point at `now`. No-op for untraced sends.
+fn record_obs<M>(
+    events: &mut Vec<TraceEvent>,
+    entry: &mut PendingSend<M>,
+    name: &'static str,
+    now: SimTime,
+    dur: Option<SimTime>,
+    fields: Vec<(&'static str, Field)>,
+) {
+    let Some(obs) = entry.obs.as_mut() else {
+        return;
+    };
+    let rel = now.as_micros().saturating_sub(obs.sent_at.as_micros());
+    let end_micros = obs.base_micros.saturating_add(rel);
+    let ctx = obs.ctx.derive_child(obs.minted);
+    obs.minted += 1;
+    let (at_micros, dur_micros) = match dur {
+        Some(d) => {
+            let start = end_micros.saturating_sub(d.as_micros());
+            (start, Some(end_micros - start))
+        }
+        None => (end_micros, None),
+    };
+    events.push(TraceEvent {
+        at_micros,
+        dur_micros,
+        name,
+        ctx: Some(ctx),
+        fields,
+    });
+}
 
-    fn push_trace(&mut self, line: fmt::Arguments<'_>) {
-        self.trace
-            .push(format!("[{:>12}us] {line}", self.now().as_micros()));
-    }
+/// Backoff before the retransmission that follows `attempt`, with
+/// deterministic jitter drawn from `rng`.
+fn backoff(rng: &mut StdRng, attempt: u32) -> SimTime {
+    let base = ACK_TIMEOUT_SECS * BACKOFF_FACTOR.powi(attempt.saturating_sub(1) as i32);
+    let capped = base.min(MAX_BACKOFF_SECS);
+    let u: f64 = rng.gen_range(0.0..1.0);
+    SimTime::from_secs_f64(capped * (1.0 + JITTER_FRAC * (2.0 * u - 1.0)))
 }
 
 #[cfg(test)]
@@ -612,6 +472,30 @@ mod tests {
         let mut net = Network::new(2, LatencyModel::Constant { secs: 0.01 });
         net.set_loss_probability(loss);
         Transport::new(net, TransportConfig::default(), seed)
+    }
+
+    /// Delivers `id`'s first copy (sent at time zero on a clean fabric)
+    /// and then drops the fabric, so the ack is lost; the fabric is clean
+    /// again before the retransmission, which reaches the receiver.
+    fn lose_first_ack(t: &mut Transport<&'static str>, id: MsgId) {
+        t.run_until(SimTime::ZERO);
+        t.network_mut().set_loss_probability(1.0);
+        t.run_until(SimTime::from_millis(10));
+        assert_eq!(t.status(id), SendStatus::Pending, "the ack was lost");
+        t.network_mut().set_loss_probability(0.0);
+    }
+
+    /// Everything a run shows its caller: each send's status, the
+    /// receiver's inbox and the counters.
+    type Outcome = (
+        Vec<SendStatus>,
+        Vec<(SimTime, &'static str)>,
+        TransportStats,
+    );
+
+    fn outcome(t: &mut Transport<&'static str>, ids: &[MsgId]) -> Outcome {
+        let statuses = ids.iter().map(|&id| t.status(id)).collect();
+        (statuses, t.take_inbox(NodeId(1)), t.stats())
     }
 
     #[test]
@@ -687,69 +571,59 @@ mod tests {
     #[test]
     fn duplicates_are_deduped_exactly_once() {
         let mut t = transport(0.0, 5);
-        t.set_duplicate_probability(1.0);
         let id = t.send(NodeId(0), NodeId(1), "twice");
+        lose_first_ack(&mut t, id);
         t.run_until_idle();
-        assert!(matches!(t.status(id), SendStatus::Delivered { .. }));
+        assert!(matches!(
+            t.status(id),
+            SendStatus::Delivered { attempts: 2, .. }
+        ));
         assert_eq!(t.take_inbox(NodeId(1)).len(), 1, "app sees one copy");
-        assert!(t.stats().duplicates_dropped >= 1);
+        assert_eq!(t.stats().duplicates_dropped, 1);
     }
 
     #[test]
     fn receiver_crash_drops_then_restart_redelivers() {
         let mut t = transport(0.0, 6);
-        t.crash(NodeId(1));
         let id = t.send(NodeId(0), NodeId(1), "wake up");
-        t.run_until(SimTime::from_millis(150));
-        assert_eq!(t.status(id), SendStatus::Pending);
-        t.restart(NodeId(1));
+        lose_first_ack(&mut t, id);
+        // The bounce forgets the delivery, so the retransmission is new.
+        t.bounce(NodeId(1));
         t.run_until_idle();
         assert!(matches!(t.status(id), SendStatus::Delivered { .. }));
-        assert_eq!(t.take_inbox(NodeId(1)).len(), 1);
+        assert_eq!(t.take_inbox(NodeId(1)).len(), 2);
+        assert_eq!(t.stats().duplicates_dropped, 0);
     }
 
     #[test]
     fn identical_seeds_give_identical_traces() {
-        let runs: Vec<Vec<String>> = (0..2)
-            .map(|_| {
-                let mut t = transport(0.3, 42);
-                for i in 0..5 {
-                    t.send(NodeId(0), NodeId(1), if i % 2 == 0 { "a" } else { "b" });
-                }
-                t.run_until_idle();
-                t.trace().to_vec()
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        let mut other = transport(0.3, 43);
-        other.send(NodeId(0), NodeId(1), "a");
-        other.run_until_idle();
-        assert_ne!(runs[0], other.trace().to_vec());
+        let run = |seed: u64| {
+            let mut t = transport(0.3, seed);
+            let ids: Vec<MsgId> = (0..5)
+                .map(|i| t.send(NodeId(0), NodeId(1), if i % 2 == 0 { "a" } else { "b" }))
+                .collect();
+            t.run_until_idle();
+            outcome(&mut t, &ids)
+        };
+        assert_eq!(run(42), run(42));
+        assert_ne!(run(42), run(43));
     }
 
     #[test]
     fn dedup_memory_is_bounded_with_high_water_mark() {
         let mut t = transport(0.0, 11);
-        t.config.dedup_capacity = 3;
-        for i in 0..8 {
-            t.send(NodeId(0), NodeId(1), if i % 2 == 0 { "a" } else { "b" });
+        let sends = DEDUP_CAPACITY + 4;
+        for _ in 0..sends {
+            t.send(NodeId(0), NodeId(1), "x");
             t.run_until_idle();
         }
         let stats = t.stats();
-        assert_eq!(stats.delivered, 8);
-        assert!(
-            stats.dedup_high_water <= 4,
-            "dedup grew past capacity+1: {}",
-            stats.dedup_high_water
-        );
-        assert!(
-            stats.dedup_evictions >= 4,
-            "evictions {}",
-            stats.dedup_evictions
-        );
+        assert_eq!(stats.delivered, sends as u64);
+        assert_eq!(stats.dedup_high_water, DEDUP_CAPACITY as u64 + 1);
+        assert_eq!(stats.dedup_evictions, 4);
         assert_eq!(
             t.take_inbox(NodeId(1)).len(),
-            8,
+            sends,
             "every payload arrives once"
         );
     }
@@ -757,24 +631,27 @@ mod tests {
     #[test]
     fn resolved_statuses_are_retained_then_retired() {
         let mut t = transport(0.0, 12);
-        t.config.resolved_retention = 2;
-        let ids: Vec<MsgId> = (0..5).map(|_| t.send(NodeId(0), NodeId(1), "x")).collect();
+        let ids: Vec<MsgId> = (0..RESOLVED_RETENTION + 3)
+            .map(|_| t.send(NodeId(0), NodeId(1), "x"))
+            .collect();
         t.run_until_idle();
-        // The two youngest resolved statuses are queryable ...
-        assert!(matches!(t.status(ids[4]), SendStatus::Delivered { .. }));
-        assert!(matches!(t.status(ids[3]), SendStatus::Delivered { .. }));
+        // The youngest resolved statuses are queryable ...
+        for &id in &ids[3..] {
+            assert!(matches!(t.status(id), SendStatus::Delivered { .. }));
+        }
         assert_eq!(t.stats().resolved_retired, 3);
         // ... and the retransmit queue itself is drained.
-        assert!(t.stats().pending_high_water >= 1);
+        assert_eq!(t.stats().pending_high_water, ids.len() as u64);
     }
 
     #[test]
     #[should_panic(expected = "unknown or retired")]
     fn querying_a_retired_status_panics() {
         let mut t = transport(0.0, 13);
-        t.config.resolved_retention = 1;
         let first = t.send(NodeId(0), NodeId(1), "x");
-        t.send(NodeId(0), NodeId(1), "y");
+        for _ in 0..RESOLVED_RETENTION {
+            t.send(NodeId(0), NodeId(1), "y");
+        }
         t.run_until_idle();
         t.status(first);
     }
@@ -831,8 +708,8 @@ mod tests {
             parent_id: 7,
         };
         let mut t = transport(0.0, 22);
-        t.set_duplicate_probability(1.0);
-        t.send_traced(NodeId(0), NodeId(1), "twice", &ctx.to_wire(), 100);
+        let id = t.send_traced(NodeId(0), NodeId(1), "twice", &ctx.to_wire(), 100);
+        lose_first_ack(&mut t, id);
         t.run_until_idle();
         let events = t.take_trace_events();
         assert!(events.iter().any(|e| e.name == "transport.dedup_drop"));
@@ -862,8 +739,7 @@ mod tests {
             let mut clean = transport(1.0, 23);
             let clean_id = clean.send_traced(NodeId(0), NodeId(1), "x", &good, 50);
             clean.run_until_idle();
-            assert_eq!(t.status(id), clean.status(clean_id));
-            assert_eq!(t.trace(), clean.trace(), "event trace unaffected");
+            assert_eq!(outcome(&mut t, &[id]), outcome(&mut clean, &[clean_id]));
         }
     }
 
@@ -876,23 +752,25 @@ mod tests {
         };
         let run = |traced: bool| {
             let mut t = transport(0.4, 24);
-            for _ in 0..4 {
-                if traced {
-                    t.send_traced(NodeId(0), NodeId(1), "p", &ctx.to_wire(), 0);
-                } else {
-                    t.send(NodeId(0), NodeId(1), "p");
-                }
-            }
+            let ids: Vec<MsgId> = (0..4)
+                .map(|_| {
+                    if traced {
+                        t.send_traced(NodeId(0), NodeId(1), "p", &ctx.to_wire(), 0)
+                    } else {
+                        t.send(NodeId(0), NodeId(1), "p")
+                    }
+                })
+                .collect();
             t.run_until_idle();
             let events = t.take_trace_events();
-            (t.trace().to_vec(), t.stats(), events)
+            (outcome(&mut t, &ids), events)
         };
-        let (trace_plain, stats_plain, events_plain) = run(false);
-        let (trace_traced, stats_traced, events_traced) = run(true);
+        let (outcome_plain, events_plain) = run(false);
+        let (outcome_traced, events_traced) = run(true);
+        let stats_traced = outcome_traced.2;
         // Attribution is purely observational: same rng draws, same
         // delivery schedule, same counters.
-        assert_eq!(trace_plain, trace_traced);
-        assert_eq!(stats_plain, stats_traced);
+        assert_eq!(outcome_plain, outcome_traced);
         assert!(events_plain.is_empty());
         assert_eq!(
             events_traced.is_empty(),
@@ -902,13 +780,14 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_respects_cap() {
-        let mut t = transport(0.0, 7);
-        t.config.jitter_frac = 0.0;
-        let b1 = t.backoff(1).as_secs_f64();
-        let b2 = t.backoff(2).as_secs_f64();
-        let b9 = t.backoff(9).as_secs_f64();
-        assert!((b1 - 0.2).abs() < 1e-9);
-        assert!((b2 - 0.4).abs() < 1e-9);
-        assert!((b9 - 5.0).abs() < 1e-9, "capped at max_backoff, got {b9}");
+        let mut rng = StdRng::seed_from_u64(7);
+        for attempt in 1..=10 {
+            let nominal = (0.2 * 2f64.powi(attempt - 1)).min(5.0);
+            let wait = backoff(&mut rng, attempt as u32).as_secs_f64();
+            assert!(
+                (wait - nominal).abs() <= nominal * JITTER_FRAC + 1e-6,
+                "attempt {attempt}: {wait} s against {nominal} s"
+            );
+        }
     }
 }

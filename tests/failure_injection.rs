@@ -20,13 +20,13 @@ fn partitioned_network_drops_offer_delivery() {
     let mut rng = StdRng::seed_from_u64(1);
     net.partition(NodeId(0), NodeId(1));
     assert!(net
-        .send(NodeId(0), NodeId(1), "offer", SimTime::ZERO, &mut rng)
+        .send(NodeId(0), NodeId(1), SimTime::ZERO, &mut rng)
         .is_none());
     net.heal(NodeId(0), NodeId(1));
-    let delivery = net
-        .send(NodeId(0), NodeId(1), "offer", SimTime::ZERO, &mut rng)
+    let arrival = net
+        .send(NodeId(0), NodeId(1), SimTime::ZERO, &mut rng)
         .expect("healed link delivers");
-    assert!(delivery.at > SimTime::ZERO);
+    assert!(arrival > SimTime::ZERO);
 }
 
 #[test]
