@@ -2,9 +2,10 @@
 //!
 //! Every module exposes `run(quick: bool) -> Vec<Table>`; `quick` trims
 //! trial counts so the experiment suite can run inside the test suite.
+//! Every cell is simulated-clock, so each experiment is pinned in
+//! `bench/golden/`; host throughput is `benchmark/`'s to measure.
 
 pub mod e10_robustness;
-pub mod e11_engine_scaling;
 pub mod e12_phase_latency;
 pub mod e13_crash_recovery;
 pub mod e14_load;
@@ -14,7 +15,6 @@ pub mod e2_double_spend;
 pub mod e3_btcfast_security;
 pub mod e4_fees;
 pub mod e5_dispute_latency;
-pub mod e6_throughput;
 pub mod e7_latency_cdf;
 pub mod e8_collateral;
 pub mod e9_judgment_accuracy;
@@ -31,12 +31,10 @@ pub fn run(id: &str, quick: bool) -> Vec<Table> {
         "e3" => e3_btcfast_security::run(quick),
         "e4" => e4_fees::run(quick),
         "e5" => e5_dispute_latency::run(quick),
-        "e6" => e6_throughput::run(quick),
         "e7" => e7_latency_cdf::run(quick),
         "e8" => e8_collateral::run(quick),
         "e9" => e9_judgment_accuracy::run(quick),
         "e10" => e10_robustness::run(quick),
-        "e11" => e11_engine_scaling::run(quick),
         "e12" => e12_phase_latency::run(quick),
         "e13" => e13_crash_recovery::run(quick),
         "e14" => e14_load::run(quick),
@@ -53,8 +51,8 @@ pub fn run(id: &str, quick: bool) -> Vec<Table> {
 }
 
 /// All experiment ids, in order.
-pub const ALL_IDS: [&str; 15] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+pub const ALL_IDS: [&str; 13] = [
+    "e1", "e2", "e3", "e4", "e5", "e7", "e8", "e9", "e10", "e12", "e13", "e14", "e15",
 ];
 
 #[cfg(test)]

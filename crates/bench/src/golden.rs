@@ -1,20 +1,14 @@
-//! Pinned experiment output: `bench/golden/` holds what the simulated-clock
-//! experiments print at `quick` size and the `harness trace` JSONL.
+//! Pinned experiment output: `bench/golden/` holds what every experiment
+//! prints at `quick` size and the `harness trace` JSONL.
 //!
 //! Those outputs are a pure function of the code — no host, worker count or
 //! wall-clock figure reaches them — so a table that moves is a change of
 //! behaviour. The one test below regenerates every file and compares; a
 //! table that was meant to move is re-pinned with `harness bless`, and the
-//! diff of `bench/golden/` is then part of the review. E6 and E11 print
-//! wall-clock cells and are not pinned.
+//! diff of `bench/golden/` is then part of the review.
 
 use crate::experiments;
 use std::path::PathBuf;
-
-/// The experiments whose every cell is simulated-clock.
-const PINNED: [&str; 13] = [
-    "e1", "e2", "e3", "e4", "e5", "e7", "e8", "e9", "e10", "e12", "e13", "e14", "e15",
-];
 
 /// `bench/golden/` of this checkout.
 pub fn dir() -> PathBuf {
@@ -23,7 +17,7 @@ pub fn dir() -> PathBuf {
 
 /// Every pinned file as `(name, contents)`, regenerated from the code.
 pub fn generate() -> Vec<(String, String)> {
-    let mut files: Vec<(String, String)> = PINNED
+    let mut files: Vec<(String, String)> = experiments::ALL_IDS
         .iter()
         .map(|id| {
             // A thread of its own, as `harness <id> quick` has: E12 prints

@@ -3,7 +3,7 @@
 //! ```text
 //! harness                      # run every experiment (full trial counts)
 //! harness e3                   # run one experiment
-//! harness e1 e5 e6 e10 quick   # several experiments, reduced trials (CI)
+//! harness e1 e5 e10 quick      # several experiments, reduced trials (CI)
 //! harness ab BASE_BIN HEAD_BIN # the perf gate: two benchmark/ builds, paired
 //! harness overhead             # instrumentation cost against its 5 % budget
 //! harness trace                # chaos run -> JSONL trace + Prometheus dump

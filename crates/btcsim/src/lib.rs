@@ -50,7 +50,7 @@ pub mod pow;
 pub mod script;
 pub mod spv;
 pub mod transaction;
-pub mod u256;
+mod u256;
 pub mod utxo;
 pub mod wallet;
 

@@ -1,14 +1,17 @@
 //! A 256-bit unsigned integer, used for proof-of-work targets and
 //! accumulated chainwork.
 
+use btcfast_crypto::limbs;
+use std::cmp::Ordering;
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Shl, Shr, Sub};
+use std::ops::{Shl, Shr};
 
 /// A 256-bit unsigned integer stored as four little-endian `u64` limbs.
 ///
-/// Supports exactly the operations Bitcoin's consensus code needs: compact
-/// target decoding, `work = 2^256 / (target + 1)` per header, and chainwork
-/// accumulation/comparison.
+/// The limb arithmetic is [`btcfast_crypto::limbs`]; this type gives it a
+/// numeric order and adds exactly what Bitcoin's consensus code needs on
+/// top: shifts for compact target decoding, and `work = 2^256 / (target +
+/// 1)` per header for chainwork accumulation and comparison.
 ///
 /// ```
 /// use btcfast_btcsim::U256;
@@ -16,7 +19,7 @@ use std::ops::{Add, AddAssign, Div, Shl, Shr, Sub};
 /// let a = U256::from_u64(1) << 200;
 /// let b = U256::from_u64(1) << 199;
 /// assert!(a > b);
-/// assert_eq!(b + b, a);
+/// assert_eq!(b.checked_add(&b), Some(a));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct U256(pub [u64; 4]);
@@ -36,107 +39,57 @@ impl U256 {
 
     /// Parses 32 big-endian bytes.
     pub fn from_be_bytes(bytes: &[u8; 32]) -> U256 {
-        let mut limbs = [0u64; 4];
-        for i in 0..4 {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(&bytes[i * 8..(i + 1) * 8]);
-            limbs[3 - i] = u64::from_be_bytes(word);
-        }
-        U256(limbs)
+        U256(limbs::from_be_bytes(bytes))
     }
 
     /// Serializes to 32 big-endian bytes.
     pub fn to_be_bytes(&self) -> [u8; 32] {
-        let mut out = [0u8; 32];
-        for i in 0..4 {
-            out[i * 8..(i + 1) * 8].copy_from_slice(&self.0[3 - i].to_be_bytes());
-        }
-        out
+        limbs::to_be_bytes(&self.0)
     }
 
     /// Returns true if the value is zero.
     pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&l| l == 0)
+        limbs::is_zero(&self.0)
     }
 
-    /// Index of the highest set bit (0-based), or `None` for zero.
-    pub fn highest_bit(&self) -> Option<u32> {
-        for i in (0..4).rev() {
-            if self.0[i] != 0 {
-                return Some(i as u32 * 64 + 63 - self.0[i].leading_zeros());
+    /// The number of significant bits: 0 for zero, 256 for [`U256::MAX`].
+    fn bits(&self) -> u32 {
+        let mut bits = 256;
+        for limb in self.0.iter().rev() {
+            if *limb != 0 {
+                return bits - limb.leading_zeros();
             }
+            bits -= 64;
         }
-        None
+        0
     }
 
     /// Checked addition; `None` on overflow.
     pub fn checked_add(&self, rhs: &U256) -> Option<U256> {
-        let mut out = [0u64; 4];
-        let mut carry = 0u64;
-        for (i, limb) in out.iter_mut().enumerate() {
-            let (s1, c1) = self.0[i].overflowing_add(rhs.0[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
-            *limb = s2;
-            carry = (c1 as u64) + (c2 as u64);
-        }
-        if carry != 0 {
-            None
-        } else {
-            Some(U256(out))
+        match limbs::add(&self.0, &rhs.0) {
+            (sum, 0) => Some(U256(sum)),
+            _ => None,
         }
     }
 
     /// Checked subtraction; `None` on underflow.
     pub fn checked_sub(&self, rhs: &U256) -> Option<U256> {
-        let mut out = [0u64; 4];
-        let mut borrow = 0u64;
-        for (i, limb) in out.iter_mut().enumerate() {
-            let (d1, b1) = self.0[i].overflowing_sub(rhs.0[i]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            *limb = d2;
-            borrow = (b1 as u64) + (b2 as u64);
-        }
-        if borrow != 0 {
-            None
-        } else {
-            Some(U256(out))
+        match limbs::sub(&self.0, &rhs.0) {
+            (difference, 0) => Some(U256(difference)),
+            _ => None,
         }
     }
 
     /// Saturating multiplication by a `u64`.
     pub fn saturating_mul_u64(&self, rhs: u64) -> U256 {
-        let mut out = [0u64; 4];
-        let mut carry = 0u128;
-        for (i, limb) in out.iter_mut().enumerate() {
-            let t = (self.0[i] as u128) * (rhs as u128) + carry;
-            *limb = t as u64;
-            carry = t >> 64;
-        }
-        if carry != 0 {
-            U256::MAX
-        } else {
-            U256(out)
+        match limbs::mul_wide(&self.0, &[rhs, 0, 0, 0]) {
+            [a, b, c, d, 0, 0, 0, 0] => U256([a, b, c, d]),
+            _ => U256::MAX,
         }
     }
 
-    /// Division by a `u64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs` is zero.
-    pub fn div_u64(&self, rhs: u64) -> U256 {
-        assert_ne!(rhs, 0, "division by zero");
-        let mut out = [0u64; 4];
-        let mut rem = 0u128;
-        for i in (0..4).rev() {
-            let cur = (rem << 64) | self.0[i] as u128;
-            out[i] = (cur / rhs as u128) as u64;
-            rem = cur % rhs as u128;
-        }
-        U256(out)
-    }
-
-    /// Long division by another `U256`, returning the quotient.
+    /// Long division by another `U256`, returning the quotient and the
+    /// remainder.
     ///
     /// # Panics
     ///
@@ -146,11 +99,11 @@ impl U256 {
         if self < rhs {
             return (U256::ZERO, *self);
         }
-        let shift = self.highest_bit().expect("self >= rhs > 0") as i32
-            - rhs.highest_bit().expect("rhs > 0") as i32;
+        // `self >= rhs`, so `self` has at least as many bits.
+        let shift = self.bits() - rhs.bits();
         let mut quotient = U256::ZERO;
         let mut remainder = *self;
-        let mut divisor = *rhs << shift as u32;
+        let mut divisor = *rhs << shift;
         for i in (0..=shift).rev() {
             if let Some(d) = remainder.checked_sub(&divisor) {
                 remainder = d;
@@ -164,51 +117,13 @@ impl U256 {
     /// Bitcoin's per-header work: `2^256 / (target + 1)`, computed as
     /// `(~target / (target + 1)) + 1` to stay inside 256 bits.
     pub fn work_from_target(target: &U256) -> U256 {
-        if target == &U256::MAX {
+        let Some(target_plus_1) = target.checked_add(&U256::ONE) else {
+            // target = 2^256 - 1: the work is exactly one.
             return U256::ONE;
-        }
-        let not_target = U256([!target.0[0], !target.0[1], !target.0[2], !target.0[3]]);
-        let target_plus_1 = target
-            .checked_add(&U256::ONE)
-            .expect("target < MAX checked above");
+        };
+        let not_target = U256(target.0.map(|limb| !limb));
         let (q, _) = not_target.div_rem(&target_plus_1);
         q.checked_add(&U256::ONE).unwrap_or(U256::MAX)
-    }
-
-    /// Approximate conversion to `f64` (for statistics/plots, not consensus).
-    pub fn to_f64_lossy(&self) -> f64 {
-        let mut acc = 0.0f64;
-        for i in (0..4).rev() {
-            acc = acc * 2f64.powi(64) + self.0[i] as f64;
-        }
-        acc
-    }
-}
-
-impl Add for U256 {
-    type Output = U256;
-    fn add(self, rhs: U256) -> U256 {
-        self.checked_add(&rhs).expect("U256 addition overflow")
-    }
-}
-
-impl AddAssign for U256 {
-    fn add_assign(&mut self, rhs: U256) {
-        *self = *self + rhs;
-    }
-}
-
-impl Sub for U256 {
-    type Output = U256;
-    fn sub(self, rhs: U256) -> U256 {
-        self.checked_sub(&rhs).expect("U256 subtraction underflow")
-    }
-}
-
-impl Div for U256 {
-    type Output = U256;
-    fn div(self, rhs: U256) -> U256 {
-        self.div_rem(&rhs).0
     }
 }
 
@@ -251,19 +166,13 @@ impl Shr<u32> for U256 {
 }
 
 impl Ord for U256 {
-    fn cmp(&self, other: &U256) -> std::cmp::Ordering {
-        for i in (0..4).rev() {
-            match self.0[i].cmp(&other.0[i]) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        std::cmp::Ordering::Equal
+    fn cmp(&self, other: &U256) -> Ordering {
+        limbs::cmp(&self.0, &other.0)
     }
 }
 
 impl PartialOrd for U256 {
-    fn partial_cmp(&self, other: &U256) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &U256) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
@@ -275,18 +184,6 @@ impl fmt::Debug for U256 {
             write!(f, "{:016x}", self.0[i])?;
         }
         write!(f, ")")
-    }
-}
-
-impl fmt::Display for U256 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self, f)
-    }
-}
-
-impl From<u64> for U256 {
-    fn from(v: u64) -> U256 {
-        U256::from_u64(v)
     }
 }
 
@@ -306,7 +203,8 @@ mod tests {
     fn add_sub_round_trip() {
         let a = U256([5, 6, 7, 8]);
         let b = U256([1, 2, 3, 4]);
-        assert_eq!((a + b) - b, a);
+        let sum = a.checked_add(&b).unwrap();
+        assert_eq!(sum.checked_sub(&b), Some(a));
     }
 
     #[test]
@@ -326,18 +224,11 @@ mod tests {
     }
 
     #[test]
-    fn highest_bit() {
-        assert_eq!(U256::ZERO.highest_bit(), None);
-        assert_eq!(U256::ONE.highest_bit(), Some(0));
-        assert_eq!((U256::ONE << 200).highest_bit(), Some(200));
-        assert_eq!(U256::MAX.highest_bit(), Some(255));
-    }
-
-    #[test]
-    fn div_u64_matches_div_rem() {
-        let v = U256([0x123456789abcdef0, 0xfedcba9876543210, 0x1111, 0]);
-        let d = 12345u64;
-        assert_eq!(v.div_u64(d), v.div_rem(&U256::from_u64(d)).0);
+    fn bits() {
+        assert_eq!(U256::ZERO.bits(), 0);
+        assert_eq!(U256::ONE.bits(), 1);
+        assert_eq!((U256::ONE << 200).bits(), 201);
+        assert_eq!(U256::MAX.bits(), 256);
     }
 
     #[test]
@@ -375,10 +266,10 @@ mod tests {
         let t2 = U256::ONE << 223;
         let w1 = U256::work_from_target(&t1);
         let w2 = U256::work_from_target(&t2);
-        assert_eq!(w1, (U256::ONE << 32) - U256::ONE);
-        assert_eq!(w2, (U256::ONE << 33) - U256::ONE);
+        assert_eq!(w1, U256::from_u64((1 << 32) - 1));
+        assert_eq!(w2, U256::from_u64((1 << 33) - 1));
         // Halving the target (roughly) doubles the work.
-        assert_eq!(w2, w1.saturating_mul_u64(2) + U256::ONE);
+        assert_eq!(w1.saturating_mul_u64(2).checked_add(&U256::ONE), Some(w2));
     }
 
     #[test]
@@ -393,13 +284,6 @@ mod tests {
     fn be_bytes_round_trip() {
         let v = U256([1, 2, 3, 4]);
         assert_eq!(U256::from_be_bytes(&v.to_be_bytes()), v);
-    }
-
-    #[test]
-    fn to_f64_lossy_small() {
-        assert_eq!(U256::from_u64(12345).to_f64_lossy(), 12345.0);
-        let big = U256::ONE << 64;
-        assert_eq!(big.to_f64_lossy(), 2f64.powi(64));
     }
 
     #[test]
@@ -418,11 +302,10 @@ mod tests {
             prop_assume!(!b.is_zero());
             let (q, r) = a.div_rem(&b);
             prop_assert!(r < b);
-            // a = q*b + r — verify via repeated addition only when q is small,
-            // otherwise verify through the identity with saturating ops.
-            if let Some(qb) = checked_mul(&q, &b) {
-                prop_assert_eq!(qb.checked_add(&r).unwrap(), a);
-            }
+            // a = q*b + r, and q*b <= a fits in 256 bits.
+            let [w0, w1, w2, w3, high @ ..] = limbs::mul_wide(&q.0, &b.0);
+            prop_assert_eq!(high, [0u64; 4]);
+            prop_assert_eq!(U256([w0, w1, w2, w3]).checked_add(&r), Some(a));
         }
 
         #[test]
@@ -440,28 +323,9 @@ mod tests {
         #[test]
         fn prop_ord_consistent_with_sub(a in arb_u256(), b in arb_u256()) {
             match a.cmp(&b) {
-                std::cmp::Ordering::Less => prop_assert!(a.checked_sub(&b).is_none()),
+                Ordering::Less => prop_assert!(a.checked_sub(&b).is_none()),
                 _ => prop_assert!(a.checked_sub(&b).is_some()),
             }
-        }
-    }
-
-    /// Full 256x256 checked multiply used only by the division property test.
-    fn checked_mul(a: &U256, b: &U256) -> Option<U256> {
-        let mut out = [0u64; 8];
-        for i in 0..4 {
-            let mut carry = 0u128;
-            for j in 0..4 {
-                let t = (a.0[i] as u128) * (b.0[j] as u128) + (out[i + j] as u128) + carry;
-                out[i + j] = t as u64;
-                carry = t >> 64;
-            }
-            out[i + 4] = carry as u64;
-        }
-        if out[4..].iter().any(|&l| l != 0) {
-            None
-        } else {
-            Some(U256([out[0], out[1], out[2], out[3]]))
         }
     }
 }

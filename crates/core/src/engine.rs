@@ -790,14 +790,16 @@ mod tests {
 
     #[test]
     fn engine_accepts_every_payment_sub_second() {
-        let engine = PaymentEngine::new(small());
-        let report = engine.run(42, &WorkerPool::new(2)).unwrap();
-        assert_eq!(report.total_payments, 6);
-        assert_eq!(report.total_accepted, 6);
-        assert!(report.outcomes.iter().all(|o| o.rejected == 0));
-        let (p50, p99) = report.accept_latency_quantiles().unwrap();
-        assert!(p50 <= p99);
-        assert!(p99 < 1.0, "p99 accept latency = {p99}s");
+        for shards in [1, 2] {
+            let engine = PaymentEngine::new(EngineConfig { shards, ..small() });
+            let report = engine.run(42, &WorkerPool::new(2)).unwrap();
+            assert_eq!(report.total_payments, 3 * shards);
+            assert_eq!(report.total_accepted, 3 * shards);
+            assert!(report.outcomes.iter().all(|o| o.rejected == 0));
+            let (p50, p99) = report.accept_latency_quantiles().unwrap();
+            assert!(p50 <= p99);
+            assert!(p99 < 1.0, "{shards} shards: p99 accept latency = {p99}s");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   CPU's SHA instructions where it has them (the crate's one `unsafe` call).
 //! * [`ripemd160`] — RIPEMD-160, for Bitcoin-style `hash160` addresses.
 //! * [`hmac`] — HMAC-SHA256, used for RFC 6979 deterministic ECDSA nonces.
-//! * [`field`], [`scalar`], [`point`] — secp256k1 arithmetic.
+//! * [`field`], [`scalar`], [`point`] — secp256k1 arithmetic, on the
+//!   256-bit integer operations of [`limbs`].
 //! * [`mul_table`] — table-driven scalar multiplication: wNAF
 //!   odd-multiple tables with a per-key cache feeding the ECDSA accept
 //!   path, and a fixed-base comb for the generator on the signing path.
@@ -51,7 +52,7 @@ pub mod hash;
 pub mod hex;
 pub mod hmac;
 pub mod keys;
-mod limbs;
+pub mod limbs;
 pub mod merkle;
 pub mod mul_table;
 pub mod point;

@@ -1,12 +1,12 @@
 //! Shared 256-bit little-endian limb arithmetic used by the secp256k1 field
-//! and scalar implementations.
+//! and scalar implementations, and under btcsim's `U256` chainwork.
 //!
 //! Values are `[u64; 4]` in little-endian limb order. Both secp256k1 moduli
 //! have the form `m = 2^256 - c` with small-ish `c`, so reduction of a
 //! 512-bit product folds the high half down via `2^256 ≡ c (mod m)`.
 
 /// Adds `a + b`, returning the 4-limb sum and the carry-out bit.
-pub(crate) fn add(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
+pub fn add(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
     let mut out = [0u64; 4];
     let mut carry = 0u64;
     for i in 0..4 {
@@ -19,7 +19,7 @@ pub(crate) fn add(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
 }
 
 /// Subtracts `a - b`, returning the 4-limb difference and the borrow-out bit.
-pub(crate) fn sub(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
+pub fn sub(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
     let mut out = [0u64; 4];
     let mut borrow = 0u64;
     for i in 0..4 {
@@ -32,7 +32,7 @@ pub(crate) fn sub(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
 }
 
 /// Compares `a` and `b` as 256-bit integers.
-pub(crate) fn cmp(a: &[u64; 4], b: &[u64; 4]) -> std::cmp::Ordering {
+pub fn cmp(a: &[u64; 4], b: &[u64; 4]) -> std::cmp::Ordering {
     for i in (0..4).rev() {
         match a[i].cmp(&b[i]) {
             std::cmp::Ordering::Equal => continue,
@@ -43,12 +43,12 @@ pub(crate) fn cmp(a: &[u64; 4], b: &[u64; 4]) -> std::cmp::Ordering {
 }
 
 /// Returns true if all limbs are zero.
-pub(crate) fn is_zero(a: &[u64; 4]) -> bool {
+pub fn is_zero(a: &[u64; 4]) -> bool {
     a.iter().all(|&l| l == 0)
 }
 
 /// Schoolbook multiplication `a * b` into an 8-limb (512-bit) product.
-pub(crate) fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
+pub fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
     let mut out = [0u64; 8];
     for i in 0..4 {
         let mut carry = 0u128;
@@ -300,7 +300,7 @@ pub(crate) fn reduce_small(v: [u64; 4], carry: u64, modulus: &[u64; 4], c: &[u64
 }
 
 /// Parses 32 big-endian bytes into little-endian limbs (no reduction).
-pub(crate) fn from_be_bytes(bytes: &[u8; 32]) -> [u64; 4] {
+pub fn from_be_bytes(bytes: &[u8; 32]) -> [u64; 4] {
     let mut limbs = [0u64; 4];
     for i in 0..4 {
         let mut word = [0u8; 8];
@@ -311,7 +311,7 @@ pub(crate) fn from_be_bytes(bytes: &[u8; 32]) -> [u64; 4] {
 }
 
 /// Serializes little-endian limbs into 32 big-endian bytes.
-pub(crate) fn to_be_bytes(limbs: &[u64; 4]) -> [u8; 32] {
+pub fn to_be_bytes(limbs: &[u64; 4]) -> [u8; 32] {
     let mut out = [0u8; 32];
     for i in 0..4 {
         out[i * 8..(i + 1) * 8].copy_from_slice(&limbs[3 - i].to_be_bytes());

@@ -5,7 +5,7 @@ use crate::types::EvidenceSummary;
 use btcfast_btcsim::block::BlockHeader;
 use btcfast_btcsim::pow::CompactBits;
 use btcfast_btcsim::spv::{HeaderSegment, SpvEvidence, TxInclusion};
-use btcfast_btcsim::u256::U256;
+use btcfast_btcsim::U256;
 use btcfast_crypto::{Hash256, MerkleProof};
 use btcfast_pscsim::codec::{take, CodecError, Decode, Encode};
 use btcfast_pscsim::contract::{ContractError, Storage};
@@ -188,9 +188,10 @@ pub fn verify_on_chain(
         .map_err(ContractError::Revert)
 }
 
-/// Compares two stored evidence summaries by accumulated work.
+/// Compares two stored evidence summaries by accumulated work. The work is
+/// stored as big-endian bytes, whose lexicographic order is numeric order.
 pub fn heavier(a: &EvidenceSummary, b: &EvidenceSummary) -> std::cmp::Ordering {
-    U256::from_be_bytes(&a.work).cmp(&U256::from_be_bytes(&b.work))
+    a.work.cmp(&b.work)
 }
 
 #[cfg(test)]
@@ -463,5 +464,17 @@ mod tests {
         assert_eq!(heavier(&heavy, &light), std::cmp::Ordering::Greater);
         assert_eq!(heavier(&light, &heavy), std::cmp::Ordering::Less);
         assert_eq!(heavier(&light, &light), std::cmp::Ordering::Equal);
+        // A work that fills only the bottom limb is lighter than one in the
+        // top limb: the byte order is the limb order, most significant first.
+        let top = EvidenceSummary {
+            work: (U256::ONE << 200).to_be_bytes(),
+            ..Default::default()
+        };
+        let bottom = EvidenceSummary {
+            work: U256::from_u64(u64::MAX).to_be_bytes(),
+            ..Default::default()
+        };
+        assert_eq!(heavier(&top, &bottom), std::cmp::Ordering::Greater);
+        assert_eq!(heavier(&bottom, &top), std::cmp::Ordering::Less);
     }
 }

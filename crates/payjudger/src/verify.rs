@@ -5,7 +5,7 @@
 //! [`crate::evidence::check_evidence`].
 
 use btcfast_btcsim::spv::{HeaderSegment, SpvError};
-use btcfast_btcsim::u256::U256;
+use btcfast_btcsim::U256;
 
 /// Zero-sized stand-in for the deleted memoizing verifier.
 #[derive(Clone, Copy, Debug, Default)]

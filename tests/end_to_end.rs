@@ -176,10 +176,13 @@ fn one_escrow_serves_two_merchants_concurrently() {
     let payment_id_b =
         btcfast_suite::payjudger::PayJudgerClient::payment_id_from(&receipt).unwrap();
 
-    // Merchant B evaluates and accepts.
+    // Merchant B evaluates and accepts. Nothing on this thread has verified
+    // the offer's signature, so the decision pays the ECDSA verify.
     let offer_b = session
         .customer
         .make_offer(tx_b.clone(), payment_id_b, 400_000);
+    let sig_cache = btcfast_suite::btcsim::utxo::sig_cache_stats;
+    let misses = sig_cache().misses;
     let decision = merchant_b.evaluate_offer(
         &offer_b,
         &session.btc,
@@ -188,6 +191,7 @@ fn one_escrow_serves_two_merchants_concurrently() {
         &session.judger,
     );
     assert!(decision.is_ok(), "{decision:?}");
+    assert_eq!(sig_cache().misses, misses + 1, "a cold-cache decision");
     session
         .mempool
         .insert(
