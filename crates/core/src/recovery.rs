@@ -30,10 +30,13 @@
 //! [`RecoveryManager::digest`] over the re-hydrated state is
 //! byte-identical to the digest of the uninterrupted run. The audit
 //! crate's `store` engine checks exactly that at every crash offset.
+//! The ledger's payments are held as the payload's entry region itself,
+//! so digest, checkpoint and re-open are each one pass over those bytes.
 
 use btcfast_crypto::sha256::{sha256, Sha256};
 use btcfast_crypto::Hash256;
 use btcfast_pscsim::codec::{take, CodecError, Decode, Encode};
+use btcfast_store::snapshot::HEADER_BYTES;
 use btcfast_store::{SnapshotStore, Storage, StoreError, Wal};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -191,28 +194,101 @@ pub struct PaymentState {
     pub merchant_wins: Option<bool>,
 }
 
-/// Registered payments by escrow payment id, held as one `Vec` in
-/// ascending id order: the contract assigns ids in ascending order, so
-/// registering a payment is a push, a snapshot decodes straight into the
-/// `Vec`, and dropping the ledger is one free.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Payments(Vec<(u64, PaymentState)>);
+/// Bytes per ledger entry: `id ‖ txid ‖ amount ‖ flags ‖ verdict`.
+const ENTRY_BYTES: usize = 8 + 32 + 8 + 1 + 1;
+
+/// One ledger entry, as the snapshot slot holds it.
+type LedgerEntry = [u8; ENTRY_BYTES];
+
+/// Byte offsets inside a [`LedgerEntry`] (the id is at 0).
+const TXID: usize = 8;
+const AMOUNT: usize = 40;
+const FLAGS: usize = 48;
+const VERDICT: usize = 49;
+
+/// Flag bits of an entry, one per `PaymentState` flag; bits 6-7 are unused.
+const OFFERED: u8 = 1;
+const ACCEPTED: u8 = 2;
+const BROADCAST: u8 = 4;
+const DISPUTED: u8 = 8;
+const EVIDENCE_SUBMITTED: u8 = 16;
+const JUDGED: u8 = 32;
+const KNOWN_FLAGS: u8 = 0x3F;
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    let mut word = [0; 8];
+    word.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(word)
+}
+
+fn entry_id(entry: &LedgerEntry) -> u64 {
+    le_u64(entry)
+}
+
+impl PaymentState {
+    /// The state an entry holds. Every held verdict byte is 0, 1 or 2.
+    fn from_entry(entry: &LedgerEntry) -> PaymentState {
+        let flag = |bit: u8| entry[FLAGS] & bit != 0;
+        let mut txid = [0; 32];
+        txid.copy_from_slice(&entry[TXID..AMOUNT]);
+        PaymentState {
+            txid: Hash256(txid),
+            amount_sats: le_u64(&entry[AMOUNT..]),
+            offered: flag(OFFERED),
+            accepted: flag(ACCEPTED),
+            broadcast: flag(BROADCAST),
+            disputed: flag(DISPUTED),
+            evidence_submitted: flag(EVIDENCE_SUBMITTED),
+            judged: flag(JUDGED),
+            merchant_wins: match entry[VERDICT] {
+                0 => None,
+                1 => Some(false),
+                _ => Some(true),
+            },
+        }
+    }
+}
+
+/// Registered payments by escrow payment id, held as the snapshot slot
+/// holds them: one buffer of [`ENTRY_BYTES`]-byte entries in ascending id
+/// order. The contract assigns ids in ascending order, so registering a
+/// payment is a push; re-open adopts a slot's entry region as the buffer,
+/// and digest and checkpoint read the entries as one slice.
+#[derive(Clone, Default, Eq)]
+pub struct Payments {
+    /// The entries are `buffer[start..]`: an adopted slot keeps its header
+    /// and head in front rather than moving every entry to drop them.
+    buffer: Vec<u8>,
+    start: usize,
+}
+
+impl PartialEq for Payments {
+    fn eq(&self, other: &Payments) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl fmt::Debug for Payments {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
 
 impl Payments {
     /// The number of payments.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.entries().len()
     }
 
     /// Whether no payment is registered.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.entries().is_empty()
     }
 
     /// The payment with id `id`, if registered.
-    pub fn get(&self, id: &u64) -> Option<&PaymentState> {
+    pub fn get(&self, id: &u64) -> Option<PaymentState> {
         let at = self.position(*id).ok()?;
-        Some(&self.0[at].1)
+        Some(PaymentState::from_entry(&self.entries()[at]))
     }
 
     /// Whether a payment with id `id` is registered.
@@ -221,30 +297,86 @@ impl Payments {
     }
 
     /// Every payment, in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &PaymentState)> + '_ {
-        self.0.iter().map(|(id, state)| (id, state))
+    pub fn iter(&self) -> impl Iterator<Item = (u64, PaymentState)> + '_ {
+        self.entries()
+            .iter()
+            .map(|entry| (entry_id(entry), PaymentState::from_entry(entry)))
     }
 
+    /// The entries as the snapshot payload holds them.
+    fn bytes(&self) -> &[u8] {
+        &self.buffer[self.start..]
+    }
+
+    fn entries(&self) -> &[LedgerEntry] {
+        self.bytes().as_chunks().0
+    }
+
+    /// Where `id` is or would go. The newest payment — the one the next
+    /// step of a lifecycle names — is checked before the binary search.
     fn position(&self, id: u64) -> Result<usize, usize> {
-        self.0.binary_search_by_key(&id, |(entry, _)| *entry)
-    }
-
-    pub(crate) fn get_mut(&mut self, id: &u64) -> Option<&mut PaymentState> {
-        let at = self.position(*id).ok()?;
-        Some(&mut self.0[at].1)
-    }
-
-    /// Registers `state` under `id`, replacing any payment already there.
-    /// An id above every registered one — what the contract assigns — is a
-    /// push; any other id is a binary-search insert, correct but O(n).
-    pub(crate) fn insert(&mut self, id: u64, state: PaymentState) {
-        match self.0.last() {
-            Some((last, _)) if *last >= id => match self.position(id) {
-                Ok(at) => self.0[at].1 = state,
-                Err(at) => self.0.insert(at, (id, state)),
-            },
-            _ => self.0.push((id, state)),
+        let entries = self.entries();
+        match entries.last() {
+            Some(last) if entry_id(last) == id => Ok(entries.len() - 1),
+            _ => entries.binary_search_by_key(&id, entry_id),
         }
+    }
+
+    /// Sets `flags` on payment `id` and returns its entry, if registered.
+    fn mark(&mut self, id: &u64, flags: u8) -> Option<&mut LedgerEntry> {
+        let at = self.position(*id).ok()?;
+        let entry = &mut self.buffer[self.start..].as_chunks_mut().0[at];
+        entry[FLAGS] |= flags;
+        Some(entry)
+    }
+
+    /// Registers a fresh payment under `id`, replacing any payment already
+    /// there. An id above every registered one — what the contract assigns
+    /// — is a push; any other id is a binary-search insert, correct but O(n).
+    fn insert(&mut self, id: u64, txid: &Hash256, amount_sats: u64) {
+        let mut entry = [0; ENTRY_BYTES];
+        entry[..TXID].copy_from_slice(&id.to_le_bytes());
+        entry[TXID..AMOUNT].copy_from_slice(txid.as_bytes());
+        entry[AMOUNT..FLAGS].copy_from_slice(&amount_sats.to_le_bytes());
+        match self.entries().last() {
+            Some(last) if entry_id(last) >= id => {
+                let (at, replaced) = match self.position(id) {
+                    Ok(at) => (at, ENTRY_BYTES),
+                    Err(at) => (at, 0),
+                };
+                let at = self.start + at * ENTRY_BYTES;
+                self.buffer.splice(at..at + replaced, entry);
+            }
+            _ => self.buffer.extend_from_slice(&entry),
+        }
+    }
+
+    /// Adopts `buffer[start..]`, a whole number of entries read from a
+    /// slot, exactly as decoding each entry would read it: a verdict byte
+    /// outside {0, 1, 2} is an error, stray flag bits 6-7 are dropped, and
+    /// unsorted or repeated ids are sorted as sequential inserts would
+    /// leave them — last entry wins.
+    fn adopt(mut buffer: Vec<u8>, start: usize) -> Result<Payments, CodecError> {
+        let mut ascending = true;
+        let mut previous = None;
+        for entry in buffer[start..].as_chunks_mut::<ENTRY_BYTES>().0 {
+            if entry[VERDICT] > 2 {
+                return Err(CodecError::BadTag(entry[VERDICT]));
+            }
+            entry[FLAGS] &= KNOWN_FLAGS;
+            let id = entry_id(entry);
+            ascending &= previous.is_none_or(|previous| previous < id);
+            previous = Some(id);
+        }
+        if !ascending {
+            let mut entries = buffer[start..].as_chunks::<ENTRY_BYTES>().0.to_vec();
+            entries.reverse();
+            entries.sort_by_key(entry_id);
+            entries.dedup_by_key(|entry| entry_id(entry));
+            buffer.truncate(start);
+            buffer.extend_from_slice(entries.as_flattened());
+        }
+        Ok(Payments { buffer, start })
     }
 }
 
@@ -422,114 +554,15 @@ tagged_codec! {
     }
 }
 
-impl PaymentState {
-    /// The ledger entry for this payment under `id`: id, txid, amount,
-    /// flags, verdict — one fixed-width write per payment.
-    fn encode(&self, id: u64) -> [u8; PaymentLedger::PAYMENT_BYTES] {
-        let mut flags = 0u8;
-        for (bit, set) in [
-            self.offered,
-            self.accepted,
-            self.broadcast,
-            self.disputed,
-            self.evidence_submitted,
-            self.judged,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if set {
-                flags |= 1 << bit;
-            }
-        }
-        let verdict = match self.merchant_wins {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        };
-        let mut entry = [0u8; PaymentLedger::PAYMENT_BYTES];
-        entry[..8].copy_from_slice(&id.to_le_bytes());
-        entry[8..40].copy_from_slice(self.txid.as_bytes());
-        entry[40..48].copy_from_slice(&self.amount_sats.to_le_bytes());
-        entry[48] = flags;
-        entry[49] = verdict;
-        entry
-    }
-}
-
-/// A ledger entry after its id: txid, amount, flags, verdict.
-impl Decode for PaymentState {
-    fn decode_from(input: &mut &[u8]) -> Result<PaymentState, CodecError> {
-        let txid = Decode::decode_from(input)?;
-        let amount_sats = Decode::decode_from(input)?;
-        let flags = u8::decode_from(input)?;
-        let merchant_wins = match u8::decode_from(input)? {
-            0 => None,
-            1 => Some(false),
-            2 => Some(true),
-            b => return Err(CodecError::BadTag(b)),
-        };
-        Ok(PaymentState {
-            txid,
-            amount_sats,
-            offered: flags & 1 != 0,
-            accepted: flags & 2 != 0,
-            broadcast: flags & 4 != 0,
-            disputed: flags & 8 != 0,
-            evidence_submitted: flags & 16 != 0,
-            judged: flags & 32 != 0,
-            merchant_wins,
-        })
-    }
-}
-
-/// A `u32` count and that many ledger entries, taken as one slice of
-/// `count × PAYMENT_BYTES` and parsed straight into the `Vec`. Ids are
-/// written ascending; only a hostile slot's unsorted or repeated ids are
-/// sorted, as sequential inserts would leave them: last entry wins.
-impl Decode for Payments {
-    fn decode_from(input: &mut &[u8]) -> Result<Payments, CodecError> {
-        let count = u32::decode_from(input)? as usize;
-        let entries = take(input, count.saturating_mul(PaymentLedger::PAYMENT_BYTES))?;
-        let (entries, _) = entries.as_chunks::<{ PaymentLedger::PAYMENT_BYTES }>();
-        let mut payments = Vec::with_capacity(count);
-        for entry in entries {
-            let mut entry = &entry[..];
-            payments.push(<(u64, PaymentState)>::decode_from(&mut entry)?);
-        }
-        if !payments.is_sorted_by(|(a, _), (b, _)| a < b) {
-            payments.reverse();
-            payments.sort_by_key(|(id, _)| *id);
-            payments.dedup_by_key(|(id, _)| *id);
-        }
-        Ok(Payments(payments))
-    }
-}
-
-impl Decode for PaymentLedger {
-    fn decode_from(input: &mut &[u8]) -> Result<PaymentLedger, CodecError> {
-        Ok(PaymentLedger {
-            escrow_opened: Decode::decode_from(input)?,
-            payments: Decode::decode_from(input)?,
-            value_accepted_sats: Decode::decode_from(input)?,
-        })
-    }
-}
-
 impl PaymentLedger {
-    /// Encoded bytes per ledger payment: id, txid, amount, flags, verdict.
-    const PAYMENT_BYTES: usize = 8 + 32 + 8 + 1 + 1;
+    /// Bytes of the snapshot payload ahead of the entries.
+    const HEAD_BYTES: usize = 1 + 4;
 
-    /// Canonical encoding (snapshot payload; digest input). `piece` is shown
-    /// `out` after every payment, so a consumer that streams can drain it.
-    fn encode(&self, out: &mut Vec<u8>, piece: &mut impl FnMut(&mut Vec<u8>)) {
-        self.escrow_opened.encode_to(out);
-        (self.payments.len() as u32).encode_to(out);
-        for (id, state) in self.payments.iter() {
-            out.extend_from_slice(&state.encode(*id));
-            piece(out);
-        }
-        self.value_accepted_sats.encode_to(out);
+    /// The snapshot payload's head: `escrow_opened ‖ count`.
+    fn head(&self) -> [u8; Self::HEAD_BYTES] {
+        let mut head = [u8::from(self.escrow_opened); Self::HEAD_BYTES];
+        head[1..].copy_from_slice(&(self.payments.len() as u32).to_le_bytes());
+        head
     }
 
     fn apply(&mut self, step: &Step, outcome: Outcome) {
@@ -537,9 +570,7 @@ impl PaymentLedger {
             // The effect never landed; the ledger records nothing. (A
             // merchant refusal still marks the offer as delivered below.)
             if let Step::AcceptanceSend { payment_id, .. } = step {
-                if let Some(p) = self.payments.get_mut(payment_id) {
-                    p.offered = true;
-                }
+                self.payments.mark(payment_id, OFFERED);
             }
             return;
         }
@@ -550,23 +581,12 @@ impl PaymentLedger {
                     txid, amount_sats, ..
                 },
                 Outcome::PaymentRegistered { payment_id },
-            ) => {
-                self.payments.insert(
-                    payment_id,
-                    PaymentState {
-                        txid: *txid,
-                        amount_sats: *amount_sats,
-                        ..PaymentState::default()
-                    },
-                );
-            }
+            ) => self.payments.insert(payment_id, txid, *amount_sats),
             // An Applied without the contract-assigned id cannot place the
             // payment in the ledger; nothing to record.
             (Step::OpenPayment { .. }, _) => {}
             (Step::OfferSend { payment_id, .. }, _) => {
-                if let Some(p) = self.payments.get_mut(payment_id) {
-                    p.offered = true;
-                }
+                self.payments.mark(payment_id, OFFERED);
             }
             (
                 Step::AcceptanceSend {
@@ -575,33 +595,24 @@ impl PaymentLedger {
                 },
                 _,
             ) => {
-                if let Some(p) = self.payments.get_mut(payment_id) {
-                    p.offered = true;
-                    if *accepted && !p.accepted {
-                        p.accepted = true;
-                        self.value_accepted_sats += p.amount_sats;
+                if let Some(entry) = self.payments.mark(payment_id, OFFERED) {
+                    if *accepted && entry[FLAGS] & ACCEPTED == 0 {
+                        entry[FLAGS] |= ACCEPTED;
+                        self.value_accepted_sats += le_u64(&entry[AMOUNT..]);
                     }
                 }
             }
             (Step::Broadcast { payment_id, .. }, _) => {
-                if let Some(p) = self.payments.get_mut(payment_id) {
-                    p.broadcast = true;
-                }
+                self.payments.mark(payment_id, BROADCAST);
             }
             (Step::DisputeOpen { payment_id, .. }, _) => {
-                if let Some(p) = self.payments.get_mut(payment_id) {
-                    p.disputed = true;
-                }
+                self.payments.mark(payment_id, DISPUTED);
             }
             (Step::EvidenceSubmit { payment_id, .. }, _) => {
-                if let Some(p) = self.payments.get_mut(payment_id) {
-                    p.evidence_submitted = true;
-                }
+                self.payments.mark(payment_id, EVIDENCE_SUBMITTED);
             }
             (Step::JudgeCall { payment_id, .. }, _) => {
-                if let Some(p) = self.payments.get_mut(payment_id) {
-                    p.judged = true;
-                }
+                self.payments.mark(payment_id, JUDGED);
             }
             (
                 Step::Verdict {
@@ -610,12 +621,31 @@ impl PaymentLedger {
                 },
                 _,
             ) => {
-                if let Some(p) = self.payments.get_mut(payment_id) {
-                    p.judged = true;
-                    p.merchant_wins = Some(*merchant_wins);
+                if let Some(entry) = self.payments.mark(payment_id, JUDGED) {
+                    entry[VERDICT] = 1 + u8::from(*merchant_wins);
                 }
             }
         }
+    }
+
+    /// Re-hydrates the ledger and the pending intents from a validated
+    /// slot, adopting its buffer as the ledger's entries. A state the
+    /// struct decoding would have refused is refused here too.
+    fn adopt_slot(mut slot: Vec<u8>) -> Result<(PaymentLedger, Vec<(u64, Step)>), CodecError> {
+        let mut input = &slot[HEADER_BYTES..];
+        let escrow_opened = bool::decode_from(&mut input)?;
+        let count = u32::decode_from(&mut input)? as usize;
+        let entry_bytes = take(&mut input, count.saturating_mul(ENTRY_BYTES))?.len();
+        let value_accepted_sats = u64::decode_from(&mut input)?;
+        let pending = Vec::<(u64, Step)>::decode(input)?;
+        let start = HEADER_BYTES + Self::HEAD_BYTES;
+        slot.truncate(start + entry_bytes);
+        let ledger = PaymentLedger {
+            escrow_opened,
+            payments: Payments::adopt(slot, start)?,
+            value_accepted_sats,
+        };
+        Ok((ledger, pending))
     }
 }
 
@@ -664,10 +694,11 @@ impl<S: Storage> RecoveryManager<S> {
         let mut snapshot_used = false;
         if let Some(snap) = snapshots.load()? {
             // The snapshot payload: the ledger, then the pending intents.
-            if let Ok((l, p)) = <(PaymentLedger, Vec<(u64, Step)>)>::decode(snap.state()) {
+            let wal_seq = snap.wal_seq;
+            if let Ok((l, p)) = PaymentLedger::adopt_slot(snap.into_slot()) {
                 ledger = l;
                 pending = BTreeMap::from_iter(p);
-                replay_from = snap.wal_seq;
+                replay_from = wal_seq;
                 snapshot_used = true;
             }
         }
@@ -782,19 +813,15 @@ impl<S: Storage> RecoveryManager<S> {
 
     /// Canonical digest over ledger + pending intents: byte-identical
     /// across a crash/recover cycle iff the recovered state is. The double
-    /// SHA-256 of the snapshot payload, hashed as it is produced through a
-    /// few KiB rather than materialised.
+    /// SHA-256 of the snapshot payload, hashed in one pass over its head,
+    /// the entries where they lie, and its tail.
     pub fn digest(&self) -> Hash256 {
-        const DRAIN_AT: usize = 4096;
+        let mut tail = Vec::new();
+        encode_tail(&self.ledger, &self.pending, &mut tail);
         let mut hasher = Sha256::new();
-        let mut buffer = Vec::with_capacity(2 * DRAIN_AT);
-        encode_state(&self.ledger, &self.pending, &mut buffer, |buffer| {
-            if buffer.len() >= DRAIN_AT {
-                hasher.update(buffer);
-                buffer.clear();
-            }
-        });
-        hasher.update(&buffer);
+        hasher.update(&self.ledger.head());
+        hasher.update(self.ledger.payments.bytes());
+        hasher.update(&tail);
         Hash256(sha256(&hasher.finalize()))
     }
 
@@ -813,11 +840,7 @@ impl<S: Storage> RecoveryManager<S> {
     pub fn checkpoint(&mut self) -> Result<(), RecoveryError> {
         let (ledger, pending) = (&self.ledger, &self.pending);
         self.snapshots.save(self.wal.next_seq(), |out| {
-            // The snapshot payload, reserved up front.
-            let ledger_bytes = 1 + 4 + ledger.payments.len() * PaymentLedger::PAYMENT_BYTES + 8;
-            let pending_bytes = 4 + pending.len() * (8 + Step::MAX_ENCODED_BYTES);
-            out.reserve(ledger_bytes + pending_bytes);
-            encode_state(ledger, pending, out, |_| {});
+            encode_state(ledger, pending, out)
         })?;
         self.wal.reset()?;
         self.stats.checkpoints += 1;
@@ -867,26 +890,32 @@ impl<S: Storage + Clone> RecoveryManager<S> {
     }
 }
 
-/// Appends the canonical encoding of ledger + pending intents to `out` (the
-/// snapshot payload), showing it to `piece` after every payment and intent.
-fn encode_state(
-    ledger: &PaymentLedger,
-    pending: &BTreeMap<u64, Step>,
-    out: &mut Vec<u8>,
-    mut piece: impl FnMut(&mut Vec<u8>),
-) {
-    ledger.encode(out, &mut piece);
+/// Appends the snapshot payload — head, entries, tail — to `out`, reserved
+/// up front.
+fn encode_state(ledger: &PaymentLedger, pending: &BTreeMap<u64, Step>, out: &mut Vec<u8>) {
+    let entries = ledger.payments.bytes();
+    let tail_bytes = 8 + 4 + pending.len() * (8 + Step::MAX_ENCODED_BYTES);
+    out.reserve(PaymentLedger::HEAD_BYTES + entries.len() + tail_bytes);
+    out.extend_from_slice(&ledger.head());
+    out.extend_from_slice(entries);
+    encode_tail(ledger, pending, out);
+}
+
+/// Appends the snapshot payload past the entries to `out`: the accepted
+/// value, then the pending intents.
+fn encode_tail(ledger: &PaymentLedger, pending: &BTreeMap<u64, Step>, out: &mut Vec<u8>) {
+    ledger.value_accepted_sats.encode_to(out);
     (pending.len() as u32).encode_to(out);
     for (intent, step) in pending {
         intent.encode_to(out);
         step.encode_to(out);
-        piece(out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btcfast_store::snapshot::MAX_STATE;
     use btcfast_store::MemStorage;
 
     fn txid(n: u8) -> Hash256 {
@@ -1021,8 +1050,17 @@ mod tests {
                     mgr.complete(id, outcome).unwrap();
                 }
             }
-            let mut payload = Vec::new();
-            encode_state(&mgr.ledger, &mgr.pending, &mut payload, |_| {});
+            mgr.checkpoint().unwrap();
+            let slot = SnapshotStore::new(mgr.snapshot_medium().clone()).load();
+            let payload = slot.unwrap().unwrap().state().to_vec();
+            let pending = BTreeMap::from_iter(mgr.pending().map(|(i, s)| (i, s.clone())));
+            let ledger = mgr.ledger();
+            let (escrow, entries) = (ledger.escrow_opened, ledger_entries(ledger));
+            let value = ledger.value_accepted_sats;
+            assert_eq!(
+                payload,
+                struct_encode_state(escrow, &entries, value, &pending)
+            );
             assert_eq!(
                 mgr.digest(),
                 btcfast_crypto::sha256::sha256d(&payload),
@@ -1223,30 +1261,52 @@ mod tests {
         let whole_log = wal.bytes();
         mgr.checkpoint().unwrap();
         let digest = mgr.digest();
-        let damaged = flip_last_byte(&snap);
-
-        // The log still reaches back to sequence 0: full replay.
-        let (restored, report) =
-            RecoveryManager::open(MemStorage::from_bytes(whole_log), damaged.clone()).unwrap();
-        assert!(!report.snapshot_used);
-        assert_eq!(report.replayed_records, 2, "full WAL replay");
-        assert_eq!(restored.digest(), digest);
-
-        // The log was truncated: the slot was the only copy of the
-        // history, so an empty ledger would be a lie. Typed error.
-        assert!(matches!(
-            RecoveryManager::open(wal.clone(), damaged.clone()),
-            Err(RecoveryError::HistoryLost {
-                log_starts_at: None
-            })
-        ));
         journal_payment(&mut mgr, 2);
-        assert!(matches!(
-            RecoveryManager::open(wal.clone(), damaged),
-            Err(RecoveryError::HistoryLost {
-                log_starts_at: Some(2)
-            })
-        ));
+        let tail_log = wal.bytes();
+        // A slot whose CRC holds but whose state does not decode: the one
+        // payment's verdict byte reads 3.
+        let saved = SnapshotStore::new(snap.clone()).load().unwrap().unwrap();
+        let mut state = saved.state().to_vec();
+        state[5 + 49] = 3;
+        let undecodable = MemStorage::new();
+        SnapshotStore::new(undecodable.clone())
+            .save(saved.wal_seq, |out| out.extend_from_slice(&state))
+            .unwrap();
+
+        for (slot, damaged) in [
+            ("damaged", flip_last_byte(&snap)),
+            ("undecodable", undecodable),
+        ] {
+            let open = |log: &[u8]| {
+                RecoveryManager::open(MemStorage::from_bytes(log.to_vec()), damaged.clone())
+            };
+            // The log still reaches back to sequence 0: full replay.
+            let (restored, report) = open(&whole_log).unwrap();
+            assert!(!report.snapshot_used, "{slot}");
+            assert_eq!(report.replayed_records, 2, "{slot}: full WAL replay");
+            assert_eq!(restored.digest(), digest, "{slot}");
+
+            // The log was truncated: the slot was the only copy of the
+            // history, so an empty ledger would be a lie. Typed error.
+            assert!(
+                matches!(
+                    open(&[]),
+                    Err(RecoveryError::HistoryLost {
+                        log_starts_at: None
+                    })
+                ),
+                "{slot}"
+            );
+            assert!(
+                matches!(
+                    open(&tail_log),
+                    Err(RecoveryError::HistoryLost {
+                        log_starts_at: Some(2)
+                    })
+                ),
+                "{slot}"
+            );
+        }
         // So is a slot that went missing altogether under a tail.
         assert!(matches!(
             RecoveryManager::open(wal, MemStorage::new()),
@@ -1257,6 +1317,51 @@ mod tests {
         let (fresh, report) = RecoveryManager::open(MemStorage::new(), MemStorage::new()).unwrap();
         assert!(!report.snapshot_used);
         assert_eq!(fresh.ledger(), &PaymentLedger::default());
+    }
+
+    /// The slot cap is [`MAX_STATE`]: at 50 bytes a payment, a ledger with
+    /// nothing pending fits 335 543 of them. One more is a typed error
+    /// that leaves both media alone, and journaling goes on.
+    #[test]
+    fn a_checkpoint_over_the_slot_cap_is_a_typed_error_that_keeps_the_media() {
+        let entries = (MAX_STATE - 5 - 8 - 4) / 50;
+        assert_eq!(entries, 335_543);
+        let mut state = vec![1u8];
+        state.extend_from_slice(&(entries as u32).to_le_bytes());
+        for id in 0..entries as u64 {
+            state.extend_from_slice(&id.to_le_bytes());
+            state.extend_from_slice(txid(id as u8).as_bytes());
+            state.extend_from_slice(&42u64.to_le_bytes());
+            state.extend_from_slice(&[0b111, 0]);
+        }
+        state.extend_from_slice(&(42 * entries as u64).to_le_bytes());
+        state.extend_from_slice(&0u32.to_le_bytes());
+        let (wal, snap) = (MemStorage::new(), MemStorage::new());
+        SnapshotStore::new(snap.clone())
+            .save(0, |out| out.extend_from_slice(&state))
+            .unwrap();
+        let (mut mgr, report) = RecoveryManager::open(wal.clone(), snap.clone()).unwrap();
+        assert!(report.snapshot_used);
+        assert_eq!(mgr.ledger().payments.len(), entries);
+
+        journal_payment(&mut mgr, entries as u64);
+        let (ledger, digest) = (mgr.ledger().clone(), mgr.digest());
+        let (wal_bytes, slot_bytes) = (wal.bytes(), snap.bytes());
+        assert!(matches!(
+            mgr.checkpoint(),
+            Err(RecoveryError::Store(StoreError::RecordTooLarge { len, max: MAX_STATE }))
+                if len == MAX_STATE + 1
+        ));
+        assert!(wal.bytes() == wal_bytes, "the log is not truncated");
+        assert!(snap.bytes() == slot_bytes, "the slot is not replaced");
+        let (reopened, report) = RecoveryManager::open(wal.clone(), snap.clone()).unwrap();
+        assert_eq!(report.replayed_records, 2);
+        assert!(reopened.ledger() == &ledger && reopened.digest() == digest);
+
+        journal_payment(&mut mgr, entries as u64 + 1);
+        let (reopened, report) = RecoveryManager::open(wal, snap).unwrap();
+        assert_eq!(report.replayed_records, 4);
+        assert!(reopened.ledger() == mgr.ledger() && reopened.digest() == mgr.digest());
     }
 
     #[test]
@@ -1277,6 +1382,107 @@ mod tests {
         assert_eq!(snap.syncs(), 1);
     }
 
+    /// A slot state decoded into structs, as `(escrow_opened, payments,
+    /// value_accepted_sats, pending)`.
+    type StructState = (bool, Vec<(u64, PaymentState)>, u64, Vec<(u64, Step)>);
+
+    /// The struct decoding the byte-held ledger replaced, kept as its
+    /// oracle: one `PaymentState` per entry, then a sort only when a
+    /// hostile slot's ids are unsorted or repeated (last entry wins).
+    fn struct_decode_state(mut state: &[u8]) -> Result<StructState, CodecError> {
+        let input = &mut state;
+        let escrow_opened = bool::decode_from(input)?;
+        let count = u32::decode_from(input)? as usize;
+        let entries = take(input, count.saturating_mul(ENTRY_BYTES))?;
+        let mut payments = Vec::with_capacity(count);
+        for mut entry in entries.chunks(ENTRY_BYTES) {
+            let id = u64::decode_from(&mut entry)?;
+            payments.push((id, decode_payment_state(&mut entry)?));
+        }
+        if !payments.is_sorted_by(|(a, _), (b, _)| a < b) {
+            payments.reverse();
+            payments.sort_by_key(|(id, _)| *id);
+            payments.dedup_by_key(|(id, _)| *id);
+        }
+        let value_accepted_sats = u64::decode_from(input)?;
+        let pending = Vec::decode(state)?;
+        Ok((escrow_opened, payments, value_accepted_sats, pending))
+    }
+
+    /// A ledger entry after its id, decoded field by field.
+    fn decode_payment_state(input: &mut &[u8]) -> Result<PaymentState, CodecError> {
+        let txid = Decode::decode_from(input)?;
+        let amount_sats = Decode::decode_from(input)?;
+        let flags = u8::decode_from(input)?;
+        let merchant_wins = match u8::decode_from(input)? {
+            0 => None,
+            1 => Some(false),
+            2 => Some(true),
+            b => return Err(CodecError::BadTag(b)),
+        };
+        Ok(PaymentState {
+            txid,
+            amount_sats,
+            offered: flags & 1 != 0,
+            accepted: flags & 2 != 0,
+            broadcast: flags & 4 != 0,
+            disputed: flags & 8 != 0,
+            evidence_submitted: flags & 16 != 0,
+            judged: flags & 32 != 0,
+            merchant_wins,
+        })
+    }
+
+    /// The struct encoding of a snapshot payload, one entry per payment
+    /// written field by field.
+    fn struct_encode_state(
+        escrow_opened: bool,
+        payments: &[(u64, PaymentState)],
+        value_accepted_sats: u64,
+        pending: &BTreeMap<u64, Step>,
+    ) -> Vec<u8> {
+        let mut out = vec![u8::from(escrow_opened)];
+        (payments.len() as u32).encode_to(&mut out);
+        for (id, state) in payments {
+            let mut flags = 0u8;
+            for (bit, set) in [
+                state.offered,
+                state.accepted,
+                state.broadcast,
+                state.disputed,
+                state.evidence_submitted,
+                state.judged,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                if set {
+                    flags |= 1 << bit;
+                }
+            }
+            id.encode_to(&mut out);
+            state.txid.encode_to(&mut out);
+            state.amount_sats.encode_to(&mut out);
+            out.push(flags);
+            out.push(match state.merchant_wins {
+                None => 0,
+                Some(false) => 1,
+                Some(true) => 2,
+            });
+        }
+        value_accepted_sats.encode_to(&mut out);
+        (pending.len() as u32).encode_to(&mut out);
+        for (intent, step) in pending {
+            intent.encode_to(&mut out);
+            step.encode_to(&mut out);
+        }
+        out
+    }
+
+    fn ledger_entries(ledger: &PaymentLedger) -> Vec<(u64, PaymentState)> {
+        ledger.payments.iter().collect()
+    }
+
     /// The decoder the bulk-building one replaced: one map insert per entry,
     /// as `(escrow_opened, payments, value_accepted_sats)`.
     fn decode_ledger_by_inserts(
@@ -1288,15 +1494,19 @@ mod tests {
         let mut payments = BTreeMap::new();
         for _ in 0..count {
             let id = u64::decode_from(bytes)?;
-            payments.insert(id, PaymentState::decode_from(bytes)?);
+            payments.insert(id, decode_payment_state(bytes)?);
         }
         Ok((escrow_opened, payments, u64::decode_from(bytes)?))
     }
 
     #[test]
     fn bulk_built_ledger_decode_equals_sequential_inserts() {
-        // Hostile snapshots: ids unsorted and repeated, states differing
-        // per entry so "which duplicate won" shows; also truncated input.
+        // Hostile slots, each CRC-valid: ids unsorted and repeated, states
+        // differing per entry so "which duplicate won" shows, stray flag
+        // bits 6-7, verdict bytes 3 and 0xFF, a bad escrow byte, intents
+        // left pending, trailing bytes, and truncated input. Re-open must
+        // agree with the struct decode on the slot's fate, the ledger and
+        // the digest; the struct decode agrees with one insert per entry.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1304,41 +1514,101 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for case in 0..200 {
+        let mut adopted = 0;
+        for case in 0..240u64 {
             let count = next() % 40;
-            let mut bytes = vec![1u8];
+            let mut bytes = vec![if case % 11 == 10 { 2 } else { 1 }];
             bytes.extend_from_slice(&(count as u32).to_le_bytes());
             for entry in 0..count {
                 let id = if case % 2 == 0 { entry } else { next() % 8 };
-                let state = PaymentState {
-                    txid: txid(entry as u8),
-                    amount_sats: next(),
-                    offered: next() % 2 == 0,
-                    ..PaymentState::default()
-                };
-                bytes.extend_from_slice(&state.encode(id));
+                bytes.extend_from_slice(&id.to_le_bytes());
+                bytes.extend_from_slice(txid(entry as u8).as_bytes());
+                bytes.extend_from_slice(&next().to_le_bytes());
+                let stray = if case % 3 == 0 { 0xC0 } else { 0 };
+                bytes.push(next() as u8 & 0x3F | next() as u8 & stray);
+                bytes.push(match (case % 7, entry == count / 2) {
+                    (5, true) => 3,
+                    (6, true) => 0xFF,
+                    _ => (next() % 3) as u8,
+                });
             }
             bytes.extend_from_slice(&next().to_le_bytes());
+            let pending = if case % 4 == 3 {
+                vec![(
+                    next() % 100,
+                    Step::Verdict {
+                        payment_id: 7,
+                        merchant_wins: true,
+                    },
+                )]
+            } else {
+                Vec::new()
+            };
+            pending.encode_to(&mut bytes);
+            if case % 13 == 12 {
+                bytes.push(0);
+            }
             if case % 5 == 4 {
                 bytes.truncate(bytes.len().saturating_sub((next() % 30) as usize + 1));
             }
-            let bulk = PaymentLedger::decode_from(&mut &bytes[..]);
-            let inserts = decode_ledger_by_inserts(&bytes);
-            match (bulk, inserts) {
-                (Ok(bulk), Ok((escrow_opened, payments, value_accepted_sats))) => {
-                    assert_eq!(bulk.escrow_opened, escrow_opened, "case {case}");
-                    assert!(bulk.payments.iter().eq(&payments), "case {case}");
-                    assert_eq!(bulk.value_accepted_sats, value_accepted_sats, "case {case}");
+
+            let slot = MemStorage::new();
+            SnapshotStore::new(slot.clone())
+                .save(0, |out| out.extend_from_slice(&bytes))
+                .unwrap();
+            let expected = struct_decode_state(&bytes);
+            if let Ok((escrow_opened, payments, value_accepted_sats, _)) = &expected {
+                let inserts = decode_ledger_by_inserts(&bytes).unwrap();
+                assert_eq!(inserts.0, *escrow_opened, "case {case}");
+                assert!(inserts.1.into_iter().eq(payments.clone()), "case {case}");
+                assert_eq!(inserts.2, *value_accepted_sats, "case {case}");
+            }
+            match (RecoveryManager::open(MemStorage::new(), slot), expected) {
+                (
+                    Ok((mgr, report)),
+                    Ok((escrow_opened, payments, value_accepted_sats, pending)),
+                ) => {
+                    assert!(report.snapshot_used, "case {case}");
+                    let ledger = mgr.ledger();
+                    assert_eq!(ledger.escrow_opened, escrow_opened, "case {case}");
+                    assert_eq!(ledger_entries(ledger), payments, "case {case}");
+                    assert_eq!(
+                        ledger.value_accepted_sats, value_accepted_sats,
+                        "case {case}"
+                    );
+                    let pending = BTreeMap::from_iter(pending);
+                    assert!(mgr.pending().eq(pending.iter().map(|(i, s)| (*i, s))));
+                    let canonical = struct_encode_state(
+                        escrow_opened,
+                        &payments,
+                        value_accepted_sats,
+                        &pending,
+                    );
+                    assert_eq!(
+                        mgr.digest(),
+                        btcfast_crypto::sha256::sha256d(&canonical),
+                        "case {case}"
+                    );
+                    adopted += 1;
                 }
-                (Err(_), Err(_)) => {}
-                (bulk, inserts) => panic!("case {case}: {bulk:?} vs {inserts:?}"),
+                (
+                    Err(RecoveryError::HistoryLost {
+                        log_starts_at: None,
+                    }),
+                    Err(_),
+                ) => {}
+                (opened, expected) => panic!(
+                    "case {case}: re-open {:?} vs struct decode {expected:?}",
+                    opened.map(|(_, report)| report)
+                ),
             }
         }
+        assert!(adopted > 60, "only {adopted} of 240 slots were usable");
     }
 
     /// `Payments` against the map it replaced. The model is a `BTreeMap`
-    /// written the way the ledger was before: one map operation per write,
-    /// and the parent's field-by-field encoding.
+    /// written the way the ledger once was: one map operation per write,
+    /// and a field-by-field encoding.
     mod payments_model {
         use super::*;
         use proptest::prelude::*;
@@ -1386,29 +1656,34 @@ mod tests {
                         let state = PaymentState {
                             txid: txid(value as u8),
                             amount_sats: value,
-                            merchant_wins: [None, Some(false), Some(true)][value as usize % 3],
                             ..PaymentState::default()
                         };
-                        payments.insert(id, state.clone());
+                        payments.insert(id, &state.txid, state.amount_sats);
                         model.insert(id, state);
                     } else {
-                        for state in [payments.get_mut(&id), model.get_mut(&id)].into_iter().flatten() {
+                        let verdict = value % 3;
+                        if let Some(entry) = payments.mark(&id, OFFERED) {
+                            entry[FLAGS] ^= if value % 2 == 0 { ACCEPTED } else { 0 };
+                            entry[VERDICT] = verdict as u8;
+                        }
+                        if let Some(state) = model.get_mut(&id) {
                             state.offered = true;
                             state.accepted ^= value % 2 == 0;
+                            state.merchant_wins = [None, Some(false), Some(true)][verdict as usize];
                         }
                     }
                     prop_assert_eq!(payments.len(), model.len());
-                    prop_assert_eq!(payments.get(&id), model.get(&id));
+                    prop_assert_eq!(payments.get(&id), model.get(&id).cloned());
                     prop_assert_eq!(payments.contains_key(&(id + 1)), model.contains_key(&(id + 1)));
                 }
-                prop_assert!(payments.iter().eq(&model));
+                prop_assert!(payments.iter().eq(model.clone()));
                 let ledger = PaymentLedger {
                     escrow_opened: true,
                     payments,
                     value_accepted_sats: 7,
                 };
                 let mut encoded = Vec::new();
-                encode_state(&ledger, &BTreeMap::new(), &mut encoded, |_| {});
+                encode_state(&ledger, &BTreeMap::new(), &mut encoded);
                 prop_assert_eq!(encoded, encode_model(&model));
             }
         }

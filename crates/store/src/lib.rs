@@ -15,7 +15,8 @@
 //! * [`snapshot::SnapshotStore`] — a single-slot checkpoint of encoded
 //!   state plus the WAL sequence it covers, so recovery replays only the
 //!   tail of the log. The state is encoded into the slot buffer and
-//!   validated where it lies on load; it is never copied.
+//!   validated where it lies on load, and a caller can take the validated
+//!   buffer over whole; it is never copied.
 //! * [`storage::Storage`] — the durable-medium abstraction:
 //!   [`storage::MemStorage`] (a handle-shared byte vector modelling a disk
 //!   that survives simulated process crashes, fully deterministic) and

@@ -47,6 +47,12 @@ impl Snapshot {
     pub fn state(&self) -> &[u8] {
         &self.slot[HEADER_BYTES..]
     }
+
+    /// The whole slot, header included, for a caller that keeps the state
+    /// where it lies: it starts at [`HEADER_BYTES`].
+    pub fn into_slot(self) -> Vec<u8> {
+        self.slot
+    }
 }
 
 /// The single-slot checkpoint store. See the module docs for the format
