@@ -27,6 +27,9 @@ pub struct FuzzCase {
 /// Corpus file parse failures.
 #[derive(Debug)]
 pub enum CorpusError {
+    /// The corpus directory does not exist: a mistyped `--corpus` or a run
+    /// from the wrong directory must not replay nothing and pass.
+    Missing(PathBuf),
     /// Filesystem error.
     Io(io::Error),
     /// A case file was malformed.
@@ -41,6 +44,9 @@ pub enum CorpusError {
 impl fmt::Display for CorpusError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            CorpusError::Missing(dir) => {
+                write!(f, "corpus directory {} does not exist", dir.display())
+            }
             CorpusError::Io(e) => write!(f, "corpus io error: {e}"),
             CorpusError::Malformed { path, reason } => {
                 write!(f, "malformed corpus case {}: {reason}", path.display())
@@ -117,8 +123,7 @@ impl FuzzCase {
 }
 
 /// Loads every `*.case` file under `dir`, sorted by file name so replay
-/// order (and therefore metrics and output) is deterministic. A missing
-/// directory is an empty corpus, not an error.
+/// order (and therefore metrics and output) is deterministic.
 ///
 /// # Errors
 ///
@@ -127,7 +132,9 @@ pub fn load_corpus(dir: &Path) -> Result<Vec<(PathBuf, FuzzCase)>, CorpusError> 
     let mut paths = Vec::new();
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            return Err(CorpusError::Missing(dir.to_path_buf()))
+        }
         Err(e) => return Err(e.into()),
     };
     for entry in entries {

@@ -426,6 +426,7 @@ fn run_inner(config: &FuzzConfig, registry: &Registry) -> Result<FuzzReport, Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     #[test]
     fn target_names_are_unique() {
@@ -449,24 +450,68 @@ mod tests {
         assert_eq!(Engine::parse("bogus"), None);
     }
 
-    #[test]
-    fn run_is_deterministic_and_clean() {
+    /// `fuzz/corpus/`, wherever the test runs from.
+    fn committed_corpus() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus")
+    }
+
+    /// The tier-1 depth of one engine: each of its targets on the empty
+    /// input, then 32 seeded cases per target (and the engine's corpus
+    /// cases) through [`run`], with no finding.
+    pub(crate) fn assert_clean_at_depth(engine: Engine) {
+        let targets: Vec<&Target> = TARGETS.iter().filter(|t| t.engine == engine).collect();
+        for target in &targets {
+            assert_eq!(
+                (target.check)(&[]),
+                Ok(()),
+                "{} on the empty input",
+                target.name
+            );
+        }
         let config = FuzzConfig {
-            seed: 11,
-            iters: 22,
-            engine: None,
-            corpus_dir: PathBuf::from("fuzz/does-not-exist"),
+            seed: 1,
+            iters: 32 * targets.len() as u64,
+            engine: Some(engine),
+            corpus_dir: committed_corpus(),
             failure_dir: None,
         };
-        let a = run(&config, &Registry::new()).unwrap();
-        let b = run(&config, &Registry::new()).unwrap();
-        assert_eq!(a.findings, b.findings);
-        assert_eq!(a.cases_run, 22);
-        assert_eq!(b.cases_run, 22);
-        assert!(
-            a.findings.is_empty(),
-            "fixed tree should fuzz clean: {:?}",
-            a.findings
+        let report = run(&config, &Registry::new()).unwrap();
+        assert_eq!(report.cases_run, config.iters);
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+    }
+
+    #[test]
+    fn run_is_deterministic_and_clean() {
+        // The whole committed corpus, then one fresh case per target.
+        let config = FuzzConfig {
+            seed: 11,
+            iters: TARGETS.len() as u64,
+            engine: None,
+            corpus_dir: committed_corpus(),
+            failure_dir: None,
+        };
+        let registries = [Registry::new(), Registry::new()];
+        for registry in &registries {
+            let report = run(&config, registry).unwrap();
+            assert_eq!(report.corpus_replayed, 4);
+            assert_eq!(report.cases_run, config.iters);
+            assert!(report.findings.is_empty(), "{:?}", report.findings);
+        }
+        assert_eq!(
+            registries[0].render_prometheus(),
+            registries[1].render_prometheus()
+        );
+
+        // A corpus that is not there fails the run instead of replaying
+        // nothing.
+        let nowhere = committed_corpus().join("nowhere");
+        let missing = FuzzConfig {
+            corpus_dir: nowhere.clone(),
+            ..config
+        };
+        assert_eq!(
+            run(&missing, &Registry::new()).unwrap_err(),
+            format!("corpus directory {} does not exist", nowhere.display())
         );
     }
 

@@ -1,132 +1,21 @@
-//! Property: the incrementally-maintained chain state is history-free.
+//! A *failed* reorg rolls a bad branch back with its undo logs instead of
+//! restoring a snapshot: a deterministic case pins that every observable
+//! survives a deep failed reorg and that the re-applied blocks can still
+//! be reorged away afterwards, to the state of a chain that only ever saw
+//! the winners.
 //!
-//! A chain that lived through an arbitrary fork/reorg schedule — side
-//! branches mined, abandoned, re-extended, timestamps swinging around the
-//! median-time-past boundary — must be indistinguishable from a fresh
-//! chain that only ever saw the final active blocks, in order. The
-//! comparison is exact: [`UtxoSet`] equality covers the coin map *and*
-//! the per-address index, the fingerprint covers canonical serialisation,
-//! and per-transaction confirmations cover the transaction index that
-//! reorgs rewire.
-//!
-//! A *failed* reorg is the other half: the chain rolls a bad branch back
-//! with its undo logs instead of restoring a snapshot, so a deterministic
-//! case pins that every observable survives a deep failed reorg and that
-//! the re-applied blocks can still be reorged away afterwards.
-//!
-//! This is the shrinkable proptest twin of the `diff/chain-reorg` fuzz
-//! target in `btcfast-audit`: same property, but driven by a model that
-//! proptest can minimise when it fails.
+//! That a successful reorg leaves the chain equal to a fresh linear replay
+//! of its active blocks, on random fork/timestamp schedules, is the
+//! `diff/chain-reorg` target of `btcfast-audit`.
 
 use btcfast_btcsim::block::Block;
 use btcfast_btcsim::chain::{ChainError, SubmitOutcome};
 use btcfast_btcsim::miner::Miner;
 use btcfast_btcsim::params::ChainParams;
 use btcfast_btcsim::transaction::{OutPoint, Transaction, TxIn, TxOut};
-use btcfast_btcsim::wallet::Wallet;
 use btcfast_btcsim::{Amount, Chain};
 use btcfast_crypto::keys::Address;
 use btcfast_crypto::{Hash256, KeyPair};
-use proptest::prelude::*;
-
-/// One mining step: which known block to build on, a timestamp offset in
-/// `[-900, +1800]` around the parent (median-time-past edges in both
-/// directions), and whether to include a wallet payment.
-type Schedule = Vec<(u8, u16, bool, u32)>;
-
-fn schedule_strategy() -> impl Strategy<Value = Schedule> {
-    proptest::collection::vec(
-        (any::<u8>(), 0u16..2_701, any::<bool>(), 1u32..100_000_000),
-        4..14,
-    )
-}
-
-/// Runs the schedule through one incrementally-updated chain. Returns the
-/// chain; rejected blocks (bad timestamps, stale forks) are simply not
-/// added to the parent pool, mirroring a real node dropping them.
-fn run_schedule(schedule: &Schedule, params: &ChainParams) -> Chain {
-    let wallet = Wallet::from_seed(b"reorg replay wallet");
-    let mut chain = Chain::new(params.clone());
-    let mut miner = Miner::new(params.clone(), wallet.address());
-
-    let mut known = vec![Hash256::ZERO];
-    for (step, &(selector, jitter, pay, sats)) in schedule.iter().enumerate() {
-        let parent = known[selector as usize % known.len()];
-        let parent_time = if parent == Hash256::ZERO {
-            0
-        } else {
-            chain.block(&parent).expect("known parent").header.time
-        };
-        let time = (parent_time + u64::from(jitter) + 600).saturating_sub(900);
-        let txs = if parent == chain.tip_hash() && pay {
-            wallet
-                .create_payment(
-                    &chain,
-                    Address([0x24; 20]),
-                    Amount::from_sats(u64::from(sats)).expect("bounded amount"),
-                    Amount::from_sats(1_000).expect("bounded fee"),
-                    // Distinct memos keep txids unique across competing tips.
-                    Some(vec![step as u8]),
-                )
-                .ok()
-                .into_iter()
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let block = miner.mine_block_on(&chain, parent, txs, time);
-        let hash = block.hash();
-        if chain.submit_block(block).is_ok() {
-            known.push(hash);
-        }
-    }
-    chain
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Incremental-with-reorgs and linear-from-scratch agree on every
-    /// observable: tip, height, accumulated work, the full UTXO set with
-    /// its address index, the canonical fingerprint, and the confirmation
-    /// count of every transaction ever mined into the surviving chain.
-    #[test]
-    fn reorged_chain_equals_fresh_replay(schedule in schedule_strategy()) {
-        let params = ChainParams::regtest();
-        let chain = run_schedule(&schedule, &params);
-
-        let mut fresh = Chain::new(params);
-        for hash in chain.active_hashes().to_vec() {
-            let block = chain.block(&hash).expect("active block in store").clone();
-            fresh
-                .submit_block(block)
-                .expect("surviving active blocks replay linearly");
-        }
-
-        prop_assert_eq!(fresh.tip_hash(), chain.tip_hash());
-        prop_assert_eq!(fresh.height(), chain.height());
-        prop_assert_eq!(fresh.tip_work(), chain.tip_work());
-        prop_assert_eq!(
-            fresh.utxo(),
-            chain.utxo(),
-            "incremental UTXO set (coins + address index) diverged from rebuild"
-        );
-        prop_assert_eq!(fresh.utxo().fingerprint(), chain.utxo().fingerprint());
-
-        for hash in chain.active_hashes() {
-            let block = chain.block(hash).expect("active block in store");
-            for tx in &block.transactions {
-                let txid = tx.txid();
-                prop_assert_eq!(
-                    chain.confirmations(&txid),
-                    fresh.confirmations(&txid),
-                    "confirmations diverged for {:?}",
-                    txid
-                );
-            }
-        }
-    }
-}
 
 /// Signed spend of `block`'s coinbase: `sats` to `to`, change to the owner.
 fn spend_coinbase(block: &Block, owner: &KeyPair, to: Address, sats: u64) -> Transaction {

@@ -240,7 +240,6 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn round_trip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: T) {
         assert_eq!(T::decode(&v.encode()).unwrap(), v);
@@ -302,24 +301,5 @@ mod tests {
         let mut encoded = 7u32.encode();
         encoded.push(0);
         assert_eq!(u32::decode(&encoded), Err(CodecError::TrailingBytes(1)));
-    }
-
-    proptest! {
-        #[test]
-        fn prop_bytes_round_trip(data in proptest::collection::vec(any::<u8>(), 0..200)) {
-            round_trip(data);
-        }
-
-        #[test]
-        fn prop_u128_round_trip(v in any::<u128>()) {
-            round_trip(v);
-        }
-
-        #[test]
-        fn prop_nested_round_trip(v in proptest::collection::vec(any::<u64>(), 0..20),
-                                  s in ".*") {
-            round_trip((42u32, s));
-            round_trip(v);
-        }
     }
 }

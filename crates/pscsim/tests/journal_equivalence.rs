@@ -8,13 +8,6 @@
 //!   pre-transaction `clone()` would have restored (field equality *and*
 //!   commitment equality), and committing matches applying the same ops
 //!   with no journal at all;
-//! * chain level — for random interleavings of persisting and reverting
-//!   contract calls (only `Action::Call` reaches the journal: transfer
-//!   pre-checks reject *before* the checkpoint opens), replaying the
-//!   identical workload on a fresh chain reproduces every receipt status,
-//!   every gas figure, and every per-block state commitment, and a
-//!   reverted call's only footprint is the sender's nonce bump and fee —
-//!   its storage writes vanish;
 //! * commitment level — the incrementally maintained Merkle root equals a
 //!   from-scratch rebuild of the trie from the two state maps after every
 //!   step of a random schedule (first-touch default accounts, removals,
@@ -22,18 +15,17 @@
 //!   refreshed after every step or once at the end; two slots whose hashed
 //!   keys share ≥ 16 leading bits fork deep and collapse back on removal;
 //!   and the root does not depend on the order entries were written in.
+//!
+//! At chain level — a reverted call's only footprint is the sender's nonce
+//! bump and fee, its storage writes vanish, and a replay reproduces every
+//! receipt and commitment — the property is the `diff/psc-replay` target
+//! of `btcfast-audit`.
 
-use btcfast_crypto::KeyPair;
 use btcfast_pscsim::account::AccountId;
-use btcfast_pscsim::contract::{Contract, ContractError, Env, Storage};
-use btcfast_pscsim::params::PscParams;
 use btcfast_pscsim::state::WorldState;
-use btcfast_pscsim::tx::{Action, PscTransaction, Receipt};
-use btcfast_pscsim::PscChain;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// One random mutation of a [`WorldState`].
 #[derive(Clone, Debug)]
@@ -351,174 +343,4 @@ fn slots_sharing_a_long_prefix_fork_deep_and_collapse_on_removal() {
     assert_eq!(state, never_saw_b);
     assert_eq!(state.commitment(), never_saw_b.commitment());
     assert_ne!(state.commitment(), alone);
-}
-
-/// A scratchpad contract whose `write_then_fail` method writes storage and
-/// then reverts — the exact path the journal must roll back.
-struct Scratchpad;
-
-impl Contract for Scratchpad {
-    fn code_id(&self) -> &'static str {
-        "scratchpad"
-    }
-
-    fn call(
-        &self,
-        _env: &Env,
-        method: &str,
-        args: &[u8],
-        storage: &mut dyn Storage,
-    ) -> Result<Vec<u8>, ContractError> {
-        match method {
-            "init" => Ok(vec![]),
-            // args = [key, value...]: persist the slot.
-            "write" => {
-                storage.set(&args[..1], &args[1..])?;
-                Ok(vec![])
-            }
-            // Same write, then revert: nothing may persist.
-            "write_then_fail" => {
-                storage.set(&args[..1], &args[1..])?;
-                storage.set(b"poison", b"must never persist")?;
-                Err(ContractError::Revert("chaos".into()))
-            }
-            "get" => Ok(storage.get(&args[..1])?.unwrap_or_default()),
-            other => Err(ContractError::UnknownMethod(other.into())),
-        }
-    }
-}
-
-/// One workload entry: slot key, value, and whether the call reverts.
-type CallPlan = Vec<(u8, Vec<u8>, bool)>;
-
-/// Runs the plan on a fresh chain; returns the receipts, the per-block
-/// state commitments, and the deployed contract address.
-fn run_scratchpad(
-    plan: &CallPlan,
-    key: &KeyPair,
-) -> (Vec<Receipt>, Vec<[u8; 32]>, PscChain, AccountId) {
-    let mut chain = PscChain::new(PscParams::ethereum_like());
-    let gas_price = chain.params().gas_price;
-    chain.register_code(Arc::new(Scratchpad));
-    chain.faucet(key.address().into(), 1 << 60);
-    let deploy = PscTransaction::new(
-        *key.public(),
-        0,
-        0,
-        Action::Deploy {
-            code_id: "scratchpad".into(),
-            args: vec![],
-        },
-    )
-    .with_gas(1_000_000, gas_price)
-    .sign(key);
-    let deploy_hash = chain.submit_transaction(deploy).expect("deploy signed");
-    chain.produce_block(1);
-    let contract = chain
-        .receipt(&deploy_hash)
-        .expect("deployed")
-        .contract_address
-        .expect("deploy yields address");
-
-    let mut nonce = 1u64;
-    let mut hashes = Vec::new();
-    for chunk in plan.chunks(3) {
-        for (slot, value, fail) in chunk {
-            let method = if *fail { "write_then_fail" } else { "write" };
-            let mut args = vec![*slot];
-            args.extend_from_slice(value);
-            let tx = PscTransaction::new(
-                *key.public(),
-                nonce,
-                0,
-                Action::Call {
-                    contract,
-                    method: method.into(),
-                    args,
-                },
-            )
-            .with_gas(1_000_000, gas_price)
-            .sign(key);
-            hashes.push(chain.submit_transaction(tx).expect("call signed"));
-            nonce += 1;
-        }
-        let sealed = chain.produce_block(chain.tip_time() + 15).state_commitment;
-        assert_eq!(sealed, chain.state_commitment());
-        assert_eq!(sealed, chain.state_commitment_from_scratch());
-    }
-    let receipts = hashes
-        .iter()
-        .map(|hash| chain.receipt(hash).expect("processed").clone())
-        .collect();
-    let commitments = (1..=chain.height())
-        .map(|number| chain.block(number).expect("produced").state_commitment.0)
-        .collect();
-    (receipts, commitments, chain, contract)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// For random interleavings of persisting and reverting calls:
-    ///
-    /// * visible storage equals a reference map that applied only the
-    ///   successful writes (reverted writes leave no trace, and the
-    ///   poison slot never exists);
-    /// * a reverting call still bumps the nonce and charges gas;
-    /// * replaying the identical plan reproduces every receipt status,
-    ///   every gas figure, and every per-block state commitment.
-    #[test]
-    fn chain_replay_is_byte_identical_including_reverts(
-        plan in proptest::collection::vec(
-            (0u8..6, proptest::collection::vec(any::<u8>(), 1..32), any::<bool>()),
-            1..20,
-        ),
-    ) {
-        let key = KeyPair::from_seed(b"journal equivalence");
-        let (receipts_a, commits_a, chain, contract) = run_scratchpad(&plan, &key);
-        let (receipts_b, commits_b, _, _) = run_scratchpad(&plan, &key);
-
-        // Byte-identical replay.
-        prop_assert_eq!(receipts_a.len(), receipts_b.len());
-        for (a, b) in receipts_a.iter().zip(&receipts_b) {
-            prop_assert_eq!(&a.status, &b.status);
-            prop_assert_eq!(a.gas_used, b.gas_used);
-            prop_assert_eq!(a.fee_paid, b.fee_paid);
-        }
-        prop_assert_eq!(commits_a, commits_b);
-
-        // Receipts agree with the plan, and reverts still cost gas.
-        let gas_price = chain.params().gas_price;
-        for ((_, _, fail), receipt) in plan.iter().zip(&receipts_a) {
-            prop_assert_eq!(receipt.status.is_success(), !*fail);
-            prop_assert!(receipt.gas_used > 0);
-            prop_assert_eq!(receipt.fee_paid, u128::from(receipt.gas_used) * gas_price);
-        }
-        let me: AccountId = key.address().into();
-        prop_assert_eq!(
-            chain.nonce_of(&me),
-            1 + plan.len() as u64,
-            "reverted calls bump the nonce too"
-        );
-
-        // Visible storage == successful writes only.
-        let mut reference: std::collections::HashMap<u8, Vec<u8>> =
-            std::collections::HashMap::new();
-        for (slot, value, fail) in &plan {
-            if !*fail {
-                reference.insert(*slot, value.clone());
-            }
-        }
-        for slot in 0u8..6 {
-            let seen = chain
-                .call_view(me, contract, "get", &[slot])
-                .expect("view succeeds");
-            let expected = reference.get(&slot).cloned().unwrap_or_default();
-            prop_assert_eq!(seen, expected, "slot {}", slot);
-        }
-        let poison = chain
-            .call_view(me, contract, "get", b"p")
-            .expect("view succeeds");
-        prop_assert!(poison.is_empty() || reference.contains_key(&b'p'));
-    }
 }
