@@ -29,8 +29,9 @@ use btcfast_payjudger::evidence::EvidenceBundle;
 use btcfast_payjudger::types::{
     CheckpointRecord, EscrowRecord, EvidenceSummary, JudgerConfig, PaymentRecord, PaymentState,
 };
+use btcfast_payjudger::Call;
 use btcfast_pscsim::account::AccountId;
-use btcfast_pscsim::codec::{Decode, Encode};
+use btcfast_pscsim::codec::{CodecError, Decode, Encode};
 use std::sync::OnceLock;
 
 /// Asserts `decode(encode(value)) == value`.
@@ -410,20 +411,25 @@ fn summary_from(src: &mut ByteSource<'_>) -> EvidenceSummary {
     }
 }
 
-/// Structural + hostile fuzz of every record the judger persists.
+fn config_from(src: &mut ByteSource<'_>) -> JudgerConfig {
+    let mut checkpoint = [0u8; 32];
+    src.fill(&mut checkpoint);
+    JudgerConfig {
+        checkpoint: Hash256(checkpoint),
+        min_target_bits: src.u32(),
+        challenge_window_secs: src.u64(),
+        min_evidence_blocks: src.u64(),
+    }
+}
+
+/// Structural + hostile fuzz of every record the judger persists, then of
+/// one call of its ABI.
 pub fn fuzz_judger_types(bytes: &[u8]) -> Result<(), String> {
     let mut src = ByteSource::new(bytes);
     let selector = src.u8() % 6;
     match selector {
         0 => {
-            let mut checkpoint = [0u8; 32];
-            src.fill(&mut checkpoint);
-            round_trip(&JudgerConfig {
-                checkpoint: Hash256(checkpoint),
-                min_target_bits: src.u32(),
-                challenge_window_secs: src.u64(),
-                min_evidence_blocks: src.u64(),
-            })?;
+            round_trip(&config_from(&mut src))?;
             hostile_decode::<JudgerConfig>(src.rest(), "JudgerConfig")?;
         }
         1 => {
@@ -493,6 +499,56 @@ pub fn fuzz_judger_types(bytes: &[u8]) -> Result<(), String> {
             })?;
             hostile_decode::<PaymentRecord>(src.rest(), "PaymentRecord")?;
         }
+    }
+    fuzz_judger_call(&mut src)
+}
+
+/// One PayJudger call drawn after the record: it survives its way through
+/// `(method, args)`, and its args one byte short or long are refused.
+fn fuzz_judger_call(src: &mut ByteSource<'_>) -> Result<(), String> {
+    let shared = shared_btc();
+    let mut id = [0u8; 20];
+    src.fill(&mut id);
+    let mut txid = [0u8; 32];
+    src.fill(&mut txid);
+    let (customer, txid, payment_id) = (AccountId(id), Hash256(txid), src.u64());
+    let evidence = |src: &mut ByteSource<'_>| {
+        let to = 1 + src.choice(10) as u64;
+        let txid = src.bool().then(|| &shared.txids[to as usize - 1]);
+        EvidenceBundle(SpvEvidence::from_chain(&shared.chain, 1, to, txid))
+    };
+    let call = match src.choice(14) {
+        0 => Call::Init(config_from(src)),
+        1 => Call::Deposit(src.u128()),
+        2 => Call::OpenPayment(customer, txid, src.u64(), src.u128()),
+        3 => Call::AckPayment(customer, payment_id),
+        4 => Call::ClosePayment(payment_id),
+        5 => Call::Dispute(customer, payment_id),
+        6 => Call::SubmitEvidence(customer, payment_id, evidence(src)),
+        7 => Call::Judge(customer, payment_id),
+        8 => Call::Withdraw(src.u128()),
+        9 => Call::AdvanceCheckpoint(evidence(src)),
+        10 => Call::GetConfig,
+        11 => Call::GetEscrow(customer),
+        12 => Call::GetPayment(customer, payment_id),
+        _ => Call::GetCheckpoint,
+    };
+    let (method, mut args) = (call.method(), call.args());
+    // Equal but for the deposit's attached value, which is not an arg.
+    match Call::decode(method, &args) {
+        Ok(Some(back)) if back.method() == method && back.args() == args => {}
+        other => return Err(format!("{call:?} came back through its args as {other:?}")),
+    }
+    if let Some(last) = args.len().checked_sub(1) {
+        let short = Call::decode(method, &args[..last]);
+        if short != Err(CodecError::UnexpectedEnd) {
+            return Err(format!("{method} one byte short: {short:?}"));
+        }
+    }
+    args.push(src.u8());
+    let long = Call::decode(method, &args);
+    if long != Err(CodecError::TrailingBytes(1)) {
+        return Err(format!("{method} one byte long: {long:?}"));
     }
     Ok(())
 }

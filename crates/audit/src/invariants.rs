@@ -19,8 +19,10 @@ use btcfast_btcsim::params::ChainParams;
 use btcfast_btcsim::spv::SpvEvidence;
 use btcfast_btcsim::{Chain, U256};
 use btcfast_crypto::{Hash256, KeyPair};
+use btcfast_payjudger::client::CALL_GAS_LIMIT;
+use btcfast_payjudger::evidence::EvidenceBundle;
 use btcfast_payjudger::types::{EscrowRecord, EvidenceSummary, JudgerConfig, PaymentRecord};
-use btcfast_payjudger::{DisputeVerdict, PayJudger, PayJudgerClient, PaymentState};
+use btcfast_payjudger::{Call as Abi, DisputeVerdict, PayJudger, PayJudgerClient, PaymentState};
 use btcfast_pscsim::account::AccountId;
 use btcfast_pscsim::codec::Encode;
 use btcfast_pscsim::params::PscParams;
@@ -387,23 +389,27 @@ impl EscrowAudit {
             _ => &self.keys[0],
         };
         let nonce = node.psc.nonce_of(&key.address().into());
-        Some(match call {
-            Call::Deposit => judger.deposit_tx(key, nonce, COLLATERAL),
-            Call::Open(payee) => {
-                let (merchant, txid) = (self.accounts[payee], shared_btc().txids[0]);
-                judger.open_payment_tx(key, nonce, merchant, txid, 10_000, COLLATERAL)
-            }
-            Call::Ack(p) => judger.ack_payment_tx(key, nonce, customer, p as u64),
-            Call::Close(p) => judger.close_payment_tx(key, nonce, p as u64),
-            Call::Dispute(p) => judger.dispute_tx(key, nonce, customer, p as u64),
-            Call::Submit(p, _, class) => {
-                let bundle = self.evidence[class].bundle.clone();
-                judger.submit_evidence_tx(key, nonce, customer, p as u64, bundle)
-            }
-            Call::Judge(p) => judger.judge_tx(key, nonce, customer, p as u64),
-            Call::Withdraw => judger.withdraw_tx(key, nonce, COLLATERAL),
+        let abi = match call {
+            Call::Deposit => Abi::Deposit(COLLATERAL),
+            Call::Open(payee) => Abi::OpenPayment(
+                self.accounts[payee],
+                shared_btc().txids[0],
+                10_000,
+                COLLATERAL,
+            ),
+            Call::Ack(p) => Abi::AckPayment(customer, p as u64),
+            Call::Close(p) => Abi::ClosePayment(p as u64),
+            Call::Dispute(p) => Abi::Dispute(customer, p as u64),
+            Call::Submit(p, _, class) => Abi::SubmitEvidence(
+                customer,
+                p as u64,
+                EvidenceBundle(self.evidence[class].bundle.clone()),
+            ),
+            Call::Judge(p) => Abi::Judge(customer, p as u64),
+            Call::Withdraw => Abi::Withdraw(COLLATERAL),
             Call::Tick => return None,
-        })
+        };
+        Some(judger.tx(key, nonce, CALL_GAS_LIMIT, &abi))
     }
 
     /// Checks `node`'s contract against its model and returns its records

@@ -8,9 +8,18 @@
 use crate::table::{f3, Table};
 use btcfast::fees::{FeeModel, GasUsage};
 use btcfast::session::FastPaySession;
-use btcfast::SessionConfig;
+use btcfast::{Party, SessionConfig};
 use btcfast_btcsim::spv::SpvEvidence;
 use btcfast_netsim::time::SimTime;
+use btcfast_payjudger::evidence::EvidenceBundle;
+use btcfast_payjudger::Call;
+
+/// Sends `call` from `from`, which must land, and returns its gas.
+fn gas(session: &mut FastPaySession, from: Party, call: Call) -> u64 {
+    let receipt = session.call(from, call).expect("psc tx executes");
+    assert!(receipt.status.is_success(), "{:?}", receipt.status);
+    receipt.gas_used
+}
 
 /// Drives a session through every contract operation, capturing gas.
 pub fn measure_gas_usage(seed: u64) -> GasUsage {
@@ -20,6 +29,7 @@ pub fn measure_gas_usage(seed: u64) -> GasUsage {
     };
     let window = config.challenge_window_secs;
     let mut session = FastPaySession::new(config, seed);
+    let customer = session.customer.psc_account();
     let mut usage = GasUsage {
         deploy: session.deploy_gas,
         deposit: session.deposit_gas,
@@ -31,78 +41,43 @@ pub fn measure_gas_usage(seed: u64) -> GasUsage {
     usage.open_payment = report.registration_gas;
     session.advance_clock(SimTime::from_secs(5));
     session.mine_public_block().expect("block connects");
-    let ack = session.merchant.build_ack(
-        &session.judger,
-        &session.psc,
-        session.customer.psc_account(),
-        report.payment_id,
-    );
-    let receipt = session.run_psc_tx(ack).expect("psc tx executes");
-    assert!(receipt.status.is_success(), "{:?}", receipt.status);
-    usage.ack_payment = receipt.gas_used;
+    let payment_id = report.payment_id;
+    let ack = Call::AckPayment(customer, payment_id);
+    usage.ack_payment = gas(&mut session, Party::Merchant, ack);
 
     // Payment 2: closed by the customer after the window.
     let report2 = session.run_fast_payment(500_000).expect("payment 2");
     session.advance_clock(SimTime::from_secs(5));
     session.mine_public_block().expect("block connects");
     session.advance_clock(SimTime::from_secs(window + 30));
-    let close =
-        session
-            .customer
-            .build_close_payment(&session.judger, &session.psc, report2.payment_id);
-    let receipt = session.run_psc_tx(close).expect("psc tx executes");
-    assert!(receipt.status.is_success(), "{:?}", receipt.status);
-    usage.close_payment = receipt.gas_used;
+    let payment_id = report2.payment_id;
+    let close = Call::ClosePayment(payment_id);
+    usage.close_payment = gas(&mut session, Party::Customer, close);
 
     // Payment 3: disputed (frivolously) and judged.
     let report3 = session.run_fast_payment(500_000).expect("payment 3");
     session.advance_clock(SimTime::from_secs(5));
     session.mine_public_block().expect("block connects");
-    let dispute = session.merchant.build_dispute(
-        &session.judger,
-        &session.psc,
-        session.customer.psc_account(),
-        report3.payment_id,
-    );
-    let receipt = session.run_psc_tx(dispute).expect("psc tx executes");
-    assert!(receipt.status.is_success(), "{:?}", receipt.status);
-    usage.dispute = receipt.gas_used;
+    let payment_id = report3.payment_id;
+    let dispute = Call::Dispute(customer, payment_id);
+    usage.dispute = gas(&mut session, Party::Merchant, dispute);
 
     let evidence =
         SpvEvidence::from_chain(&session.btc, 1, session.btc.height(), Some(&report3.txid));
-    let submit = session.customer.build_evidence_submission(
-        &session.judger,
-        &session.psc,
-        report3.payment_id,
-        evidence,
-    );
-    let receipt = session.run_psc_tx(submit).expect("psc tx executes");
-    assert!(receipt.status.is_success(), "{:?}", receipt.status);
-    usage.submit_evidence = receipt.gas_used;
+    let submit = Call::SubmitEvidence(customer, payment_id, EvidenceBundle(evidence));
+    usage.submit_evidence = gas(&mut session, Party::Customer, submit);
 
     session.advance_clock(SimTime::from_secs(window + 30));
-    let judge = session.merchant.build_judge(
-        &session.judger,
-        &session.psc,
-        session.customer.psc_account(),
-        report3.payment_id,
-    );
-    let receipt = session.run_psc_tx(judge).expect("psc tx executes");
-    assert!(receipt.status.is_success(), "{:?}", receipt.status);
-    usage.judge = receipt.gas_used;
+    let judge = Call::Judge(customer, payment_id);
+    usage.judge = gas(&mut session, Party::Merchant, judge);
 
     // Withdraw the remaining escrow.
     let escrow = session
         .judger
-        .escrow(&session.psc, session.customer.psc_account())
+        .escrow(&session.psc, customer)
         .expect("escrow exists");
-    let withdraw =
-        session
-            .customer
-            .build_withdraw(&session.judger, &session.psc, escrow.available());
-    let receipt = session.run_psc_tx(withdraw).expect("psc tx executes");
-    assert!(receipt.status.is_success(), "{:?}", receipt.status);
-    usage.withdraw = receipt.gas_used;
+    let amount = escrow.available();
+    usage.withdraw = gas(&mut session, Party::Customer, Call::Withdraw(amount));
 
     usage
 }

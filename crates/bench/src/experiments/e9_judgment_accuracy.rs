@@ -14,13 +14,15 @@
 
 use crate::table::Table;
 use btcfast::session::FastPaySession;
-use btcfast::SessionConfig;
+use btcfast::{Party, SessionConfig};
 use btcfast_btcsim::attack::PrivateForkAttacker;
 use btcfast_btcsim::spv::SpvEvidence;
 use btcfast_btcsim::Amount;
 use btcfast_netsim::time::SimTime;
+use btcfast_payjudger::evidence::EvidenceBundle;
 use btcfast_payjudger::types::DisputeVerdict;
-use btcfast_payjudger::PayJudgerClient;
+use btcfast_payjudger::{Call, PayJudgerClient};
+use btcfast_pscsim::account::AccountId;
 
 const WINDOW: u64 = 100_000;
 
@@ -29,6 +31,26 @@ fn config() -> SessionConfig {
         challenge_window_secs: WINDOW,
         ..SessionConfig::default()
     }
+}
+
+/// Sends `call` from `from` and reports whether it landed.
+fn landed(session: &mut FastPaySession, from: Party, call: Call) -> bool {
+    let receipt = session.call(from, call).expect("psc tx executes");
+    receipt.status.is_success()
+}
+
+/// Waits out the evidence window, then judges.
+fn judge(
+    session: &mut FastPaySession,
+    customer: AccountId,
+    payment_id: u64,
+) -> Option<DisputeVerdict> {
+    session.advance_clock(SimTime::from_secs(WINDOW + 30));
+    let call = Call::Judge(customer, payment_id);
+    let receipt = session
+        .call(Party::Merchant, call)
+        .expect("psc tx executes");
+    PayJudgerClient::verdict_from(&receipt)
 }
 
 /// Justified dispute after a real double spend (via the full attack path).
@@ -49,41 +71,22 @@ fn frivolous_dispute(seed: u64, evidence_blocks: u64) -> Option<DisputeVerdict> 
         session.advance_clock(SimTime::from_secs(600));
         session.mine_public_block().expect("block connects");
     }
-    let customer_id = session.customer.psc_account();
-    let dispute = session.merchant.build_dispute(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        report.payment_id,
-    );
-    assert!(session
-        .run_psc_tx(dispute)
-        .expect("psc tx executes")
-        .status
-        .is_success());
-
+    let (customer, payment_id) = (session.customer.psc_account(), report.payment_id);
+    assert!(landed(
+        &mut session,
+        Party::Merchant,
+        Call::Dispute(customer, payment_id)
+    ));
     let evidence =
         SpvEvidence::from_chain(&session.btc, 1, session.btc.height(), Some(&report.txid));
-    let submit = session.customer.build_evidence_submission(
-        &session.judger,
-        &session.psc,
-        report.payment_id,
-        evidence,
+    // Shallow evidence may be structurally fine but fail later; keep going —
+    // judgment decides.
+    landed(
+        &mut session,
+        Party::Customer,
+        Call::SubmitEvidence(customer, payment_id, EvidenceBundle(evidence)),
     );
-    let receipt = session.run_psc_tx(submit).expect("psc tx executes");
-    if !receipt.status.is_success() {
-        // Shallow evidence may be structurally fine but fail later; keep
-        // going — judgment decides.
-    }
-    session.advance_clock(SimTime::from_secs(WINDOW + 30));
-    let judge = session.merchant.build_judge(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        report.payment_id,
-    );
-    let receipt = session.run_psc_tx(judge).expect("psc tx executes");
-    PayJudgerClient::verdict_from(&receipt)
+    judge(&mut session, customer, payment_id)
 }
 
 /// Real double spend where the attacker answers with the stale branch.
@@ -127,60 +130,27 @@ fn stale_counter_evidence(seed: u64) -> Option<DisputeVerdict> {
     assert!(attacker.publish(&mut session.btc));
     assert_eq!(session.btc.confirmations(&report.txid), None);
 
-    let customer_id = session.customer.psc_account();
-    let dispute = session.merchant.build_dispute(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        report.payment_id,
-    );
-    assert!(session
-        .run_psc_tx(dispute)
-        .expect("psc tx executes")
-        .status
-        .is_success());
+    let (customer, payment_id) = (session.customer.psc_account(), report.payment_id);
+    assert!(landed(
+        &mut session,
+        Party::Merchant,
+        Call::Dispute(customer, payment_id)
+    ));
 
     // Merchant: heavier, no inclusion.
     let merchant_evidence =
         SpvEvidence::from_chain(&session.btc, 1, session.btc.height(), Some(&report.txid));
-    let submit = session.merchant.build_evidence_submission(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        report.payment_id,
-        merchant_evidence,
-    );
-    assert!(session
-        .run_psc_tx(submit)
-        .expect("psc tx executes")
-        .status
-        .is_success());
+    let call = Call::SubmitEvidence(customer, payment_id, EvidenceBundle(merchant_evidence));
+    assert!(landed(&mut session, Party::Merchant, call));
 
     // Attacker-customer: stale branch with inclusion, lighter.
     let customer_evidence =
         SpvEvidence::from_chain(&stale_view, 1, stale_view.height(), Some(&report.txid));
     assert!(customer_evidence.inclusion.is_some());
-    let submit = session.customer.build_evidence_submission(
-        &session.judger,
-        &session.psc,
-        report.payment_id,
-        customer_evidence,
-    );
-    assert!(session
-        .run_psc_tx(submit)
-        .expect("psc tx executes")
-        .status
-        .is_success());
+    let call = Call::SubmitEvidence(customer, payment_id, EvidenceBundle(customer_evidence));
+    assert!(landed(&mut session, Party::Customer, call));
 
-    session.advance_clock(SimTime::from_secs(WINDOW + 30));
-    let judge = session.merchant.build_judge(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        report.payment_id,
-    );
-    let receipt = session.run_psc_tx(judge).expect("psc tx executes");
-    PayJudgerClient::verdict_from(&receipt)
+    judge(&mut session, customer, payment_id)
 }
 
 /// Runs E9.

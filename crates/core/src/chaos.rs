@@ -25,12 +25,11 @@
 //!   classic k-confirmation baseline.
 
 use crate::config::SessionConfig;
-use crate::flow::{self, Effects, Leg, Party};
-use crate::protocol::RejectReason;
+use crate::flow::{self, Effects, Leg};
+use crate::protocol::{Party, RejectReason};
 use crate::recovery::{Outcome, RecoveryError, RecoveryManager, Step};
 use crate::robustness::{ChaosConfig, FallbackPolicy, ProtocolPhase, RobustnessError};
 use crate::session::{FastPaySession, RaceOutcome, SessionError};
-use btcfast_crypto::keys::KeyPair;
 use btcfast_crypto::Hash256;
 use btcfast_netsim::faults::{FaultAction, FaultPlan};
 use btcfast_netsim::network::{Network, NodeId};
@@ -40,7 +39,7 @@ use btcfast_obs::TraceContext;
 use btcfast_payjudger::client::CALL_GAS_LIMIT;
 use btcfast_payjudger::retry::{submit_with_retry, AttemptResult, RetryReport};
 use btcfast_payjudger::types::DisputeVerdict;
-use btcfast_pscsim::tx::PscTransaction;
+use btcfast_payjudger::Call;
 use btcfast_store::MemStorage;
 use std::collections::HashSet;
 
@@ -559,7 +558,7 @@ impl Effects for ChaosSession {
         from: Party,
         ctx: TraceContext,
         window_deadline: Option<SimTime>,
-        mut build: impl FnMut(&FastPaySession) -> PscTransaction,
+        call: Call,
     ) -> Result<RetryReport, RobustnessError> {
         let node = match from {
             Party::Customer => CUSTOMER_NODE,
@@ -579,12 +578,7 @@ impl Effects for ChaosSession {
             if window_deadline.is_some_and(|d| session.clock > d) {
                 return AttemptResult::WindowClosed;
             }
-            let keys = match from {
-                Party::Customer => session.customer.psc_keys(),
-                Party::Merchant => session.merchant.psc_keys(),
-            };
-            let tx = regas(build(session), gas, keys);
-            match session.run_psc_tx(tx) {
+            match session.run_psc_tx(session.signed_call(from, gas, &call)) {
                 Ok(receipt) => AttemptResult::Executed(receipt),
                 Err(e) => AttemptResult::Aborted(e.to_string()),
             }
@@ -616,16 +610,6 @@ impl Effects for ChaosSession {
         self.obs_high_water = self.session.clock.as_micros();
         root
     }
-}
-
-/// Re-signs `tx` at a different gas limit (no-op when already there).
-fn regas(mut tx: PscTransaction, gas: u64, keys: &KeyPair) -> PscTransaction {
-    if tx.gas_limit != gas {
-        tx.gas_limit = gas;
-        tx.signature = None;
-        tx = tx.sign(keys);
-    }
-    tx
 }
 
 /// Maps a journal failure into the session error surface.

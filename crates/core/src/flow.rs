@@ -26,7 +26,7 @@
 //! honest customer's inclusion proof in the E5 latency measurement) and
 //! *what a refused dispute-open means* ([`DisputeCall::open_must_land`]).
 
-use crate::protocol::RejectReason;
+use crate::protocol::{Party, RejectReason};
 use crate::recovery::{Outcome, Step};
 use crate::robustness::ProtocolPhase;
 use crate::session::{FastPaySession, RaceOutcome, SessionError};
@@ -37,11 +37,11 @@ use btcfast_crypto::Hash256;
 use btcfast_netsim::time::SimTime;
 use btcfast_obs::{Field, TraceContext};
 use btcfast_payjudger::client::CALL_GAS_LIMIT;
-use btcfast_payjudger::evidence::check_evidence;
+use btcfast_payjudger::evidence::{check_evidence, EvidenceBundle};
 use btcfast_payjudger::retry::RetryReport;
 use btcfast_payjudger::types::DisputeVerdict;
-use btcfast_payjudger::PayJudgerClient;
-use btcfast_pscsim::tx::{PscTransaction, Receipt};
+use btcfast_payjudger::{Call, PayJudgerClient};
+use btcfast_pscsim::tx::Receipt;
 
 /// Merchant-side local verification time per payment, seconds: the
 /// signature check plus the escrow lookup against the merchant's own PSC
@@ -53,13 +53,6 @@ const VERIFY_SECS: f64 = 0.010;
 type Fields = Vec<(&'static str, Field)>;
 /// A resolved message leg: see [`Effects::leg`].
 pub(crate) type Leg<E> = (u64, Result<u32, E>);
-
-/// The protocol party a message or PSC call originates from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Party {
-    Customer,
-    Merchant,
-}
 
 /// What the environment supplies to the protocol driver. Implementations
 /// own *how*; the driver owns *what* and *in which order*. The provided
@@ -88,19 +81,18 @@ pub(crate) trait Effects {
         (session.clock.as_micros(), Ok(1))
     }
 
-    /// Carries the transaction `build` produces on the current chain
-    /// state from `from` to inclusion on the PSC chain (re-built for every
-    /// resubmission), giving up once the clock passes `window_deadline`.
+    /// Carries `call` from `from` to inclusion on the PSC chain (signed
+    /// afresh, at the current nonce, for every resubmission), giving up
+    /// once the clock passes `window_deadline`.
     fn psc_call(
         &mut self,
         _phase: ProtocolPhase,
-        _from: Party,
+        from: Party,
         _ctx: TraceContext,
         _window_deadline: Option<SimTime>,
-        mut build: impl FnMut(&FastPaySession) -> PscTransaction,
+        call: Call,
     ) -> Result<RetryReport, Self::Error> {
-        let session = self.session();
-        let receipt = session.run_psc_tx(build(session))?;
+        let receipt = self.session().call(from, call)?;
         Ok(RetryReport {
             total_fees: receipt.fee_paid,
             receipt,
@@ -192,18 +184,15 @@ fn psc_phase<E: Effects>(
     from: Party,
     window_deadline: Option<SimTime>,
     step: impl FnOnce(u64) -> Step,
-    build: impl FnMut(&FastPaySession) -> PscTransaction,
+    call: Call,
 ) -> Result<RetryReport, E::Error> {
     let session = fx.session();
     let start = session.clock.as_micros();
-    let step = step(session.psc.nonce_of(&match from {
-        Party::Customer => session.customer.psc_account(),
-        Party::Merchant => session.merchant.psc_account(),
-    }));
+    let step = step(session.psc_nonce(from));
     let payment_id = step.payment_id();
     fx.journal_begin(step)?;
     let ctx = fx.session().tracer.child_of(&parent);
-    let call = fx.psc_call(phase, from, ctx, window_deadline, build);
+    let call = fx.psc_call(phase, from, ctx, window_deadline, call);
     let mut fields: Fields = Vec::with_capacity(3);
     let landed = call.as_ref().is_ok_and(|call| {
         let id = payment_id.or_else(|| PayJudgerClient::payment_id_from(&call.receipt));
@@ -249,7 +238,14 @@ pub(crate) fn register<E: Effects>(
     amount_sats: u64,
 ) -> Result<Registered, E::Error> {
     let start = fx.session().clock;
-    let collateral = fx.session().config.required_collateral(amount_sats);
+    let session = fx.session();
+    let collateral = session.config.required_collateral(amount_sats);
+    let open = Call::OpenPayment(
+        session.merchant.psc_account(),
+        txid,
+        amount_sats,
+        collateral,
+    );
     let call = psc_phase(
         fx,
         root,
@@ -262,17 +258,7 @@ pub(crate) fn register<E: Effects>(
             collateral,
             psc_nonce,
         },
-        |s| {
-            let merchant = s.merchant.psc_account();
-            s.customer.build_open_payment(
-                &s.judger,
-                &s.psc,
-                merchant,
-                txid,
-                amount_sats,
-                collateral,
-            )
-        },
+        open,
     )?;
     let payment_id = registered_id(&call.receipt)?;
     fx.journal_done(Outcome::PaymentRegistered { payment_id })?;
@@ -498,10 +484,7 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
                 payment_id,
                 psc_nonce,
             },
-            |s| {
-                s.merchant
-                    .build_dispute(&s.judger, &s.psc, customer, payment_id)
-            },
+            Call::Dispute(customer, payment_id),
         )?;
         if !open.receipt.status.is_success() {
             fx.journal_done(Outcome::Rejected)?;
@@ -532,17 +515,7 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
                 txid,
                 psc_nonce,
             },
-            |s| {
-                let evidence = call.evidence.clone();
-                match call.answered_by {
-                    Party::Customer => s
-                        .customer
-                        .build_evidence_submission(&s.judger, &s.psc, payment_id, evidence),
-                    Party::Merchant => s.merchant.build_evidence_submission(
-                        &s.judger, &s.psc, customer, payment_id, evidence,
-                    ),
-                }
-            },
+            Call::SubmitEvidence(customer, payment_id, EvidenceBundle(call.evidence)),
         )?;
         if !submitted.receipt.status.is_success() {
             let status = &submitted.receipt.status;
@@ -565,10 +538,7 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
                 payment_id,
                 psc_nonce,
             },
-            |s| {
-                s.merchant
-                    .build_judge(&s.judger, &s.psc, customer, payment_id)
-            },
+            Call::Judge(customer, payment_id),
         )?;
         fx.journal_done(Outcome::Applied)?;
 

@@ -85,7 +85,7 @@ pub use engine::{
     ShardOutcome,
 };
 pub use policy::AcceptancePolicy;
-pub use protocol::{Acceptance, PaymentOffer, RejectReason};
+pub use protocol::{Acceptance, Party, PaymentOffer, RejectReason};
 pub use recovery::{
     Outcome, PaymentLedger, Payments, RecoveryError, RecoveryManager, RecoveryReport,
     RecoveryStats, Step,

@@ -6,6 +6,15 @@ use btcfast_pscsim::account::AccountId;
 use std::error::Error;
 use std::fmt;
 
+/// A protocol party: who sends a message or a PSC call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Party {
+    /// The paying customer.
+    Customer,
+    /// The payee merchant.
+    Merchant,
+}
+
 /// What the customer hands the merchant at the point of sale: the signed
 /// (but unconfirmed) BTC transaction plus a pointer to the escrow payment
 /// registration backing it.

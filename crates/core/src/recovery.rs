@@ -35,7 +35,7 @@
 
 use btcfast_crypto::sha256::{sha256, Sha256};
 use btcfast_crypto::Hash256;
-use btcfast_pscsim::codec::{take, CodecError, Decode, Encode};
+use btcfast_pscsim::codec::{tagged_codec, take, CodecError, Decode, Encode};
 use btcfast_store::snapshot::HEADER_BYTES;
 use btcfast_store::{SnapshotStore, Storage, StoreError, Wal};
 use std::collections::btree_map::Entry;
@@ -476,35 +476,7 @@ impl From<StoreError> for RecoveryError {
     }
 }
 
-// --- Canonical journal encoding: the workspace codec. -------------------
-
-/// Implements [`Encode`] and [`Decode`] for an enum from one table of
-/// `tag => Variant { fields }` rows: a variant encodes as its tag byte and
-/// then its fields in the order listed, so the two directions cannot
-/// disagree.
-macro_rules! tagged_codec {
-    ($name:ident { $($tag:literal => $variant:ident $({ $($field:ident),* })?,)* }) => {
-        impl Encode for $name {
-            fn encode_to(&self, out: &mut Vec<u8>) {
-                match self {
-                    $($name::$variant $({ $($field),* })? => {
-                        out.push($tag);
-                        $($($field.encode_to(out);)*)?
-                    })*
-                }
-            }
-        }
-
-        impl Decode for $name {
-            fn decode_from(input: &mut &[u8]) -> Result<$name, CodecError> {
-                Ok(match u8::decode_from(input)? {
-                    $($tag => $name::$variant $({ $($field: Decode::decode_from(input)?),* })?,)*
-                    t => return Err(CodecError::BadTag(t)),
-                })
-            }
-        }
-    };
-}
+// --- Canonical journal encoding: the workspace codec's tables. ----------
 
 tagged_codec! {
     Step {

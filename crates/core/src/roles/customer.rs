@@ -8,10 +8,10 @@ use btcfast_btcsim::wallet::{Wallet, WalletError};
 use btcfast_btcsim::Amount;
 use btcfast_crypto::keys::KeyPair;
 use btcfast_crypto::Hash256;
-use btcfast_payjudger::PayJudgerClient;
+use btcfast_payjudger::client::CALL_GAS_LIMIT;
+use btcfast_payjudger::{Call, PayJudgerClient};
 use btcfast_pscsim::account::AccountId;
 use btcfast_pscsim::tx::PscTransaction;
-use btcfast_pscsim::PscChain;
 
 /// A BTCFast customer: owns a BTC wallet and a PSC account holding escrow.
 #[derive(Clone, Debug)]
@@ -46,16 +46,6 @@ impl Customer {
     /// The PSC account id.
     pub fn psc_account(&self) -> AccountId {
         self.psc_keys.address().into()
-    }
-
-    /// Builds the escrow deposit transaction (Setup phase).
-    pub fn build_deposit(
-        &self,
-        judger: &PayJudgerClient,
-        psc: &PscChain,
-        value: u128,
-    ) -> PscTransaction {
-        judger.deposit_tx(&self.psc_keys, psc.nonce_of(&self.psc_account()), value)
     }
 
     /// Builds the signed BTC payment transaction (FastPay phase, step 1).
@@ -101,49 +91,20 @@ impl Customer {
         )
     }
 
-    /// Builds the escrow payment registration at an *explicit* nonce.
-    ///
-    /// [`Customer::build_open_payment`] reads the confirmed nonce from the
-    /// chain, so two registrations built before either is mined would
-    /// collide. Batched registration builds K transactions at
-    /// `nonce_base..nonce_base + K` and includes them all in one PSC block.
+    /// Builds the escrow payment registration at an explicit nonce: batched
+    /// registration builds K of them at `nonce_base..nonce_base + K`, all
+    /// included in one PSC block, before any is mined.
     pub fn build_open_payment_at(
         &self,
         judger: &PayJudgerClient,
         nonce: u64,
-        merchant_psc: AccountId,
+        merchant: AccountId,
         btc_txid: Hash256,
         amount_sats: u64,
         collateral: u128,
     ) -> PscTransaction {
-        judger.open_payment_tx(
-            &self.psc_keys,
-            nonce,
-            merchant_psc,
-            btc_txid,
-            amount_sats,
-            collateral,
-        )
-    }
-
-    /// Builds the escrow payment registration (FastPay phase, step 2).
-    pub fn build_open_payment(
-        &self,
-        judger: &PayJudgerClient,
-        psc: &PscChain,
-        merchant_psc: AccountId,
-        btc_txid: Hash256,
-        amount_sats: u64,
-        collateral: u128,
-    ) -> PscTransaction {
-        judger.open_payment_tx(
-            &self.psc_keys,
-            psc.nonce_of(&self.psc_account()),
-            merchant_psc,
-            btc_txid,
-            amount_sats,
-            collateral,
-        )
+        let call = Call::OpenPayment(merchant, btc_txid, amount_sats, collateral);
+        judger.tx(&self.psc_keys, nonce, CALL_GAS_LIMIT, &call)
     }
 
     /// Assembles the point-of-sale offer once the registration's payment id
@@ -168,48 +129,6 @@ impl Customer {
         let evidence = SpvEvidence::from_chain(btc, 1, btc.height(), Some(txid));
         evidence.inclusion.as_ref()?;
         Some(evidence)
-    }
-
-    /// Builds the close transaction for an undisputed payment after the
-    /// challenge window.
-    pub fn build_close_payment(
-        &self,
-        judger: &PayJudgerClient,
-        psc: &PscChain,
-        payment_id: u64,
-    ) -> PscTransaction {
-        judger.close_payment_tx(
-            &self.psc_keys,
-            psc.nonce_of(&self.psc_account()),
-            payment_id,
-        )
-    }
-
-    /// Builds a withdrawal of unlocked escrow balance.
-    pub fn build_withdraw(
-        &self,
-        judger: &PayJudgerClient,
-        psc: &PscChain,
-        amount: u128,
-    ) -> PscTransaction {
-        judger.withdraw_tx(&self.psc_keys, psc.nonce_of(&self.psc_account()), amount)
-    }
-
-    /// Builds the evidence-submission transaction during a dispute.
-    pub fn build_evidence_submission(
-        &self,
-        judger: &PayJudgerClient,
-        psc: &PscChain,
-        payment_id: u64,
-        evidence: SpvEvidence,
-    ) -> PscTransaction {
-        judger.submit_evidence_tx(
-            &self.psc_keys,
-            psc.nonce_of(&self.psc_account()),
-            self.psc_account(),
-            payment_id,
-            evidence,
-        )
     }
 }
 

@@ -11,7 +11,6 @@ use btcfast_crypto::keys::KeyPair;
 use btcfast_crypto::Hash256;
 use btcfast_payjudger::PayJudgerClient;
 use btcfast_pscsim::account::AccountId;
-use btcfast_pscsim::tx::PscTransaction;
 use btcfast_pscsim::PscChain;
 
 /// A BTCFast merchant: verifies offers against both chains before releasing
@@ -156,77 +155,11 @@ impl Merchant {
         })
     }
 
-    /// Builds the dispute transaction.
-    pub fn build_dispute(
-        &self,
-        judger: &PayJudgerClient,
-        psc: &PscChain,
-        customer: AccountId,
-        payment_id: u64,
-    ) -> PscTransaction {
-        judger.dispute_tx(
-            &self.psc_keys,
-            psc.nonce_of(&self.psc_account()),
-            customer,
-            payment_id,
-        )
-    }
-
     /// Builds the merchant's evidence: the heaviest chain the merchant
     /// sees, with an inclusion proof if the disputed tx happens to be on it
     /// (it won't be, if the dispute is justified).
     pub fn build_dispute_evidence(&self, btc: &Chain, disputed_txid: &Hash256) -> SpvEvidence {
         SpvEvidence::from_chain(btc, 1, btc.height(), Some(disputed_txid))
-    }
-
-    /// Builds the evidence-submission transaction.
-    pub fn build_evidence_submission(
-        &self,
-        judger: &PayJudgerClient,
-        psc: &PscChain,
-        customer: AccountId,
-        payment_id: u64,
-        evidence: SpvEvidence,
-    ) -> PscTransaction {
-        judger.submit_evidence_tx(
-            &self.psc_keys,
-            psc.nonce_of(&self.psc_account()),
-            customer,
-            payment_id,
-            evidence,
-        )
-    }
-
-    /// Builds the judgment-trigger transaction.
-    pub fn build_judge(
-        &self,
-        judger: &PayJudgerClient,
-        psc: &PscChain,
-        customer: AccountId,
-        payment_id: u64,
-    ) -> PscTransaction {
-        judger.judge_tx(
-            &self.psc_keys,
-            psc.nonce_of(&self.psc_account()),
-            customer,
-            payment_id,
-        )
-    }
-
-    /// Builds the early-release acknowledgment for a confirmed payment.
-    pub fn build_ack(
-        &self,
-        judger: &PayJudgerClient,
-        psc: &PscChain,
-        customer: AccountId,
-        payment_id: u64,
-    ) -> PscTransaction {
-        judger.ack_payment_tx(
-            &self.psc_keys,
-            psc.nonce_of(&self.psc_account()),
-            customer,
-            payment_id,
-        )
     }
 }
 

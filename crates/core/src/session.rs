@@ -30,9 +30,9 @@
 //! still sub-second on an EOS-like PSC chain).
 
 use crate::config::SessionConfig;
-use crate::flow::{self, DisputeCall, Party};
+use crate::flow::{self, DisputeCall};
 use crate::policy::AcceptancePolicy;
-use crate::protocol::RejectReason;
+use crate::protocol::{Party, RejectReason};
 use crate::roles::{Customer, Merchant};
 use btcfast_btcsim::attack::PrivateForkAttacker;
 use btcfast_btcsim::chain::Chain;
@@ -42,14 +42,15 @@ use btcfast_btcsim::transaction::{OutPoint, Transaction};
 use btcfast_btcsim::wallet::Wallet;
 use btcfast_btcsim::Amount;
 use btcfast_crypto::batch::BatchStats;
-use btcfast_crypto::keys::Address;
+use btcfast_crypto::keys::{Address, KeyPair};
 use btcfast_crypto::Hash256;
 use btcfast_netsim::poisson::BlockArrivals;
 use btcfast_netsim::time::SimTime;
 use btcfast_obs::{Field, TraceEvent, Tracer};
+use btcfast_payjudger::client::CALL_GAS_LIMIT;
 use btcfast_payjudger::contract::PayJudger;
 use btcfast_payjudger::types::{DisputeVerdict, JudgerConfig};
-use btcfast_payjudger::{EvidenceVerifier, PayJudgerClient};
+use btcfast_payjudger::{Call, EvidenceVerifier, PayJudgerClient};
 use btcfast_pscsim::tx::{PscTransaction, Receipt};
 use btcfast_pscsim::PscChain;
 use rand::rngs::StdRng;
@@ -345,12 +346,10 @@ impl FastPaySession {
 
         // --- Escrow deposit (Setup phase), held to PSC finality. ----------
         let escrow_open_start = session.clock;
-        let deposit = session.customer.build_deposit(
-            &session.judger,
-            &session.psc,
-            session.config.escrow_deposit,
-        );
-        let receipt = session.run_psc_tx(deposit).expect("escrow deposit submits");
+        let deposit = Call::Deposit(session.config.escrow_deposit);
+        let receipt = session
+            .call(Party::Customer, deposit)
+            .expect("escrow deposit submits");
         assert!(
             receipt.status.is_success(),
             "escrow deposit failed: {:?}",
@@ -443,6 +442,36 @@ impl FastPaySession {
             .ok_or(SessionError::MissingReceipt {
                 context: "psc-call",
             })
+    }
+
+    /// The PSC keys `party` signs with.
+    fn keys(&self, party: Party) -> &KeyPair {
+        match party {
+            Party::Customer => self.customer.psc_keys(),
+            Party::Merchant => self.merchant.psc_keys(),
+        }
+    }
+
+    /// The nonce `party`'s next PSC transaction carries.
+    pub(crate) fn psc_nonce(&self, party: Party) -> u64 {
+        self.psc.nonce_of(&self.keys(party).address().into())
+    }
+
+    /// `call` from `party`, signed at its next nonce with a `gas` limit.
+    pub(crate) fn signed_call(&self, party: Party, gas: u64, call: &Call) -> PscTransaction {
+        self.judger
+            .tx(self.keys(party), self.psc_nonce(party), gas, call)
+    }
+
+    /// Sends `call` from `party` — that party's key, the chain's nonce,
+    /// [`CALL_GAS_LIMIT`] — and runs it as [`Self::run_psc_tx`] does. Emits
+    /// no trace event.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run_psc_tx`].
+    pub fn call(&mut self, party: Party, call: Call) -> Result<Receipt, SessionError> {
+        self.run_psc_tx(self.signed_call(party, CALL_GAS_LIMIT, &call))
     }
 
     /// One honest fast payment (FastPay phase), measured.

@@ -1,8 +1,8 @@
-//! A typed off-chain client for PayJudger: builds the PSC transactions,
-//! decodes receipts, and performs view queries.
+//! A typed off-chain client for PayJudger: signs [`Call`]s into PSC
+//! transactions, decodes receipts, and performs view queries.
 
-use crate::contract::CODE_ID;
-use crate::evidence::{check_evidence, EvidenceBundle};
+use crate::contract::{Call, CODE_ID};
+use crate::evidence::check_evidence;
 use crate::types::{
     CheckpointRecord, DisputeVerdict, EscrowRecord, EvidenceSummary, JudgerConfig, PaymentRecord,
 };
@@ -12,7 +12,7 @@ use btcfast_btcsim::spv::SpvEvidence;
 use btcfast_crypto::keys::KeyPair;
 use btcfast_crypto::Hash256;
 use btcfast_pscsim::account::AccountId;
-use btcfast_pscsim::codec::{Decode, Encode};
+use btcfast_pscsim::codec::Decode;
 use btcfast_pscsim::contract::ContractError;
 use btcfast_pscsim::tx::{Action, PscTransaction, Receipt};
 use btcfast_pscsim::PscChain;
@@ -53,149 +53,43 @@ impl PayJudgerClient {
             0,
             Action::Deploy {
                 code_id: CODE_ID.into(),
-                args: config.encode(),
+                args: Call::Init(config.clone()).args(),
             },
         )
         .with_gas(CALL_GAS_LIMIT, gas_price)
         .sign(deployer)
     }
 
-    fn call_tx(
-        &self,
-        key: &KeyPair,
-        nonce: u64,
-        value: u128,
-        method: &str,
-        args: Vec<u8>,
-    ) -> PscTransaction {
+    /// Signs `call` from `key` at `nonce` with a `gas` limit. The attached
+    /// value is the deposit's; every other call attaches none.
+    pub fn tx(&self, key: &KeyPair, nonce: u64, gas: u64, call: &Call) -> PscTransaction {
+        let value = match call {
+            Call::Deposit(value) => *value,
+            _ => 0,
+        };
         PscTransaction::new(
             *key.public(),
             nonce,
             value,
             Action::Call {
                 contract: self.contract,
-                method: method.into(),
-                args,
+                method: call.method().into(),
+                args: call.args(),
             },
         )
-        .with_gas(CALL_GAS_LIMIT, self.gas_price)
+        .with_gas(gas, self.gas_price)
         .sign(key)
     }
 
-    /// `deposit()` with attached collateral value.
-    pub fn deposit_tx(&self, customer: &KeyPair, nonce: u64, value: u128) -> PscTransaction {
-        self.call_tx(customer, nonce, value, "deposit", vec![])
-    }
-
-    /// `open_payment(merchant, btc_txid, amount_sats, collateral)`.
-    pub fn open_payment_tx(
+    /// Runs the view `call` as `caller` and decodes its record.
+    fn view<T: Decode>(
         &self,
-        customer: &KeyPair,
-        nonce: u64,
-        merchant: AccountId,
-        btc_txid: Hash256,
-        amount_sats: u64,
-        collateral: u128,
-    ) -> PscTransaction {
-        let mut args = Vec::new();
-        merchant.encode_to(&mut args);
-        btc_txid.encode_to(&mut args);
-        amount_sats.encode_to(&mut args);
-        collateral.encode_to(&mut args);
-        self.call_tx(customer, nonce, 0, "open_payment", args)
-    }
-
-    /// `ack_payment(customer, payment_id)` — merchant releases early.
-    pub fn ack_payment_tx(
-        &self,
-        merchant: &KeyPair,
-        nonce: u64,
-        customer: AccountId,
-        payment_id: u64,
-    ) -> PscTransaction {
-        self.call_tx(
-            merchant,
-            nonce,
-            0,
-            "ack_payment",
-            (customer, payment_id).encode(),
-        )
-    }
-
-    /// `close_payment(payment_id)` — customer closes after the window.
-    pub fn close_payment_tx(
-        &self,
-        customer: &KeyPair,
-        nonce: u64,
-        payment_id: u64,
-    ) -> PscTransaction {
-        self.call_tx(customer, nonce, 0, "close_payment", payment_id.encode())
-    }
-
-    /// `dispute(customer, payment_id)` — merchant raises a dispute.
-    pub fn dispute_tx(
-        &self,
-        merchant: &KeyPair,
-        nonce: u64,
-        customer: AccountId,
-        payment_id: u64,
-    ) -> PscTransaction {
-        self.call_tx(
-            merchant,
-            nonce,
-            0,
-            "dispute",
-            (customer, payment_id).encode(),
-        )
-    }
-
-    /// `submit_evidence(customer, payment_id, bundle)`.
-    pub fn submit_evidence_tx(
-        &self,
-        party: &KeyPair,
-        nonce: u64,
-        customer: AccountId,
-        payment_id: u64,
-        evidence: SpvEvidence,
-    ) -> PscTransaction {
-        let mut args = Vec::new();
-        customer.encode_to(&mut args);
-        payment_id.encode_to(&mut args);
-        EvidenceBundle(evidence).encode_to(&mut args);
-        self.call_tx(party, nonce, 0, "submit_evidence", args)
-    }
-
-    /// `judge(customer, payment_id)` — anyone may trigger after the window.
-    pub fn judge_tx(
-        &self,
-        caller: &KeyPair,
-        nonce: u64,
-        customer: AccountId,
-        payment_id: u64,
-    ) -> PscTransaction {
-        self.call_tx(caller, nonce, 0, "judge", (customer, payment_id).encode())
-    }
-
-    /// `withdraw(amount)` — customer retrieves unlocked balance.
-    pub fn withdraw_tx(&self, customer: &KeyPair, nonce: u64, amount: u128) -> PscTransaction {
-        self.call_tx(customer, nonce, 0, "withdraw", amount.encode())
-    }
-
-    /// `advance_checkpoint(bundle)` — rolls the evidence anchor forward
-    /// (extension; any party may call).
-    pub fn advance_checkpoint_tx(
-        &self,
-        caller: &KeyPair,
-        nonce: u64,
-        segment: SpvEvidence,
-    ) -> PscTransaction {
-        self.call_tx(
-            caller,
-            nonce,
-            0,
-            "advance_checkpoint",
-            EvidenceBundle(segment).encode(),
-        )
+        chain: &PscChain,
+        caller: AccountId,
+        call: Call,
+    ) -> Result<T, ContractError> {
+        let bytes = chain.call_view(caller, self.contract, call.method(), &call.args())?;
+        Ok(T::decode(&bytes)?)
     }
 
     /// View: the current rolling checkpoint.
@@ -204,8 +98,7 @@ impl PayJudgerClient {
     ///
     /// Propagates [`ContractError`].
     pub fn checkpoint(&self, chain: &PscChain) -> Result<CheckpointRecord, ContractError> {
-        let bytes = chain.call_view(AccountId::default(), self.contract, "get_checkpoint", &[])?;
-        Ok(CheckpointRecord::decode(&bytes)?)
+        self.view(chain, AccountId::default(), Call::GetCheckpoint)
     }
 
     /// View: contract configuration.
@@ -214,8 +107,7 @@ impl PayJudgerClient {
     ///
     /// Propagates [`ContractError`] from the view call or codec.
     pub fn config(&self, chain: &PscChain) -> Result<JudgerConfig, ContractError> {
-        let bytes = chain.call_view(AccountId::default(), self.contract, "get_config", &[])?;
-        Ok(JudgerConfig::decode(&bytes)?)
+        self.view(chain, AccountId::default(), Call::GetConfig)
     }
 
     /// View: a customer's escrow record.
@@ -229,8 +121,7 @@ impl PayJudgerClient {
         chain: &PscChain,
         customer: AccountId,
     ) -> Result<EscrowRecord, ContractError> {
-        let bytes = chain.call_view(customer, self.contract, "get_escrow", &customer.encode())?;
-        Ok(EscrowRecord::decode(&bytes)?)
+        self.view(chain, customer, Call::GetEscrow(customer))
     }
 
     /// View: a payment record.
@@ -244,13 +135,7 @@ impl PayJudgerClient {
         customer: AccountId,
         payment_id: u64,
     ) -> Result<PaymentRecord, ContractError> {
-        let bytes = chain.call_view(
-            customer,
-            self.contract,
-            "get_payment",
-            &(customer, payment_id).encode(),
-        )?;
-        Ok(PaymentRecord::decode(&bytes)?)
+        self.view(chain, customer, Call::GetPayment(customer, payment_id))
     }
 
     /// Decodes the payment id from an `open_payment` receipt.
@@ -301,12 +186,14 @@ impl PayJudgerClient {
 mod tests {
     use super::*;
     use crate::contract::PayJudger;
+    use crate::evidence::EvidenceBundle;
     use crate::types::PaymentState;
     use btcfast_btcsim::chain::Chain;
     use btcfast_btcsim::miner::Miner;
     use btcfast_btcsim::params::ChainParams;
     use btcfast_btcsim::wallet::Wallet;
     use btcfast_btcsim::Amount;
+    use btcfast_pscsim::codec::CodecError;
     use btcfast_pscsim::params::PscParams;
     use btcfast_pscsim::tx::TxStatus;
     use std::sync::Arc;
@@ -329,6 +216,12 @@ mod tests {
 
     impl Harness {
         fn new() -> Harness {
+            Harness::deploy(WINDOW, 6)
+        }
+
+        /// The harness with PayJudger deployed at the given challenge
+        /// window and Δ.
+        fn deploy(challenge_window_secs: u64, min_evidence_blocks: u64) -> Harness {
             // --- BTC side ---------------------------------------------------
             let params = ChainParams::regtest();
             let mut btc = Chain::new(params.clone());
@@ -367,8 +260,8 @@ mod tests {
             let config = JudgerConfig {
                 checkpoint: Hash256::ZERO,
                 min_target_bits: ChainParams::regtest().pow_limit_bits.0,
-                challenge_window_secs: WINDOW,
-                min_evidence_blocks: 6,
+                challenge_window_secs,
+                min_evidence_blocks,
             };
             let deploy = PayJudgerClient::deploy_tx(&customer, 0, &config, GAS_PRICE);
             let hash = psc.submit_transaction(deploy).unwrap();
@@ -389,8 +282,8 @@ mod tests {
             }
         }
 
-        fn nonce(&self, key: &KeyPair) -> u64 {
-            self.psc.nonce_of(&key.address().into())
+        fn customer_id(&self) -> AccountId {
+            self.customer.address().into()
         }
 
         fn run(&mut self, tx: PscTransaction) -> Receipt {
@@ -398,6 +291,17 @@ mod tests {
             self.time += 15;
             self.psc.produce_block(self.time);
             self.psc.receipt(&hash).unwrap().clone()
+        }
+
+        /// The signed `call` from `key` at its next nonce.
+        fn tx(&self, key: KeyPair, call: &Call) -> PscTransaction {
+            let nonce = self.psc.nonce_of(&key.address().into());
+            self.judger.tx(&key, nonce, CALL_GAS_LIMIT, call)
+        }
+
+        /// Sends `call` from `key` and includes it.
+        fn send(&mut self, key: KeyPair, call: Call) -> Receipt {
+            self.run(self.tx(key, &call))
         }
 
         /// Produces empty PSC blocks until chain time passes `target`.
@@ -408,26 +312,72 @@ mod tests {
             }
         }
 
+        /// Waits out a challenge or evidence window.
+        fn wait_window(&mut self) {
+            self.advance_time_to(self.time + WINDOW + 30);
+        }
+
         fn deposit(&mut self, value: u128) -> Receipt {
-            let tx = self
-                .judger
-                .deposit_tx(&self.customer, self.nonce(&self.customer), value);
-            self.run(tx)
+            self.send(self.customer, Call::Deposit(value))
+        }
+
+        fn open_payment_for(
+            &mut self,
+            btc_txid: Hash256,
+            amount_sats: u64,
+            collateral: u128,
+        ) -> Receipt {
+            let call = Call::OpenPayment(
+                self.merchant.address().into(),
+                btc_txid,
+                amount_sats,
+                collateral,
+            );
+            self.send(self.customer, call)
         }
 
         fn open_payment(&mut self, collateral: u128) -> u64 {
-            let tx = self.judger.open_payment_tx(
-                &self.customer,
-                self.nonce(&self.customer),
-                self.merchant.address().into(),
-                self.pay_txid,
-                1_000_000,
-                collateral,
-            );
-            let receipt = self.run(tx);
+            let receipt = self.open_payment_for(self.pay_txid, 1_000_000, collateral);
             assert!(receipt.status.is_success(), "{:?}", receipt.status);
             PayJudgerClient::payment_id_from(&receipt).unwrap()
         }
+
+        fn dispute(&mut self, payment_id: u64) -> Receipt {
+            self.send(self.merchant, Call::Dispute(self.customer_id(), payment_id))
+        }
+
+        fn judge(&mut self, payment_id: u64) -> Receipt {
+            self.send(self.merchant, Call::Judge(self.customer_id(), payment_id))
+        }
+
+        fn submit(&mut self, key: KeyPair, payment_id: u64, evidence: SpvEvidence) -> Receipt {
+            let call =
+                Call::SubmitEvidence(self.customer_id(), payment_id, EvidenceBundle(evidence));
+            self.send(key, call)
+        }
+
+        fn advance_checkpoint(&mut self, segment: SpvEvidence) -> Receipt {
+            let call = Call::AdvanceCheckpoint(EvidenceBundle(segment));
+            self.send(self.merchant, call)
+        }
+
+        /// Evidence over BTC heights `from..=to`, proving `txid` when given.
+        fn evidence(&self, from: u64, to: u64, txid: Option<&Hash256>) -> SpvEvidence {
+            SpvEvidence::from_chain(&self.btc, from, to, txid)
+        }
+
+        /// Evidence from height 1 to the tip, proving the harness payment.
+        fn full_evidence(&self) -> SpvEvidence {
+            self.evidence(1, self.btc.height(), Some(&self.pay_txid))
+        }
+    }
+
+    fn reverted(status: &TxStatus) -> bool {
+        matches!(status, TxStatus::Reverted(_))
+    }
+
+    fn revert_status(msg: &str) -> TxStatus {
+        TxStatus::Reverted(ContractError::Revert(msg.into()).to_string())
     }
 
     #[test]
@@ -435,10 +385,7 @@ mod tests {
         let mut h = Harness::new();
         let receipt = h.deposit(500_000);
         assert!(receipt.status.is_success());
-        let escrow = h
-            .judger
-            .escrow(&h.psc, h.customer.address().into())
-            .unwrap();
+        let escrow = h.judger.escrow(&h.psc, h.customer_id()).unwrap();
         assert_eq!(escrow.balance, 500_000);
         assert_eq!(escrow.locked, 0);
         // Contract holds the value.
@@ -448,8 +395,7 @@ mod tests {
     #[test]
     fn deposit_without_value_reverts() {
         let mut h = Harness::new();
-        let receipt = h.deposit(0);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        assert!(reverted(&h.deposit(0).status));
     }
 
     #[test]
@@ -457,15 +403,12 @@ mod tests {
         let mut h = Harness::new();
         h.deposit(500_000);
         let payment_id = h.open_payment(200_000);
-        let escrow = h
-            .judger
-            .escrow(&h.psc, h.customer.address().into())
-            .unwrap();
+        let escrow = h.judger.escrow(&h.psc, h.customer_id()).unwrap();
         assert_eq!(escrow.locked, 200_000);
         assert_eq!(escrow.available(), 300_000);
         let payment = h
             .judger
-            .payment(&h.psc, h.customer.address().into(), payment_id)
+            .payment(&h.psc, h.customer_id(), payment_id)
             .unwrap();
         assert_eq!(payment.state, PaymentState::Open);
         assert_eq!(payment.btc_txid, h.pay_txid);
@@ -475,16 +418,8 @@ mod tests {
     fn open_payment_beyond_available_reverts() {
         let mut h = Harness::new();
         h.deposit(100_000);
-        let tx = h.judger.open_payment_tx(
-            &h.customer,
-            h.nonce(&h.customer),
-            h.merchant.address().into(),
-            h.pay_txid,
-            1_000_000,
-            200_000,
-        );
-        let receipt = h.run(tx);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        let receipt = h.open_payment_for(h.pay_txid, 1_000_000, 200_000);
+        assert!(reverted(&receipt.status));
     }
 
     #[test]
@@ -492,18 +427,9 @@ mod tests {
         let mut h = Harness::new();
         h.deposit(500_000);
         let payment_id = h.open_payment(200_000);
-        let tx = h.judger.ack_payment_tx(
-            &h.merchant,
-            h.nonce(&h.merchant),
-            h.customer.address().into(),
-            payment_id,
-        );
-        let receipt = h.run(tx);
+        let receipt = h.send(h.merchant, Call::AckPayment(h.customer_id(), payment_id));
         assert!(receipt.status.is_success(), "{:?}", receipt.status);
-        let escrow = h
-            .judger
-            .escrow(&h.psc, h.customer.address().into())
-            .unwrap();
+        let escrow = h.judger.escrow(&h.psc, h.customer_id()).unwrap();
         assert_eq!(escrow.locked, 0);
     }
 
@@ -514,11 +440,8 @@ mod tests {
         let payment_id = h.open_payment(200_000);
         let interloper = KeyPair::from_seed(b"interloper");
         h.psc.faucet(interloper.address().into(), 1_000_000_000);
-        let tx = h
-            .judger
-            .ack_payment_tx(&interloper, 0, h.customer.address().into(), payment_id);
-        let receipt = h.run(tx);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        let receipt = h.send(interloper, Call::AckPayment(h.customer_id(), payment_id));
+        assert!(reverted(&receipt.status));
     }
 
     #[test]
@@ -526,23 +449,14 @@ mod tests {
         let mut h = Harness::new();
         h.deposit(500_000);
         let payment_id = h.open_payment(200_000);
+        let close = Call::ClosePayment(payment_id);
         // Too early.
-        let tx = h
-            .judger
-            .close_payment_tx(&h.customer, h.nonce(&h.customer), payment_id);
-        let receipt = h.run(tx);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        assert!(reverted(&h.send(h.customer, close.clone()).status));
         // After the window.
-        h.advance_time_to(h.time + WINDOW + 30);
-        let tx = h
-            .judger
-            .close_payment_tx(&h.customer, h.nonce(&h.customer), payment_id);
-        let receipt = h.run(tx);
+        h.wait_window();
+        let receipt = h.send(h.customer, close);
         assert!(receipt.status.is_success(), "{:?}", receipt.status);
-        let escrow = h
-            .judger
-            .escrow(&h.psc, h.customer.address().into())
-            .unwrap();
+        let escrow = h.judger.escrow(&h.psc, h.customer_id()).unwrap();
         assert_eq!(escrow.locked, 0);
     }
 
@@ -552,19 +466,13 @@ mod tests {
         h.deposit(500_000);
         h.open_payment(200_000);
         // Withdraw more than available → revert.
-        let tx = h
-            .judger
-            .withdraw_tx(&h.customer, h.nonce(&h.customer), 400_000);
-        let receipt = h.run(tx);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        let receipt = h.send(h.customer, Call::Withdraw(400_000));
+        assert!(reverted(&receipt.status));
         // Withdraw within available → ok, balance moves.
-        let before = h.psc.balance_of(&h.customer.address().into());
-        let tx = h
-            .judger
-            .withdraw_tx(&h.customer, h.nonce(&h.customer), 250_000);
-        let receipt = h.run(tx);
+        let before = h.psc.balance_of(&h.customer_id());
+        let receipt = h.send(h.customer, Call::Withdraw(250_000));
         assert!(receipt.status.is_success());
-        let after = h.psc.balance_of(&h.customer.address().into());
+        let after = h.psc.balance_of(&h.customer_id());
         assert_eq!(after + receipt.fee_paid - before, 250_000);
     }
 
@@ -573,41 +481,25 @@ mod tests {
         let mut h = Harness::new();
         h.deposit(500_000);
         let payment_id = h.open_payment(200_000);
-        let customer_id: AccountId = h.customer.address().into();
 
         // Merchant disputes within the window.
-        let tx = h
-            .judger
-            .dispute_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        let receipt = h.run(tx);
+        let receipt = h.dispute(payment_id);
         assert!(receipt.status.is_success(), "{:?}", receipt.status);
 
         // Customer answers with a full-chain inclusion proof (block 3 of 9,
         // nine headers ≥ Δ = 6).
-        let evidence =
-            btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, 9, Some(&h.pay_txid));
-        let tx = h.judger.submit_evidence_tx(
-            &h.customer,
-            h.nonce(&h.customer),
-            customer_id,
-            payment_id,
-            evidence,
-        );
-        let receipt = h.run(tx);
+        let receipt = h.submit(h.customer, payment_id, h.evidence(1, 9, Some(&h.pay_txid)));
         assert!(receipt.status.is_success(), "{:?}", receipt.status);
 
         // After the evidence window, anyone judges.
-        h.advance_time_to(h.time + WINDOW + 30);
-        let tx = h
-            .judger
-            .judge_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        let receipt = h.run(tx);
+        h.wait_window();
+        let receipt = h.judge(payment_id);
         assert!(receipt.status.is_success(), "{:?}", receipt.status);
         assert_eq!(
             PayJudgerClient::verdict_from(&receipt),
             Some(DisputeVerdict::CustomerWins)
         );
-        let escrow = h.judger.escrow(&h.psc, customer_id).unwrap();
+        let escrow = h.judger.escrow(&h.psc, h.customer_id()).unwrap();
         assert_eq!(escrow.locked, 0);
         assert_eq!(escrow.balance, 500_000); // nothing forfeited
     }
@@ -617,59 +509,37 @@ mod tests {
         let mut h = Harness::new();
         h.deposit(500_000);
         let payment_id = h.open_payment(200_000);
-        let customer_id: AccountId = h.customer.address().into();
         let config = h.judger.config(&h.psc).unwrap();
+        let preflight = |evidence: &SpvEvidence, txid: &Hash256| {
+            PayJudgerClient::preflight_evidence(
+                &EvidenceVerifier,
+                evidence,
+                &config.checkpoint,
+                config.min_target_bits,
+                txid,
+            )
+        };
 
         // Good evidence preflights clean and then lands on-chain.
-        let evidence =
-            btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, 9, Some(&h.pay_txid));
-        let summary = PayJudgerClient::preflight_evidence(
-            &EvidenceVerifier,
-            &evidence,
-            &config.checkpoint,
-            config.min_target_bits,
-            &h.pay_txid,
-        )
-        .expect("honest evidence preflights");
+        let evidence = h.evidence(1, 9, Some(&h.pay_txid));
+        let summary = preflight(&evidence, &h.pay_txid).expect("honest evidence preflights");
         assert!(summary.includes_tx);
         assert_eq!(summary.blocks, 9);
-
-        let tx = h
-            .judger
-            .dispute_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        assert!(h.run(tx).status.is_success());
-        let tx = h.judger.submit_evidence_tx(
-            &h.customer,
-            h.nonce(&h.customer),
-            customer_id,
-            payment_id,
-            evidence,
-        );
-        assert!(h.run(tx).status.is_success());
+        assert!(h.dispute(payment_id).status.is_success());
+        assert!(h
+            .submit(h.customer, payment_id, evidence)
+            .status
+            .is_success());
 
         // Tampered evidence is rejected off-chain with the revert message
         // the contract then charges gas to produce, byte for byte.
-        let mut bad = btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, 9, None);
+        let mut bad = h.evidence(1, 9, None);
         bad.segment.headers[4].nonce ^= 1;
-        let err = PayJudgerClient::preflight_evidence(
-            &EvidenceVerifier,
-            &bad,
-            &config.checkpoint,
-            config.min_target_bits,
-            &h.pay_txid,
-        )
-        .unwrap_err();
+        let err = preflight(&bad, &h.pay_txid).unwrap_err();
         assert!(err.starts_with("evidence rejected:"), "{err}");
-        let tx = h.judger.submit_evidence_tx(
-            &h.merchant,
-            h.nonce(&h.merchant),
-            customer_id,
-            payment_id,
-            bad,
-        );
         assert_eq!(
-            h.run(tx).status,
-            TxStatus::Reverted(ContractError::Revert(err).to_string())
+            h.submit(h.merchant, payment_id, bad).status,
+            revert_status(&err)
         );
     }
 
@@ -678,7 +548,6 @@ mod tests {
         let mut h = Harness::new();
         h.deposit(500_000);
         let payment_id = h.open_payment(200_000);
-        let customer_id: AccountId = h.customer.address().into();
 
         // A reorg strips the payment out of the BTC chain: attacker branch
         // from block 2, longer than the current chain.
@@ -698,37 +567,22 @@ mod tests {
         assert_eq!(h.btc.confirmations(&h.pay_txid), None);
 
         // Merchant disputes and submits the heavier no-inclusion chain.
-        let tx = h
-            .judger
-            .dispute_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        assert!(h.run(tx).status.is_success());
-        let evidence = btcfast_btcsim::spv::SpvEvidence::from_chain(
-            &h.btc,
-            1,
-            h.btc.height(),
-            Some(&h.pay_txid),
-        );
+        assert!(h.dispute(payment_id).status.is_success());
+        let evidence = h.full_evidence();
         assert!(evidence.inclusion.is_none()); // the payment is gone
-        let tx = h.judger.submit_evidence_tx(
-            &h.merchant,
-            h.nonce(&h.merchant),
-            customer_id,
-            payment_id,
-            evidence,
-        );
-        assert!(h.run(tx).status.is_success());
+        assert!(h
+            .submit(h.merchant, payment_id, evidence)
+            .status
+            .is_success());
 
         // The customer's best answer is the old, lighter branch — build it
         // from the stale blocks. (Height 3..9 of the original chain are now
         // side blocks; the judge only cares about work.)
         // The customer cannot produce heavier evidence, so skip submission.
 
-        h.advance_time_to(h.time + WINDOW + 30);
+        h.wait_window();
         let merchant_before = h.psc.balance_of(&h.merchant.address().into());
-        let tx = h
-            .judger
-            .judge_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        let receipt = h.run(tx);
+        let receipt = h.judge(payment_id);
         assert_eq!(
             PayJudgerClient::verdict_from(&receipt),
             Some(DisputeVerdict::MerchantWins)
@@ -736,7 +590,7 @@ mod tests {
         // Collateral moved to the merchant.
         let merchant_after = h.psc.balance_of(&h.merchant.address().into());
         assert_eq!(merchant_after + receipt.fee_paid - merchant_before, 200_000);
-        let escrow = h.judger.escrow(&h.psc, customer_id).unwrap();
+        let escrow = h.judger.escrow(&h.psc, h.customer_id()).unwrap();
         assert_eq!(escrow.balance, 300_000);
         assert_eq!(escrow.locked, 0);
     }
@@ -746,16 +600,9 @@ mod tests {
         let mut h = Harness::new();
         h.deposit(500_000);
         let payment_id = h.open_payment(200_000);
-        let customer_id: AccountId = h.customer.address().into();
-        let tx = h
-            .judger
-            .dispute_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        assert!(h.run(tx).status.is_success());
-        h.advance_time_to(h.time + WINDOW + 30);
-        let tx = h
-            .judger
-            .judge_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        let receipt = h.run(tx);
+        assert!(h.dispute(payment_id).status.is_success());
+        h.wait_window();
+        let receipt = h.judge(payment_id);
         assert_eq!(
             PayJudgerClient::verdict_from(&receipt),
             Some(DisputeVerdict::MerchantWins)
@@ -768,27 +615,15 @@ mod tests {
         let mut h = Harness::new();
         h.deposit(500_000);
         let payment_id = h.open_payment(200_000);
-        let customer_id: AccountId = h.customer.address().into();
-        let tx = h
-            .judger
-            .dispute_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        assert!(h.run(tx).status.is_success());
-        let evidence =
-            btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, 3, Some(&h.pay_txid));
+        assert!(h.dispute(payment_id).status.is_success());
+        let evidence = h.evidence(1, 3, Some(&h.pay_txid));
         assert!(evidence.inclusion.is_some());
-        let tx = h.judger.submit_evidence_tx(
-            &h.customer,
-            h.nonce(&h.customer),
-            customer_id,
-            payment_id,
-            evidence,
-        );
-        assert!(h.run(tx).status.is_success());
-        h.advance_time_to(h.time + WINDOW + 30);
-        let tx = h
-            .judger
-            .judge_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        let receipt = h.run(tx);
+        assert!(h
+            .submit(h.customer, payment_id, evidence)
+            .status
+            .is_success());
+        h.wait_window();
+        let receipt = h.judge(payment_id);
         assert_eq!(
             PayJudgerClient::verdict_from(&receipt),
             Some(DisputeVerdict::MerchantWins)
@@ -800,15 +635,8 @@ mod tests {
         let mut h = Harness::new();
         h.deposit(500_000);
         let payment_id = h.open_payment(200_000);
-        h.advance_time_to(h.time + WINDOW + 30);
-        let tx = h.judger.dispute_tx(
-            &h.merchant,
-            h.nonce(&h.merchant),
-            h.customer.address().into(),
-            payment_id,
-        );
-        let receipt = h.run(tx);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        h.wait_window();
+        assert!(reverted(&h.dispute(payment_id).status));
     }
 
     #[test]
@@ -816,16 +644,8 @@ mod tests {
         let mut h = Harness::new();
         h.deposit(500_000);
         let payment_id = h.open_payment(200_000);
-        let customer_id: AccountId = h.customer.address().into();
-        let tx = h
-            .judger
-            .dispute_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        assert!(h.run(tx).status.is_success());
-        let tx = h
-            .judger
-            .judge_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        let receipt = h.run(tx);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        assert!(h.dispute(payment_id).status.is_success());
+        assert!(reverted(&h.judge(payment_id).status));
     }
 
     #[test]
@@ -833,20 +653,11 @@ mod tests {
         let mut h = Harness::new();
         h.deposit(500_000);
         let payment_id = h.open_payment(200_000);
-        let customer_id: AccountId = h.customer.address().into();
-        let tx = h
-            .judger
-            .dispute_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        assert!(h.run(tx).status.is_success());
+        assert!(h.dispute(payment_id).status.is_success());
         let outsider = KeyPair::from_seed(b"outsider");
         h.psc.faucet(outsider.address().into(), 1_000_000_000);
-        let evidence =
-            btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, 9, Some(&h.pay_txid));
-        let tx = h
-            .judger
-            .submit_evidence_tx(&outsider, 0, customer_id, payment_id, evidence);
-        let receipt = h.run(tx);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        let receipt = h.submit(outsider, payment_id, h.evidence(1, 9, Some(&h.pay_txid)));
+        assert!(reverted(&receipt.status));
     }
 
     #[test]
@@ -854,50 +665,18 @@ mod tests {
         let mut h = Harness::new();
         h.deposit(500_000);
         let payment_id = h.open_payment(200_000);
-        let customer_id: AccountId = h.customer.address().into();
-        let tx = h
-            .judger
-            .dispute_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        assert!(h.run(tx).status.is_success());
-        let heavy = btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, 9, Some(&h.pay_txid));
-        let light = btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, 6, Some(&h.pay_txid));
-        let tx = h.judger.submit_evidence_tx(
-            &h.customer,
-            h.nonce(&h.customer),
-            customer_id,
-            payment_id,
-            heavy,
-        );
-        assert!(h.run(tx).status.is_success());
-        let tx = h.judger.submit_evidence_tx(
-            &h.customer,
-            h.nonce(&h.customer),
-            customer_id,
-            payment_id,
-            light,
-        );
-        let receipt = h.run(tx);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        assert!(h.dispute(payment_id).status.is_success());
+        let heavy = h.evidence(1, 9, Some(&h.pay_txid));
+        let light = h.evidence(1, 6, Some(&h.pay_txid));
+        assert!(h.submit(h.customer, payment_id, heavy).status.is_success());
+        assert!(reverted(&h.submit(h.customer, payment_id, light).status));
     }
 
     #[test]
     fn double_init_rejected() {
         let mut h = Harness::new();
         let config = h.judger.config(&h.psc).unwrap();
-        let tx = PscTransaction::new(
-            *h.customer.public(),
-            h.nonce(&h.customer),
-            0,
-            Action::Call {
-                contract: h.judger.contract,
-                method: "init".into(),
-                args: config.encode(),
-            },
-        )
-        .with_gas(CALL_GAS_LIMIT, GAS_PRICE)
-        .sign(&h.customer);
-        let receipt = h.run(tx);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        assert!(reverted(&h.send(h.customer, Call::Init(config)).status));
     }
 
     #[test]
@@ -907,21 +686,8 @@ mod tests {
         let mut h = Harness::new();
         let deposit = h.deposit(500_000);
         let payment_id = h.open_payment(200_000);
-        let customer_id: AccountId = h.customer.address().into();
-        let dispute =
-            h.run(
-                h.judger
-                    .dispute_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id),
-            );
-        let evidence =
-            btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, 9, Some(&h.pay_txid));
-        let submit = h.run(h.judger.submit_evidence_tx(
-            &h.customer,
-            h.nonce(&h.customer),
-            customer_id,
-            payment_id,
-            evidence,
-        ));
+        let dispute = h.dispute(payment_id);
+        let submit = h.submit(h.customer, payment_id, h.evidence(1, 9, Some(&h.pay_txid)));
         assert!(deposit.gas_used > 21_000);
         assert!(dispute.gas_used > 21_000);
         assert!(submit.gas_used > dispute.gas_used);
@@ -951,11 +717,7 @@ mod tests {
         let mut h = Harness::new();
         // Chain is 9 blocks; Δ = 6 needs 12+. Grow it.
         grow_btc(&mut h, 6);
-        let segment = btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, h.btc.height(), None);
-        let tx = h
-            .judger
-            .advance_checkpoint_tx(&h.merchant, h.nonce(&h.merchant), segment);
-        let receipt = h.run(tx);
+        let receipt = h.advance_checkpoint(h.evidence(1, h.btc.height(), None));
         assert!(receipt.status.is_success(), "{:?}", receipt.status);
 
         let checkpoint = h.judger.checkpoint(&h.psc).unwrap();
@@ -968,30 +730,17 @@ mod tests {
     #[test]
     fn checkpoint_advancement_rejects_short_segment() {
         let mut h = Harness::new();
-        let segment = btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, 5, None);
-        let tx = h
-            .judger
-            .advance_checkpoint_tx(&h.merchant, h.nonce(&h.merchant), segment);
-        let receipt = h.run(tx);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        let receipt = h.advance_checkpoint(h.evidence(1, 5, None));
+        assert!(reverted(&receipt.status));
     }
 
     #[test]
     fn checkpoint_advancement_rejects_inclusion_proofs() {
         let mut h = Harness::new();
         grow_btc(&mut h, 6);
-        let segment = btcfast_btcsim::spv::SpvEvidence::from_chain(
-            &h.btc,
-            1,
-            h.btc.height(),
-            Some(&h.pay_txid),
-        );
+        let segment = h.full_evidence();
         assert!(segment.inclusion.is_some());
-        let tx = h
-            .judger
-            .advance_checkpoint_tx(&h.merchant, h.nonce(&h.merchant), segment);
-        let receipt = h.run(tx);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        assert!(reverted(&h.advance_checkpoint(segment).status));
     }
 
     #[test]
@@ -1000,40 +749,20 @@ mod tests {
         h.deposit(500_000);
         // Open before advancement: payment anchored at ZERO.
         let payment_id = h.open_payment(200_000);
-        let customer_id: AccountId = h.customer.address().into();
 
         // Advance the checkpoint well past the payment's block.
         grow_btc(&mut h, 10);
-        let segment = btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, h.btc.height(), None);
-        let tx = h
-            .judger
-            .advance_checkpoint_tx(&h.merchant, h.nonce(&h.merchant), segment);
-        assert!(h.run(tx).status.is_success());
+        let segment = h.evidence(1, h.btc.height(), None);
+        assert!(h.advance_checkpoint(segment).status.is_success());
 
         // Dispute + full-genesis evidence still works for the old payment.
-        let tx = h
-            .judger
-            .dispute_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        assert!(h.run(tx).status.is_success());
-        let evidence = btcfast_btcsim::spv::SpvEvidence::from_chain(
-            &h.btc,
-            1,
-            h.btc.height(),
-            Some(&h.pay_txid),
-        );
-        let tx = h.judger.submit_evidence_tx(
-            &h.customer,
-            h.nonce(&h.customer),
-            customer_id,
-            payment_id,
-            evidence,
-        );
-        assert!(h.run(tx).status.is_success());
-        h.advance_time_to(h.time + WINDOW + 30);
-        let tx = h
-            .judger
-            .judge_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        let receipt = h.run(tx);
+        assert!(h.dispute(payment_id).status.is_success());
+        assert!(h
+            .submit(h.customer, payment_id, h.full_evidence())
+            .status
+            .is_success());
+        h.wait_window();
+        let receipt = h.judge(payment_id);
         assert_eq!(
             PayJudgerClient::verdict_from(&receipt),
             Some(DisputeVerdict::CustomerWins)
@@ -1046,23 +775,19 @@ mod tests {
         // Advance the anchor past the funding blocks first: use a chain
         // where the payment comes *after* the new anchor.
         grow_btc(&mut h, 10); // height 19
-        let anchor_segment =
-            btcfast_btcsim::spv::SpvEvidence::from_chain(&h.btc, 1, h.btc.height(), None);
-        let tx = h
-            .judger
-            .advance_checkpoint_tx(&h.merchant, h.nonce(&h.merchant), anchor_segment);
-        assert!(h.run(tx).status.is_success());
+        let anchor_segment = h.evidence(1, h.btc.height(), None);
+        assert!(h.advance_checkpoint(anchor_segment).status.is_success());
         let anchor_height = h.btc.height() - 6; // 13
 
         // A fresh payment confirmed after the anchor.
-        let customer_btc = btcfast_btcsim::wallet::Wallet::from_seed(b"harness customer");
-        let merchant_btc = btcfast_btcsim::wallet::Wallet::from_seed(b"harness merchant");
+        let customer_btc = Wallet::from_seed(b"harness customer");
+        let merchant_btc = Wallet::from_seed(b"harness merchant");
         let pay = customer_btc
             .create_payment(
                 &h.btc,
                 merchant_btc.address(),
-                btcfast_btcsim::Amount::from_sats(400_000).unwrap(),
-                btcfast_btcsim::Amount::from_sats(500).unwrap(),
+                Amount::from_sats(400_000).unwrap(),
+                Amount::from_sats(500).unwrap(),
                 None,
             )
             .unwrap();
@@ -1073,46 +798,19 @@ mod tests {
         grow_btc(&mut h, 7); // bury it ≥ Δ deep
 
         h.deposit(500_000);
-        let tx = h.judger.open_payment_tx(
-            &h.customer,
-            h.nonce(&h.customer),
-            h.merchant.address().into(),
-            txid,
-            400_000,
-            200_000,
-        );
-        let receipt = h.run(tx);
+        let receipt = h.open_payment_for(txid, 400_000, 200_000);
         let payment_id = PayJudgerClient::payment_id_from(&receipt).unwrap();
-        let customer_id: AccountId = h.customer.address().into();
 
         // Dispute answered with a SHORT segment anchored at the rolling
         // checkpoint — the whole point of the extension.
-        let tx = h
-            .judger
-            .dispute_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        assert!(h.run(tx).status.is_success());
-        let evidence = btcfast_btcsim::spv::SpvEvidence::from_chain(
-            &h.btc,
-            anchor_height + 1,
-            h.btc.height(),
-            Some(&txid),
-        );
+        assert!(h.dispute(payment_id).status.is_success());
+        let evidence = h.evidence(anchor_height + 1, h.btc.height(), Some(&txid));
         assert!(evidence.segment.len() < h.btc.height() as usize);
         assert!(evidence.inclusion.is_some());
-        let tx = h.judger.submit_evidence_tx(
-            &h.customer,
-            h.nonce(&h.customer),
-            customer_id,
-            payment_id,
-            evidence,
-        );
-        let receipt = h.run(tx);
+        let receipt = h.submit(h.customer, payment_id, evidence);
         assert!(receipt.status.is_success(), "{:?}", receipt.status);
-        h.advance_time_to(h.time + WINDOW + 30);
-        let tx = h
-            .judger
-            .judge_tx(&h.merchant, h.nonce(&h.merchant), customer_id, payment_id);
-        let receipt = h.run(tx);
+        h.wait_window();
+        let receipt = h.judge(payment_id);
         assert_eq!(
             PayJudgerClient::verdict_from(&receipt),
             Some(DisputeVerdict::CustomerWins)
@@ -1126,20 +824,10 @@ mod tests {
         let payment_id = h.open_payment(200_000);
         // Attach value to close_payment — must revert, not strand funds.
         let contract_balance_before = h.psc.balance_of(&h.judger.contract);
-        let tx = PscTransaction::new(
-            *h.customer.public(),
-            h.nonce(&h.customer),
-            999,
-            Action::Call {
-                contract: h.judger.contract,
-                method: "close_payment".into(),
-                args: payment_id.encode(),
-            },
-        )
-        .with_gas(CALL_GAS_LIMIT, GAS_PRICE)
-        .sign(&h.customer);
-        let receipt = h.run(tx);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        let mut tx = h.tx(h.customer, &Call::ClosePayment(payment_id));
+        tx.value = 999;
+        let receipt = h.run(tx.sign(&h.customer));
+        assert!(reverted(&receipt.status));
         // The attached value bounced back with the revert.
         assert_eq!(
             h.psc.balance_of(&h.judger.contract),
@@ -1148,21 +836,181 @@ mod tests {
     }
 
     #[test]
-    fn unknown_method_reverts() {
-        let mut h = Harness::new();
-        let tx = PscTransaction::new(
-            *h.customer.public(),
-            h.nonce(&h.customer),
-            0,
-            Action::Call {
-                contract: h.judger.contract,
-                method: "steal_everything".into(),
-                args: vec![],
+    fn windows_at_u64_max_never_expire() {
+        // Deadlines saturate: a window reaching past u64::MAX stays open
+        // instead of wrapping to one that already closed.
+        let mut h = Harness::deploy(u64::MAX, u64::MAX);
+        h.deposit(500_000);
+        let payment_id = h.open_payment(200_000);
+        let close = Call::ClosePayment(payment_id);
+        let status = h.send(h.customer, close).status;
+        assert_eq!(status, revert_status("challenge window still open"));
+        let receipt = h.dispute(payment_id);
+        assert!(receipt.status.is_success(), "{:?}", receipt.status);
+        let status = h.judge(payment_id).status;
+        assert_eq!(status, revert_status("evidence window still open"));
+        let status = h.advance_checkpoint(h.evidence(1, 5, None)).status;
+        let needed = format!("advancement needs at least {} headers, got 5", usize::MAX);
+        assert_eq!(status, revert_status(&needed));
+    }
+
+    /// A shared header for the pinned evidence bundles.
+    fn pinned_evidence(inclusion: bool) -> EvidenceBundle {
+        use btcfast_btcsim::block::BlockHeader;
+        use btcfast_btcsim::spv::{HeaderSegment, TxInclusion};
+        let header = BlockHeader {
+            version: 1,
+            prev_hash: Hash256([0x55; 32]),
+            merkle_root: Hash256([0x66; 32]),
+            time: 600,
+            bits: CompactBits(0x207f_ffff),
+            nonce: 9,
+        };
+        EvidenceBundle(SpvEvidence {
+            segment: HeaderSegment {
+                anchor: Hash256([0x55; 32]),
+                headers: vec![header],
             },
-        )
-        .with_gas(CALL_GAS_LIMIT, GAS_PRICE)
-        .sign(&h.customer);
-        let receipt = h.run(tx);
-        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+            inclusion: inclusion.then(|| TxInclusion {
+                txid: Hash256([0x33; 32]),
+                header_index: 0,
+                proof: btcfast_crypto::MerkleProof::from_parts(1, vec![Hash256([0x77; 32])]),
+            }),
+        })
+    }
+
+    /// One representative call per method, in table order.
+    fn representative_calls() -> Vec<Call> {
+        let (customer, payment_id) = (AccountId([0x11; 20]), 7);
+        let config = JudgerConfig {
+            checkpoint: Hash256([0x44; 32]),
+            min_target_bits: 0x207f_ffff,
+            challenge_window_secs: 3600,
+            min_evidence_blocks: 6,
+        };
+        vec![
+            Call::Init(config),
+            Call::Deposit(5_000_000),
+            Call::OpenPayment(AccountId([0x22; 20]), Hash256([0x33; 32]), 250_000, 300_000),
+            Call::AckPayment(customer, payment_id),
+            Call::ClosePayment(payment_id),
+            Call::Dispute(customer, payment_id),
+            Call::SubmitEvidence(customer, payment_id, pinned_evidence(true)),
+            Call::Judge(customer, payment_id),
+            Call::Withdraw(1_000),
+            Call::AdvanceCheckpoint(pinned_evidence(false)),
+            Call::GetConfig,
+            Call::GetEscrow(customer),
+            Call::GetPayment(customer, payment_id),
+            Call::GetCheckpoint,
+        ]
+    }
+
+    #[test]
+    fn calldata_is_pinned() {
+        // `method args` as the per-method builders put them on the wire
+        // before the ABI became one table: one line per representative call,
+        // in table order, spaces only separating fields. `C7` stands for
+        // `customer ‖ payment 7`, `SEG` for the one-header segment.
+        const C7: &str = "1111111111111111111111111111111111111111 0700000000000000";
+        const SEG: &str =
+            "5555555555555555555555555555555555555555555555555555555555555555 01000000 01000000 \
+            5555555555555555555555555555555555555555555555555555555555555555 \
+            6666666666666666666666666666666666666666666666666666666666666666 \
+            5802000000000000 ffff7f20 0900000000000000";
+        let pins = "\
+            init 4444444444444444444444444444444444444444444444444444444444444444 ffff7f20 \
+                100e000000000000 0600000000000000
+            deposit
+            open_payment 2222222222222222222222222222222222222222 \
+                3333333333333333333333333333333333333333333333333333333333333333 \
+                90d0030000000000 e0930400000000000000000000000000
+            ack_payment C7
+            close_payment 0700000000000000
+            dispute C7
+            submit_evidence C7 SEG 01 \
+                3333333333333333333333333333333333333333333333333333333333333333 \
+                00000000 0100000000000000 01000000 \
+                7777777777777777777777777777777777777777777777777777777777777777
+            judge C7
+            withdraw e8030000000000000000000000000000
+            advance_checkpoint SEG 00
+            get_config
+            get_escrow 1111111111111111111111111111111111111111
+            get_payment C7
+            get_checkpoint";
+        let calls = representative_calls();
+        assert_eq!(pins.lines().count(), calls.len());
+        for (call, line) in calls.iter().zip(pins.lines()) {
+            let mut fields = line.split_whitespace();
+            let method = fields.next().unwrap();
+            let hex: String = fields
+                .map(|field| match field {
+                    "C7" => C7.replace(' ', ""),
+                    "SEG" => SEG.replace(' ', ""),
+                    hex => hex.to_string(),
+                })
+                .collect();
+            let args = call.args();
+            assert_eq!(
+                (call.method(), btcfast_crypto::hex::encode(&args)),
+                (method, hex)
+            );
+            // Decoding gives back the call, but for the deposit's attached
+            // value, which is not in the args.
+            let back = Call::decode(method, &args)
+                .unwrap()
+                .expect("method in the table");
+            assert_eq!((back.method(), back.args()), (method, args));
+        }
+    }
+
+    #[test]
+    fn unknown_method_reverts() {
+        // An unknown name, then every method's args one byte long and one
+        // byte short: each is refused as the call is decoded, gas billed,
+        // records untouched. (`deposit` and the two argument-less views
+        // have no byte to drop.)
+        let mut h = Harness::new();
+        h.deposit(500_000);
+        let payment_id = h.open_payment(200_000);
+        let records = |h: &Harness| {
+            let customer = h.customer_id();
+            (
+                h.judger.escrow(&h.psc, customer).unwrap(),
+                h.judger.payment(&h.psc, customer, payment_id).unwrap(),
+                h.judger.checkpoint(&h.psc).unwrap(),
+                h.psc.balance_of(&h.judger.contract),
+            )
+        };
+        let before = records(&h);
+        let send_raw = |h: &mut Harness, call: &Call, method: &str, args: Vec<u8>| {
+            let mut tx = h.tx(h.customer, call);
+            tx.action = Action::Call {
+                contract: h.judger.contract,
+                method: method.into(),
+                args,
+            };
+            let receipt = h.run(tx.sign(&h.customer));
+            let billed = receipt.gas_used >= 21_000 && receipt.fee_paid > 0;
+            assert!(billed, "{method}: not billed");
+            receipt.status
+        };
+        let status = send_raw(&mut h, &Call::GetConfig, "steal_everything", vec![]);
+        let unknown = ContractError::UnknownMethod("steal_everything".into());
+        assert_eq!(status, TxStatus::Reverted(unknown.to_string()));
+        for call in representative_calls() {
+            let (method, args) = (call.method(), call.args());
+            let long = ([&args[..], &[0]].concat(), CodecError::TrailingBytes(1));
+            let short = args
+                .split_last()
+                .map(|(_, short)| (short.to_vec(), CodecError::UnexpectedEnd));
+            for (args, error) in [long].into_iter().chain(short) {
+                let status = send_raw(&mut h, &call, method, args);
+                let refused = ContractError::BadArguments(error).to_string();
+                assert_eq!(status, TxStatus::Reverted(refused), "{method}");
+            }
+        }
+        assert_eq!(records(&h), before);
     }
 }

@@ -1,34 +1,91 @@
 //! The PayJudger contract: escrow lifecycle and the PoW-based payment
-//! judgment.
+//! judgment, and [`Call`], its ABI.
 
 use crate::evidence::{heavier, verify_on_chain, EvidenceBundle};
 use crate::types::{
     CheckpointRecord, DisputeVerdict, EscrowRecord, JudgerConfig, PaymentRecord, PaymentState,
 };
+use btcfast_crypto::Hash256;
 use btcfast_pscsim::account::AccountId;
-use btcfast_pscsim::codec::{Decode, Encode};
+use btcfast_pscsim::codec::{tagged_codec, Decode, Encode};
 use btcfast_pscsim::contract::{Contract, ContractError, Env, Storage};
 
 /// The registry code id under which PayJudger deploys.
 pub const CODE_ID: &str = "payjudger";
 
-/// The PayJudger contract (stateless singleton; all state in [`Storage`]).
-///
-/// # ABI
-///
-/// | method | args | value | returns |
-/// |---|---|---|---|
-/// | `init` | [`JudgerConfig`] | 0 | — |
-/// | `deposit` | — | collateral | escrow balance (`u128`) |
-/// | `open_payment` | `(merchant, btc_txid, amount_sats, collateral)` | 0 | payment id (`u64`) |
-/// | `ack_payment` | `(customer, payment_id)` | 0 | — |
-/// | `close_payment` | `payment_id` | 0 | — |
-/// | `dispute` | `(customer, payment_id)` | 0 | — |
-/// | `submit_evidence` | `(customer, payment_id, EvidenceBundle)` | 0 | accepted work (32 BE bytes) |
-/// | `judge` | `(customer, payment_id)` | 0 | [`DisputeVerdict`] |
-/// | `withdraw` | amount (`u128`) | 0 | — |
-/// | `advance_checkpoint` | [`EvidenceBundle`] (no inclusion) | 0 | new anchor hash |
-/// | `get_config` / `get_escrow` / `get_payment` / `get_checkpoint` | views | 0 | records |
+/// One PayJudger call: the contract's whole ABI, one variant per method.
+/// A variant's fields, encoded in order, are the call's args, and the
+/// contract decodes the same table its callers encode. Only `deposit` is
+/// payable: its value rides as the transaction's attached value, not as
+/// an arg. Any account may send any call; the contract refuses a sender
+/// the variant's doc does not name.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Call {
+    /// `init(config)`: the deployment-time constructor; reverts once
+    /// initialized.
+    Init(JudgerConfig),
+    /// `deposit()` with the attached value (positive): credits the
+    /// sender's escrow; returns the escrow balance (`u128`). Decoded from
+    /// calldata it reads 0; the contract takes the attached value.
+    Deposit(u128),
+    /// `open_payment(merchant, btc_txid, amount_sats, collateral)`: the
+    /// customer locks `collateral` of its escrow behind the Bitcoin payment
+    /// `btc_txid` to `merchant` (not itself); returns the payment id
+    /// (`u64`).
+    OpenPayment(AccountId, Hash256, u64, u128),
+    /// `ack_payment(customer, payment_id)`: the payee merchant releases an
+    /// open payment early.
+    AckPayment(AccountId, u64),
+    /// `close_payment(payment_id)`: the customer closes its own open
+    /// payment once the challenge window has passed.
+    ClosePayment(u64),
+    /// `dispute(customer, payment_id)`: the payee merchant disputes an open
+    /// payment inside the challenge window.
+    Dispute(AccountId, u64),
+    /// `submit_evidence(customer, payment_id, bundle)`: either disputing
+    /// party files SPV evidence inside the evidence window; returns the
+    /// accepted work (32 big-endian bytes).
+    SubmitEvidence(AccountId, u64, EvidenceBundle),
+    /// `judge(customer, payment_id)`: anyone settles a dispute after the
+    /// evidence window; returns the [`DisputeVerdict`].
+    Judge(AccountId, u64),
+    /// `withdraw(amount)`: the customer takes back unlocked escrow balance.
+    Withdraw(u128),
+    /// `advance_checkpoint(segment)`: anyone rolls the evidence anchor
+    /// forward with at least `2Δ` bare headers on the current checkpoint;
+    /// returns the new anchor hash.
+    AdvanceCheckpoint(EvidenceBundle),
+    /// View `get_config()`: the [`JudgerConfig`].
+    GetConfig,
+    /// View `get_escrow(customer)`: the [`EscrowRecord`].
+    GetEscrow(AccountId),
+    /// View `get_payment(customer, payment_id)`: the [`PaymentRecord`].
+    GetPayment(AccountId, u64),
+    /// View `get_checkpoint()`: the rolling [`CheckpointRecord`].
+    GetCheckpoint,
+}
+
+tagged_codec! {
+    Call by method {
+        "init" => Init(config),
+        "deposit" => Deposit(; value),
+        "open_payment" => OpenPayment(merchant, btc_txid, amount_sats, collateral),
+        "ack_payment" => AckPayment(customer, payment_id),
+        "close_payment" => ClosePayment(payment_id),
+        "dispute" => Dispute(customer, payment_id),
+        "submit_evidence" => SubmitEvidence(customer, payment_id, bundle),
+        "judge" => Judge(customer, payment_id),
+        "withdraw" => Withdraw(amount),
+        "advance_checkpoint" => AdvanceCheckpoint(segment),
+        "get_config" => GetConfig,
+        "get_escrow" => GetEscrow(customer),
+        "get_payment" => GetPayment(customer, payment_id),
+        "get_checkpoint" => GetCheckpoint,
+    }
+}
+
+/// The PayJudger contract (stateless singleton; all state in [`Storage`]),
+/// called through [`Call`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PayJudger;
 
@@ -51,6 +108,13 @@ fn payment_key(customer: &AccountId, payment_id: u64) -> Vec<u8> {
     key.push(b'/');
     key.extend_from_slice(&payment_id.to_le_bytes());
     key
+}
+
+/// When a window opened at `start` closes. Saturates: a deadline past
+/// `u64::MAX` never passes, so a huge configured window cannot wrap to
+/// an already-expired one.
+fn deadline(start: u64, config: &JudgerConfig) -> u64 {
+    start.saturating_add(config.challenge_window_secs)
 }
 
 impl PayJudger {
@@ -106,16 +170,10 @@ impl PayJudger {
         storage.set(&payment_key(customer, payment_id), &payment.encode())
     }
 
-    fn method_init(
-        &self,
-        _env: &Env,
-        args: &[u8],
-        storage: &mut dyn Storage,
-    ) -> Result<Vec<u8>, ContractError> {
+    fn init(config: JudgerConfig, storage: &mut dyn Storage) -> Result<Vec<u8>, ContractError> {
         if storage.get(CONFIG_KEY)?.is_some() {
             return Err(revert("already initialized"));
         }
-        let config = JudgerConfig::decode(args)?;
         if config.min_evidence_blocks == 0 {
             return Err(revert("min_evidence_blocks must be positive"));
         }
@@ -133,11 +191,7 @@ impl PayJudger {
         Ok(vec![])
     }
 
-    fn method_deposit(
-        &self,
-        env: &Env,
-        storage: &mut dyn Storage,
-    ) -> Result<Vec<u8>, ContractError> {
+    fn deposit(env: &Env, storage: &mut dyn Storage) -> Result<Vec<u8>, ContractError> {
         if env.value == 0 {
             return Err(revert("deposit requires attached value"));
         }
@@ -159,20 +213,14 @@ impl PayJudger {
         Ok(escrow.balance.encode())
     }
 
-    fn method_open_payment(
-        &self,
+    fn open_payment(
         env: &Env,
-        args: &[u8],
         storage: &mut dyn Storage,
+        merchant: AccountId,
+        btc_txid: Hash256,
+        amount_sats: u64,
+        collateral: u128,
     ) -> Result<Vec<u8>, ContractError> {
-        let mut input = args;
-        let merchant = AccountId::decode_from(&mut input)?;
-        let btc_txid = btcfast_crypto::Hash256::decode_from(&mut input)?;
-        let amount_sats = u64::decode_from(&mut input)?;
-        let collateral = u128::decode_from(&mut input)?;
-        if !input.is_empty() {
-            return Err(revert("trailing bytes in open_payment args"));
-        }
         if collateral == 0 {
             return Err(revert("collateral must be positive"));
         }
@@ -212,13 +260,12 @@ impl PayJudger {
         Ok(payment_id.encode())
     }
 
-    fn method_ack_payment(
-        &self,
+    fn ack_payment(
         env: &Env,
-        args: &[u8],
         storage: &mut dyn Storage,
+        customer: AccountId,
+        payment_id: u64,
     ) -> Result<Vec<u8>, ContractError> {
-        let (customer, payment_id) = <(AccountId, u64)>::decode(args)?;
         let mut payment = Self::load_payment(storage, &customer, payment_id)?;
         if payment.merchant != env.caller {
             return Err(revert("only the merchant may acknowledge"));
@@ -233,19 +280,17 @@ impl PayJudger {
         Ok(vec![])
     }
 
-    fn method_close_payment(
-        &self,
+    fn close_payment(
         env: &Env,
-        args: &[u8],
         storage: &mut dyn Storage,
+        payment_id: u64,
     ) -> Result<Vec<u8>, ContractError> {
-        let payment_id = u64::decode(args)?;
         let config = Self::load_config(storage)?;
         let mut payment = Self::load_payment(storage, &env.caller, payment_id)?;
         if payment.state != PaymentState::Open {
             return Err(revert("payment is not open"));
         }
-        if env.block_time < payment.opened_at + config.challenge_window_secs {
+        if env.block_time < deadline(payment.opened_at, &config) {
             return Err(revert("challenge window still open"));
         }
         payment.state = PaymentState::Closed;
@@ -255,13 +300,12 @@ impl PayJudger {
         Ok(vec![])
     }
 
-    fn method_dispute(
-        &self,
+    fn dispute(
         env: &Env,
-        args: &[u8],
         storage: &mut dyn Storage,
+        customer: AccountId,
+        payment_id: u64,
     ) -> Result<Vec<u8>, ContractError> {
-        let (customer, payment_id) = <(AccountId, u64)>::decode(args)?;
         let config = Self::load_config(storage)?;
         let mut payment = Self::load_payment(storage, &customer, payment_id)?;
         if payment.merchant != env.caller {
@@ -270,7 +314,7 @@ impl PayJudger {
         if payment.state != PaymentState::Open {
             return Err(revert("payment is not open"));
         }
-        if env.block_time >= payment.opened_at + config.challenge_window_secs {
+        if env.block_time >= deadline(payment.opened_at, &config) {
             return Err(revert("challenge window has expired"));
         }
         payment.state = PaymentState::Disputed;
@@ -280,25 +324,19 @@ impl PayJudger {
         Ok(vec![])
     }
 
-    fn method_submit_evidence(
-        &self,
+    fn submit_evidence(
         env: &Env,
-        args: &[u8],
         storage: &mut dyn Storage,
+        customer: AccountId,
+        payment_id: u64,
+        bundle: EvidenceBundle,
     ) -> Result<Vec<u8>, ContractError> {
-        let mut input = args;
-        let customer = AccountId::decode_from(&mut input)?;
-        let payment_id = u64::decode_from(&mut input)?;
-        let bundle = EvidenceBundle::decode_from(&mut input)?;
-        if !input.is_empty() {
-            return Err(revert("trailing bytes in submit_evidence args"));
-        }
         let config = Self::load_config(storage)?;
         let mut payment = Self::load_payment(storage, &customer, payment_id)?;
         if payment.state != PaymentState::Disputed {
             return Err(revert("payment is not under dispute"));
         }
-        if env.block_time >= payment.disputed_at + config.challenge_window_secs {
+        if env.block_time >= deadline(payment.disputed_at, &config) {
             return Err(revert("evidence window has closed"));
         }
         let is_merchant = env.caller == payment.merchant;
@@ -333,19 +371,18 @@ impl PayJudger {
         Ok(verified.summary.work.to_vec())
     }
 
-    fn method_judge(
-        &self,
+    fn judge(
         env: &Env,
-        args: &[u8],
         storage: &mut dyn Storage,
+        customer: AccountId,
+        payment_id: u64,
     ) -> Result<Vec<u8>, ContractError> {
-        let (customer, payment_id) = <(AccountId, u64)>::decode(args)?;
         let config = Self::load_config(storage)?;
         let mut payment = Self::load_payment(storage, &customer, payment_id)?;
         if payment.state != PaymentState::Disputed {
             return Err(revert("payment is not under dispute"));
         }
-        if env.block_time < payment.disputed_at + config.challenge_window_secs {
+        if env.block_time < deadline(payment.disputed_at, &config) {
             return Err(revert("evidence window still open"));
         }
 
@@ -396,23 +433,21 @@ impl PayJudger {
     /// below the claimed tip, keeping a reorg safety margin. Payments
     /// remember the anchor in force when they were opened, so in-flight
     /// disputes are unaffected.
-    fn method_advance_checkpoint(
-        &self,
+    fn advance_checkpoint(
         env: &Env,
-        args: &[u8],
         storage: &mut dyn Storage,
+        bundle: EvidenceBundle,
     ) -> Result<Vec<u8>, ContractError> {
-        let bundle = EvidenceBundle::decode(args)?;
         if bundle.0.inclusion.is_some() {
             return Err(revert("checkpoint advancement takes a bare header segment"));
         }
         let config = Self::load_config(storage)?;
         let mut checkpoint = Self::load_checkpoint(storage)?;
         let delta = config.min_evidence_blocks as usize;
-        if bundle.0.segment.len() < 2 * delta {
+        let needed = delta.saturating_mul(2);
+        if bundle.0.segment.len() < needed {
             return Err(revert(format!(
-                "advancement needs at least {} headers, got {}",
-                2 * delta,
+                "advancement needs at least {needed} headers, got {}",
                 bundle.0.segment.len()
             )));
         }
@@ -438,13 +473,11 @@ impl PayJudger {
         Ok(new_anchor.encode())
     }
 
-    fn method_withdraw(
-        &self,
+    fn withdraw(
         env: &Env,
-        args: &[u8],
         storage: &mut dyn Storage,
+        amount: u128,
     ) -> Result<Vec<u8>, ContractError> {
-        let amount = u128::decode(args)?;
         let mut escrow = Self::load_escrow(storage, &env.caller)?;
         if amount == 0 || amount > escrow.available() {
             return Err(revert(format!(
@@ -490,36 +523,29 @@ impl Contract for PayJudger {
         if env.value > 0 && method != "deposit" {
             return Err(revert(format!("method {method:?} is not payable")));
         }
-        match method {
-            "init" => self.method_init(env, args, storage),
-            "deposit" => self.method_deposit(env, storage),
-            "open_payment" => self.method_open_payment(env, args, storage),
-            "ack_payment" => self.method_ack_payment(env, args, storage),
-            "close_payment" => self.method_close_payment(env, args, storage),
-            "dispute" => self.method_dispute(env, args, storage),
-            "submit_evidence" => self.method_submit_evidence(env, args, storage),
-            "judge" => self.method_judge(env, args, storage),
-            "withdraw" => self.method_withdraw(env, args, storage),
-            "advance_checkpoint" => self.method_advance_checkpoint(env, args, storage),
-            "get_checkpoint" => {
-                let checkpoint = Self::load_checkpoint(storage)?;
-                Ok(checkpoint.encode())
+        let call = Call::decode(method, args)?
+            .ok_or_else(|| ContractError::UnknownMethod(method.to_string()))?;
+        match call {
+            Call::Init(config) => Self::init(config, storage),
+            Call::Deposit(_) => Self::deposit(env, storage),
+            Call::OpenPayment(merchant, btc_txid, amount_sats, collateral) => {
+                Self::open_payment(env, storage, merchant, btc_txid, amount_sats, collateral)
             }
-            "get_config" => {
-                let config = Self::load_config(storage)?;
-                Ok(config.encode())
+            Call::AckPayment(customer, id) => Self::ack_payment(env, storage, customer, id),
+            Call::ClosePayment(id) => Self::close_payment(env, storage, id),
+            Call::Dispute(customer, id) => Self::dispute(env, storage, customer, id),
+            Call::SubmitEvidence(customer, id, bundle) => {
+                Self::submit_evidence(env, storage, customer, id, bundle)
             }
-            "get_escrow" => {
-                let customer = AccountId::decode(args)?;
-                let escrow = Self::load_escrow(storage, &customer)?;
-                Ok(escrow.encode())
+            Call::Judge(customer, id) => Self::judge(env, storage, customer, id),
+            Call::Withdraw(amount) => Self::withdraw(env, storage, amount),
+            Call::AdvanceCheckpoint(segment) => Self::advance_checkpoint(env, storage, segment),
+            Call::GetConfig => Ok(Self::load_config(storage)?.encode()),
+            Call::GetEscrow(customer) => Ok(Self::load_escrow(storage, &customer)?.encode()),
+            Call::GetPayment(customer, id) => {
+                Ok(Self::load_payment(storage, &customer, id)?.encode())
             }
-            "get_payment" => {
-                let (customer, payment_id) = <(AccountId, u64)>::decode(args)?;
-                let payment = Self::load_payment(storage, &customer, payment_id)?;
-                Ok(payment.encode())
-            }
-            other => Err(ContractError::UnknownMethod(other.to_string())),
+            Call::GetCheckpoint => Ok(Self::load_checkpoint(storage)?.encode()),
         }
     }
 }

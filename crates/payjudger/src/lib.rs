@@ -17,10 +17,11 @@
 //! * [`evidence`] — the on-chain evidence format and the one evidence
 //!   check ([`evidence::check_evidence`]): the contract charges gas and
 //!   runs it, the client's preflight runs it for free;
-//! * [`contract`] — the contract state machine (deposit, openPayment, ack,
-//!   dispute, submitEvidence, judge, close, withdraw);
-//! * [`client`] — an off-chain helper that builds the PSC transactions and
-//!   decodes receipts, used by the protocol roles in `btcfast`;
+//! * [`contract`] — the contract state machine and [`Call`], its ABI: one
+//!   table of methods and their args, which the contract decodes and
+//!   every caller encodes;
+//! * [`client`] — signs a [`Call`] into a PSC transaction, runs the views
+//!   and decodes receipts;
 //! * [`retry`] — a rebuild-and-resubmit loop so dispute-path calls survive
 //!   `OutOfGas` and land before the challenge window closes;
 //! * [`verify`] — a name kept for the benchmark's measured surface.
@@ -51,7 +52,7 @@ pub mod types;
 pub mod verify;
 
 pub use client::PayJudgerClient;
-pub use contract::{PayJudger, CODE_ID};
+pub use contract::{Call, PayJudger, CODE_ID};
 pub use retry::{submit_with_retry, AttemptResult, RetryError, RetryReport};
 pub use types::{DisputeVerdict, EscrowRecord, PaymentRecord, PaymentState};
 pub use verify::EvidenceVerifier;

@@ -2,7 +2,7 @@
 
 use btcfast_crypto::Hash256;
 use btcfast_pscsim::account::AccountId;
-use btcfast_pscsim::codec::{CodecError, Decode, Encode};
+use btcfast_pscsim::codec::tagged_codec;
 
 /// Contract-level configuration, fixed at deployment.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,24 +22,8 @@ pub struct JudgerConfig {
     pub min_evidence_blocks: u64,
 }
 
-impl Encode for JudgerConfig {
-    fn encode_to(&self, out: &mut Vec<u8>) {
-        self.checkpoint.encode_to(out);
-        self.min_target_bits.encode_to(out);
-        self.challenge_window_secs.encode_to(out);
-        self.min_evidence_blocks.encode_to(out);
-    }
-}
-
-impl Decode for JudgerConfig {
-    fn decode_from(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(JudgerConfig {
-            checkpoint: Hash256::decode_from(input)?,
-            min_target_bits: u32::decode_from(input)?,
-            challenge_window_secs: u64::decode_from(input)?,
-            min_evidence_blocks: u64::decode_from(input)?,
-        })
-    }
+tagged_codec! {
+    struct JudgerConfig { checkpoint, min_target_bits, challenge_window_secs, min_evidence_blocks }
 }
 
 /// A customer's escrow account inside the contract.
@@ -62,24 +46,8 @@ impl EscrowRecord {
     }
 }
 
-impl Encode for EscrowRecord {
-    fn encode_to(&self, out: &mut Vec<u8>) {
-        self.customer.encode_to(out);
-        self.balance.encode_to(out);
-        self.locked.encode_to(out);
-        self.payment_count.encode_to(out);
-    }
-}
-
-impl Decode for EscrowRecord {
-    fn decode_from(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(EscrowRecord {
-            customer: AccountId::decode_from(input)?,
-            balance: u128::decode_from(input)?,
-            locked: u128::decode_from(input)?,
-            payment_count: u64::decode_from(input)?,
-        })
-    }
+tagged_codec! {
+    struct EscrowRecord { customer, balance, locked, payment_count }
 }
 
 /// Lifecycle state of a registered payment.
@@ -99,31 +67,14 @@ pub enum PaymentState {
     CustomerCleared,
 }
 
-impl Encode for PaymentState {
-    fn encode_to(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            PaymentState::Open => 0,
-            PaymentState::Acked => 1,
-            PaymentState::Closed => 2,
-            PaymentState::Disputed => 3,
-            PaymentState::MerchantPaid => 4,
-            PaymentState::CustomerCleared => 5,
-        };
-        tag.encode_to(out);
-    }
-}
-
-impl Decode for PaymentState {
-    fn decode_from(input: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode_from(input)? {
-            0 => Ok(PaymentState::Open),
-            1 => Ok(PaymentState::Acked),
-            2 => Ok(PaymentState::Closed),
-            3 => Ok(PaymentState::Disputed),
-            4 => Ok(PaymentState::MerchantPaid),
-            5 => Ok(PaymentState::CustomerCleared),
-            other => Err(CodecError::BadTag(other)),
-        }
+tagged_codec! {
+    PaymentState {
+        0 => Open,
+        1 => Acked,
+        2 => Closed,
+        3 => Disputed,
+        4 => MerchantPaid,
+        5 => CustomerCleared,
     }
 }
 
@@ -138,19 +89,10 @@ pub enum DisputeVerdict {
     CustomerWins,
 }
 
-impl Encode for DisputeVerdict {
-    fn encode_to(&self, out: &mut Vec<u8>) {
-        (matches!(self, DisputeVerdict::CustomerWins) as u8).encode_to(out);
-    }
-}
-
-impl Decode for DisputeVerdict {
-    fn decode_from(input: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode_from(input)? {
-            0 => Ok(DisputeVerdict::MerchantWins),
-            1 => Ok(DisputeVerdict::CustomerWins),
-            other => Err(CodecError::BadTag(other)),
-        }
+tagged_codec! {
+    DisputeVerdict {
+        0 => MerchantWins,
+        1 => CustomerWins,
     }
 }
 
@@ -173,26 +115,8 @@ pub struct EvidenceSummary {
     pub tx_confirmations: u64,
 }
 
-impl Encode for EvidenceSummary {
-    fn encode_to(&self, out: &mut Vec<u8>) {
-        self.work.encode_to(out);
-        self.blocks.encode_to(out);
-        self.tip.encode_to(out);
-        self.includes_tx.encode_to(out);
-        self.tx_confirmations.encode_to(out);
-    }
-}
-
-impl Decode for EvidenceSummary {
-    fn decode_from(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(EvidenceSummary {
-            work: <[u8; 32]>::decode_from(input)?,
-            blocks: u64::decode_from(input)?,
-            tip: Hash256::decode_from(input)?,
-            includes_tx: bool::decode_from(input)?,
-            tx_confirmations: u64::decode_from(input)?,
-        })
-    }
+tagged_codec! {
+    struct EvidenceSummary { work, blocks, tip, includes_tx, tx_confirmations }
 }
 
 /// The rolling evidence anchor (extension over the paper's fixed
@@ -209,22 +133,8 @@ pub struct CheckpointRecord {
     pub advanced_at: u64,
 }
 
-impl Encode for CheckpointRecord {
-    fn encode_to(&self, out: &mut Vec<u8>) {
-        self.hash.encode_to(out);
-        self.advanced_blocks.encode_to(out);
-        self.advanced_at.encode_to(out);
-    }
-}
-
-impl Decode for CheckpointRecord {
-    fn decode_from(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(CheckpointRecord {
-            hash: Hash256::decode_from(input)?,
-            advanced_blocks: u64::decode_from(input)?,
-            advanced_at: u64::decode_from(input)?,
-        })
-    }
+tagged_codec! {
+    struct CheckpointRecord { hash, advanced_blocks, advanced_at }
 }
 
 /// A registered payment.
@@ -253,41 +163,25 @@ pub struct PaymentRecord {
     pub customer_evidence: EvidenceSummary,
 }
 
-impl Encode for PaymentRecord {
-    fn encode_to(&self, out: &mut Vec<u8>) {
-        self.checkpoint.encode_to(out);
-        self.merchant.encode_to(out);
-        self.btc_txid.encode_to(out);
-        self.amount_sats.encode_to(out);
-        self.collateral.encode_to(out);
-        self.opened_at.encode_to(out);
-        self.disputed_at.encode_to(out);
-        self.state.encode_to(out);
-        self.merchant_evidence.encode_to(out);
-        self.customer_evidence.encode_to(out);
-    }
-}
-
-impl Decode for PaymentRecord {
-    fn decode_from(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(PaymentRecord {
-            checkpoint: Hash256::decode_from(input)?,
-            merchant: AccountId::decode_from(input)?,
-            btc_txid: Hash256::decode_from(input)?,
-            amount_sats: u64::decode_from(input)?,
-            collateral: u128::decode_from(input)?,
-            opened_at: u64::decode_from(input)?,
-            disputed_at: u64::decode_from(input)?,
-            state: PaymentState::decode_from(input)?,
-            merchant_evidence: EvidenceSummary::decode_from(input)?,
-            customer_evidence: EvidenceSummary::decode_from(input)?,
-        })
+tagged_codec! {
+    struct PaymentRecord {
+        checkpoint,
+        merchant,
+        btc_txid,
+        amount_sats,
+        collateral,
+        opened_at,
+        disputed_at,
+        state,
+        merchant_evidence,
+        customer_evidence,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btcfast_pscsim::codec::{Decode, Encode};
 
     #[test]
     fn checkpoint_record_round_trip() {

@@ -237,6 +237,108 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
     }
 }
 
+/// Implements the codec of a composite from one table, so the encoding and
+/// the decoding directions cannot disagree. Fields always travel in the
+/// order listed. Three forms:
+///
+/// * `Enum { tag => Variant { fields }, .. }` — [`Encode`]/[`Decode`]: a
+///   variant is its tag byte, then its fields; an unlisted tag is
+///   [`CodecError::BadTag`].
+/// * `struct Name { fields }` — [`Encode`]/[`Decode`]: the fields in turn.
+/// * `Enum by method { "name" => Variant(args), .. }` — a contract ABI over
+///   tuple variants: `method()` names the call, `args()` encodes its
+///   fields, and `decode(method, args)` reads them back, `Ok(None)` for a
+///   name outside the table and [`CodecError::TrailingBytes`] for
+///   leftovers. Fields after a `;` ride beside the args (a transaction's
+///   attached value): never encoded, they decode as their default.
+#[macro_export]
+macro_rules! tagged_codec {
+    (struct $name:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::codec::Encode for $name {
+            fn encode_to(&self, out: &mut Vec<u8>) {
+                $($crate::codec::Encode::encode_to(&self.$field, out);)*
+            }
+        }
+
+        impl $crate::codec::Decode for $name {
+            fn decode_from(input: &mut &[u8]) -> Result<$name, $crate::codec::CodecError> {
+                Ok($name { $($field: $crate::codec::Decode::decode_from(input)?,)* })
+            }
+        }
+    };
+    ($name:ident by method {
+        $($method:literal => $variant:ident $(($($field:ident),* $(; $beside:ident)?))?,)*
+    }) => {
+        impl $name {
+            /// The contract method this call invokes.
+            pub fn method(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => $method,)*
+                }
+            }
+
+            /// The call's arguments: its fields, encoded in order.
+            pub fn args(&self) -> Vec<u8> {
+                let mut out = Vec::new();
+                match self {
+                    $($name::$variant $(($($field,)* ..))? => {
+                        $($($crate::codec::Encode::encode_to($field, &mut out);)*)?
+                    })*
+                }
+                out
+            }
+
+            /// Decodes a call from its method name and complete arguments.
+            ///
+            /// # Errors
+            ///
+            /// [`CodecError`] on malformed or trailing argument bytes.
+            ///
+            /// [`CodecError`]: $crate::codec::CodecError
+            pub fn decode(
+                method: &str,
+                mut args: &[u8],
+            ) -> Result<Option<$name>, $crate::codec::CodecError> {
+                let input = &mut args;
+                let call = match method {
+                    $($method => $name::$variant $((
+                        $({ let $field = $crate::codec::Decode::decode_from(input)?; $field },)*
+                        $({ let $beside = Default::default(); $beside })?
+                    ))?,)*
+                    _ => return Ok(None),
+                };
+                match input.len() {
+                    0 => Ok(Some(call)),
+                    n => Err($crate::codec::CodecError::TrailingBytes(n)),
+                }
+            }
+        }
+    };
+    ($name:ident { $($tag:literal => $variant:ident $({ $($field:ident),* })?,)* }) => {
+        impl $crate::codec::Encode for $name {
+            fn encode_to(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($name::$variant $({ $($field),* })? => {
+                        out.push($tag);
+                        $($($crate::codec::Encode::encode_to($field, out);)*)?
+                    })*
+                }
+            }
+        }
+
+        impl $crate::codec::Decode for $name {
+            fn decode_from(input: &mut &[u8]) -> Result<$name, $crate::codec::CodecError> {
+                Ok(match <u8 as $crate::codec::Decode>::decode_from(input)? {
+                    $($tag => $name::$variant $({ $($field: $crate::codec::Decode::decode_from(input)?),* })?,)*
+                    t => return Err($crate::codec::CodecError::BadTag(t)),
+                })
+            }
+        }
+    };
+}
+
+pub use crate::tagged_codec;
+
 #[cfg(test)]
 mod tests {
     use super::*;

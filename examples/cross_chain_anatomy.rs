@@ -14,9 +14,11 @@ use btcfast_suite::btcsim::wallet::Wallet;
 use btcfast_suite::btcsim::Amount;
 use btcfast_suite::crypto::keys::KeyPair;
 use btcfast_suite::crypto::Hash256;
+use btcfast_suite::payjudger::client::CALL_GAS_LIMIT;
 use btcfast_suite::payjudger::contract::PayJudger;
+use btcfast_suite::payjudger::evidence::EvidenceBundle;
 use btcfast_suite::payjudger::types::JudgerConfig;
-use btcfast_suite::payjudger::PayJudgerClient;
+use btcfast_suite::payjudger::{Call, PayJudgerClient};
 use btcfast_suite::pscsim::params::PscParams;
 use btcfast_suite::pscsim::PscChain;
 use std::sync::Arc;
@@ -87,11 +89,13 @@ fn main() {
         .expect("deployed");
     let judger = PayJudgerClient::new(contract, 20);
     println!("    PayJudger at {contract}");
+    let customer_id = customer.address().into();
 
-    let deposit = judger.deposit_tx(&customer, 1, 5_000_000);
-    psc.submit_transaction(deposit).unwrap();
+    let deposit = Call::Deposit(5_000_000);
+    psc.submit_transaction(judger.tx(&customer, 1, CALL_GAS_LIMIT, &deposit))
+        .unwrap();
     psc.produce_block(30);
-    let escrow = judger.escrow(&psc, customer.address().into()).unwrap();
+    let escrow = judger.escrow(&psc, customer_id).unwrap();
     println!(
         "    escrow balance {} / locked {}",
         escrow.balance, escrow.locked
@@ -99,15 +103,10 @@ fn main() {
 
     // ------------------------------------------------------- registration
     println!("[3] Register the BTC payment intent with the escrow");
-    let open = judger.open_payment_tx(
-        &customer,
-        2,
-        merchant.address().into(),
-        txid,
-        2_500_000,
-        3_000_000,
-    );
-    let open_hash = psc.submit_transaction(open).unwrap();
+    let open = Call::OpenPayment(merchant.address().into(), txid, 2_500_000, 3_000_000);
+    let open_hash = psc
+        .submit_transaction(judger.tx(&customer, 2, CALL_GAS_LIMIT, &open))
+        .unwrap();
     psc.produce_block(45);
     let payment_id =
         PayJudgerClient::payment_id_from(psc.receipt(&open_hash).unwrap()).expect("opened");
@@ -115,8 +114,9 @@ fn main() {
 
     // ----------------------------------------------------------- dispute
     println!("[4] A (frivolous) dispute: the merchant claims non-payment");
-    let dispute = judger.dispute_tx(&merchant, 0, customer.address().into(), payment_id);
-    psc.submit_transaction(dispute).unwrap();
+    let dispute = Call::Dispute(customer_id, payment_id);
+    psc.submit_transaction(judger.tx(&merchant, 0, CALL_GAS_LIMIT, &dispute))
+        .unwrap();
     psc.produce_block(60);
 
     println!("[5] The customer answers with PoW evidence from the BTC chain");
@@ -126,14 +126,10 @@ fn main() {
         evidence.segment.len(),
         evidence.inclusion.as_ref().unwrap().proof.depth()
     );
-    let submit = judger.submit_evidence_tx(
-        &customer,
-        3,
-        customer.address().into(),
-        payment_id,
-        evidence,
-    );
-    let submit_hash = psc.submit_transaction(submit).unwrap();
+    let submit = Call::SubmitEvidence(customer_id, payment_id, EvidenceBundle(evidence));
+    let submit_hash = psc
+        .submit_transaction(judger.tx(&customer, 3, CALL_GAS_LIMIT, &submit))
+        .unwrap();
     psc.produce_block(75);
     let receipt = psc.receipt(&submit_hash).unwrap();
     println!(
@@ -143,13 +139,15 @@ fn main() {
 
     println!("[6] After the evidence window, anyone triggers judgment");
     psc.produce_block(800); // window (600 s) passes
-    let judge = judger.judge_tx(&merchant, 1, customer.address().into(), payment_id);
-    let judge_hash = psc.submit_transaction(judge).unwrap();
+    let judge = Call::Judge(customer_id, payment_id);
+    let judge_hash = psc
+        .submit_transaction(judger.tx(&merchant, 1, CALL_GAS_LIMIT, &judge))
+        .unwrap();
     psc.produce_block(815);
     let verdict = PayJudgerClient::verdict_from(psc.receipt(&judge_hash).unwrap()).unwrap();
     println!("    verdict: {verdict:?}");
 
-    let escrow = judger.escrow(&psc, customer.address().into()).unwrap();
+    let escrow = judger.escrow(&psc, customer_id).unwrap();
     println!(
         "    escrow after judgment: balance {} / locked {}",
         escrow.balance, escrow.locked

@@ -13,7 +13,9 @@
 
 use btcfast_suite::btcsim::spv::SpvEvidence;
 use btcfast_suite::netsim::time::SimTime;
-use btcfast_suite::protocol::{FastPaySession, SessionConfig};
+use btcfast_suite::payjudger::evidence::EvidenceBundle;
+use btcfast_suite::payjudger::Call;
+use btcfast_suite::protocol::{FastPaySession, Party, SessionConfig};
 
 fn main() {
     let mut session = FastPaySession::new(SessionConfig::default(), 2026);
@@ -38,12 +40,10 @@ fn main() {
 
     // Anyone rolls the anchor forward (Δ = 6 safety margin below the tip).
     let segment = SpvEvidence::from_chain(&session.btc, 1, session.btc.height(), None);
-    let tx = session.judger.advance_checkpoint_tx(
-        session.merchant.psc_keys(),
-        session.psc.nonce_of(&session.merchant.psc_account()),
-        segment,
-    );
-    let receipt = session.run_psc_tx(tx).expect("psc tx executes");
+    let advance = Call::AdvanceCheckpoint(EvidenceBundle(segment));
+    let receipt = session
+        .call(Party::Merchant, advance)
+        .expect("psc tx executes");
     assert!(receipt.status.is_success(), "{:?}", receipt.status);
     let checkpoint = session.judger.checkpoint(&session.psc).unwrap();
     println!(

@@ -2,7 +2,8 @@
 //! with exact value accounting.
 
 use btcfast_suite::payjudger::types::{DisputeVerdict, PaymentState};
-use btcfast_suite::protocol::{FastPaySession, SessionConfig};
+use btcfast_suite::payjudger::Call;
+use btcfast_suite::protocol::{FastPaySession, Party, SessionConfig};
 
 fn attack_config() -> SessionConfig {
     SessionConfig {
@@ -80,21 +81,13 @@ fn dispute_state_machine_is_terminal() {
         .expect("attack");
     assert_eq!(report.verdict, Some(DisputeVerdict::MerchantWins));
 
-    let judge_again = session.merchant.build_judge(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        report.payment_id,
-    );
-    let receipt = session.run_psc_tx(judge_again).expect("psc tx executes");
-    assert!(!receipt.status.is_success());
-
-    let close =
-        session
-            .customer
-            .build_close_payment(&session.judger, &session.psc, report.payment_id);
-    let receipt = session.run_psc_tx(close).expect("psc tx executes");
-    assert!(!receipt.status.is_success());
+    let payment_id = report.payment_id;
+    let judge_again = Call::Judge(customer_id, payment_id);
+    let close = Call::ClosePayment(payment_id);
+    for (party, call) in [(Party::Merchant, judge_again), (Party::Customer, close)] {
+        let receipt = session.call(party, call).expect("psc tx executes");
+        assert!(!receipt.status.is_success());
+    }
 }
 
 #[test]

@@ -3,8 +3,10 @@
 //! value conservation checked on both chains.
 
 use btcfast_suite::netsim::time::SimTime;
+use btcfast_suite::payjudger::client::CALL_GAS_LIMIT;
 use btcfast_suite::payjudger::types::PaymentState;
-use btcfast_suite::protocol::{FastPaySession, SessionConfig};
+use btcfast_suite::payjudger::Call;
+use btcfast_suite::protocol::{FastPaySession, Party, SessionConfig};
 
 #[test]
 fn honest_lifecycle_with_ack() {
@@ -30,13 +32,8 @@ fn honest_lifecycle_with_ack() {
     );
 
     // Merchant acknowledges → collateral unlocks immediately.
-    let ack = session.merchant.build_ack(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        report.payment_id,
-    );
-    let receipt = session.run_psc_tx(ack).expect("psc tx executes");
+    let ack = Call::AckPayment(customer_id, report.payment_id);
+    let receipt = session.call(Party::Merchant, ack).expect("psc tx executes");
     assert!(receipt.status.is_success(), "{:?}", receipt.status);
 
     let payment = session
@@ -66,22 +63,20 @@ fn honest_lifecycle_with_window_close_and_withdraw() {
 
     // Wait out the challenge window, close, withdraw everything.
     session.advance_clock(SimTime::from_secs(1300));
-    let close =
-        session
-            .customer
-            .build_close_payment(&session.judger, &session.psc, report.payment_id);
-    let receipt = session.run_psc_tx(close).expect("psc tx executes");
+    let close = Call::ClosePayment(report.payment_id);
+    let receipt = session
+        .call(Party::Customer, close)
+        .expect("psc tx executes");
     assert!(receipt.status.is_success(), "{:?}", receipt.status);
 
     let escrow = session.judger.escrow(&session.psc, customer_id).unwrap();
     assert_eq!(escrow.locked, 0);
 
     let balance_before = session.psc.balance_of(&customer_id);
-    let withdraw =
-        session
-            .customer
-            .build_withdraw(&session.judger, &session.psc, escrow.available());
-    let receipt = session.run_psc_tx(withdraw).expect("psc tx executes");
+    let withdraw = Call::Withdraw(escrow.available());
+    let receipt = session
+        .call(Party::Customer, withdraw)
+        .expect("psc tx executes");
     assert!(receipt.status.is_success(), "{:?}", receipt.status);
 
     // Value conservation: the customer got the full escrow back minus gas.
@@ -163,15 +158,10 @@ fn one_escrow_serves_two_merchants_concurrently() {
         )
         .expect("funding");
     let txid_b = tx_b.txid();
-    let open_b = session.customer.build_open_payment(
-        &session.judger,
-        &session.psc,
-        merchant_b.psc_account(),
-        txid_b,
-        400_000,
-        480_000,
-    );
-    let receipt = session.run_psc_tx(open_b).expect("psc tx executes");
+    let open_b = Call::OpenPayment(merchant_b.psc_account(), txid_b, 400_000, 480_000);
+    let receipt = session
+        .call(Party::Customer, open_b)
+        .expect("psc tx executes");
     assert!(receipt.status.is_success(), "{:?}", receipt.status);
     let payment_id_b =
         btcfast_suite::payjudger::PayJudgerClient::payment_id_from(&receipt).unwrap();
@@ -213,38 +203,28 @@ fn one_escrow_serves_two_merchants_concurrently() {
     // Both confirm; A acks, B acks; everything unlocks.
     session.advance_clock(SimTime::from_secs(5));
     session.mine_public_block().expect("block connects");
-    let ack_a = session.merchant.build_ack(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        report_a.payment_id,
-    );
-    assert!(session
-        .run_psc_tx(ack_a)
-        .expect("psc tx executes")
-        .status
-        .is_success());
-    let ack_b = merchant_b.build_ack(&session.judger, &session.psc, customer_id, payment_id_b);
-    assert!(session
-        .run_psc_tx(ack_b)
-        .expect("psc tx executes")
-        .status
-        .is_success());
+    let ack = |payment_id| Call::AckPayment(customer_id, payment_id);
+    let ack_a = ack(report_a.payment_id);
+    let receipt = session
+        .call(Party::Merchant, ack_a)
+        .expect("psc tx executes");
+    assert!(receipt.status.is_success());
+    // Merchant B is no session party: it signs its own calls.
+    let ack_from_b = |session: &mut FastPaySession, payment_id| {
+        let nonce = session.psc.nonce_of(&merchant_b.psc_account());
+        let keys = merchant_b.psc_keys();
+        let tx = session
+            .judger
+            .tx(keys, nonce, CALL_GAS_LIMIT, &ack(payment_id));
+        let receipt = session.run_psc_tx(tx).expect("psc tx executes");
+        receipt.status.is_success()
+    };
+    assert!(ack_from_b(&mut session, payment_id_b));
     let escrow = session.judger.escrow(&session.psc, customer_id).unwrap();
     assert_eq!(escrow.locked, 0);
 
     // Merchant B cannot ack or dispute A's payment.
-    let cross_ack = merchant_b.build_ack(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        report_a.payment_id,
-    );
-    assert!(!session
-        .run_psc_tx(cross_ack)
-        .expect("psc tx executes")
-        .status
-        .is_success());
+    assert!(!ack_from_b(&mut session, report_a.payment_id));
 }
 
 #[test]

@@ -5,12 +5,19 @@ use btcfast_suite::btcsim::spv::SpvEvidence;
 use btcfast_suite::netsim::latency::LatencyModel;
 use btcfast_suite::netsim::network::{Network, NodeId};
 use btcfast_suite::netsim::time::SimTime;
+use btcfast_suite::payjudger::evidence::EvidenceBundle;
 use btcfast_suite::payjudger::types::DisputeVerdict;
-use btcfast_suite::payjudger::PayJudgerClient;
-use btcfast_suite::protocol::{FastPaySession, SessionConfig};
+use btcfast_suite::payjudger::{Call, PayJudgerClient};
+use btcfast_suite::protocol::{FastPaySession, Party, SessionConfig};
 use btcfast_suite::pscsim::tx::TxStatus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Sends `call` from `from` and reports whether it landed.
+fn landed(session: &mut FastPaySession, from: Party, call: Call) -> bool {
+    let receipt = session.call(from, call).expect("psc tx executes");
+    receipt.status.is_success()
+}
 
 #[test]
 fn partitioned_network_drops_offer_delivery() {
@@ -44,27 +51,16 @@ fn evidence_withheld_defaults_to_merchant() {
     session.advance_clock(SimTime::from_secs(5));
     session.mine_public_block().expect("block connects");
 
-    let dispute = session.merchant.build_dispute(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        report.payment_id,
-    );
-    assert!(session
-        .run_psc_tx(dispute)
-        .expect("psc tx executes")
-        .status
-        .is_success());
+    let payment_id = report.payment_id;
+    let dispute = Call::Dispute(customer_id, payment_id);
+    assert!(landed(&mut session, Party::Merchant, dispute));
 
     // Nobody submits anything. Window passes.
     session.advance_clock(SimTime::from_secs(1300));
-    let judge = session.merchant.build_judge(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        report.payment_id,
-    );
-    let receipt = session.run_psc_tx(judge).expect("psc tx executes");
+    let judge = Call::Judge(customer_id, payment_id);
+    let receipt = session
+        .call(Party::Merchant, judge)
+        .expect("psc tx executes");
     assert_eq!(
         PayJudgerClient::verdict_from(&receipt),
         Some(DisputeVerdict::MerchantWins)
@@ -83,24 +79,17 @@ fn dispute_after_expiry_is_rejected_and_customer_closes() {
     let report = session.run_fast_payment(800_000).expect("payment");
     session.advance_clock(SimTime::from_secs(700));
 
-    let dispute = session.merchant.build_dispute(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        report.payment_id,
-    );
-    let receipt = session.run_psc_tx(dispute).expect("psc tx executes");
+    let payment_id = report.payment_id;
+    let dispute = Call::Dispute(customer_id, payment_id);
+    let receipt = session
+        .call(Party::Merchant, dispute)
+        .expect("psc tx executes");
     assert!(matches!(receipt.status, TxStatus::Reverted(_)));
-
-    let close =
-        session
-            .customer
-            .build_close_payment(&session.judger, &session.psc, report.payment_id);
-    assert!(session
-        .run_psc_tx(close)
-        .expect("psc tx executes")
-        .status
-        .is_success());
+    assert!(landed(
+        &mut session,
+        Party::Customer,
+        Call::ClosePayment(payment_id)
+    ));
 }
 
 #[test]
@@ -116,46 +105,23 @@ fn out_of_gas_evidence_is_billed_and_retriable() {
     session.advance_clock(SimTime::from_secs(5));
     session.mine_public_block().expect("block connects");
 
-    let dispute = session.merchant.build_dispute(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        report.payment_id,
-    );
-    assert!(session
-        .run_psc_tx(dispute)
-        .expect("psc tx executes")
-        .status
-        .is_success());
+    let payment_id = report.payment_id;
+    let dispute = Call::Dispute(customer_id, payment_id);
+    assert!(landed(&mut session, Party::Merchant, dispute));
 
     // Customer submits evidence with an absurdly small gas limit.
     let evidence =
         SpvEvidence::from_chain(&session.btc, 1, session.btc.height(), Some(&report.txid));
-    let mut starved = session.customer.build_evidence_submission(
-        &session.judger,
-        &session.psc,
-        report.payment_id,
-        evidence.clone(),
-    );
-    starved.gas_limit = 30_000;
-    starved.signature = None;
-    let starved = starved.sign(session.customer.psc_keys());
+    let submit = Call::SubmitEvidence(customer_id, payment_id, EvidenceBundle(evidence));
+    let nonce = session.psc.nonce_of(&customer_id);
+    let keys = session.customer.psc_keys();
+    let starved = session.judger.tx(keys, nonce, 30_000, &submit);
     let receipt = session.run_psc_tx(starved).expect("psc tx executes");
     assert_eq!(receipt.status, TxStatus::OutOfGas);
     assert_eq!(receipt.gas_used, 30_000); // full limit burned
 
     // Retry with proper gas succeeds.
-    let retry = session.customer.build_evidence_submission(
-        &session.judger,
-        &session.psc,
-        report.payment_id,
-        evidence,
-    );
-    assert!(session
-        .run_psc_tx(retry)
-        .expect("psc tx executes")
-        .status
-        .is_success());
+    assert!(landed(&mut session, Party::Customer, submit));
 }
 
 #[test]
@@ -229,15 +195,10 @@ fn conflicting_broadcast_before_offer_rejects_at_counter() {
             None,
         )
         .unwrap();
-    let open = session.customer.build_open_payment(
-        &session.judger,
-        &session.psc,
-        session.merchant.psc_account(),
-        tx.txid(),
-        500_000,
-        600_000,
-    );
-    let receipt = session.run_psc_tx(open).expect("psc tx executes");
+    let open = Call::OpenPayment(session.merchant.psc_account(), tx.txid(), 500_000, 600_000);
+    let receipt = session
+        .call(Party::Customer, open)
+        .expect("psc tx executes");
     assert!(receipt.status.is_success());
     let payment_id = btcfast_suite::payjudger::PayJudgerClient::payment_id_from(&receipt).unwrap();
 

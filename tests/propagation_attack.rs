@@ -11,9 +11,10 @@ use btcfast_suite::btcsim::mempool::Mempool;
 use btcfast_suite::btcsim::spv::SpvEvidence;
 use btcfast_suite::btcsim::{Amount, Chain};
 use btcfast_suite::netsim::time::SimTime;
+use btcfast_suite::payjudger::evidence::EvidenceBundle;
 use btcfast_suite::payjudger::types::DisputeVerdict;
-use btcfast_suite::payjudger::PayJudgerClient;
-use btcfast_suite::protocol::{FastPaySession, SessionConfig};
+use btcfast_suite::payjudger::{Call, PayJudgerClient};
+use btcfast_suite::protocol::{FastPaySession, Party, SessionConfig};
 
 #[test]
 fn propagation_double_spend_is_detected_and_compensated() {
@@ -53,15 +54,15 @@ fn propagation_double_spend_is_detected_and_compensated() {
     );
 
     // Register the payment intent honestly (the escrow sees nothing odd).
-    let open = session.customer.build_open_payment(
-        &session.judger,
-        &session.psc,
+    let open = Call::OpenPayment(
         session.merchant.psc_account(),
         pay.txid(),
         1_000_000,
         1_200_000,
     );
-    let receipt = session.run_psc_tx(open).expect("psc tx executes");
+    let receipt = session
+        .call(Party::Customer, open)
+        .expect("psc tx executes");
     assert!(receipt.status.is_success());
     let payment_id = PayJudgerClient::payment_id_from(&receipt).unwrap();
 
@@ -114,15 +115,11 @@ fn propagation_double_spend_is_detected_and_compensated() {
         .detect_double_spend(&pay, &merchant_chain, &merchant_pool));
 
     // Dispute → evidence (the heaviest chain lacks the payment) → verdict.
-    let dispute =
-        session
-            .merchant
-            .build_dispute(&session.judger, &session.psc, customer_id, payment_id);
-    assert!(session
-        .run_psc_tx(dispute)
-        .expect("psc tx executes")
-        .status
-        .is_success());
+    let dispute = Call::Dispute(customer_id, payment_id);
+    let receipt = session
+        .call(Party::Merchant, dispute)
+        .expect("psc tx executes");
+    assert!(receipt.status.is_success());
     // Bury the conflicting spend Δ deep so the evidence is conclusive; the
     // merchant builds it from its own view of the chain.
     for _ in 0..6 {
@@ -141,25 +138,17 @@ fn propagation_double_spend_is_detected_and_compensated() {
         evidence.inclusion.is_none(),
         "the payment is not on the chain"
     );
-    let submit = session.merchant.build_evidence_submission(
-        &session.judger,
-        &session.psc,
-        customer_id,
-        payment_id,
-        evidence,
-    );
-    assert!(session
-        .run_psc_tx(submit)
-        .expect("psc tx executes")
-        .status
-        .is_success());
+    let submit = Call::SubmitEvidence(customer_id, payment_id, EvidenceBundle(evidence));
+    let receipt = session
+        .call(Party::Merchant, submit)
+        .expect("psc tx executes");
+    assert!(receipt.status.is_success());
 
     session.advance_clock(SimTime::from_secs(7300));
-    let judge =
-        session
-            .merchant
-            .build_judge(&session.judger, &session.psc, customer_id, payment_id);
-    let receipt = session.run_psc_tx(judge).expect("psc tx executes");
+    let judge = Call::Judge(customer_id, payment_id);
+    let receipt = session
+        .call(Party::Merchant, judge)
+        .expect("psc tx executes");
     assert_eq!(
         PayJudgerClient::verdict_from(&receipt),
         Some(DisputeVerdict::MerchantWins)
