@@ -6,8 +6,7 @@
 //!   model: catching up to a tie counts as success);
 //! * [`rosenfeld`] — Rosenfeld's corrected analysis (negative-binomial
 //!   attacker progress, strict overtake required);
-//! * [`waiting`] — confirmation-latency distributions (Erlang) and the
-//!   BTCFast fast-path latency model;
+//! * [`waiting`] — confirmation-latency distributions (Erlang);
 //! * [`profit`] — attack profitability and the collateral sizing rule that
 //!   makes double-spending against BTCFast unprofitable;
 //! * [`mathutil`] — the special functions the above need (log-gamma,

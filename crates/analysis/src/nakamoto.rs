@@ -34,13 +34,6 @@ pub fn attack_success(q: f64, z: u64) -> f64 {
     probability.clamp(0.0, 1.0)
 }
 
-/// The smallest confirmation count `z` such that the attack success
-/// probability drops below `threshold` — Nakamoto's "how long to wait"
-/// table. Returns `None` if no `z <= cap` suffices (e.g. `q >= 0.5`).
-pub fn confirmations_for_risk(q: f64, threshold: f64, cap: u64) -> Option<u64> {
-    (0..=cap).find(|&z| attack_success(q, z) < threshold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,19 +117,19 @@ mod tests {
     #[test]
     fn whitepaper_less_than_0_1_percent_table() {
         // Nakamoto: "Solving for P less than 0.1%".
-        assert_eq!(confirmations_for_risk(0.10, 0.001, 400), Some(5));
-        assert_eq!(confirmations_for_risk(0.15, 0.001, 400), Some(8));
-        assert_eq!(confirmations_for_risk(0.20, 0.001, 400), Some(11));
-        assert_eq!(confirmations_for_risk(0.25, 0.001, 400), Some(15));
-        assert_eq!(confirmations_for_risk(0.30, 0.001, 400), Some(24));
-        assert_eq!(confirmations_for_risk(0.35, 0.001, 400), Some(41));
-        assert_eq!(confirmations_for_risk(0.40, 0.001, 400), Some(89));
-        assert_eq!(confirmations_for_risk(0.45, 0.001, 400), Some(340));
-    }
-
-    #[test]
-    fn no_confirmation_count_tames_majority() {
-        assert_eq!(confirmations_for_risk(0.5, 0.001, 1000), None);
+        for (q, z) in [
+            (0.10, 5),
+            (0.15, 8),
+            (0.20, 11),
+            (0.25, 15),
+            (0.30, 24),
+            (0.35, 41),
+            (0.40, 89),
+            (0.45, 340),
+        ] {
+            assert!(attack_success(q, z) < 0.001, "q={q} z={z}");
+            assert!(attack_success(q, z - 1) >= 0.001, "q={q} z={z}");
+        }
     }
 
     #[test]

@@ -30,20 +30,6 @@ pub fn catch_up(q: f64, d: u64) -> f64 {
     (q / p).powi(d as i32)
 }
 
-/// Negative-binomial probability that the attacker has mined exactly `m`
-/// blocks by the time the honest chain mined `z`:
-/// `NB(m; z, q) = C(m + z - 1, m) p^z q^m`.
-///
-/// # Panics
-///
-/// Panics unless `0 < q < 1` and `z > 0`.
-pub fn attacker_progress_pmf(m: u64, z: u64, q: f64) -> f64 {
-    assert!(q > 0.0 && q < 1.0, "attacker hashrate must be in (0,1)");
-    assert!(z > 0, "z must be positive");
-    let p = 1.0 - q;
-    (ln_choose(m + z - 1, m) + (z as f64) * p.ln() + (m as f64) * q.ln()).exp()
-}
-
 /// Probability a double-spend succeeds against a merchant waiting for `z`
 /// confirmations (Rosenfeld's closed form).
 ///
@@ -69,18 +55,22 @@ pub fn attack_success(q: f64, z: u64) -> f64 {
     (1.0 - sum).clamp(0.0, 1.0)
 }
 
-/// The smallest `z` with success probability below `threshold`. `None` if
-/// no `z <= cap` suffices.
-pub fn confirmations_for_risk(q: f64, threshold: f64, cap: u64) -> Option<u64> {
-    (0..=cap).find(|&z| attack_success(q, z) < threshold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} vs {b}");
+    }
+
+    /// Negative-binomial probability that the attacker has mined exactly `m`
+    /// blocks by the time the honest chain mined `z`:
+    /// `NB(m; z, q) = C(m + z - 1, m) p^z q^m`.
+    fn attacker_progress_pmf(m: u64, z: u64, q: f64) -> f64 {
+        assert!(q > 0.0 && q < 1.0, "attacker hashrate must be in (0,1)");
+        assert!(z > 0, "z must be positive");
+        let p = 1.0 - q;
+        (ln_choose(m + z - 1, m) + (z as f64) * p.ln() + (m as f64) * q.ln()).exp()
     }
 
     /// Hand-computable exact values of the closed form.
@@ -191,16 +181,19 @@ mod tests {
         // Because the exact model gives the attacker more probability mass,
         // the required confirmation count at equal risk is >= Nakamoto's —
         // this reproduces the headline discrepancy of Rosenfeld's paper
-        // (e.g. q=0.3 at 0.1% risk needs ~32 confirmations, not 24).
+        // (q=0.3 at 0.1% risk needs 32 confirmations, not Nakamoto's 24).
+        let wait = |success: fn(f64, u64) -> f64, q: f64, cap: u64| {
+            (0..=cap).find(|&z| success(q, z) < 0.001)
+        };
         for q in [0.1, 0.2, 0.3] {
-            let r = confirmations_for_risk(q, 0.001, 500).unwrap();
-            let n = crate::nakamoto::confirmations_for_risk(q, 0.001, 500).unwrap();
+            let r = wait(attack_success, q, 500).unwrap();
+            let n = wait(crate::nakamoto::attack_success, q, 500).unwrap();
             assert!(r >= n, "q={q}: rosenfeld {r} < nakamoto {n}");
             assert!(r <= n + 10, "q={q}: rosenfeld {r} vs nakamoto {n}");
         }
-        let r30 = confirmations_for_risk(0.3, 0.001, 500).unwrap();
-        assert_eq!(r30, 32);
-        assert_eq!(confirmations_for_risk(0.5, 0.001, 100), None);
+        assert_eq!(wait(attack_success, 0.3, 500), Some(32));
+        assert_eq!(wait(crate::nakamoto::attack_success, 0.3, 500), Some(24));
+        assert_eq!(wait(attack_success, 0.5, 100), None);
     }
 
     #[test]

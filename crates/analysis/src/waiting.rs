@@ -1,5 +1,5 @@
-//! Waiting-time models: how long a merchant waits under the confirmation
-//! baseline versus BTCFast's fast path.
+//! Waiting-time model: how long a merchant waits under the confirmation
+//! baseline.
 
 use crate::mathutil::gamma_p;
 
@@ -68,34 +68,6 @@ impl ConfirmationWait {
     }
 }
 
-/// BTCFast's fast-path waiting time: no confirmations — just message
-/// delivery and local verification.
-///
-/// `waiting = rtt_customer_merchant + t_verify`, where verification covers
-/// the merchant checking the 0-conf transaction (signature + escrow
-/// coverage lookup). The escrow setup time is *amortized* (paid once per
-/// escrow lifetime, not per payment), matching the paper's "no extra
-/// operation fee / sub-second waiting" framing.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FastPathWait {
-    /// One-way customer→merchant delay, seconds.
-    pub delay_secs: f64,
-    /// Merchant-side verification time, seconds.
-    pub verify_secs: f64,
-}
-
-impl FastPathWait {
-    /// Total expected waiting time in seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.delay_secs + self.verify_secs
-    }
-
-    /// Speedup factor versus a confirmation baseline.
-    pub fn speedup_vs(&self, baseline: &ConfirmationWait) -> f64 {
-        baseline.mean_secs() / self.total_secs()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,18 +113,6 @@ mod tests {
     fn quantile_orders() {
         let w = ConfirmationWait::new(3, 600.0);
         assert!(w.quantile(0.5) < w.quantile(0.9));
-    }
-
-    #[test]
-    fn fast_path_under_a_second() {
-        // WAN delay + verification stays well under a second — claim C1.
-        let fast = FastPathWait {
-            delay_secs: 0.120,
-            verify_secs: 0.010,
-        };
-        assert!(fast.total_secs() < 1.0);
-        let baseline = ConfirmationWait::new(6, 600.0);
-        assert!(fast.speedup_vs(&baseline) > 3600.0 / 1.0 * 0.9);
     }
 
     #[test]

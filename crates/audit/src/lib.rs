@@ -330,7 +330,7 @@ fn minimize(target: &Target, bytes: &[u8]) -> Vec<u8> {
 ///
 /// Returns corpus I/O or parse failures as a message; property violations
 /// are *not* errors — they come back inside the report.
-pub fn run(config: &FuzzConfig, registry: &Registry) -> Result<FuzzReport, String> {
+pub fn run(config: &FuzzConfig, registry: &mut Registry) -> Result<FuzzReport, String> {
     // Hostile-input targets legitimately probe panicking paths; keep the
     // default hook from spamming stderr (and destroying determinism of
     // the visible output) while cases run.
@@ -341,40 +341,43 @@ pub fn run(config: &FuzzConfig, registry: &Registry) -> Result<FuzzReport, Strin
     result
 }
 
-fn run_inner(config: &FuzzConfig, registry: &Registry) -> Result<FuzzReport, String> {
+fn run_inner(config: &FuzzConfig, registry: &mut Registry) -> Result<FuzzReport, String> {
     let mut report = FuzzReport::default();
-    let corpus_counter = registry.counter("fuzz.corpus.replayed");
-    let record =
-        |report: &mut FuzzReport, target: &'static Target, bytes: &[u8], message: String| {
-            registry
-                .counter(&format!("fuzz.{}.findings", target.engine.name()))
-                .inc();
-            let minimized = minimize(target, bytes);
-            let finding = Finding {
-                engine: target.engine.name(),
-                target: target.name,
-                bytes: minimized,
-                message,
-            };
-            if let Some(dir) = &config.failure_dir {
-                let case = FuzzCase {
-                    engine: finding.engine.into(),
-                    target: finding.target.into(),
-                    note: finding.message.clone(),
-                    bytes: finding.bytes.clone(),
-                };
-                let path = dir.join(format!(
-                    "{}-{}-{:04}.case",
-                    finding.engine,
-                    finding.target,
-                    report.findings.len()
-                ));
-                if let Err(e) = case.save(&path) {
-                    eprintln!("warning: could not write failure artifact: {e}");
-                }
-            }
-            report.findings.push(finding);
+    // Registered at zero up front, so the export names it even when no
+    // corpus case replays.
+    registry.add("fuzz.corpus.replayed", 0);
+    let record = |report: &mut FuzzReport,
+                  registry: &mut Registry,
+                  target: &'static Target,
+                  bytes: &[u8],
+                  message: String| {
+        registry.add(&format!("fuzz.{}.findings", target.engine.name()), 1);
+        let minimized = minimize(target, bytes);
+        let finding = Finding {
+            engine: target.engine.name(),
+            target: target.name,
+            bytes: minimized,
+            message,
         };
+        if let Some(dir) = &config.failure_dir {
+            let case = FuzzCase {
+                engine: finding.engine.into(),
+                target: finding.target.into(),
+                note: finding.message.clone(),
+                bytes: finding.bytes.clone(),
+            };
+            let path = dir.join(format!(
+                "{}-{}-{:04}.case",
+                finding.engine,
+                finding.target,
+                report.findings.len()
+            ));
+            if let Err(e) = case.save(&path) {
+                eprintln!("warning: could not write failure artifact: {e}");
+            }
+        }
+        report.findings.push(finding);
+    };
 
     // 1. Regression corpus first: every past bug stays fixed.
     for (path, case) in corpus::load_corpus(&config.corpus_dir).map_err(|e| e.to_string())? {
@@ -392,9 +395,9 @@ fn run_inner(config: &FuzzConfig, registry: &Registry) -> Result<FuzzReport, Str
             )
         })?;
         report.corpus_replayed += 1;
-        corpus_counter.inc();
+        registry.add("fuzz.corpus.replayed", 1);
         if let Err(message) = exec(target, &case.bytes) {
-            record(&mut report, target, &case.bytes, message);
+            record(&mut report, registry, target, &case.bytes, message);
         }
     }
 
@@ -413,11 +416,9 @@ fn run_inner(config: &FuzzConfig, registry: &Registry) -> Result<FuzzReport, Str
         let mut bytes = vec![0u8; len];
         rng.fill_bytes(&mut bytes);
         report.cases_run += 1;
-        registry
-            .counter(&format!("fuzz.{}.cases", target.engine.name()))
-            .inc();
+        registry.add(&format!("fuzz.{}.cases", target.engine.name()), 1);
         if let Err(message) = exec(target, &bytes) {
-            record(&mut report, target, &bytes, message);
+            record(&mut report, registry, target, &bytes, message);
         }
     }
     Ok(report)
@@ -475,7 +476,7 @@ mod tests {
             corpus_dir: committed_corpus(),
             failure_dir: None,
         };
-        let report = run(&config, &Registry::new()).unwrap();
+        let report = run(&config, &mut Registry::new()).unwrap();
         assert_eq!(report.cases_run, config.iters);
         assert!(report.findings.is_empty(), "{:?}", report.findings);
     }
@@ -490,8 +491,8 @@ mod tests {
             corpus_dir: committed_corpus(),
             failure_dir: None,
         };
-        let registries = [Registry::new(), Registry::new()];
-        for registry in &registries {
+        let mut registries = [Registry::new(), Registry::new()];
+        for registry in &mut registries {
             let report = run(&config, registry).unwrap();
             assert_eq!(report.corpus_replayed, 4);
             assert_eq!(report.cases_run, config.iters);
@@ -510,7 +511,7 @@ mod tests {
             ..config
         };
         assert_eq!(
-            run(&missing, &Registry::new()).unwrap_err(),
+            run(&missing, &mut Registry::new()).unwrap_err(),
             format!("corpus directory {} does not exist", nowhere.display())
         );
     }

@@ -20,7 +20,7 @@ use btcfast::engine::{EngineConfig, PaymentEngine};
 use btcfast::session::FastPaySession;
 use btcfast::telemetry;
 use btcfast_crypto::WorkerPool;
-use btcfast_obs::{stats, MetricValue, Registry, TraceEvent};
+use btcfast_obs::{stats, Registry, TraceEvent};
 
 /// The fixed seed every E12 run replays.
 pub const SEED: u64 = 0xE12;
@@ -82,8 +82,7 @@ fn phase_table(events: &[TraceEvent]) -> Table {
 fn metrics_table(registry: &Registry) -> Table {
     let mut table = Table::new("E12 — scraped subsystem counters", &["metric", "value"]);
     for (name, value) in registry.snapshot() {
-        let (MetricValue::Counter(v) | MetricValue::Gauge(v)) = value;
-        table.push(vec![name, v.to_string()]);
+        table.push(vec![name, value.value().to_string()]);
     }
     table
 }
@@ -112,8 +111,8 @@ fn replay_evidence(quick: bool) -> (String, bool) {
 pub fn run(quick: bool) -> Vec<Table> {
     let session = run_workload(if quick { 8 } else { 32 });
 
-    let registry = Registry::new();
-    telemetry::publish_session(&registry, &session);
+    let mut registry = Registry::new();
+    telemetry::publish_session(&mut registry, &session);
 
     let (fingerprint, traces_match) = replay_evidence(quick);
     let mut replay = Table::new(

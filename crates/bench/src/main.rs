@@ -285,8 +285,8 @@ fn run_fuzz(args: &[String]) -> Result<ExitCode, CliError> {
         corpus_dir,
         failure_dir: Some(failure_dir.clone()),
     };
-    let registry = btcfast_obs::Registry::new();
-    let report = match btcfast_audit::run(&config, &registry) {
+    let mut registry = btcfast_obs::Registry::new();
+    let report = match btcfast_audit::run(&config, &mut registry) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("fuzz run failed: {e}");

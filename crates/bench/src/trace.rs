@@ -55,8 +55,8 @@ pub fn run(seed: u64) -> Result<TraceRun, String> {
         chaos.trace_transport_stats();
     }
 
-    let registry = btcfast_obs::Registry::new();
-    telemetry::publish_chaos(&registry, &chaos);
+    let mut registry = btcfast_obs::Registry::new();
+    telemetry::publish_chaos(&mut registry, &chaos);
     Ok(TraceRun {
         jsonl: btcfast_obs::render_jsonl(&chaos.session.take_trace()),
         prom: registry.render_prometheus(),

@@ -16,7 +16,7 @@ pub const MAX_MONEY: u64 = 21_000_000 * SATS_PER_BTC;
 /// ```
 /// use btcfast_btcsim::Amount;
 ///
-/// let price = Amount::from_btc_f64(0.015).unwrap();
+/// let price = Amount::from_sats(1_500_000).unwrap();
 /// let fee = Amount::from_sats(1_000).unwrap();
 /// assert_eq!(price.checked_add(fee).unwrap().to_sats(), 1_501_000);
 /// ```
@@ -55,36 +55,9 @@ impl Amount {
         }
     }
 
-    /// Creates an amount from whole bitcoins.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AmountError`] when the value exceeds 21M BTC.
-    pub fn from_btc(btc: u64) -> Result<Amount, AmountError> {
-        Amount::from_sats(btc.saturating_mul(SATS_PER_BTC))
-    }
-
-    /// Creates an amount from a fractional BTC value (rounds to the nearest
-    /// satoshi). Returns `None` for negative, NaN, or out-of-range values.
-    pub fn from_btc_f64(btc: f64) -> Option<Amount> {
-        if !btc.is_finite() || btc < 0.0 {
-            return None;
-        }
-        let sats = (btc * SATS_PER_BTC as f64).round();
-        if sats > MAX_MONEY as f64 {
-            return None;
-        }
-        Some(Amount(sats as u64))
-    }
-
     /// The value in satoshis.
     pub fn to_sats(&self) -> u64 {
         self.0
-    }
-
-    /// The value in BTC as a float (for reporting, not consensus).
-    pub fn to_btc_f64(&self) -> f64 {
-        self.0 as f64 / SATS_PER_BTC as f64
     }
 
     /// Checked addition staying within the money supply.
@@ -158,18 +131,6 @@ mod tests {
     fn construction_limits() {
         assert!(Amount::from_sats(MAX_MONEY).is_ok());
         assert!(Amount::from_sats(MAX_MONEY + 1).is_err());
-        assert!(Amount::from_btc(21_000_000).is_ok());
-        assert!(Amount::from_btc(21_000_001).is_err());
-    }
-
-    #[test]
-    fn btc_f64_round_trip() {
-        let a = Amount::from_btc_f64(1.5).unwrap();
-        assert_eq!(a.to_sats(), 150_000_000);
-        assert_eq!(a.to_btc_f64(), 1.5);
-        assert!(Amount::from_btc_f64(-1.0).is_none());
-        assert!(Amount::from_btc_f64(f64::NAN).is_none());
-        assert!(Amount::from_btc_f64(22_000_000.0).is_none());
     }
 
     #[test]

@@ -188,17 +188,6 @@ impl PrivateForkAttacker {
         self.secret_blocks.push(block);
     }
 
-    /// Observes a new public block (so later secret mining knows about
-    /// competing work).
-    pub fn observe(&mut self, block: crate::block::Block) {
-        let _ = self.private_view.submit_block(block);
-    }
-
-    /// Length of the secret branch.
-    pub fn secret_len(&self) -> usize {
-        self.secret_blocks.len()
-    }
-
     /// Whether the secret branch carries more work than `public`'s tip.
     pub fn can_overtake(&self, public: &Chain) -> bool {
         if self.secret_blocks.is_empty() {
@@ -248,11 +237,6 @@ impl PrivateForkAttacker {
             }
         }
         reorged && target.tip_hash() == self.secret_tip
-    }
-
-    /// The secret blocks (e.g. for feeding adversarial evidence to a judge).
-    pub fn secret_blocks(&self) -> &[crate::block::Block] {
-        &self.secret_blocks
     }
 }
 
@@ -427,10 +411,10 @@ mod tests {
             None,
             601,
         );
-        // Public mines one more; the attacker has mined nothing yet.
+        // Public mines one more; the attacker has mined nothing yet. It
+        // tracks public blocks by reading the public tip's work.
         let b2 = honest.mine_block(&public, vec![], 1200);
-        public.submit_block(b2.clone()).unwrap();
-        attacker.observe(b2);
+        public.submit_block(b2).unwrap();
         assert!(!attacker.can_overtake(&public));
         attacker.extend(1300);
         // 1 secret vs 1 public above the fork: equal, not strictly more.
@@ -438,6 +422,6 @@ mod tests {
         attacker.extend(1400);
         // 2 secret vs 1 public above the fork: strictly more work.
         assert!(attacker.can_overtake(&public));
-        assert_eq!(attacker.secret_len(), 2);
+        assert_eq!(attacker.secret_blocks.len(), 2);
     }
 }

@@ -329,11 +329,6 @@ impl Mempool {
             selected.push(tx.clone());
         }
     }
-
-    /// All pooled txids (unordered, borrowed — no per-call allocation).
-    pub fn txids(&self) -> impl Iterator<Item = Hash256> + '_ {
-        self.entries.keys().copied()
-    }
 }
 
 #[cfg(test)]
@@ -605,12 +600,12 @@ mod tests {
             .unwrap();
         pool.remove(&txid);
         assert!(pool.select_for_block(10).is_empty());
-        assert_eq!(pool.txids().count(), 0);
+        assert_eq!(pool.len(), 0);
         // Re-insert works: output/order indexes were fully cleared.
         pool.insert(tx, chain.utxo(), chain.height() + 1, 1)
             .unwrap();
         assert_eq!(pool.select_for_block(10).len(), 1);
-        assert_eq!(pool.txids().count(), 1);
+        assert_eq!(pool.len(), 1);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use crate::amount::Amount;
 use crate::chain::Chain;
-use crate::script::ScriptPubKey;
 use crate::transaction::{OutPoint, Transaction, TxIn, TxOut};
 use crate::utxo::Coin;
 use btcfast_crypto::keys::{Address, KeyPair};
@@ -208,17 +207,12 @@ impl Wallet {
     }
 }
 
-/// Returns the P2PKH script for a wallet address (helper for tests and
-/// examples).
-pub fn p2pkh(address: Address) -> ScriptPubKey {
-    ScriptPubKey::P2pkh(address)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::miner::Miner;
     use crate::params::ChainParams;
+    use crate::script::ScriptPubKey;
 
     fn sats(v: u64) -> Amount {
         Amount::from_sats(v).unwrap()

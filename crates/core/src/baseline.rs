@@ -1,7 +1,6 @@
 //! The comparison schemes the paper evaluates BTCFast against.
 
 use btcfast_analysis::rosenfeld;
-use btcfast_analysis::waiting::{ConfirmationWait, FastPathWait};
 
 /// A payment-acceptance scheme.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -22,28 +21,6 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// Human-readable label for tables.
-    pub fn label(&self) -> String {
-        match self {
-            Scheme::BtcFast { judgment_window } => format!("BTCFast (Δ={judgment_window})"),
-            Scheme::NConfirmations { z } => format!("{z}-confirmation"),
-            Scheme::ZeroConfNaive => "naive 0-conf".to_string(),
-        }
-    }
-
-    /// Expected waiting time in seconds under this scheme.
-    ///
-    /// `fast_path` describes the BTCFast/naive point-of-sale latency;
-    /// `block_interval_secs` parameterizes the confirmation baselines.
-    pub fn expected_waiting_secs(&self, fast_path: &FastPathWait, block_interval_secs: f64) -> f64 {
-        match self {
-            Scheme::BtcFast { .. } | Scheme::ZeroConfNaive => fast_path.total_secs(),
-            Scheme::NConfirmations { z } => {
-                ConfirmationWait::new((*z).max(1), block_interval_secs).mean_secs()
-            }
-        }
-    }
-
     /// Probability an attacker with hashrate `q` takes the merchant's goods
     /// *and* money under this scheme.
     ///
@@ -65,52 +42,9 @@ impl Scheme {
     }
 }
 
-/// The scheme lineup used across the evaluation tables.
-pub fn standard_lineup() -> Vec<Scheme> {
-    vec![
-        Scheme::ZeroConfNaive,
-        Scheme::NConfirmations { z: 1 },
-        Scheme::NConfirmations { z: 2 },
-        Scheme::NConfirmations { z: 6 },
-        Scheme::BtcFast { judgment_window: 6 },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fast() -> FastPathWait {
-        FastPathWait {
-            delay_secs: 0.16,
-            verify_secs: 0.01,
-        }
-    }
-
-    #[test]
-    fn labels_are_distinct() {
-        let labels: Vec<String> = standard_lineup().iter().map(|s| s.label()).collect();
-        let unique: std::collections::HashSet<&String> = labels.iter().collect();
-        assert_eq!(labels.len(), unique.len());
-    }
-
-    #[test]
-    fn btcfast_waits_like_zero_conf() {
-        let fast_path = fast();
-        let btcfast = Scheme::BtcFast { judgment_window: 6 };
-        let naive = Scheme::ZeroConfNaive;
-        assert_eq!(
-            btcfast.expected_waiting_secs(&fast_path, 600.0),
-            naive.expected_waiting_secs(&fast_path, 600.0)
-        );
-        assert!(btcfast.expected_waiting_secs(&fast_path, 600.0) < 1.0);
-    }
-
-    #[test]
-    fn six_conf_waits_an_hour() {
-        let scheme = Scheme::NConfirmations { z: 6 };
-        assert_eq!(scheme.expected_waiting_secs(&fast(), 600.0), 3600.0);
-    }
 
     #[test]
     fn btcfast_matches_six_conf_security() {

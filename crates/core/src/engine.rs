@@ -35,7 +35,7 @@
 use crate::admission::{AdmissionConfig, ShardAdmissionStats, ShardQueue, Ticket};
 use crate::config::SessionConfig;
 use crate::recovery::{Outcome, RecoveryManager, Step};
-use crate::session::{FastPaySession, SessionError};
+use crate::session::{FastPayReport, FastPaySession, SessionError};
 use btcfast_crypto::sha256::sha256d;
 use btcfast_crypto::{Hash256, WorkerPool};
 use btcfast_netsim::time::SimTime;
@@ -651,6 +651,66 @@ fn store_err(e: crate::recovery::RecoveryError) -> SessionError {
     SessionError::Psc(format!("shard recovery store: {e}"))
 }
 
+/// Runs one batch of `k` payments on `session` and journals each payment's
+/// durable lifecycle facts to `recovery`. Each registration intent names
+/// the PSC nonce its transaction spent, as the session reports it.
+fn run_journaled_batch(
+    config: &EngineConfig,
+    session: &mut FastPaySession,
+    recovery: &mut RecoveryManager<MemStorage>,
+    k: usize,
+) -> Result<Vec<FastPayReport>, SessionError> {
+    let per_payment = config.session.required_collateral(config.amount_sats);
+    let reports = session.run_fast_payment_batch(&vec![config.amount_sats; k])?;
+    for report in &reports {
+        // Journal the payment's durable lifecycle facts.
+        let intent = recovery
+            .begin(Step::OpenPayment {
+                txid: report.txid,
+                amount_sats: config.amount_sats,
+                collateral: per_payment,
+                psc_nonce: report.psc_nonce,
+            })
+            .map_err(store_err)?;
+        recovery
+            .complete(
+                intent,
+                Outcome::PaymentRegistered {
+                    payment_id: report.payment_id,
+                },
+            )
+            .map_err(store_err)?;
+        let intent = recovery
+            .begin(Step::AcceptanceSend {
+                payment_id: report.payment_id,
+                accepted: report.accepted,
+            })
+            .map_err(store_err)?;
+        recovery
+            .complete(
+                intent,
+                if report.accepted {
+                    Outcome::Applied
+                } else {
+                    Outcome::Rejected
+                },
+            )
+            .map_err(store_err)?;
+        if report.accepted {
+            let intent = recovery
+                .begin(Step::Broadcast {
+                    payment_id: report.payment_id,
+                    txid: report.txid,
+                })
+                .map_err(store_err)?;
+            recovery
+                .complete(intent, Outcome::Applied)
+                .map_err(store_err)?;
+        }
+    }
+    Ok(reports)
+}
+
 /// One shard, start to finish: provision a session, then run payments in
 /// batches — disjoint coin selection, one registration block per batch,
 /// one confirming BTC block per batch. Every payment's lifecycle is
@@ -659,7 +719,6 @@ fn store_err(e: crate::recovery::RecoveryError) -> SessionError {
 /// drops its volatile manager and re-hydrates from the media, failing the
 /// run if the recovered digest diverges.
 fn run_shard(config: &EngineConfig, shard: usize, seed: u64) -> Result<ShardOutcome, SessionError> {
-    let per_payment = config.session.required_collateral(config.amount_sats);
     let mut session = provision_shard(config, config.payments_per_shard, seed)?;
     let batch = config.batch_size.max(1);
 
@@ -684,51 +743,8 @@ fn run_shard(config: &EngineConfig, shard: usize, seed: u64) -> Result<ShardOutc
                 ("queued", remaining.into()),
             ],
         );
-        let amounts = vec![config.amount_sats; k];
-        for report in session.run_fast_payment_batch(&amounts)? {
-            // Journal the payment's durable lifecycle facts.
-            let intent = recovery
-                .begin(Step::OpenPayment {
-                    txid: report.txid,
-                    amount_sats: config.amount_sats,
-                    collateral: per_payment,
-                    psc_nonce: report.payment_id,
-                })
-                .map_err(store_err)?;
-            recovery
-                .complete(
-                    intent,
-                    Outcome::PaymentRegistered {
-                        payment_id: report.payment_id,
-                    },
-                )
-                .map_err(store_err)?;
-            let intent = recovery
-                .begin(Step::AcceptanceSend {
-                    payment_id: report.payment_id,
-                    accepted: report.accepted,
-                })
-                .map_err(store_err)?;
-            recovery
-                .complete(
-                    intent,
-                    if report.accepted {
-                        Outcome::Applied
-                    } else {
-                        Outcome::Rejected
-                    },
-                )
-                .map_err(store_err)?;
+        for report in run_journaled_batch(config, &mut session, &mut recovery, k)? {
             if report.accepted {
-                let intent = recovery
-                    .begin(Step::Broadcast {
-                        payment_id: report.payment_id,
-                        txid: report.txid,
-                    })
-                    .map_err(store_err)?;
-                recovery
-                    .complete(intent, Outcome::Applied)
-                    .map_err(store_err)?;
                 accepted += 1;
                 accept_latencies.push(report.waiting);
             } else {
@@ -850,6 +866,53 @@ mod tests {
     }
 
     #[test]
+    fn journal_names_the_nonce_each_registration_spends() {
+        use crate::recovery::JournalRecord;
+        use btcfast_pscsim::codec::Decode;
+
+        let config = small();
+        let mut session = provision_shard(&config, 4, 9).unwrap();
+        let (mut recovery, _) =
+            RecoveryManager::open(MemStorage::new(), MemStorage::new()).unwrap();
+        for _ in 0..2 {
+            run_journaled_batch(&config, &mut session, &mut recovery, 2).unwrap();
+            session.mine_public_block().unwrap();
+        }
+        let mut registrations = 0;
+        for (_, payload) in btcfast_store::wal::scan(&recovery.wal_medium().bytes()).records {
+            let Ok(JournalRecord::Begin {
+                step:
+                    Step::OpenPayment {
+                        txid,
+                        amount_sats,
+                        collateral,
+                        psc_nonce,
+                    },
+            }) = JournalRecord::decode(&payload)
+            else {
+                continue;
+            };
+            // Rebuilt at the journaled nonce, the registration must be the
+            // transaction the chain executed for this txid.
+            let tx = session.customer.build_open_payment_at(
+                &session.judger,
+                psc_nonce,
+                session.merchant.psc_account(),
+                txid,
+                amount_sats,
+                collateral,
+            );
+            let receipt = session.psc.receipt(&tx.hash());
+            assert!(
+                receipt.is_some_and(|r| r.status.is_success()),
+                "payment {txid} journaled under nonce {psc_nonce}, which registered nothing"
+            );
+            registrations += 1;
+        }
+        assert_eq!(registrations, 4);
+    }
+
+    #[test]
     fn different_seeds_diverge() {
         let engine = PaymentEngine::new(small());
         let a = engine.run(1, &WorkerPool::new(2)).unwrap();
@@ -901,7 +964,14 @@ mod tests {
         for outcome in &report.outcomes {
             assert_eq!(outcome.escrow_locked, outcome.expected_locked);
             assert_eq!(outcome.executed, outcome.admission.admitted as usize);
+            assert!(outcome.admission.high_water >= 1);
         }
+        let shed: u64 = report
+            .outcomes
+            .iter()
+            .map(|o| o.admission.rejected_new)
+            .sum();
+        assert_eq!(shed, report.shed_count() as u64);
     }
 
     #[test]

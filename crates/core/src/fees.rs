@@ -65,11 +65,6 @@ pub struct FeeModel {
 }
 
 impl FeeModel {
-    /// Converts a gas quantity to satoshi-equivalents.
-    pub fn gas_to_sats(&self, gas: Gas) -> f64 {
-        gas as f64 * self.gas_price as f64 * self.sats_per_psc_unit
-    }
-
     /// Honest-path cost per payment when the escrow serves `payments`
     /// payments over its lifetime: every payment registers and closes, the
     /// deposit and withdrawal amortize.
@@ -86,12 +81,6 @@ impl FeeModel {
             btc_fee_sats: self.btc_fee_sats as f64,
             psc_overhead_sats: (per_payment_gas + amortized_gas) * sats_per_gas,
         }
-    }
-
-    /// Cost of one dispute (loser-pays in a rational deployment; reported
-    /// for completeness).
-    pub fn dispute_cost_sats(&self, usage: &GasUsage) -> f64 {
-        self.gas_to_sats(usage.dispute + usage.submit_evidence + usage.judge)
     }
 
     /// The plain-BTC baseline's per-payment cost.
@@ -154,19 +143,6 @@ mod tests {
             sats_per_psc_unit: 0.01,
         };
         assert_eq!(model.baseline_cost().total_sats(), 500.0);
-    }
-
-    #[test]
-    fn dispute_cost_dominated_by_evidence() {
-        let model = FeeModel {
-            btc_fee_sats: 500,
-            gas_price: 1,
-            sats_per_psc_unit: 1.0,
-        };
-        let u = usage();
-        let dispute = model.dispute_cost_sats(&u);
-        assert!(dispute > model.gas_to_sats(u.submit_evidence));
-        assert!(model.gas_to_sats(u.submit_evidence) > dispute / 2.0);
     }
 
     #[test]

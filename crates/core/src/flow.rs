@@ -210,6 +210,8 @@ fn psc_phase<E: Effects>(
 /// A completed escrow registration.
 pub(crate) struct Registered {
     pub payment_id: u64,
+    /// The customer PSC nonce the registration was journaled under.
+    pub psc_nonce: u64,
     /// Registration start → inclusion.
     pub took: SimTime,
     pub gas: u64,
@@ -246,17 +248,21 @@ pub(crate) fn register<E: Effects>(
         amount_sats,
         collateral,
     );
+    let mut psc_nonce = 0;
     let call = psc_phase(
         fx,
         root,
         ProtocolPhase::OpenPayment,
         Party::Customer,
         None,
-        |psc_nonce| Step::OpenPayment {
-            txid,
-            amount_sats,
-            collateral,
-            psc_nonce,
+        |nonce| {
+            psc_nonce = nonce;
+            Step::OpenPayment {
+                txid,
+                amount_sats,
+                collateral,
+                psc_nonce,
+            }
         },
         open,
     )?;
@@ -264,6 +270,7 @@ pub(crate) fn register<E: Effects>(
     fx.journal_done(Outcome::PaymentRegistered { payment_id })?;
     Ok(Registered {
         payment_id,
+        psc_nonce,
         took: fx.session().clock - start,
         gas: call.receipt.gas_used,
     })

@@ -81,6 +81,9 @@ pub struct FastPayReport {
     pub txid: Hash256,
     /// Payment registration id in the escrow.
     pub payment_id: u64,
+    /// The customer PSC nonce the registration was signed at (its first
+    /// submission's, the one its journal intent names).
+    pub psc_nonce: u64,
     /// Gas the registration consumed (fee-table input).
     pub registration_gas: u64,
 }
@@ -98,6 +101,7 @@ impl FastPayReport {
             reject: pos.reject,
             txid,
             payment_id: registered.payment_id,
+            psc_nonce: registered.psc_nonce,
             registration_gas: registered.gas,
         }
     }
@@ -648,6 +652,7 @@ impl FastPaySession {
             let txid = tx.txid();
             let registered = flow::Registered {
                 payment_id,
+                psc_nonce: nonce_base + i as u64,
                 took: registration,
                 gas: receipt.gas_used,
             };

@@ -1,33 +1,6 @@
 //! Base58 and Base58Check (Bitcoin address) encoding.
 
-use std::error::Error;
-use std::fmt;
-
 const ALPHABET: &[u8; 58] = b"123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz";
-
-/// Errors decoding Base58 / Base58Check strings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Base58Error {
-    /// A character outside the Base58 alphabet.
-    BadChar(char),
-    /// The 4-byte double-SHA256 checksum did not match.
-    BadChecksum,
-    /// The payload was too short to contain version + checksum, or had an
-    /// unexpected length for the caller's type.
-    BadLength,
-}
-
-impl fmt::Display for Base58Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Base58Error::BadChar(c) => write!(f, "invalid base58 character {c:?}"),
-            Base58Error::BadChecksum => write!(f, "base58check checksum mismatch"),
-            Base58Error::BadLength => write!(f, "base58check payload has invalid length"),
-        }
-    }
-}
-
-impl Error for Base58Error {}
 
 /// Encodes bytes as Base58.
 pub fn encode(data: &[u8]) -> String {
@@ -56,39 +29,6 @@ pub fn encode(data: &[u8]) -> String {
     out
 }
 
-/// Decodes a Base58 string to bytes.
-///
-/// # Errors
-///
-/// Returns [`Base58Error::BadChar`] on characters outside the alphabet.
-pub fn decode(s: &str) -> Result<Vec<u8>, Base58Error> {
-    let zeros = s.chars().take_while(|&c| c == '1').count();
-    let mut bytes: Vec<u8> = Vec::with_capacity(s.len() * 733 / 1000 + 1);
-    for c in s.chars() {
-        let value = ALPHABET
-            .iter()
-            .position(|&a| a as char == c)
-            .ok_or(Base58Error::BadChar(c))? as u32;
-        let mut carry = value;
-        for byte in bytes.iter_mut() {
-            carry += (*byte as u32) * 58;
-            *byte = carry as u8;
-            carry >>= 8;
-        }
-        while carry > 0 {
-            bytes.push(carry as u8);
-            carry >>= 8;
-        }
-    }
-    let mut out = vec![0u8; zeros];
-    out.extend(bytes.iter().rev());
-    // Strip the zero bytes the big-number phase may have produced for the
-    // leading '1's (they were re-added above).
-    let produced_zeros = bytes.len() - bytes.iter().rev().take_while(|&&b| b == 0).count();
-    let _ = produced_zeros;
-    Ok(out)
-}
-
 /// Base58Check encode: `version || payload || first4(SHA256d(version||payload))`.
 pub fn check_encode(version: u8, payload: &[u8]) -> String {
     let mut data = Vec::with_capacity(1 + payload.len() + 4);
@@ -99,29 +39,9 @@ pub fn check_encode(version: u8, payload: &[u8]) -> String {
     encode(&data)
 }
 
-/// Base58Check decode, returning `(version, payload)`.
-///
-/// # Errors
-///
-/// Returns [`Base58Error::BadChecksum`] or [`Base58Error::BadLength`] on
-/// malformed input.
-pub fn check_decode(s: &str) -> Result<(u8, Vec<u8>), Base58Error> {
-    let data = decode(s)?;
-    if data.len() < 5 {
-        return Err(Base58Error::BadLength);
-    }
-    let (body, checksum) = data.split_at(data.len() - 4);
-    let expected = crate::sha256::sha256d(body);
-    if &expected.0[..4] != checksum {
-        return Err(Base58Error::BadChecksum);
-    }
-    Ok((body[0], body[1..].to_vec()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn known_vectors() {
@@ -142,50 +62,17 @@ mod tests {
         ];
         for (input, expected) in cases {
             assert_eq!(encode(input), *expected);
-            assert_eq!(decode(expected).unwrap(), input.to_vec());
         }
     }
 
     #[test]
     fn leading_zeros_preserved() {
-        let data = [0u8, 0, 0, 1, 2, 3];
-        assert_eq!(decode(&encode(&data)).unwrap(), data.to_vec());
-    }
-
-    #[test]
-    fn decode_rejects_bad_chars() {
-        // '0', 'O', 'I', 'l' are excluded from the alphabet.
-        for bad in ["0", "O", "I", "l", "hello world"] {
-            assert!(matches!(decode(bad), Err(Base58Error::BadChar(_))), "{bad}");
-        }
-    }
-
-    #[test]
-    fn check_round_trip() {
-        let payload = [0xde, 0xad, 0xbe, 0xef];
-        let s = check_encode(0x42, &payload);
-        let (version, decoded) = check_decode(&s).unwrap();
-        assert_eq!(version, 0x42);
-        assert_eq!(decoded, payload.to_vec());
-    }
-
-    #[test]
-    fn check_detects_corruption() {
-        let s = check_encode(0x00, &[1, 2, 3, 4, 5]);
-        // Flip one character to another alphabet character.
-        let mut chars: Vec<char> = s.chars().collect();
-        let idx = chars.len() / 2;
-        chars[idx] = if chars[idx] == '2' { '3' } else { '2' };
-        let corrupted: String = chars.into_iter().collect();
-        assert!(matches!(
-            check_decode(&corrupted),
-            Err(Base58Error::BadChecksum) | Err(Base58Error::BadLength)
-        ));
-    }
-
-    #[test]
-    fn check_rejects_too_short() {
-        assert_eq!(check_decode("2g"), Err(Base58Error::BadLength));
+        // Each leading zero byte is one leading '1'; the rest encodes the value.
+        assert_eq!(
+            encode(&[0, 0, 0, 1, 2, 3]),
+            format!("111{}", encode(&[1, 2, 3]))
+        );
+        assert!(!encode(&[1, 2, 3]).starts_with('1'));
     }
 
     #[test]
@@ -197,21 +84,5 @@ mod tests {
             check_encode(0x00, &payload),
             "1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa"
         );
-    }
-
-    proptest! {
-        #[test]
-        fn prop_round_trip(data in proptest::collection::vec(any::<u8>(), 0..64)) {
-            prop_assert_eq!(decode(&encode(&data)).unwrap(), data);
-        }
-
-        #[test]
-        fn prop_check_round_trip(version in any::<u8>(),
-                                 data in proptest::collection::vec(any::<u8>(), 0..40)) {
-            let s = check_encode(version, &data);
-            let (v, p) = check_decode(&s).unwrap();
-            prop_assert_eq!(v, version);
-            prop_assert_eq!(p, data);
-        }
     }
 }

@@ -15,14 +15,6 @@ const P: [u64; 4] = [
 /// `2^256 - p = 2^32 + 977`.
 const C: [u64; 4] = [0x1000003D1, 0, 0, 0];
 
-/// Intermediate powers shared by the `sqrt` and `invert_fermat` addition chains;
-/// `x{k}` is `self^(2^k - 1)`.
-struct Ladder {
-    x2: FieldElement,
-    x22: FieldElement,
-    x223: FieldElement,
-}
-
 /// An element of the secp256k1 base field, always stored fully reduced.
 ///
 /// ```
@@ -85,21 +77,6 @@ impl FieldElement {
         FieldElement(limbs::reduce_wide_c1(wide, &P, C[0]))
     }
 
-    /// Raises the element to an arbitrary 256-bit power given as big-endian
-    /// bytes (square-and-multiply).
-    pub fn pow_be(self, exponent: &[u8; 32]) -> FieldElement {
-        let mut result = FieldElement::ONE;
-        for byte in exponent {
-            for bit in (0..8).rev() {
-                result = result.square();
-                if (byte >> bit) & 1 == 1 {
-                    result = result * self;
-                }
-            }
-        }
-        result
-    }
-
     /// Squares the element `n` times in place-style chaining.
     fn sqr_n(self, n: u32) -> FieldElement {
         let mut out = self;
@@ -135,18 +112,6 @@ impl FieldElement {
         assert!(!self.is_zero(), "zero has no multiplicative inverse");
         // The exponent p - 2 is
         // 2^256 - 2^32 - 979 = (223 ones)·0·(22 ones)·0·1111110·0·1·0·1101.
-        let l = self.ladder();
-        // Tail: shift in the low 33 bits of p - 2 (FFFFFC2D pattern).
-        let t = l.x223.sqr_n(23) * l.x22;
-        let t = t.sqr_n(5) * self;
-        let t = t.sqr_n(3) * l.x2;
-        t.sqr_n(2) * self
-    }
-
-    /// The shared prefix of the `p - 2` and `(p + 1) / 4` addition chains:
-    /// both exponents open with 223 ones, so `invert_fermat` and `sqrt` reuse the
-    /// same ladder up to `x223` and differ only in their tails.
-    fn ladder(self) -> Ladder {
         // x{k} denotes self^(2^k - 1).
         let x2 = self.square() * self;
         let x3 = x2.square() * self;
@@ -159,27 +124,11 @@ impl FieldElement {
         let x176 = x88.sqr_n(88) * x88;
         let x220 = x176.sqr_n(44) * x44;
         let x223 = x220.sqr_n(3) * x3;
-        Ladder { x2, x22, x223 }
-    }
-
-    /// Square root, if one exists. Since `p ≡ 3 (mod 4)`, the candidate is
-    /// `x^((p+1)/4)`, computed with an addition chain (254 squarings, 13
-    /// multiplications) instead of naive square-and-multiply over the
-    /// nearly-all-ones exponent: batch verification lifts one x-coordinate
-    /// per hinted signature, so this sits on the accept path. Returns
-    /// `None` when `x` is a quadratic non-residue.
-    pub fn sqrt(self) -> Option<FieldElement> {
-        // (p + 1) / 4 = 2^254 - 2^30 - 244
-        //             = (223 ones)·0·(22 ones)·(6 zeros)·11·00.
-        let l = self.ladder();
-        let t = l.x223.sqr_n(23) * l.x22;
-        let t = t.sqr_n(6) * l.x2;
-        let candidate = t.sqr_n(2);
-        if candidate.square() == self {
-            Some(candidate)
-        } else {
-            None
-        }
+        // Tail: shift in the low 33 bits of p - 2 (FFFFFC2D pattern).
+        let t = x223.sqr_n(23) * x22;
+        let t = t.sqr_n(5) * self;
+        let t = t.sqr_n(3) * x2;
+        t.sqr_n(2) * self
     }
 }
 
@@ -301,50 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn sqrt_of_squares() {
-        for v in 1..30u64 {
-            let x = fe(v);
-            let sq = x.square();
-            let root = sq.sqrt().expect("square must have a root");
-            assert!(root == x || root == -x, "v = {v}");
-        }
-    }
-
-    #[test]
-    fn sqrt_rejects_non_residue() {
-        // 5 is a known quadratic non-residue mod the secp256k1 prime
-        // (p ≡ 1 mod 5 analysis aside, we verify empirically: if sqrt
-        // succeeds the test still checks consistency).
-        let mut found_nonresidue = false;
-        for v in 2..20u64 {
-            if fe(v).sqrt().is_none() {
-                found_nonresidue = true;
-                break;
-            }
-        }
-        assert!(found_nonresidue, "some small non-residue must exist");
-    }
-
-    proptest! {
-        /// The sqrt addition chain computes exactly `x^((p+1)/4)` — pinned
-        /// against the retained naive square-and-multiply on the explicit
-        /// exponent, for residues and non-residues alike.
-        #[test]
-        fn sqrt_chain_matches_pow_be(bytes in any::<[u8; 32]>()) {
-            const EXP: [u8; 32] = [
-                0x3f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-                0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-                0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xbf, 0xff,
-                0xff, 0x0c,
-            ];
-            let x = FieldElement::from_be_bytes_reduced(&bytes);
-            let candidate = x.pow_be(&EXP);
-            let expected = if candidate.square() == x { Some(candidate) } else { None };
-            prop_assert_eq!(x.sqrt(), expected);
-        }
-    }
-
-    #[test]
     fn curve_equation_for_generator() {
         // Gy^2 = Gx^3 + 7 must hold on secp256k1.
         let gx = FieldElement::from_be_bytes(&crate::hex_arr(
@@ -408,13 +313,6 @@ mod tests {
         #[test]
         fn prop_square_matches_mul(a in arb_fe()) {
             prop_assert_eq!(a.square(), a * a);
-        }
-
-        #[test]
-        fn prop_sqrt_round_trip(a in arb_fe()) {
-            let sq = a.square();
-            let root = sq.sqrt().expect("squares always have roots");
-            prop_assert!(root == a || root == -a);
         }
     }
 }

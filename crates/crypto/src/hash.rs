@@ -13,7 +13,6 @@ use std::fmt;
 ///
 /// let h = Hash256([0xab; 32]);
 /// assert_eq!(h.to_hex().len(), 64);
-/// assert_eq!(Hash256::from_hex(&h.to_hex()).unwrap(), h);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Hash256(pub [u8; 32]);
@@ -38,43 +37,6 @@ impl Hash256 {
         let mut rev = self.0;
         rev.reverse();
         crate::hex::encode(&rev)
-    }
-
-    /// Parses a hex string in Bitcoin's reversed (display) byte order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::hex::HexError`] if the string is not exactly 64 hex
-    /// characters.
-    pub fn from_hex(s: &str) -> Result<Hash256, crate::hex::HexError> {
-        let bytes = crate::hex::decode(s)?;
-        if bytes.len() != 32 {
-            return Err(crate::hex::HexError::BadLength {
-                expected: 64,
-                got: s.len(),
-            });
-        }
-        let mut out = [0u8; 32];
-        out.copy_from_slice(&bytes);
-        out.reverse();
-        Ok(Hash256(out))
-    }
-
-    /// Interprets the digest as a big-endian 256-bit integer and compares it
-    /// against another digest interpreted the same way.
-    ///
-    /// Used for proof-of-work target checks where the header hash (reversed
-    /// into big-endian integer order) must be `<= target`.
-    pub fn be_cmp(&self, other: &Hash256) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
-    }
-
-    /// Returns the digest bytes reversed, i.e. the little-endian integer
-    /// representation Bitcoin uses when comparing a header hash to a target.
-    pub fn reversed(&self) -> Hash256 {
-        let mut rev = self.0;
-        rev.reverse();
-        Hash256(rev)
     }
 }
 
@@ -122,18 +84,9 @@ mod tests {
         // Display order puts the *last* in-memory byte first.
         assert!(hex.starts_with("ff"));
         assert!(hex.ends_with("01"));
-        assert_eq!(Hash256::from_hex(&hex).unwrap(), h);
-    }
-
-    #[test]
-    fn from_hex_rejects_bad_length() {
-        assert!(Hash256::from_hex("abcd").is_err());
-        assert!(Hash256::from_hex(&"0".repeat(63)).is_err());
-    }
-
-    #[test]
-    fn from_hex_rejects_non_hex() {
-        assert!(Hash256::from_hex(&"zz".repeat(32)).is_err());
+        let mut back = crate::hex::decode(&hex).unwrap();
+        back.reverse();
+        assert_eq!(back, bytes);
     }
 
     #[test]
@@ -141,20 +94,5 @@ mod tests {
         let h = Hash256([7; 32]);
         assert_eq!(format!("{h}"), h.to_hex());
         assert!(format!("{h:?}").contains(&h.to_hex()));
-    }
-
-    #[test]
-    fn reversed_is_involution() {
-        let h = Hash256([0xab; 32]);
-        assert_eq!(h.reversed().reversed(), h);
-    }
-
-    #[test]
-    fn be_cmp_orders_big_endian() {
-        let mut a = [0u8; 32];
-        let mut b = [0u8; 32];
-        a[0] = 1; // more significant in BE order
-        b[31] = 0xff;
-        assert_eq!(Hash256(a).be_cmp(&Hash256(b)), std::cmp::Ordering::Greater);
     }
 }

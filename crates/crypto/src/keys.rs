@@ -1,12 +1,11 @@
 //! Key pairs, compressed public-key encoding, and Bitcoin-style addresses.
 
-use crate::ecdsa::{self, NonceHint, Signature, SignatureError};
+use crate::ecdsa::{self, NonceHint, Signature};
 use crate::field::FieldElement;
 use crate::point::{AffinePoint, Point};
 use crate::ripemd160::hash160;
 use crate::scalar::Scalar;
 use crate::sha256::sha256;
-use std::error::Error;
 use std::fmt;
 
 /// A secret key: a nonzero scalar.
@@ -25,15 +24,6 @@ impl SecretKey {
                 return SecretKey(s);
             }
             digest = sha256(&digest);
-        }
-    }
-
-    /// Wraps an existing scalar; returns `None` for zero.
-    pub fn from_scalar(s: Scalar) -> Option<SecretKey> {
-        if s.is_zero() {
-            None
-        } else {
-            Some(SecretKey(s))
         }
     }
 
@@ -90,29 +80,6 @@ pub struct PublicKey {
     address: Address,
 }
 
-/// Errors decoding a compressed public key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PublicKeyError {
-    /// The 33-byte encoding had a prefix other than 0x02/0x03.
-    BadPrefix(u8),
-    /// The x coordinate was not a canonical field element.
-    BadX,
-    /// No curve point exists with the given x.
-    NotOnCurve,
-}
-
-impl fmt::Display for PublicKeyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PublicKeyError::BadPrefix(p) => write!(f, "bad compressed-point prefix 0x{p:02x}"),
-            PublicKeyError::BadX => write!(f, "x coordinate out of field range"),
-            PublicKeyError::NotOnCurve => write!(f, "x coordinate has no curve point"),
-        }
-    }
-}
-
-impl Error for PublicKeyError {}
-
 impl PublicKey {
     /// The key at curve point `(x, y)`, which the caller knows is on it.
     fn from_affine(x: FieldElement, y: FieldElement) -> PublicKey {
@@ -131,26 +98,6 @@ impl PublicKey {
     pub fn to_compressed(&self) -> [u8; 33] {
         // `from_affine` is the only constructor: Z is one.
         compress(&self.point.x, &self.point.y)
-    }
-
-    /// Decodes a SEC1 compressed public key, validating the curve equation.
-    ///
-    /// # Errors
-    ///
-    /// See [`PublicKeyError`].
-    pub fn from_compressed(bytes: &[u8; 33]) -> Result<PublicKey, PublicKeyError> {
-        let want_odd = match bytes[0] {
-            0x02 => false,
-            0x03 => true,
-            other => return Err(PublicKeyError::BadPrefix(other)),
-        };
-        let mut x_bytes = [0u8; 32];
-        x_bytes.copy_from_slice(&bytes[1..]);
-        let x = FieldElement::from_be_bytes(&x_bytes).ok_or(PublicKeyError::BadX)?;
-        let y_squared = x.square() * x + FieldElement::from_u64(7);
-        let y = y_squared.sqrt().ok_or(PublicKeyError::NotOnCurve)?;
-        let y = if y.is_odd() == want_odd { y } else { -y };
-        Ok(PublicKey::from_affine(x, y))
     }
 
     /// Bitcoin-style 20-byte address: `RIPEMD160(SHA256(compressed))`.
@@ -190,21 +137,6 @@ impl Address {
     /// Base58Check encoding with Bitcoin's mainnet P2PKH version byte.
     pub fn to_base58check(&self) -> String {
         crate::base58::check_encode(0x00, &self.0)
-    }
-
-    /// Decodes a Base58Check address, returning the version byte too.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::base58::Base58Error`] on bad characters or checksum.
-    pub fn from_base58check(s: &str) -> Result<(u8, Address), crate::base58::Base58Error> {
-        let (version, payload) = crate::base58::check_decode(s)?;
-        if payload.len() != 20 {
-            return Err(crate::base58::Base58Error::BadLength);
-        }
-        let mut out = [0u8; 20];
-        out.copy_from_slice(&payload);
-        Ok((version, Address(out)))
     }
 }
 
@@ -273,9 +205,6 @@ impl KeyPair {
     }
 }
 
-/// Re-exported for error contexts that mix key and signature failures.
-pub type SignError = SignatureError;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,22 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_scalar_rejected() {
-        assert!(SecretKey::from_scalar(Scalar::ZERO).is_none());
-        assert!(SecretKey::from_scalar(Scalar::ONE).is_some());
-    }
-
-    #[test]
-    fn compressed_round_trip() {
-        for seed in 0..10u8 {
-            let kp = KeyPair::from_seed(&[seed]);
-            let enc = kp.public().to_compressed();
-            let dec = PublicKey::from_compressed(&enc).unwrap();
-            assert_eq!(&dec, kp.public(), "seed {seed}");
-        }
-    }
-
-    #[test]
     fn compressed_prefix_is_02_or_03() {
         let kp = KeyPair::from_seed(b"prefix");
         let enc = kp.public().to_compressed();
@@ -315,38 +228,9 @@ mod tests {
     }
 
     #[test]
-    fn from_compressed_rejects_bad_prefix() {
-        let kp = KeyPair::from_seed(b"x");
-        let mut enc = kp.public().to_compressed();
-        enc[0] = 0x04;
-        assert_eq!(
-            PublicKey::from_compressed(&enc),
-            Err(PublicKeyError::BadPrefix(0x04))
-        );
-    }
-
-    #[test]
-    fn from_compressed_rejects_non_curve_x() {
-        // x = 5 has no point on secp256k1 (5^3+7 = 132 is a QNR) — if it
-        // did, the decode would still need to match a valid parity; scan for
-        // an x with no point.
-        let mut rejected = false;
-        for x in 1u8..30 {
-            let mut enc = [0u8; 33];
-            enc[0] = 0x02;
-            enc[32] = x;
-            if PublicKey::from_compressed(&enc) == Err(PublicKeyError::NotOnCurve) {
-                rejected = true;
-                break;
-            }
-        }
-        assert!(rejected, "some small x must be off-curve");
-    }
-
-    #[test]
     fn known_pubkey_for_key_one() {
         // d = 1 → public key is the generator.
-        let sk = SecretKey::from_scalar(Scalar::ONE).unwrap();
+        let sk = SecretKey(Scalar::ONE);
         let enc = sk.public_key().to_compressed();
         assert_eq!(
             crate::hex::encode(&enc),
@@ -360,16 +244,6 @@ mod tests {
         let a1 = kp.address();
         let a2 = kp.public().address();
         assert_eq!(a1, a2);
-    }
-
-    #[test]
-    fn base58check_address_round_trip() {
-        let kp = KeyPair::from_seed(b"b58");
-        let addr = kp.address();
-        let s = addr.to_base58check();
-        let (version, decoded) = Address::from_base58check(&s).unwrap();
-        assert_eq!(version, 0x00);
-        assert_eq!(decoded, addr);
     }
 
     #[test]
@@ -390,30 +264,12 @@ mod tests {
     }
 
     #[test]
-    fn compressed_round_trip_random_scalars() {
-        use proptest::prelude::*;
-        let mut runner =
-            proptest::test_runner::TestRunner::new(proptest::test_runner::Config::with_cases(12));
-        runner
-            .run(&any::<[u8; 32]>(), |bytes| {
-                let s = Scalar::from_be_bytes_reduced(&bytes);
-                if let Some(sk) = SecretKey::from_scalar(s) {
-                    let pk = sk.public_key();
-                    let decoded = PublicKey::from_compressed(&pk.to_compressed()).unwrap();
-                    prop_assert_eq!(decoded, pk);
-                }
-                Ok(())
-            })
-            .unwrap();
-    }
-
-    #[test]
     fn satoshi_genesis_style_address_known_vector() {
         // hash160 of the uncompressed-key era isn't covered; verify our
         // compressed pipeline against an independently computed value:
         // d = 1, compressed pubkey 0279be66..., whose hash160 is the
         // well-known 751e76e8199196d454941c45d1b3a323f1433bd6.
-        let sk = SecretKey::from_scalar(Scalar::ONE).unwrap();
+        let sk = SecretKey(Scalar::ONE);
         assert_eq!(
             crate::hex::encode(&sk.public_key().address().0),
             "751e76e8199196d454941c45d1b3a323f1433bd6"

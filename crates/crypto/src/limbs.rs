@@ -65,7 +65,7 @@ pub fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
 /// Schoolbook squaring `a * a` into an 8-limb product, exploiting the
 /// symmetry of the cross terms: 6 off-diagonal products (doubled once at
 /// the end) plus 4 diagonal squares, versus 16 products for `mul_wide`.
-/// Point doubling and the `sqrt` chain are dominated by squarings, so
+/// Point doubling is dominated by squarings, so
 /// this is on the ECDSA accept path's critical loop.
 pub(crate) fn sqr_wide(a: &[u64; 4]) -> [u64; 8] {
     // cross = sum of a[i]*a[j] for i < j, at weight 2^(64*(i+j)). Row i

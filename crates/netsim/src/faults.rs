@@ -204,11 +204,6 @@ impl FaultPlan {
         self.events[start..self.cursor].to_vec()
     }
 
-    /// True when every action has been consumed.
-    pub fn exhausted(&self) -> bool {
-        self.cursor >= self.events.len()
-    }
-
     /// A canonical textual form of the whole schedule. Two plans are the
     /// same chaos scenario iff their fingerprints are byte-identical —
     /// the reproducibility contract the harness asserts.
@@ -252,9 +247,8 @@ mod tests {
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].at, SimTime::from_secs(1));
         assert_eq!(plan.next_at(), Some(SimTime::from_secs(3)));
-        assert!(!plan.exhausted());
         assert_eq!(plan.pop_due(SimTime::from_secs(10)).len(), 1);
-        assert!(plan.exhausted());
+        assert_eq!(plan.next_at(), None);
     }
 
     #[test]

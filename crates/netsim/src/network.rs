@@ -22,7 +22,6 @@ impl fmt::Debug for NodeId {
 /// keeping the fabric reusable across simulation drivers.
 #[derive(Clone, Debug)]
 pub struct Network {
-    nodes: Vec<NodeId>,
     latency: LatencyModel,
     /// Probability an individual message is silently dropped.
     loss_probability: f64,
@@ -31,19 +30,14 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a fabric over `n` nodes with a latency model.
-    pub fn new(n: u32, latency: LatencyModel) -> Network {
+    /// Creates a fabric over `_nodes` nodes with a latency model. A link
+    /// holds no per-node state, so the count is not stored.
+    pub fn new(_nodes: u32, latency: LatencyModel) -> Network {
         Network {
-            nodes: (0..n).map(NodeId).collect(),
             latency,
             loss_probability: 0.0,
             partitions: HashSet::new(),
         }
-    }
-
-    /// The node list.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
     }
 
     /// Sets the per-message loss probability.

@@ -2,8 +2,8 @@
 //!
 //! Two halves, no external dependencies, no wall clocks:
 //!
-//! * [`metrics`] — a lock-cheap registry of saturating [`Counter`]s and
-//!   [`Gauge`]s with a Prometheus-style text exporter;
+//! * [`metrics`] — a name-sorted [`Registry`] of saturating counters and
+//!   gauges with a Prometheus-style text exporter;
 //! * [`trace`] — a structured span/event [`Tracer`] whose timestamps are
 //!   injected **sim-time** microseconds, so a fixed-seed replay renders a
 //!   byte-identical JSONL trace.
@@ -27,5 +27,5 @@ pub use critical_path::{
     build_trees, check_nesting, check_slo, Breakdown, Bucket, SloVerdict, SpanNode, SpanTree,
     TreeError,
 };
-pub use metrics::{Counter, Gauge, MetricValue, Registry};
+pub use metrics::{MetricValue, Registry};
 pub use trace::{render_event, render_jsonl, Field, TraceContext, TraceEvent, Tracer};

@@ -239,14 +239,11 @@ impl Tracer {
         }
     }
 
-    /// Bounds the event ring to `capacity` events (clamped to ≥ 2).
-    pub fn set_capacity(&mut self, capacity: usize) {
+    /// Bounds the event ring to `capacity` events (clamped to ≥ 2): a seam
+    /// for the ring tests, which would otherwise need a full default ring.
+    #[cfg(test)]
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity.max(2);
-    }
-
-    /// The configured event-ring bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Events discarded by the ring bound so far.

@@ -50,13 +50,6 @@ pub struct Account {
     pub code_id: Option<String>,
 }
 
-impl Account {
-    /// True for contract accounts.
-    pub fn is_contract(&self) -> bool {
-        self.code_id.is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,7 +80,7 @@ mod tests {
         let acct = Account::default();
         assert_eq!(acct.balance, 0);
         assert_eq!(acct.nonce, 0);
-        assert!(!acct.is_contract());
+        assert_eq!(acct.code_id, None);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! PSC blocks: produced by a single authority at a fixed interval.
 
-use btcfast_crypto::sha256::sha256d;
 use btcfast_crypto::Hash256;
 
-/// A PSC block. It does not store its parent's hash: nothing on the
-/// payment or dispute path reads one, so [`crate::PscChain::block_hash`]
-/// derives the link on demand instead of every block paying for it.
+/// A PSC block. It does not store its parent's hash: no table,
+/// fingerprint, contract or workload reads a PSC block hash, so the link
+/// is defined only for tests (`PscBlock::hash`, `PscChain::block_hash`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PscBlock {
     /// Block number (genesis = 0, first produced block = 1).
@@ -18,10 +17,11 @@ pub struct PscBlock {
     pub state_commitment: Hash256,
 }
 
+#[cfg(test)]
 impl PscBlock {
     /// The block hash given its parent's ([`Hash256::ZERO`] for block 1):
     /// `sha256d(number ‖ time ‖ parent ‖ tx hashes ‖ state commitment)`.
-    pub fn hash(&self, parent_hash: &Hash256) -> Hash256 {
+    pub(crate) fn hash(&self, parent_hash: &Hash256) -> Hash256 {
         let mut data = Vec::with_capacity(80 + self.tx_hashes.len() * 32);
         data.extend_from_slice(&self.number.to_le_bytes());
         data.extend_from_slice(&self.time.to_le_bytes());
@@ -30,7 +30,7 @@ impl PscBlock {
             data.extend_from_slice(&h.0);
         }
         data.extend_from_slice(&self.state_commitment.0);
-        sha256d(&data)
+        btcfast_crypto::sha256::sha256d(&data)
     }
 }
 

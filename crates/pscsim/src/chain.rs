@@ -144,8 +144,9 @@ impl PscChain {
     /// The hash of produced block `number` (1-based), linked to its
     /// parent's hash exactly as an eagerly hashed chain would be. Blocks
     /// store no parent link, so this folds [`PscBlock::hash`] from block 1:
-    /// linear in `number`, and paid only by a caller that reads a hash.
-    pub fn block_hash(&self, number: u64) -> Option<Hash256> {
+    /// linear in `number`. Only tests read a hash.
+    #[cfg(test)]
+    pub(crate) fn block_hash(&self, number: u64) -> Option<Hash256> {
         self.block(number)?;
         Some(
             self.blocks[..number as usize]
@@ -168,23 +169,6 @@ impl PscChain {
     /// Counters of the state commitment's incremental upkeep.
     pub fn commit_stats(&self) -> CommitStats {
         self.state.commit_stats()
-    }
-
-    /// Confirmations of the block containing `tx_hash` (1 = in tip block),
-    /// or `None` if unprocessed.
-    pub fn confirmations(&self, tx_hash: &Hash256) -> Option<u64> {
-        let receipt = self.receipts.get(tx_hash)?;
-        if receipt.block_number == 0 {
-            return None;
-        }
-        Some(self.height() - receipt.block_number + 1)
-    }
-
-    /// True once the containing block is `finality_depth` deep.
-    pub fn is_final(&self, tx_hash: &Hash256) -> bool {
-        self.confirmations(tx_hash)
-            .map(|c| c >= self.params.finality_depth)
-            .unwrap_or(false)
     }
 
     /// Queues a transaction for the next block after stateless checks:
@@ -268,7 +252,7 @@ impl PscChain {
     /// Produces the next block at `time`, executing all pending
     /// transactions in submission order. An idle block executes nothing
     /// and hashes nothing: it is one read of the cached state commitment
-    /// and a push ([`PscChain::block_hash`] computes hashes on demand).
+    /// and a push (block hashes are not kept).
     pub fn produce_block(&mut self, time: u64) -> &PscBlock {
         let number = self.height() + 1;
         let pending = std::mem::take(&mut self.pending);
@@ -857,18 +841,6 @@ mod tests {
             chain.receipt(&hash).unwrap().status,
             TxStatus::Reverted(_)
         ));
-    }
-
-    #[test]
-    fn finality_tracking() {
-        let mut fx = deploy_counter();
-        let receipt = call(&mut fx, "increment", vec![], 0, 1_000_000);
-        assert!(!fx.chain.is_final(&receipt.tx_hash));
-        for _ in 0..fx.chain.params().finality_depth {
-            let t = fx.chain.tip_time() + 15;
-            fx.chain.produce_block(t);
-        }
-        assert!(fx.chain.is_final(&receipt.tx_hash));
     }
 
     /// The hash a chain that stored parent links gave `block`: the bytes

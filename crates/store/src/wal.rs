@@ -74,17 +74,6 @@ pub enum Corruption {
     },
 }
 
-impl Corruption {
-    /// The byte offset where the clean prefix ends.
-    pub fn offset(&self) -> u64 {
-        match self {
-            Corruption::TornTail { offset }
-            | Corruption::LengthOverCap { offset, .. }
-            | Corruption::BadChecksum { offset } => *offset,
-        }
-    }
-}
-
 /// The outcome of scanning a medium: the clean record prefix plus what,
 /// if anything, was repaired away.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
