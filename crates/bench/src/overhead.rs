@@ -71,7 +71,7 @@ fn engine_tracing() -> Vec<f64> {
 }
 
 fn causal_tracing() -> Vec<f64> {
-    // Root minting, wire-context propagation through the transport,
+    // Root minting, context propagation through the transport,
     // per-retransmission child spans and the nesting watermark are all on
     // the clock in the traced half.
     let run = |tracing: bool| {

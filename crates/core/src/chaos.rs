@@ -27,7 +27,7 @@
 use crate::config::SessionConfig;
 use crate::flow::{self, Effects, Leg};
 use crate::protocol::{Party, RejectReason};
-use crate::recovery::{Outcome, RecoveryError, RecoveryManager, Step};
+use crate::recovery::{Outcome, RecoveryManager, Step};
 use crate::robustness::{ChaosConfig, FallbackPolicy, ProtocolPhase, RobustnessError};
 use crate::session::{FastPaySession, RaceOutcome, SessionError};
 use btcfast_crypto::Hash256;
@@ -128,8 +128,6 @@ pub struct ChaosSession {
     /// disk that survives a simulated process crash;
     /// [`FaultAction::CrashRestart`] re-hydrates from them.
     recovery: RecoveryManager<MemStorage>,
-    /// The journal intent begun last and not yet retired.
-    open_intent: u64,
     recoveries: u64,
     /// Root context of the payment/dispute being driven (or driven last),
     /// so mid-flight observations (recovery restarts) are attributed to
@@ -160,12 +158,13 @@ impl ChaosSession {
         let (mut recovery, _) = RecoveryManager::open(MemStorage::new(), MemStorage::new())
             .expect("fresh durable media open");
         let session = FastPaySession::new(session_config, seed);
-        // Provisioning already deposited escrow; journal the fact so a
-        // recovered ledger knows protection exists.
+        // Provisioning already deposited escrow; journal the fact, under
+        // the nonce the deposit spent, so a recovered ledger knows
+        // protection exists.
         let intent = recovery
             .begin(Step::EscrowOpen {
                 deposit_units: session.config.escrow_deposit,
-                psc_nonce: session.psc.nonce_of(&session.customer.psc_account()),
+                psc_nonce: session.deposit_nonce,
             })
             .expect("journal escrow open");
         recovery
@@ -178,7 +177,6 @@ impl ChaosSession {
             plan,
             psc_stalled: false,
             recovery,
-            open_intent: intent,
             recoveries: 0,
             active_ctx: TraceContext::UNATTRIBUTED,
             obs_high_water: 0,
@@ -232,7 +230,7 @@ impl ChaosSession {
     /// longer re-open, or re-open to another digest, are a journal error.
     fn crash_restart(&mut self, node: NodeId) -> Result<(), RobustnessError> {
         self.transport.bounce(node);
-        let report = self.recovery.restart().map_err(journal_err)?;
+        let report = self.recovery.restart().map_err(SessionError::from)?;
         self.recoveries += 1;
         let tracer = &mut self.session.tracer;
         let restart_ctx = tracer.child_of(&self.active_ctx);
@@ -306,13 +304,19 @@ impl ChaosSession {
         let registered = match flow::register(self, root, txid, amount_sats) {
             Ok(registered) => registered,
             // The open never reached the chain: nothing is in doubt, so
-            // the intent is retired as abandoned and the sale degrades.
+            // its pending intent is retired as abandoned and the sale
+            // degrades.
             Err(
                 RobustnessError::PscUnreachable { .. }
                 | RobustnessError::DeliveryFailed { .. }
                 | RobustnessError::DeadlineExceeded { .. },
             ) => {
-                self.journal_done(Outcome::Abandoned)?;
+                let registration = self.recovery.pending().filter(
+                    |(_, step)| matches!(step, Step::OpenPayment { txid: t, .. } if *t == txid),
+                );
+                if let Some((intent, _)) = registration.last() {
+                    self.journal_done(intent, Outcome::Abandoned)?;
+                }
                 let tracer = &mut self.session.tracer;
                 let degrade_ctx = tracer.child_of(&root);
                 tracer.point_ctx(
@@ -411,11 +415,11 @@ impl ChaosSession {
     /// fault-plan actions with transport events in time order, and
     /// advances the session clock to the first arrival.
     ///
-    /// When `ctx` is attributed, the frame carries it on the wire: the
-    /// transport's retransmissions, backoff waits, dedup drops, and
-    /// give-ups come back as child events. The leg resolves — at or after
-    /// the arrival, and at or after every child event — at the returned
-    /// µs, which also feed the nesting high-water mark.
+    /// When `ctx` is attributed, the transport attributes the send to it:
+    /// its retransmissions, backoff waits, dedup drops, and give-ups come
+    /// back as child events. The leg resolves — at or after the arrival,
+    /// and at or after every child event — at the returned µs, which also
+    /// feed the nesting high-water mark.
     fn drive_message(
         &mut self,
         from: NodeId,
@@ -427,9 +431,7 @@ impl ChaosSession {
         let obs_base = self.session.clock.as_micros();
         let deadline = send_at + self.config.phase_deadline;
         let delivery = self.apply_faults_due(send_at).and_then(|()| {
-            let id = self
-                .transport
-                .send_traced(from, to, phase, &ctx.to_wire(), obs_base);
+            let id = self.transport.send_traced(from, to, phase, ctx, obs_base);
             loop {
                 match self.transport.status(id) {
                     SendStatus::Delivered { at, attempts } => {
@@ -586,15 +588,15 @@ impl Effects for ChaosSession {
         .map_err(|error| RobustnessError::Retry { phase, error })
     }
 
-    fn journal_begin(&mut self, step: Step) -> Result<(), RobustnessError> {
-        self.open_intent = self.recovery.begin(step).map_err(journal_err)?;
-        Ok(())
+    fn journal_begin(&mut self, step: Step) -> Result<u64, RobustnessError> {
+        Ok(self.recovery.begin(step).map_err(SessionError::from)?)
     }
 
-    fn journal_done(&mut self, outcome: Outcome) -> Result<(), RobustnessError> {
-        self.recovery
-            .complete(self.open_intent, outcome)
-            .map_err(journal_err)
+    fn journal_done(&mut self, intent: u64, outcome: Outcome) -> Result<(), RobustnessError> {
+        Ok(self
+            .recovery
+            .complete(intent, outcome)
+            .map_err(SessionError::from)?)
     }
 
     fn span_end(&mut self) -> u64 {
@@ -610,11 +612,6 @@ impl Effects for ChaosSession {
         self.obs_high_water = self.session.clock.as_micros();
         root
     }
-}
-
-/// Maps a journal failure into the session error surface.
-fn journal_err(e: RecoveryError) -> RobustnessError {
-    RobustnessError::Session(SessionError::Psc(format!("recovery journal: {e}")))
 }
 
 #[cfg(test)]
@@ -713,6 +710,39 @@ mod tests {
     }
 
     #[test]
+    fn the_escrow_intent_names_the_nonce_the_deposit_spent() {
+        use crate::recovery::JournalRecord;
+        use btcfast_pscsim::codec::Decode;
+
+        let chaos = ChaosSession::new(quick_config(), ChaosConfig::default(), FaultPlan::new(), 7);
+        let wal = btcfast_store::wal::scan(&chaos.recovery().wal_medium().bytes());
+        let Ok(JournalRecord::Begin {
+            step:
+                Step::EscrowOpen {
+                    deposit_units,
+                    psc_nonce,
+                },
+        }) = JournalRecord::decode(&wal.records[0].1)
+        else {
+            panic!("the journal opens with the escrow deposit");
+        };
+        // Rebuilt at the journaled nonce, the deposit must be the
+        // transaction the chain executed.
+        let session = &chaos.session;
+        let deposit = session.judger.tx(
+            session.customer.psc_keys(),
+            psc_nonce,
+            CALL_GAS_LIMIT,
+            &Call::Deposit(deposit_units),
+        );
+        let receipt = session.psc.receipt(&deposit.hash());
+        assert!(
+            receipt.is_some_and(|r| r.status.is_success()),
+            "the deposit journaled under nonce {psc_nonce} is not on chain"
+        );
+    }
+
+    #[test]
     fn crash_restart_over_damaged_media_is_a_typed_error_not_a_panic() {
         use btcfast_store::Storage;
 
@@ -725,10 +755,7 @@ mod tests {
         wal.truncate(0).unwrap();
         let error = chaos.run_fast_payment_chaos(1_000_000).unwrap_err();
         assert!(
-            matches!(
-                &error,
-                RobustnessError::Session(SessionError::Psc(msg)) if msg.starts_with("recovery journal:")
-            ),
+            matches!(&error, RobustnessError::Session(SessionError::Journal(_))),
             "{error}"
         );
         assert_eq!(

@@ -34,8 +34,9 @@
 
 use crate::admission::{AdmissionConfig, ShardAdmissionStats, ShardQueue, Ticket};
 use crate::config::SessionConfig;
+use crate::flow::{self, Effects};
 use crate::recovery::{Outcome, RecoveryManager, Step};
-use crate::session::{FastPayReport, FastPaySession, SessionError};
+use crate::session::{FastPaySession, SessionError};
 use btcfast_crypto::sha256::sha256d;
 use btcfast_crypto::{Hash256, WorkerPool};
 use btcfast_netsim::time::SimTime;
@@ -646,69 +647,34 @@ fn provision_shard(
     Ok(session)
 }
 
-/// Wraps a recovery-store failure as a shard error.
-fn store_err(e: crate::recovery::RecoveryError) -> SessionError {
-    SessionError::Psc(format!("shard recovery store: {e}"))
+/// A shard: its session under the ideal effects, every step journaled
+/// to the shard's durable store.
+type Shard = (FastPaySession, RecoveryManager<MemStorage>);
+
+impl Effects for Shard {
+    type Error = SessionError;
+
+    fn session(&mut self) -> &mut FastPaySession {
+        &mut self.0
+    }
+
+    fn journal_begin(&mut self, step: Step) -> Result<u64, SessionError> {
+        Ok(self.1.begin(step)?)
+    }
+
+    fn journal_done(&mut self, intent: u64, outcome: Outcome) -> Result<(), SessionError> {
+        Ok(self.1.complete(intent, outcome)?)
+    }
 }
 
-/// Runs one batch of `k` payments on `session` and journals each payment's
-/// durable lifecycle facts to `recovery`. Each registration intent names
-/// the PSC nonce its transaction spent, as the session reports it.
-fn run_journaled_batch(
-    config: &EngineConfig,
-    session: &mut FastPaySession,
-    recovery: &mut RecoveryManager<MemStorage>,
-    k: usize,
-) -> Result<Vec<FastPayReport>, SessionError> {
-    let per_payment = config.session.required_collateral(config.amount_sats);
-    let reports = session.run_fast_payment_batch(&vec![config.amount_sats; k])?;
-    for report in &reports {
-        // Journal the payment's durable lifecycle facts.
-        let intent = recovery
-            .begin(Step::OpenPayment {
-                txid: report.txid,
-                amount_sats: config.amount_sats,
-                collateral: per_payment,
-                psc_nonce: report.psc_nonce,
-            })
-            .map_err(store_err)?;
-        recovery
-            .complete(
-                intent,
-                Outcome::PaymentRegistered {
-                    payment_id: report.payment_id,
-                },
-            )
-            .map_err(store_err)?;
-        let intent = recovery
-            .begin(Step::AcceptanceSend {
-                payment_id: report.payment_id,
-                accepted: report.accepted,
-            })
-            .map_err(store_err)?;
-        recovery
-            .complete(
-                intent,
-                if report.accepted {
-                    Outcome::Applied
-                } else {
-                    Outcome::Rejected
-                },
-            )
-            .map_err(store_err)?;
-        if report.accepted {
-            let intent = recovery
-                .begin(Step::Broadcast {
-                    payment_id: report.payment_id,
-                    txid: report.txid,
-                })
-                .map_err(store_err)?;
-            recovery
-                .complete(intent, Outcome::Applied)
-                .map_err(store_err)?;
-        }
-    }
-    Ok(reports)
+/// `config`'s shard at `seed`, provisioned for `payments` payments, its
+/// journal opened on fresh media after provisioning.
+fn open_shard(config: &EngineConfig, payments: usize, seed: u64) -> Result<Shard, SessionError> {
+    let session = provision_shard(config, payments, seed)?;
+    // Clone-shared handles, so a restart models losing volatile state
+    // while the "disk" survives.
+    let (recovery, _) = RecoveryManager::open(MemStorage::new(), MemStorage::new())?;
+    Ok((session, recovery))
 }
 
 /// One shard, start to finish: provision a session, then run payments in
@@ -719,13 +685,8 @@ fn run_journaled_batch(
 /// drops its volatile manager and re-hydrates from the media, failing the
 /// run if the recovered digest diverges.
 fn run_shard(config: &EngineConfig, shard: usize, seed: u64) -> Result<ShardOutcome, SessionError> {
-    let mut session = provision_shard(config, config.payments_per_shard, seed)?;
+    let mut fx = open_shard(config, config.payments_per_shard, seed)?;
     let batch = config.batch_size.max(1);
-
-    // Per-shard durable media: clone-shared handles, so a restart models
-    // losing volatile state while the "disk" survives.
-    let (mut recovery, _) =
-        RecoveryManager::open(MemStorage::new(), MemStorage::new()).map_err(store_err)?;
     let mut recoveries = 0u64;
 
     let mut accepted = 0usize;
@@ -735,7 +696,7 @@ fn run_shard(config: &EngineConfig, shard: usize, seed: u64) -> Result<ShardOutc
     let mut batches = 0usize;
     while remaining > 0 {
         let k = remaining.min(batch);
-        session.trace_point(
+        fx.0.trace_point(
             "engine.batch",
             vec![
                 ("shard", shard.into()),
@@ -743,7 +704,7 @@ fn run_shard(config: &EngineConfig, shard: usize, seed: u64) -> Result<ShardOutc
                 ("queued", remaining.into()),
             ],
         );
-        for report in run_journaled_batch(config, &mut session, &mut recovery, k)? {
+        for report in flow::batch(&mut fx, &vec![config.amount_sats; k])? {
             if report.accepted {
                 accepted += 1;
                 accept_latencies.push(report.waiting);
@@ -753,6 +714,7 @@ fn run_shard(config: &EngineConfig, shard: usize, seed: u64) -> Result<ShardOutc
         }
         // Confirm the batch: the change outputs become the next batch's
         // disjoint confirmed coins.
+        let (session, recovery) = &mut fx;
         session.mine_public_block()?;
         remaining -= k;
         batches += 1;
@@ -760,10 +722,10 @@ fn run_shard(config: &EngineConfig, shard: usize, seed: u64) -> Result<ShardOutc
         // Alternate batches checkpoint, so drills exercise both the
         // snapshot-plus-tail and the full-replay recovery paths.
         if batches.is_multiple_of(2) {
-            recovery.checkpoint().map_err(store_err)?;
+            recovery.checkpoint()?;
         }
         if config.crash_restart_every > 0 && batches.is_multiple_of(config.crash_restart_every) {
-            let report = recovery.restart().map_err(store_err)?;
+            let report = recovery.restart()?;
             recoveries += 1;
             session.trace_point(
                 "recovery.restart",
@@ -776,6 +738,7 @@ fn run_shard(config: &EngineConfig, shard: usize, seed: u64) -> Result<ShardOutc
         }
     }
 
+    let (session, recovery) = &mut fx;
     let trace_jsonl = btcfast_obs::render_jsonl(&session.take_trace());
     Ok(ShardOutcome {
         shard,
@@ -871,13 +834,12 @@ mod tests {
         use btcfast_pscsim::codec::Decode;
 
         let config = small();
-        let mut session = provision_shard(&config, 4, 9).unwrap();
-        let (mut recovery, _) =
-            RecoveryManager::open(MemStorage::new(), MemStorage::new()).unwrap();
+        let mut fx = open_shard(&config, 4, 9).unwrap();
         for _ in 0..2 {
-            run_journaled_batch(&config, &mut session, &mut recovery, 2).unwrap();
-            session.mine_public_block().unwrap();
+            flow::batch(&mut fx, &[config.amount_sats; 2]).unwrap();
+            fx.0.mine_public_block().unwrap();
         }
+        let (session, recovery) = &fx;
         let mut registrations = 0;
         for (_, payload) in btcfast_store::wal::scan(&recovery.wal_medium().bytes()).records {
             let Ok(JournalRecord::Begin {
@@ -910,6 +872,49 @@ mod tests {
             registrations += 1;
         }
         assert_eq!(registrations, 4);
+    }
+
+    #[test]
+    fn the_engine_journals_each_registration_ahead_of_its_block() {
+        use crate::recovery::JournalRecord;
+        use btcfast_pscsim::codec::Decode;
+        use btcfast_store::wal::{scan, HEADER_BYTES};
+
+        let config = EngineConfig {
+            batch_size: 4,
+            ..small()
+        };
+        let mut fx = open_shard(&config, 4, 3).unwrap();
+        let nonce_base = fx.0.psc_nonce(crate::protocol::Party::Customer);
+        flow::batch(&mut fx, &[config.amount_sats; 4]).unwrap();
+        let wal = fx.1.wal_medium().bytes();
+
+        // Re-open the log cut at every record boundary: a crash there.
+        let opens_payment = |step: &Step| matches!(step, Step::OpenPayment { .. });
+        let (mut cut, mut registrations) = (0, 0);
+        for (_, payload) in scan(&wal).records {
+            cut += HEADER_BYTES + payload.len();
+            let media = MemStorage::from_bytes(wal[..cut].to_vec());
+            let (recovery, _) = RecoveryManager::open(media, MemStorage::new())
+                .unwrap_or_else(|e| panic!("the cut at byte {cut} does not open: {e}"));
+            match JournalRecord::decode(&payload).unwrap() {
+                JournalRecord::Begin { step } if opens_payment(&step) => registrations += 1,
+                _ => continue,
+            }
+            if registrations == 4 {
+                // All four registrations are in doubt before their block.
+                let pending: Vec<_> = recovery
+                    .pending()
+                    .map(|(_, step)| (opens_payment(step), step.psc_nonce()))
+                    .collect();
+                let expected: Vec<_> = (nonce_base..nonce_base + 4)
+                    .map(|n| (true, Some(n)))
+                    .collect();
+                assert_eq!(pending, expected);
+            }
+        }
+        assert_eq!((cut, registrations), (wal.len(), 4));
+        assert_eq!(fx.1.pending().count(), 0);
     }
 
     #[test]

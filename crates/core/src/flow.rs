@@ -3,7 +3,9 @@
 //!
 //! * [`register`] — build and submit `open_payment` (checkout preparation);
 //! * [`point_of_sale`] — offer leg → merchant checks → acceptance leg →
-//!   mempool broadcast (the measured wait, claim C1);
+//!   mempool broadcast (the measured wait, claim C1), run alone after
+//!   [`register`] or K at a time behind one shared registration block
+//!   ([`batch`]);
 //! * [`dispute`] — open → evidence (preflighted) → challenge-window wait →
 //!   judge → verdict and settlement arithmetic.
 //!
@@ -13,8 +15,12 @@
 //! inclusion, where the *journal* records intents, and the *span end* a
 //! wrapper span must cover. [`FastPaySession`] injects the ideal effects,
 //! [`crate::chaos::ChaosSession`] the reliable transport, the gas-bumped
-//! retry loop and the durable journal; the engine batches the same
-//! [`point_of_sale`] behind one shared registration block.
+//! retry loop and the durable journal; an engine shard the ideal effects
+//! with a durable journal.
+//!
+//! Every intent the protocol journals is begun here, before the effect it
+//! names, and retired by the id it was begun under, so a crash at any
+//! point leaves exactly the steps in doubt pending.
 //!
 //! Spans are emitted here and nowhere else, under the `session.*`
 //! vocabulary, and every wrapper span closes on every exit path, so a
@@ -29,7 +35,7 @@
 use crate::protocol::{Party, RejectReason};
 use crate::recovery::{Outcome, Step};
 use crate::robustness::ProtocolPhase;
-use crate::session::{FastPaySession, RaceOutcome, SessionError};
+use crate::session::{FastPayReport, FastPaySession, RaceOutcome, SessionError};
 use btcfast_btcsim::pow::CompactBits;
 use btcfast_btcsim::spv::SpvEvidence;
 use btcfast_btcsim::transaction::Transaction;
@@ -42,6 +48,7 @@ use btcfast_payjudger::retry::RetryReport;
 use btcfast_payjudger::types::DisputeVerdict;
 use btcfast_payjudger::{Call, PayJudgerClient};
 use btcfast_pscsim::tx::Receipt;
+use std::collections::HashSet;
 
 /// Merchant-side local verification time per payment, seconds: the
 /// signature check plus the escrow lookup against the merchant's own PSC
@@ -58,7 +65,7 @@ pub(crate) type Leg<E> = (u64, Result<u32, E>);
 /// own *how*; the driver owns *what* and *in which order*. The provided
 /// methods are the ideal environment — every message arrives after one
 /// sampled latency, every PSC call is included in the next block, nothing
-/// needs journaling, no timer outlives its phase — which is all
+/// is journaled, no timer outlives its phase — which is all
 /// [`FastPaySession`] needs.
 pub(crate) trait Effects {
     /// The harness's failure surface; protocol-level failures enter it as
@@ -101,15 +108,16 @@ pub(crate) trait Effects {
         })
     }
 
-    /// Journals the intent to run a side-effecting step.
-    fn journal_begin(&mut self, _step: Step) -> Result<(), Self::Error> {
-        Ok(())
+    /// Journals the intent to run a side-effecting step, before the step
+    /// runs, and returns the intent's id.
+    fn journal_begin(&mut self, _step: Step) -> Result<u64, Self::Error> {
+        Ok(0)
     }
 
-    /// Journals the outcome of the step begun last, retiring its intent.
+    /// Journals the outcome of the step begun as `intent`, retiring it.
     /// An intent never retired stays pending: in doubt, for recovery to
     /// resolve.
-    fn journal_done(&mut self, _outcome: Outcome) -> Result<(), Self::Error> {
+    fn journal_done(&mut self, _intent: u64, _outcome: Outcome) -> Result<(), Self::Error> {
         Ok(())
     }
 
@@ -172,11 +180,12 @@ pub(crate) fn payment<E: Effects, T>(
     result
 }
 
-/// One journaled PSC call as a phase span under `parent`. The intent
-/// (`step`, given the caller's nonce) is journaled before the side
-/// effect: a crash before its Done record — the caller's to write, once
-/// it has read the receipt — leaves a pending intent whose nonce lets
-/// recovery decide whether the call landed.
+/// One journaled PSC call as a phase span under `parent`, returning the
+/// intent id beside the call. The intent (`step`, given the caller's
+/// nonce) is journaled before the side effect: a crash before its Done
+/// record — the caller's to write, once it has read the receipt — leaves
+/// a pending intent whose nonce lets recovery decide whether the call
+/// landed.
 fn psc_phase<E: Effects>(
     fx: &mut E,
     parent: TraceContext,
@@ -185,12 +194,12 @@ fn psc_phase<E: Effects>(
     window_deadline: Option<SimTime>,
     step: impl FnOnce(u64) -> Step,
     call: Call,
-) -> Result<RetryReport, E::Error> {
+) -> Result<(u64, RetryReport), E::Error> {
     let session = fx.session();
     let start = session.clock.as_micros();
     let step = step(session.psc_nonce(from));
     let payment_id = step.payment_id();
-    fx.journal_begin(step)?;
+    let intent = fx.journal_begin(step)?;
     let ctx = fx.session().tracer.child_of(&parent);
     let call = fx.psc_call(phase, from, ctx, window_deadline, call);
     let mut fields: Fields = Vec::with_capacity(3);
@@ -204,21 +213,19 @@ fn psc_phase<E: Effects>(
         fields.push(("ok", false.into()));
     }
     fx.wrap(span_name(phase), ctx, start, fields);
-    call
+    Ok((intent, call?))
 }
 
 /// A completed escrow registration.
 pub(crate) struct Registered {
     pub payment_id: u64,
-    /// The customer PSC nonce the registration was journaled under.
-    pub psc_nonce: u64,
-    /// Registration start → inclusion.
+    /// Registration start → inclusion (the batch's, for a batch).
     pub took: SimTime,
     pub gas: u64,
 }
 
 /// The payment id an included `open_payment` assigned.
-pub(crate) fn registered_id(receipt: &Receipt) -> Result<u64, SessionError> {
+fn registered_id(receipt: &Receipt) -> Result<u64, SessionError> {
     if !receipt.status.is_success() {
         let status = &receipt.status;
         return Err(SessionError::Psc(format!(
@@ -248,29 +255,24 @@ pub(crate) fn register<E: Effects>(
         amount_sats,
         collateral,
     );
-    let mut psc_nonce = 0;
-    let call = psc_phase(
+    let (intent, call) = psc_phase(
         fx,
         root,
         ProtocolPhase::OpenPayment,
         Party::Customer,
         None,
-        |nonce| {
-            psc_nonce = nonce;
-            Step::OpenPayment {
-                txid,
-                amount_sats,
-                collateral,
-                psc_nonce,
-            }
+        |psc_nonce| Step::OpenPayment {
+            txid,
+            amount_sats,
+            collateral,
+            psc_nonce,
         },
         open,
     )?;
     let payment_id = registered_id(&call.receipt)?;
-    fx.journal_done(Outcome::PaymentRegistered { payment_id })?;
+    fx.journal_done(intent, Outcome::PaymentRegistered { payment_id })?;
     Ok(Registered {
         payment_id,
-        psc_nonce,
         took: fx.session().clock - start,
         gas: call.receipt.gas_used,
     })
@@ -324,9 +326,9 @@ pub(crate) fn point_of_sale<E: Effects>(
     // `accept_ctx` — so the accept span closes over it however it exits.
     let result = (|| -> Result<PointOfSale, E::Error> {
         // Offer travels customer → merchant.
-        fx.journal_begin(Step::OfferSend { payment_id, txid })?;
+        let intent = fx.journal_begin(Step::OfferSend { payment_id, txid })?;
         let offer_attempts = message_leg(fx, accept_ctx, ProtocolPhase::Offer, payment_id)?;
-        fx.journal_done(Outcome::Applied)?;
+        fx.journal_done(intent, Outcome::Applied)?;
 
         // Merchant verifies locally (BTC checks + PSC view calls on its own
         // node) — budgeted verification time.
@@ -354,22 +356,25 @@ pub(crate) fn point_of_sale<E: Effects>(
         );
 
         // Acceptance (or refusal) travels merchant → customer.
-        fx.journal_begin(Step::AcceptanceSend {
+        let intent = fx.journal_begin(Step::AcceptanceSend {
             payment_id,
             accepted,
         })?;
         let acceptance_attempts =
             message_leg(fx, accept_ctx, ProtocolPhase::Acceptance, payment_id)?;
-        fx.journal_done(if accepted {
-            Outcome::Applied
-        } else {
-            Outcome::Rejected
-        })?;
+        fx.journal_done(
+            intent,
+            if accepted {
+                Outcome::Applied
+            } else {
+                Outcome::Rejected
+            },
+        )?;
         let accepted_at = fx.session().clock;
 
         // The merchant relays the accepted tx to the network mempool.
         if accepted {
-            fx.journal_begin(Step::Broadcast { payment_id, txid })?;
+            let intent = fx.journal_begin(Step::Broadcast { payment_id, txid })?;
             let session = fx.session();
             let (height, now) = (session.btc.height() + 1, session.clock.as_secs());
             session
@@ -384,7 +389,7 @@ pub(crate) fn point_of_sale<E: Effects>(
                 accepted_at.as_micros(),
                 vec![("payment", payment_id.into()), ("pool", pool.into())],
             );
-            fx.journal_done(Outcome::Applied)?;
+            fx.journal_done(intent, Outcome::Applied)?;
         }
         Ok(PointOfSale {
             waiting: accepted_at - start,
@@ -401,6 +406,93 @@ pub(crate) fn point_of_sale<E: Effects>(
     ];
     fx.wrap("session.accept", accept_ctx, start.as_micros(), fields);
     result
+}
+
+/// The batch unit behind [`FastPaySession::run_fast_payment_batch`] (see
+/// its pipeline): K payments over disjoint confirmed coins, their K
+/// registrations journaled and then included in one PSC block, and each
+/// offer run through [`point_of_sale`] under its own causal root.
+pub(crate) fn batch<E: Effects>(
+    fx: &mut E,
+    amounts: &[u64],
+) -> Result<Vec<FastPayReport>, E::Error> {
+    let session = fx.session();
+    let mut exclude = HashSet::new();
+    let mut txs = Vec::with_capacity(amounts.len());
+    for &amount_sats in amounts {
+        let tx = session.build_payment(amount_sats, &exclude)?;
+        exclude.extend(tx.inputs.iter().map(|input| input.previous_output));
+        txs.push(tx);
+    }
+
+    // K registrations at sequential nonces, each journaled before the one
+    // block that includes them all.
+    let registration_start = session.clock;
+    let nonce_base = session.psc_nonce(Party::Customer);
+    let mut opens = Vec::with_capacity(txs.len());
+    let mut intents = Vec::with_capacity(txs.len());
+    for (i, (tx, &amount_sats)) in txs.iter().zip(amounts).enumerate() {
+        let session = fx.session();
+        let (txid, psc_nonce) = (tx.txid(), nonce_base + i as u64);
+        let collateral = session.config.required_collateral(amount_sats);
+        opens.push(session.customer.build_open_payment_at(
+            &session.judger,
+            psc_nonce,
+            session.merchant.psc_account(),
+            txid,
+            amount_sats,
+            collateral,
+        ));
+        intents.push(fx.journal_begin(Step::OpenPayment {
+            txid,
+            amount_sats,
+            collateral,
+            psc_nonce,
+        })?);
+    }
+    let session = fx.session();
+    let hashes = session
+        .psc
+        .submit_batch(opens)
+        .map_err(|rejected| SessionError::TxRejected {
+            context: "batch-registration",
+            reason: rejected.error.to_string(),
+        })?;
+    session.clock += SimTime::from_secs_f64(session.config.psc_params.block_interval_secs);
+    let t = session.clock.as_secs().max(session.psc.tip_time() + 1);
+    session.psc.produce_block(t);
+    let took = session.clock - registration_start;
+    session.tracer.span(
+        "session.register",
+        registration_start.as_micros(),
+        session.clock.as_micros(),
+        vec![("batch", txs.len().into())],
+    );
+    session.preverify_batch(&txs);
+
+    let mut reports = Vec::with_capacity(txs.len());
+    for (i, tx) in txs.into_iter().enumerate() {
+        let receipt = fx.session().psc.receipt(&hashes[i]);
+        let receipt = receipt.ok_or(SessionError::MissingReceipt {
+            context: "batch-registration",
+        })?;
+        let (payment_id, txid) = (registered_id(receipt)?, tx.txid());
+        let registered = Registered {
+            payment_id,
+            took,
+            gas: receipt.gas_used,
+        };
+        fx.journal_done(intents[i], Outcome::PaymentRegistered { payment_id })?;
+        // Registration is batch-shared, so each payment's causal root
+        // covers its own point-of-sale window.
+        let pos = payment(
+            fx,
+            |fx, root| point_of_sale(fx, root, tx, txid, payment_id, amounts[i]),
+            |pos| (Some(payment_id), pos.reject.is_none()),
+        )?;
+        reports.push(FastPayReport::new(txid, &registered, pos));
+    }
+    Ok(reports)
 }
 
 /// One dispute to run.
@@ -481,7 +573,7 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
         // the give-up clock for resubmissions).
         let window_deadline = Some(start + SimTime::from_secs(window));
 
-        let open = psc_phase(
+        let (intent, open) = psc_phase(
             fx,
             root,
             ProtocolPhase::DisputeOpen,
@@ -494,7 +586,7 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
             Call::Dispute(customer, payment_id),
         )?;
         if !open.receipt.status.is_success() {
-            fx.journal_done(Outcome::Rejected)?;
+            fx.journal_done(intent, Outcome::Rejected)?;
             let status = &open.receipt.status;
             if call.open_must_land {
                 return Err(SessionError::Psc(format!("dispute: {status:?}")).into());
@@ -506,12 +598,12 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
                 ..Dispute::default()
             });
         }
-        fx.journal_done(Outcome::Applied)?;
+        fx.journal_done(intent, Outcome::Applied)?;
 
         // Gas-free preflight with the contract's own check: a doomed
         // submission never reaches the chain (nor the journal).
         preflight(fx.session(), &call.evidence, payment_id, &txid)?;
-        let submitted = psc_phase(
+        let (intent, submitted) = psc_phase(
             fx,
             root,
             ProtocolPhase::EvidenceSubmission,
@@ -528,14 +620,14 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
             let status = &submitted.receipt.status;
             return Err(SessionError::Psc(format!("evidence refused: {status:?}")).into());
         }
-        fx.journal_done(Outcome::Applied)?;
+        fx.journal_done(intent, Outcome::Applied)?;
 
         // The disputed party's best counter-evidence would be a strictly
         // lighter branch, so rational parties skip the gas. Wait out the
         // evidence window, then judge (no window bound: the judge call is
         // valid any time after expiry).
         fx.session().advance_clock(SimTime::from_secs(window + 1));
-        let judged = psc_phase(
+        let (intent, judged) = psc_phase(
             fx,
             root,
             ProtocolPhase::JudgeCall,
@@ -547,15 +639,15 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
             },
             Call::Judge(customer, payment_id),
         )?;
-        fx.journal_done(Outcome::Applied)?;
+        fx.journal_done(intent, Outcome::Applied)?;
 
         let verdict = PayJudgerClient::verdict_from(&judged.receipt);
         let merchant_compensated = verdict == Some(DisputeVerdict::MerchantWins);
-        fx.journal_begin(Step::Verdict {
+        let intent = fx.journal_begin(Step::Verdict {
             payment_id,
             merchant_wins: merchant_compensated,
         })?;
-        fx.journal_done(Outcome::Applied)?;
+        fx.journal_done(intent, Outcome::Applied)?;
 
         // Settlement: the payment is gone either way; a winning merchant is
         // paid the locked collateral (one PSC unit per satoshi).

@@ -11,8 +11,8 @@
 //!   a private-fork double spend racing real mining, followed by dispute,
 //!   evidence, and judgment on the PSC chain.
 //!
-//! The payment and dispute flows themselves are the crate's one protocol
-//! driver (`flow`); a session runs them under the ideal effects.
+//! The payment, batch and dispute flows themselves are the crate's one
+//! protocol driver (`flow`); a session runs them under the ideal effects.
 //!
 //! # Timing model
 //!
@@ -33,6 +33,7 @@ use crate::config::SessionConfig;
 use crate::flow::{self, DisputeCall};
 use crate::policy::AcceptancePolicy;
 use crate::protocol::{Party, RejectReason};
+use crate::recovery::RecoveryError;
 use crate::roles::{Customer, Merchant};
 use btcfast_btcsim::attack::PrivateForkAttacker;
 use btcfast_btcsim::chain::Chain;
@@ -81,9 +82,6 @@ pub struct FastPayReport {
     pub txid: Hash256,
     /// Payment registration id in the escrow.
     pub payment_id: u64,
-    /// The customer PSC nonce the registration was signed at (its first
-    /// submission's, the one its journal intent names).
-    pub psc_nonce: u64,
     /// Gas the registration consumed (fee-table input).
     pub registration_gas: u64,
 }
@@ -91,7 +89,11 @@ pub struct FastPayReport {
 impl FastPayReport {
     /// The report of payment `txid` from its registration (its own, or the
     /// batch's shared one) and its point-of-sale exchange.
-    fn new(txid: Hash256, registered: &flow::Registered, pos: flow::PointOfSale) -> FastPayReport {
+    pub(crate) fn new(
+        txid: Hash256,
+        registered: &flow::Registered,
+        pos: flow::PointOfSale,
+    ) -> FastPayReport {
         FastPayReport {
             waiting: pos.waiting,
             accepted_at: pos.accepted_at,
@@ -101,7 +103,6 @@ impl FastPayReport {
             reject: pos.reject,
             txid,
             payment_id: registered.payment_id,
-            psc_nonce: registered.psc_nonce,
             registration_gas: registered.gas,
         }
     }
@@ -196,6 +197,8 @@ pub enum SessionError {
         /// What is wrong with it.
         reason: &'static str,
     },
+    /// The recovery journal refused a write or a re-open.
+    Journal(RecoveryError),
 }
 
 impl fmt::Display for SessionError {
@@ -218,11 +221,18 @@ impl fmt::Display for SessionError {
             SessionError::BadSchedule { index, reason } => {
                 write!(f, "load schedule, arrival {index}: {reason}")
             }
+            SessionError::Journal(e) => write!(f, "recovery journal: {e}"),
         }
     }
 }
 
 impl Error for SessionError {}
+
+impl From<RecoveryError> for SessionError {
+    fn from(e: RecoveryError) -> SessionError {
+        SessionError::Journal(e)
+    }
+}
 
 /// An end-to-end BTCFast session with one customer and one merchant.
 pub struct FastPaySession {
@@ -248,6 +258,8 @@ pub struct FastPaySession {
     pub deploy_gas: u64,
     /// Gas the escrow deposit consumed (fee-table input).
     pub deposit_gas: u64,
+    /// The customer PSC nonce the escrow deposit was signed at.
+    pub(crate) deposit_nonce: u64,
     /// Per-phase span recorder on the *sim-time* clock (never wall time),
     /// so a replay at the same seed produces a byte-identical trace.
     pub(crate) tracer: Tracer,
@@ -343,6 +355,7 @@ impl FastPaySession {
             honest_miner,
             deploy_gas: deploy_receipt.gas_used,
             deposit_gas: 0,
+            deposit_nonce: 0,
             tracer,
             batch_seed: seed ^ 0xBA7C_5EED_0F5E_C256,
             sig_batch: BatchStats::default(),
@@ -351,6 +364,7 @@ impl FastPaySession {
         // --- Escrow deposit (Setup phase), held to PSC finality. ----------
         let escrow_open_start = session.clock;
         let deposit = Call::Deposit(session.config.escrow_deposit);
+        session.deposit_nonce = session.psc_nonce(Party::Customer);
         let receipt = session
             .call(Party::Customer, deposit)
             .expect("escrow deposit submits");
@@ -583,93 +597,19 @@ impl FastPaySession {
         &mut self,
         amounts: &[u64],
     ) -> Result<Vec<FastPayReport>, SessionError> {
-        // -- Disjoint BTC payments over the confirmed set. -----------------
-        let mut exclude = HashSet::new();
-        let mut txs = Vec::with_capacity(amounts.len());
-        for &amount_sats in amounts {
-            let tx = self.build_payment(amount_sats, &exclude)?;
-            for input in &tx.inputs {
-                exclude.insert(input.previous_output);
-            }
-            txs.push(tx);
-        }
+        flow::batch(self, amounts)
+    }
 
-        // -- Batched registration: K opens, one PSC block. -----------------
-        let registration_start = self.clock;
-        let nonce_base = self.psc.nonce_of(&self.customer.psc_account());
-        let opens = txs
-            .iter()
-            .zip(amounts)
-            .enumerate()
-            .map(|(i, (tx, &amount_sats))| {
-                self.customer.build_open_payment_at(
-                    &self.judger,
-                    nonce_base + i as u64,
-                    self.merchant.psc_account(),
-                    tx.txid(),
-                    amount_sats,
-                    self.config.required_collateral(amount_sats),
-                )
-            })
-            .collect();
-        let hashes = self
-            .psc
-            .submit_batch(opens)
-            .map_err(|rejected| SessionError::TxRejected {
-                context: "batch-registration",
-                reason: rejected.error.to_string(),
-            })?;
-        self.clock += SimTime::from_secs_f64(self.config.psc_params.block_interval_secs);
-        let t = self.clock.as_secs().max(self.psc.tip_time() + 1);
-        self.psc.produce_block(t);
-        let registration = self.clock - registration_start;
-        self.tracer.span(
-            "session.register",
-            registration_start.as_micros(),
-            self.clock.as_micros(),
-            vec![("batch", txs.len().into())],
-        );
-
-        // -- Batch signature pre-verification (cost only, never verdicts):
-        // the per-offer admission checks below hit the signature cache.
-        // The seed steps by splitmix64's golden-ratio increment on its own
-        // stream, and nothing here touches the sim-clock, `rng` or the
-        // tracer, so it cannot reach a replay fingerprint.
+    /// Batch signature pre-verification of `txs` — cost only, never
+    /// verdicts: the per-offer admission checks that follow hit the
+    /// signature cache. The seed steps by splitmix64's golden-ratio
+    /// increment on its own stream, and nothing here touches the
+    /// sim-clock, `rng` or the tracer, so it cannot reach a replay
+    /// fingerprint.
+    pub(crate) fn preverify_batch(&mut self, txs: &[Transaction]) {
         self.batch_seed = self.batch_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let batch = self.btc.utxo().preverify_signatures(&txs, self.batch_seed);
+        let batch = self.btc.utxo().preverify_signatures(txs, self.batch_seed);
         self.sig_batch.absorb(&batch);
-
-        // -- Point of sale, one offer at a time. ---------------------------
-        let mut reports = Vec::with_capacity(txs.len());
-        for (i, tx) in txs.into_iter().enumerate() {
-            let receipt = self
-                .psc
-                .receipt(&hashes[i])
-                .ok_or(SessionError::MissingReceipt {
-                    context: "batch-registration",
-                })?;
-            let payment_id = flow::registered_id(receipt)?;
-            let txid = tx.txid();
-            let registered = flow::Registered {
-                payment_id,
-                psc_nonce: nonce_base + i as u64,
-                took: registration,
-                gas: receipt.gas_used,
-            };
-
-            // Registration is batch-shared, so each payment's causal root
-            // covers its own point-of-sale window: the accept span tiles
-            // the root, the exchange legs tile the accept span.
-            let pos = flow::payment(
-                self,
-                |session, root| {
-                    flow::point_of_sale(session, root, tx, txid, payment_id, amounts[i])
-                },
-                |pos| (Some(payment_id), pos.reject.is_none()),
-            )?;
-            reports.push(FastPayReport::new(txid, &registered, pos));
-        }
-        Ok(reports)
     }
 
     /// One baseline payment: broadcast, then wait for `confirmations`

@@ -18,12 +18,12 @@
 //!   with identical inputs give identical statuses, inboxes and
 //!   [`TransportStats`].
 //!
-//! Sends submitted via [`Transport::send_traced`] additionally carry a
-//! serialized [`TraceContext`] in their frame: retransmissions, backoff
-//! waits, dedup drops, and give-ups are then recorded as structured obs
-//! events attributed to the payment that caused them (drained with
-//! [`Transport::take_trace_events`]). A corrupt wire context degrades to
-//! unattributed — delivery, ack, and dedup semantics are identical
+//! Sends submitted via [`Transport::send_traced`] additionally carry the
+//! sender's [`TraceContext`]: retransmissions, backoff waits, dedup drops,
+//! and give-ups are then recorded as structured obs events attributed to
+//! the payment that caused them (drained with
+//! [`Transport::take_trace_events`]). An unattributed context is an
+//! untraced send — delivery, ack, and dedup semantics are identical
 //! either way.
 
 use crate::network::{Network, NodeId};
@@ -124,7 +124,7 @@ enum Event {
     AckDeliver { id: MsgId, attempt: u32 },
 }
 
-/// Causal attribution carried by a traced send: the decoded context,
+/// Causal attribution carried by a traced send: the sender's context,
 /// plus enough clock state to stamp obs events on the *sender's* session
 /// clock (the transport's own clock starts at zero and is unrelated).
 #[derive(Clone, Copy, Debug)]
@@ -149,7 +149,7 @@ struct PendingSend<M> {
     /// The backoff interval scheduled after the latest attempt; charged
     /// to `TransportStats::backoff_wait_micros` if that timer fires.
     last_backoff: SimTime,
-    /// Present iff the send carried a wire context that decoded cleanly.
+    /// Present iff the send carried an attributed context.
     obs: Option<ObsAttribution>,
 }
 
@@ -219,27 +219,24 @@ impl<M: Clone> Transport<M> {
     /// Queues a reliable send; the message starts transmitting at the
     /// current simulated time. Returns the id to poll via [`Self::status`].
     pub fn send(&mut self, from: NodeId, to: NodeId, payload: M) -> MsgId {
-        self.send_traced(from, to, payload, &[], 0)
+        self.send_traced(from, to, payload, TraceContext::UNATTRIBUTED, 0)
     }
 
-    /// Like [`Self::send`], with a serialized [`TraceContext`] carried in
-    /// the frame. `ctx_wire` is the output of [`TraceContext::to_wire`];
+    /// Like [`Self::send`], attributing the send's obs events to `ctx`.
     /// `obs_base_micros` is the sender's session-clock µs at this moment,
-    /// so emitted obs events land directly on the session timeline. A
-    /// wire context that fails to decode (wrong length, bad version, bad
-    /// checksum — including an empty slice) degrades to an untraced send
-    /// with identical delivery semantics; it never panics.
+    /// so emitted obs events land directly on the session timeline. An
+    /// unattributed `ctx` is an untraced send.
     pub fn send_traced(
         &mut self,
         from: NodeId,
         to: NodeId,
         payload: M,
-        ctx_wire: &[u8],
+        ctx: TraceContext,
         obs_base_micros: u64,
     ) -> MsgId {
         let id = MsgId(self.next_id);
         self.next_id += 1;
-        let obs = TraceContext::from_wire(ctx_wire).map(|ctx| ObsAttribution {
+        let obs = ctx.is_attributed().then(|| ObsAttribution {
             ctx,
             base_micros: obs_base_micros,
             sent_at: self.now(),
@@ -665,7 +662,7 @@ mod tests {
         };
         let mut t = transport(1.0, 21);
         let base = 5_000_000u64;
-        t.send_traced(NodeId(0), NodeId(1), "doomed", &ctx.to_wire(), base);
+        t.send_traced(NodeId(0), NodeId(1), "doomed", ctx, base);
         t.run_until_idle();
         let events = t.take_trace_events();
         // 5 retransmissions → 5 wait spans + 5 retransmit points, then a
@@ -708,7 +705,7 @@ mod tests {
             parent_id: 7,
         };
         let mut t = transport(0.0, 22);
-        let id = t.send_traced(NodeId(0), NodeId(1), "twice", &ctx.to_wire(), 100);
+        let id = t.send_traced(NodeId(0), NodeId(1), "twice", ctx, 100);
         lose_first_ack(&mut t, id);
         t.run_until_idle();
         let events = t.take_trace_events();
@@ -719,59 +716,34 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_wire_contexts_degrade_to_unattributed_sends() {
-        let ctx = TraceContext {
-            trace_id: 3,
-            span_id: 4,
-            parent_id: 3,
-        };
-        let good = ctx.to_wire();
-        // Flip one byte anywhere: checksum rejects, transport stays silent
-        // but delivery semantics are unchanged vs the clean-context twin.
-        for corrupt_at in 0..good.len() {
-            let mut bad = good;
-            bad[corrupt_at] ^= 0x40;
-            let mut t = transport(1.0, 23);
-            let id = t.send_traced(NodeId(0), NodeId(1), "x", &bad, 50);
-            t.run_until_idle();
-            assert!(t.take_trace_events().is_empty(), "byte {corrupt_at}");
-            assert!(matches!(t.status(id), SendStatus::Failed { .. }));
-            let mut clean = transport(1.0, 23);
-            let clean_id = clean.send_traced(NodeId(0), NodeId(1), "x", &good, 50);
-            clean.run_until_idle();
-            assert_eq!(outcome(&mut t, &[id]), outcome(&mut clean, &[clean_id]));
-        }
-    }
-
-    #[test]
     fn untraced_sends_emit_no_obs_events_and_identical_traces() {
         let ctx = TraceContext {
             trace_id: 11,
             span_id: 12,
             parent_id: 11,
         };
-        let run = |traced: bool| {
+        let run = |traced: Option<TraceContext>| {
             let mut t = transport(0.4, 24);
             let ids: Vec<MsgId> = (0..4)
-                .map(|_| {
-                    if traced {
-                        t.send_traced(NodeId(0), NodeId(1), "p", &ctx.to_wire(), 0)
-                    } else {
-                        t.send(NodeId(0), NodeId(1), "p")
-                    }
+                .map(|_| match traced {
+                    Some(ctx) => t.send_traced(NodeId(0), NodeId(1), "p", ctx, 0),
+                    None => t.send(NodeId(0), NodeId(1), "p"),
                 })
                 .collect();
             t.run_until_idle();
             let events = t.take_trace_events();
             (outcome(&mut t, &ids), events)
         };
-        let (outcome_plain, events_plain) = run(false);
-        let (outcome_traced, events_traced) = run(true);
+        let (outcome_plain, events_plain) = run(None);
+        let (outcome_traced, events_traced) = run(Some(ctx));
         let stats_traced = outcome_traced.2;
         // Attribution is purely observational: same rng draws, same
         // delivery schedule, same counters.
         assert_eq!(outcome_plain, outcome_traced);
         assert!(events_plain.is_empty());
+        // An explicitly unattributed context is an untraced send.
+        let unattributed = run(Some(TraceContext::UNATTRIBUTED));
+        assert_eq!(unattributed, (outcome_plain, events_plain));
         assert_eq!(
             events_traced.is_empty(),
             stats_traced.retransmissions == 0 && stats_traced.duplicates_dropped == 0

@@ -11,11 +11,11 @@
 //! a reconstructible span tree (see [`crate::critical_path`]). Context
 //! ids are minted from a splitmix64 stream seeded by the session seed —
 //! no globals, no atomics — which keeps traces identical across worker
-//! pool sizes. Contexts serialize to a small checksummed wire form
-//! ([`TraceContext::to_wire`]) so the netsim transport can carry them
-//! inside frames and attribute retransmissions, dedup drops, and backoff
-//! waits to the payment that caused them; corrupt wire bytes decode to
-//! `None` and the events degrade to unattributed rather than panicking.
+//! pool sizes. The netsim transport takes a send's context as a value
+//! and attributes its retransmissions, dedup drops, and backoff waits to
+//! the payment that caused them, minting per-event children with
+//! [`TraceContext::derive_child`]; an unattributed context is an untraced
+//! send.
 //!
 //! The tracer is deliberately single-owner (`&mut self`, no interior
 //! locking): each session/shard owns its own [`Tracer`] and the caller
@@ -84,7 +84,7 @@ impl From<String> for Field {
 /// The all-zero value ([`TraceContext::UNATTRIBUTED`]) is the explicit
 /// "no attribution" context: recording with it produces a context-free
 /// event, and deriving a child from it stays unattributed. Ids are never
-/// minted as zero, so zero is unambiguous on the wire.
+/// minted as zero, so zero is unambiguous.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceContext {
     /// Groups every span of one payment; equals the root's span id.
@@ -95,9 +95,6 @@ pub struct TraceContext {
     pub parent_id: u64,
 }
 
-/// Wire-format version tag for serialized contexts.
-const WIRE_VERSION: u8 = 1;
-
 impl TraceContext {
     /// The explicit "no attribution" context.
     pub const UNATTRIBUTED: TraceContext = TraceContext {
@@ -106,52 +103,16 @@ impl TraceContext {
         parent_id: 0,
     };
 
-    /// Serialized size of [`TraceContext::to_wire`]: version byte, three
-    /// little-endian ids, and a 4-byte FNV-1a checksum.
-    pub const WIRE_LEN: usize = 29;
-
     /// True when this context attributes events to a real trace.
     pub fn is_attributed(&self) -> bool {
         self.trace_id != 0 && self.span_id != 0
     }
 
-    /// Serializes the context for carrying inside transport frames.
-    pub fn to_wire(&self) -> [u8; TraceContext::WIRE_LEN] {
-        let mut out = [0u8; TraceContext::WIRE_LEN];
-        out[0] = WIRE_VERSION;
-        out[1..9].copy_from_slice(&self.trace_id.to_le_bytes());
-        out[9..17].copy_from_slice(&self.span_id.to_le_bytes());
-        out[17..25].copy_from_slice(&self.parent_id.to_le_bytes());
-        let sum = fnv1a32(&out[..25]);
-        out[25..29].copy_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    /// Deserializes a wire context. Returns `None` — never panics — on
-    /// any corruption: wrong length, unknown version, checksum mismatch,
-    /// or a context whose ids mark it unattributed. Callers treat `None`
-    /// as "record unattributed".
-    pub fn from_wire(bytes: &[u8]) -> Option<TraceContext> {
-        if bytes.len() != TraceContext::WIRE_LEN || bytes[0] != WIRE_VERSION {
-            return None;
-        }
-        let sum = u32::from_le_bytes(bytes[25..29].try_into().ok()?);
-        if sum != fnv1a32(&bytes[..25]) {
-            return None;
-        }
-        let ctx = TraceContext {
-            trace_id: u64::from_le_bytes(bytes[1..9].try_into().ok()?),
-            span_id: u64::from_le_bytes(bytes[9..17].try_into().ok()?),
-            parent_id: u64::from_le_bytes(bytes[17..25].try_into().ok()?),
-        };
-        ctx.is_attributed().then_some(ctx)
-    }
-
     /// Derives a child context without a [`Tracer`]: a pure function of
-    /// `(self, salt)`, so components that receive a context over the wire
-    /// (the transport) can mint per-event child spans deterministically
-    /// and independently of any id stream. Distinct salts give distinct
-    /// child span ids. Unattributed parents stay unattributed.
+    /// `(self, salt)`, so components handed a context (the transport) can
+    /// mint per-event child spans deterministically and independently of
+    /// any id stream. Distinct salts give distinct child span ids.
+    /// Unattributed parents stay unattributed.
     pub fn derive_child(&self, salt: u64) -> TraceContext {
         if !self.is_attributed() {
             return TraceContext::UNATTRIBUTED;
@@ -168,16 +129,6 @@ impl TraceContext {
             parent_id: self.span_id,
         }
     }
-}
-
-/// FNV-1a over `bytes`, the checksum guarding wire contexts.
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
 }
 
 /// One recorded trace entry: a completed span (has a duration) or a point
@@ -565,30 +516,6 @@ mod tests {
         // Recording with it produces the context-free form.
         t.point_ctx("x", child, 5, vec![]);
         assert!(t.events()[0].ctx.is_none());
-    }
-
-    #[test]
-    fn wire_round_trip_and_corruption_rejection() {
-        let mut t = Tracer::with_seed(true, 77);
-        let root = t.mint_root();
-        let child = t.child_of(&root);
-        let wire = child.to_wire();
-        assert_eq!(TraceContext::from_wire(&wire), Some(child));
-
-        // Any single-byte corruption fails the checksum (or the version
-        // byte) and degrades to None rather than panicking.
-        for i in 0..wire.len() {
-            let mut bad = wire;
-            bad[i] ^= 0x40;
-            assert_eq!(TraceContext::from_wire(&bad), None, "byte {i}");
-        }
-        assert_eq!(TraceContext::from_wire(&wire[..10]), None);
-        assert_eq!(TraceContext::from_wire(&[]), None);
-        // A checksum-valid but unattributed context is also rejected.
-        assert_eq!(
-            TraceContext::from_wire(&TraceContext::UNATTRIBUTED.to_wire()),
-            None
-        );
     }
 
     #[test]
