@@ -4,8 +4,9 @@
 //! ladders, SHA-256 on whichever block function the host dispatches to
 //! against the portable one — plus a hostile sign→verify round-trip.
 //!
-//! The fast paths (odd-multiple tables, the fixed-base comb, the per-key
-//! table cache — `btcfast_crypto::mul_table`) must agree with
+//! The fast paths (odd-multiple tables, the fixed-base comb of `G` and of
+//! a drawn base, the per-key table cache and its promotion to a comb —
+//! `btcfast_crypto::mul_table`) must agree with
 //! `Point::mul_binary` on *every* scalar, and ECDSA verify verdicts must
 //! be a pure function of `(key, digest, signature)` — never of cache
 //! state. Scalar draws are edge-biased (0, 1, 2, n−1, n−2, 2^k, runs of
@@ -18,7 +19,9 @@ use crate::source::ByteSource;
 use btcfast_crypto::ecdsa::{self, verify_uncached, Signature};
 use btcfast_crypto::field::FieldElement;
 use btcfast_crypto::keys::KeyPair;
-use btcfast_crypto::mul_table::{generator_mul, msm_wnaf, mul_wnaf, OddMultiplesTable};
+use btcfast_crypto::mul_table::{
+    generator_mul, msm_wnaf, mul_wnaf, CombTable, OddMultiplesTable, KEEP_FOR, PROMOTE_AT,
+};
 use btcfast_crypto::point::{AffinePoint, Point};
 use btcfast_crypto::scalar::Scalar;
 use btcfast_crypto::sha256::{
@@ -114,6 +117,21 @@ pub fn diff_crypto_mul(bytes: &[u8]) -> Result<(), String> {
     if point_bytes(&generator_mul(&k)) != point_bytes(&Point::generator().mul_binary(&k)) {
         return Err(format!("generator_mul diverges from mul_binary: k={k:?}"));
     }
+    // The same comb built on the drawn base, as a promoted key gets one.
+    match CombTable::new(&base) {
+        Some(comb) => {
+            if point_bytes(&comb.mul(&k)) != oracle {
+                return Err(format!(
+                    "comb diverges from mul_binary: base_k={base_k:?} k={k:?}"
+                ));
+            }
+        }
+        None => {
+            if !base.is_infinity() {
+                return Err("comb build refused a finite point".into());
+            }
+        }
+    }
     // Interleaved double-scalar against the composed oracle.
     let a = draw_scalar(&mut src);
     let fast = Point::lincomb(&a, &k, &base);
@@ -200,9 +218,9 @@ pub fn diff_crypto_sha256(bytes: &[u8]) -> Result<(), String> {
 }
 
 /// Hostile sign→verify round-trip: a fresh signature must verify on the
-/// cached and uncached paths, and high-S / zero-component / tampered
-/// mutations must all be rejected — with raw signature bytes never
-/// panicking the parser.
+/// cached and uncached paths (the cached one past `PROMOTE_AT`, so from
+/// the key's comb), and high-S / zero-component / tampered mutations must
+/// all be rejected — with raw signature bytes never panicking the parser.
 pub fn fuzz_crypto_sign_verify(bytes: &[u8]) -> Result<(), String> {
     let mut src = ByteSource::new(bytes);
     let seed = src.bytes(16);
@@ -212,8 +230,13 @@ pub fn fuzz_crypto_sign_verify(bytes: &[u8]) -> Result<(), String> {
 
     let sig = kp.sign(&digest);
     let q = kp.public().point();
-    if !kp.public().verify(&digest, &sig) {
-        return Err("fresh signature rejected by cached verify".into());
+    // Past the promotion count, so the mutations below run on the key's
+    // comb rather than its wNAF table, and on until the comb may give way
+    // to the next drawn key's, so that every case reaches a comb.
+    for _ in 0..PROMOTE_AT + KEEP_FOR {
+        if !kp.public().verify(&digest, &sig) {
+            return Err("fresh signature rejected by cached verify".into());
+        }
     }
     if !verify_uncached(q, &digest, &sig) {
         return Err("fresh signature rejected by uncached verify".into());

@@ -250,21 +250,25 @@ impl PaymentState {
 }
 
 /// Registered payments by escrow payment id, held as the snapshot slot
-/// holds them: one buffer of [`ENTRY_BYTES`]-byte entries in ascending id
-/// order. The contract assigns ids in ascending order, so registering a
-/// payment is a push; re-open adopts a slot's entry region as the buffer,
-/// and digest and checkpoint read the entries as one slice.
+/// holds them: [`ENTRY_BYTES`]-byte entries in ascending id order. Re-open
+/// adopts a slot's entry region as a fixed region, and payments registered
+/// after it go to a growable tail of their own, so the adopted buffer is
+/// never copied to make room. The contract assigns ids in ascending order,
+/// so registering a payment is a push onto the tail; digest and checkpoint
+/// read the two regions in order, as one entry sequence.
 #[derive(Clone, Default, Eq)]
 pub struct Payments {
-    /// The entries are `buffer[start..]`: an adopted slot keeps its header
+    /// The adopted region is `slot[start..]`: the slot keeps its header
     /// and head in front rather than moving every entry to drop them.
-    buffer: Vec<u8>,
+    slot: Vec<u8>,
     start: usize,
+    /// Entries whose ids are above every id of the adopted region.
+    tail: Vec<u8>,
 }
 
 impl PartialEq for Payments {
     fn eq(&self, other: &Payments) -> bool {
-        self.bytes() == other.bytes()
+        self.entries().eq(other.entries())
     }
 }
 
@@ -277,77 +281,103 @@ impl fmt::Debug for Payments {
 impl Payments {
     /// The number of payments.
     pub fn len(&self) -> usize {
-        self.entries().len()
+        self.regions().iter().map(|region| region.len()).sum()
     }
 
     /// Whether no payment is registered.
     pub fn is_empty(&self) -> bool {
-        self.entries().is_empty()
+        self.len() == 0
     }
 
     /// The payment with id `id`, if registered.
     pub fn get(&self, id: &u64) -> Option<PaymentState> {
-        let at = self.position(*id).ok()?;
-        Some(PaymentState::from_entry(&self.entries()[at]))
+        let (region, Ok(at)) = self.position(*id) else {
+            return None;
+        };
+        Some(PaymentState::from_entry(&self.regions()[region][at]))
     }
 
     /// Whether a payment with id `id` is registered.
     pub fn contains_key(&self, id: &u64) -> bool {
-        self.position(*id).is_ok()
+        self.position(*id).1.is_ok()
     }
 
     /// Every payment, in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, PaymentState)> + '_ {
         self.entries()
-            .iter()
             .map(|entry| (entry_id(entry), PaymentState::from_entry(entry)))
     }
 
-    /// The entries as the snapshot payload holds them.
-    fn bytes(&self) -> &[u8] {
-        &self.buffer[self.start..]
+    /// The entries as the snapshot payload holds them: the adopted region,
+    /// then the tail.
+    fn bytes(&self) -> [&[u8]; 2] {
+        [&self.slot[self.start..], &self.tail]
     }
 
-    fn entries(&self) -> &[LedgerEntry] {
-        self.bytes().as_chunks().0
+    fn regions(&self) -> [&[LedgerEntry]; 2] {
+        self.bytes().map(|bytes| bytes.as_chunks().0)
     }
 
-    /// Where `id` is or would go. The newest payment — the one the next
-    /// step of a lifecycle names — is checked before the binary search.
-    fn position(&self, id: u64) -> Result<usize, usize> {
-        let entries = self.entries();
-        match entries.last() {
+    fn entries(&self) -> impl DoubleEndedIterator<Item = &LedgerEntry> + '_ {
+        self.regions().into_iter().flatten()
+    }
+
+    /// The region (0 adopted, 1 tail) `id` belongs in, and where in it
+    /// `id` is or would go. The newest payment — the one the next step of
+    /// a lifecycle names — is checked before the binary search.
+    fn position(&self, id: u64) -> (usize, Result<usize, usize>) {
+        let [adopted, tail] = self.regions();
+        let region = usize::from(adopted.last().is_none_or(|last| entry_id(last) < id));
+        let entries = [adopted, tail][region];
+        let at = match entries.last() {
             Some(last) if entry_id(last) == id => Ok(entries.len() - 1),
             _ => entries.binary_search_by_key(&id, entry_id),
+        };
+        (region, at)
+    }
+
+    /// The bytes of region `region` (0 adopted, 1 tail), to write.
+    fn region_mut(&mut self, region: usize) -> &mut [u8] {
+        match region {
+            0 => &mut self.slot[self.start..],
+            _ => &mut self.tail,
         }
     }
 
     /// Sets `flags` on payment `id` and returns its entry, if registered.
     fn mark(&mut self, id: &u64, flags: u8) -> Option<&mut LedgerEntry> {
-        let at = self.position(*id).ok()?;
-        let entry = &mut self.buffer[self.start..].as_chunks_mut().0[at];
+        let (region, Ok(at)) = self.position(*id) else {
+            return None;
+        };
+        let entry = &mut self.region_mut(region).as_chunks_mut().0[at];
         entry[FLAGS] |= flags;
         Some(entry)
     }
 
     /// Registers a fresh payment under `id`, replacing any payment already
     /// there. An id above every registered one — what the contract assigns
-    /// — is a push; any other id is a binary-search insert, correct but O(n).
+    /// — is a push onto the tail; any other id is a binary-search insert
+    /// into the region it belongs in, correct but O(n).
     fn insert(&mut self, id: u64, txid: &Hash256, amount_sats: u64) {
         let mut entry = [0; ENTRY_BYTES];
         entry[..TXID].copy_from_slice(&id.to_le_bytes());
         entry[TXID..AMOUNT].copy_from_slice(txid.as_bytes());
         entry[AMOUNT..FLAGS].copy_from_slice(&amount_sats.to_le_bytes());
-        match self.entries().last() {
-            Some(last) if entry_id(last) >= id => {
-                let (at, replaced) = match self.position(id) {
-                    Ok(at) => (at, ENTRY_BYTES),
-                    Err(at) => (at, 0),
-                };
+        let newest = self.entries().next_back().map(entry_id);
+        if newest.is_none_or(|newest| newest < id) {
+            self.tail.extend_from_slice(&entry);
+            return;
+        }
+        match self.position(id) {
+            (region, Ok(at)) => self.region_mut(region).as_chunks_mut().0[at] = entry,
+            (0, Err(at)) => {
                 let at = self.start + at * ENTRY_BYTES;
-                self.buffer.splice(at..at + replaced, entry);
+                self.slot.splice(at..at, entry);
             }
-            _ => self.buffer.extend_from_slice(&entry),
+            (_, Err(at)) => {
+                let at = at * ENTRY_BYTES;
+                self.tail.splice(at..at, entry);
+            }
         }
     }
 
@@ -376,7 +406,11 @@ impl Payments {
             buffer.truncate(start);
             buffer.extend_from_slice(entries.as_flattened());
         }
-        Ok(Payments { buffer, start })
+        Ok(Payments {
+            slot: buffer,
+            start,
+            tail: Vec::new(),
+        })
     }
 }
 
@@ -792,7 +826,9 @@ impl<S: Storage> RecoveryManager<S> {
         encode_tail(&self.ledger, &self.pending, &mut tail);
         let mut hasher = Sha256::new();
         hasher.update(&self.ledger.head());
-        hasher.update(self.ledger.payments.bytes());
+        for entries in self.ledger.payments.bytes() {
+            hasher.update(entries);
+        }
         hasher.update(&tail);
         Hash256(sha256(&hasher.finalize()))
     }
@@ -865,11 +901,12 @@ impl<S: Storage + Clone> RecoveryManager<S> {
 /// Appends the snapshot payload — head, entries, tail — to `out`, reserved
 /// up front.
 fn encode_state(ledger: &PaymentLedger, pending: &BTreeMap<u64, Step>, out: &mut Vec<u8>) {
-    let entries = ledger.payments.bytes();
+    let [adopted, registered] = ledger.payments.bytes();
     let tail_bytes = 8 + 4 + pending.len() * (8 + Step::MAX_ENCODED_BYTES);
-    out.reserve(PaymentLedger::HEAD_BYTES + entries.len() + tail_bytes);
+    out.reserve(PaymentLedger::HEAD_BYTES + adopted.len() + registered.len() + tail_bytes);
     out.extend_from_slice(&ledger.head());
-    out.extend_from_slice(entries);
+    out.extend_from_slice(adopted);
+    out.extend_from_slice(registered);
     encode_tail(ledger, pending, out);
 }
 
@@ -1005,40 +1042,73 @@ mod tests {
 
     #[test]
     fn the_streamed_digest_is_the_double_hash_of_the_snapshot_payload() {
-        // Sizes on both sides of the drain threshold, with intents left
-        // pending so the second half of the encoding is streamed too.
-        for payments in [0u64, 1, 81, 82, 500] {
-            let (mut mgr, _) = RecoveryManager::open(MemStorage::new(), MemStorage::new()).unwrap();
-            for n in 0..payments {
-                let step = Step::OpenPayment {
-                    txid: txid(n as u8),
-                    amount_sats: 1_000 + n,
-                    collateral: 1_200,
-                    psc_nonce: n,
-                };
-                let id = mgr.begin(step).unwrap();
-                if n % 3 != 0 {
-                    let outcome = Outcome::PaymentRegistered { payment_id: n };
-                    mgr.complete(id, outcome).unwrap();
-                }
+        fn register(mgr: &mut RecoveryManager<MemStorage>, id: u64, complete: bool) {
+            let step = Step::OpenPayment {
+                txid: txid(id as u8),
+                amount_sats: 1_000 + id,
+                collateral: 1_200,
+                psc_nonce: id,
+            };
+            let intent = mgr.begin(step).unwrap();
+            if complete {
+                let outcome = Outcome::PaymentRegistered { payment_id: id };
+                mgr.complete(intent, outcome).unwrap();
             }
+        }
+        /// Checkpoints, then holds the slot's payload to the struct
+        /// encoding of `entries` and the digest to its double hash.
+        fn check(mgr: &mut RecoveryManager<MemStorage>, entries: &[(u64, PaymentState)]) {
             mgr.checkpoint().unwrap();
             let slot = SnapshotStore::new(mgr.snapshot_medium().clone()).load();
             let payload = slot.unwrap().unwrap().state().to_vec();
             let pending = BTreeMap::from_iter(mgr.pending().map(|(i, s)| (i, s.clone())));
             let ledger = mgr.ledger();
-            let (escrow, entries) = (ledger.escrow_opened, ledger_entries(ledger));
-            let value = ledger.value_accepted_sats;
+            let (escrow, value) = (ledger.escrow_opened, ledger.value_accepted_sats);
+            assert_eq!(ledger_entries(ledger), entries);
             assert_eq!(
                 payload,
-                struct_encode_state(escrow, &entries, value, &pending)
+                struct_encode_state(escrow, entries, value, &pending)
             );
             assert_eq!(
                 mgr.digest(),
                 btcfast_crypto::sha256::sha256d(&payload),
-                "{payments} payments, {} bytes",
+                "{} payments, {} bytes",
+                entries.len(),
                 payload.len()
             );
+        }
+        // Sizes on both sides of the drain threshold, with intents left
+        // pending so the second half of the encoding is streamed too.
+        for payments in [0u64, 1, 81, 82, 500] {
+            let (mut mgr, _) = RecoveryManager::open(MemStorage::new(), MemStorage::new()).unwrap();
+            let mut model = BTreeMap::new();
+            for n in 0..payments {
+                register(&mut mgr, n, n % 3 != 0);
+                if n % 3 != 0 {
+                    let state = PaymentState {
+                        txid: txid(n as u8),
+                        amount_sats: 1_000 + n,
+                        ..PaymentState::default()
+                    };
+                    model.insert(n, state);
+                }
+            }
+            check(&mut mgr, &Vec::from_iter(model.clone()));
+            // Re-open adopts the slot as the ledger's fixed region: ascending
+            // ids go to the tail behind it, and id 3 (never registered: its
+            // intent is pending) lands inside the adopted region.
+            let media = (mgr.wal_medium().clone(), mgr.snapshot_medium().clone());
+            let (mut mgr, _) = RecoveryManager::open(media.0, media.1).unwrap();
+            for id in (payments + 10..payments + 15).chain([3]) {
+                register(&mut mgr, id, true);
+                let state = PaymentState {
+                    txid: txid(id as u8),
+                    amount_sats: 1_000 + id,
+                    ..PaymentState::default()
+                };
+                model.insert(id, state);
+            }
+            check(&mut mgr, &Vec::from_iter(model));
         }
     }
 

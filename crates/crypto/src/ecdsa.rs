@@ -3,7 +3,7 @@
 
 use crate::field::FieldElement;
 use crate::hmac::hmac_sha256;
-use crate::mul_table::{self, OddMultiplesTable, PubkeyCacheStats, PubkeyTableCache};
+use crate::mul_table::{self, KeyTable, OddMultiplesTable, PubkeyCacheStats, PubkeyTableCache};
 use crate::point::{AffinePoint, Point};
 use crate::scalar::Scalar;
 use std::cell::RefCell;
@@ -226,15 +226,15 @@ fn compressed_id(q: &Point) -> Option<[u8; 33]> {
 }
 
 /// The shared tail of verification once a Q table exists: compute
-/// `u1 = z/s`, `u2 = r/s`, evaluate `u1*G + u2*Q` by interleaved wNAF, and
-/// compare the result's x-coordinate against `r` without leaving Jacobian
-/// coordinates.
-fn verify_prepared(q_table: &OddMultiplesTable, digest: &[u8; 32], sig: &Signature) -> bool {
+/// `u1 = z/s`, `u2 = r/s`, evaluate `u1*G + u2*Q` from the key's wNAF
+/// table or comb, and compare the result's x-coordinate against `r`
+/// without leaving Jacobian coordinates.
+fn verify_prepared(q_table: KeyTable<'_>, digest: &[u8; 32], sig: &Signature) -> bool {
     let z = Scalar::from_be_bytes_reduced(digest);
     let s_inv = sig.s.invert();
     let u1 = z * s_inv;
     let u2 = sig.r * s_inv;
-    let point = mul_table::lincomb_wnaf(&u1, &u2, q_table);
+    let point = q_table.lincomb(&u1, &u2);
     point.eq_x_scalar(&sig.r)
 }
 
@@ -245,9 +245,10 @@ fn verify_prepared(q_table: &OddMultiplesTable, digest: &[u8; 32], sig: &Signatu
 /// malleation attacks.
 ///
 /// Repeated verifies against the same key on the same thread reuse a cached
-/// precomputation table (see [`PUBKEY_CACHE_CAPACITY`]); the verdict is
-/// independent of cache state, which [`verify_uncached`] and the
-/// equivalence test suite enforce.
+/// precomputation table (see [`PUBKEY_CACHE_CAPACITY`]), and a key that
+/// keeps returning is served from its own comb (`mul_table::PROMOTE_AT`);
+/// the verdict is independent of cache state, which [`verify_uncached`]
+/// and the equivalence test suite enforce.
 pub fn verify(q: &Point, digest: &[u8; 32], sig: &Signature) -> bool {
     if !precheck(q, sig) {
         return false;
@@ -273,7 +274,7 @@ pub fn verify_uncached(q: &Point, digest: &[u8; 32], sig: &Signature) -> bool {
         return false;
     }
     match OddMultiplesTable::new(q, mul_table::WINDOW_P) {
-        Some(table) => verify_prepared(&table, digest, sig),
+        Some(table) => verify_prepared(KeyTable::Wnaf(&table), digest, sig),
         None => false,
     }
 }

@@ -1,5 +1,6 @@
 //! Scalar multiplication from precomputed tables: wNAF odd multiples for
-//! arbitrary points, a signed comb for the generator alone.
+//! arbitrary points, a signed comb for the generator and for public keys
+//! that keep returning.
 //!
 //! The accept-path hot loop of the payment engine is ECDSA verification,
 //! which is two scalar multiplications (`u1*G + u2*Q`); every payment also
@@ -13,9 +14,6 @@
 //!   (2^(w-1)-1)P}` computed once in Jacobian form, then normalized to
 //!   affine *in one shot* with Montgomery's batch-inversion trick so every
 //!   table add is a cheap mixed Jacobian+affine add.
-//! - A bounded **per-key LRU** ([`PubkeyTableCache`]) so repeated verifies
-//!   against the same public key — the common case inside a
-//!   `FastPaySession` and across payment batches — skip the Q-table build.
 //! - The **GLV endomorphism**: secp256k1 has `j`-invariant 0, so
 //!   `φ(x, y) = (β·x, y)` is an efficiently computable curve automorphism
 //!   acting as multiplication by a cube root of unity `λ`. Splitting
@@ -23,17 +21,23 @@
 //!   ([`Scalar::split_glv`]) turns one 256-bit ladder into two interleaved
 //!   half-length ones, halving the doubling count — and the `φ`-table is
 //!   derived from the base table by one field multiply per entry.
-//! - **Two static generator tables**, each built once per process behind a
-//!   `OnceLock`, because `G` is multiplied in two different settings. A
-//!   stand-alone `k*G` (signing, key derivation) goes through
-//!   [`generator_mul`], a fixed-base **comb**: with every `j·2^(5i)·G`
-//!   precomputed (52 KiB) the product is at most 52 mixed additions and
-//!   *no* doublings. Where `G` rides along with an arbitrary point
-//!   ([`lincomb_wnaf`], [`msm_with_generator`]) the ~129 doublings are
-//!   paid for `Q` anyway, so `G`'s digits cost only their additions and
-//!   the width-8 wNAF `G`/`φ(G)` tables (2 × 4 KiB, ~29 additions) are the
-//!   cheaper way in — a comb there would add ~52 additions to save
-//!   doublings that still have to run.
+//! - A fixed-base signed **comb** ([`CombTable`]): with every
+//!   `j·2^(5i)·P` precomputed (52 KiB, ≈ 0.5 ms to build) `k·P` is at most
+//!   52 mixed additions and *no* doublings. `G`'s comb is built once per
+//!   process and serves every stand-alone `k*G` (signing, key derivation,
+//!   [`generator_mul`]).
+//! - A bounded **per-key LRU** ([`PubkeyTableCache`]) so repeated verifies
+//!   against the same public key — the common case inside a
+//!   `FastPaySession` and across payment batches — skip the Q-table build,
+//!   and a key that keeps returning gets a comb of its own
+//!   ([`PROMOTE_AT`], at most [`MAX_COMBS`] per cache). A promoted key's
+//!   verify is `u1·G + u2·Q` from two combs: at most 104 mixed additions
+//!   instead of ~129 doublings and ~72 additions.
+//! - **Width-8 wNAF `G`/`φ(G)` tables** (2 × 4 KiB) where `G` rides along
+//!   with a point that has no comb ([`lincomb_wnaf`],
+//!   [`msm_with_generator`]): the ~129 doublings are paid for `Q` anyway,
+//!   so `G`'s digits cost only their ~29 additions — `G`'s comb there
+//!   would add ~52 additions to save doublings that still have to run.
 //!
 //! Everything here is deliberately *not* constant time; the library backs
 //! a simulator. Correctness is enforced by differential tests against the
@@ -318,77 +322,114 @@ fn generator_endo_table() -> &'static OddMultiplesTable {
     TABLE.get_or_init(|| generator_table().endo_mapped())
 }
 
-/// Window width of the fixed-base comb: signed 5-bit digits in
-/// `[-15, 16]`. The widest signed window whose table stays under 64 KiB
-/// (width 6 needs 43·32 entries = 86 KiB).
+/// Window width of a comb: signed 5-bit digits in `[-15, 16]`. The widest
+/// signed window whose table stays under 64 KiB (width 6 needs 43·32
+/// entries = 86 KiB).
 const COMB_WINDOW: usize = 5;
 
-/// Windows of the comb: 52·5 = 260 bits, so the carry out of bit 255
-/// always lands inside the last window.
+/// Windows of a comb: 52·5 = 260 bits, so the carry out of bit 255 always
+/// lands inside the last window.
 const COMB_WINDOWS: usize = 52;
 
-/// Entries per comb window: `1·B, 2·B, …, 16·B` for `B = 2^(5i)·G`.
+/// Entries per comb window: `1·B, 2·B, …, 16·B` for `B = 2^(5i)·P`.
 const COMB_ENTRIES: usize = 1 << (COMB_WINDOW - 1);
 
-/// The static comb table, built on first use: `52·16` affine points,
-/// 52 KiB, `entries[16·i + j − 1] = j·2^(5i)·G`. About 830 Jacobian
-/// additions and one shared inversion (~0.5 ms).
-fn generator_comb() -> &'static [(FieldElement, FieldElement)] {
-    static TABLE: OnceLock<Vec<(FieldElement, FieldElement)>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut jac = Vec::with_capacity(COMB_WINDOWS * COMB_ENTRIES);
-        let mut base = Point::generator();
-        for _ in 0..COMB_WINDOWS {
-            let start = jac.len();
-            jac.push(base);
-            for j in 2..=COMB_ENTRIES {
-                // Even multiples by doubling (cheaper than an addition).
-                jac.push(if j % 2 == 0 {
-                    jac[start + j / 2 - 1].double()
-                } else {
-                    jac[start + j - 2].add(&base)
-                });
-            }
-            base = jac[start + COMB_ENTRIES - 1].double(); // 32·B = 2·(16·B)
+/// Windows normalised per shared inversion while a comb is built: 13
+/// inversions instead of one, so that what the build holds besides the
+/// finished table is 64 Jacobian points rather than 832.
+const COMB_BUILD_WINDOWS: usize = 4;
+
+/// A fixed-base signed comb over one finite point `P`: `52·16` affine
+/// points, 52 KiB, `entries[16·i + j − 1] = j·2^(5i)·P`. Building one is
+/// about 830 Jacobian additions and 13 shared inversions (≈ 0.5 ms);
+/// [`CombTable::mul`] is then at most 52 mixed additions and *no*
+/// doublings. `G`'s comb is built once per process ([`generator_mul`]);
+/// [`PubkeyTableCache`] builds one for a public key that keeps returning.
+#[derive(Debug)]
+pub struct CombTable {
+    entries: Vec<(FieldElement, FieldElement)>,
+}
+
+impl CombTable {
+    /// Builds the comb of `p`. Returns `None` for the point at infinity,
+    /// and for an off-curve input (only reachable through the unchecked
+    /// `from_affine`) whose multiples land on infinity: a finite point of
+    /// the prime-order curve has no `j·2^(5i)` with `j ≤ 16` at infinity.
+    pub fn new(p: &Point) -> Option<CombTable> {
+        if p.is_infinity() {
+            return None;
         }
-        batch_to_affine(&jac)
-            .into_iter()
-            .map(|a| match a {
-                AffinePoint::Coordinates { x, y } => (x, y),
-                AffinePoint::Infinity => {
-                    unreachable!("no j·2^(5i) with j ≤ 16 is a multiple of the prime order")
+        let mut entries = Vec::with_capacity(COMB_WINDOWS * COMB_ENTRIES);
+        let mut jac = Vec::with_capacity(COMB_BUILD_WINDOWS * COMB_ENTRIES);
+        let mut base = *p;
+        for _ in 0..COMB_WINDOWS / COMB_BUILD_WINDOWS {
+            jac.clear();
+            for _ in 0..COMB_BUILD_WINDOWS {
+                let start = jac.len();
+                jac.push(base);
+                for j in 2..=COMB_ENTRIES {
+                    // Even multiples by doubling (cheaper than an addition).
+                    jac.push(if j % 2 == 0 {
+                        jac[start + j / 2 - 1].double()
+                    } else {
+                        jac[start + j - 2].add(&base)
+                    });
                 }
-            })
-            .collect()
+                base = jac[start + COMB_ENTRIES - 1].double(); // 32·B = 2·(16·B)
+            }
+            for a in batch_to_affine(&jac) {
+                match a {
+                    AffinePoint::Coordinates { x, y } => entries.push((x, y)),
+                    AffinePoint::Infinity => return None,
+                }
+            }
+        }
+        Some(CombTable { entries })
+    }
+
+    /// `k·P` by the signed comb: no doublings, at most 52 mixed additions.
+    pub fn mul(&self, k: &Scalar) -> Point {
+        self.add_mul(Point::INFINITY, k)
+    }
+
+    /// `acc + k·P`: each window's signed digit is one mixed addition into
+    /// `acc`, so a second comb can continue the first one's sum.
+    fn add_mul(&self, mut acc: Point, k: &Scalar) -> Point {
+        let mut carry = 0;
+        for (i, window) in self.entries.chunks_exact(COMB_ENTRIES).enumerate() {
+            // v in 0..=32 stands for the digit v (v ≤ 16) or v − 32 with a
+            // carry into the next window.
+            let v = k.bits(i * COMB_WINDOW, COMB_WINDOW) + carry;
+            carry = usize::from(v > COMB_ENTRIES);
+            if v == 0 || v == 2 * COMB_ENTRIES {
+                continue;
+            }
+            acc = if carry == 0 {
+                let (x, y) = window[v - 1];
+                acc.add_mixed(&x, &y)
+            } else {
+                let (x, y) = window[2 * COMB_ENTRIES - v - 1];
+                acc.add_mixed(&x, &(-y))
+            };
+        }
+        debug_assert_eq!(carry, 0, "the last window holds bit 255 and a carry only");
+        acc
+    }
+}
+
+/// `G`'s comb, built on first use.
+fn generator_comb() -> &'static CombTable {
+    static TABLE: OnceLock<CombTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        CombTable::new(&Point::generator()).expect("the generator is a finite point")
     })
 }
 
-/// Fixed-base multiplication `k * G` by a signed comb over the
-/// precomputed multiples `j·2^(5i)·G`: no doublings, at most 52 mixed
-/// additions. Used where `k·G` stands alone — signing, public-key
+/// Fixed-base multiplication `k * G` by `G`'s comb: no doublings, at most
+/// 52 mixed additions. Used where `k·G` stands alone — signing, public-key
 /// derivation, and [`Point::lincomb`] with `Q = ∞`.
 pub fn generator_mul(k: &Scalar) -> Point {
-    let table = generator_comb();
-    let mut acc = Point::INFINITY;
-    let mut carry = 0;
-    for (i, window) in table.chunks_exact(COMB_ENTRIES).enumerate() {
-        // v in 0..=32 stands for the digit v (v ≤ 16) or v − 32 with a
-        // carry into the next window.
-        let v = k.bits(i * COMB_WINDOW, COMB_WINDOW) + carry;
-        carry = usize::from(v > COMB_ENTRIES);
-        if v == 0 || v == 2 * COMB_ENTRIES {
-            continue;
-        }
-        acc = if carry == 0 {
-            let (x, y) = window[v - 1];
-            acc.add_mixed(&x, &y)
-        } else {
-            let (x, y) = window[2 * COMB_ENTRIES - v - 1];
-            acc.add_mixed(&x, &(-y))
-        };
-    }
-    debug_assert_eq!(carry, 0, "the last window holds bit 255 and a carry only");
-    acc
+    generator_comb().mul(k)
 }
 
 /// Variable-base multiplication `k * P`: builds a one-shot width-
@@ -521,6 +562,54 @@ pub struct PubkeyCacheStats {
     pub insertions: u64,
     /// Tables evicted to respect the capacity bound.
     pub evictions: u64,
+    /// Combs built for keys that kept returning ([`PROMOTE_AT`]).
+    pub promotions: u64,
+}
+
+/// Lookups without a comb after which [`PubkeyTableCache`] builds a key's
+/// [`CombTable`]. A comb costs ≈ 0.5 ms to build and saves 15–30 µs per
+/// verify, so a key earns one after about as many lookups as the build
+/// costs.
+pub const PROMOTE_AT: u32 = 16;
+
+/// Lookups a comb serves before another key may take its place: by then
+/// it has saved about what it cost to build, so a rotation of more hot
+/// keys than combs cannot rebuild them faster than they pay back.
+pub const KEEP_FOR: u32 = 32;
+
+/// Most combs one [`PubkeyTableCache`] holds: 8 × 52 KiB = 416 KiB.
+pub const MAX_COMBS: usize = 8;
+
+/// What [`PubkeyTableCache::get_or_build`] serves a key's verify from.
+#[derive(Clone, Copy, Debug)]
+pub enum KeyTable<'a> {
+    /// The key's wNAF odd multiples, for the interleaved ladder.
+    Wnaf(&'a OddMultiplesTable),
+    /// The key's comb, once the key has been promoted.
+    Comb(&'a CombTable),
+}
+
+impl KeyTable<'_> {
+    /// `a·G + b·Q` for the key `Q` this table serves: ~129 doublings and
+    /// ~72 mixed additions from wNAF tables ([`lincomb_wnaf`]), or `G`'s
+    /// comb and `Q`'s summed into one accumulator, at most 104 mixed
+    /// additions and no doublings. The same group element either way.
+    pub fn lincomb(&self, a: &Scalar, b: &Scalar) -> Point {
+        match self {
+            KeyTable::Wnaf(table) => lincomb_wnaf(a, b, table),
+            KeyTable::Comb(comb) => comb.add_mul(generator_mul(a), b),
+        }
+    }
+}
+
+/// One cached key: its wNAF table, its comb once promoted, and its
+/// lookups since it entered the cache, was promoted or lost its comb.
+#[derive(Debug)]
+struct CachedKey {
+    id: [u8; 33],
+    table: OddMultiplesTable,
+    comb: Option<CombTable>,
+    lookups: u32,
 }
 
 /// A small bounded LRU mapping compressed public keys to their
@@ -528,13 +617,20 @@ pub struct PubkeyCacheStats {
 /// skip the table build (one doubling + 7 adds + 1 inversion at
 /// [`WINDOW_P`]).
 ///
+/// Every [`PROMOTE_AT`]th lookup of a key without a comb also builds its
+/// [`CombTable`] — if the point is on the curve and the comb has no entry
+/// at infinity — and later lookups serve the comb. At most [`MAX_COMBS`]
+/// keys hold one: past the cap, the least recently used holder whose comb
+/// has served [`KEEP_FOR`] lookups gives it up (keeping its wNAF table),
+/// and with no such holder the key waits for its next chance.
+///
 /// Entries are kept most-recently-used first in a `Vec`; with the default
 /// capacity of a few dozen, linear scans beat hashing 33-byte keys.
 #[derive(Debug)]
 pub struct PubkeyTableCache {
     capacity: usize,
     /// MRU-first: entries[0] is the most recently used.
-    entries: Vec<([u8; 33], OddMultiplesTable)>,
+    entries: Vec<CachedKey>,
     stats: PubkeyCacheStats,
 }
 
@@ -553,11 +649,12 @@ impl PubkeyTableCache {
         }
     }
 
-    /// Returns the table for the key `id`, building it from `point` (at
-    /// [`WINDOW_P`]) on a miss. Returns `None` only when `point` is the
-    /// point at infinity.
-    pub fn get_or_build(&mut self, id: &[u8; 33], point: &Point) -> Option<&OddMultiplesTable> {
-        if let Some(pos) = self.entries.iter().position(|(k, _)| k == id) {
+    /// Returns the table for the key `id`, building its wNAF table from
+    /// `point` (at [`WINDOW_P`]) on a miss and its comb on every
+    /// [`PROMOTE_AT`]th lookup without one. Returns `None` only when
+    /// `point` is the point at infinity.
+    pub fn get_or_build(&mut self, id: &[u8; 33], point: &Point) -> Option<KeyTable<'_>> {
+        if let Some(pos) = self.entries.iter().position(|e| e.id == *id) {
             self.stats.hits += 1;
             // Move to MRU front.
             let entry = self.entries.remove(pos);
@@ -569,10 +666,59 @@ impl PubkeyTableCache {
                 self.entries.pop();
                 self.stats.evictions += 1;
             }
-            self.entries.insert(0, (*id, table));
+            self.entries.insert(
+                0,
+                CachedKey {
+                    id: *id,
+                    table,
+                    comb: None,
+                    lookups: 0,
+                },
+            );
             self.stats.insertions += 1;
         }
-        Some(&self.entries[0].1)
+        let entry = &mut self.entries[0];
+        entry.lookups = entry.lookups.saturating_add(1);
+        if entry.comb.is_none() && entry.lookups.is_multiple_of(PROMOTE_AT) {
+            self.promote(point);
+        }
+        let entry = &self.entries[0];
+        Some(match &entry.comb {
+            Some(comb) => KeyTable::Comb(comb),
+            None => KeyTable::Wnaf(&entry.table),
+        })
+    }
+
+    /// Gives the MRU entry, whose key is `point`, its comb. Past
+    /// [`MAX_COMBS`] a holder's comb is dropped first, so the build never
+    /// runs beside more combs than the cap.
+    fn promote(&mut self, point: &Point) {
+        if !point.is_on_curve() {
+            return;
+        }
+        if self.combs() >= MAX_COMBS {
+            let lru_paid_back = self
+                .entries
+                .iter_mut()
+                .rev()
+                .find(|e| e.comb.is_some() && e.lookups >= KEEP_FOR);
+            let Some(holder) = lru_paid_back else {
+                return;
+            };
+            holder.comb = None;
+            holder.lookups = 0;
+        }
+        let entry = &mut self.entries[0];
+        entry.comb = CombTable::new(point);
+        if entry.comb.is_some() {
+            entry.lookups = 0;
+            self.stats.promotions += 1;
+        }
+    }
+
+    /// Number of cached keys holding a comb.
+    fn combs(&self) -> usize {
+        self.entries.iter().filter(|e| e.comb.is_some()).count()
     }
 
     /// Snapshot of the cache's counters.
@@ -804,10 +950,104 @@ mod tests {
         let p = g().mul_binary(&Scalar::from_u64(77));
         let k = Scalar::from_be_bytes_reduced(&[0x11; 32]);
         let expected = p.mul_binary(&k);
-        for _ in 0..2 {
+        for lookup in 1..=PROMOTE_AT + 1 {
             let table = cache.get_or_build(&key_id(9), &p).unwrap();
-            assert_eq!(table.mul(&k), expected);
+            // Promotion happens on exactly the PROMOTE_AT-th lookup.
+            let promoted = matches!(table, KeyTable::Comb(_));
+            assert_eq!(promoted, lookup >= PROMOTE_AT, "lookup {lookup}");
+            assert_eq!(
+                table.lincomb(&Scalar::ZERO, &k),
+                expected,
+                "lookup {lookup}"
+            );
         }
+        assert_eq!(cache.stats().promotions, 1);
+    }
+
+    /// Twelve keys promoted in turn through one cache, each serving
+    /// `KEEP_FOR` lookups from its comb: the cache never holds more than
+    /// `MAX_COMBS` combs, and each promotion past the cap takes the comb
+    /// of the least recently used holder.
+    #[test]
+    fn cache_never_holds_more_than_max_combs() {
+        let mut cache = PubkeyTableCache::new(32);
+        let keys: Vec<([u8; 33], Point)> = (1..=12u8)
+            .map(|b| {
+                (
+                    key_id(b),
+                    g().mul_binary(&Scalar::from_u64(1000 + u64::from(b))),
+                )
+            })
+            .collect();
+        for (id, p) in &keys {
+            for _ in 0..PROMOTE_AT + KEEP_FOR {
+                cache.get_or_build(id, p).unwrap();
+                assert!(cache.combs() <= MAX_COMBS);
+            }
+        }
+        assert_eq!(cache.stats().promotions, 12);
+        assert_eq!(cache.combs(), MAX_COMBS);
+        let k = Scalar::from_be_bytes_reduced(&[0x5A; 32]);
+        for (i, (id, p)) in keys.iter().enumerate().rev() {
+            let table = cache.get_or_build(id, p).unwrap();
+            // The first four keys lost their combs to the last four.
+            assert_eq!(matches!(table, KeyTable::Comb(_)), i >= 4, "key {i}");
+            assert_eq!(
+                table.lincomb(&k, &k),
+                g().mul_binary(&k).add(&p.mul_binary(&k))
+            );
+        }
+        assert_eq!(cache.stats().promotions, 12);
+    }
+
+    /// A comb that has not yet served `KEEP_FOR` lookups keeps its place:
+    /// a ninth key is promoted only once a holder has paid its build back,
+    /// on its next `PROMOTE_AT`th lookup.
+    #[test]
+    fn a_comb_is_kept_until_it_has_served_keep_for_lookups() {
+        let mut cache = PubkeyTableCache::new(32);
+        let keys: Vec<([u8; 33], Point)> = (1..=9u8)
+            .map(|b| {
+                (
+                    key_id(b),
+                    g().mul_binary(&Scalar::from_u64(2000 + u64::from(b))),
+                )
+            })
+            .collect();
+        let comb = |cache: &mut PubkeyTableCache, (id, p): &([u8; 33], Point)| {
+            matches!(cache.get_or_build(id, p).unwrap(), KeyTable::Comb(_))
+        };
+        for key in &keys[..8] {
+            for _ in 0..PROMOTE_AT {
+                comb(&mut cache, key);
+            }
+        }
+        assert_eq!(cache.combs(), MAX_COMBS);
+        for _ in 0..PROMOTE_AT {
+            assert!(!comb(&mut cache, &keys[8]), "no holder has paid back");
+        }
+        for _ in 0..KEEP_FOR {
+            assert!(comb(&mut cache, &keys[2]));
+        }
+        for lookup in 1..=PROMOTE_AT {
+            assert_eq!(comb(&mut cache, &keys[8]), lookup == PROMOTE_AT);
+        }
+        assert!(!comb(&mut cache, &keys[2]), "key 2 gave up its comb");
+        assert!(comb(&mut cache, &keys[0]), "key 0 kept its comb");
+        assert_eq!(cache.stats().promotions, 9);
+    }
+
+    #[test]
+    fn off_curve_points_are_never_promoted() {
+        let mut cache = PubkeyTableCache::new(2);
+        let junk = Point::from_affine(FieldElement::from_u64(5), FieldElement::from_u64(9));
+        assert!(!junk.is_on_curve());
+        for _ in 0..2 * PROMOTE_AT {
+            let table = cache.get_or_build(&key_id(3), &junk).unwrap();
+            assert!(matches!(table, KeyTable::Wnaf(_)));
+        }
+        assert_eq!(cache.stats().promotions, 0);
+        assert_eq!(cache.combs(), 0);
     }
 
     #[test]

@@ -17,7 +17,8 @@ use btcfast_crypto::ecdsa::{
 use btcfast_crypto::field::FieldElement;
 use btcfast_crypto::keys::KeyPair;
 use btcfast_crypto::mul_table::{
-    generator_mul, msm_wnaf, mul_wnaf, OddMultiplesTable, PubkeyTableCache,
+    generator_mul, msm_wnaf, mul_wnaf, CombTable, KeyTable, OddMultiplesTable, PubkeyTableCache,
+    PROMOTE_AT,
 };
 use btcfast_crypto::point::{AffinePoint, Point};
 use btcfast_crypto::scalar::Scalar;
@@ -144,6 +145,19 @@ fn comb_matches_binary_on_window_edges() {
             "k = {k:?}"
         );
     }
+    // The same comb on other bases, as a promoted key gets one.
+    for base_k in [Scalar::from_u64(7), -Scalar::ONE] {
+        let base = g.mul_binary(&base_k);
+        let comb = CombTable::new(&base).expect("finite point");
+        for k in comb_edge_scalars() {
+            assert_eq!(
+                point_bytes(&comb.mul(&k)),
+                point_bytes(&base.mul_binary(&k)),
+                "base_k = {base_k:?}, k = {k:?}"
+            );
+        }
+    }
+    assert!(CombTable::new(&Point::INFINITY).is_none());
 }
 
 /// Field and scalar values where a Euclidean inverse is most likely to
@@ -197,17 +211,28 @@ fn cached_tables_match_binary_on_edges() {
     let q = Point::generator().mul_binary(&Scalar::from_u64(31337));
     let mut id = [0u8; 33];
     id[0] = 0x02;
-    for k in edge_scalars() {
+    // Twice over the edges: the key is promoted to a comb on the way.
+    let mut served = [0; 2];
+    for k in edge_scalars().iter().chain(&edge_scalars()) {
         let table = cache.get_or_build(&id, &q).expect("finite point");
-        assert_eq!(
-            point_bytes(&table.mul(&k)),
-            point_bytes(&q.mul_binary(&k)),
-            "k = {k:?}"
-        );
+        served[usize::from(matches!(table, KeyTable::Comb(_)))] += 1;
+        for a in [Scalar::ZERO, *k] {
+            assert_eq!(
+                point_bytes(&table.lincomb(&a, k)),
+                point_bytes(&Point::generator().mul_binary(&a).add(&q.mul_binary(k))),
+                "a = {a:?}, k = {k:?}"
+            );
+        }
     }
     // All lookups after the first were hits; the table did not degrade.
     assert_eq!(cache.stats().misses, 1);
     assert!(cache.stats().hits >= 1);
+    assert_eq!(cache.stats().promotions, 1);
+    assert_eq!(
+        served[0],
+        PROMOTE_AT as usize - 1,
+        "wNAF lookups before the comb"
+    );
 }
 
 #[test]
@@ -276,6 +301,99 @@ fn verify_verdict_independent_of_cache_state_invalid_sig() {
         s: -sig.s,
     };
     assert!(!verdict_all_cache_states(&kp, &digest, &high_s));
+}
+
+/// One key verified across the promotion count, evicted, and promoted
+/// again: at every lookup, valid, high-S, zero-component and wrong-digest
+/// signatures get exactly `verify_uncached`'s verdict, from the wNAF
+/// table and from the comb alike.
+#[test]
+fn verdicts_hold_across_promotion_eviction_and_repromotion() {
+    reset_pubkey_cache();
+    let kp = KeyPair::from_seed(b"returning customer");
+    let q = kp.public().point();
+    let digest = sha256(b"coffee");
+    let sig = kp.sign(&digest);
+    let cases = [
+        (digest, sig, true),
+        (
+            digest,
+            Signature {
+                r: sig.r,
+                s: -sig.s,
+            },
+            false,
+        ),
+        (
+            digest,
+            Signature {
+                r: Scalar::ZERO,
+                s: sig.s,
+            },
+            false,
+        ),
+        (
+            digest,
+            Signature {
+                r: sig.r,
+                s: Scalar::ZERO,
+            },
+            false,
+        ),
+        (sha256(b"tea"), sig, false),
+    ];
+    for round in 1..=2u64 {
+        // Valid and wrong-digest signatures reach the cache: two lookups
+        // per pass, so the comb serves the second half of the passes.
+        for pass in 0..PROMOTE_AT {
+            for (i, (d, candidate, valid)) in cases.iter().enumerate() {
+                let verdict = ecdsa::verify(q, d, candidate);
+                assert_eq!(verdict, *valid, "round {round} pass {pass} case {i}");
+                assert_eq!(verdict, verify_uncached(q, d, candidate));
+            }
+        }
+        assert_eq!(pubkey_cache_stats().promotions, round, "round {round}");
+        // Evict the key: one verify each of more keys than the cache holds.
+        let evictions = pubkey_cache_stats().evictions;
+        for i in 0..PUBKEY_CACHE_CAPACITY {
+            let other = KeyPair::from_seed(&[b'e', round as u8, i as u8]);
+            let s = other.sign(&digest);
+            assert!(ecdsa::verify(other.public().point(), &digest, &s));
+        }
+        assert!(pubkey_cache_stats().evictions > evictions, "round {round}");
+    }
+    assert_eq!(
+        pubkey_cache_stats().promotions,
+        2,
+        "the churn keys stay cold"
+    );
+}
+
+/// An off-curve key — here one sharing an honest key's compressed cache
+/// identity — verified well past the promotion count never reaches the
+/// cache, so it is never promoted and cannot displace the honest comb.
+#[test]
+fn off_curve_keys_are_never_promoted() {
+    reset_pubkey_cache();
+    let kp = KeyPair::from_seed(b"promoted honest key");
+    let digest = sha256(b"pay");
+    let sig = kp.sign(&digest);
+    for _ in 0..PROMOTE_AT {
+        assert!(kp.public().verify(&digest, &sig));
+    }
+    let warm = pubkey_cache_stats();
+    assert_eq!(warm.promotions, 1);
+    let AffinePoint::Coordinates { x, y } = kp.public().point().to_affine() else {
+        panic!("finite key");
+    };
+    let forged = Point::from_affine(x, y + FieldElement::from_u64(4));
+    assert!(!forged.is_on_curve());
+    for _ in 0..2 * PROMOTE_AT {
+        assert!(!ecdsa::verify(&forged, &digest, &sig));
+        assert!(!verify_uncached(&forged, &digest, &sig));
+    }
+    assert_eq!(pubkey_cache_stats(), warm);
+    assert!(kp.public().verify(&digest, &sig));
 }
 
 /// The hostile cached-vs-uncached differential the batch-verification
