@@ -40,6 +40,17 @@ struct Contract {
 }
 
 impl Contract {
+    /// The contract in this checkout's `BENCHMARK.json`, whatever the
+    /// working directory.
+    fn load() -> Result<Contract, String> {
+        let path = crate::repository_path("BENCHMARK.json");
+        let text = std::fs::read_to_string(&path).unwrap_or_default();
+        Contract::parse(&text).ok_or_else(|| {
+            let path = path.display();
+            format!("{path}: unreadable, or no workloads, bounded end_to_end, run_seconds")
+        })
+    }
+
     fn parse(text: &str) -> Option<Contract> {
         let doc = Json::parse(text).ok()?;
         let name = |item: &Json| Some(item.get("name")?.as_str()?.to_string());
@@ -247,19 +258,16 @@ pub struct Outcome {
     pub record: String,
 }
 
-/// Reads `./BENCHMARK.json`, runs `pairs` interleaved pairs of the two
-/// binaries on every workload — the base first on even pairs, the head
-/// first on odd ones — and judges them.
+/// Reads the checkout's `BENCHMARK.json`, runs `pairs` interleaved pairs
+/// of the two binaries on every workload — the base first on even pairs,
+/// the head first on odd ones — and judges them.
 ///
 /// # Errors
 ///
 /// When the contract cannot be read, a binary cannot be started, or a run
 /// does not end in a correct result line.
 pub fn run(base: &Path, head: &Path, pairs: usize) -> Result<Outcome, String> {
-    let contract = std::fs::read_to_string("BENCHMARK.json")
-        .ok()
-        .and_then(|text| Contract::parse(&text))
-        .ok_or("./BENCHMARK.json: unreadable, or no workloads, bounded end_to_end, run_seconds")?;
+    let contract = Contract::load()?;
     let mut runs = Vec::new();
     for workload in &contract.workloads {
         let mut sides: Sides = Default::default();
@@ -363,17 +371,16 @@ mod tests {
         assert_eq!(parse_run("Finished in 10 s", &metrics), None);
     }
 
-    fn repository_file(name: &str) -> String {
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        std::fs::read_to_string(format!("{root}/{name}")).unwrap()
-    }
-
-    /// The gate reads the file the benchmark's own driver reads; if the
-    /// contract's shape drifts, this is where it shows.
+    /// The gate reads the file the benchmark's own driver reads, through
+    /// the loader `run` uses; if the contract's shape drifts, this is where
+    /// it shows.
     #[test]
     fn the_repository_contract_has_six_workloads_and_four_bounded_metrics() {
-        let text = repository_file("BENCHMARK.json");
-        let contract = Contract::parse(&text).unwrap();
+        // An absolute path: the loader does not depend on the working
+        // directory.
+        let path = crate::repository_path("BENCHMARK.json");
+        assert!(path.is_absolute(), "{}", path.display());
+        let contract = Contract::load().unwrap();
         assert_eq!((contract.workloads.len(), contract.run_seconds), (6, 10.0));
         let bounded = |m: &Metric| (m.name.clone(), m.higher_is_better, m.bound);
         let metrics: Vec<_> = contract.metrics.iter().map(bounded).collect();
@@ -387,12 +394,13 @@ mod tests {
             lower.map(|(name, bound)| (name.to_string(), false, bound))
         );
         assert_eq!(metrics[3..], [("ok_share".to_string(), true, 0.002)]);
+        let text = std::fs::read_to_string(path).unwrap();
         assert!(Contract::parse(&text.replace("\"bound\"", "\"limit\"")).is_none());
     }
 
     #[test]
     fn a_trajectory_record_is_one_json_line_with_both_medians_per_cell() {
-        let contract = Contract::parse(&repository_file("BENCHMARK.json")).unwrap();
+        let contract = Contract::load().unwrap();
         let side = vec![vec![10.2; 4]; 5];
         let cells = decide(&contract, &vec![[side.clone(), side]; 6]);
         let nowhere = Path::new("/nonexistent/bin");

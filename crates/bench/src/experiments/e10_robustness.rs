@@ -154,8 +154,8 @@ pub fn run(quick: bool) -> Vec<Table> {
                     seed,
                 );
                 match chaos.run_dispute_chaos(1_000_000, 0.3, 24) {
-                    Ok(report) => {
-                        if report.race.merchant_lost_payment {
+                    Ok((_, report)) => {
+                        if report.merchant_lost_payment {
                             races_lost += 1;
                             duration_sum += report.dispute_duration.as_secs_f64();
                             submissions += report.dispute_attempts

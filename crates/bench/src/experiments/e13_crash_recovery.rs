@@ -186,10 +186,10 @@ pub fn run(quick: bool) -> Vec<Table> {
                 seed,
             );
             match chaos.run_dispute_chaos(AMOUNT_SATS, 0.3, 24) {
-                Ok(report) => {
+                Ok((_, report)) => {
                     let durable = chaos.recovery().ledger().value_accepted_sats;
                     value_lost += AMOUNT_SATS as i64 - durable as i64;
-                    if report.race.merchant_lost_payment {
+                    if report.merchant_lost_payment {
                         races_lost += 1;
                         if report.verdict == Some(DisputeVerdict::MerchantWins) {
                             merchant_wins += 1;

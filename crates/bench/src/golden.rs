@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 /// `bench/golden/` of this checkout.
 pub fn dir() -> PathBuf {
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/golden"))
+    crate::repository_path("bench/golden")
 }
 
 /// Every pinned file as `(name, contents)`, regenerated from the code.

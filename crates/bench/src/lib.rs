@@ -25,3 +25,11 @@ pub mod table;
 pub mod trace;
 
 pub use table::Table;
+
+use std::path::{Path, PathBuf};
+
+/// `relative`, a path from the root of this checkout, found from any
+/// working directory: the root is fixed where the crate was compiled.
+pub fn repository_path(relative: &str) -> PathBuf {
+    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(relative)
+}

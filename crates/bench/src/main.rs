@@ -331,7 +331,8 @@ fn run_fuzz(args: &[String]) -> Result<ExitCode, CliError> {
 
 /// `harness ab BASE_BIN HEAD_BIN [--pairs N] [--record PATH]` — the perf
 /// gate (see [`ab`]): runs the two `benchmark/` builds as interleaved pairs
-/// over the workloads, metrics, bounds and run length of `./BENCHMARK.json`,
+/// over the workloads, metrics, bounds and run length of the checkout's
+/// `BENCHMARK.json` (found from any working directory),
 /// prints one row per metric × workload and exits 1 on any `worse`.
 /// `--record` appends the run to a trajectory file as one JSON line.
 fn run_ab(args: &[String]) -> Result<ExitCode, CliError> {

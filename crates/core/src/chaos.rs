@@ -7,7 +7,7 @@
 //! and PSC block-production stalls, and every side-effecting step is
 //! journaled through a [`RecoveryManager`]. This module owns only what is
 //! genuinely chaos: fault application, crash re-hydration, the gas-bumped
-//! PSC resubmission loop, and the merchant's degradation policy. Three
+//! PSC resubmission loop, and the merchant's fallback. Three
 //! nodes live on the chaos fabric: customer (`node0`), merchant (`node1`),
 //! and the PSC endpoint (`node2`); a PSC call first travels caller → PSC
 //! node, so a partition around `node2` *is* "the chain is unreachable".
@@ -20,16 +20,15 @@
 //!   byte-identically.
 //! * **Graceful degradation.** When escrow protection cannot be
 //!   established before the deadline, the merchant never silently
-//!   accepts an unprotected 0-conf payment: per
-//!   [`FallbackPolicy`] it either refuses the sale or degrades to the
-//!   classic k-confirmation baseline.
+//!   accepts an unprotected 0-conf payment: it degrades to the classic
+//!   baseline of [`FALLBACK_CONFIRMATIONS`] confirmations.
 
 use crate::config::SessionConfig;
 use crate::flow::{self, Effects, Leg};
 use crate::protocol::{Party, RejectReason};
 use crate::recovery::{Outcome, RecoveryManager, Step};
-use crate::robustness::{ChaosConfig, FallbackPolicy, ProtocolPhase, RobustnessError};
-use crate::session::{FastPaySession, RaceOutcome, SessionError};
+use crate::robustness::{ChaosConfig, ProtocolPhase};
+use crate::session::{AttackReport, FastPaySession, SessionError};
 use btcfast_crypto::Hash256;
 use btcfast_netsim::faults::{FaultAction, FaultPlan};
 use btcfast_netsim::network::{Network, NodeId};
@@ -38,7 +37,6 @@ use btcfast_netsim::transport::{SendStatus, Transport, TransportStats};
 use btcfast_obs::TraceContext;
 use btcfast_payjudger::client::CALL_GAS_LIMIT;
 use btcfast_payjudger::retry::{submit_with_retry, AttemptResult, RetryReport};
-use btcfast_payjudger::types::DisputeVerdict;
 use btcfast_payjudger::Call;
 use btcfast_store::MemStorage;
 use std::collections::HashSet;
@@ -52,6 +50,10 @@ pub const PSC_NODE: NodeId = NodeId(2);
 /// How long a caller waits out a PSC stall before declaring the chain
 /// unreachable and degrading.
 pub const PSC_DEADLINE: SimTime = SimTime::from_secs(120);
+/// The confirmations a merchant waits for when escrow protection could not
+/// be established: the classic baseline, slow but never less safe than the
+/// pre-BTCFast world.
+pub const FALLBACK_CONFIRMATIONS: u64 = 6;
 
 /// Report of one fast payment attempted under chaos.
 #[derive(Clone, Debug)]
@@ -76,31 +78,6 @@ pub struct ChaosPaymentReport {
     pub reject: Option<RejectReason>,
 }
 
-/// Report of a double-spend attack resolved under chaos.
-#[derive(Clone, Debug)]
-pub struct ChaosDisputeReport {
-    /// The protected payment that was attacked.
-    pub payment: ChaosPaymentReport,
-    /// The BTC race outcome.
-    pub race: RaceOutcome,
-    /// The judgment, when a dispute ran to completion.
-    pub verdict: Option<DisputeVerdict>,
-    /// Did collateral reach the merchant?
-    pub merchant_compensated: bool,
-    /// Merchant's net loss in satoshis (negative = over-compensated).
-    pub merchant_net_loss_sats: i64,
-    /// PSC submissions the dispute call needed.
-    pub dispute_attempts: u32,
-    /// PSC submissions the evidence call needed.
-    pub evidence_attempts: u32,
-    /// PSC submissions the judge call needed.
-    pub judge_attempts: u32,
-    /// PSC gas fees the merchant paid across every dispute-path attempt.
-    pub merchant_fee_units: u128,
-    /// Dispute open → verdict, simulated.
-    pub dispute_duration: SimTime,
-}
-
 /// Escrow-side balances at one instant, for conservation checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EscrowSnapshot {
@@ -119,7 +96,7 @@ pub struct EscrowSnapshot {
 pub struct ChaosSession {
     /// The protocol state the driver acts on.
     pub session: FastPaySession,
-    /// Chaos knobs (deadlines, retry policy, fallback).
+    /// Chaos knobs (deadlines, the retry budget).
     pub config: ChaosConfig,
     transport: Transport<ProtocolPhase>,
     plan: FaultPlan,
@@ -191,22 +168,9 @@ impl ChaosSession {
     /// Records the transport counters as a point event on the wrapped
     /// session's sim-time trace (a snapshot the JSONL exporters pick up).
     pub fn trace_transport_stats(&mut self) {
-        let stats = self.transport.stats();
-        self.session.trace_point(
-            "transport.stats",
-            vec![
-                ("sent", stats.sent.into()),
-                ("retransmissions", stats.retransmissions.into()),
-                ("delivered", stats.delivered.into()),
-                ("failed", stats.failed.into()),
-                ("dedup_drops", stats.duplicates_dropped.into()),
-                ("backoff_wait_us", stats.backoff_wait_micros.into()),
-                ("dedup_high_water", stats.dedup_high_water.into()),
-                ("pending_high_water", stats.pending_high_water.into()),
-                ("dedup_evictions", stats.dedup_evictions.into()),
-                ("resolved_retired", stats.resolved_retired.into()),
-            ],
-        );
+        let fields = self.transport.stats().fields();
+        let fields = fields.into_iter().map(|(key, n)| (key, n.into())).collect();
+        self.session.trace_point("transport.stats", fields);
     }
 
     /// The durable payment ledger reconstructed from the journal.
@@ -228,9 +192,9 @@ impl ChaosSession {
     /// state for `node` is lost and the recovery manager re-hydrates from
     /// the surviving media ([`RecoveryManager::restart`]). Media that no
     /// longer re-open, or re-open to another digest, are a journal error.
-    fn crash_restart(&mut self, node: NodeId) -> Result<(), RobustnessError> {
+    fn crash_restart(&mut self, node: NodeId) -> Result<(), SessionError> {
         self.transport.bounce(node);
-        let report = self.recovery.restart().map_err(SessionError::from)?;
+        let report = self.recovery.restart()?;
         self.recoveries += 1;
         let tracer = &mut self.session.tracer;
         let restart_ctx = tracer.child_of(&self.active_ctx);
@@ -270,18 +234,17 @@ impl ChaosSession {
     /// One fast payment with every phase routed through the transport.
     ///
     /// When the PSC chain cannot be reached within [`PSC_DEADLINE`] (or
-    /// registration delivery fails),
-    /// the merchant degrades per [`ChaosConfig::fallback`] instead of
-    /// accepting unprotected 0-conf.
+    /// registration delivery fails), the merchant waits for
+    /// [`FALLBACK_CONFIRMATIONS`] instead of accepting unprotected 0-conf.
     ///
     /// # Errors
     ///
-    /// Returns [`RobustnessError`] when a point-of-sale phase fails
-    /// outright (offer/acceptance undeliverable) or on session failures.
+    /// Returns [`SessionError`] when a point-of-sale phase fails outright
+    /// (offer/acceptance undeliverable) or on session failures.
     pub fn run_fast_payment_chaos(
         &mut self,
         amount_sats: u64,
-    ) -> Result<ChaosPaymentReport, RobustnessError> {
+    ) -> Result<ChaosPaymentReport, SessionError> {
         flow::payment(
             self,
             |chaos, root| chaos.run_payment_phases(amount_sats, root),
@@ -296,7 +259,7 @@ impl ChaosSession {
         &mut self,
         amount_sats: u64,
         root: TraceContext,
-    ) -> Result<ChaosPaymentReport, RobustnessError> {
+    ) -> Result<ChaosPaymentReport, SessionError> {
         self.apply_faults_due(self.transport.now())?;
         let tx = self.session.build_payment(amount_sats, &HashSet::new())?;
         let txid = tx.txid();
@@ -307,9 +270,9 @@ impl ChaosSession {
             // its pending intent is retired as abandoned and the sale
             // degrades.
             Err(
-                RobustnessError::PscUnreachable { .. }
-                | RobustnessError::DeliveryFailed { .. }
-                | RobustnessError::DeadlineExceeded { .. },
+                SessionError::PscUnreachable { .. }
+                | SessionError::DeliveryFailed { .. }
+                | SessionError::DeadlineExceeded { .. },
             ) => {
                 let registration = self.recovery.pending().filter(
                     |(_, step)| matches!(step, Step::OpenPayment { txid: t, .. } if *t == txid),
@@ -325,7 +288,7 @@ impl ChaosSession {
                     self.session.clock.as_micros(),
                     vec![],
                 );
-                return self.degrade(amount_sats, txid);
+                return self.degrade(amount_sats);
             }
             Err(e) => return Err(e),
         };
@@ -349,8 +312,8 @@ impl ChaosSession {
     ///
     /// # Errors
     ///
-    /// Returns [`RobustnessError`] when the payment cannot complete on
-    /// the protected path or a dispute-phase submission fails for a
+    /// Returns [`SessionError`] when the payment cannot complete on the
+    /// protected path or a dispute-phase submission fails for a
     /// non-retryable reason.
     ///
     /// # Panics
@@ -361,12 +324,12 @@ impl ChaosSession {
         amount_sats: u64,
         attacker_hashrate: f64,
         max_race_blocks: u64,
-    ) -> Result<ChaosDisputeReport, RobustnessError> {
+    ) -> Result<(ChaosPaymentReport, AttackReport), SessionError> {
         let payment = self.run_fast_payment_chaos(amount_sats)?;
         let Some(payment_id) = payment.payment_id.filter(|_| payment.accepted) else {
-            return Err(RobustnessError::Session(SessionError::Btc(format!(
+            return Err(SessionError::Btc(format!(
                 "payment not escrow-protected under chaos: {payment:?}"
-            ))));
+            )));
         };
         let (race, dispute) = flow::double_spend(
             self,
@@ -379,23 +342,11 @@ impl ChaosSession {
         if race.merchant_lost_payment {
             self.trace_transport_stats();
         }
-        let [dispute_attempts, evidence_attempts, judge_attempts] = dispute.attempts;
-        Ok(ChaosDisputeReport {
-            payment,
-            race,
-            verdict: dispute.verdict,
-            merchant_compensated: dispute.merchant_compensated,
-            merchant_net_loss_sats: dispute.merchant_net_loss_sats,
-            dispute_attempts,
-            evidence_attempts,
-            judge_attempts,
-            merchant_fee_units: dispute.fee_units,
-            dispute_duration: dispute.duration,
-        })
+        Ok((payment, AttackReport::new(payment_id, race, dispute)))
     }
 
     /// Applies every fault-plan action due at or before `t`.
-    fn apply_faults_due(&mut self, t: SimTime) -> Result<(), RobustnessError> {
+    fn apply_faults_due(&mut self, t: SimTime) -> Result<(), SessionError> {
         for event in self.plan.pop_due(t) {
             match event.action {
                 FaultAction::SetLoss { p } => {
@@ -426,7 +377,7 @@ impl ChaosSession {
         to: NodeId,
         phase: ProtocolPhase,
         ctx: TraceContext,
-    ) -> Leg<RobustnessError> {
+    ) -> Leg {
         let send_at = self.transport.now();
         let obs_base = self.session.clock.as_micros();
         let deadline = send_at + self.config.phase_deadline;
@@ -445,14 +396,14 @@ impl ChaosSession {
                         break Ok((arrival.saturating_sub(send_at), attempts));
                     }
                     SendStatus::Failed { attempts } => {
-                        break Err(RobustnessError::DeliveryFailed { phase, attempts });
+                        break Err(SessionError::DeliveryFailed { phase, attempts });
                     }
                     SendStatus::Pending => {
                         let Some(next) = self.transport.next_event_at() else {
-                            break Err(RobustnessError::DeadlineExceeded { phase, deadline });
+                            break Err(SessionError::DeadlineExceeded { phase, deadline });
                         };
                         if next > deadline {
-                            break Err(RobustnessError::DeadlineExceeded { phase, deadline });
+                            break Err(SessionError::DeadlineExceeded { phase, deadline });
                         }
                         self.apply_faults_due(next)?;
                         self.transport.run_until(next);
@@ -478,17 +429,17 @@ impl ChaosSession {
 
     /// Waits out a PSC block-production stall by fast-forwarding to the
     /// fault plan's next actions, up to [`PSC_DEADLINE`].
-    fn wait_psc_reachable(&mut self, phase: ProtocolPhase) -> Result<(), RobustnessError> {
+    fn wait_psc_reachable(&mut self, phase: ProtocolPhase) -> Result<(), SessionError> {
         let mut waited = SimTime::ZERO;
         let mut vnow = self.transport.now();
         while self.psc_stalled {
             let Some(next) = self.plan.next_at() else {
-                return Err(RobustnessError::PscUnreachable { phase, waited });
+                return Err(SessionError::PscUnreachable { phase, waited });
             };
             let delta = next.saturating_sub(vnow);
             waited += delta;
             if waited > PSC_DEADLINE {
-                return Err(RobustnessError::PscUnreachable { phase, waited });
+                return Err(SessionError::PscUnreachable { phase, waited });
             }
             vnow = vnow.max(next);
             self.apply_faults_due(next)?;
@@ -498,40 +449,22 @@ impl ChaosSession {
     }
 
     /// The merchant's degradation path: escrow protection unavailable, so
-    /// either refuse the sale or run the k-confirmation baseline.
-    fn degrade(
-        &mut self,
-        amount_sats: u64,
-        txid: Hash256,
-    ) -> Result<ChaosPaymentReport, RobustnessError> {
-        let unprotected = ChaosPaymentReport {
-            accepted: false,
+    /// the sale waits for [`FALLBACK_CONFIRMATIONS`].
+    fn degrade(&mut self, amount_sats: u64) -> Result<ChaosPaymentReport, SessionError> {
+        let baseline = self
+            .session
+            .run_baseline_payment(amount_sats, FALLBACK_CONFIRMATIONS)?;
+        Ok(ChaosPaymentReport {
+            accepted: true,
             protected: false,
             fell_back: true,
-            waiting: SimTime::ZERO,
-            txid,
+            waiting: baseline.waiting,
+            txid: baseline.txid,
             payment_id: None,
             offer_attempts: 0,
             acceptance_attempts: 0,
             reject: None,
-        };
-        match self.config.fallback {
-            FallbackPolicy::RejectUnprotected => Ok(ChaosPaymentReport {
-                reject: Some(RejectReason::EscrowNotFound(
-                    "PSC unreachable past deadline; policy rejects unprotected sales".into(),
-                )),
-                ..unprotected
-            }),
-            FallbackPolicy::KConfirmations(k) => {
-                let baseline = self.session.run_baseline_payment(amount_sats, k)?;
-                Ok(ChaosPaymentReport {
-                    accepted: true,
-                    waiting: baseline.waiting,
-                    txid: baseline.txid,
-                    ..unprotected
-                })
-            }
-        }
+        })
     }
 }
 
@@ -540,13 +473,11 @@ impl ChaosSession {
 /// run the gas-bumped resubmission loop, every step is journaled, and
 /// wrapper spans extend to the retransmission high-water mark.
 impl Effects for ChaosSession {
-    type Error = RobustnessError;
-
     fn session(&mut self) -> &mut FastPaySession {
         &mut self.session
     }
 
-    fn leg(&mut self, phase: ProtocolPhase, ctx: TraceContext) -> Leg<RobustnessError> {
+    fn leg(&mut self, phase: ProtocolPhase, ctx: TraceContext) -> Leg {
         let (from, to) = match phase {
             ProtocolPhase::Acceptance => (MERCHANT_NODE, CUSTOMER_NODE),
             _ => (CUSTOMER_NODE, MERCHANT_NODE),
@@ -561,7 +492,7 @@ impl Effects for ChaosSession {
         ctx: TraceContext,
         window_deadline: Option<SimTime>,
         call: Call,
-    ) -> Result<RetryReport, RobustnessError> {
+    ) -> Result<RetryReport, SessionError> {
         let node = match from {
             Party::Customer => CUSTOMER_NODE,
             Party::Merchant => MERCHANT_NODE,
@@ -585,18 +516,15 @@ impl Effects for ChaosSession {
                 Err(e) => AttemptResult::Aborted(e.to_string()),
             }
         })
-        .map_err(|error| RobustnessError::Retry { phase, error })
+        .map_err(|error| SessionError::Retry { phase, error })
     }
 
-    fn journal_begin(&mut self, step: Step) -> Result<u64, RobustnessError> {
-        Ok(self.recovery.begin(step).map_err(SessionError::from)?)
+    fn journal_begin(&mut self, step: Step) -> Result<u64, SessionError> {
+        Ok(self.recovery.begin(step)?)
     }
 
-    fn journal_done(&mut self, intent: u64, outcome: Outcome) -> Result<(), RobustnessError> {
-        Ok(self
-            .recovery
-            .complete(intent, outcome)
-            .map_err(SessionError::from)?)
+    fn journal_done(&mut self, intent: u64, outcome: Outcome) -> Result<(), SessionError> {
+        Ok(self.recovery.complete(intent, outcome)?)
     }
 
     fn span_end(&mut self) -> u64 {
@@ -667,19 +595,6 @@ mod tests {
             "baseline wait is blocks, not millis: {}",
             report.waiting
         );
-    }
-
-    #[test]
-    fn reject_unprotected_policy_refuses_the_sale() {
-        let mut plan = FaultPlan::new();
-        plan.psc_stall_window(SimTime::ZERO, SimTime::from_secs(100_000));
-        let config = ChaosConfig {
-            fallback: FallbackPolicy::RejectUnprotected,
-            ..ChaosConfig::default()
-        };
-        let mut chaos = ChaosSession::new(quick_config(), config, plan, 14);
-        let report = chaos.run_fast_payment_chaos(1_000_000).unwrap();
-        assert!(!report.accepted && report.fell_back);
     }
 
     #[test]
@@ -754,10 +669,7 @@ mod tests {
         let mut wal = chaos.recovery().wal_medium().clone();
         wal.truncate(0).unwrap();
         let error = chaos.run_fast_payment_chaos(1_000_000).unwrap_err();
-        assert!(
-            matches!(&error, RobustnessError::Session(SessionError::Journal(_))),
-            "{error}"
-        );
+        assert!(matches!(&error, SessionError::Journal(_)), "{error}");
         assert_eq!(
             chaos.recoveries(),
             0,
@@ -798,13 +710,10 @@ mod tests {
         let mut plan = FaultPlan::new();
         plan.crash_restart_at(MERCHANT_NODE, SimTime::from_millis(15));
         let mut chaos = ChaosSession::new(quick_config(), ChaosConfig::default(), plan, 37);
-        let report = chaos.run_dispute_chaos(1_000_000, 0.3, 12).unwrap();
-        if report.race.merchant_lost_payment {
+        let (payment, report) = chaos.run_dispute_chaos(1_000_000, 0.3, 12).unwrap();
+        if report.merchant_lost_payment {
             let ledger = chaos.recovery().ledger();
-            let state = ledger
-                .payments
-                .get(&report.payment.payment_id.unwrap())
-                .unwrap();
+            let state = ledger.payments.get(&payment.payment_id.unwrap()).unwrap();
             assert!(state.disputed && state.evidence_submitted && state.judged);
             assert_eq!(state.merchant_wins, Some(report.merchant_compensated));
         }

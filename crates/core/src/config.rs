@@ -1,9 +1,9 @@
 //! Configuration surface for protocol sessions.
 //!
 //! A value is a field here only while two callers give it different
-//! values, a test reaches a behaviour only through it, or `benchmark/`
-//! reads it by name (DESIGN.md "Configuration surface" has the table);
-//! everything else is a `const` beside the code that reads it.
+//! values or `benchmark/` reads it by name (DESIGN.md "Configuration
+//! surface" has the table); everything else is a `const` beside the code
+//! that reads it.
 
 use btcfast_btcsim::params::ChainParams;
 use btcfast_netsim::latency::LatencyModel;
@@ -27,12 +27,6 @@ pub struct SessionConfig {
     /// PSC interval) — it is deployed on-chain as
     /// `JudgerConfig::min_evidence_blocks`, which the contract tests vary.
     pub min_evidence_blocks: u64,
-    /// Collateral the merchant requires, as a multiple of payment value
-    /// (one PSC unit is worth one satoshi; a different exchange rate is a
-    /// different ratio). Every harness runs 1.2; it stays a field because
-    /// the under-collateralised refusal is reached only by lowering it
-    /// (`tests/attack_and_dispute.rs`, `session::tests`).
-    pub collateral_ratio: f64,
     /// Flat BTC transaction fee paid by customers, satoshis. Always 1 000;
     /// a field because `benchmark/` reads it from the session by name.
     pub btc_fee_sats: u64,
@@ -54,7 +48,6 @@ impl Default for SessionConfig {
             latency: LatencyModel::wan(),
             challenge_window_secs: 3600,
             min_evidence_blocks: 6,
-            collateral_ratio: 1.2,
             btc_fee_sats: 1_000,
             escrow_deposit: 500_000_000,
             tracing: true,
@@ -62,16 +55,22 @@ impl Default for SessionConfig {
     }
 }
 
-/// Collateral (PSC units) covering a payment of `sats` at `ratio`: the one
-/// formula behind the customer's lock and the merchant's demand.
-pub(crate) fn collateral_for(sats: u64, ratio: f64) -> u128 {
-    (sats as f64 * ratio).ceil() as u128
+/// Collateral the customer locks and the merchant demands, as a multiple
+/// of payment value: the paper's ρ. One PSC unit is worth one satoshi, so
+/// a different exchange rate is a different ratio.
+pub const COLLATERAL_RATIO: f64 = 1.2;
+
+/// Collateral (PSC units) covering a payment of `sats` at
+/// [`COLLATERAL_RATIO`]: the one formula behind the customer's lock and the
+/// merchant's demand.
+pub(crate) fn collateral_for(sats: u64) -> u128 {
+    (sats as f64 * COLLATERAL_RATIO).ceil() as u128
 }
 
 impl SessionConfig {
     /// Required collateral (PSC units) for a payment of `sats`.
     pub fn required_collateral(&self, sats: u64) -> u128 {
-        collateral_for(sats, self.collateral_ratio)
+        collateral_for(sats)
     }
 
     /// An EOS-flavored variant (0.5 s PSC blocks).
@@ -90,17 +89,18 @@ mod tests {
     #[test]
     fn default_is_coherent() {
         let config = SessionConfig::default();
-        assert!(config.collateral_ratio >= 1.0);
         assert!(config.required_collateral(1_000_000) >= 1_000_000);
     }
 
     #[test]
     fn collateral_scales_with_ratio() {
-        let config = SessionConfig {
-            collateral_ratio: 2.0,
-            ..SessionConfig::default()
-        };
-        assert_eq!(config.required_collateral(100), 200);
+        let config = SessionConfig::default();
+        assert_eq!(config.required_collateral(100), 120);
+        assert_eq!(
+            config.required_collateral(1_000_001),
+            1_200_002,
+            "rounds up"
+        );
     }
 
     #[test]

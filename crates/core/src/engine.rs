@@ -652,8 +652,6 @@ fn provision_shard(
 type Shard = (FastPaySession, RecoveryManager<MemStorage>);
 
 impl Effects for Shard {
-    type Error = SessionError;
-
     fn session(&mut self) -> &mut FastPaySession {
         &mut self.0
     }

@@ -59,7 +59,7 @@ const VERIFY_SECS: f64 = 0.010;
 
 type Fields = Vec<(&'static str, Field)>;
 /// A resolved message leg: see [`Effects::leg`].
-pub(crate) type Leg<E> = (u64, Result<u32, E>);
+pub(crate) type Leg = (u64, Result<u32, SessionError>);
 
 /// What the environment supplies to the protocol driver. Implementations
 /// own *how*; the driver owns *what* and *in which order*. The provided
@@ -68,10 +68,6 @@ pub(crate) type Leg<E> = (u64, Result<u32, E>);
 /// is journaled, no timer outlives its phase — which is all
 /// [`FastPaySession`] needs.
 pub(crate) trait Effects {
-    /// The harness's failure surface; protocol-level failures enter it as
-    /// [`SessionError`]s.
-    type Error: From<SessionError>;
-
     /// The protocol state the units act on.
     fn session(&mut self) -> &mut FastPaySession;
 
@@ -80,7 +76,7 @@ pub(crate) trait Effects {
     /// Returns the session-clock µs at which the sender's side resolved —
     /// the arrival here, the ack (or give-up) under a transport; the leg
     /// span ends there either way — and the transmissions it took.
-    fn leg(&mut self, _phase: ProtocolPhase, _ctx: TraceContext) -> Leg<Self::Error> {
+    fn leg(&mut self, _phase: ProtocolPhase, _ctx: TraceContext) -> Leg {
         let session = self.session();
         // `clock +=`, not `advance_clock`: a message in flight produces no
         // PSC blocks; the next PSC call catches the chain up.
@@ -98,7 +94,7 @@ pub(crate) trait Effects {
         _ctx: TraceContext,
         _window_deadline: Option<SimTime>,
         call: Call,
-    ) -> Result<RetryReport, Self::Error> {
+    ) -> Result<RetryReport, SessionError> {
         let receipt = self.session().call(from, call)?;
         Ok(RetryReport {
             total_fees: receipt.fee_paid,
@@ -110,14 +106,14 @@ pub(crate) trait Effects {
 
     /// Journals the intent to run a side-effecting step, before the step
     /// runs, and returns the intent's id.
-    fn journal_begin(&mut self, _step: Step) -> Result<u64, Self::Error> {
+    fn journal_begin(&mut self, _step: Step) -> Result<u64, SessionError> {
         Ok(0)
     }
 
     /// Journals the outcome of the step begun as `intent`, retiring it.
     /// An intent never retired stays pending: in doubt, for recovery to
     /// resolve.
-    fn journal_done(&mut self, _intent: u64, _outcome: Outcome) -> Result<(), Self::Error> {
+    fn journal_done(&mut self, _intent: u64, _outcome: Outcome) -> Result<(), SessionError> {
         Ok(())
     }
 
@@ -142,8 +138,6 @@ pub(crate) trait Effects {
 }
 
 impl Effects for FastPaySession {
-    type Error = SessionError;
-
     fn session(&mut self) -> &mut FastPaySession {
         self
     }
@@ -166,9 +160,9 @@ fn span_name(phase: ProtocolPhase) -> &'static str {
 /// reads the payment id and the acceptance out of a completed body.
 pub(crate) fn payment<E: Effects, T>(
     fx: &mut E,
-    body: impl FnOnce(&mut E, TraceContext) -> Result<T, E::Error>,
+    body: impl FnOnce(&mut E, TraceContext) -> Result<T, SessionError>,
     summary: impl FnOnce(&T) -> (Option<u64>, bool),
-) -> Result<T, E::Error> {
+) -> Result<T, SessionError> {
     let start = fx.session().clock.as_micros();
     let root = fx.open_root();
     let result = body(fx, root);
@@ -194,7 +188,7 @@ fn psc_phase<E: Effects>(
     window_deadline: Option<SimTime>,
     step: impl FnOnce(u64) -> Step,
     call: Call,
-) -> Result<(u64, RetryReport), E::Error> {
+) -> Result<(u64, RetryReport), SessionError> {
     let session = fx.session();
     let start = session.clock.as_micros();
     let step = step(session.psc_nonce(from));
@@ -245,7 +239,7 @@ pub(crate) fn register<E: Effects>(
     root: TraceContext,
     txid: Hash256,
     amount_sats: u64,
-) -> Result<Registered, E::Error> {
+) -> Result<Registered, SessionError> {
     let start = fx.session().clock;
     let session = fx.session();
     let collateral = session.config.required_collateral(amount_sats);
@@ -296,7 +290,7 @@ fn message_leg<E: Effects>(
     parent: TraceContext,
     phase: ProtocolPhase,
     payment_id: u64,
-) -> Result<u32, E::Error> {
+) -> Result<u32, SessionError> {
     let start = fx.session().clock.as_micros();
     let ctx = fx.session().tracer.child_of(&parent);
     let (end, attempts) = fx.leg(phase, ctx);
@@ -319,12 +313,12 @@ pub(crate) fn point_of_sale<E: Effects>(
     txid: Hash256,
     payment_id: u64,
     amount_sats: u64,
-) -> Result<PointOfSale, E::Error> {
+) -> Result<PointOfSale, SessionError> {
     let start = fx.session().clock;
     let accept_ctx = fx.session().tracer.child_of(&root);
     // The fallible inside runs as a unit — every span in it a child of
     // `accept_ctx` — so the accept span closes over it however it exits.
-    let result = (|| -> Result<PointOfSale, E::Error> {
+    let result = (|| -> Result<PointOfSale, SessionError> {
         // Offer travels customer → merchant.
         let intent = fx.journal_begin(Step::OfferSend { payment_id, txid })?;
         let offer_attempts = message_leg(fx, accept_ctx, ProtocolPhase::Offer, payment_id)?;
@@ -415,7 +409,7 @@ pub(crate) fn point_of_sale<E: Effects>(
 pub(crate) fn batch<E: Effects>(
     fx: &mut E,
     amounts: &[u64],
-) -> Result<Vec<FastPayReport>, E::Error> {
+) -> Result<Vec<FastPayReport>, SessionError> {
     let session = fx.session();
     let mut exclude = HashSet::new();
     let mut txs = Vec::with_capacity(amounts.len());
@@ -560,11 +554,11 @@ fn preflight(
 /// Runs one dispute under a fresh causal root — open → evidence → window
 /// wait → judge → verdict, journaled end to end — and records the
 /// `session.dispute` root span over it, however the pipeline exits.
-pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispute, E::Error> {
+pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispute, SessionError> {
     let (payment_id, txid, amount_sats) = (call.payment_id, call.txid, call.amount_sats);
     let start = fx.session().clock;
     let root = fx.open_root();
-    let result = (|| -> Result<Dispute, E::Error> {
+    let result = (|| -> Result<Dispute, SessionError> {
         let session = fx.session();
         let customer = session.customer.psc_account();
         let window = session.config.challenge_window_secs;
@@ -589,7 +583,7 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
             fx.journal_done(intent, Outcome::Rejected)?;
             let status = &open.receipt.status;
             if call.open_must_land {
-                return Err(SessionError::Psc(format!("dispute: {status:?}")).into());
+                return Err(SessionError::Psc(format!("dispute: {status:?}")));
             }
             return Ok(Dispute {
                 merchant_net_loss_sats: amount_sats as i64,
@@ -618,7 +612,7 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
         )?;
         if !submitted.receipt.status.is_success() {
             let status = &submitted.receipt.status;
-            return Err(SessionError::Psc(format!("evidence refused: {status:?}")).into());
+            return Err(SessionError::Psc(format!("evidence refused: {status:?}")));
         }
         fx.journal_done(intent, Outcome::Applied)?;
 
@@ -683,7 +677,7 @@ pub(crate) fn double_spend<E: Effects>(
     amount_sats: u64,
     attacker_hashrate: f64,
     max_race_blocks: u64,
-) -> Result<(RaceOutcome, Dispute), E::Error> {
+) -> Result<(RaceOutcome, Dispute), SessionError> {
     let session = fx.session();
     let race = session.run_double_spend_race(&txid, attacker_hashrate, max_race_blocks)?;
     if !race.merchant_lost_payment {
@@ -705,7 +699,7 @@ mod tests {
     use super::*;
     use crate::chaos::ChaosSession;
     use crate::config::SessionConfig;
-    use crate::robustness::{ChaosConfig, RobustnessError};
+    use crate::robustness::ChaosConfig;
     use btcfast_netsim::faults::FaultPlan;
 
     const AMOUNT_SATS: u64 = 1_000_000;
@@ -724,7 +718,7 @@ mod tests {
         fx: &mut E,
         payment_id: u64,
         txid: Hash256,
-    ) -> Result<Dispute, E::Error> {
+    ) -> Result<Dispute, SessionError> {
         let session = fx.session();
         let customer = session.customer.psc_account();
         let nonce_before = session.psc.nonce_of(&customer);
@@ -784,10 +778,7 @@ mod tests {
         let error = dispute_with_tampered_evidence(&mut chaos, payment_id, report.txid)
             .err()
             .expect("tampered evidence must not reach judgment");
-        assert!(
-            matches!(&error, RobustnessError::Session(e) if is_preflight_refusal(e)),
-            "{error}"
-        );
+        assert!(is_preflight_refusal(&error), "{error}");
         assert_eq!(
             chaos.recovery().pending().count(),
             pending_before,

@@ -10,8 +10,8 @@
 //! * [`roles`] — the [`roles::Customer`] and [`roles::Merchant`] drivers:
 //!   wallets on both chains, payment construction, acceptance checks,
 //!   double-spend detection, evidence gathering;
-//! * [`policy`] — the merchant's acceptance policy (collateral coverage,
-//!   exposure limits, exchange rate);
+//! * [`policy`] — the merchant's escrow check (collateral at the one
+//!   ratio [`config::COLLATERAL_RATIO`], the 0-conf cap, solvency);
 //! * [`protocol`] — the phase artifacts exchanged between roles
 //!   (payment offers, acceptances, rejection reasons);
 //! * `flow` (crate-private) — the protocol driver: the one implementation
@@ -32,8 +32,8 @@
 //!   fingerprint;
 //! * [`baseline`] — the comparison schemes (wait-for-z, naive 0-conf);
 //! * [`fees`] — the cost model behind the "no extra operation fee" claim;
-//! * [`robustness`] — typed failure surface ([`robustness::RobustnessError`])
-//!   and the merchant's graceful-degradation policy for adverse networks;
+//! * [`robustness`] — the protocol phases a hostile network can strike
+//!   (named by [`session::SessionError::phase`]) and the chaos knobs;
 //! * [`recovery`] — [`recovery::RecoveryManager`]: durable intent
 //!   journaling (WAL + snapshots via `btcfast-store`), so a crashed
 //!   participant re-hydrates a byte-identical ledger and resumes
@@ -42,7 +42,7 @@
 //!   effects of a hostile network — a reliable transport under a seeded
 //!   fault plan (loss, partitions, crashes, PSC stalls), retry-aware PSC
 //!   submission, durable journaling — plus what only chaos owns: fault
-//!   application, crash re-hydration, the degradation policy;
+//!   application, crash re-hydration, the six-confirmation fallback;
 //! * [`telemetry`] — scrapes every substrate's stat counters into one
 //!   `btcfast-obs` registry; sessions also record per-phase spans on the
 //!   sim-time clock, so replays produce byte-identical traces;
@@ -78,17 +78,16 @@ pub mod session;
 pub mod telemetry;
 
 pub use admission::{AdmissionConfig, ShardAdmissionStats, SheddingPolicy, Ticket};
-pub use chaos::{ChaosDisputeReport, ChaosPaymentReport, ChaosSession, EscrowSnapshot};
+pub use chaos::{ChaosPaymentReport, ChaosSession, EscrowSnapshot};
 pub use config::SessionConfig;
 pub use engine::{
     EngineConfig, EngineReport, LoadArrival, LoadReport, PaymentEngine, ShardLoadOutcome,
     ShardOutcome,
 };
-pub use policy::AcceptancePolicy;
 pub use protocol::{Acceptance, Party, PaymentOffer, RejectReason};
 pub use recovery::{
     Outcome, PaymentLedger, Payments, RecoveryError, RecoveryManager, RecoveryReport,
     RecoveryStats, Step,
 };
-pub use robustness::{ChaosConfig, FallbackPolicy, ProtocolPhase, RobustnessError};
+pub use robustness::{ChaosConfig, ProtocolPhase};
 pub use session::FastPaySession;

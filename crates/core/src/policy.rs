@@ -8,67 +8,44 @@ use btcfast_pscsim::account::AccountId;
 /// collateral: 10 BTC.
 pub(crate) const MAX_PAYMENT_SATS: u64 = 1_000_000_000;
 
-/// A merchant's standing rules for accepting BTCFast payments.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AcceptancePolicy {
-    /// Collateral must be at least this multiple of the payment value
-    /// (one PSC unit per satoshi). ρ in DESIGN.md's ablations. A session
-    /// sets it from [`crate::SessionConfig::collateral_ratio`]; the
-    /// stricter-merchant tests set it apart from the customer's ratio.
-    pub min_collateral_ratio: f64,
-}
-
-impl Default for AcceptancePolicy {
-    fn default() -> Self {
-        AcceptancePolicy {
-            min_collateral_ratio: 1.0,
-        }
+/// Validates the escrow-side facts of a payment offer to the merchant
+/// `me`: the payment is within the 0-conf cap, names `me`, is still open,
+/// locks the collateral [`crate::config::COLLATERAL_RATIO`] demands, and
+/// sits in a solvent escrow.
+///
+/// # Errors
+///
+/// Returns the specific [`RejectReason`].
+pub fn check_escrow(
+    me: AccountId,
+    payment_sats: u64,
+    escrow: &EscrowRecord,
+    payment: &PaymentRecord,
+) -> Result<(), RejectReason> {
+    if payment_sats > MAX_PAYMENT_SATS {
+        return Err(RejectReason::PaymentTooLarge {
+            sats: payment_sats,
+            cap: MAX_PAYMENT_SATS,
+        });
     }
-}
-
-impl AcceptancePolicy {
-    /// Collateral (PSC units) this policy demands for `sats`.
-    pub fn required_collateral(&self, sats: u64) -> u128 {
-        crate::config::collateral_for(sats, self.min_collateral_ratio)
+    if payment.merchant != me {
+        return Err(RejectReason::WrongMerchant);
     }
-
-    /// Validates the escrow-side facts of a payment offer.
-    ///
-    /// # Errors
-    ///
-    /// Returns the specific [`RejectReason`].
-    pub fn check_escrow(
-        &self,
-        me: AccountId,
-        payment_sats: u64,
-        escrow: &EscrowRecord,
-        payment: &PaymentRecord,
-    ) -> Result<(), RejectReason> {
-        if payment_sats > MAX_PAYMENT_SATS {
-            return Err(RejectReason::PaymentTooLarge {
-                sats: payment_sats,
-                cap: MAX_PAYMENT_SATS,
-            });
-        }
-        if payment.merchant != me {
-            return Err(RejectReason::WrongMerchant);
-        }
-        if payment.state != PaymentState::Open {
-            return Err(RejectReason::PaymentNotOpen);
-        }
-        let required = self.required_collateral(payment_sats);
-        if payment.collateral < required {
-            return Err(RejectReason::InsufficientCollateral {
-                locked: payment.collateral,
-                required,
-            });
-        }
-        // The escrow must actually hold what it claims to have locked.
-        if escrow.balance < escrow.locked {
-            return Err(RejectReason::EscrowInsolvent);
-        }
-        Ok(())
+    if payment.state != PaymentState::Open {
+        return Err(RejectReason::PaymentNotOpen);
     }
+    let required = crate::config::collateral_for(payment_sats);
+    if payment.collateral < required {
+        return Err(RejectReason::InsufficientCollateral {
+            locked: payment.collateral,
+            required,
+        });
+    }
+    // The escrow must actually hold what it claims to have locked.
+    if escrow.balance < escrow.locked {
+        return Err(RejectReason::EscrowInsolvent);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -107,22 +84,19 @@ mod tests {
 
     #[test]
     fn accepts_well_collateralized_open_payment() {
-        let policy = AcceptancePolicy::default();
-        let result = policy.check_escrow(
+        let result = check_escrow(
             me(),
             100_000,
-            &escrow(1_000_000, 100_000),
-            &payment(me(), 100_000, PaymentState::Open),
+            &escrow(1_000_000, 120_000),
+            &payment(me(), 120_000, PaymentState::Open),
         );
         assert!(result.is_ok());
     }
 
     #[test]
     fn rejects_undercollateralized() {
-        let policy = AcceptancePolicy {
-            min_collateral_ratio: 2.0,
-        };
-        let result = policy.check_escrow(
+        // Fully covered, but not to the ratio's 1.2.
+        let result = check_escrow(
             me(),
             100_000,
             &escrow(1_000_000, 100_000),
@@ -132,26 +106,24 @@ mod tests {
             result,
             Err(RejectReason::InsufficientCollateral {
                 locked: 100_000,
-                required: 200_000
+                required: 120_000
             })
         );
     }
 
     #[test]
     fn rejects_wrong_merchant() {
-        let policy = AcceptancePolicy::default();
-        let result = policy.check_escrow(
+        let result = check_escrow(
             me(),
             100_000,
-            &escrow(1_000_000, 100_000),
-            &payment(AccountId([9; 20]), 100_000, PaymentState::Open),
+            &escrow(1_000_000, 120_000),
+            &payment(AccountId([9; 20]), 120_000, PaymentState::Open),
         );
         assert_eq!(result, Err(RejectReason::WrongMerchant));
     }
 
     #[test]
     fn rejects_non_open_payment() {
-        let policy = AcceptancePolicy::default();
         for state in [
             PaymentState::Acked,
             PaymentState::Closed,
@@ -159,11 +131,11 @@ mod tests {
             PaymentState::MerchantPaid,
             PaymentState::CustomerCleared,
         ] {
-            let result = policy.check_escrow(
+            let result = check_escrow(
                 me(),
                 100_000,
-                &escrow(1_000_000, 100_000),
-                &payment(me(), 100_000, state),
+                &escrow(1_000_000, 120_000),
+                &payment(me(), 120_000, state),
             );
             assert_eq!(result, Err(RejectReason::PaymentNotOpen), "{state:?}");
         }
@@ -173,11 +145,11 @@ mod tests {
     fn rejects_oversized_payment() {
         // 11 BTC against the 10 BTC cap, however well collateralised.
         let sats = 1_100_000_000;
-        let result = AcceptancePolicy::default().check_escrow(
+        let result = check_escrow(
             me(),
             sats,
-            &escrow(u128::MAX, sats as u128),
-            &payment(me(), sats as u128, PaymentState::Open),
+            &escrow(u128::MAX, 2 * sats as u128),
+            &payment(me(), 2 * sats as u128, PaymentState::Open),
         );
         assert_eq!(
             result,
@@ -190,12 +162,11 @@ mod tests {
 
     #[test]
     fn rejects_insolvent_escrow() {
-        let policy = AcceptancePolicy::default();
-        let result = policy.check_escrow(
+        let result = check_escrow(
             me(),
             100_000,
-            &escrow(50_000, 100_000), // locked exceeds balance
-            &payment(me(), 100_000, PaymentState::Open),
+            &escrow(50_000, 120_000), // locked exceeds balance
+            &payment(me(), 120_000, PaymentState::Open),
         );
         assert_eq!(result, Err(RejectReason::EscrowInsolvent));
     }

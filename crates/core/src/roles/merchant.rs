@@ -1,7 +1,7 @@
 //! The merchant role: 0-conf acceptance checks, double-spend detection,
 //! and dispute prosecution.
 
-use crate::policy::AcceptancePolicy;
+use crate::policy::check_escrow;
 use crate::protocol::{Acceptance, PaymentOffer, RejectReason};
 use btcfast_btcsim::chain::Chain;
 use btcfast_btcsim::mempool::Mempool;
@@ -19,12 +19,11 @@ use btcfast_pscsim::PscChain;
 pub struct Merchant {
     btc_wallet: Wallet,
     psc_keys: KeyPair,
-    policy: AcceptancePolicy,
 }
 
 impl Merchant {
     /// Derives a merchant deterministically from a seed.
-    pub fn from_seed(seed: &[u8], policy: AcceptancePolicy) -> Merchant {
+    pub fn from_seed(seed: &[u8]) -> Merchant {
         let mut btc_seed = seed.to_vec();
         btc_seed.extend_from_slice(b"/btc");
         let mut psc_seed = seed.to_vec();
@@ -32,7 +31,6 @@ impl Merchant {
         Merchant {
             btc_wallet: Wallet::from_seed(&btc_seed),
             psc_keys: KeyPair::from_seed(&psc_seed),
-            policy,
         }
     }
 
@@ -51,11 +49,6 @@ impl Merchant {
         self.psc_keys.address().into()
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> &AcceptancePolicy {
-        &self.policy
-    }
-
     /// The FastPay acceptance decision — the code path whose latency is the
     /// paper's headline number. Checks, in order:
     ///
@@ -64,7 +57,7 @@ impl Merchant {
     /// 2. it validates against the merchant's UTXO view;
     /// 3. no conflicting spend sits in the merchant's mempool;
     /// 4. the escrow registration matches (txid, merchant, state, amount)
-    ///    and carries policy-sufficient collateral.
+    ///    and carries the collateral the ratio demands.
     ///
     /// # Errors
     ///
@@ -113,8 +106,7 @@ impl Merchant {
                 registered: payment.btc_txid,
             });
         }
-        self.policy
-            .check_escrow(self.psc_account(), offer.amount_sats, &escrow, &payment)?;
+        check_escrow(self.psc_account(), offer.amount_sats, &escrow, &payment)?;
 
         Ok(Acceptance {
             txid: offer.txid(),
@@ -169,8 +161,8 @@ mod tests {
 
     #[test]
     fn deterministic_identities() {
-        let a = Merchant::from_seed(b"shop", AcceptancePolicy::default());
-        let b = Merchant::from_seed(b"shop", AcceptancePolicy::default());
+        let a = Merchant::from_seed(b"shop");
+        let b = Merchant::from_seed(b"shop");
         assert_eq!(a.psc_account(), b.psc_account());
         assert_eq!(a.btc_wallet().address(), b.btc_wallet().address());
     }

@@ -31,9 +31,9 @@
 
 use crate::config::SessionConfig;
 use crate::flow::{self, DisputeCall};
-use crate::policy::AcceptancePolicy;
 use crate::protocol::{Party, RejectReason};
 use crate::recovery::RecoveryError;
+use crate::robustness::ProtocolPhase;
 use crate::roles::{Customer, Merchant};
 use btcfast_btcsim::attack::PrivateForkAttacker;
 use btcfast_btcsim::chain::Chain;
@@ -50,6 +50,7 @@ use btcfast_netsim::time::SimTime;
 use btcfast_obs::{Field, TraceEvent, Tracer};
 use btcfast_payjudger::client::CALL_GAS_LIMIT;
 use btcfast_payjudger::contract::PayJudger;
+use btcfast_payjudger::retry::RetryError;
 use btcfast_payjudger::types::{DisputeVerdict, JudgerConfig};
 use btcfast_payjudger::{Call, EvidenceVerifier, PayJudgerClient};
 use btcfast_pscsim::tx::{PscTransaction, Receipt};
@@ -140,6 +141,36 @@ pub struct AttackReport {
     pub race_duration: SimTime,
     /// Simulated duration from dispute to verdict (zero when no dispute).
     pub dispute_duration: SimTime,
+    /// PSC submissions the dispute call needed.
+    pub dispute_attempts: u32,
+    /// PSC submissions the evidence call needed.
+    pub evidence_attempts: u32,
+    /// PSC submissions the judge call needed.
+    pub judge_attempts: u32,
+    /// PSC gas fees the merchant paid across every dispute-path attempt.
+    pub merchant_fee_units: u128,
+}
+
+impl AttackReport {
+    /// The report of the attack on escrow payment `payment_id`: its BTC
+    /// race and the dispute that followed (the default when none ran).
+    pub(crate) fn new(payment_id: u64, race: RaceOutcome, dispute: flow::Dispute) -> AttackReport {
+        let [dispute_attempts, evidence_attempts, judge_attempts] = dispute.attempts;
+        AttackReport {
+            payment_id,
+            attacker_won_race: race.attacker_won_race,
+            merchant_lost_payment: race.merchant_lost_payment,
+            merchant_compensated: dispute.merchant_compensated,
+            verdict: dispute.verdict,
+            merchant_net_loss_sats: dispute.merchant_net_loss_sats,
+            race_duration: race.race_duration,
+            dispute_duration: dispute.duration,
+            dispute_attempts,
+            evidence_attempts,
+            judge_attempts,
+            merchant_fee_units: dispute.fee_units,
+        }
+    }
 }
 
 /// Outcome of the BTC race phase of a double-spend attack, before any
@@ -154,10 +185,12 @@ pub struct RaceOutcome {
     pub race_duration: SimTime,
 }
 
-/// Session-level failures. Crash-adjacent edge cases (a refused
-/// submission, a receipt missing from a just-produced block, a block that
-/// fails to connect) surface as typed variants rather than panics, so the
-/// chaos and recovery layers can classify and resume them.
+/// Why a protocol run failed, for every driver. Crash-adjacent edge cases
+/// (a refused submission, a receipt missing from a just-produced block, a
+/// block that fails to connect) surface as typed variants rather than
+/// panics, and the four network failures a hostile fabric adds name the
+/// [`ProtocolPhase`] they struck, so callers tell "payment failed" from
+/// "payment fell back" from "protocol bug".
 #[derive(Debug)]
 pub enum SessionError {
     /// A PSC transaction failed.
@@ -199,6 +232,49 @@ pub enum SessionError {
     },
     /// The recovery journal refused a write or a re-open.
     Journal(RecoveryError),
+    /// The transport exhausted its retransmission budget.
+    DeliveryFailed {
+        /// The failing phase.
+        phase: ProtocolPhase,
+        /// Attempts the transport made.
+        attempts: u32,
+    },
+    /// The phase did not resolve before its deadline.
+    DeadlineExceeded {
+        /// The failing phase.
+        phase: ProtocolPhase,
+        /// The absolute (transport-clock) deadline that lapsed.
+        deadline: SimTime,
+    },
+    /// The PSC chain stayed unreachable (stalled or partitioned) past the
+    /// reachability deadline.
+    PscUnreachable {
+        /// The phase that needed the chain.
+        phase: ProtocolPhase,
+        /// How long the caller waited before giving up.
+        waited: SimTime,
+    },
+    /// A PSC resubmission loop gave up.
+    Retry {
+        /// The phase whose submission failed.
+        phase: ProtocolPhase,
+        /// The underlying retry failure.
+        error: RetryError,
+    },
+}
+
+impl SessionError {
+    /// The protocol phase a network failure struck; `None` for every
+    /// other failure.
+    pub fn phase(&self) -> Option<ProtocolPhase> {
+        match self {
+            SessionError::DeliveryFailed { phase, .. }
+            | SessionError::DeadlineExceeded { phase, .. }
+            | SessionError::PscUnreachable { phase, .. }
+            | SessionError::Retry { phase, .. } => Some(*phase),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for SessionError {
@@ -222,6 +298,16 @@ impl fmt::Display for SessionError {
                 write!(f, "load schedule, arrival {index}: {reason}")
             }
             SessionError::Journal(e) => write!(f, "recovery journal: {e}"),
+            SessionError::DeliveryFailed { phase, attempts } => {
+                write!(f, "{phase}: delivery failed after {attempts} attempts")
+            }
+            SessionError::DeadlineExceeded { phase, deadline } => {
+                write!(f, "{phase}: unresolved at deadline {deadline}")
+            }
+            SessionError::PscUnreachable { phase, waited } => {
+                write!(f, "{phase}: PSC chain unreachable after waiting {waited}")
+            }
+            SessionError::Retry { phase, error } => write!(f, "{phase}: {error}"),
         }
     }
 }
@@ -288,12 +374,7 @@ impl FastPaySession {
     pub fn new(config: SessionConfig, seed: u64) -> FastPaySession {
         let rng = StdRng::seed_from_u64(seed);
         let customer = Customer::from_seed(&seed.to_le_bytes());
-        let merchant = Merchant::from_seed(
-            &(seed ^ 0x4D45_5243).to_le_bytes(),
-            AcceptancePolicy {
-                min_collateral_ratio: config.collateral_ratio,
-            },
-        );
+        let merchant = Merchant::from_seed(&(seed ^ 0x4D45_5243).to_le_bytes());
 
         // --- BTC provisioning: customer mines 2 spendable coinbases. -----
         let mut btc = Chain::new(config.btc_params.clone());
@@ -809,16 +890,7 @@ impl FastPaySession {
             attacker_hashrate,
             max_race_blocks,
         )?;
-        Ok(AttackReport {
-            payment_id,
-            attacker_won_race: race.attacker_won_race,
-            merchant_lost_payment: race.merchant_lost_payment,
-            merchant_compensated: dispute.merchant_compensated,
-            verdict: dispute.verdict,
-            merchant_net_loss_sats: dispute.merchant_net_loss_sats,
-            race_duration: race.race_duration,
-            dispute_duration: dispute.duration,
-        })
+        Ok(AttackReport::new(payment_id, race, dispute))
     }
 
     /// Measures a dispute over `evidence_depth` headers without an attack:
@@ -1101,24 +1173,77 @@ mod tests {
 
     #[test]
     fn undercollateralized_offer_rejected() {
-        let config = SessionConfig {
-            collateral_ratio: 0.5, // customer offers half the value
-            ..SessionConfig::default()
-        };
-        let mut session = FastPaySession::new(config, 7);
-        // Merchant policy comes from the same config... so build a stricter
-        // merchant by hand.
-        session.merchant = Merchant::from_seed(
-            b"strict",
-            AcceptancePolicy {
-                min_collateral_ratio: 1.0,
-            },
+        // The customer registers the payment behind half its value: the
+        // contract takes any positive collateral, the merchant's check
+        // must not.
+        let mut session = FastPaySession::new(SessionConfig::default(), 7);
+        let amount_sats = 1_000_000;
+        let tx = session.build_payment(amount_sats, &HashSet::new()).unwrap();
+        let merchant = session.merchant.psc_account();
+        let open = Call::OpenPayment(merchant, tx.txid(), amount_sats, 500_000);
+        let receipt = session.call(Party::Customer, open).unwrap();
+        let payment_id = PayJudgerClient::payment_id_from(&receipt).expect("registered");
+        let offer = session.customer.make_offer(tx, payment_id, amount_sats);
+        let decision = session.merchant.evaluate_offer(
+            &offer,
+            &session.btc,
+            &session.mempool,
+            &session.psc,
+            &session.judger,
         );
-        let report = session.run_fast_payment(1_000_000).unwrap();
-        assert!(!report.accepted);
-        assert!(matches!(
-            report.reject,
-            Some(RejectReason::WrongMerchant) | Some(RejectReason::InsufficientCollateral { .. })
-        ));
+        assert_eq!(
+            decision.err(),
+            Some(RejectReason::InsufficientCollateral {
+                locked: 500_000,
+                required: 1_200_000
+            })
+        );
+    }
+
+    #[test]
+    fn errors_render_with_context() {
+        let phase = ProtocolPhase::EvidenceSubmission;
+        let network = [
+            SessionError::DeliveryFailed { phase, attempts: 6 },
+            SessionError::DeadlineExceeded {
+                phase,
+                deadline: SimTime::from_secs(60),
+            },
+            SessionError::PscUnreachable {
+                phase,
+                waited: SimTime::from_secs(121),
+            },
+            SessionError::Retry {
+                phase,
+                error: RetryError::WindowClosed { attempts: 2 },
+            },
+        ];
+        for e in &network {
+            assert_eq!(e.phase(), Some(phase), "{e}");
+            assert!(e.to_string().starts_with("evidence-submission: "), "{e}");
+        }
+        let msg = network[0].to_string();
+        assert!(msg.contains('6'), "{msg}");
+        let other = [
+            SessionError::Psc("judge".into()),
+            SessionError::Btc("fee".into()),
+            SessionError::TxRejected {
+                context: "open",
+                reason: "nonce".into(),
+            },
+            SessionError::MissingReceipt { context: "open" },
+            SessionError::MissingPaymentId { context: "open" },
+            SessionError::BlockRejected {
+                context: "public",
+                reason: "orphan".into(),
+            },
+            SessionError::BadSchedule {
+                index: 3,
+                reason: "unsorted",
+            },
+        ];
+        for e in &other {
+            assert_eq!(e.phase(), None, "{e}");
+        }
     }
 }

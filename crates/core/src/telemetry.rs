@@ -79,22 +79,9 @@ pub fn publish_session(registry: &mut Registry, session: &FastPaySession) {
 
 /// Publishes reliable-transport counters into `registry`.
 pub fn publish_transport(registry: &mut Registry, stats: &TransportStats) {
-    registry.set("btcfast_transport_sent", stats.sent);
-    registry.set("btcfast_transport_retransmissions", stats.retransmissions);
-    registry.set("btcfast_transport_delivered", stats.delivered);
-    registry.set("btcfast_transport_failed", stats.failed);
-    registry.set("btcfast_transport_dedup_drops", stats.duplicates_dropped);
-    registry.set(
-        "btcfast_transport_backoff_wait_us",
-        stats.backoff_wait_micros,
-    );
-    registry.set("btcfast_transport_dedup_high_water", stats.dedup_high_water);
-    registry.set(
-        "btcfast_transport_pending_high_water",
-        stats.pending_high_water,
-    );
-    registry.set("btcfast_transport_dedup_evictions", stats.dedup_evictions);
-    registry.set("btcfast_transport_resolved_retired", stats.resolved_retired);
+    for (key, n) in stats.fields() {
+        registry.set(&format!("btcfast_transport_{key}"), n);
+    }
 }
 
 /// Publishes the durable-store and recovery-journal counters of a

@@ -227,7 +227,7 @@ fn chaos_dispute_builds_its_own_root_tree() {
         FaultPlan::new(),
         0xD15B,
     );
-    let report = chaos.run_dispute_chaos(1_000_000, 0.30, 12).unwrap();
+    let (_, report) = chaos.run_dispute_chaos(1_000_000, 0.30, 12).unwrap();
 
     let jsonl = render_jsonl(chaos.session.trace());
     let trees = well_formed_forest(&jsonl);

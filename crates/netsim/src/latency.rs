@@ -11,13 +11,6 @@ pub enum LatencyModel {
         /// Delay in seconds.
         secs: f64,
     },
-    /// Uniform in `[min_secs, max_secs]`.
-    Uniform {
-        /// Lower bound, seconds.
-        min_secs: f64,
-        /// Upper bound, seconds.
-        max_secs: f64,
-    },
     /// Log-normal: the empirical shape of wide-area internet RTTs.
     LogNormal {
         /// Median delay in seconds (`exp(mu)`).
@@ -46,13 +39,6 @@ impl LatencyModel {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimTime {
         let secs = match *self {
             LatencyModel::Constant { secs } => secs,
-            LatencyModel::Uniform { min_secs, max_secs } => {
-                if max_secs <= min_secs {
-                    min_secs
-                } else {
-                    rng.gen_range(min_secs..max_secs)
-                }
-            }
             LatencyModel::LogNormal { median_secs, sigma } => {
                 // Box-Muller standard normal.
                 let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -68,7 +54,6 @@ impl LatencyModel {
     pub fn mean_secs(&self) -> f64 {
         match *self {
             LatencyModel::Constant { secs } => secs,
-            LatencyModel::Uniform { min_secs, max_secs } => (min_secs + max_secs) / 2.0,
             LatencyModel::LogNormal { median_secs, sigma } => {
                 median_secs * (sigma * sigma / 2.0).exp()
             }
@@ -92,29 +77,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_within_bounds() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let m = LatencyModel::Uniform {
-            min_secs: 0.01,
-            max_secs: 0.02,
-        };
-        for _ in 0..1000 {
-            let s = m.sample(&mut rng).as_secs_f64();
-            assert!((0.01..=0.02).contains(&s), "{s}");
-        }
-    }
-
-    #[test]
-    fn uniform_degenerate_bounds() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let m = LatencyModel::Uniform {
-            min_secs: 0.01,
-            max_secs: 0.01,
-        };
-        assert_eq!(m.sample(&mut rng), SimTime::from_millis(10));
-    }
-
-    #[test]
     fn lognormal_median_roughly_right() {
         let mut rng = StdRng::seed_from_u64(4);
         let m = LatencyModel::wan();
@@ -131,14 +93,6 @@ mod tests {
     #[test]
     fn mean_secs_analytic() {
         assert_eq!(LatencyModel::Constant { secs: 0.5 }.mean_secs(), 0.5);
-        assert_eq!(
-            LatencyModel::Uniform {
-                min_secs: 0.0,
-                max_secs: 1.0
-            }
-            .mean_secs(),
-            0.5
-        );
         let ln = LatencyModel::LogNormal {
             median_secs: 0.08,
             sigma: 0.5,

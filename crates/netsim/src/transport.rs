@@ -114,6 +114,26 @@ pub struct TransportStats {
     pub resolved_retired: u64,
 }
 
+impl TransportStats {
+    /// Every counter under its exported name, in one fixed order: the keys
+    /// of the `transport.stats` trace point, and the metric names after
+    /// their `btcfast_transport_` prefix.
+    pub fn fields(&self) -> [(&'static str, u64); 10] {
+        [
+            ("sent", self.sent),
+            ("retransmissions", self.retransmissions),
+            ("delivered", self.delivered),
+            ("failed", self.failed),
+            ("dedup_drops", self.duplicates_dropped),
+            ("backoff_wait_us", self.backoff_wait_micros),
+            ("dedup_high_water", self.dedup_high_water),
+            ("pending_high_water", self.pending_high_water),
+            ("dedup_evictions", self.dedup_evictions),
+            ("resolved_retired", self.resolved_retired),
+        ]
+    }
+}
+
 #[derive(Debug)]
 enum Event {
     /// (Re)transmit the message if it is still unacknowledged.

@@ -16,7 +16,6 @@ use btcfast_suite::protocol::{FastPaySession, SessionConfig};
 fn main() {
     let config = SessionConfig {
         challenge_window_secs: 100_000, // generous dispute window
-        collateral_ratio: 1.2,
         ..SessionConfig::default()
     };
     let mut session = FastPaySession::new(config, 666);

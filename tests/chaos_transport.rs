@@ -7,9 +7,8 @@ use btcfast_suite::netsim::faults::{FaultAction, FaultPlan};
 use btcfast_suite::netsim::time::SimTime;
 use btcfast_suite::payjudger::types::DisputeVerdict;
 use btcfast_suite::protocol::chaos::{ChaosSession, CUSTOMER_NODE, MERCHANT_NODE, PSC_NODE};
-use btcfast_suite::protocol::robustness::{
-    ChaosConfig, FallbackPolicy, ProtocolPhase, RobustnessError,
-};
+use btcfast_suite::protocol::robustness::{ChaosConfig, ProtocolPhase};
+use btcfast_suite::protocol::session::SessionError;
 use btcfast_suite::protocol::SessionConfig;
 
 fn session_config() -> SessionConfig {
@@ -35,39 +34,13 @@ fn exhausted_retry_budget_surfaces_typed_error() {
     let mut chaos = ChaosSession::new(session_config(), ChaosConfig::default(), plan, 41);
     let err = chaos.run_fast_payment_chaos(700_000).unwrap_err();
     match err {
-        RobustnessError::DeliveryFailed { phase, attempts } => {
+        SessionError::DeliveryFailed { phase, attempts } => {
             assert_eq!(phase, ProtocolPhase::Offer);
             assert_eq!(attempts, ChaosConfig::default().transport.max_attempts);
         }
         other => panic!("expected DeliveryFailed on the offer, got {other}"),
     }
     assert_eq!(chaos.transport_stats().failed, 1);
-}
-
-#[test]
-fn unreachable_psc_with_strict_policy_refuses_the_sale() {
-    // The PSC endpoint partitioned away from everyone: with the strict
-    // fallback the merchant refuses rather than accepting unprotected.
-    let mut plan = FaultPlan::new();
-    for peer in [CUSTOMER_NODE, MERCHANT_NODE] {
-        plan.schedule(
-            SimTime::ZERO,
-            FaultAction::Partition {
-                a: peer,
-                b: PSC_NODE,
-            },
-        );
-    }
-    let config = ChaosConfig {
-        fallback: FallbackPolicy::RejectUnprotected,
-        ..ChaosConfig::default()
-    };
-    let mut chaos = ChaosSession::new(session_config(), config, plan, 42);
-    let report = chaos
-        .run_fast_payment_chaos(700_000)
-        .expect("policy result");
-    assert!(!report.accepted && report.fell_back && !report.protected);
-    assert!(report.reject.is_some());
 }
 
 #[test]
@@ -132,16 +105,16 @@ fn dispute_completes_correctly_across_lossy_partitioned_network() {
                 ChaosSession::new(session_config(), ChaosConfig::default(), chaos_plan(), s);
             probe
                 .run_dispute_chaos(1_000_000, 0.35, 24)
-                .map(|r| r.race.merchant_lost_payment)
+                .map(|(_, r)| r.merchant_lost_payment)
                 .unwrap_or(false)
         })
         .expect("some seed in range loses the race to a 35% attacker");
 
-    let (report, before, after, replay) = run(seed);
+    let ((payment, report), before, after, replay) = run(seed);
 
     // The payment was protected despite 30% loss.
-    assert!(report.payment.protected && report.payment.accepted);
-    assert!(report.race.merchant_lost_payment);
+    assert!(payment.protected && payment.accepted);
+    assert!(report.merchant_lost_payment);
 
     // The dispute fought through the partition to the right verdict.
     assert_eq!(report.verdict, Some(DisputeVerdict::MerchantWins));
@@ -168,7 +141,7 @@ fn dispute_completes_correctly_across_lossy_partitioned_network() {
     assert!(report.merchant_net_loss_sats <= 0, "{report:?}");
 
     // Reproducibility: the identical seed replays the identical run.
-    let (report2, _, _, replay2) = run(seed);
+    let ((payment2, report2), _, _, replay2) = run(seed);
     assert_eq!(
         replay, replay2,
         "span traces or counters diverged for seed {seed}"
@@ -176,13 +149,13 @@ fn dispute_completes_correctly_across_lossy_partitioned_network() {
     assert_eq!(report.dispute_duration, report2.dispute_duration);
     assert_eq!(
         (
-            report.payment.offer_attempts,
+            payment.offer_attempts,
             report.dispute_attempts,
             report.evidence_attempts,
             report.judge_attempts
         ),
         (
-            report2.payment.offer_attempts,
+            payment2.offer_attempts,
             report2.dispute_attempts,
             report2.evidence_attempts,
             report2.judge_attempts

@@ -122,7 +122,6 @@ fn several_sequential_payments_share_one_escrow() {
 
 #[test]
 fn one_escrow_serves_two_merchants_concurrently() {
-    use btcfast_suite::protocol::policy::AcceptancePolicy;
     use btcfast_suite::protocol::roles::Merchant;
 
     let config = SessionConfig {
@@ -133,7 +132,7 @@ fn one_escrow_serves_two_merchants_concurrently() {
     let customer_id = session.customer.psc_account();
 
     // A second, independent merchant joins.
-    let merchant_b = Merchant::from_seed(b"second merchant", AcceptancePolicy::default());
+    let merchant_b = Merchant::from_seed(b"second merchant");
     session
         .psc
         .faucet(merchant_b.psc_account(), 1_000_000_000_000);

@@ -134,13 +134,8 @@ fn lossy_network_delays_but_does_not_break_fastpay() {
     use btcfast_suite::protocol::chaos::ChaosSession;
     use btcfast_suite::protocol::robustness::ChaosConfig;
 
-    let config = SessionConfig {
-        latency: LatencyModel::Uniform {
-            min_secs: 0.05,
-            max_secs: 0.4,
-        },
-        ..SessionConfig::default()
-    };
+    // The default session runs the WAN latency model.
+    let config = SessionConfig::default();
     let mut plan = FaultPlan::new();
     plan.loss_window(SimTime::ZERO, SimTime::from_secs(86_400), 0.3);
 
