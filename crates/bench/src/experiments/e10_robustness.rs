@@ -94,7 +94,7 @@ pub fn run(quick: bool) -> Vec<Table> {
                             protected += 1;
                             waiting_sum += report.waiting.as_secs_f64();
                         }
-                        if report.fell_back {
+                        if !report.protected {
                             fell_back += 1;
                         }
                     }

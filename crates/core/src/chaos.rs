@@ -60,10 +60,9 @@ pub const FALLBACK_CONFIRMATIONS: u64 = 6;
 pub struct ChaosPaymentReport {
     /// Did a sale complete (on either path)?
     pub accepted: bool,
-    /// True when the escrow fast path protected the payment.
+    /// True when the escrow fast path protected the payment; false when
+    /// the merchant degraded to the [`FALLBACK_CONFIRMATIONS`] baseline.
     pub protected: bool,
-    /// True when the merchant degraded to the k-confirmation baseline.
-    pub fell_back: bool,
     /// Point-of-sale waiting time (baseline waiting when degraded).
     pub waiting: SimTime,
     /// The BTC txid of the payment.
@@ -297,7 +296,6 @@ impl ChaosSession {
         Ok(ChaosPaymentReport {
             accepted: pos.reject.is_none(),
             protected: true,
-            fell_back: false,
             waiting: pos.waiting,
             txid,
             payment_id: Some(payment_id),
@@ -457,7 +455,6 @@ impl ChaosSession {
         Ok(ChaosPaymentReport {
             accepted: true,
             protected: false,
-            fell_back: true,
             waiting: baseline.waiting,
             txid: baseline.txid,
             payment_id: None,
@@ -559,7 +556,7 @@ mod tests {
         let mut chaos =
             ChaosSession::new(quick_config(), ChaosConfig::default(), FaultPlan::new(), 11);
         let report = chaos.run_fast_payment_chaos(1_000_000).unwrap();
-        assert!(report.accepted && report.protected && !report.fell_back);
+        assert!(report.accepted && report.protected);
         assert_eq!(report.offer_attempts, 1);
         assert_eq!(report.acceptance_attempts, 1);
         assert!(
@@ -587,8 +584,10 @@ mod tests {
         plan.psc_stall_window(SimTime::ZERO, SimTime::from_secs(100_000));
         let mut chaos = ChaosSession::new(quick_config(), ChaosConfig::default(), plan, 13);
         let report = chaos.run_fast_payment_chaos(1_000_000).unwrap();
-        assert!(report.fell_back, "merchant must degrade, not accept 0-conf");
-        assert!(!report.protected);
+        assert!(
+            !report.protected,
+            "merchant must degrade, not accept 0-conf"
+        );
         assert!(report.accepted, "k-conf fallback still completes the sale");
         assert!(
             report.waiting.as_secs_f64() > 600.0,

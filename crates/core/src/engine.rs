@@ -8,10 +8,13 @@
 //! so shards share no mutable state and run in parallel on a
 //! [`WorkerPool`] without locks.
 //!
-//! An open-loop [`PaymentEngine::run_load`] is shared-nothing too: each
-//! shard admits into a queue of its own, bounded at its share of the
-//! capacity ([`AdmissionConfig::per_shard`]), and is served by one loop of
-//! its own.
+//! Each shard is served by one loop: a single server that takes queued
+//! payments a batch at a time, journals every step to the shard's durable
+//! store and confirms each batch with a BTC block. The open-loop
+//! [`PaymentEngine::run_load`] feeds it a schedule of arrivals into a queue
+//! bounded at the shard's share of the capacity
+//! ([`AdmissionConfig::per_shard`]); the closed [`PaymentEngine::run`]
+//! queues every payment at `t = 0`, unbounded.
 //!
 //! # Determinism
 //!
@@ -59,12 +62,13 @@ pub struct EngineConfig {
     pub batch_size: usize,
     /// Value of each payment, satoshis.
     pub amount_sats: u64,
-    /// Crash-restart drill cadence: after every N batches the shard drops
-    /// its volatile recovery manager and re-hydrates from the durable
-    /// media, asserting the recovered digest matches. `0` disables drills,
-    /// and every harness runs 0: the field stays because the drill is
-    /// reached only through it (`crash_restart_drills_recover_…` below) and
-    /// `benchmark/` spells it in its `EngineConfig` literals.
+    /// Crash-restart drill cadence: after every N batches the shard's
+    /// server, under [`PaymentEngine::run`] and [`PaymentEngine::run_load`]
+    /// alike, drops its volatile recovery manager and re-hydrates from the
+    /// durable media, asserting the recovered digest matches. `0` disables
+    /// drills, and every harness runs 0: the field stays because the drill
+    /// is reached only through it (`crash_restart_drills_recover_…` below)
+    /// and `benchmark/` spells it in its `EngineConfig` literals.
     pub crash_restart_every: usize,
 }
 
@@ -188,22 +192,30 @@ impl PaymentEngine {
         &self.config
     }
 
-    /// Runs every shard to completion on `pool` and aggregates.
+    /// Runs every shard to completion on `pool` and aggregates: the closed
+    /// loop, which is the open-loop server of [`Self::run_load`] with each
+    /// shard's [`EngineConfig::payments_per_shard`] payments all queued at
+    /// `t = 0` under an unbounded queue.
     ///
     /// # Errors
     ///
     /// Returns the first shard's [`SessionError`] (in shard order) when a
     /// payment or registration fails.
     pub fn run(&self, base_seed: u64, pool: &WorkerPool) -> Result<EngineReport, SessionError> {
+        let payments = self.config.payments_per_shard;
         let shards: Vec<usize> = (0..self.config.shards).collect();
         let results = pool.map_coarse(&shards, |&shard| {
-            run_shard(&self.config, shard, shard_seed(base_seed, shard as u64))
+            let all_at_zero = [LoadArrival {
+                at: SimTime::ZERO,
+                shard,
+                payments,
+            }];
+            let unbounded = AdmissionConfig::unbounded();
+            self.serve_shard(base_seed, &all_at_zero, payments, shard, unbounded)
+                .map(Server::outcome)
         });
 
-        let mut outcomes = Vec::with_capacity(results.len());
-        for result in results {
-            outcomes.push(result?);
-        }
+        let outcomes: Vec<ShardOutcome> = results.into_iter().collect::<Result<_, _>>()?;
         let total_accepted = outcomes.iter().map(|o| o.accepted).sum();
         let mut bytes = Vec::new();
         for outcome in &outcomes {
@@ -368,78 +380,129 @@ impl LoadReport {
     }
 }
 
-/// One shard's single server during an open-loop run: its session, its
-/// admission queue and what it has served so far.
-struct LoadServer {
+/// A shard: its session under the ideal effects, every step journaled
+/// to the shard's durable store.
+type Shard = (FastPaySession, RecoveryManager<MemStorage>);
+
+impl Effects for Shard {
+    fn session(&mut self) -> &mut FastPaySession {
+        &mut self.0
+    }
+
+    fn journal_begin(&mut self, step: Step) -> Result<u64, SessionError> {
+        Ok(self.1.begin(step)?)
+    }
+
+    fn journal_done(&mut self, intent: u64, outcome: Outcome) -> Result<(), SessionError> {
+        Ok(self.1.complete(intent, outcome)?)
+    }
+}
+
+/// `config`'s shard at `seed`, provisioned for `payments` payments: the
+/// escrow deposit raised (never lowered) to cover every payment's
+/// collateral and one to spare, one confirmed customer coin per slot of a
+/// batch, and its journal opened on fresh media after provisioning.
+fn open_shard(config: &EngineConfig, payments: usize, seed: u64) -> Result<Shard, SessionError> {
+    let mut session_config = config.session.clone();
+    let per_payment = session_config.required_collateral(config.amount_sats);
+    let whole_run = per_payment.saturating_mul(payments as u128 + 1);
+    session_config.escrow_deposit = session_config.escrow_deposit.max(whole_run);
+    let mut session = FastPaySession::new(session_config, seed);
+    session.fund_customer_coins(config.batch_size.max(1))?;
+    // Clone-shared handles, so a restart models losing volatile state
+    // while the "disk" survives.
+    let (recovery, _) = RecoveryManager::open(MemStorage::new(), MemStorage::new())?;
+    Ok((session, recovery))
+}
+
+/// One shard's single server: its journaled session, its admission queue
+/// and a record of every payment it has served.
+struct Server {
     /// The global shard index.
     shard: usize,
-    session: FastPaySession,
+    seed: u64,
+    fx: Shard,
     /// Session-clock reading at `t = 0` of the global timeline.
     start: SimTime,
     queue: ShardQueue,
-    /// Global-timeline instant the in-flight service round completes;
-    /// `None` when idle.
+    /// Global-timeline instant the next service round starts (the one in
+    /// flight completes); `None` when idle.
     busy_until: Option<SimTime>,
-    executed: usize,
-    accepted: usize,
-    rejected: usize,
-    latencies: Vec<SimTime>,
+    rounds: usize,
+    /// Crash-restart drills performed (all digest-verified).
+    recoveries: u64,
+    /// Each served payment's scheduled arrival and, when the merchant
+    /// accepted it, its point-of-sale wait and its completion stamp.
+    served: Vec<(SimTime, Option<(SimTime, SimTime)>)>,
 }
 
-impl LoadServer {
+impl Server {
     /// Starts one service round at global time `now`: pops up to
-    /// `batch_size` tickets, runs them as one payment batch, and marks the
-    /// server busy until the batch completes — or idle when the queue is
-    /// empty.
+    /// `batch_size` tickets, runs them as one journaled batch confirmed by
+    /// one BTC block, and marks the server busy until the batch completes,
+    /// or idle when the queue is empty. Alternate rounds checkpoint, so
+    /// drills (every [`EngineConfig::crash_restart_every`] rounds) exercise
+    /// both the snapshot-plus-tail and the full-replay recovery paths.
     fn serve(&mut self, config: &EngineConfig, now: SimTime) -> Result<(), SessionError> {
-        let batch = config.batch_size.max(1);
         let tickets: Vec<Ticket> = std::iter::from_fn(|| self.queue.pop())
-            .take(batch)
+            .take(config.batch_size.max(1))
             .collect();
         if tickets.is_empty() {
             self.busy_until = None;
             return Ok(());
         }
 
-        // Advance the shard's session clock to the global service start.
+        // Advance the shard's session clock to the global service start:
+        // a no-op for a round that starts the instant the last one ended.
+        let session = &mut self.fx.0;
         let target = self.start + now;
-        if target > self.session.clock {
-            let delta = target - self.session.clock;
-            self.session.advance_clock(delta);
+        if target > session.clock {
+            let delta = target - session.clock;
+            session.advance_clock(delta);
         }
-        self.session.trace_point(
-            "engine.load_serve",
+        session.trace_point(
+            "engine.batch",
             vec![
                 ("shard", self.shard.into()),
-                ("batch", tickets.len().into()),
-                ("queued", self.queue.len().into()),
+                ("size", tickets.len().into()),
+                ("queued", (tickets.len() + self.queue.len()).into()),
             ],
         );
-
         let amounts: Vec<u64> = tickets.iter().map(|t| t.amount_sats).collect();
-        let reports = self.session.run_fast_payment_batch(&amounts)?;
-        // Confirm the batch so its change outputs fund the next round.
-        self.session.mine_public_block()?;
-
-        for (ticket, report) in tickets.iter().zip(&reports) {
-            self.executed += 1;
-            if report.accepted {
-                self.accepted += 1;
-                // Coordinated-omission-correct: completion minus *scheduled*
-                // arrival, so time spent queued under overload is charged.
-                let completion = report.accepted_at - self.start;
-                self.latencies
-                    .push(completion.saturating_sub(ticket.arrival));
-            } else {
-                self.rejected += 1;
-            }
+        let reports = flow::batch(&mut self.fx, &amounts)?;
+        for (ticket, report) in tickets.iter().zip(reports) {
+            let accepted = report
+                .accepted
+                .then_some((report.waiting, report.accepted_at));
+            self.served.push((ticket.arrival, accepted));
         }
-        self.busy_until = Some(self.session.clock - self.start);
+        // Confirm the batch: its change outputs are the next round's
+        // disjoint confirmed coins.
+        let (session, recovery) = &mut self.fx;
+        session.mine_public_block()?;
+        self.rounds += 1;
+        if self.rounds.is_multiple_of(2) {
+            recovery.checkpoint()?;
+        }
+        if config.crash_restart_every > 0 && self.rounds.is_multiple_of(config.crash_restart_every)
+        {
+            let report = recovery.restart()?;
+            self.recoveries += 1;
+            session.trace_point(
+                "recovery.restart",
+                vec![
+                    ("shard", self.shard.into()),
+                    ("replayed", report.replayed_records.into()),
+                    ("snapshot", report.snapshot_used.into()),
+                ],
+            );
+        }
+        self.busy_until = Some(session.clock - self.start);
         Ok(())
     }
 
-    /// Serves every round that completes at or before `until` (all of
-    /// them when `None`), each starting the instant the one before ends.
+    /// Serves every round that starts at or before `until` (all of them
+    /// when `None`), each starting the instant the one before ends.
     fn serve_until(
         &mut self,
         config: &EngineConfig,
@@ -452,6 +515,72 @@ impl LoadServer {
             self.serve(config, done)?;
         }
         Ok(())
+    }
+
+    /// What a closed run reports: point-of-sale waits, the rendered trace,
+    /// the journal's digest and the drills.
+    fn outcome(mut self) -> ShardOutcome {
+        let (session, recovery) = &mut self.fx;
+        let trace_jsonl = btcfast_obs::render_jsonl(&session.take_trace());
+        let accept_latencies: Vec<SimTime> = self
+            .served
+            .iter()
+            .filter_map(|(_, accepted)| accepted.map(|(waiting, _)| waiting))
+            .collect();
+        ShardOutcome {
+            shard: self.shard,
+            seed: self.seed,
+            accepted: accept_latencies.len(),
+            rejected: self.served.len() - accept_latencies.len(),
+            accept_latencies,
+            psc_commitment: session.psc.state_commitment(),
+            btc_tip: session.btc.tip_hash(),
+            trace_jsonl,
+            store_digest: recovery.digest(),
+            recoveries: self.recoveries,
+        }
+    }
+
+    /// What an open-loop run that offered the shard `offered` payments
+    /// reports: the outcome, the shed tickets in `seq` order and the
+    /// instant the last round completed.
+    fn load_outcome(
+        self,
+        offered: usize,
+        per_payment: u128,
+    ) -> Result<(ShardLoadOutcome, Vec<Ticket>, SimTime), SessionError> {
+        let session = &self.fx.0;
+        let record = session
+            .judger
+            .escrow(&session.psc, session.customer.psc_account())
+            .map_err(|e| SessionError::Psc(format!("escrow view: {e}")))?;
+        let executed = self.served.len();
+        // Coordinated-omission-correct: completion minus *scheduled*
+        // arrival, so time spent queued under overload is charged.
+        let accept_latencies: Vec<SimTime> = self
+            .served
+            .iter()
+            .filter_map(|(arrival, accepted)| {
+                accepted.map(|(_, done)| (done - self.start).saturating_sub(*arrival))
+            })
+            .collect();
+        let outcome = ShardLoadOutcome {
+            shard: self.shard,
+            seed: self.seed,
+            offered,
+            executed,
+            accepted: accept_latencies.len(),
+            rejected: executed - accept_latencies.len(),
+            admission: self.queue.stats(),
+            psc_commitment: session.psc.state_commitment(),
+            btc_tip: session.btc.tip_hash(),
+            escrow_locked: record.locked,
+            escrow_balance: record.balance,
+            expected_locked: per_payment.saturating_mul(executed as u128),
+            accept_latencies,
+        };
+        let makespan = session.clock - self.start;
+        Ok((outcome, self.queue.into_shed_log(), makespan))
     }
 }
 
@@ -515,9 +644,12 @@ impl PaymentEngine {
             *slot += arrival.payments;
         }
 
-        let shards: Vec<usize> = (0..self.config.shards).collect();
+        let config = &self.config;
+        let per_payment = config.session.required_collateral(config.amount_sats);
+        let shards: Vec<usize> = (0..config.shards).collect();
         let results = pool.map_coarse(&shards, |&shard| {
-            self.run_load_shard(base_seed, schedule, offered[shard], shard, admission)
+            self.serve_shard(base_seed, schedule, offered[shard], shard, admission)?
+                .load_outcome(offered[shard], per_payment)
         });
         let mut outcomes = Vec::with_capacity(results.len());
         let mut shed = Vec::new();
@@ -551,33 +683,30 @@ impl PaymentEngine {
         })
     }
 
-    /// One shard's run: provisions its session for the `offered` payments
-    /// the schedule sends it, walks its arrivals, then drains. Returns the
-    /// outcome, the shed tickets in `seq` order and the instant the last
-    /// round completed.
-    fn run_load_shard(
+    /// Shard `shard`'s server, provisioned for the `offered` payments the
+    /// schedule sends it (escrow covers every one admitted), run over its
+    /// arrivals as [`Self::run_load`] describes, then drained.
+    fn serve_shard(
         &self,
         base_seed: u64,
         schedule: &[LoadArrival],
         offered: usize,
         shard: usize,
         admission: AdmissionConfig,
-    ) -> Result<(ShardLoadOutcome, Vec<Ticket>, SimTime), SessionError> {
+    ) -> Result<Server, SessionError> {
         let config = &self.config;
         let seed = shard_seed(base_seed, shard as u64);
-        // Sized so escrow can cover the worst case (every offered payment
-        // admitted).
-        let session = provision_shard(config, offered, seed)?;
-        let mut server = LoadServer {
+        let fx = open_shard(config, offered, seed)?;
+        let mut server = Server {
             shard,
-            start: session.clock,
-            session,
+            seed,
+            start: fx.0.clock,
+            fx,
             queue: ShardQueue::new(admission.per_shard(config.shards)),
             busy_until: None,
-            executed: 0,
-            accepted: 0,
-            rejected: 0,
-            latencies: Vec::new(),
+            rounds: 0,
+            recoveries: 0,
+            served: Vec::new(),
         };
 
         // A ticket's seq counts every payment offered before it, to any shard.
@@ -597,159 +726,14 @@ impl PaymentEngine {
                     amount_sats: config.amount_sats,
                 });
             }
-            if server.busy_until.is_none() {
-                server.serve(config, arrival.at)?;
-            }
+            // An idle server's next round starts now, so it is served
+            // before the next admission decision.
+            server.busy_until.get_or_insert(arrival.at);
         }
         server.serve_until(config, None)?;
         debug_assert_eq!(server.queue.len(), 0, "the drain left work queued");
-
-        let session = &server.session;
-        let record = session
-            .judger
-            .escrow(&session.psc, session.customer.psc_account())
-            .map_err(|e| SessionError::Psc(format!("escrow view: {e}")))?;
-        let per_payment = config.session.required_collateral(config.amount_sats);
-        let outcome = ShardLoadOutcome {
-            shard,
-            seed,
-            offered,
-            executed: server.executed,
-            accepted: server.accepted,
-            rejected: server.rejected,
-            admission: server.queue.stats(),
-            psc_commitment: session.psc.state_commitment(),
-            btc_tip: session.btc.tip_hash(),
-            escrow_locked: record.locked,
-            escrow_balance: record.balance,
-            expected_locked: per_payment.saturating_mul(server.executed as u128),
-            accept_latencies: server.latencies,
-        };
-        let makespan = server.session.clock - server.start;
-        Ok((outcome, server.queue.into_shed_log(), makespan))
+        Ok(server)
     }
-}
-
-/// A shard's session, provisioned for `payments` payments: the escrow
-/// deposit raised (never lowered) to cover every payment's collateral and
-/// one to spare, and one confirmed customer coin per slot of a batch.
-fn provision_shard(
-    config: &EngineConfig,
-    payments: usize,
-    seed: u64,
-) -> Result<FastPaySession, SessionError> {
-    let mut session_config = config.session.clone();
-    let per_payment = session_config.required_collateral(config.amount_sats);
-    let whole_run = per_payment.saturating_mul(payments as u128 + 1);
-    session_config.escrow_deposit = session_config.escrow_deposit.max(whole_run);
-    let mut session = FastPaySession::new(session_config, seed);
-    session.fund_customer_coins(config.batch_size.max(1))?;
-    Ok(session)
-}
-
-/// A shard: its session under the ideal effects, every step journaled
-/// to the shard's durable store.
-type Shard = (FastPaySession, RecoveryManager<MemStorage>);
-
-impl Effects for Shard {
-    fn session(&mut self) -> &mut FastPaySession {
-        &mut self.0
-    }
-
-    fn journal_begin(&mut self, step: Step) -> Result<u64, SessionError> {
-        Ok(self.1.begin(step)?)
-    }
-
-    fn journal_done(&mut self, intent: u64, outcome: Outcome) -> Result<(), SessionError> {
-        Ok(self.1.complete(intent, outcome)?)
-    }
-}
-
-/// `config`'s shard at `seed`, provisioned for `payments` payments, its
-/// journal opened on fresh media after provisioning.
-fn open_shard(config: &EngineConfig, payments: usize, seed: u64) -> Result<Shard, SessionError> {
-    let session = provision_shard(config, payments, seed)?;
-    // Clone-shared handles, so a restart models losing volatile state
-    // while the "disk" survives.
-    let (recovery, _) = RecoveryManager::open(MemStorage::new(), MemStorage::new())?;
-    Ok((session, recovery))
-}
-
-/// One shard, start to finish: provision a session, then run payments in
-/// batches — disjoint coin selection, one registration block per batch,
-/// one confirming BTC block per batch. Every payment's lifecycle is
-/// journaled to the shard's durable store; when
-/// [`EngineConfig::crash_restart_every`] is set, the shard periodically
-/// drops its volatile manager and re-hydrates from the media, failing the
-/// run if the recovered digest diverges.
-fn run_shard(config: &EngineConfig, shard: usize, seed: u64) -> Result<ShardOutcome, SessionError> {
-    let mut fx = open_shard(config, config.payments_per_shard, seed)?;
-    let batch = config.batch_size.max(1);
-    let mut recoveries = 0u64;
-
-    let mut accepted = 0usize;
-    let mut rejected = 0usize;
-    let mut accept_latencies = Vec::with_capacity(config.payments_per_shard);
-    let mut remaining = config.payments_per_shard;
-    let mut batches = 0usize;
-    while remaining > 0 {
-        let k = remaining.min(batch);
-        fx.0.trace_point(
-            "engine.batch",
-            vec![
-                ("shard", shard.into()),
-                ("size", k.into()),
-                ("queued", remaining.into()),
-            ],
-        );
-        for report in flow::batch(&mut fx, &vec![config.amount_sats; k])? {
-            if report.accepted {
-                accepted += 1;
-                accept_latencies.push(report.waiting);
-            } else {
-                rejected += 1;
-            }
-        }
-        // Confirm the batch: the change outputs become the next batch's
-        // disjoint confirmed coins.
-        let (session, recovery) = &mut fx;
-        session.mine_public_block()?;
-        remaining -= k;
-        batches += 1;
-
-        // Alternate batches checkpoint, so drills exercise both the
-        // snapshot-plus-tail and the full-replay recovery paths.
-        if batches.is_multiple_of(2) {
-            recovery.checkpoint()?;
-        }
-        if config.crash_restart_every > 0 && batches.is_multiple_of(config.crash_restart_every) {
-            let report = recovery.restart()?;
-            recoveries += 1;
-            session.trace_point(
-                "recovery.restart",
-                vec![
-                    ("shard", shard.into()),
-                    ("replayed", report.replayed_records.into()),
-                    ("snapshot", report.snapshot_used.into()),
-                ],
-            );
-        }
-    }
-
-    let (session, recovery) = &mut fx;
-    let trace_jsonl = btcfast_obs::render_jsonl(&session.take_trace());
-    Ok(ShardOutcome {
-        shard,
-        seed,
-        accepted,
-        rejected,
-        accept_latencies,
-        psc_commitment: session.psc.state_commitment(),
-        btc_tip: session.btc.tip_hash(),
-        trace_jsonl,
-        store_digest: recovery.digest(),
-        recoveries,
-    })
 }
 
 #[cfg(test)]
@@ -824,6 +808,25 @@ mod tests {
             .unwrap();
         assert_eq!(crashed.fingerprint, again.fingerprint);
         assert_eq!(crashed.outcomes, again.outcomes);
+    }
+
+    #[test]
+    fn the_closed_run_is_the_open_loop_server_with_every_payment_queued_at_zero() {
+        let (engine, config) = (PaymentEngine::new(small()), small());
+        let at_zero = |shard| LoadArrival {
+            at: SimTime::ZERO,
+            shard,
+            payments: config.payments_per_shard,
+        };
+        let schedule: Vec<LoadArrival> = (0..config.shards).map(at_zero).collect();
+        let closed = engine.run(13, &WorkerPool::new(2)).unwrap();
+        let unbounded = AdmissionConfig::unbounded();
+        let open = engine.run_load(13, &schedule, unbounded).unwrap();
+        assert_eq!(open.outcomes.len(), config.shards);
+        for (c, o) in closed.outcomes.iter().zip(&open.outcomes) {
+            assert_eq!((c.psc_commitment, c.btc_tip), (o.psc_commitment, o.btc_tip));
+            assert_eq!((c.shard, c.accepted), (o.shard, o.accepted));
+        }
     }
 
     #[test]

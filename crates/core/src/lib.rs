@@ -24,9 +24,10 @@
 //!   baselines;
 //! * [`engine`] — [`engine::PaymentEngine`]: N concurrent shared-nothing
 //!   payment sessions sharded over a worker pool, with batched escrow
-//!   registration and seed-deterministic, byte-identical replays — plus
-//!   an open-loop load mode ([`engine::PaymentEngine::run_load`]) that
-//!   drives a fixed arrival schedule through bounded admission;
+//!   registration and seed-deterministic, byte-identical replays; one
+//!   server per shard, fed every payment at `t = 0` by the closed run and
+//!   a fixed arrival schedule through bounded admission by the open-loop
+//!   load mode ([`engine::PaymentEngine::run_load`]);
 //! * [`admission`] — the backpressure layer: each shard's bounded FIFO,
 //!   whose refusals form a shed set that is part of the replay
 //!   fingerprint;
