@@ -10,11 +10,10 @@
 //! * `psc-replay` — a transaction schedule (hostile faucets, saturating
 //!   gas prices, reverting and overflowing contract calls) runs on two
 //!   chains; receipts, state commitments, and submit verdicts must match.
-//!   After every block native value must be conserved, the incrementally
-//!   maintained state commitment must equal a from-scratch rebuild of the
-//!   Merkle trie, each nonce must count its sender's executed
-//!   transactions, each slot must hold its last successful write (a
-//!   reverted write never), and each revert must bill `gas × price`.
+//!   After every block native value must be conserved, each nonce must
+//!   count its sender's executed transactions, each slot must hold its
+//!   last successful write (a reverted write never), and each revert must
+//!   bill `gas × price`.
 //! * `evidence-preflight` — the free evidence check a client preflights
 //!   with must be the contract's: same verdict, revert string and summary
 //!   as the metered on-chain path, whose gas depends only on the bundle's
@@ -284,9 +283,9 @@ struct Pending {
 
 /// Runs a schedule on a fresh chain, returning a transcript of every
 /// observable artifact. Each sealed block is audited on its own: value
-/// conservation, the commitment against a from-scratch rebuild, every
-/// nonce against the sender's executed transactions, every stored slot
-/// against its last successful write, and every revert's bill.
+/// conservation, every nonce against the sender's executed transactions,
+/// every stored slot against its last successful write, and every
+/// revert's bill.
 fn run_psc_schedule(
     ops: &[PscOp],
     keys: &[KeyPair],
@@ -435,23 +434,7 @@ fn run_psc_schedule(
                     }
                 }
 
-                // Incremental vs from-scratch: the cached Merkle root must
-                // equal a rebuild from the two state maps, and the header
-                // must carry it.
-                let commitment = chain.state_commitment();
-                let rebuilt = chain.state_commitment_from_scratch();
-                let sealed = chain
-                    .block(chain.height())
-                    .ok_or("sealed block is missing")?
-                    .state_commitment;
-                if commitment != rebuilt || sealed != commitment {
-                    return Err(format!(
-                        "state commitment diverged at block {}: incremental {commitment:?}, \
-                         from scratch {rebuilt:?}, header {sealed:?}",
-                        chain.height()
-                    ));
-                }
-                transcript.push(format!("commitment: {commitment:?}"));
+                transcript.push(format!("commitment: {:?}", chain.state_commitment()));
 
                 // Conservation: every unit in the system came from a faucet.
                 let mut total: u128 = 0;

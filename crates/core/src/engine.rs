@@ -600,7 +600,9 @@ impl PaymentEngine {
     /// base_seed, admission)`.
     ///
     /// [`EngineConfig::payments_per_shard`] is ignored here — the
-    /// schedule decides how much work each shard sees.
+    /// schedule decides how much work each shard sees. So is
+    /// [`SessionConfig::tracing`]: a [`LoadReport`] carries no trace, so
+    /// the shards are served [`untraced`](Self::untraced).
     ///
     /// # Errors
     ///
@@ -644,11 +646,13 @@ impl PaymentEngine {
             *slot += arrival.payments;
         }
 
-        let config = &self.config;
+        let engine = self.untraced();
+        let config = &engine.config;
         let per_payment = config.session.required_collateral(config.amount_sats);
         let shards: Vec<usize> = (0..config.shards).collect();
         let results = pool.map_coarse(&shards, |&shard| {
-            self.serve_shard(base_seed, schedule, offered[shard], shard, admission)?
+            engine
+                .serve_shard(base_seed, schedule, offered[shard], shard, admission)?
                 .load_outcome(offered[shard], per_payment)
         });
         let mut outcomes = Vec::with_capacity(results.len());
@@ -681,6 +685,13 @@ impl PaymentEngine {
             fingerprint: sha256d(&bytes),
             outcomes,
         })
+    }
+
+    /// This engine with [`SessionConfig::tracing`] off.
+    fn untraced(&self) -> PaymentEngine {
+        let mut engine = self.clone();
+        engine.config.session.tracing = false;
+        engine
     }
 
     /// Shard `shard`'s server, provisioned for the `offered` payments the
@@ -1006,6 +1017,21 @@ mod tests {
             p99_unbounded > p99_bounded,
             "unbounded p99 {p99_unbounded}s should exceed bounded p99 {p99_bounded}s"
         );
+    }
+
+    #[test]
+    fn a_served_load_shard_records_no_trace() {
+        let engine = load_engine(1);
+        let schedule = burst_schedule(1, 16, 5);
+        let unbounded = AdmissionConfig::unbounded();
+        let serve = |engine: &PaymentEngine| {
+            let server = engine.serve_shard(3, &schedule, 16, 0, unbounded).unwrap();
+            assert_eq!(server.served.len(), 16);
+            server.fx.0.trace().len()
+        };
+        // `run_load` serves untraced; `run` under the default config traces.
+        assert_eq!(serve(&engine.untraced()), 0);
+        assert!(serve(&engine) > 16);
     }
 
     #[test]

@@ -957,6 +957,17 @@ mod tests {
     }
 
     #[test]
+    fn the_psc_root_after_one_payment_is_pinned() {
+        // Taken from the incremental trie the memoized root replaced.
+        let mut session = FastPaySession::new(SessionConfig::default(), 1);
+        session.run_fast_payment(1_000_000).unwrap();
+        assert_eq!(
+            session.psc.state_commitment().to_hex(),
+            "254436c8344072b46f99c8d5b1add40da1083ff6179b45d0e9859d30f9267216"
+        );
+    }
+
+    #[test]
     fn an_idle_window_adds_blocks_and_nothing_else() {
         let mut session = FastPaySession::new(SessionConfig::default(), 1);
         session.run_fast_payment(1_000_000).unwrap();

@@ -66,13 +66,6 @@ pub fn publish_session(registry: &mut Registry, session: &FastPaySession) {
         "btcfast_psc_journal_high_water",
         session.psc.journal_high_water() as u64,
     );
-    let commit = session.psc.commit_stats();
-    registry.set("btcfast_psc_commit_leaves", commit.leaves as u64);
-    registry.set(
-        "btcfast_psc_commit_dirty_high_water",
-        commit.dirty_high_water as u64,
-    );
-    registry.set("btcfast_psc_commit_nodes_hashed", commit.nodes_hashed);
 
     registry.set("btcfast_trace_dropped_events", session.trace_dropped());
 }
@@ -143,9 +136,6 @@ mod tests {
             "btcfast_mempool_admitted",
             "btcfast_psc_gas_used",
             "btcfast_psc_journal_high_water",
-            "btcfast_psc_commit_leaves",
-            "btcfast_psc_commit_dirty_high_water",
-            "btcfast_psc_commit_nodes_hashed",
             "btcfast_sig_cache_hits",
             "btcfast_sig_cache_primed",
             "btcfast_batch_verify_items",

@@ -6,7 +6,7 @@ use crate::block::PscBlock;
 use crate::contract::{Contract, ContractError, Env, HostStorage, ViewStorage};
 use crate::gas::{GasMeter, GasSchedule};
 use crate::params::PscParams;
-use crate::state::{CommitStats, WorldState};
+use crate::state::WorldState;
 use crate::tx::{Action, PscTransaction, PscTxError, Receipt, TxStatus};
 use btcfast_crypto::batch::{verify_batch, BatchItem};
 use btcfast_crypto::sha256::Sha256;
@@ -166,11 +166,6 @@ impl PscChain {
         self.state.journal_high_water()
     }
 
-    /// Counters of the state commitment's incremental upkeep.
-    pub fn commit_stats(&self) -> CommitStats {
-        self.state.commit_stats()
-    }
-
     /// Queues a transaction for the next block after stateless checks:
     /// the one-element case of [`PscChain::submit_batch`].
     ///
@@ -250,9 +245,10 @@ impl PscChain {
     }
 
     /// Produces the next block at `time`, executing all pending
-    /// transactions in submission order. An idle block executes nothing
-    /// and hashes nothing: it is one read of the cached state commitment
-    /// and a push (block hashes are not kept).
+    /// transactions in submission order. A block carries neither a hash
+    /// nor a state root, so producing one hashes nothing and an idle block
+    /// is a push: [`PscChain::state_commitment`] computes the root when
+    /// asked.
     pub fn produce_block(&mut self, time: u64) -> &PscBlock {
         let number = self.height() + 1;
         let pending = std::mem::take(&mut self.pending);
@@ -273,7 +269,6 @@ impl PscChain {
             number,
             time,
             tx_hashes,
-            state_commitment: self.state.commitment(),
         };
         self.blocks.push_mut(block)
     }
@@ -527,12 +522,6 @@ impl PscChain {
     /// Commitment over the current world state (the tip "state root").
     pub fn state_commitment(&self) -> Hash256 {
         self.state.commitment()
-    }
-
-    /// Test oracle: [`WorldState::commitment_from_scratch`] of the tip state.
-    #[doc(hidden)]
-    pub fn state_commitment_from_scratch(&self) -> Hash256 {
-        self.state.commitment_from_scratch()
     }
 }
 
@@ -853,7 +842,6 @@ mod tests {
         for tx in &block.tx_hashes {
             bytes.extend_from_slice(&tx.0);
         }
-        bytes.extend_from_slice(&block.state_commitment.0);
         btcfast_crypto::sha256::sha256d(&bytes)
     }
 
@@ -1011,108 +999,6 @@ mod tests {
         assert_eq!(chain.faucet(rich, u128::MAX), u128::MAX);
         assert_eq!(chain.faucet(rich, 500), 0);
         assert_eq!(chain.balance_of(&rich), u128::MAX);
-    }
-
-    /// The escrow book's write shape: `open(n)` bumps one per-caller
-    /// counter slot and writes `n` fresh ~100-byte payment records.
-    struct Till;
-
-    impl Contract for Till {
-        fn code_id(&self) -> &'static str {
-            "till"
-        }
-
-        fn call(
-            &self,
-            env: &Env,
-            method: &str,
-            args: &[u8],
-            storage: &mut dyn Storage,
-        ) -> Result<Vec<u8>, ContractError> {
-            if method == "init" {
-                return Ok(vec![]);
-            }
-            let escrow = env.caller.encode();
-            let opened = storage
-                .get(&escrow)?
-                .map(|v| u64::decode(&v))
-                .transpose()?
-                .unwrap_or(0);
-            let count = u64::decode(args)?;
-            for id in opened..opened + count {
-                storage.set(&(env.caller, id).encode(), &[0xAB; 100])?;
-            }
-            storage.set(&escrow, &(opened + count).encode())?;
-            Ok(vec![])
-        }
-    }
-
-    #[test]
-    fn a_block_hashes_what_it_touched_not_what_the_state_holds() {
-        let mut chain = PscChain::new(PscParams::ethereum_like());
-        chain.register_code(Arc::new(Till));
-        let alice = KeyPair::from_seed(b"long-lived merchant's customer");
-        chain.faucet(alice.address().into(), u128::MAX / 2);
-        let nonce = std::cell::Cell::new(0);
-        let send = |chain: &mut PscChain, action: Action| {
-            let tx =
-                PscTransaction::new(*alice.public(), nonce.replace(nonce.get() + 1), 0, action)
-                    .with_gas(8_000_000, 20)
-                    .sign(&alice);
-            chain.submit_transaction(tx).unwrap()
-        };
-        let deploy = send(
-            &mut chain,
-            Action::Deploy {
-                code_id: "till".into(),
-                args: vec![],
-            },
-        );
-        chain.produce_block(15);
-        let contract = chain.receipt(&deploy).unwrap().contract_address.unwrap();
-        let open = |count: u64| Action::Call {
-            contract,
-            method: "open".into(),
-            args: count.encode(),
-        };
-        // Hashes spent sealing one block of 8 single-payment transactions.
-        let block_of_8 = |chain: &mut PscChain| {
-            let before = chain.commit_stats().nodes_hashed;
-            let hashes: Vec<_> = (0..8).map(|_| send(chain, open(1))).collect();
-            chain.produce_block(chain.tip_time() + 15);
-            assert!(hashes
-                .iter()
-                .all(|h| chain.receipt(h).unwrap().status.is_success()));
-            chain.commit_stats().nodes_hashed - before
-        };
-
-        send(&mut chain, open(56));
-        chain.produce_block(chain.tip_time() + 15);
-        let at_64 = block_of_8(&mut chain);
-        for _ in 0..8 {
-            send(&mut chain, open(247)); // 8 M gas holds ~390 fresh records
-        }
-        chain.produce_block(chain.tip_time() + 15);
-        let at_2048 = block_of_8(&mut chain);
-
-        let stats = chain.commit_stats();
-        assert!(stats.leaves >= 2048, "{stats:?}");
-        // 11 entries touched (sender, validator, counter slot, 8 records):
-        // the paths above them deepen with log2 of the state, nothing more.
-        assert!(at_64 >= 11 && at_2048 <= 2 * at_64, "{at_64} -> {at_2048}");
-        assert_eq!(
-            chain.state_commitment(),
-            chain.state_commitment_from_scratch()
-        );
-
-        // An empty block touches nothing and hashes nothing.
-        chain.produce_block(chain.tip_time() + 15);
-        chain.state_commitment();
-        assert_eq!(chain.commit_stats().nodes_hashed, stats.nodes_hashed);
-        assert_eq!(
-            chain.commit_stats().dirty_high_water,
-            stats.dirty_high_water
-        );
     }
 
     /// Eight transfers from one funded key at sequential nonces — the

