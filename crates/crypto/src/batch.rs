@@ -23,8 +23,10 @@
 //! `Q`/`R_i` table shares one Montgomery batch inversion, and all digit
 //! streams share one ~129-step doubling run
 //! ([`crate::mul_table::msm_with_generator`], which also keeps the 128-bit
-//! `a_i` coefficients un-split and serves `G` from its static table) — so
-//! per-signature cost is a fraction of a cold sequential verify.
+//! `a_i` coefficients un-split and serves `G` from its static table). Per
+//! signature, one same-key combination costs 1.30× a returning key's comb
+//! verify at two items, ties at three (0.98×) and wins from four (0.82×;
+//! 0.61× at eight), so the path starts at `MSM_FLOOR` hinted items.
 //!
 //! **The hint is checked, not trusted and not computed.** It carries the `y`
 //! the signer held; the lift accepts it iff `y² = x³ + 7` for the `x` rebuilt
@@ -36,7 +38,7 @@
 //! **Verdicts are exactly the sequential loop's.** Items without a usable
 //! hint (absent, or naming a point off the curve) are verified by the
 //! per-signature oracle [`ecdsa::verify`] directly, and so is every item of
-//! a batch with fewer than two hinted ones. A failing multi-scalar check
+//! a batch with fewer than three hinted ones. A failing multi-scalar check
 //! bisects, and every bisection *leaf* is decided by the oracle, never
 //! probabilistically — a hostile or corrupted hint can cost time (it forces
 //! bisection) but can never flip a verdict or misname a culprit.
@@ -51,6 +53,10 @@ use crate::field::FieldElement;
 use crate::mul_table::msm_with_generator;
 use crate::point::Point;
 use crate::scalar::Scalar;
+
+/// Hinted items a batch needs before it takes the multi-scalar path;
+/// below it every item goes to the oracle.
+const MSM_FLOOR: usize = 3;
 
 /// One signature statement submitted for batch verification.
 #[derive(Clone, Copy, Debug)]
@@ -257,10 +263,11 @@ pub fn verify_batch(items: &[BatchItem], seed: u64) -> BatchOutcome {
     let mut invalid = Vec::new();
     let mut rng = seed;
 
-    // The combination only pays from two signatures up: with fewer hinted
-    // items every verdict would come from the oracle anyway (a bisection
-    // leaf), so skip the curve check and the `s⁻¹` it would discard.
-    let batchable = items.iter().filter(|it| it.recovery.is_some()).count() >= 2;
+    // The combination breaks even at three signatures (module doc): one
+    // hinted item would be a bisection leaf anyway, and two cost more per
+    // signature than the oracle's verify on a returning key's comb. Below
+    // the floor, skip the curve check and the `s⁻¹` it would discard.
+    let batchable = items.iter().filter(|it| it.recovery.is_some()).count() >= MSM_FLOOR;
 
     let mut prepared: Vec<Prepared> = Vec::with_capacity(items.len());
     let mut s_values = Vec::with_capacity(items.len());
@@ -422,14 +429,14 @@ mod tests {
         assert!(outcome.all_valid());
         assert_eq!(outcome.stats.msm_evals, 0);
         // A singleton batch is decided by the oracle directly: the
-        // multi-scalar machinery only pays off past one item.
+        // multi-scalar machinery only pays off from `MSM_FLOOR` items.
         let one = [item(5, b"solo")];
         let outcome = verify_batch(&one, 1);
         assert!(outcome.all_valid());
         assert_eq!(outcome.stats.oracle_checks, 1);
         assert_eq!(outcome.stats.msm_evals, 0);
-        // So is any batch with fewer than two hinted items, before any
-        // nonce point is lifted for a combination that cannot happen.
+        // So is any batch with fewer hinted items, before any nonce
+        // point is lifted for a combination that does not happen.
         let mut three = [item(5, b"a"), item(6, b"b"), item(7, b"c")];
         three[0].recovery = None;
         three[2].recovery = None;
@@ -439,6 +446,18 @@ mod tests {
         assert_eq!(outcome.stats.hinted, 0);
         assert_eq!(outcome.stats.oracle_checks, 3);
         assert_eq!(outcome.stats.msm_evals, 0);
+    }
+
+    #[test]
+    fn two_same_key_items_go_to_the_oracle_and_three_to_one_combination() {
+        // `item(5, ..)` signs with one key, as a shard's customer does.
+        let signed = |n: u8| (0..n).map(|i| item(5, &[i])).collect::<Vec<_>>();
+        let two = verify_batch(&signed(2), 1);
+        assert!(two.all_valid());
+        assert_eq!((two.stats.msm_evals, two.stats.oracle_checks), (0, 2));
+        let three = verify_batch(&signed(3), 1);
+        assert!(three.all_valid());
+        assert_eq!((three.stats.msm_evals, three.stats.oracle_checks), (1, 0));
     }
 
     #[test]

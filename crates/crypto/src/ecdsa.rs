@@ -3,7 +3,7 @@
 
 use crate::field::FieldElement;
 use crate::hmac::hmac_sha256;
-use crate::mul_table::{self, KeyTable, OddMultiplesTable, PubkeyCacheStats, PubkeyTableCache};
+use crate::mul_table::{self, KeyTable, PubkeyCacheStats, PubkeyTableCache};
 use crate::point::{AffinePoint, Point};
 use crate::scalar::Scalar;
 use std::cell::RefCell;
@@ -229,7 +229,7 @@ fn compressed_id(q: &Point) -> Option<[u8; 33]> {
 /// `u1 = z/s`, `u2 = r/s`, evaluate `u1*G + u2*Q` from the key's wNAF
 /// table or comb, and compare the result's x-coordinate against `r`
 /// without leaving Jacobian coordinates.
-fn verify_prepared(q_table: KeyTable<'_>, digest: &[u8; 32], sig: &Signature) -> bool {
+pub(crate) fn verify_prepared(q_table: KeyTable<'_>, digest: &[u8; 32], sig: &Signature) -> bool {
     let z = Scalar::from_be_bytes_reduced(digest);
     let s_inv = sig.s.invert();
     let u1 = z * s_inv;
@@ -247,8 +247,8 @@ fn verify_prepared(q_table: KeyTable<'_>, digest: &[u8; 32], sig: &Signature) ->
 /// Repeated verifies against the same key on the same thread reuse a cached
 /// precomputation table (see [`PUBKEY_CACHE_CAPACITY`]), and a key that
 /// keeps returning is served from its own comb (`mul_table::PROMOTE_AT`);
-/// the verdict is independent of cache state, which [`verify_uncached`]
-/// and the equivalence test suite enforce.
+/// the verdict is independent of cache state, which the oracle
+/// [`crate::oracle::verify_uncached`] and the equivalence test suite enforce.
 pub fn verify(q: &Point, digest: &[u8; 32], sig: &Signature) -> bool {
     if !precheck(q, sig) {
         return false;
@@ -263,20 +263,6 @@ pub fn verify(q: &Point, digest: &[u8; 32], sig: &Signature) -> bool {
             None => false,
         }
     })
-}
-
-/// Test oracle for [`verify`]: the same check without the per-key table
-/// cache, always building a fresh Q table. The differential tests and the
-/// `crypto` fuzz engine compare against it; nothing else calls it.
-#[doc(hidden)]
-pub fn verify_uncached(q: &Point, digest: &[u8; 32], sig: &Signature) -> bool {
-    if !precheck(q, sig) {
-        return false;
-    }
-    match OddMultiplesTable::new(q, mul_table::WINDOW_P) {
-        Some(table) => verify_prepared(KeyTable::Wnaf(&table), digest, sig),
-        None => false,
-    }
 }
 
 /// The cheap rejections shared by every verify entry point: zero or
@@ -307,6 +293,7 @@ pub fn reset_pubkey_cache() {
 mod tests {
     use super::*;
     use crate::hex;
+    use crate::oracle::verify_uncached;
     use crate::sha256::sha256;
 
     fn secret(hexstr: &str) -> Scalar {

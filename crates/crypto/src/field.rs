@@ -60,6 +60,7 @@ impl FieldElement {
     }
 
     /// Returns true for the additive identity.
+    #[inline]
     pub fn is_zero(&self) -> bool {
         limbs::is_zero(&self.0)
     }
@@ -72,18 +73,10 @@ impl FieldElement {
 
     /// Squares the element via a dedicated squaring routine (roughly 10
     /// word multiplies instead of 16 for a general product).
+    #[inline]
     pub fn square(self) -> FieldElement {
         let wide = limbs::sqr_wide(&self.0);
         FieldElement(limbs::reduce_wide_c1(wide, &P, C[0]))
-    }
-
-    /// Squares the element `n` times in place-style chaining.
-    fn sqr_n(self, n: u32) -> FieldElement {
-        let mut out = self;
-        for _ in 0..n {
-            out = out.square();
-        }
-        out
     }
 
     /// Multiplicative inverse by the variable-time extended Euclid in
@@ -98,42 +91,11 @@ impl FieldElement {
         assert!(!self.is_zero(), "zero has no multiplicative inverse");
         FieldElement(limbs::mod_inverse(&self.0, &P))
     }
-
-    /// Test oracle for [`FieldElement::invert`]: Fermat's little theorem
-    /// (`x^(p-2)`) through the standard secp256k1 addition chain (255
-    /// squarings, 15 multiplications). The differential tests and the
-    /// `crypto` fuzz engine compare against it; nothing else calls it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is zero, which has no inverse.
-    #[doc(hidden)]
-    pub fn invert_fermat(self) -> FieldElement {
-        assert!(!self.is_zero(), "zero has no multiplicative inverse");
-        // The exponent p - 2 is
-        // 2^256 - 2^32 - 979 = (223 ones)·0·(22 ones)·0·1111110·0·1·0·1101.
-        // x{k} denotes self^(2^k - 1).
-        let x2 = self.square() * self;
-        let x3 = x2.square() * self;
-        let x6 = x3.sqr_n(3) * x3;
-        let x9 = x6.sqr_n(3) * x3;
-        let x11 = x9.sqr_n(2) * x2;
-        let x22 = x11.sqr_n(11) * x11;
-        let x44 = x22.sqr_n(22) * x22;
-        let x88 = x44.sqr_n(44) * x44;
-        let x176 = x88.sqr_n(88) * x88;
-        let x220 = x176.sqr_n(44) * x44;
-        let x223 = x220.sqr_n(3) * x3;
-        // Tail: shift in the low 33 bits of p - 2 (FFFFFC2D pattern).
-        let t = x223.sqr_n(23) * x22;
-        let t = t.sqr_n(5) * self;
-        let t = t.sqr_n(3) * x2;
-        t.sqr_n(2) * self
-    }
 }
 
 impl Add for FieldElement {
     type Output = FieldElement;
+    #[inline]
     fn add(self, rhs: FieldElement) -> FieldElement {
         // Branchless: the carry and conditional-subtract branches are
         // ~50/50 on random inputs, and point doubling/addition performs
@@ -158,6 +120,7 @@ impl Add for FieldElement {
 
 impl Sub for FieldElement {
     type Output = FieldElement;
+    #[inline]
     fn sub(self, rhs: FieldElement) -> FieldElement {
         let (diff, borrow) = limbs::sub(&self.0, &rhs.0);
         // Wrapped below zero: add p back. Done branchlessly via a mask for
@@ -172,6 +135,7 @@ impl Sub for FieldElement {
 
 impl Mul for FieldElement {
     type Output = FieldElement;
+    #[inline]
     fn mul(self, rhs: FieldElement) -> FieldElement {
         let wide = limbs::mul_wide(&self.0, &rhs.0);
         FieldElement(limbs::reduce_wide_c1(wide, &P, C[0]))
@@ -180,6 +144,7 @@ impl Mul for FieldElement {
 
 impl Neg for FieldElement {
     type Output = FieldElement;
+    #[inline]
     fn neg(self) -> FieldElement {
         FieldElement::ZERO - self
     }

@@ -24,6 +24,9 @@
 //!   culprit bisection preserving the sequential loop's exact verdicts.
 //! * [`keys`] — key pairs, compressed public-key encoding, addresses.
 //! * [`merkle`] — Bitcoin-style Merkle trees with inclusion proofs.
+//! * [`oracle`] — the slow, textbook twin of each fast path (Fermat
+//!   inversions, the uncached verify, one-call SHA-256) that the
+//!   differential tests and the audit's `crypto` engine compare against.
 //! * [`pool`] — a scoped-thread worker pool that runs the payment
 //!   engine's shards side by side.
 //! * [`base58`] — Base58Check for human-readable addresses.
@@ -55,6 +58,7 @@ pub mod keys;
 pub mod limbs;
 pub mod merkle;
 pub mod mul_table;
+pub mod oracle;
 pub mod point;
 pub mod pool;
 pub mod ripemd160;

@@ -6,6 +6,7 @@
 //! 512-bit product folds the high half down via `2^256 ≡ c (mod m)`.
 
 /// Adds `a + b`, returning the 4-limb sum and the carry-out bit.
+#[inline]
 pub fn add(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
     let mut out = [0u64; 4];
     let mut carry = 0u64;
@@ -19,6 +20,7 @@ pub fn add(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
 }
 
 /// Subtracts `a - b`, returning the 4-limb difference and the borrow-out bit.
+#[inline]
 pub fn sub(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
     let mut out = [0u64; 4];
     let mut borrow = 0u64;
@@ -32,6 +34,7 @@ pub fn sub(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], u64) {
 }
 
 /// Compares `a` and `b` as 256-bit integers.
+#[inline]
 pub fn cmp(a: &[u64; 4], b: &[u64; 4]) -> std::cmp::Ordering {
     for i in (0..4).rev() {
         match a[i].cmp(&b[i]) {
@@ -43,11 +46,13 @@ pub fn cmp(a: &[u64; 4], b: &[u64; 4]) -> std::cmp::Ordering {
 }
 
 /// Returns true if all limbs are zero.
+#[inline]
 pub fn is_zero(a: &[u64; 4]) -> bool {
     a.iter().all(|&l| l == 0)
 }
 
 /// Schoolbook multiplication `a * b` into an 8-limb (512-bit) product.
+#[inline]
 pub fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
     let mut out = [0u64; 8];
     for i in 0..4 {
@@ -67,6 +72,7 @@ pub fn mul_wide(a: &[u64; 4], b: &[u64; 4]) -> [u64; 8] {
 /// the end) plus 4 diagonal squares, versus 16 products for `mul_wide`.
 /// Point doubling is dominated by squarings, so
 /// this is on the ECDSA accept path's critical loop.
+#[inline]
 pub(crate) fn sqr_wide(a: &[u64; 4]) -> [u64; 8] {
     // cross = sum of a[i]*a[j] for i < j, at weight 2^(64*(i+j)). Row i
     // writes limbs 2i+1 ..= i+3 and deposits its carry-out at limb i+4 —
@@ -109,6 +115,7 @@ pub(crate) fn sqr_wide(a: &[u64; 4]) -> [u64; 8] {
 /// arrays, no data-dependent loops — this is the innermost operation of
 /// every point double/add on the ECDSA accept path, so it is kept
 /// branch-light and fully unrollable.
+#[inline]
 pub(crate) fn reduce_wide_c1(wide: [u64; 8], modulus: &[u64; 4], c: u64) -> [u64; 4] {
     debug_assert_eq!(modulus[0].wrapping_add(c), 0, "m = 2^256 - c");
     let c = c as u128;
@@ -159,6 +166,7 @@ pub(crate) fn reduce_wide_c1(wide: [u64; 8], modulus: &[u64; 4], c: u64) -> [u64
 /// data-dependent branches) bring any 512-bit value below `2^256 + 2^133`;
 /// a final single-limb wrap and conditional subtract finish the job. Sizes:
 /// `< 2^512 → < 2^386 → < 2^260 → < 2^256 + 2^133`.
+#[inline]
 pub(crate) fn reduce_wide_c3(wide: [u64; 8], modulus: &[u64; 4], c: &[u64; 4]) -> [u64; 4] {
     debug_assert_eq!(c[3], 0, "c must fit three limbs");
     /// One fold `value → lo + hi*c`, multiplying only the `hi_len`
@@ -277,6 +285,7 @@ pub(crate) fn reduce_wide(mut wide: [u64; 8], modulus: &[u64; 4], c: &[u64; 4]) 
 
 /// Reduces a 4-limb value (possibly >= m, plus an optional carry bit from an
 /// addition) modulo `m = 2^256 - c`.
+#[inline]
 pub(crate) fn reduce_small(v: [u64; 4], carry: u64, modulus: &[u64; 4], c: &[u64; 4]) -> [u64; 4] {
     debug_assert!(carry <= 1, "at most one carry bit from a 256-bit addition");
     let mut out = v;

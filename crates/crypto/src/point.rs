@@ -82,6 +82,7 @@ impl Point {
     }
 
     /// Returns true for the point at infinity.
+    #[inline]
     pub fn is_infinity(&self) -> bool {
         self.z.is_zero()
     }
@@ -124,6 +125,7 @@ impl Point {
     }
 
     /// Point doubling (dbl-2009-l, a = 0).
+    #[inline]
     pub fn double(&self) -> Point {
         if self.is_infinity() || self.y.is_zero() {
             return Point::INFINITY;
@@ -157,6 +159,7 @@ impl Point {
     }
 
     /// Point addition (add-2007-bl), handling all degenerate cases.
+    #[inline]
     pub fn add(&self, other: &Point) -> Point {
         if self.is_infinity() {
             return *other;
@@ -210,6 +213,7 @@ impl Point {
     /// where the second operand has `Z = 1`. Saves ~5 field multiplies over
     /// the general [`Point::add`]; this is why table entries are normalized
     /// to affine. Handles all degenerate cases.
+    #[inline]
     pub fn add_mixed(&self, x2: &FieldElement, y2: &FieldElement) -> Point {
         if self.is_infinity() {
             return Point::from_affine(*x2, *y2);
@@ -252,6 +256,7 @@ impl Point {
     }
 
     /// Negation: `(x, y) → (x, -y)`.
+    #[inline]
     pub fn negate(&self) -> Point {
         Point {
             x: self.x,

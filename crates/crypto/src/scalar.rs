@@ -128,45 +128,6 @@ impl Scalar {
         Scalar(limbs::mod_inverse(&self.0, &N))
     }
 
-    /// Test oracle for [`Scalar::invert`]: Fermat's little theorem
-    /// (`x^(n-2)`) with a fixed 4-bit window. The differential tests and
-    /// the `crypto` fuzz engine compare against it; nothing else calls it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is zero.
-    #[doc(hidden)]
-    pub fn invert_fermat(self) -> Scalar {
-        assert!(!self.is_zero(), "zero has no multiplicative inverse");
-        let mut exp = limbs::to_be_bytes(&N);
-        // N ends in 0x41; subtracting 2 cannot borrow.
-        exp[31] -= 2;
-        // pow[d] = self^d for d in 1..=15 (index 0 unused).
-        let mut pow = [Scalar::ONE; 16];
-        pow[1] = self;
-        for d in 2..16 {
-            pow[d] = pow[d - 1] * self;
-        }
-        let mut result = Scalar::ONE;
-        let mut started = false;
-        for byte in exp {
-            for nibble in [byte >> 4, byte & 0x0F] {
-                if started {
-                    result = result.square().square().square().square();
-                }
-                if nibble != 0 {
-                    result = if started {
-                        result * pow[nibble as usize]
-                    } else {
-                        pow[nibble as usize]
-                    };
-                    started = true;
-                }
-            }
-        }
-        result
-    }
-
     /// Windowed non-adjacent form of the scalar with the given window
     /// `width` (2..=8): least-significant digit first, every nonzero digit
     /// odd with `|d| < 2^(width-1)`, at most one nonzero digit in any
@@ -321,6 +282,7 @@ fn shift_right_1(v: &mut [u64; 5]) {
 
 impl Add for Scalar {
     type Output = Scalar;
+    #[inline]
     fn add(self, rhs: Scalar) -> Scalar {
         let (sum, carry) = limbs::add(&self.0, &rhs.0);
         Scalar(limbs::reduce_small(sum, carry, &N, &C))
@@ -329,6 +291,7 @@ impl Add for Scalar {
 
 impl Sub for Scalar {
     type Output = Scalar;
+    #[inline]
     fn sub(self, rhs: Scalar) -> Scalar {
         let (diff, borrow) = limbs::sub(&self.0, &rhs.0);
         if borrow == 0 {
@@ -342,6 +305,7 @@ impl Sub for Scalar {
 
 impl Mul for Scalar {
     type Output = Scalar;
+    #[inline]
     fn mul(self, rhs: Scalar) -> Scalar {
         let wide = limbs::mul_wide(&self.0, &rhs.0);
         Scalar(limbs::reduce_wide_c3(wide, &N, &C))
@@ -350,6 +314,7 @@ impl Mul for Scalar {
 
 impl Neg for Scalar {
     type Output = Scalar;
+    #[inline]
     fn neg(self) -> Scalar {
         Scalar::ZERO - self
     }

@@ -31,7 +31,7 @@ const K: [u32; 64] = [
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes (FIPS 180-4 §5.3.3).
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -107,7 +107,7 @@ impl Sha256 {
 }
 
 /// The digest a final state stands for: its words, big-endian.
-fn digest_bytes(state: &[u32; 8]) -> [u8; 32] {
+pub(crate) fn digest_bytes(state: &[u32; 8]) -> [u8; 32] {
     let mut out = [0u8; 32];
     for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
         bytes.copy_from_slice(&word.to_be_bytes());
@@ -141,9 +141,9 @@ pub fn backend() -> &'static str {
 
 /// The compression function in portable arithmetic (FIPS 180-4 §6.2.2):
 /// the only path on hosts without the SHA extensions — production code
-/// reaches it through `compress_blocks` alone — and the tests' oracle.
-#[doc(hidden)]
-pub fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+/// reaches it through `compress_blocks` alone — and, through
+/// [`crate::oracle::compress_blocks_portable`], the tests' oracle.
+pub(crate) fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
     for block in blocks.as_chunks::<64>().0 {
         let mut w = [0u32; 64];
         for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
@@ -186,20 +186,6 @@ pub fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
             *word = word.wrapping_add(add);
         }
     }
-}
-
-/// SHA-256 by the textbook route — pad a copy, compress it in one call —
-/// over a block function given by name. Over the portable one it is the
-/// oracle that tests and the audit engine hold [`sha256`] against.
-#[doc(hidden)]
-pub fn sha256_with(compress: fn(&mut [u32; 8], &[u8]), data: &[u8]) -> [u8; 32] {
-    let mut padded = data.to_vec();
-    padded.push(0x80);
-    padded.resize((data.len() + 9).next_multiple_of(64) - 8, 0);
-    padded.extend_from_slice(&(data.len() as u64).wrapping_mul(8).to_be_bytes());
-    let mut state = H0;
-    compress(&mut state, &padded);
-    digest_bytes(&state)
 }
 
 /// One-shot SHA-256.
@@ -264,6 +250,7 @@ pub fn sha256d_pair(left: &Hash256, right: &Hash256) -> Hash256 {
 mod tests {
     use super::*;
     use crate::hex;
+    use crate::oracle::sha256_with;
 
     use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
