@@ -133,7 +133,6 @@ pub fn run(quick: bool) -> Vec<Table> {
             "races lost",
             "merchant wins",
             "funds safe",
-            "psc submissions",
             "mean dispute (s)",
         ],
     );
@@ -143,7 +142,6 @@ pub fn run(quick: bool) -> Vec<Table> {
             let mut races_lost = 0u32;
             let mut merchant_wins = 0u32;
             let mut funds_safe = true;
-            let mut submissions = 0u32;
             let mut duration_sum = 0.0;
             for trial in 0..dispute_trials {
                 let seed = 0xD15 + trial as u64 * 104_729;
@@ -158,9 +156,6 @@ pub fn run(quick: bool) -> Vec<Table> {
                         if report.merchant_lost_payment {
                             races_lost += 1;
                             duration_sum += report.dispute_duration.as_secs_f64();
-                            submissions += report.dispute_attempts
-                                + report.evidence_attempts
-                                + report.judge_attempts;
                             if report.verdict == Some(DisputeVerdict::MerchantWins) {
                                 merchant_wins += 1;
                             } else {
@@ -195,7 +190,6 @@ pub fn run(quick: bool) -> Vec<Table> {
                 format!("{races_lost}/{dispute_trials}"),
                 format!("{merchant_wins}/{races_lost}"),
                 if funds_safe { "yes" } else { "NO" }.into(),
-                submissions.to_string(),
                 f3(mean_duration),
             ]);
         }

@@ -3,7 +3,7 @@
 //! Sweeps crash intensity × crash phase over seeded chaos runs in which
 //! nodes are bounced ([`FaultPlan::crash_restart_at`]) mid-protocol:
 //! volatile state is dropped and the node re-hydrates from its WAL +
-//! snapshot store before re-entering the retry loop. Reports (a) how
+//! snapshot store before the protocol resumes. Reports (a) how
 //! often the escrow fast path still completes and what recovery costs
 //! (replayed journal records per restart), and (b) dispute safety when
 //! the merchant's node crashes inside the dispute window. The paper's

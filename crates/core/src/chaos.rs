@@ -6,11 +6,12 @@
 //! [`FaultPlan`] injects loss windows, partitions, crash-restart bounces,
 //! and PSC block-production stalls, and every side-effecting step is
 //! journaled through a [`RecoveryManager`]. This module owns only what is
-//! genuinely chaos: fault application, crash re-hydration, the gas-bumped
-//! PSC resubmission loop, and the merchant's fallback. Three
-//! nodes live on the chaos fabric: customer (`node0`), merchant (`node1`),
-//! and the PSC endpoint (`node2`); a PSC call first travels caller → PSC
-//! node, so a partition around `node2` *is* "the chain is unreachable".
+//! genuinely chaos: fault application, crash re-hydration, and the
+//! merchant's fallback. A PSC call means what it means under the ideal
+//! effects: its one receipt, once it crosses the fabric. Three nodes live
+//! on the chaos fabric: customer (`node0`), merchant (`node1`), and the
+//! PSC endpoint (`node2`); a PSC call first travels caller → PSC node, so
+//! a partition around `node2` *is* "the chain is unreachable".
 //!
 //! Two invariants drive the design:
 //!
@@ -35,9 +36,8 @@ use btcfast_netsim::network::{Network, NodeId};
 use btcfast_netsim::time::SimTime;
 use btcfast_netsim::transport::{SendStatus, Transport, TransportStats};
 use btcfast_obs::TraceContext;
-use btcfast_payjudger::client::CALL_GAS_LIMIT;
-use btcfast_payjudger::retry::{submit_with_retry, AttemptResult, RetryReport};
 use btcfast_payjudger::Call;
+use btcfast_pscsim::tx::Receipt;
 use btcfast_store::MemStorage;
 use std::collections::HashSet;
 
@@ -95,7 +95,7 @@ pub struct EscrowSnapshot {
 pub struct ChaosSession {
     /// The protocol state the driver acts on.
     pub session: FastPaySession,
-    /// Chaos knobs (deadlines, the retry budget).
+    /// Chaos knobs (deadlines, the transport's attempt budget).
     pub config: ChaosConfig,
     transport: Transport<ProtocolPhase>,
     plan: FaultPlan,
@@ -306,13 +306,13 @@ impl ChaosSession {
     }
 
     /// A double-spend attack resolved under chaos: protected payment,
-    /// BTC race, then a transport-routed, retry-aware dispute flow.
+    /// BTC race, then a transport-routed dispute flow.
     ///
     /// # Errors
     ///
     /// Returns [`SessionError`] when the payment cannot complete on the
-    /// protected path or a dispute-phase submission fails for a
-    /// non-retryable reason.
+    /// protected path or a dispute phase fails (undeliverable, the chain
+    /// unreachable, evidence refused).
     ///
     /// # Panics
     ///
@@ -466,9 +466,9 @@ impl ChaosSession {
 }
 
 /// The hostile environment: legs cross the reliable transport between the
-/// parties' nodes, PSC calls travel to the PSC node, wait out stalls and
-/// run the gas-bumped resubmission loop, every step is journaled, and
-/// wrapper spans extend to the retransmission high-water mark.
+/// parties' nodes, PSC calls travel to the PSC node and wait out stalls
+/// before they run, every step is journaled, and wrapper spans extend to
+/// the retransmission high-water mark.
 impl Effects for ChaosSession {
     fn session(&mut self) -> &mut FastPaySession {
         &mut self.session
@@ -487,9 +487,8 @@ impl Effects for ChaosSession {
         phase: ProtocolPhase,
         from: Party,
         ctx: TraceContext,
-        window_deadline: Option<SimTime>,
         call: Call,
-    ) -> Result<RetryReport, SessionError> {
+    ) -> Result<Receipt, SessionError> {
         let node = match from {
             Party::Customer => CUSTOMER_NODE,
             Party::Merchant => MERCHANT_NODE,
@@ -502,18 +501,7 @@ impl Effects for ChaosSession {
         tracer.span_ctx("chaos.psc_delivery", leg_ctx, start, end, fields);
         delivered?;
         self.wait_psc_reachable(phase)?;
-
-        let session = &mut self.session;
-        submit_with_retry(CALL_GAS_LIMIT, |gas| {
-            if window_deadline.is_some_and(|d| session.clock > d) {
-                return AttemptResult::WindowClosed;
-            }
-            match session.run_psc_tx(session.signed_call(from, gas, &call)) {
-                Ok(receipt) => AttemptResult::Executed(receipt),
-                Err(e) => AttemptResult::Aborted(e.to_string()),
-            }
-        })
-        .map_err(|error| SessionError::Retry { phase, error })
+        self.session.call(from, call)
     }
 
     fn journal_begin(&mut self, step: Step) -> Result<u64, SessionError> {
@@ -626,6 +614,7 @@ mod tests {
     #[test]
     fn the_escrow_intent_names_the_nonce_the_deposit_spent() {
         use crate::recovery::JournalRecord;
+        use btcfast_payjudger::client::CALL_GAS_LIMIT;
         use btcfast_pscsim::codec::Decode;
 
         let chaos = ChaosSession::new(quick_config(), ChaosConfig::default(), FaultPlan::new(), 7);

@@ -14,9 +14,10 @@
 //! effects: how a *message leg* is delivered, how a *PSC call* reaches
 //! inclusion, where the *journal* records intents, and the *span end* a
 //! wrapper span must cover. [`FastPaySession`] injects the ideal effects,
-//! [`crate::chaos::ChaosSession`] the reliable transport, the gas-bumped
-//! retry loop and the durable journal; an engine shard the ideal effects
-//! with a durable journal.
+//! [`crate::chaos::ChaosSession`] the reliable transport (which every PSC
+//! call crosses first) and the durable journal; an engine shard the ideal
+//! effects with a durable journal. A PSC call means one thing under all
+//! three: its receipt, reverted or not, and the protocol decides.
 //!
 //! Every intent the protocol journals is begun here, before the effect it
 //! names, and retired by the id it was begun under, so a crash at any
@@ -42,9 +43,7 @@ use btcfast_btcsim::transaction::Transaction;
 use btcfast_crypto::Hash256;
 use btcfast_netsim::time::SimTime;
 use btcfast_obs::{Field, TraceContext};
-use btcfast_payjudger::client::CALL_GAS_LIMIT;
 use btcfast_payjudger::evidence::{check_evidence, EvidenceBundle};
-use btcfast_payjudger::retry::RetryReport;
 use btcfast_payjudger::types::DisputeVerdict;
 use btcfast_payjudger::{Call, PayJudgerClient};
 use btcfast_pscsim::tx::Receipt;
@@ -84,24 +83,17 @@ pub(crate) trait Effects {
         (session.clock.as_micros(), Ok(1))
     }
 
-    /// Carries `call` from `from` to inclusion on the PSC chain (signed
-    /// afresh, at the current nonce, for every resubmission), giving up
-    /// once the clock passes `window_deadline`.
+    /// Carries `call` from `from` to inclusion on the PSC chain, signed
+    /// once as [`FastPaySession::call`] signs it, and returns its receipt,
+    /// a failed one included. The contract enforces the challenge window.
     fn psc_call(
         &mut self,
         _phase: ProtocolPhase,
         from: Party,
         _ctx: TraceContext,
-        _window_deadline: Option<SimTime>,
         call: Call,
-    ) -> Result<RetryReport, SessionError> {
-        let receipt = self.session().call(from, call)?;
-        Ok(RetryReport {
-            total_fees: receipt.fee_paid,
-            receipt,
-            attempts: 1,
-            final_gas: CALL_GAS_LIMIT,
-        })
+    ) -> Result<Receipt, SessionError> {
+        self.session().call(from, call)
     }
 
     /// Journals the intent to run a side-effecting step, before the step
@@ -185,29 +177,28 @@ fn psc_phase<E: Effects>(
     parent: TraceContext,
     phase: ProtocolPhase,
     from: Party,
-    window_deadline: Option<SimTime>,
     step: impl FnOnce(u64) -> Step,
     call: Call,
-) -> Result<(u64, RetryReport), SessionError> {
+) -> Result<(u64, Receipt), SessionError> {
     let session = fx.session();
     let start = session.clock.as_micros();
     let step = step(session.psc_nonce(from));
     let payment_id = step.payment_id();
     let intent = fx.journal_begin(step)?;
     let ctx = fx.session().tracer.child_of(&parent);
-    let call = fx.psc_call(phase, from, ctx, window_deadline, call);
+    let receipt = fx.psc_call(phase, from, ctx, call);
     let mut fields: Fields = Vec::with_capacity(3);
-    let landed = call.as_ref().is_ok_and(|call| {
-        let id = payment_id.or_else(|| PayJudgerClient::payment_id_from(&call.receipt));
+    let landed = receipt.as_ref().is_ok_and(|receipt| {
+        let id = payment_id.or_else(|| PayJudgerClient::payment_id_from(receipt));
         fields.extend(id.map(|id| ("payment", id.into())));
-        fields.push(("gas", call.receipt.gas_used.into()));
-        call.receipt.status.is_success()
+        fields.push(("gas", receipt.gas_used.into()));
+        receipt.status.is_success()
     });
     if !landed {
         fields.push(("ok", false.into()));
     }
     fx.wrap(span_name(phase), ctx, start, fields);
-    Ok((intent, call?))
+    Ok((intent, receipt?))
 }
 
 /// A completed escrow registration.
@@ -221,10 +212,8 @@ pub(crate) struct Registered {
 /// The payment id an included `open_payment` assigned.
 fn registered_id(receipt: &Receipt) -> Result<u64, SessionError> {
     if !receipt.status.is_success() {
-        let status = &receipt.status;
-        return Err(SessionError::Psc(format!(
-            "open_payment failed: {status:?}"
-        )));
+        let (phase, status) = (ProtocolPhase::OpenPayment, receipt.status.clone());
+        return Err(SessionError::Refused { phase, status });
     }
     PayJudgerClient::payment_id_from(receipt).ok_or(SessionError::MissingPaymentId {
         context: "open-payment",
@@ -249,12 +238,11 @@ pub(crate) fn register<E: Effects>(
         amount_sats,
         collateral,
     );
-    let (intent, call) = psc_phase(
+    let (intent, receipt) = psc_phase(
         fx,
         root,
         ProtocolPhase::OpenPayment,
         Party::Customer,
-        None,
         |psc_nonce| Step::OpenPayment {
             txid,
             amount_sats,
@@ -263,12 +251,12 @@ pub(crate) fn register<E: Effects>(
         },
         open,
     )?;
-    let payment_id = registered_id(&call.receipt)?;
+    let payment_id = registered_id(&receipt)?;
     fx.journal_done(intent, Outcome::PaymentRegistered { payment_id })?;
     Ok(Registered {
         payment_id,
         took: fx.session().clock - start,
-        gas: call.receipt.gas_used,
+        gas: receipt.gas_used,
     })
 }
 
@@ -445,16 +433,7 @@ pub(crate) fn batch<E: Effects>(
         })?);
     }
     let session = fx.session();
-    let hashes = session
-        .psc
-        .submit_batch(opens)
-        .map_err(|rejected| SessionError::TxRejected {
-            context: "batch-registration",
-            reason: rejected.error.to_string(),
-        })?;
-    session.clock += SimTime::from_secs_f64(session.config.psc_params.block_interval_secs);
-    let t = session.clock.as_secs().max(session.psc.tip_time() + 1);
-    session.psc.produce_block(t);
+    let receipts = session.run_psc_txs(opens, "batch-registration")?;
     let took = session.clock - registration_start;
     session.tracer.span(
         "session.register",
@@ -465,12 +444,8 @@ pub(crate) fn batch<E: Effects>(
     session.preverify_batch(&txs);
 
     let mut reports = Vec::with_capacity(txs.len());
-    for (i, tx) in txs.into_iter().enumerate() {
-        let receipt = fx.session().psc.receipt(&hashes[i]);
-        let receipt = receipt.ok_or(SessionError::MissingReceipt {
-            context: "batch-registration",
-        })?;
-        let (payment_id, txid) = (registered_id(receipt)?, tx.txid());
+    for (i, (tx, receipt)) in txs.into_iter().zip(receipts).enumerate() {
+        let (payment_id, txid) = (registered_id(&receipt)?, tx.txid());
         let registered = Registered {
             payment_id,
             took,
@@ -518,9 +493,7 @@ pub(crate) struct Dispute {
     /// Dispute open → verdict (zero when the open was refused).
     pub duration: SimTime,
     pub evidence_gas: u64,
-    /// PSC submissions the open, evidence and judge calls needed.
-    pub attempts: [u32; 3],
-    /// PSC fees paid across every dispute-path attempt.
+    /// PSC fees the open, evidence and judge calls paid.
     pub fee_units: u128,
 }
 
@@ -562,33 +535,27 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
         let session = fx.session();
         let customer = session.customer.psc_account();
         let window = session.config.challenge_window_secs;
-        // The dispute and its evidence must land inside the challenge window
-        // measured from now (the contract enforces the true bound; this is
-        // the give-up clock for resubmissions).
-        let window_deadline = Some(start + SimTime::from_secs(window));
 
         let (intent, open) = psc_phase(
             fx,
             root,
             ProtocolPhase::DisputeOpen,
             Party::Merchant,
-            window_deadline,
             |psc_nonce| Step::DisputeOpen {
                 payment_id,
                 psc_nonce,
             },
             Call::Dispute(customer, payment_id),
         )?;
-        if !open.receipt.status.is_success() {
+        if !open.status.is_success() {
             fx.journal_done(intent, Outcome::Rejected)?;
-            let status = &open.receipt.status;
             if call.open_must_land {
-                return Err(SessionError::Psc(format!("dispute: {status:?}")));
+                let (phase, status) = (ProtocolPhase::DisputeOpen, open.status);
+                return Err(SessionError::Refused { phase, status });
             }
             return Ok(Dispute {
                 merchant_net_loss_sats: amount_sats as i64,
-                attempts: [open.attempts, 0, 0],
-                fee_units: open.total_fees,
+                fee_units: open.fee_paid,
                 ..Dispute::default()
             });
         }
@@ -602,7 +569,6 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
             root,
             ProtocolPhase::EvidenceSubmission,
             call.answered_by,
-            window_deadline,
             |psc_nonce| Step::EvidenceSubmit {
                 payment_id,
                 txid,
@@ -610,23 +576,22 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
             },
             Call::SubmitEvidence(customer, payment_id, EvidenceBundle(call.evidence)),
         )?;
-        if !submitted.receipt.status.is_success() {
-            let status = &submitted.receipt.status;
-            return Err(SessionError::Psc(format!("evidence refused: {status:?}")));
+        if !submitted.status.is_success() {
+            let (phase, status) = (ProtocolPhase::EvidenceSubmission, submitted.status);
+            return Err(SessionError::Refused { phase, status });
         }
         fx.journal_done(intent, Outcome::Applied)?;
 
         // The disputed party's best counter-evidence would be a strictly
         // lighter branch, so rational parties skip the gas. Wait out the
-        // evidence window, then judge (no window bound: the judge call is
-        // valid any time after expiry).
+        // evidence window, then judge (the judge call is valid any time
+        // after expiry).
         fx.session().advance_clock(SimTime::from_secs(window + 1));
         let (intent, judged) = psc_phase(
             fx,
             root,
             ProtocolPhase::JudgeCall,
             Party::Merchant,
-            None,
             |psc_nonce| Step::JudgeCall {
                 payment_id,
                 psc_nonce,
@@ -635,7 +600,7 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
         )?;
         fx.journal_done(intent, Outcome::Applied)?;
 
-        let verdict = PayJudgerClient::verdict_from(&judged.receipt);
+        let verdict = PayJudgerClient::verdict_from(&judged);
         let merchant_compensated = verdict == Some(DisputeVerdict::MerchantWins);
         let intent = fx.journal_begin(Step::Verdict {
             payment_id,
@@ -653,9 +618,8 @@ pub(crate) fn dispute<E: Effects>(fx: &mut E, call: DisputeCall) -> Result<Dispu
             merchant_net_loss_sats: amount_sats as i64
                 - i64::from(merchant_compensated) * collateral_sats,
             duration: session.clock - start,
-            evidence_gas: submitted.receipt.gas_used,
-            attempts: [open.attempts, submitted.attempts, judged.attempts],
-            fee_units: open.total_fees + submitted.total_fees + judged.total_fees,
+            evidence_gas: submitted.gas_used,
+            fee_units: open.fee_paid + submitted.fee_paid + judged.fee_paid,
         })
     })();
     let mut fields: Fields = vec![("payment", payment_id.into())];

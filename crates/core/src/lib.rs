@@ -41,8 +41,8 @@
 //!   in-flight payments and disputes exactly-once;
 //! * [`chaos`] — [`chaos::ChaosSession`]: the same driver under the
 //!   effects of a hostile network — a reliable transport under a seeded
-//!   fault plan (loss, partitions, crashes, PSC stalls), retry-aware PSC
-//!   submission, durable journaling — plus what only chaos owns: fault
+//!   fault plan (loss, partitions, crashes, PSC stalls), PSC calls that
+//!   cross it first, durable journaling — plus what only chaos owns: fault
 //!   application, crash re-hydration, the six-confirmation fallback;
 //! * [`telemetry`] — scrapes every substrate's stat counters into one
 //!   `btcfast-obs` registry; sessions also record per-phase spans on the

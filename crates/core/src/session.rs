@@ -50,10 +50,9 @@ use btcfast_netsim::time::SimTime;
 use btcfast_obs::{Field, TraceEvent, Tracer};
 use btcfast_payjudger::client::CALL_GAS_LIMIT;
 use btcfast_payjudger::contract::PayJudger;
-use btcfast_payjudger::retry::RetryError;
 use btcfast_payjudger::types::{DisputeVerdict, JudgerConfig};
 use btcfast_payjudger::{Call, EvidenceVerifier, PayJudgerClient};
-use btcfast_pscsim::tx::{PscTransaction, Receipt};
+use btcfast_pscsim::tx::{PscTransaction, Receipt, TxStatus};
 use btcfast_pscsim::PscChain;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -141,13 +140,7 @@ pub struct AttackReport {
     pub race_duration: SimTime,
     /// Simulated duration from dispute to verdict (zero when no dispute).
     pub dispute_duration: SimTime,
-    /// PSC submissions the dispute call needed.
-    pub dispute_attempts: u32,
-    /// PSC submissions the evidence call needed.
-    pub evidence_attempts: u32,
-    /// PSC submissions the judge call needed.
-    pub judge_attempts: u32,
-    /// PSC gas fees the merchant paid across every dispute-path attempt.
+    /// PSC gas fees paid by the dispute, evidence and judge calls.
     pub merchant_fee_units: u128,
 }
 
@@ -155,7 +148,6 @@ impl AttackReport {
     /// The report of the attack on escrow payment `payment_id`: its BTC
     /// race and the dispute that followed (the default when none ran).
     pub(crate) fn new(payment_id: u64, race: RaceOutcome, dispute: flow::Dispute) -> AttackReport {
-        let [dispute_attempts, evidence_attempts, judge_attempts] = dispute.attempts;
         AttackReport {
             payment_id,
             attacker_won_race: race.attacker_won_race,
@@ -165,9 +157,6 @@ impl AttackReport {
             merchant_net_loss_sats: dispute.merchant_net_loss_sats,
             race_duration: race.race_duration,
             dispute_duration: dispute.duration,
-            dispute_attempts,
-            evidence_attempts,
-            judge_attempts,
             merchant_fee_units: dispute.fee_units,
         }
     }
@@ -188,9 +177,9 @@ pub struct RaceOutcome {
 /// Why a protocol run failed, for every driver. Crash-adjacent edge cases
 /// (a refused submission, a receipt missing from a just-produced block, a
 /// block that fails to connect) surface as typed variants rather than
-/// panics, and the four network failures a hostile fabric adds name the
-/// [`ProtocolPhase`] they struck, so callers tell "payment failed" from
-/// "payment fell back" from "protocol bug".
+/// panics, and the three network failures a hostile fabric adds and a
+/// refused call name the [`ProtocolPhase`] they struck, so callers tell
+/// "payment failed" from "payment fell back" from "protocol bug".
 #[derive(Debug)]
 pub enum SessionError {
     /// A PSC transaction failed.
@@ -254,24 +243,25 @@ pub enum SessionError {
         /// How long the caller waited before giving up.
         waited: SimTime,
     },
-    /// A PSC resubmission loop gave up.
-    Retry {
-        /// The phase whose submission failed.
+    /// A PSC call of the phase executed and failed (reverted, ran out of
+    /// gas or was invalid) where the protocol cannot go on without it.
+    Refused {
+        /// The phase whose call failed.
         phase: ProtocolPhase,
-        /// The underlying retry failure.
-        error: RetryError,
+        /// The failing receipt's status.
+        status: TxStatus,
     },
 }
 
 impl SessionError {
-    /// The protocol phase a network failure struck; `None` for every
-    /// other failure.
+    /// The protocol phase a network failure struck or whose call was
+    /// refused; `None` for every other failure.
     pub fn phase(&self) -> Option<ProtocolPhase> {
         match self {
             SessionError::DeliveryFailed { phase, .. }
             | SessionError::DeadlineExceeded { phase, .. }
             | SessionError::PscUnreachable { phase, .. }
-            | SessionError::Retry { phase, .. } => Some(*phase),
+            | SessionError::Refused { phase, .. } => Some(*phase),
             _ => None,
         }
     }
@@ -307,7 +297,7 @@ impl fmt::Display for SessionError {
             SessionError::PscUnreachable { phase, waited } => {
                 write!(f, "{phase}: PSC chain unreachable after waiting {waited}")
             }
-            SessionError::Retry { phase, error } => write!(f, "{phase}: {error}"),
+            SessionError::Refused { phase, status } => write!(f, "{phase}: refused: {status:?}"),
         }
     }
 }
@@ -516,31 +506,49 @@ impl FastPaySession {
     }
 
     /// Submits a PSC transaction and produces the block including it,
-    /// advancing the clock by the expected PSC inclusion latency.
+    /// advancing the clock by the expected PSC inclusion latency: the
+    /// one-transaction case of [`Self::run_psc_txs`].
     ///
     /// # Errors
     ///
-    /// [`SessionError::TxRejected`] when the chain refuses the submission
-    /// (bad nonce, signature, balance); [`SessionError::MissingReceipt`]
-    /// when the just-produced block does not carry the receipt.
+    /// As [`Self::run_psc_txs`], under the context `psc-call`.
     pub fn run_psc_tx(&mut self, tx: PscTransaction) -> Result<Receipt, SessionError> {
-        let hash = self
+        let context = "psc-call";
+        let mut receipts = self.run_psc_txs(vec![tx], context)?;
+        receipts
+            .pop()
+            .ok_or(SessionError::MissingReceipt { context })
+    }
+
+    /// Submits `txs` in order and produces the one block including them
+    /// all, advancing the clock by the expected PSC inclusion latency.
+    /// Returns their receipts in submission order.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::TxRejected`] when the chain refuses a submission
+    /// (bad signature, over-cap gas); [`SessionError::MissingReceipt`]
+    /// when the just-produced block does not carry a receipt. Both name
+    /// `context`.
+    pub(crate) fn run_psc_txs(
+        &mut self,
+        txs: Vec<PscTransaction>,
+        context: &'static str,
+    ) -> Result<Vec<Receipt>, SessionError> {
+        let hashes = self
             .psc
-            .submit_transaction(tx)
-            .map_err(|e| SessionError::TxRejected {
-                context: "psc-call",
-                reason: e.to_string(),
+            .submit_batch(txs)
+            .map_err(|rejected| SessionError::TxRejected {
+                context,
+                reason: rejected.error.to_string(),
             })?;
         let interval = self.config.psc_params.block_interval_secs;
         self.clock += SimTime::from_secs_f64(interval);
         let t = self.clock.as_secs().max(self.psc.tip_time() + 1);
         self.psc.produce_block(t);
-        self.psc
-            .receipt(&hash)
-            .cloned()
-            .ok_or(SessionError::MissingReceipt {
-                context: "psc-call",
-            })
+        let receipt = |hash| self.psc.receipt(hash).cloned();
+        let receipts = hashes.iter().map(receipt).collect::<Option<Vec<_>>>();
+        receipts.ok_or(SessionError::MissingReceipt { context })
     }
 
     /// The PSC keys `party` signs with.
@@ -556,12 +564,6 @@ impl FastPaySession {
         self.psc.nonce_of(&self.keys(party).address().into())
     }
 
-    /// `call` from `party`, signed at its next nonce with a `gas` limit.
-    pub(crate) fn signed_call(&self, party: Party, gas: u64, call: &Call) -> PscTransaction {
-        self.judger
-            .tx(self.keys(party), self.psc_nonce(party), gas, call)
-    }
-
     /// Sends `call` from `party` — that party's key, the chain's nonce,
     /// [`CALL_GAS_LIMIT`] — and runs it as [`Self::run_psc_tx`] does. Emits
     /// no trace event.
@@ -570,7 +572,11 @@ impl FastPaySession {
     ///
     /// As [`Self::run_psc_tx`].
     pub fn call(&mut self, party: Party, call: Call) -> Result<Receipt, SessionError> {
-        self.run_psc_tx(self.signed_call(party, CALL_GAS_LIMIT, &call))
+        let nonce = self.psc_nonce(party);
+        let tx = self
+            .judger
+            .tx(self.keys(party), nonce, CALL_GAS_LIMIT, &call);
+        self.run_psc_tx(tx)
     }
 
     /// One honest fast payment (FastPay phase), measured.
@@ -1224,9 +1230,9 @@ mod tests {
                 phase,
                 waited: SimTime::from_secs(121),
             },
-            SessionError::Retry {
+            SessionError::Refused {
                 phase,
-                error: RetryError::WindowClosed { attempts: 2 },
+                status: TxStatus::Reverted("challenge window has expired".into()),
             },
         ];
         for e in &network {

@@ -17,8 +17,9 @@ use btcfast_pscsim::contract::ContractError;
 use btcfast_pscsim::tx::{Action, PscTransaction, Receipt};
 use btcfast_pscsim::PscChain;
 
-/// Gas limit the client attaches to PayJudger calls (generous; actual
-/// usage is metered and refunded).
+/// Gas limit the client attaches to PayJudger calls: the per-transaction
+/// cap of both `PscParams` presets, so a call is signed once, at the most
+/// the chain admits (generous; actual usage is metered and refunded).
 pub const CALL_GAS_LIMIT: u64 = 8_000_000;
 
 /// A handle to a deployed PayJudger instance.

@@ -22,8 +22,6 @@
 //!   every caller encodes;
 //! * [`client`] — signs a [`Call`] into a PSC transaction, runs the views
 //!   and decodes receipts;
-//! * [`retry`] — a rebuild-and-resubmit loop so dispute-path calls survive
-//!   `OutOfGas` and land before the challenge window closes;
 //! * [`verify`] — a name kept for the benchmark's measured surface.
 //!
 //! # Lifecycle
@@ -47,12 +45,10 @@
 pub mod client;
 pub mod contract;
 pub mod evidence;
-pub mod retry;
 pub mod types;
 pub mod verify;
 
 pub use client::PayJudgerClient;
 pub use contract::{Call, PayJudger, CODE_ID};
-pub use retry::{submit_with_retry, AttemptResult, RetryError, RetryReport};
 pub use types::{DisputeVerdict, EscrowRecord, PaymentRecord, PaymentState};
 pub use verify::EvidenceVerifier;

@@ -1,8 +1,11 @@
 //! Integration: double-spend attacks and dispute resolution across crates,
 //! with exact value accounting.
 
+use btcfast_suite::netsim::faults::FaultPlan;
 use btcfast_suite::payjudger::types::{DisputeVerdict, PaymentState};
 use btcfast_suite::payjudger::Call;
+use btcfast_suite::protocol::chaos::ChaosSession;
+use btcfast_suite::protocol::robustness::ChaosConfig;
 use btcfast_suite::protocol::{FastPaySession, Party, SessionConfig};
 
 fn attack_config() -> SessionConfig {
@@ -97,34 +100,47 @@ fn too_short_challenge_window_leaves_merchant_exposed() {
     // window is shorter than the attack, the dispute arrives too late and
     // the merchant eats the loss. This is a misconfiguration, not a
     // protocol failure — the window must cover Δ blocks' worth of time.
+    // A reverted dispute call means the same under the ideal effects and
+    // under the chaos effects on a fault-free fabric.
     let config = SessionConfig {
         challenge_window_secs: 300, // « one expected block interval
         ..SessionConfig::default()
     };
-    let mut exposed = 0;
-    for t in 0..4 {
-        let mut session = FastPaySession::new(config.clone(), 250 + t);
-        let report = session
-            .run_double_spend_attack(1_000_000, 0.8, 25)
-            .expect("attack");
-        if !report.attacker_won_race {
-            continue;
-        }
-        assert!(report.merchant_lost_payment);
-        match report.verdict {
-            // Race resolved inside the window: dispute ran, merchant whole.
-            Some(_) => assert!(report.merchant_net_loss_sats <= 0),
-            // Race outran the window: dispute reverted, merchant exposed.
-            None => {
-                assert!(!report.merchant_compensated);
-                assert_eq!(report.merchant_net_loss_sats, 1_000_000);
-                exposed += 1;
+    for chaos in [false, true] {
+        let mut exposed = 0;
+        for t in 0..4 {
+            let seed = 250 + t;
+            let report = if chaos {
+                let plan = FaultPlan::new();
+                let mut session =
+                    ChaosSession::new(config.clone(), ChaosConfig::default(), plan, seed);
+                session
+                    .run_dispute_chaos(1_000_000, 0.8, 25)
+                    .map(|(_, r)| r)
+            } else {
+                let mut session = FastPaySession::new(config.clone(), seed);
+                session.run_double_spend_attack(1_000_000, 0.8, 25)
+            };
+            let report = report.unwrap_or_else(|e| panic!("chaos {chaos}, seed {seed}: {e}"));
+            if !report.attacker_won_race {
+                continue;
+            }
+            assert!(report.merchant_lost_payment);
+            match report.verdict {
+                // Race resolved inside the window: dispute ran, merchant whole.
+                Some(_) => assert!(report.merchant_net_loss_sats <= 0),
+                // Race outran the window: dispute reverted, merchant exposed.
+                None => {
+                    assert!(!report.merchant_compensated);
+                    assert_eq!(report.merchant_net_loss_sats, 1_000_000);
+                    exposed += 1;
+                }
             }
         }
+        // With a 300 s window against ~600 s expected block gaps, at least
+        // one of the races must outrun the window.
+        assert!(exposed >= 1, "chaos {chaos}: expected an exposed outcome");
     }
-    // With a 300 s window against ~600 s expected block gaps, at least one
-    // of the races must outrun the window.
-    assert!(exposed >= 1, "expected at least one exposed outcome");
 }
 
 #[test]
