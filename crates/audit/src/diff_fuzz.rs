@@ -35,7 +35,7 @@ use btcfast_payjudger::evidence::{
 use btcfast_payjudger::{EvidenceVerifier, PayJudgerClient};
 use btcfast_pscsim::account::AccountId;
 use btcfast_pscsim::codec::{Decode, Encode};
-use btcfast_pscsim::contract::{Contract, ContractError, Env, HostStorage, Storage};
+use btcfast_pscsim::contract::{CallStorage, Contract, ContractError, Env, Storage};
 use btcfast_pscsim::gas::{GasMeter, GasSchedule};
 use btcfast_pscsim::params::PscParams;
 use btcfast_pscsim::state::WorldState;
@@ -522,17 +522,10 @@ fn metered_verdict(
     bits: CompactBits,
     expected_txid: &Hash256,
 ) -> (Result<VerifiedEvidence, ContractError>, u64) {
-    let mut world = WorldState::new();
+    let world = WorldState::new();
     let mut meter = GasMeter::new(50_000_000);
     let schedule = GasSchedule::evm_shaped();
-    let mut storage = HostStorage {
-        world: &mut world,
-        meter: &mut meter,
-        schedule: &schedule,
-        contract: AccountId([0xEE; 20]),
-        events: Vec::new(),
-        transfers: Vec::new(),
-    };
+    let mut storage = CallStorage::new(&world, &mut meter, &schedule, AccountId([0xEE; 20]));
     let verdict = verify_on_chain(bundle, checkpoint, bits, expected_txid, &mut storage);
     (verdict, storage.gas_used())
 }

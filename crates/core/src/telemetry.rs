@@ -62,10 +62,6 @@ pub fn publish_session(registry: &mut Registry, session: &FastPaySession) {
 
     registry.set("btcfast_psc_height", session.psc.height());
     registry.set("btcfast_psc_gas_used", session.psc.total_gas_used());
-    registry.set(
-        "btcfast_psc_journal_high_water",
-        session.psc.journal_high_water() as u64,
-    );
 
     registry.set("btcfast_trace_dropped_events", session.trace_dropped());
 }
@@ -135,7 +131,6 @@ mod tests {
             "btcfast_btc_blocks_connected",
             "btcfast_mempool_admitted",
             "btcfast_psc_gas_used",
-            "btcfast_psc_journal_high_water",
             "btcfast_sig_cache_hits",
             "btcfast_sig_cache_primed",
             "btcfast_batch_verify_items",

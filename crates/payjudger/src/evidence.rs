@@ -204,7 +204,7 @@ mod tests {
     use btcfast_btcsim::Amount;
     use btcfast_crypto::keys::KeyPair;
     use btcfast_pscsim::account::AccountId;
-    use btcfast_pscsim::contract::HostStorage;
+    use btcfast_pscsim::contract::CallStorage;
     use btcfast_pscsim::gas::{GasMeter, GasSchedule};
     use btcfast_pscsim::state::WorldState;
 
@@ -244,17 +244,10 @@ mod tests {
     }
 
     fn with_storage<T>(f: impl FnOnce(&mut dyn Storage) -> T) -> (T, u64) {
-        let mut world = WorldState::new();
+        let world = WorldState::new();
         let mut meter = GasMeter::new(100_000_000);
         let schedule = GasSchedule::evm_shaped();
-        let mut host = HostStorage {
-            world: &mut world,
-            meter: &mut meter,
-            schedule: &schedule,
-            contract: AccountId([0xCC; 20]),
-            events: Vec::new(),
-            transfers: Vec::new(),
-        };
+        let mut host = CallStorage::new(&world, &mut meter, &schedule, AccountId([0xCC; 20]));
         let result = f(&mut host);
         let used = host.gas_used();
         (result, used)
@@ -357,17 +350,10 @@ mod tests {
     fn out_of_gas_on_huge_evidence() {
         let (chain, txid) = chain_with_payment();
         let bundle = EvidenceBundle(SpvEvidence::from_chain(&chain, 1, 8, Some(&txid)));
-        let mut world = WorldState::new();
+        let world = WorldState::new();
         let mut meter = GasMeter::new(1_000); // far too little
         let schedule = GasSchedule::evm_shaped();
-        let mut host = HostStorage {
-            world: &mut world,
-            meter: &mut meter,
-            schedule: &schedule,
-            contract: AccountId([0xCC; 20]),
-            events: Vec::new(),
-            transfers: Vec::new(),
-        };
+        let mut host = CallStorage::new(&world, &mut meter, &schedule, AccountId([0xCC; 20]));
         let result = verify_on_chain(&bundle, &Hash256::ZERO, bits(), &txid, &mut host);
         assert!(matches!(result, Err(ContractError::OutOfGas(_))));
     }

@@ -3,8 +3,8 @@
 
 use crate::account::AccountId;
 use crate::block::PscBlock;
-use crate::contract::{Contract, ContractError, Env, HostStorage, ViewStorage};
-use crate::gas::{GasMeter, GasSchedule};
+use crate::contract::{CallEffects, CallStorage, Contract, ContractError, Env, Event};
+use crate::gas::GasMeter;
 use crate::params::PscParams;
 use crate::state::WorldState;
 use crate::tx::{Action, PscTransaction, PscTxError, Receipt, TxStatus};
@@ -15,6 +15,10 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
+
+/// What a successful action returns: its return data, its events and the
+/// address it deployed, if any.
+type ActionOutcome = (Vec<u8>, Vec<Event>, Option<AccountId>);
 
 /// Why [`PscChain::submit_batch`] stopped: transaction `index` failed a
 /// stateless check; the transactions before it are queued, it and the
@@ -160,12 +164,6 @@ impl PscChain {
         self.total_gas_used
     }
 
-    /// Deepest the state's pre-image journal has ever grown — the
-    /// checkpoint-depth observability metric.
-    pub fn journal_high_water(&self) -> usize {
-        self.state.journal_high_water()
-    }
-
     /// Queues a transaction for the next block after stateless checks:
     /// the one-element case of [`PscChain::submit_batch`].
     ///
@@ -253,17 +251,11 @@ impl PscChain {
         let number = self.height() + 1;
         let pending = std::mem::take(&mut self.pending);
         let mut tx_hashes = Vec::with_capacity(pending.len());
-        if !pending.is_empty() {
-            // One schedule clone per block, shared by every transaction;
-            // the borrow cannot come from `self.params` because execution
-            // takes `&mut self`.
-            let schedule = self.params.schedule.clone();
-            for (hash, tx) in pending {
-                let receipt = self.execute(tx, hash, number, time, &schedule);
-                self.total_gas_used += receipt.gas_used;
-                self.receipts.insert(hash, receipt);
-                tx_hashes.push(hash);
-            }
+        for (hash, tx) in pending {
+            let receipt = self.execute(tx, hash, number, time);
+            self.total_gas_used += receipt.gas_used;
+            self.receipts.insert(hash, receipt);
+            tx_hashes.push(hash);
         }
         let block = PscBlock {
             number,
@@ -280,7 +272,6 @@ impl PscChain {
         tx_hash: Hash256,
         block_number: u64,
         block_time: u64,
-        schedule: &GasSchedule,
     ) -> Receipt {
         let sender = tx.sender();
         let invalid = |msg: String| Receipt {
@@ -307,7 +298,11 @@ impl PscChain {
             return invalid("insufficient balance for value plus max fee".into());
         }
 
+        // A valid transaction spends its nonce whatever its action does.
+        self.state.account_mut(sender).nonce += 1;
+
         // Intrinsic gas.
+        let schedule = &self.params.schedule;
         let mut meter = GasMeter::new(tx.gas_limit);
         let intrinsic = schedule.tx_intrinsic
             + schedule.calldata_byte * tx.action.calldata_len() as u64
@@ -315,7 +310,6 @@ impl PscChain {
         if meter.charge(intrinsic).is_err() {
             // Intrinsic alone exceeds the limit: whole limit burned.
             let fee = self.collect_fee(sender, tx.max_fee());
-            self.state.account_mut(sender).nonce += 1;
             return Receipt {
                 tx_hash,
                 status: TxStatus::OutOfGas,
@@ -328,82 +322,11 @@ impl PscChain {
             };
         }
 
-        // Open a journal transaction for revert: a failed call rolls back
-        // only the entries it touched instead of restoring a full clone.
-        let checkpoint = self.state.begin_transaction();
-        self.state.account_mut(sender).nonce += 1;
-
-        type CallOutcome =
-            Result<(Vec<u8>, Vec<crate::contract::Event>, Option<AccountId>), ContractError>;
-        let result: CallOutcome = match &tx.action {
-            Action::Transfer { to } => match self.state.transfer(sender, *to, tx.value) {
-                Ok(()) => Ok((vec![], vec![], None)),
-                Err(e) => Err(ContractError::Revert(e.to_string())),
-            },
-            Action::Deploy { code_id, args } => {
-                match self.registry.get(code_id.as_str()).cloned() {
-                    None => Err(ContractError::Revert(format!(
-                        "unknown code id {code_id:?}"
-                    ))),
-                    Some(code) => match meter.charge(schedule.deploy) {
-                        Err(e) => Err(ContractError::OutOfGas(e)),
-                        Ok(()) => {
-                            let contract_id = AccountId::contract(&sender, tx.nonce, code_id);
-                            self.state.account_mut(contract_id).code_id = Some(code_id.clone());
-                            match self.state.transfer(sender, contract_id, tx.value) {
-                                Err(e) => Err(ContractError::Revert(e.to_string())),
-                                Ok(()) => {
-                                    let env = Env {
-                                        caller: sender,
-                                        contract: contract_id,
-                                        value: tx.value,
-                                        block_number,
-                                        block_time,
-                                    };
-                                    self.run_contract(
-                                        &code, &env, "init", args, &mut meter, schedule,
-                                    )
-                                    .map(|(ret, events)| (ret, events, Some(contract_id)))
-                                }
-                            }
-                        }
-                    },
-                }
-            }
-            Action::Call {
-                contract,
-                method,
-                args,
-            } => {
-                let code_id = self.state.account(contract).and_then(|a| a.code_id.clone());
-                match code_id.and_then(|id| self.registry.get(id.as_str()).cloned()) {
-                    None => Err(ContractError::Revert(format!(
-                        "account {contract} holds no code"
-                    ))),
-                    Some(code) => match self.state.transfer(sender, *contract, tx.value) {
-                        Err(e) => Err(ContractError::Revert(e.to_string())),
-                        Ok(()) => {
-                            let env = Env {
-                                caller: sender,
-                                contract: *contract,
-                                value: tx.value,
-                                block_number,
-                                block_time,
-                            };
-                            self.run_contract(&code, &env, method, args, &mut meter, schedule)
-                                .map(|(ret, events)| (ret, events, None))
-                        }
-                    },
-                }
-            }
-        };
-
+        let result = self.run_action(&tx, &mut meter, block_number, block_time);
         let gas_used = meter.used();
-        let fee = (gas_used as u128).saturating_mul(tx.gas_price);
-
         match result {
             Ok((return_data, events, contract_address)) => {
-                self.state.commit(checkpoint);
+                let fee = (gas_used as u128).saturating_mul(tx.gas_price);
                 let fee = self.collect_fee(sender, fee);
                 Receipt {
                     tx_hash,
@@ -417,9 +340,7 @@ impl PscChain {
                 }
             }
             Err(error) => {
-                // Revert all state changes, then charge the fee.
-                self.state.rollback(checkpoint);
-                self.state.account_mut(sender).nonce += 1;
+                // Nothing of the action reached the state; charge the fee.
                 let (status, billed_gas) = match error {
                     ContractError::OutOfGas(_) => (TxStatus::OutOfGas, tx.gas_limit),
                     other => (TxStatus::Reverted(other.to_string()), gas_used),
@@ -436,6 +357,65 @@ impl PscChain {
                     contract_address: None,
                     block_number,
                 }
+            }
+        }
+    }
+
+    /// Runs a transaction's action, all or nothing: a transfer is atomic
+    /// on its own, and a contract call runs in a [`CallStorage`] overlay
+    /// that only its success commits. A deployed account gets its code
+    /// once `init` has succeeded.
+    fn run_action(
+        &mut self,
+        tx: &PscTransaction,
+        meter: &mut GasMeter,
+        block_number: u64,
+        block_time: u64,
+    ) -> Result<ActionOutcome, ContractError> {
+        let sender = tx.sender();
+        let env = |contract| Env {
+            caller: sender,
+            contract,
+            value: tx.value,
+            block_number,
+            block_time,
+        };
+        match &tx.action {
+            Action::Transfer { to } => {
+                self.state
+                    .transfer(sender, *to, tx.value)
+                    .map_err(|e| ContractError::Revert(e.to_string()))?;
+                Ok((vec![], vec![], None))
+            }
+            Action::Deploy { code_id, args } => {
+                let code = self
+                    .registry
+                    .get(code_id.as_str())
+                    .ok_or_else(|| ContractError::Revert(format!("unknown code id {code_id:?}")))?;
+                meter.charge(self.params.schedule.deploy)?;
+                let contract = AccountId::contract(&sender, tx.nonce, code_id);
+                let (ret, effects) =
+                    self.run_contract(code, &env(contract), "init", args, meter)?;
+                let events = self.state.apply_call(effects);
+                self.state.account_mut(contract).code_id = Some(code_id.clone());
+                Ok((ret, events, Some(contract)))
+            }
+            Action::Call {
+                contract,
+                method,
+                args,
+            } => {
+                let code = self
+                    .state
+                    .account(contract)
+                    .and_then(|a| a.code_id.as_deref())
+                    .and_then(|id| self.registry.get(id))
+                    .ok_or_else(|| {
+                        ContractError::Revert(format!("account {contract} holds no code"))
+                    })?;
+                let (ret, effects) =
+                    self.run_contract(code, &env(*contract), method, args, meter)?;
+                Ok((ret, self.state.apply_call(effects), None))
             }
         }
     }
@@ -458,34 +438,31 @@ impl PscChain {
         paid
     }
 
+    /// Runs `method` in a fresh [`CallStorage`] overlay over the state:
+    /// first the call's value moves from the caller to the contract, then
+    /// the method runs. The state is untouched; the caller commits the
+    /// effects with [`WorldState::apply_call`] or drops them.
     fn run_contract(
-        &mut self,
+        &self,
         code: &Arc<dyn Contract>,
         env: &Env,
         method: &str,
         args: &[u8],
         meter: &mut GasMeter,
-        schedule: &GasSchedule,
-    ) -> Result<(Vec<u8>, Vec<crate::contract::Event>), ContractError> {
-        let mut host = HostStorage {
-            world: &mut self.state,
-            meter,
-            schedule,
-            contract: env.contract,
-            events: Vec::new(),
-            transfers: Vec::new(),
-        };
+    ) -> Result<(Vec<u8>, CallEffects), ContractError> {
+        let mut host = CallStorage::new(&self.state, meter, &self.params.schedule, env.contract);
+        host.transfer(env.caller, env.contract, env.value)
+            .map_err(|e| ContractError::Revert(e.to_string()))?;
         let ret = code.call(env, method, args, &mut host)?;
-        let events = host.events;
-        Ok((ret, events))
+        Ok((ret, host.finish()))
     }
 
     /// Executes a read-only call against current state without a
     /// transaction: free, unmetered (large scratch budget), uncommitted.
     ///
-    /// Zero-copy: the call reads the live state through a borrow and any
-    /// writes the method makes land in a discarded overlay
-    /// ([`ViewStorage`]) — the state is never cloned.
+    /// It runs as a transaction's call does, in a [`CallStorage`] overlay
+    /// over the live state, and the overlay is dropped: the state is never
+    /// cloned, and the gas is what the same call in a transaction uses.
     ///
     /// # Errors
     ///
@@ -505,7 +482,6 @@ impl PscChain {
         let code = self
             .registry
             .get(code_id.as_str())
-            .cloned()
             .ok_or_else(|| ContractError::Revert(format!("unregistered code {code_id:?}")))?;
         let mut meter = GasMeter::new(u64::MAX / 2);
         let env = Env {
@@ -515,8 +491,8 @@ impl PscChain {
             block_number: self.height(),
             block_time: self.tip_time(),
         };
-        let mut host = ViewStorage::new(&self.state, &mut meter, &self.params.schedule, contract);
-        code.call(&env, method, args, &mut host)
+        self.run_contract(code, &env, method, args, &mut meter)
+            .map(|(ret, _)| ret)
     }
 
     /// Commitment over the current world state (the tip "state root").
@@ -583,6 +559,13 @@ mod tests {
                     let balance = storage.contract_balance();
                     storage.transfer_out(owner, balance)?;
                     Ok(vec![])
+                }
+                // Writes a slot and pays the call's value back, then
+                // reverts: none of it may reach the state.
+                "doomed" => {
+                    storage.set(b"doomed", &[1])?;
+                    storage.transfer_out(env.caller, env.value)?;
+                    Err(ContractError::Revert("doomed".into()))
                 }
                 other => Err(ContractError::UnknownMethod(other.to_string())),
             }
@@ -830,6 +813,56 @@ mod tests {
             chain.receipt(&hash).unwrap().status,
             TxStatus::Reverted(_)
         ));
+    }
+
+    #[test]
+    fn a_reverted_deploy_leaves_no_account() {
+        let mut chain = PscChain::new(PscParams::ethereum_like());
+        chain.register_code(Arc::new(Counter));
+        let alice = KeyPair::from_seed(b"a");
+        chain.faucet(alice.address().into(), 1_000_000_000);
+        // Three bytes are no `u64`: `init` fails to decode its argument
+        // after the value moved into the would-be contract's account.
+        let deploy = PscTransaction::new(
+            *alice.public(),
+            0,
+            1_000,
+            Action::Deploy {
+                code_id: "counter".into(),
+                args: vec![1, 2, 3],
+            },
+        )
+        .with_gas(1_000_000, 1)
+        .sign(&alice);
+        let hash = chain.submit_transaction(deploy).unwrap();
+        chain.produce_block(15);
+        let receipt = chain.receipt(&hash).unwrap();
+        assert!(matches!(receipt.status, TxStatus::Reverted(_)));
+        assert_eq!(receipt.contract_address, None);
+        let address = AccountId::contract(&alice.address().into(), 0, "counter");
+        assert_eq!(chain.state.account(&address), None);
+        assert_eq!(chain.nonce_of(&alice.address().into()), 1);
+    }
+
+    #[test]
+    fn a_reverted_call_moves_only_the_nonce_and_the_fee() {
+        let mut fx = deploy_counter();
+        let alice: AccountId = fx.alice.address().into();
+        let mut expected = fx.chain.state.clone();
+        let receipt = call(&mut fx, "doomed", vec![], 700, 1_000_000);
+        assert_eq!(
+            receipt.status,
+            TxStatus::Reverted("reverted: doomed".into())
+        );
+        assert!(receipt.fee_paid > 0);
+
+        // The pre-call state plus the nonce and the fee, root included.
+        expected.account_mut(alice).nonce += 1;
+        expected
+            .transfer(alice, fx.chain.validator(), receipt.fee_paid)
+            .unwrap();
+        assert_eq!(fx.chain.state, expected);
+        assert_eq!(fx.chain.state_commitment(), expected.commitment());
     }
 
     /// The hash a chain that stored parent links gave `block`: the bytes

@@ -179,138 +179,51 @@ pub trait Contract: Send + Sync {
     ) -> Result<Vec<u8>, ContractError>;
 }
 
-/// The host-side [`Storage`] implementation backing a single call.
+/// The one [`Storage`] host: every contract call runs in it, in a
+/// transaction and as a view alike. Reads fall through to a *borrowed*
+/// world state; slot writes, balance moves and events land in a private
+/// overlay. A transaction whose call succeeds commits the overlay with
+/// [`WorldState::apply_call`]; a revert or a view drops it. So a revert
+/// costs only what the call touched, no state is ever cloned, and a view
+/// charges the same gas as the same call in a transaction.
 ///
 /// Public so that contract crates can unit-test their logic against a real
 /// metered storage without standing up a full chain.
-pub struct HostStorage<'a> {
-    /// The world state being mutated.
-    pub world: &'a mut WorldState,
-    /// The call's gas meter.
-    pub meter: &'a mut GasMeter,
-    /// The active cost schedule.
-    pub schedule: &'a GasSchedule,
-    /// The executing contract's account (storage namespace).
-    pub contract: AccountId,
-    /// Events emitted so far.
-    pub events: Vec<Event>,
-    /// Transfers executed by the contract; applied immediately to `world`
-    /// (the caller holds a pre-call snapshot for revert).
-    pub transfers: Vec<(AccountId, u128)>,
-}
-
-impl Storage for HostStorage<'_> {
-    fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, ContractError> {
-        self.meter.charge(self.schedule.storage_read)?;
-        Ok(self.world.storage_get(&self.contract, key).cloned())
-    }
-
-    fn set(&mut self, key: &[u8], value: &[u8]) -> Result<(), ContractError> {
-        let exists = self.world.storage_get(&self.contract, key).is_some();
-        let base = if exists {
-            self.schedule.storage_write_existing
-        } else {
-            self.schedule.storage_write_new
-        };
-        let byte_cost = self.schedule.storage_byte * (value.len() as u64).saturating_sub(32);
-        self.meter.charge(base + byte_cost)?;
-        self.world
-            .storage_set(self.contract, key.to_vec(), value.to_vec());
-        Ok(())
-    }
-
-    fn remove(&mut self, key: &[u8]) -> Result<(), ContractError> {
-        self.meter.charge(self.schedule.storage_delete)?;
-        self.world.storage_remove(&self.contract, key);
-        Ok(())
-    }
-
-    fn emit(&mut self, topic: &str, data: Vec<u8>) -> Result<(), ContractError> {
-        self.meter.charge(
-            self.schedule.log_base + self.schedule.log_byte * (topic.len() + data.len()) as u64,
-        )?;
-        self.events.push(Event {
-            contract: self.contract,
-            topic: topic.to_string(),
-            data,
-        });
-        Ok(())
-    }
-
-    fn transfer_out(&mut self, to: AccountId, value: u128) -> Result<(), ContractError> {
-        self.meter.charge(self.schedule.transfer)?;
-        let available = self.world.balance(&self.contract);
-        if available < value {
-            return Err(ContractError::InsufficientContractBalance {
-                available,
-                requested: value,
-            });
-        }
-        if let Err(e) = self.world.transfer(self.contract, to, value) {
-            return Err(match e {
-                StateError::InsufficientBalance {
-                    available,
-                    requested,
-                    ..
-                } => ContractError::InsufficientContractBalance {
-                    available,
-                    requested,
-                },
-                StateError::BalanceOverflow { account, .. } => {
-                    ContractError::BalanceOverflow { account }
-                }
-            });
-        }
-        self.transfers.push((to, value));
-        Ok(())
-    }
-
-    fn contract_balance(&self) -> u128 {
-        self.world.balance(&self.contract)
-    }
-
-    fn charge(&mut self, gas: Gas) -> Result<(), ContractError> {
-        self.meter.charge(gas)?;
-        Ok(())
-    }
-
-    fn schedule(&self) -> &GasSchedule {
-        self.schedule
-    }
-
-    fn gas_used(&self) -> Gas {
-        self.meter.used()
-    }
-}
-
-/// A read-only [`Storage`] host for view calls: reads go straight to a
-/// *borrowed* world state, while any writes the viewed method makes land in
-/// a private overlay that is discarded when the view returns. This keeps
-/// view execution zero-copy — no clone of the world state is ever taken —
-/// while charging exactly the same gas as [`HostStorage`] would for the
-/// same operations against the same underlying state.
-pub struct ViewStorage<'a> {
+pub struct CallStorage<'a> {
     world: &'a WorldState,
     meter: &'a mut GasMeter,
     schedule: &'a GasSchedule,
     contract: AccountId,
-    /// Uncommitted slot writes made during the view (`None` = deleted).
+    /// Uncommitted slot writes of the call (`None` = deleted).
     writes: HashMap<Vec<u8>, Option<Vec<u8>>>,
-    /// Uncommitted balance overrides from view-time transfers.
+    /// Balances the call moved value between, as they stand after it.
     balances: HashMap<AccountId, u128>,
-    /// Events emitted during the view (discarded with the overlay).
-    pub events: Vec<Event>,
+    events: Vec<Event>,
 }
 
-impl<'a> ViewStorage<'a> {
-    /// A view host over `world` for `contract`, metered by `meter`.
+/// What a finished call leaves behind: [`WorldState::apply_call`] commits
+/// the writes and balances, and the events go into the receipt.
+#[derive(Debug)]
+pub struct CallEffects {
+    /// The called contract: the namespace of `writes`.
+    pub(crate) contract: AccountId,
+    /// Slot writes (`None` = deleted).
+    pub(crate) writes: HashMap<Vec<u8>, Option<Vec<u8>>>,
+    /// Every balance a value move touched, as it stands after the call.
+    pub(crate) balances: HashMap<AccountId, u128>,
+    /// Events, in emission order.
+    pub(crate) events: Vec<Event>,
+}
+
+impl<'a> CallStorage<'a> {
+    /// A call host over `world` for `contract`, metered by `meter`.
     pub fn new(
         world: &'a WorldState,
         meter: &'a mut GasMeter,
         schedule: &'a GasSchedule,
         contract: AccountId,
-    ) -> ViewStorage<'a> {
-        ViewStorage {
+    ) -> CallStorage<'a> {
+        CallStorage {
             world,
             meter,
             schedule,
@@ -337,9 +250,60 @@ impl<'a> ViewStorage<'a> {
             .copied()
             .unwrap_or_else(|| self.world.balance(id))
     }
+
+    /// Moves `value` from `from` to `to` inside the overlay, unmetered:
+    /// all or nothing, with [`WorldState::transfer`]'s errors. Both
+    /// balances enter the overlay even for a 0-value move, as a direct
+    /// transfer creates both account records; a self-transfer nets to zero.
+    ///
+    /// # Errors
+    ///
+    /// [`StateError::InsufficientBalance`] if `from` is short and
+    /// [`StateError::BalanceOverflow`] if `to` cannot absorb `value`; the
+    /// overlay is unchanged in either case.
+    pub fn transfer(
+        &mut self,
+        from: AccountId,
+        to: AccountId,
+        value: u128,
+    ) -> Result<(), StateError> {
+        let available = self.balance_of(&from);
+        if available < value {
+            return Err(StateError::InsufficientBalance {
+                account: from,
+                available,
+                requested: value,
+            });
+        }
+        if from == to {
+            self.balances.insert(from, available);
+            return Ok(());
+        }
+        let balance = self.balance_of(&to);
+        let credited = balance
+            .checked_add(value)
+            .ok_or(StateError::BalanceOverflow {
+                account: to,
+                balance,
+                amount: value,
+            })?;
+        self.balances.insert(from, available - value);
+        self.balances.insert(to, credited);
+        Ok(())
+    }
+
+    /// Ends the call, handing back its overlay and events.
+    pub fn finish(self) -> CallEffects {
+        CallEffects {
+            contract: self.contract,
+            writes: self.writes,
+            balances: self.balances,
+            events: self.events,
+        }
+    }
 }
 
-impl Storage for ViewStorage<'_> {
+impl Storage for CallStorage<'_> {
     fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, ContractError> {
         self.meter.charge(self.schedule.storage_read)?;
         Ok(self.slot(key).cloned())
@@ -378,24 +342,20 @@ impl Storage for ViewStorage<'_> {
 
     fn transfer_out(&mut self, to: AccountId, value: u128) -> Result<(), ContractError> {
         self.meter.charge(self.schedule.transfer)?;
-        let available = self.balance_of(&self.contract);
-        if available < value {
-            return Err(ContractError::InsufficientContractBalance {
-                available,
-                requested: value,
-            });
-        }
-        if to == self.contract {
-            // Debit-then-credit of the same account nets to zero.
-            return Ok(());
-        }
-        let to_balance = self.balance_of(&to);
-        let new_to_balance = to_balance
-            .checked_add(value)
-            .ok_or(ContractError::BalanceOverflow { account: to })?;
-        self.balances.insert(self.contract, available - value);
-        self.balances.insert(to, new_to_balance);
-        Ok(())
+        self.transfer(self.contract, to, value)
+            .map_err(|e| match e {
+                StateError::InsufficientBalance {
+                    available,
+                    requested,
+                    ..
+                } => ContractError::InsufficientContractBalance {
+                    available,
+                    requested,
+                },
+                StateError::BalanceOverflow { account, .. } => {
+                    ContractError::BalanceOverflow { account }
+                }
+            })
     }
 
     fn contract_balance(&self) -> u128 {
@@ -420,27 +380,22 @@ impl Storage for ViewStorage<'_> {
 mod tests {
     use super::*;
 
+    const CONTRACT: AccountId = AccountId([0xCC; 20]);
+
     fn host<'a>(
-        world: &'a mut WorldState,
+        world: &'a WorldState,
         meter: &'a mut GasMeter,
         schedule: &'a GasSchedule,
-    ) -> HostStorage<'a> {
-        HostStorage {
-            world,
-            meter,
-            schedule,
-            contract: AccountId([0xCC; 20]),
-            events: Vec::new(),
-            transfers: Vec::new(),
-        }
+    ) -> CallStorage<'a> {
+        CallStorage::new(world, meter, schedule, CONTRACT)
     }
 
     #[test]
     fn storage_ops_charge_gas() {
-        let mut world = WorldState::new();
+        let world = WorldState::new();
         let mut meter = GasMeter::new(1_000_000);
         let schedule = GasSchedule::evm_shaped();
-        let mut storage = host(&mut world, &mut meter, &schedule);
+        let mut storage = host(&world, &mut meter, &schedule);
 
         storage.set(b"k", b"v").unwrap();
         let after_new_write = storage.gas_used();
@@ -459,10 +414,10 @@ mod tests {
 
     #[test]
     fn long_values_cost_more() {
-        let mut world = WorldState::new();
+        let world = WorldState::new();
         let mut meter = GasMeter::new(10_000_000);
         let schedule = GasSchedule::evm_shaped();
-        let mut storage = host(&mut world, &mut meter, &schedule);
+        let mut storage = host(&world, &mut meter, &schedule);
         storage.set(b"a", &[0u8; 32]).unwrap();
         let small = storage.gas_used();
         storage.set(b"b", &[0u8; 132]).unwrap();
@@ -475,10 +430,10 @@ mod tests {
 
     #[test]
     fn out_of_gas_surfaces() {
-        let mut world = WorldState::new();
+        let world = WorldState::new();
         let mut meter = GasMeter::new(10);
         let schedule = GasSchedule::evm_shaped();
-        let mut storage = host(&mut world, &mut meter, &schedule);
+        let mut storage = host(&world, &mut meter, &schedule);
         assert!(matches!(
             storage.set(b"k", b"v"),
             Err(ContractError::OutOfGas(_))
@@ -487,43 +442,56 @@ mod tests {
 
     #[test]
     fn events_recorded() {
-        let mut world = WorldState::new();
+        let world = WorldState::new();
         let mut meter = GasMeter::new(1_000_000);
         let schedule = GasSchedule::evm_shaped();
-        let mut storage = host(&mut world, &mut meter, &schedule);
+        let mut storage = host(&world, &mut meter, &schedule);
         storage.emit("Deposited", vec![1, 2, 3]).unwrap();
-        assert_eq!(storage.events.len(), 1);
-        assert_eq!(storage.events[0].topic, "Deposited");
+        let events = storage.finish().events;
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].topic, "Deposited");
     }
 
     #[test]
     fn transfer_out_moves_balance() {
         let mut world = WorldState::new();
-        let contract_id = AccountId([0xCC; 20]);
-        world.credit(contract_id, 100).unwrap();
-        let mut meter = GasMeter::new(1_000_000);
+        world.storage_set(CONTRACT, b"k".to_vec(), b"base".to_vec());
+        world.credit(CONTRACT, 100).unwrap();
+        let base = world.clone();
         let schedule = GasSchedule::evm_shaped();
-        let mut storage = host(&mut world, &mut meter, &schedule);
+        let mut meter = GasMeter::new(1_000_000);
+        let mut storage = host(&world, &mut meter, &schedule);
         let dest = AccountId([0x01; 20]);
+        storage.remove(b"k").unwrap();
+        storage.set(b"fresh", b"v").unwrap();
         storage.transfer_out(dest, 60).unwrap();
         assert_eq!(storage.contract_balance(), 40);
         assert!(matches!(
             storage.transfer_out(dest, 41),
             Err(ContractError::InsufficientContractBalance { .. })
         ));
-        drop(storage);
+        let effects = storage.finish();
+
+        // Applied, the overlay is exactly the same writes made directly.
+        let mut direct = base;
+        direct.storage_remove(&CONTRACT, b"k");
+        direct.storage_set(CONTRACT, b"fresh".to_vec(), b"v".to_vec());
+        direct.transfer(CONTRACT, dest, 60).unwrap();
+        world.apply_call(effects);
+        assert_eq!(world, direct);
         assert_eq!(world.balance(&dest), 60);
+        assert_eq!(world.commitment(), direct.commitment());
     }
 
     #[test]
     fn view_overlay_reads_own_writes_without_touching_base() {
+        // A view is a call whose overlay is dropped.
         let mut world = WorldState::new();
-        let contract_id = AccountId([0xCC; 20]);
-        world.storage_set(contract_id, b"k".to_vec(), b"base".to_vec());
-        let base_commitment = world.commitment();
+        world.storage_set(CONTRACT, b"k".to_vec(), b"base".to_vec());
+        let base = world.clone();
         let schedule = GasSchedule::evm_shaped();
         let mut meter = GasMeter::new(1_000_000);
-        let mut view = ViewStorage::new(&world, &mut meter, &schedule, contract_id);
+        let mut view = host(&world, &mut meter, &schedule);
 
         assert_eq!(view.get(b"k").unwrap().unwrap(), b"base");
         view.set(b"k", b"shadow").unwrap();
@@ -534,48 +502,17 @@ mod tests {
         assert_eq!(view.get(b"fresh").unwrap().unwrap(), b"v");
         drop(view);
         // The borrowed base state is untouched.
-        assert_eq!(world.commitment(), base_commitment);
-        assert_eq!(world.storage_get(&contract_id, b"k").unwrap(), b"base");
-    }
-
-    #[test]
-    fn view_gas_matches_host_storage() {
-        let schedule = GasSchedule::evm_shaped();
-        let contract_id = AccountId([0xCC; 20]);
-        let mut base = WorldState::new();
-        base.storage_set(contract_id, b"k".to_vec(), b"v".to_vec());
-        base.credit(contract_id, 100).unwrap();
-
-        let script = |s: &mut dyn Storage| -> Result<(), ContractError> {
-            s.get(b"k")?;
-            s.set(b"k", b"v2")?; // existing slot
-            s.set(b"new", &[0u8; 64])?; // new slot, 32 bytes beyond base
-            s.remove(b"k")?;
-            s.emit("Topic", vec![1, 2, 3])?;
-            s.transfer_out(AccountId([0x01; 20]), 40)?;
-            Ok(())
-        };
-
-        let mut host_world = base.clone();
-        let mut host_meter = GasMeter::new(1_000_000);
-        let mut host = host(&mut host_world, &mut host_meter, &schedule);
-        script(&mut host).unwrap();
-        let host_gas = host.gas_used();
-
-        let mut view_meter = GasMeter::new(1_000_000);
-        let mut view = ViewStorage::new(&base, &mut view_meter, &schedule, contract_id);
-        script(&mut view).unwrap();
-        assert_eq!(view.gas_used(), host_gas);
+        assert_eq!(world, base);
+        assert_eq!(world.storage_get(&CONTRACT, b"k").unwrap(), b"base");
     }
 
     #[test]
     fn view_transfer_overlays_balances() {
         let mut world = WorldState::new();
-        let contract_id = AccountId([0xCC; 20]);
-        world.credit(contract_id, 100).unwrap();
+        world.credit(CONTRACT, 100).unwrap();
         let schedule = GasSchedule::evm_shaped();
         let mut meter = GasMeter::new(1_000_000);
-        let mut view = ViewStorage::new(&world, &mut meter, &schedule, contract_id);
+        let mut view = host(&world, &mut meter, &schedule);
         let dest = AccountId([0x01; 20]);
         view.transfer_out(dest, 60).unwrap();
         assert_eq!(view.contract_balance(), 40);
@@ -584,53 +521,58 @@ mod tests {
             Err(ContractError::InsufficientContractBalance { .. })
         ));
         // Self-transfer leaves the balance unchanged, as debit+credit would.
-        view.transfer_out(contract_id, 10).unwrap();
+        view.transfer_out(CONTRACT, 10).unwrap();
         assert_eq!(view.contract_balance(), 40);
         drop(view);
-        assert_eq!(world.balance(&contract_id), 100);
+        assert_eq!(world.balance(&CONTRACT), 100);
         assert_eq!(world.balance(&dest), 0);
     }
 
     #[test]
     fn host_transfer_overflow_is_typed_not_a_panic() {
-        // A recipient sitting at u128::MAX used to trip the
-        // `expect("balance checked above")` in HostStorage::transfer_out.
+        // A recipient sitting at u128::MAX used to trip an
+        // `expect("balance checked above")` in the transaction host and a
+        // `checked_add().expect()` in the view host.
         let mut world = WorldState::new();
-        let contract_id = AccountId([0xCC; 20]);
         let dest = AccountId([0x01; 20]);
-        world.credit(contract_id, 100).unwrap();
+        world.credit(CONTRACT, 100).unwrap();
         world.credit(dest, u128::MAX).unwrap();
         let mut meter = GasMeter::new(1_000_000);
         let schedule = GasSchedule::evm_shaped();
-        let mut storage = host(&mut world, &mut meter, &schedule);
+        let mut storage = host(&world, &mut meter, &schedule);
         assert_eq!(
             storage.transfer_out(dest, 1),
             Err(ContractError::BalanceOverflow { account: dest })
         );
         // The failed transfer left both balances untouched.
         assert_eq!(storage.contract_balance(), 100);
-        drop(storage);
-        assert_eq!(world.balance(&dest), u128::MAX);
+        assert!(storage.finish().balances.is_empty());
     }
 
     #[test]
     fn view_transfer_overflow_reverts_instead_of_aborting() {
-        // Same hostile state through the view overlay: the old
-        // checked_add().expect() aborted the process.
+        // The call's value move (unmetered `transfer`, which a view runs
+        // too) into a contract sitting at u128::MAX: a typed error, not
+        // the old view host's `checked_add().expect()` abort.
         let mut world = WorldState::new();
-        let contract_id = AccountId([0xCC; 20]);
-        let dest = AccountId([0x01; 20]);
-        world.credit(contract_id, 100).unwrap();
-        world.credit(dest, u128::MAX).unwrap();
-        let schedule = GasSchedule::evm_shaped();
+        let caller = AccountId([0x01; 20]);
+        world.credit(caller, 1).unwrap();
+        world.credit(CONTRACT, u128::MAX).unwrap();
         let mut meter = GasMeter::new(1_000_000);
-        let mut view = ViewStorage::new(&world, &mut meter, &schedule, contract_id);
+        let schedule = GasSchedule::evm_shaped();
+        let mut view = host(&world, &mut meter, &schedule);
         assert_eq!(
-            view.transfer_out(dest, 1),
-            Err(ContractError::BalanceOverflow { account: dest })
+            view.transfer(caller, CONTRACT, 1),
+            Err(StateError::BalanceOverflow {
+                account: CONTRACT,
+                balance: u128::MAX,
+                amount: 1,
+            })
         );
         // The overlay records nothing for a failed transfer.
-        assert_eq!(view.contract_balance(), 100);
+        assert_eq!(view.contract_balance(), u128::MAX);
+        assert_eq!(view.gas_used(), 0);
+        assert!(view.finish().balances.is_empty());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The world state: accounts and contract storage.
 
 use crate::account::{Account, AccountId};
+use crate::contract::{CallEffects, Event};
 use crate::trie::{self, KEY_ACCOUNT, KEY_STORAGE, LEAF};
 use btcfast_crypto::Hash256;
 use std::collections::BTreeMap;
@@ -55,60 +56,18 @@ impl fmt::Display for StateError {
 
 impl Error for StateError {}
 
-/// The pre-image of one touched entry, recorded while a transaction is
-/// open so [`WorldState::rollback`] can restore it.
-#[derive(Clone, Debug)]
-enum JournalEntry {
-    Account {
-        id: AccountId,
-        prev: Option<Account>,
-    },
-    Storage {
-        contract: AccountId,
-        key: Vec<u8>,
-        prev: Option<Vec<u8>>,
-    },
-}
-
-/// A position in the write journal returned by
-/// [`WorldState::begin_transaction`]. Consume it with
-/// [`WorldState::commit`] or [`WorldState::rollback`].
-#[derive(Debug)]
-#[must_use = "a checkpoint must be committed or rolled back"]
-pub struct Checkpoint(usize);
-
 /// Accounts plus per-contract key/value storage.
 ///
-/// Between [`begin_transaction`](WorldState::begin_transaction) and
-/// [`commit`](WorldState::commit)/[`rollback`](WorldState::rollback) every
-/// mutation records the pre-image of the entry it touches, so reverting a
-/// transaction costs O(touched keys) rather than O(state size) — no
-/// whole-state snapshot clone is ever taken.
-#[derive(Clone, Debug, Default)]
+/// A contract call never writes here directly: it runs in a
+/// [`CallStorage`](crate::contract::CallStorage) overlay, which
+/// [`WorldState::apply_call`] commits only when the call succeeds.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorldState {
     accounts: BTreeMap<AccountId, Account>,
     /// Nested per contract so a read borrows its `&[u8]` key instead of
     /// building an owned tuple; a contract with no slots has no entry.
     storage: BTreeMap<AccountId, BTreeMap<Vec<u8>, Vec<u8>>>,
-    /// Pre-images of entries touched since the outermost open checkpoint.
-    journal: Vec<JournalEntry>,
-    /// True while a transaction is open; mutations outside one skip the
-    /// journal entirely.
-    recording: bool,
-    /// Deepest the journal has ever grown (observability: the checkpoint
-    /// depth metric). Like the journal itself, excluded from equality.
-    journal_high_water: usize,
 }
-
-impl PartialEq for WorldState {
-    fn eq(&self, other: &WorldState) -> bool {
-        // The journal is transient bookkeeping, not state: two states with
-        // identical content are equal regardless of open transactions.
-        self.accounts == other.accounts && self.storage == other.storage
-    }
-}
-
-impl Eq for WorldState {}
 
 impl WorldState {
     /// Creates an empty state.
@@ -121,18 +80,8 @@ impl WorldState {
         self.accounts.get(id)
     }
 
-    /// Journals a pre-image, tracking the high-water depth.
-    fn record(&mut self, entry: JournalEntry) {
-        self.journal.push(entry);
-        self.journal_high_water = self.journal_high_water.max(self.journal.len());
-    }
-
     /// Mutable account access, creating a default record on first touch.
     pub fn account_mut(&mut self, id: AccountId) -> &mut Account {
-        if self.recording {
-            let prev = self.accounts.get(&id).cloned();
-            self.record(JournalEntry::Account { id, prev });
-        }
         self.accounts.entry(id).or_default()
     }
 
@@ -219,23 +168,13 @@ impl WorldState {
         key: Vec<u8>,
         value: Vec<u8>,
     ) -> Option<Vec<u8>> {
-        let slots = self.storage.entry(contract).or_default();
-        if self.recording {
-            let prev = slots.insert(key.clone(), value);
-            self.record(JournalEntry::Storage {
-                contract,
-                key,
-                prev: prev.clone(),
-            });
-            prev
-        } else {
-            slots.insert(key, value)
-        }
+        self.storage.entry(contract).or_default().insert(key, value)
     }
 
-    /// Removes a slot from the nested map, dropping the contract's entry
-    /// with its last slot (equality compares the maps as they are).
-    fn take_slot(&mut self, contract: &AccountId, key: &[u8]) -> Option<Vec<u8>> {
+    /// Deletes a contract storage slot, returning the previous value. The
+    /// contract's entry goes with its last slot (equality compares the
+    /// maps as they are).
+    pub fn storage_remove(&mut self, contract: &AccountId, key: &[u8]) -> Option<Vec<u8>> {
         let slots = self.storage.get_mut(contract)?;
         let prev = slots.remove(key);
         if slots.is_empty() {
@@ -244,76 +183,23 @@ impl WorldState {
         prev
     }
 
-    /// Deletes a contract storage slot, returning the previous value.
-    pub fn storage_remove(&mut self, contract: &AccountId, key: &[u8]) -> Option<Vec<u8>> {
-        let prev = self.take_slot(contract, key);
-        if self.recording {
-            self.record(JournalEntry::Storage {
-                contract: *contract,
-                key: key.to_vec(),
-                prev: prev.clone(),
-            });
+    /// Commits a successful call's overlay: every slot it wrote or
+    /// removed, and every balance it holds. Each balance goes through
+    /// [`WorldState::account_mut`] even when unchanged, so an account that
+    /// a 0-value move touched gets its record, as a direct transfer would
+    /// give it. Each slot and account appears once, so the maps' order
+    /// does not matter. Returns the call's events.
+    pub fn apply_call(&mut self, call: CallEffects) -> Vec<Event> {
+        for (key, value) in call.writes {
+            match value {
+                Some(value) => self.storage_set(call.contract, key, value),
+                None => self.storage_remove(&call.contract, &key),
+            };
         }
-        prev
-    }
-
-    /// Opens a transaction: mutations from here on record pre-images so
-    /// they can be undone. Checkpoints nest — an inner rollback undoes
-    /// only the entries made after it.
-    pub fn begin_transaction(&mut self) -> Checkpoint {
-        self.recording = true;
-        Checkpoint(self.journal.len())
-    }
-
-    /// Commits the changes made since `checkpoint`.
-    ///
-    /// Committing a *nested* checkpoint keeps its journal entries: they
-    /// still belong to the enclosing transaction's undo set. Committing
-    /// the outermost checkpoint clears the journal and stops recording.
-    pub fn commit(&mut self, checkpoint: Checkpoint) {
-        if checkpoint.0 == 0 {
-            self.journal.clear();
-            self.recording = false;
+        for (id, balance) in call.balances {
+            self.account_mut(id).balance = balance;
         }
-    }
-
-    /// Undoes every mutation made since `checkpoint` by replaying the
-    /// recorded pre-images newest-first.
-    pub fn rollback(&mut self, checkpoint: Checkpoint) {
-        while self.journal.len() > checkpoint.0 {
-            match self.journal.pop().expect("length checked above") {
-                JournalEntry::Account { id, prev } => {
-                    match prev {
-                        Some(account) => self.accounts.insert(id, account),
-                        None => self.accounts.remove(&id),
-                    };
-                }
-                JournalEntry::Storage {
-                    contract,
-                    key,
-                    prev,
-                } => {
-                    match prev {
-                        Some(value) => self.storage.entry(contract).or_default().insert(key, value),
-                        None => self.take_slot(&contract, &key),
-                    };
-                }
-            }
-        }
-        if checkpoint.0 == 0 {
-            self.recording = false;
-        }
-    }
-
-    /// Number of journal entries currently recorded (diagnostics).
-    pub fn journal_len(&self) -> usize {
-        self.journal.len()
-    }
-
-    /// The deepest the pre-image journal has ever grown — a proxy for the
-    /// largest transaction (touched-entry count) this state has executed.
-    pub fn journal_high_water(&self) -> usize {
-        self.journal_high_water
+        call.events
     }
 
     /// The Merkle root of the state: a binary trie keyed by
@@ -445,80 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn rollback_restores_accounts_and_storage() {
-        let mut state = WorldState::new();
-        state.credit(id(1), 100).unwrap();
-        state.storage_set(id(1), b"keep".to_vec(), b"old".to_vec());
-        let before = state.clone();
-
-        let cp = state.begin_transaction();
-        state.credit(id(1), 50).unwrap();
-        state.credit(id(2), 7).unwrap(); // fresh account
-        state.account_mut(id(1)).nonce += 1;
-        state.storage_set(id(1), b"keep".to_vec(), b"new".to_vec());
-        state.storage_set(id(1), b"fresh".to_vec(), b"x".to_vec());
-        state.storage_remove(&id(1), b"keep");
-        state.rollback(cp);
-
-        assert_eq!(state, before);
-        assert_eq!(state.commitment(), before.commitment());
-        assert_eq!(state.journal_len(), 0);
-    }
-
-    #[test]
-    fn commit_keeps_changes_and_clears_journal() {
-        let mut state = WorldState::new();
-        let cp = state.begin_transaction();
-        state.credit(id(1), 42).unwrap();
-        state.storage_set(id(1), b"k".to_vec(), b"v".to_vec());
-        state.commit(cp);
-        assert_eq!(state.balance(&id(1)), 42);
-        assert_eq!(state.storage_get(&id(1), b"k").unwrap(), b"v");
-        assert_eq!(state.journal_len(), 0);
-        // The high-water mark survives the commit (observability), and
-        // never affects equality.
-        assert_eq!(state.journal_high_water(), 2);
-        assert_eq!(state, state.clone());
-        // Post-commit mutations no longer journal.
-        state.credit(id(1), 1).unwrap();
-        assert_eq!(state.journal_len(), 0);
-        assert_eq!(state.journal_high_water(), 2);
-    }
-
-    #[test]
-    fn nested_checkpoints_roll_back_independently() {
-        let mut state = WorldState::new();
-        state.credit(id(1), 10).unwrap();
-        let outer = state.begin_transaction();
-        state.credit(id(1), 5).unwrap();
-        let inner = state.begin_transaction();
-        state.credit(id(1), 100).unwrap();
-        state.rollback(inner);
-        assert_eq!(state.balance(&id(1)), 15);
-        // An inner commit leaves its entries in the outer undo set.
-        let inner = state.begin_transaction();
-        state.credit(id(2), 9).unwrap();
-        state.commit(inner);
-        state.rollback(outer);
-        assert_eq!(state.balance(&id(1)), 10);
-        assert_eq!(state.balance(&id(2)), 0);
-    }
-
-    #[test]
-    fn equality_ignores_open_journal() {
-        let mut a = WorldState::new();
-        a.credit(id(1), 10).unwrap();
-        let mut b = a.clone();
-        let cp = b.begin_transaction();
-        b.credit(id(1), 1).unwrap();
-        b.rollback(cp);
-        let _ = b.begin_transaction(); // leave a transaction open
-        assert_eq!(a, b);
-        a.credit(id(1), 1).unwrap();
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn commitment_is_the_trie_definition_over_the_two_maps() {
         // The root must be the trie's over the sorted (hashed key, leaf
         // of the encoded value) entries spelled out here — which pins the
@@ -575,7 +387,7 @@ mod tests {
 
         // Two slots of contract 7 whose hashed keys share their first 16
         // bits: the first pair the brute force of
-        // `tests/journal_equivalence.rs` finds.
+        // `tests/state_equivalence.rs` finds.
         let (a, b) = (vec![101, 15], vec![0, 15]);
         let hashed = |slot: &[u8]| trie::hash_parts(KEY_STORAGE, &[&id(7).0, slot]);
         assert_eq!(hashed(&a)[..2], hashed(&b)[..2]);
