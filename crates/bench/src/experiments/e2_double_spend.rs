@@ -4,7 +4,7 @@
 
 use crate::table::{prob, Table};
 use btcfast_analysis::{nakamoto, rosenfeld};
-use btcfast_btcsim::attack::{race_probability_monte_carlo, RaceParams};
+use btcfast_btcsim::attack::race_probability_monte_carlo;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,16 +29,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             let mc = if z == 0 {
                 1.0
             } else {
-                race_probability_monte_carlo(
-                    &RaceParams {
-                        attacker_hashrate: q,
-                        confirmations: z,
-                        give_up_deficit: 60,
-                        required_lead: 0,
-                    },
-                    trials,
-                    &mut rng,
-                )
+                race_probability_monte_carlo(q, z, trials, &mut rng)
             };
             table.push(vec![z.to_string(), prob(nak), prob(ros), prob(mc)]);
         }

@@ -6,7 +6,7 @@
 //! leaving exactly the ordinary BTC fee — the paper's claim.
 
 use crate::table::{f3, Table};
-use btcfast::fees::{FeeModel, GasUsage};
+use btcfast::fees::{baseline_cost, honest_cost_per_payment, GasUsage};
 use btcfast::session::FastPaySession;
 use btcfast::{Party, SessionConfig};
 use btcfast_btcsim::spv::SpvEvidence;
@@ -118,18 +118,11 @@ pub fn run(_quick: bool) -> Vec<Table> {
             "extra vs baseline",
         ],
     );
-    // Exchange-rate framing: 1 gas-unit-price ≈ tiny fraction of a sat.
-    let eth_model = FeeModel {
-        btc_fee_sats: 1_000,
-        gas_price: 20,
-        sats_per_psc_unit: 0.000_002,
-    };
-    let eos_model = FeeModel {
-        btc_fee_sats: 1_000,
-        gas_price: 0,
-        sats_per_psc_unit: 0.000_002,
-    };
-    let baseline = eth_model.baseline_cost();
+    // Both price points charge the same BTC fee; gas is priced at
+    // `fees::SATS_PER_PSC_UNIT`.
+    let eth = SessionConfig::default();
+    let eos = SessionConfig::eos_flavored();
+    let baseline = baseline_cost(&eth);
     cost_table.push(vec![
         "plain BTC (any z)".into(),
         f3(baseline.btc_fee_sats),
@@ -137,16 +130,12 @@ pub fn run(_quick: bool) -> Vec<Table> {
         f3(baseline.total_sats()),
         f3(0.0),
     ]);
-    for (label, model, payments) in [
-        ("BTCFast, ETH-like PSC, 10 payments/escrow", &eth_model, 10),
-        (
-            "BTCFast, ETH-like PSC, 1000 payments/escrow",
-            &eth_model,
-            1000,
-        ),
-        ("BTCFast, EOS-like PSC (resource-staked)", &eos_model, 10),
+    for (label, config, payments) in [
+        ("BTCFast, ETH-like PSC, 10 payments/escrow", &eth, 10),
+        ("BTCFast, ETH-like PSC, 1000 payments/escrow", &eth, 1000),
+        ("BTCFast, EOS-like PSC (resource-staked)", &eos, 10),
     ] {
-        let cost = model.honest_cost_per_payment(&usage, payments);
+        let cost = honest_cost_per_payment(config, &usage, payments);
         cost_table.push(vec![
             label.into(),
             f3(cost.btc_fee_sats),
@@ -173,12 +162,8 @@ mod tests {
         assert!(usage.judge > 21_000);
         assert!(usage.withdraw > 21_000);
 
-        let eos = btcfast::fees::FeeModel {
-            btc_fee_sats: 1_000,
-            gas_price: 0,
-            sats_per_psc_unit: 1.0,
-        };
-        let cost = eos.honest_cost_per_payment(&usage, 10);
+        let eos = btcfast::SessionConfig::eos_flavored();
+        let cost = btcfast::fees::honest_cost_per_payment(&eos, &usage, 10);
         assert_eq!(cost.extra_vs_baseline_sats(), 0.0);
     }
 }

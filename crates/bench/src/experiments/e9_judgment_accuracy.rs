@@ -122,7 +122,6 @@ fn stale_counter_evidence(seed: u64) -> Option<DisputeVerdict> {
         fork_point,
         session.customer.btc_wallet().address(),
         Some(steal),
-        session.clock.as_secs(),
     );
     for i in 0..9 {
         attacker.extend(session.clock.as_secs() + i * 10 + 10);

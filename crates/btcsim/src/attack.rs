@@ -3,9 +3,9 @@
 //!
 //! Two levels of fidelity:
 //!
-//! * [`race_once`] / [`race_probability_monte_carlo`] — the Nakamoto race as
-//!   a pure stochastic process (block discovery only), cheap enough for
-//!   millions of trials. Used for the E2 double-spend curves.
+//! * [`race_probability_monte_carlo`] — the Nakamoto race as a pure
+//!   stochastic process (block discovery only), cheap enough for millions
+//!   of trials. Used for the E2 double-spend curves.
 //! * [`PrivateForkAttacker`] — actually mines conflicting blocks on a secret
 //!   branch of a [`Chain`], producing the reorg (and the SPV evidence trail)
 //!   end to end. Used for E3/E9 and the integration tests.
@@ -18,68 +18,27 @@ use btcfast_crypto::keys::Address;
 use btcfast_crypto::Hash256;
 use rand::Rng;
 
-/// Outcome of a single simulated double-spend race.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RaceOutcome {
-    /// The attacker's branch overtook the honest chain: double spend
-    /// succeeded.
-    AttackerWins {
-        /// Honest blocks mined when the attacker overtook.
-        honest_blocks: u64,
-    },
-    /// The attacker fell too far behind and gave up.
-    AttackerGivesUp {
-        /// The deficit at abandonment.
-        deficit: u64,
-    },
-}
+/// Blocks behind at which the race's attacker abandons. Nakamoto's
+/// analysis races forever; a cutoff makes the simulation terminate, and 60
+/// is far past the point where catch-up probability is negligible.
+const GIVE_UP_DEFICIT: i64 = 60;
 
-/// Parameters of the stochastic race.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RaceParams {
-    /// Attacker's fraction of total hashrate, `0 < q < 1`.
-    pub attacker_hashrate: f64,
-    /// Confirmations the merchant waits for before releasing goods.
-    pub confirmations: u64,
-    /// Blocks behind at which the attacker abandons (Nakamoto's analysis
-    /// uses ∞; a cutoff makes simulation terminate — 100 is far past the
-    /// point where catch-up probability is negligible).
-    pub give_up_deficit: u64,
-    /// Lead (attacker − honest) at which the attack is declared won once
-    /// the merchant has shipped. `0` reproduces the Nakamoto/Rosenfeld
-    /// analytical convention (catching up to a tie counts, because the
-    /// attacker then wins the broadcast race for the next block with the
-    /// head start); `1` is the strict chainwork-overtake a real reorg
-    /// requires, which the full-machinery attacks in `btcfast::session`
-    /// implement.
-    pub required_lead: i64,
-}
+/// Lead (attacker − honest) at which the race is won once the merchant has
+/// shipped. `0` reproduces the Nakamoto/Rosenfeld analytical convention
+/// (catching up to a tie counts, because the attacker then wins the
+/// broadcast race for the next block with the head start); the
+/// full-machinery attacks in `btcfast::session` require the strict
+/// chainwork overtake a real reorg needs, a lead of 1.
+const REQUIRED_LEAD: i64 = 0;
 
-impl Default for RaceParams {
-    fn default() -> Self {
-        RaceParams {
-            attacker_hashrate: 0.1,
-            confirmations: 6,
-            give_up_deficit: 100,
-            required_lead: 0,
-        }
-    }
-}
-
-/// Simulates one double-spend race.
+/// Simulates one double-spend race and reports whether the attacker wins.
 ///
 /// The attacker pre-mines nothing; at the moment the victim transaction is
 /// broadcast, the attacker starts a private fork. Each new block belongs to
-/// the attacker with probability `q`. The merchant ships after
-/// `confirmations` honest blocks; from then on the attacker keeps racing
-/// until they take the lead (success) or fall `give_up_deficit` behind.
-///
-/// # Panics
-///
-/// Panics unless `0 < attacker_hashrate < 1`.
-pub fn race_once<R: Rng + ?Sized>(params: &RaceParams, rng: &mut R) -> RaceOutcome {
-    let q = params.attacker_hashrate;
-    assert!(q > 0.0 && q < 1.0, "attacker hashrate must be in (0,1)");
+/// the attacker with probability `q`. The merchant ships after `z` honest
+/// blocks; from then on the attacker keeps racing until they reach
+/// [`REQUIRED_LEAD`] (success) or fall [`GIVE_UP_DEFICIT`] behind.
+fn race_once<R: Rng + ?Sized>(q: f64, z: u64, rng: &mut R) -> bool {
     let mut honest = 0i64;
     let mut attacker = 0i64;
     loop {
@@ -88,35 +47,32 @@ pub fn race_once<R: Rng + ?Sized>(params: &RaceParams, rng: &mut R) -> RaceOutco
         } else {
             honest += 1;
         }
-        if honest >= params.confirmations as i64 {
-            // Merchant has shipped; the attack resolves by the configured
-            // win condition.
-            if attacker - honest >= params.required_lead {
-                return RaceOutcome::AttackerWins {
-                    honest_blocks: honest as u64,
-                };
+        if honest >= z as i64 {
+            if attacker - honest >= REQUIRED_LEAD {
+                return true;
             }
-            if honest - attacker >= params.give_up_deficit as i64 {
-                return RaceOutcome::AttackerGivesUp {
-                    deficit: (honest - attacker) as u64,
-                };
+            if honest - attacker >= GIVE_UP_DEFICIT {
+                return false;
             }
         }
     }
 }
 
-/// Monte-Carlo estimate of double-spend success probability.
+/// Monte-Carlo estimate of the probability that an attacker with hashrate
+/// share `q` double-spends a payment the merchant ships after `z`
+/// confirmations.
+///
+/// # Panics
+///
+/// Panics unless `0 < q < 1`.
 pub fn race_probability_monte_carlo<R: Rng + ?Sized>(
-    params: &RaceParams,
+    q: f64,
+    z: u64,
     trials: u64,
     rng: &mut R,
 ) -> f64 {
-    let mut wins = 0u64;
-    for _ in 0..trials {
-        if matches!(race_once(params, rng), RaceOutcome::AttackerWins { .. }) {
-            wins += 1;
-        }
-    }
+    assert!(q > 0.0 && q < 1.0, "attacker hashrate must be in (0,1)");
+    let wins = (0..trials).filter(|_| race_once(q, z, rng)).count();
     wins as f64 / trials as f64
 }
 
@@ -129,11 +85,10 @@ pub fn race_probability_monte_carlo<R: Rng + ?Sized>(
 #[derive(Debug)]
 pub struct PrivateForkAttacker {
     miner: Miner,
-    /// The attacker's private view, including the secret branch.
+    /// The attacker's private view: the public chain as of
+    /// [`PrivateForkAttacker::start`] plus the secret branch.
     private_view: Chain,
-    /// The fork point on the public chain.
-    fork_point: Hash256,
-    /// Hash of the secret branch tip (= `fork_point` while empty).
+    /// Hash of the secret branch tip (= the fork point while empty).
     secret_tip: Hash256,
     /// The blocks of the secret branch, in order.
     secret_blocks: Vec<crate::block::Block>,
@@ -158,7 +113,6 @@ impl PrivateForkAttacker {
         fork_point: Hash256,
         payout: Address,
         conflicting_tx: Option<Transaction>,
-        _time: u64,
     ) -> PrivateForkAttacker {
         assert!(
             fork_point == Hash256::ZERO || public.block(&fork_point).is_some(),
@@ -167,7 +121,6 @@ impl PrivateForkAttacker {
         PrivateForkAttacker {
             miner: Miner::new(params, payout),
             private_view: public.clone(),
-            fork_point,
             secret_tip: fork_point,
             secret_blocks: Vec::new(),
             conflicting_tx,
@@ -189,39 +142,13 @@ impl PrivateForkAttacker {
     }
 
     /// Whether the secret branch carries more work than `public`'s tip.
+    ///
+    /// The private view holds `public` as it was at [`Self::start`] plus
+    /// the secret branch, and a public chain's work only grows: the
+    /// private tip outweighs `public`'s exactly when the secret branch
+    /// does.
     pub fn can_overtake(&self, public: &Chain) -> bool {
-        if self.secret_blocks.is_empty() {
-            return false;
-        }
-        self.branch_work() > public.tip_work()
-    }
-
-    fn branch_work(&self) -> crate::u256::U256 {
-        let mut work = crate::u256::U256::ZERO;
-        let mut cursor = self.fork_point;
-        if cursor != Hash256::ZERO {
-            // Work of the public prefix up to the fork point.
-            let mut prefix_blocks = Vec::new();
-            while cursor != Hash256::ZERO {
-                let block = self
-                    .private_view
-                    .block(&cursor)
-                    .expect("prefix known to private view");
-                prefix_blocks.push(block.header);
-                cursor = block.header.prev_hash;
-            }
-            for header in prefix_blocks {
-                work = work
-                    .checked_add(&header.work().expect("valid bits"))
-                    .expect("no overflow");
-            }
-        }
-        for block in &self.secret_blocks {
-            work = work
-                .checked_add(&block.header.work().expect("valid bits"))
-                .expect("no overflow");
-        }
-        work
+        self.private_view.tip_work() > public.tip_work()
     }
 
     /// Publishes the secret branch to a target chain, triggering the reorg
@@ -252,13 +179,7 @@ mod tests {
     #[test]
     fn race_low_hashrate_low_success() {
         let mut rng = StdRng::seed_from_u64(7);
-        let params = RaceParams {
-            attacker_hashrate: 0.1,
-            confirmations: 6,
-            give_up_deficit: 50,
-            required_lead: 0,
-        };
-        let p = race_probability_monte_carlo(&params, 20_000, &mut rng);
+        let p = race_probability_monte_carlo(0.1, 6, 20_000, &mut rng);
         // Rosenfeld's table: q=0.1, z=6 → ~0.0024 (race from broadcast).
         assert!(p < 0.02, "p = {p}");
     }
@@ -266,59 +187,25 @@ mod tests {
     #[test]
     fn race_more_confirmations_lower_success() {
         let mut rng = StdRng::seed_from_u64(11);
-        let base = RaceParams {
-            attacker_hashrate: 0.25,
-            confirmations: 1,
-            give_up_deficit: 60,
-            required_lead: 0,
-        };
-        let p1 = race_probability_monte_carlo(&base, 20_000, &mut rng);
-        let p6 = race_probability_monte_carlo(
-            &RaceParams {
-                confirmations: 6,
-                ..base
-            },
-            20_000,
-            &mut rng,
-        );
+        let p1 = race_probability_monte_carlo(0.25, 1, 20_000, &mut rng);
+        let p6 = race_probability_monte_carlo(0.25, 6, 20_000, &mut rng);
         assert!(p1 > p6, "p1={p1} p6={p6}");
     }
 
     #[test]
     fn race_outcome_reports_details() {
+        // Near-even hashrate, one confirmation: some races reach the
+        // winning lead and some fall the give-up deficit behind.
         let mut rng = StdRng::seed_from_u64(13);
-        let params = RaceParams {
-            attacker_hashrate: 0.45,
-            confirmations: 1,
-            give_up_deficit: 10,
-            required_lead: 0,
-        };
-        let mut saw_win = false;
-        let mut saw_loss = false;
-        for _ in 0..500 {
-            match race_once(&params, &mut rng) {
-                RaceOutcome::AttackerWins { honest_blocks } => {
-                    assert!(honest_blocks >= 1);
-                    saw_win = true;
-                }
-                RaceOutcome::AttackerGivesUp { deficit } => {
-                    assert!(deficit >= 10);
-                    saw_loss = true;
-                }
-            }
-        }
-        assert!(saw_win && saw_loss);
+        let wins = (0..500).filter(|_| race_once(0.45, 1, &mut rng)).count();
+        assert!(wins > 0 && wins < 500, "wins = {wins}");
     }
 
     #[test]
     #[should_panic(expected = "hashrate")]
     fn race_rejects_bad_hashrate() {
         let mut rng = StdRng::seed_from_u64(1);
-        let params = RaceParams {
-            attacker_hashrate: 1.5,
-            ..Default::default()
-        };
-        race_once(&params, &mut rng);
+        race_probability_monte_carlo(1.5, 6, 1, &mut rng);
     }
 
     /// Full-machinery double spend: pay the merchant, fork secretly with a
@@ -380,7 +267,6 @@ mod tests {
             b2.hash(),
             customer.address(),
             Some(steal.clone()),
-            1801,
         );
         assert!(!attacker.can_overtake(&public)); // nothing mined yet
         attacker.extend(2000);
@@ -409,7 +295,6 @@ mod tests {
             b1.hash(),
             KeyPair::from_seed(b"a").address(),
             None,
-            601,
         );
         // Public mines one more; the attacker has mined nothing yet. It
         // tracks public blocks by reading the public tip's work.

@@ -3,7 +3,7 @@
 
 use crate::amount::Amount;
 use crate::block::{Block, BlockError};
-use crate::params::ChainParams;
+use crate::params::{ChainParams, BLOCK_INTERVAL_SECS, COINBASE_MATURITY};
 use crate::pow::{retarget, CompactBits};
 use crate::u256::U256;
 use crate::utxo::{UndoLog, UtxoError, UtxoSet};
@@ -116,14 +116,13 @@ pub struct ChainStats {
 impl Chain {
     /// Creates an empty chain.
     pub fn new(params: ChainParams) -> Chain {
-        let utxo = UtxoSet::new(params.coinbase_maturity);
         Chain {
             params,
             blocks: HashMap::new(),
             active: Vec::new(),
             undo_logs: HashMap::new(),
             tx_index: HashMap::new(),
-            utxo,
+            utxo: UtxoSet::new(COINBASE_MATURITY),
             stats: ChainStats::default(),
         }
     }
@@ -238,7 +237,7 @@ impl Chain {
             .header
             .time
             .saturating_sub(cursor.block.header.time);
-        let expected = self.params.retarget_interval * self.params.block_interval_secs;
+        let expected = self.params.retarget_interval * BLOCK_INTERVAL_SECS;
         let prev_target = parent
             .block
             .header

@@ -72,8 +72,8 @@ impl Miner {
                 .expect("mine_block_on requires a known parent")
         };
         let height = parent_height + 1;
-        // Cannot fire: a subsidy is at most the initial one, 50 BTC in
-        // every `ChainParams` preset (`Chain::connect` relies on the same).
+        // Cannot fire: a subsidy is at most `INITIAL_SUBSIDY_SATS`, 50 BTC
+        // (`Chain::connect` relies on the same).
         let subsidy =
             Amount::from_sats(self.params.subsidy_at(height)).expect("subsidy within money supply");
 

@@ -3,54 +3,47 @@
 use crate::pow::CompactBits;
 use crate::u256::U256;
 
-/// Consensus and simulation parameters for a Bitcoin-style chain.
+/// Expected block interval in seconds (mainnet: 600).
 ///
 /// The BTCFast evaluation uses Bitcoin mainnet timing (600 s expected block
 /// interval, 6 confirmations ≈ 1 hour) but a *reduced* proof-of-work
 /// difficulty so that blocks can actually be mined inside a test process.
 /// Timing in the discrete-event simulation is driven by Poisson arrivals
-/// parameterized by [`ChainParams::block_interval_secs`], not by how long
-/// the reduced-difficulty solver takes on the host CPU, so the reduced
-/// difficulty does not distort waiting-time results.
+/// at this interval, not by how long the reduced-difficulty solver takes
+/// on the host CPU, so the reduced difficulty does not distort
+/// waiting-time results.
+pub const BLOCK_INTERVAL_SECS: u64 = 600;
+
+/// Block subsidy in satoshis at height 0.
+pub const INITIAL_SUBSIDY_SATS: u64 = 50 * crate::amount::SATS_PER_BTC;
+
+/// Halving interval in blocks (mainnet: 210 000).
+pub const HALVING_INTERVAL: u64 = 150;
+
+/// Coinbase maturity: blocks before a coinbase output is spendable.
+pub const COINBASE_MATURITY: u64 = 1;
+
+/// The two consensus parameters of a Bitcoin-style chain that stay fields.
 ///
-/// One preset exists and every session runs it; the fields stay named
-/// because `Chain`, `Miner`, the SPV checks and the session read them as
-/// consensus rules, and the retarget tests of `chain.rs` reach a
-/// retarget boundary only by shortening `retarget_interval` to 4.
+/// One preset exists and every session runs it. `pow_limit_bits` is read
+/// by name through `SessionConfig::btc_params`, and the retarget tests of
+/// `chain.rs` reach a retarget boundary only by shortening
+/// `retarget_interval` to 4; everything else is a `const` above.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChainParams {
-    /// Human-readable network name.
-    pub name: &'static str,
-    /// Expected block interval in seconds (mainnet: 600).
-    pub block_interval_secs: u64,
     /// Proof-of-work limit (easiest allowed target), compact-encoded.
     pub pow_limit_bits: CompactBits,
     /// Blocks between difficulty retargets (mainnet: 2016).
     pub retarget_interval: u64,
-    /// Block subsidy in satoshis at height 0.
-    pub initial_subsidy_sats: u64,
-    /// Halving interval in blocks (mainnet: 210 000).
-    pub halving_interval: u64,
-    /// Coinbase maturity: blocks before a coinbase output is spendable.
-    pub coinbase_maturity: u64,
-    /// The number of confirmations conventionally treated as final
-    /// (the paper's baseline: 6).
-    pub finality_confirmations: u64,
 }
 
 impl ChainParams {
-    /// Regtest-shaped parameters: near-trivial PoW, no coinbase maturity
-    /// wait, small retarget window. Convenient for unit tests.
+    /// Regtest-shaped parameters: near-trivial PoW and mainnet's
+    /// 2016-block retarget window.
     pub fn regtest() -> ChainParams {
         ChainParams {
-            name: "regtest",
-            block_interval_secs: 600,
             pow_limit_bits: CompactBits(0x2000ffff),
             retarget_interval: 2016,
-            initial_subsidy_sats: 50 * crate::amount::SATS_PER_BTC,
-            halving_interval: 150,
-            coinbase_maturity: 1,
-            finality_confirmations: 6,
         }
     }
 
@@ -63,13 +56,14 @@ impl ChainParams {
             .expect("pow limit constants are valid compact encodings")
     }
 
-    /// Block subsidy at a given height, halving per the schedule.
+    /// Block subsidy at a given height, halving every
+    /// [`HALVING_INTERVAL`] blocks.
     pub fn subsidy_at(&self, height: u64) -> u64 {
-        let halvings = height / self.halving_interval;
+        let halvings = height / HALVING_INTERVAL;
         if halvings >= 64 {
             return 0;
         }
-        self.initial_subsidy_sats >> halvings
+        INITIAL_SUBSIDY_SATS >> halvings
     }
 }
 
@@ -80,19 +74,17 @@ mod tests {
     #[test]
     fn presets_are_sane() {
         let params = ChainParams::regtest();
-        assert!(params.block_interval_secs > 0);
         assert!(params.retarget_interval > 0);
         assert!(!params.pow_limit().is_zero());
-        assert_eq!(params.finality_confirmations, 6);
     }
 
     #[test]
     fn subsidy_halves() {
         let p = ChainParams::regtest();
         let s0 = p.subsidy_at(0);
-        assert_eq!(p.subsidy_at(p.halving_interval - 1), s0);
-        assert_eq!(p.subsidy_at(p.halving_interval), s0 / 2);
-        assert_eq!(p.subsidy_at(p.halving_interval * 2), s0 / 4);
-        assert_eq!(p.subsidy_at(p.halving_interval * 64), 0);
+        assert_eq!(p.subsidy_at(HALVING_INTERVAL - 1), s0);
+        assert_eq!(p.subsidy_at(HALVING_INTERVAL), s0 / 2);
+        assert_eq!(p.subsidy_at(HALVING_INTERVAL * 2), s0 / 4);
+        assert_eq!(p.subsidy_at(HALVING_INTERVAL * 64), 0);
     }
 }

@@ -752,7 +752,7 @@ mod tests {
     impl Fixture {
         fn new() -> Fixture {
             Fixture {
-                utxo: UtxoSet::new(ChainParams::regtest().coinbase_maturity),
+                utxo: UtxoSet::new(crate::params::COINBASE_MATURITY),
                 miner: KeyPair::from_seed(b"miner"),
                 params: ChainParams::regtest(),
                 height: 0,

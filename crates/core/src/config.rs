@@ -56,8 +56,9 @@ impl Default for SessionConfig {
 }
 
 /// Collateral the customer locks and the merchant demands, as a multiple
-/// of payment value: the paper's ρ. One PSC unit is worth one satoshi, so
-/// a different exchange rate is a different ratio.
+/// of payment value: the paper's ρ. Collateral values one PSC unit at one
+/// satoshi, so a different exchange rate is a different ratio; gas is
+/// priced at its own rate, [`crate::fees::SATS_PER_PSC_UNIT`].
 pub const COLLATERAL_RATIO: f64 = 1.2;
 
 /// Collateral (PSC units) covering a payment of `sats` at

@@ -7,6 +7,7 @@
 //! only arise under attack and are recovered from the loser's collateral in
 //! a rational deployment.
 
+use crate::config::SessionConfig;
 use btcfast_pscsim::gas::Gas;
 
 /// Per-operation gas usage measured from a live session (the E4 inputs).
@@ -53,42 +54,40 @@ impl PaymentCost {
     }
 }
 
-/// Cost model parameters.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FeeModel {
-    /// BTC fee per transaction, satoshis.
-    pub btc_fee_sats: u64,
-    /// PSC gas price in native units per gas.
-    pub gas_price: u128,
-    /// Exchange rate: satoshis per PSC native unit.
-    pub sats_per_psc_unit: f64,
+/// Satoshis per PSC native unit when gas is priced: 2 × 10⁻⁶, E4's
+/// exchange rate. It prices gas only: collateral is valued at one PSC unit
+/// per satoshi, with the exchange rate expressed through ρ
+/// ([`crate::config::COLLATERAL_RATIO`]).
+pub const SATS_PER_PSC_UNIT: f64 = 0.000_002;
+
+/// Honest-path cost per payment for a session run under `config` (its
+/// BTC fee and its PSC's gas price) when the escrow serves `payments`
+/// payments over its lifetime: every payment registers and closes, the
+/// deposit and withdrawal amortize.
+///
+/// # Panics
+///
+/// Panics when `payments` is zero.
+pub fn honest_cost_per_payment(
+    config: &SessionConfig,
+    usage: &GasUsage,
+    payments: u64,
+) -> PaymentCost {
+    assert!(payments > 0, "amortization needs at least one payment");
+    let per_payment_gas = (usage.open_payment + usage.close_payment) as f64;
+    let amortized_gas = (usage.deposit + usage.withdraw) as f64 / payments as f64;
+    let sats_per_gas = config.psc_params.gas_price as f64 * SATS_PER_PSC_UNIT;
+    PaymentCost {
+        btc_fee_sats: config.btc_fee_sats as f64,
+        psc_overhead_sats: (per_payment_gas + amortized_gas) * sats_per_gas,
+    }
 }
 
-impl FeeModel {
-    /// Honest-path cost per payment when the escrow serves `payments`
-    /// payments over its lifetime: every payment registers and closes, the
-    /// deposit and withdrawal amortize.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `payments` is zero.
-    pub fn honest_cost_per_payment(&self, usage: &GasUsage, payments: u64) -> PaymentCost {
-        assert!(payments > 0, "amortization needs at least one payment");
-        let per_payment_gas = (usage.open_payment + usage.close_payment) as f64;
-        let amortized_gas = (usage.deposit + usage.withdraw) as f64 / payments as f64;
-        let sats_per_gas = self.gas_price as f64 * self.sats_per_psc_unit;
-        PaymentCost {
-            btc_fee_sats: self.btc_fee_sats as f64,
-            psc_overhead_sats: (per_payment_gas + amortized_gas) * sats_per_gas,
-        }
-    }
-
-    /// The plain-BTC baseline's per-payment cost.
-    pub fn baseline_cost(&self) -> PaymentCost {
-        PaymentCost {
-            btc_fee_sats: self.btc_fee_sats as f64,
-            psc_overhead_sats: 0.0,
-        }
+/// The plain-BTC baseline's per-payment cost under `config`.
+pub fn baseline_cost(config: &SessionConfig) -> PaymentCost {
+    PaymentCost {
+        btc_fee_sats: config.btc_fee_sats as f64,
+        psc_overhead_sats: 0.0,
     }
 }
 
@@ -112,12 +111,7 @@ mod tests {
 
     #[test]
     fn eos_like_overhead_is_zero() {
-        let model = FeeModel {
-            btc_fee_sats: 1_000,
-            gas_price: 0,
-            sats_per_psc_unit: 1.0,
-        };
-        let cost = model.honest_cost_per_payment(&usage(), 10);
+        let cost = honest_cost_per_payment(&SessionConfig::eos_flavored(), &usage(), 10);
         assert_eq!(cost.psc_overhead_sats, 0.0);
         assert_eq!(cost.total_sats(), 1_000.0);
         assert_eq!(cost.extra_vs_baseline_sats(), 0.0);
@@ -125,34 +119,24 @@ mod tests {
 
     #[test]
     fn overhead_amortizes_with_volume() {
-        let model = FeeModel {
-            btc_fee_sats: 1_000,
-            gas_price: 1,
-            sats_per_psc_unit: 0.000001,
-        };
-        let few = model.honest_cost_per_payment(&usage(), 1);
-        let many = model.honest_cost_per_payment(&usage(), 1_000);
+        let config = SessionConfig::default();
+        let few = honest_cost_per_payment(&config, &usage(), 1);
+        let many = honest_cost_per_payment(&config, &usage(), 1_000);
         assert!(few.psc_overhead_sats > many.psc_overhead_sats);
     }
 
     #[test]
     fn baseline_has_no_overhead() {
-        let model = FeeModel {
+        let config = SessionConfig {
             btc_fee_sats: 500,
-            gas_price: 20,
-            sats_per_psc_unit: 0.01,
+            ..SessionConfig::default()
         };
-        assert_eq!(model.baseline_cost().total_sats(), 500.0);
+        assert_eq!(baseline_cost(&config).total_sats(), 500.0);
     }
 
     #[test]
     #[should_panic(expected = "at least one payment")]
     fn zero_payments_panics() {
-        let model = FeeModel {
-            btc_fee_sats: 1,
-            gas_price: 1,
-            sats_per_psc_unit: 1.0,
-        };
-        model.honest_cost_per_payment(&usage(), 0);
+        honest_cost_per_payment(&SessionConfig::default(), &usage(), 0);
     }
 }

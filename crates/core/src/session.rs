@@ -39,6 +39,7 @@ use btcfast_btcsim::attack::PrivateForkAttacker;
 use btcfast_btcsim::chain::Chain;
 use btcfast_btcsim::mempool::Mempool;
 use btcfast_btcsim::miner::Miner;
+use btcfast_btcsim::params::BLOCK_INTERVAL_SECS;
 use btcfast_btcsim::transaction::{OutPoint, Transaction};
 use btcfast_btcsim::wallet::Wallet;
 use btcfast_btcsim::Amount;
@@ -370,7 +371,7 @@ impl FastPaySession {
         let mut btc = Chain::new(config.btc_params.clone());
         let mut funder = Miner::new(config.btc_params.clone(), customer.btc_wallet().address());
         for i in 1..=3u64 {
-            let block = funder.mine_block(&btc, vec![], i * config.btc_params.block_interval_secs);
+            let block = funder.mine_block(&btc, vec![], i * BLOCK_INTERVAL_SECS);
             btc.submit_block(block)
                 .expect("provisioning blocks are valid");
         }
@@ -644,9 +645,8 @@ impl FastPaySession {
             self.config.btc_params.clone(),
             self.customer.btc_wallet().address(),
         );
-        let interval = self.config.btc_params.block_interval_secs;
         while self.customer.btc_wallet().spendable(&self.btc).len() < count {
-            self.advance_clock(SimTime::from_secs(interval));
+            self.advance_clock(SimTime::from_secs(BLOCK_INTERVAL_SECS));
             let time = self.clock.as_secs().max(self.btc.tip_time());
             let block = funder.mine_block(&self.btc, vec![], time);
             self.btc
@@ -725,7 +725,7 @@ impl FastPaySession {
             )
             .map_err(|e| SessionError::Btc(e.to_string()))?;
 
-        let arrivals = BlockArrivals::new(self.config.btc_params.block_interval_secs as f64, 1.0);
+        let arrivals = BlockArrivals::new(BLOCK_INTERVAL_SECS as f64, 1.0);
         while self.btc.confirmations(&txid).unwrap_or(0) < confirmations {
             let gap = arrivals.next_block_in(&mut self.rng);
             self.advance_clock(gap);
@@ -810,10 +810,9 @@ impl FastPaySession {
             fork_point,
             self.customer.btc_wallet().address(),
             Some(steal),
-            self.clock.as_secs(),
         );
 
-        let interval = self.config.btc_params.block_interval_secs as f64;
+        let interval = BLOCK_INTERVAL_SECS as f64;
         let honest_arrivals = BlockArrivals::new(interval, 1.0 - attacker_hashrate);
         let attacker_arrivals = BlockArrivals::new(interval, attacker_hashrate);
         let mut next_honest = self.clock + honest_arrivals.next_block_in(&mut self.rng);
@@ -913,7 +912,7 @@ impl FastPaySession {
     ) -> Result<(SimTime, u64), SessionError> {
         // Grow the pre-payment history first so an `evidence_depth`-header
         // segment exists without burning challenge-window time.
-        let arrivals = BlockArrivals::new(self.config.btc_params.block_interval_secs as f64, 1.0);
+        let arrivals = BlockArrivals::new(BLOCK_INTERVAL_SECS as f64, 1.0);
         while self.btc.height() + 1 < evidence_depth.max(2) {
             let gap = arrivals.next_block_in(&mut self.rng);
             self.advance_clock(gap);

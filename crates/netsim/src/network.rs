@@ -124,6 +124,10 @@ mod tests {
             .is_some());
         net.heal(NodeId(0), NodeId(1));
         assert!(net.connected(NodeId(0), NodeId(1)));
+        let arrival = net
+            .send(NodeId(0), NodeId(1), SimTime::ZERO, &mut rng())
+            .expect("healed link delivers");
+        assert!(arrival > SimTime::ZERO);
     }
 
     #[test]

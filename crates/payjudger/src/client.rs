@@ -14,13 +14,14 @@ use btcfast_crypto::Hash256;
 use btcfast_pscsim::account::AccountId;
 use btcfast_pscsim::codec::Decode;
 use btcfast_pscsim::contract::ContractError;
+use btcfast_pscsim::params::TX_GAS_LIMIT;
 use btcfast_pscsim::tx::{Action, PscTransaction, Receipt};
 use btcfast_pscsim::PscChain;
 
 /// Gas limit the client attaches to PayJudger calls: the per-transaction
 /// cap of both `PscParams` presets, so a call is signed once, at the most
-/// the chain admits (generous; actual usage is metered and refunded).
-pub const CALL_GAS_LIMIT: u64 = 8_000_000;
+/// the chain admits.
+pub const CALL_GAS_LIMIT: u64 = TX_GAS_LIMIT;
 
 /// A handle to a deployed PayJudger instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -559,7 +560,6 @@ mod tests {
             fork_point,
             Wallet::from_seed(b"evil").address(),
             None,
-            5000,
         );
         for i in 0..9 {
             attacker.extend(5100 + i * 100);

@@ -2,6 +2,11 @@
 
 use crate::gas::GasSchedule;
 
+/// Gas limit per transaction on both presets, and the limit PayJudger's
+/// client signs every call with (generous; actual usage is metered and
+/// refunded).
+pub const TX_GAS_LIMIT: u64 = 8_000_000;
+
 /// Parameters of the PSC chain.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PscParams {
@@ -30,7 +35,7 @@ impl PscParams {
             name: "ethereum-like",
             block_interval_secs: 15.0,
             finality_depth: 12,
-            tx_gas_limit: 8_000_000,
+            tx_gas_limit: TX_GAS_LIMIT,
             gas_price: 20, // ~20 gwei-shaped
             schedule: GasSchedule::evm_shaped(),
         }
@@ -42,7 +47,7 @@ impl PscParams {
             name: "eos-like",
             block_interval_secs: 0.5,
             finality_depth: 2,
-            tx_gas_limit: 8_000_000,
+            tx_gas_limit: TX_GAS_LIMIT,
             gas_price: 0, // EOS bills via staked resources, not per-tx fees
             schedule: GasSchedule::evm_shaped(),
         }

@@ -9,7 +9,7 @@
 //! cargo run --example coffee_shop
 //! ```
 
-use btcfast_suite::protocol::fees::{FeeModel, GasUsage};
+use btcfast_suite::protocol::fees::{honest_cost_per_payment, GasUsage};
 use btcfast_suite::protocol::{FastPaySession, SessionConfig};
 
 fn main() {
@@ -71,22 +71,13 @@ fn main() {
         withdraw: 50_000,
         ..Default::default()
     };
-    let eth_model = FeeModel {
-        btc_fee_sats: 1_000,
-        gas_price: 20,
-        sats_per_psc_unit: 0.000_002,
-    };
-    let per_cup = eth_model.honest_cost_per_payment(&usage, cups);
+    let per_cup = honest_cost_per_payment(&session.config, &usage, cups);
     println!();
     println!(
         "per-cup cost: {:.2} sats BTC fee + {:.4} sats PSC overhead (ETH-like)",
         per_cup.btc_fee_sats, per_cup.psc_overhead_sats
     );
-    let eos_model = FeeModel {
-        gas_price: 0,
-        ..eth_model
-    };
-    let per_cup_eos = eos_model.honest_cost_per_payment(&usage, cups);
+    let per_cup_eos = honest_cost_per_payment(&SessionConfig::eos_flavored(), &usage, cups);
     println!(
         "per-cup cost: {:.2} sats BTC fee + {:.4} sats PSC overhead (EOS-like)",
         per_cup_eos.btc_fee_sats, per_cup_eos.psc_overhead_sats

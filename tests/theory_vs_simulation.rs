@@ -3,7 +3,7 @@
 
 use btcfast_suite::analysis::waiting::ConfirmationWait;
 use btcfast_suite::analysis::{nakamoto, rosenfeld};
-use btcfast_suite::btcsim::attack::{race_probability_monte_carlo, RaceParams};
+use btcfast_suite::btcsim::attack::race_probability_monte_carlo;
 use btcfast_suite::protocol::{FastPaySession, SessionConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,16 +13,7 @@ fn race_simulation_matches_rosenfeld_theory() {
     let mut rng = StdRng::seed_from_u64(1);
     for (q, z) in [(0.1, 2u64), (0.2, 3), (0.3, 4)] {
         let theory = rosenfeld::attack_success(q, z);
-        let simulated = race_probability_monte_carlo(
-            &RaceParams {
-                attacker_hashrate: q,
-                confirmations: z,
-                give_up_deficit: 80,
-                required_lead: 0,
-            },
-            60_000,
-            &mut rng,
-        );
+        let simulated = race_probability_monte_carlo(q, z, 60_000, &mut rng);
         let rel = (simulated - theory).abs() / theory;
         assert!(
             rel < 0.15,
@@ -36,16 +27,7 @@ fn nakamoto_is_a_lower_bound_on_simulation() {
     let mut rng = StdRng::seed_from_u64(2);
     for (q, z) in [(0.15, 3u64), (0.25, 4)] {
         let nak = nakamoto::attack_success(q, z);
-        let simulated = race_probability_monte_carlo(
-            &RaceParams {
-                attacker_hashrate: q,
-                confirmations: z,
-                give_up_deficit: 80,
-                required_lead: 0,
-            },
-            40_000,
-            &mut rng,
-        );
+        let simulated = race_probability_monte_carlo(q, z, 40_000, &mut rng);
         assert!(
             simulated > nak * 0.8,
             "q={q} z={z}: simulated {simulated} vs nakamoto {nak}"
