@@ -687,7 +687,7 @@ pub fn fuzz_btc_transaction(bytes: &[u8]) -> Result<(), String> {
 // trace-context: causal attribution is purely observational.
 // ---------------------------------------------------------------------------
 
-/// Sends under a [`TraceContext`] drawn from the stream, over a lossy
+/// Sends under a [`TraceContext`](btcfast_obs::TraceContext) drawn from the stream, over a lossy
 /// transport. The contract: attribution never changes delivery — the
 /// traced transport replays identically to an untraced twin (status,
 /// inbox, counters) — and every event it attributes stays in the

@@ -28,7 +28,10 @@ use btcfast_crypto::oracle::{
 };
 use btcfast_crypto::point::{AffinePoint, Point};
 use btcfast_crypto::scalar::Scalar;
-use btcfast_crypto::sha256::{backend, midstate, sha256, sha256d, sha256d_resumed, Sha256};
+use btcfast_crypto::sha256::{
+    backend, lanes_backend, midstate, sha256, sha256d, sha256d_resumed, sha256d_resumed_lanes,
+    Sha256,
+};
 
 /// `2^k` as a scalar, for `k < 256`.
 fn pow2(k: usize) -> Scalar {
@@ -179,9 +182,10 @@ pub fn diff_crypto_inverse(bytes: &[u8]) -> Result<(), String> {
 
 /// Differential: SHA-256 as the system computes it — one-shot, doubled,
 /// streamed through a fuzz-chosen chunking, and (where the remainder and
-/// its padding fit one block) resumed the miner's way — against the textbook
-/// hash over the portable block function, on a message whose length,
-/// content and chunking all come from the case bytes.
+/// its padding fit one block) resumed the miner's way, one nonce and sixteen
+/// at a time — against the textbook hash over the portable block function,
+/// on a message whose length, content and chunking all come from the case
+/// bytes.
 pub fn diff_crypto_sha256(bytes: &[u8]) -> Result<(), String> {
     let mut src = ByteSource::new(bytes);
     // Half the lengths sit beside a block end, where the padding changes
@@ -214,6 +218,27 @@ pub fn diff_crypto_sha256(bytes: &[u8]) -> Result<(), String> {
         return Err(format!(
             "SHA-256 ({on}) diverges from the portable oracle at {len} bytes"
         ));
+    }
+    // The miner's sixteen-nonce call, where the remainder holds the eight
+    // nonce bytes at 16..24: lane `i` is the message with `base + i` there.
+    // Bases beside the two carries: low word into high, and past u64::MAX.
+    if (24..56).contains(&(len % 64)) {
+        let edge = src.choice(16) as u64;
+        let base = [src.u64(), u64::from(u32::MAX) - edge, u64::MAX - edge][src.choice(3)];
+        let (state, last) = midstate(&data);
+        let at = len - len % 64 + 16;
+        let lanes = sha256d_resumed_lanes(&state, &last, base);
+        for (i, lane) in lanes.iter().enumerate() {
+            let mut message = data.clone();
+            message[at..at + 8].copy_from_slice(&base.wrapping_add(i as u64).to_le_bytes());
+            let once = sha256_with(compress_blocks_portable, &message);
+            if lane.0 != sha256_with(compress_blocks_portable, &once) {
+                let on = lanes_backend();
+                return Err(format!(
+                    "the {on} lane call diverges from the portable oracle at {len} bytes, nonce {base} + {i}"
+                ));
+            }
+        }
     }
     Ok(())
 }

@@ -175,8 +175,10 @@ fn table(cells: &[Cell], pairs: usize) -> Table {
         format!("{v:.decimals$}")
     };
     let title = format!(
-        "A/B against the parent: {pairs} interleaved pairs per workload, SHA-256 on {}",
-        sha256::backend()
+        "A/B against the parent: {pairs} interleaved pairs per workload, SHA-256 on {}, \
+         the miner's grind {}",
+        sha256::backend(),
+        sha256::lanes_backend()
     );
     let columns =
         "workload|metric|parent q1|parent median|parent q3|change median|delta|bound|verdict";
@@ -243,6 +245,7 @@ fn record_line(cells: &[Cell], base: &Path, head: &Path, pairs: usize) -> String
         ("seed", Json::Num(SEED as f64)),
         ("host_threads", Json::Num(threads as f64)),
         ("host_sha256", Json::Str(sha256::backend().to_string())),
+        ("host_grind", Json::Str(sha256::lanes_backend().to_string())),
         ("medians", Json::Obj(medians.collect())),
     ])
     .render()
@@ -410,6 +413,8 @@ mod tests {
         let record = Json::parse(&fresh).unwrap();
         let host_sha256 = Json::Str(sha256::backend().to_string());
         assert_eq!(record.get("host_sha256"), Some(&host_sha256));
+        let host_grind = Json::Str(sha256::lanes_backend().to_string());
+        assert_eq!(record.get("host_grind"), Some(&host_grind));
         for key in cells.iter().map(|c| format!("{}.{}", c.workload, c.metric)) {
             let medians = record.get("medians").and_then(|m| m.get(&key)?.items());
             assert_eq!(

@@ -7,7 +7,7 @@ use crate::params::ChainParams;
 use crate::pow::hash_meets_target;
 use crate::transaction::Transaction;
 use btcfast_crypto::keys::Address;
-use btcfast_crypto::sha256::{midstate, sha256d_resumed};
+use btcfast_crypto::sha256::{midstate, sha256d_resumed_lanes};
 use btcfast_crypto::Hash256;
 
 /// A miner: assembles block templates paying itself subsidy + fees, and
@@ -105,12 +105,17 @@ impl Miner {
         // parent's bits, or a retarget `from_target` just encoded.
         let target = header.target().expect("consensus bits are valid");
         // The nonce is the last field: compress the encoding's first
-        // SHA-256 block and pad its second once, then per try rewrite the
-        // eight nonce bytes and resume.
-        let (state, mut last) = midstate(&header.encode());
-        while !hash_meets_target(&sha256d_resumed(&state, &last), &target) {
-            header.nonce += 1;
-            last[16..24].copy_from_slice(&header.nonce.to_le_bytes());
+        // SHA-256 block and pad its second once, then hash sixteen nonces
+        // per step and take the lowest that passes, so the search still
+        // finds the first nonce upward from 0.
+        let (state, last) = midstate(&header.encode());
+        loop {
+            let digests = sha256d_resumed_lanes(&state, &last, header.nonce);
+            if let Some(lane) = digests.iter().position(|d| hash_meets_target(d, &target)) {
+                header.nonce += lane as u64;
+                break;
+            }
+            header.nonce += digests.len() as u64;
         }
         debug_assert!(hash_meets_target(&header.hash(), &target));
         Block {

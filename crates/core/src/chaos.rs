@@ -1,6 +1,6 @@
 //! Chaos-mode protocol sessions: the escrow flow under fault injection.
 //!
-//! [`ChaosSession`] runs the protocol driver ([`crate::flow`]) over a
+//! [`ChaosSession`] runs the protocol driver (`flow`) over a
 //! [`FastPaySession`] with the effects of a hostile network: every message
 //! leg and every PSC call crosses a reliable [`Transport`] while a seeded
 //! [`FaultPlan`] injects loss windows, partitions, crash-restart bounces,

@@ -602,7 +602,7 @@ impl PaymentEngine {
     /// [`EngineConfig::payments_per_shard`] is ignored here — the
     /// schedule decides how much work each shard sees. So is
     /// [`SessionConfig::tracing`]: a [`LoadReport`] carries no trace, so
-    /// the shards are served [`untraced`](Self::untraced).
+    /// the shards are served `untraced`.
     ///
     /// # Errors
     ///

@@ -250,7 +250,7 @@ impl PaymentState {
 }
 
 /// Registered payments by escrow payment id, held as the snapshot slot
-/// holds them: [`ENTRY_BYTES`]-byte entries in ascending id order. Re-open
+/// holds them: `ENTRY_BYTES`-byte entries in ascending id order. Re-open
 /// adopts a slot's entry region as a fixed region, and payments registered
 /// after it go to a growable tail of their own, so the adopted buffer is
 /// never copied to make room. The contract assigns ids in ascending order,

@@ -508,11 +508,11 @@ impl FastPaySession {
 
     /// Submits a PSC transaction and produces the block including it,
     /// advancing the clock by the expected PSC inclusion latency: the
-    /// one-transaction case of [`Self::run_psc_txs`].
+    /// one-transaction case of `run_psc_txs`.
     ///
     /// # Errors
     ///
-    /// As [`Self::run_psc_txs`], under the context `psc-call`.
+    /// As `run_psc_txs`, under the context `psc-call`.
     pub fn run_psc_tx(&mut self, tx: PscTransaction) -> Result<Receipt, SessionError> {
         let context = "psc-call";
         let mut receipts = self.run_psc_txs(vec![tx], context)?;

@@ -74,7 +74,7 @@ pub fn publish_transport(registry: &mut Registry, stats: &TransportStats) {
 }
 
 /// Publishes the durable-store and recovery-journal counters of a
-/// [`RecoveryManager`] into `registry`.
+/// [`RecoveryManager`](crate::recovery::RecoveryManager) into `registry`.
 pub fn publish_recovery<S: btcfast_store::Storage>(
     registry: &mut Registry,
     recovery: &crate::recovery::RecoveryManager<S>,

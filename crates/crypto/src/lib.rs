@@ -9,7 +9,8 @@
 //! primitive from scratch rather than mocking it:
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256 and Bitcoin's double-SHA-256, on the
-//!   CPU's SHA instructions where it has them (the crate's one `unsafe` call).
+//!   CPU's SHA instructions where it has them, and the miner's sixteen-nonce
+//!   grind on AVX-512 lanes (the crate's two `unsafe` calls).
 //! * [`ripemd160`] — RIPEMD-160, for Bitcoin-style `hash160` addresses.
 //! * [`hmac`] — HMAC-SHA256, used for RFC 6979 deterministic ECDSA nonces.
 //! * [`field`], [`scalar`], [`point`] — secp256k1 arithmetic, on the

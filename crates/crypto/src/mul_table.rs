@@ -18,7 +18,7 @@
 //!   `φ(x, y) = (β·x, y)` is an efficiently computable curve automorphism
 //!   acting as multiplication by a cube root of unity `λ`. Splitting
 //!   `k = k1 + k2·λ (mod n)` with `|k1|, |k2| < 2^129`
-//!   ([`Scalar::split_glv`]) turns one 256-bit ladder into two interleaved
+//!   (`Scalar::split_glv`) turns one 256-bit ladder into two interleaved
 //!   half-length ones, halving the doubling count — and the `φ`-table is
 //!   derived from the base table by one field multiply per entry.
 //! - A fixed-base signed **comb** ([`CombTable`]): with every
@@ -465,7 +465,7 @@ pub fn lincomb_wnaf(a: &Scalar, b: &Scalar, q_table: &OddMultiplesTable) -> Poin
 /// Multi-scalar multiplication `Σ k_i·P_i` (Strauss/Shamir over arbitrarily
 /// many points): every term is GLV-split into two ~129-digit wNAF streams,
 /// all per-point tables are normalized with one shared batch inversion
-/// ([`OddMultiplesTable::new_many`]), and a single ~129-step doubling run
+/// (`OddMultiplesTable::new_many`), and a single ~129-step doubling run
 /// serves every stream. Terms with a zero scalar or the point at infinity
 /// contribute nothing and are skipped.
 ///

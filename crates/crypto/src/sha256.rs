@@ -6,6 +6,9 @@
 //! with two implementations: the portable function below and a kernel on
 //! the x86-64 SHA extensions (`ni`), taken per call whenever the running
 //! CPU reports them — never by a flag. [`backend`] names the one in use.
+//! The miner's grind has one more: [`sha256d_resumed_lanes`] hashes sixteen
+//! nonces at once on AVX-512 lanes where the CPU has them, and names its
+//! path in [`lanes_backend`].
 //!
 //! The streaming [`Sha256`] hasher supports incremental input; the
 //! free functions [`sha256`] and [`sha256d`] cover the common one-shot cases.
@@ -235,6 +238,39 @@ pub fn sha256d_resumed(state: &[u32; 8], last: &[u8; 64]) -> Hash256 {
     (block[32], block[62]) = (0x80, 1);
     compress_blocks(&mut second, &block);
     Hash256(digest_bytes(&second))
+}
+
+/// [`sha256d_resumed`] for sixteen nonces: the digests of `last` with
+/// `base + i` (modulo 2^64) written little-endian at bytes 16..24, where an
+/// 88-byte block header's nonce falls, for `i` in `0..16`. One AVX-512 pass
+/// computes all sixteen when the running CPU has AVX-512F — chosen per call,
+/// never by a flag — and sixteen `sha256d_resumed` calls otherwise.
+pub fn sha256d_resumed_lanes(state: &[u32; 8], last: &[u8; 64], base: u64) -> [Hash256; 16] {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(digests) = ni::sha256d_lanes(state, last, base) {
+        return digests;
+    }
+    per_nonce(state, last, base)
+}
+
+/// [`sha256d_resumed_lanes`] one nonce at a time: the path on CPUs without
+/// AVX-512F.
+fn per_nonce(state: &[u32; 8], last: &[u8; 64], base: u64) -> [Hash256; 16] {
+    let mut last = *last;
+    core::array::from_fn(|i| {
+        last[16..24].copy_from_slice(&base.wrapping_add(i as u64).to_le_bytes());
+        sha256d_resumed(state, &last)
+    })
+}
+
+/// Which path [`sha256d_resumed_lanes`] takes on this host, `"avx512f"` or
+/// `"per-nonce"` — for run records: the second costs about twice as much.
+pub fn lanes_backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if ni::lanes_available() {
+        return "avx512f";
+    }
+    "per-nonce"
 }
 
 /// SHA-256 over the concatenation of two 32-byte values, applied twice —
@@ -469,6 +505,57 @@ mod tests {
                 "len {len}"
             );
         }
+    }
+
+    type Lanes = fn(&[u32; 8], &[u8; 64], u64) -> [Hash256; 16];
+
+    /// The AVX-512 kernel by name, past the dispatcher (callers checked it
+    /// exists).
+    #[cfg(target_arch = "x86_64")]
+    fn lanes_avx512f(state: &[u32; 8], last: &[u8; 64], base: u64) -> [Hash256; 16] {
+        ni::sha256d_lanes(state, last, base).expect("no AVX-512F")
+    }
+
+    /// Every path of the lane call this host can run, by name, the best last.
+    fn lane_paths() -> Vec<(&'static str, Lanes)> {
+        let mut all: Vec<(&'static str, Lanes)> = vec![("per-nonce", per_nonce)];
+        #[cfg(target_arch = "x86_64")]
+        if ni::lanes_available() {
+            all.push(("avx512f", lanes_avx512f));
+        }
+        if all.len() == 1 {
+            println!("note: no AVX-512F on this host; the lane kernel is not tested");
+        }
+        all
+    }
+
+    #[test]
+    fn the_lane_call_equals_sixteen_resumed_calls_on_every_path() {
+        let (paths, mut rng) = (lane_paths(), StdRng::seed_from_u64(54));
+        for case in 0..64 {
+            let (mut state, mut last) = ([0u32; 8], [0u8; 64]);
+            state.iter_mut().for_each(|word| *word = rng.next_u32());
+            rng.fill_bytes(&mut last);
+            // The low nonce word carries into the high one inside the step
+            // from `u32::MAX - 7`, and the whole nonce wraps from `u64::MAX`.
+            for base in [0, rng.next_u64(), u64::from(u32::MAX) - 7, u64::MAX - 3] {
+                let expected: [Hash256; 16] = core::array::from_fn(|i| {
+                    let nonce = base.wrapping_add(i as u64);
+                    last[16..24].copy_from_slice(&nonce.to_le_bytes());
+                    sha256d_resumed(&state, &last)
+                });
+                for (name, lanes) in &paths {
+                    assert_eq!(
+                        lanes(&state, &last, base),
+                        expected,
+                        "{name}, case {case}, base {base}"
+                    );
+                }
+                assert_eq!(sha256d_resumed_lanes(&state, &last, base), expected);
+            }
+        }
+        let (best, _) = *paths.last().unwrap();
+        assert_eq!(lanes_backend(), best, "the dispatcher takes the best path");
     }
 
     #[test]

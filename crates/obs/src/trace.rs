@@ -22,7 +22,7 @@
 //! merges event vectors in a deterministic order. Field values are
 //! integers, booleans, and strings only — no floats — so rendering has
 //! exactly one byte representation per event. Event storage is a bounded
-//! ring: past [`Tracer::capacity`], the oldest half is discarded and
+//! ring: past `Tracer::capacity`, the oldest half is discarded and
 //! counted in [`Tracer::dropped_events`], so unbounded load runs cannot
 //! grow memory without bound.
 
