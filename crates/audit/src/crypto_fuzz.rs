@@ -24,13 +24,13 @@ use btcfast_crypto::mul_table::{
 };
 use btcfast_crypto::oracle::{
     compress_blocks_portable, field_invert_fermat, scalar_invert_fermat, sha256_with,
-    verify_uncached,
+    striped_sha256_per_lane, striped_with, verify_uncached,
 };
 use btcfast_crypto::point::{AffinePoint, Point};
 use btcfast_crypto::scalar::Scalar;
 use btcfast_crypto::sha256::{
     backend, lanes_backend, midstate, sha256, sha256d, sha256d_resumed, sha256d_resumed_lanes,
-    Sha256,
+    Sha256, StripedSha256,
 };
 
 /// `2^k` as a scalar, for `k < 256`.
@@ -181,11 +181,12 @@ pub fn diff_crypto_inverse(bytes: &[u8]) -> Result<(), String> {
 }
 
 /// Differential: SHA-256 as the system computes it — one-shot, doubled,
-/// streamed through a fuzz-chosen chunking, and (where the remainder and
-/// its padding fit one block) resumed the miner's way, one nonce and sixteen
-/// at a time — against the textbook hash over the portable block function,
-/// on a message whose length, content and chunking all come from the case
-/// bytes.
+/// streamed through a fuzz-chosen chunking, (where the remainder and its
+/// padding fit one block) resumed the miner's way, one nonce and sixteen at
+/// a time, and striped into sixteen lanes the recovery digest's way, on
+/// both its paths — against the textbook hash over the portable block
+/// function, on messages whose length, content and chunking all come from
+/// the case bytes.
 pub fn diff_crypto_sha256(bytes: &[u8]) -> Result<(), String> {
     let mut src = ByteSource::new(bytes);
     // Half the lengths sit beside a block end, where the padding changes
@@ -238,6 +239,37 @@ pub fn diff_crypto_sha256(bytes: &[u8]) -> Result<(), String> {
                     "the {on} lane call diverges from the portable oracle at {len} bytes, nonce {base} + {i}"
                 ));
             }
+        }
+    }
+    // The striped hasher over up to five 1 KiB stripes, in pieces that
+    // mostly meet a part-filled stripe: on the dispatched path and on the
+    // per-lane one, lane `j` must be the hash of block `j` of every stripe.
+    let len = src.choice(5 * 1024 + 200);
+    let data: Vec<u8> = (0..len).map(byte).collect();
+    let (mut dispatched, mut per_lane, mut rest) =
+        (StripedSha256::new(), striped_sha256_per_lane(), &data[..]);
+    while !rest.is_empty() {
+        let most = if src.choice(4) == 0 { rest.len() } else { 1100 };
+        let (piece, tail) = rest.split_at(1 + src.choice(most.min(rest.len())));
+        dispatched.update(piece);
+        per_lane.update(piece);
+        rest = tail;
+    }
+    let expected = striped_with(compress_blocks_portable, &data);
+    for (on, got) in [
+        (lanes_backend(), dispatched.finalize()),
+        ("per-lane", per_lane.finalize()),
+    ] {
+        if got != expected {
+            let at = got.iter().zip(&expected).position(|(a, b)| a != b);
+            let at = at.unwrap_or(got.len().min(expected.len()));
+            let part = match at / 32 {
+                lane @ 0..16 => format!("lane {lane}"),
+                _ => "the remainder".to_string(),
+            };
+            return Err(format!(
+                "the {on} striped hasher diverges from the portable oracle at {len} bytes, in {part}"
+            ));
         }
     }
     Ok(())

@@ -176,7 +176,7 @@ fn table(cells: &[Cell], pairs: usize) -> Table {
     };
     let title = format!(
         "A/B against the parent: {pairs} interleaved pairs per workload, SHA-256 on {}, \
-         the miner's grind {}",
+         the miner's grind and the recovery digest's lanes {}",
         sha256::backend(),
         sha256::lanes_backend()
     );

@@ -33,7 +33,7 @@
 //! The ledger's payments are held as the payload's entry region itself,
 //! so digest, checkpoint and re-open are each one pass over those bytes.
 
-use btcfast_crypto::sha256::{sha256, Sha256};
+use btcfast_crypto::sha256::{sha256, Sha256, StripedSha256};
 use btcfast_crypto::Hash256;
 use btcfast_pscsim::codec::{tagged_codec, take, CodecError, Decode, Encode};
 use btcfast_store::snapshot::HEADER_BYTES;
@@ -819,16 +819,22 @@ impl<S: Storage> RecoveryManager<S> {
 
     /// Canonical digest over ledger + pending intents: byte-identical
     /// across a crash/recover cycle iff the recovered state is. The double
-    /// SHA-256 of the snapshot payload, hashed in one pass over its head,
-    /// the entries where they lie, and its tail.
+    /// SHA-256 of the snapshot payload with its entry region replaced by
+    /// what a [`StripedSha256`] makes of it — sixteen lane digests, then
+    /// the entry bytes past the last whole 1 KiB stripe — so the long part
+    /// is hashed as sixteen independent lanes in one pass over the entries
+    /// where they lie. The head fixes the region's length, so the hashed
+    /// input still parses one way only.
     pub fn digest(&self) -> Hash256 {
+        let mut entries = StripedSha256::new();
+        for region in self.ledger.payments.bytes() {
+            entries.update(region);
+        }
         let mut tail = Vec::new();
         encode_tail(&self.ledger, &self.pending, &mut tail);
         let mut hasher = Sha256::new();
         hasher.update(&self.ledger.head());
-        for entries in self.ledger.payments.bytes() {
-            hasher.update(entries);
-        }
+        hasher.update(&entries.finalize());
         hasher.update(&tail);
         Hash256(sha256(&hasher.finalize()))
     }
@@ -1040,8 +1046,38 @@ mod tests {
         assert!(!mgr.ledger().payments.get(&7).unwrap().offered);
     }
 
+    /// [`RecoveryManager::digest`] by its definition, from a snapshot
+    /// payload alone and without the striped hasher: lane `j` is plain
+    /// SHA-256 over the `j`-th 64-byte block of every whole 1 KiB stripe of
+    /// the entry region, and the double hash covers the head, the sixteen
+    /// lanes, the entry bytes past the last whole stripe, and the tail.
+    fn reference_digest(payload: &[u8]) -> Hash256 {
+        let head = PaymentLedger::HEAD_BYTES;
+        let count = u32::from_le_bytes(payload[1..head].try_into().unwrap()) as usize;
+        let (entries, tail) = payload[head..].split_at(count * ENTRY_BYTES);
+        let stripes = entries.chunks_exact(1024);
+        let mut input = payload[..head].to_vec();
+        for j in 0..16 {
+            let mut lane = Sha256::new();
+            for stripe in stripes.clone() {
+                lane.update(&stripe[64 * j..64 * (j + 1)]);
+            }
+            input.extend_from_slice(&lane.finalize());
+        }
+        input.extend_from_slice(stripes.remainder());
+        input.extend_from_slice(tail);
+        btcfast_crypto::sha256::sha256d(&input)
+    }
+
+    /// Checkpoints `mgr` and returns the slot's payload.
+    fn checkpointed_payload(mgr: &mut RecoveryManager<MemStorage>) -> Vec<u8> {
+        mgr.checkpoint().unwrap();
+        let slot = SnapshotStore::new(mgr.snapshot_medium().clone()).load();
+        slot.unwrap().unwrap().state().to_vec()
+    }
+
     #[test]
-    fn the_streamed_digest_is_the_double_hash_of_the_snapshot_payload() {
+    fn the_streamed_digest_is_the_striped_double_hash_of_the_snapshot_payload() {
         fn register(mgr: &mut RecoveryManager<MemStorage>, id: u64, complete: bool) {
             let step = Step::OpenPayment {
                 txid: txid(id as u8),
@@ -1056,11 +1092,9 @@ mod tests {
             }
         }
         /// Checkpoints, then holds the slot's payload to the struct
-        /// encoding of `entries` and the digest to its double hash.
+        /// encoding of `entries` and the digest to the reference over it.
         fn check(mgr: &mut RecoveryManager<MemStorage>, entries: &[(u64, PaymentState)]) {
-            mgr.checkpoint().unwrap();
-            let slot = SnapshotStore::new(mgr.snapshot_medium().clone()).load();
-            let payload = slot.unwrap().unwrap().state().to_vec();
+            let payload = checkpointed_payload(mgr);
             let pending = BTreeMap::from_iter(mgr.pending().map(|(i, s)| (i, s.clone())));
             let ledger = mgr.ledger();
             let (escrow, value) = (ledger.escrow_opened, ledger.value_accepted_sats);
@@ -1071,7 +1105,7 @@ mod tests {
             );
             assert_eq!(
                 mgr.digest(),
-                btcfast_crypto::sha256::sha256d(&payload),
+                reference_digest(&payload),
                 "{} payments, {} bytes",
                 entries.len(),
                 payload.len()
@@ -1109,6 +1143,106 @@ mod tests {
                 model.insert(id, state);
             }
             check(&mut mgr, &Vec::from_iter(model));
+        }
+    }
+
+    #[test]
+    fn the_digest_is_pinned() {
+        let pin = |mut mgr: RecoveryManager<MemStorage>| {
+            let payload = checkpointed_payload(&mut mgr);
+            assert_eq!(mgr.digest(), reference_digest(&payload));
+            let hex = btcfast_crypto::hex::encode(mgr.digest().as_bytes());
+            (mgr.ledger().payments.len(), hex)
+        };
+        let (wal, snap) = journal_flow(None);
+        let (mgr, _) = RecoveryManager::open(wal, snap).unwrap();
+        assert_eq!(
+            pin(mgr),
+            (
+                1,
+                "df75522894dddabf2d7c5da1be3aa4bb892d7fb87e6405ec7d335b6d0990fbab".into()
+            ),
+            "one payment"
+        );
+        // 45 entries are 2250 bytes: two whole stripes and 202 bytes more.
+        let (mut mgr, _) = RecoveryManager::open(MemStorage::new(), MemStorage::new()).unwrap();
+        for id in 0..45 {
+            journal_payment(&mut mgr, id);
+        }
+        mgr.begin(Step::Verdict {
+            payment_id: 3,
+            merchant_wins: false,
+        })
+        .unwrap();
+        assert_eq!(
+            pin(mgr),
+            (
+                45,
+                "65f79d64f8bc6368a28fc605c3e44e6b99e34030660be63ada0f2f58424b1c98".into()
+            ),
+            "two stripes"
+        );
+    }
+
+    #[test]
+    fn the_digest_does_not_depend_on_where_the_adopted_region_ends() {
+        // One entry sequence, its first `seam` entries adopted from a slot
+        // and the rest replayed into the tail region, against the same
+        // sequence live in one region. Entries are 50 bytes, so 512, 1 and
+        // 20 entries put the seam at 0, 50 and 1000 bytes past a stripe
+        // boundary (and 513 at 50 again); no ledger is exactly one stripe,
+        // so 20 entries fall just short of one and 21 just past it.
+        for (total, seams) in [
+            (20, vec![0, 1, 20]),
+            (21, vec![1, 20, 21]),
+            (530, vec![0, 1, 20, 512, 513, 530]),
+        ] {
+            let pending = Step::Verdict {
+                payment_id: 1,
+                merchant_wins: true,
+            };
+            let (mut live, _) =
+                RecoveryManager::open(MemStorage::new(), MemStorage::new()).unwrap();
+            for id in 0..total {
+                journal_payment(&mut live, id);
+            }
+            live.begin(pending.clone()).unwrap();
+            let expected = live.digest();
+            assert_eq!(expected, reference_digest(&checkpointed_payload(&mut live)));
+            for seam in seams {
+                let (wal, snap) = (MemStorage::new(), MemStorage::new());
+                let (mut mgr, _) = RecoveryManager::open(wal.clone(), snap.clone()).unwrap();
+                for id in 0..seam {
+                    journal_payment(&mut mgr, id);
+                }
+                mgr.checkpoint().unwrap();
+                for id in seam..total {
+                    journal_payment(&mut mgr, id);
+                }
+                mgr.begin(pending.clone()).unwrap();
+                assert_eq!(mgr.digest(), expected, "live, {total} entries, seam {seam}");
+
+                let (mut reopened, report) =
+                    RecoveryManager::open(wal.clone(), snap.clone()).unwrap();
+                let [adopted, tail] = reopened.ledger().payments.bytes();
+                assert_eq!(adopted.len(), seam as usize * ENTRY_BYTES);
+                assert_eq!(tail.len(), (total - seam) as usize * ENTRY_BYTES);
+                assert_eq!(report.replayed_records, 2 * (total - seam) + 1);
+                assert_eq!(
+                    reopened.digest(),
+                    expected,
+                    "replayed, {total} entries, seam {seam}"
+                );
+
+                reopened.checkpoint().unwrap();
+                let (reopened, _) = RecoveryManager::open(wal, snap).unwrap();
+                assert!(reopened.ledger().payments.bytes()[1].is_empty());
+                assert_eq!(
+                    reopened.digest(),
+                    expected,
+                    "adopted, {total} entries, seam {seam}"
+                );
+            }
         }
     }
 
@@ -1626,11 +1760,7 @@ mod tests {
                         value_accepted_sats,
                         &pending,
                     );
-                    assert_eq!(
-                        mgr.digest(),
-                        btcfast_crypto::sha256::sha256d(&canonical),
-                        "case {case}"
-                    );
+                    assert_eq!(mgr.digest(), reference_digest(&canonical), "case {case}");
                     adopted += 1;
                 }
                 (

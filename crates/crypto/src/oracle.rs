@@ -113,3 +113,29 @@ pub fn sha256_with(compress: fn(&mut [u32; 8], &[u8]), data: &[u8]) -> [u8; 32] 
     compress(&mut state, &padded);
     sha256::digest_bytes(&state)
 }
+
+/// What [`sha256::StripedSha256`] makes of `data`, by its definition over a
+/// block function given by name: lane `j` gathered from the `j`-th 64-byte
+/// block of every whole 1 KiB stripe and hashed by [`sha256_with`], the
+/// sixteen digests in lane order, then the bytes past the last whole stripe.
+pub fn striped_with(compress: fn(&mut [u32; 8], &[u8]), data: &[u8]) -> Vec<u8> {
+    let stripes = data.chunks_exact(1024);
+    let mut out = Vec::new();
+    for j in 0..16 {
+        let lane: Vec<u8> = stripes
+            .clone()
+            .flat_map(|s| &s[64 * j..64 * (j + 1)])
+            .copied()
+            .collect();
+        out.extend_from_slice(&sha256_with(compress, &lane));
+    }
+    out.extend_from_slice(stripes.remainder());
+    out
+}
+
+/// A [`sha256::StripedSha256`] held to the path CPUs without AVX-512F take
+/// — sixteen one-block compressions per stripe — whatever this CPU has, so
+/// that tests reach that path everywhere.
+pub fn striped_sha256_per_lane() -> sha256::StripedSha256 {
+    sha256::StripedSha256::with(sha256::compress_stripes_per_lane)
+}

@@ -6,9 +6,10 @@
 //! with two implementations: the portable function below and a kernel on
 //! the x86-64 SHA extensions (`ni`), taken per call whenever the running
 //! CPU reports them — never by a flag. [`backend`] names the one in use.
-//! The miner's grind has one more: [`sha256d_resumed_lanes`] hashes sixteen
-//! nonces at once on AVX-512 lanes where the CPU has them, and names its
-//! path in [`lanes_backend`].
+//! Two hashes that need no single stream take sixteen at once on AVX-512
+//! lanes where the CPU has them: the miner's grind, [`sha256d_resumed_lanes`]
+//! (sixteen nonces), and [`StripedSha256`] (sixteen interleaved lanes of one
+//! long input); [`lanes_backend`] names their path.
 //!
 //! The streaming [`Sha256`] hasher supports incremental input; the
 //! free functions [`sha256`] and [`sha256d`] cover the common one-shot cases.
@@ -263,14 +264,138 @@ fn per_nonce(state: &[u32; 8], last: &[u8; 64], base: u64) -> [Hash256; 16] {
     })
 }
 
-/// Which path [`sha256d_resumed_lanes`] takes on this host, `"avx512f"` or
-/// `"per-nonce"` — for run records: the second costs about twice as much.
+/// Which path [`sha256d_resumed_lanes`] and [`StripedSha256`] take on this
+/// host, `"avx512f"` or `"per-nonce"` (one block at a time) — for run
+/// records: the second costs about twice as much.
 pub fn lanes_backend() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if ni::lanes_available() {
         return "avx512f";
     }
     "per-nonce"
+}
+
+/// Sixteen 64-byte blocks: the unit [`StripedSha256`] cuts its input into.
+const STRIPE: usize = 16 * 64;
+
+/// Streaming hash of a long input as sixteen interleaved lanes: the input
+/// is cut into whole 1 KiB stripes, and lane `j` is the SHA-256, standard
+/// padding included, of the `j`-th 64-byte block of every stripe. Unlike
+/// one SHA-256 stream, the lanes are independent, so one AVX-512 pass
+/// computes all sixteen where the running CPU has AVX-512F (chosen per
+/// call, never by a flag), and sixteen one-block compressions per stripe
+/// run otherwise; both give the same bytes.
+///
+/// ```
+/// use btcfast_crypto::sha256::{sha256, StripedSha256};
+///
+/// let data = vec![7u8; 1024 + 3];
+/// let (mut h, mut lane) = (StripedSha256::new(), Vec::new());
+/// h.update(&data[..100]);
+/// h.update(&data[100..]);
+/// let out = h.finalize();
+/// lane.extend_from_slice(&data[64..128]);
+/// assert_eq!(out[32..64], sha256(&lane));
+/// assert_eq!(out[16 * 32..], [7, 7, 7]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct StripedSha256 {
+    lanes: [[u32; 8]; 16],
+    /// Whole stripes absorbed, so whole blocks in each lane.
+    stripes: u64,
+    /// The input past the last whole stripe: `buffered` bytes.
+    buffer: [u8; STRIPE],
+    buffered: usize,
+    /// [`compress_stripes`], or the one path a test oracle pins.
+    compress: fn(&mut [[u32; 8]; 16], &[u8]),
+}
+
+impl Default for StripedSha256 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl StripedSha256 {
+    /// A fresh hasher.
+    pub fn new() -> StripedSha256 {
+        StripedSha256::with(compress_stripes)
+    }
+
+    /// A fresh hasher on the given stripe function.
+    pub(crate) fn with(compress: fn(&mut [[u32; 8]; 16], &[u8])) -> StripedSha256 {
+        StripedSha256 {
+            lanes: [H0; 16],
+            stripes: 0,
+            buffer: [0; STRIPE],
+            buffered: 0,
+            compress,
+        }
+    }
+
+    /// Absorbs more input.
+    pub fn update(&mut self, mut data: &[u8]) {
+        if self.buffered > 0 {
+            let take = (STRIPE - self.buffered).min(data.len());
+            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
+            (self.buffered, data) = (self.buffered + take, &data[take..]);
+            if self.buffered < STRIPE {
+                return;
+            }
+            (self.compress)(&mut self.lanes, &self.buffer);
+            (self.stripes, self.buffered) = (self.stripes + 1, 0);
+        }
+        // Whole stripes go straight from the caller's slice, in one call.
+        let (stripes, rest) = data.split_at(data.len() - data.len() % STRIPE);
+        if !stripes.is_empty() {
+            (self.compress)(&mut self.lanes, stripes);
+            self.stripes += (stripes.len() / STRIPE) as u64;
+        }
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
+    }
+
+    /// What the input stands for in an outer hash: the sixteen lane
+    /// digests, lane 0 first, then the input past its last whole stripe
+    /// (`16 × 32` bytes, then fewer than 1024).
+    pub fn finalize(mut self) -> Vec<u8> {
+        // Every lane holds `stripes` whole blocks, so every lane ends in the
+        // same padding block: one stripe of sixteen copies pads them all.
+        let mut padding = [0u8; STRIPE];
+        for block in padding.as_chunks_mut::<64>().0 {
+            block[0] = 0x80;
+            block[56..].copy_from_slice(&self.stripes.wrapping_mul(512).to_be_bytes());
+        }
+        (self.compress)(&mut self.lanes, &padding);
+        let mut out = Vec::with_capacity(16 * 32 + self.buffered);
+        for lane in &self.lanes {
+            out.extend_from_slice(&digest_bytes(lane));
+        }
+        out.extend_from_slice(&self.buffer[..self.buffered]);
+        out
+    }
+}
+
+/// Whole stripes into the sixteen lanes, block `j` of each into lane `j`:
+/// in one AVX-512 pass when the running CPU has AVX-512F, and through
+/// [`compress_stripes_per_lane`] otherwise.
+fn compress_stripes(lanes: &mut [[u32; 8]; 16], stripes: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if ni::compress_stripes(lanes, stripes) {
+        return;
+    }
+    compress_stripes_per_lane(lanes, stripes);
+}
+
+/// Sixteen one-block [`compress_blocks`] calls per stripe: the path on CPUs
+/// without AVX-512F and, through [`crate::oracle::striped_sha256_per_lane`],
+/// the tests' way to reach it on CPUs with it.
+pub(crate) fn compress_stripes_per_lane(lanes: &mut [[u32; 8]; 16], stripes: &[u8]) {
+    for stripe in stripes.as_chunks::<STRIPE>().0 {
+        for (lane, block) in lanes.iter_mut().zip(stripe.as_chunks::<64>().0) {
+            compress_blocks(lane, block);
+        }
+    }
 }
 
 /// SHA-256 over the concatenation of two 32-byte values, applied twice —
@@ -286,7 +411,7 @@ pub fn sha256d_pair(left: &Hash256, right: &Hash256) -> Hash256 {
 mod tests {
     use super::*;
     use crate::hex;
-    use crate::oracle::sha256_with;
+    use crate::oracle::{sha256_with, striped_with};
 
     use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
@@ -552,6 +677,86 @@ mod tests {
                     );
                 }
                 assert_eq!(sha256d_resumed_lanes(&state, &last, base), expected);
+            }
+        }
+        let (best, _) = *paths.last().unwrap();
+        assert_eq!(lanes_backend(), best, "the dispatcher takes the best path");
+    }
+
+    type Stripes = fn(&mut [[u32; 8]; 16], &[u8]);
+
+    /// The AVX-512 stripe kernel by name, past the dispatcher (callers
+    /// checked it exists).
+    #[cfg(target_arch = "x86_64")]
+    fn stripes_avx512f(lanes: &mut [[u32; 8]; 16], stripes: &[u8]) {
+        assert!(ni::compress_stripes(lanes, stripes), "no AVX-512F");
+    }
+
+    /// Every path of the striped hasher this host can run, by the names
+    /// [`lanes_backend`] gives them, the best last.
+    fn stripe_paths() -> Vec<(&'static str, Stripes)> {
+        let mut all: Vec<(&'static str, Stripes)> = vec![("per-nonce", compress_stripes_per_lane)];
+        #[cfg(target_arch = "x86_64")]
+        if ni::lanes_available() {
+            all.push(("avx512f", stripes_avx512f));
+        }
+        if all.len() == 1 {
+            println!("note: no AVX-512F on this host; the stripe kernel is not tested");
+        }
+        all
+    }
+
+    #[test]
+    fn the_striped_hasher_equals_its_definition_on_every_path_and_every_split() {
+        let (paths, mut rng) = (stripe_paths(), StdRng::seed_from_u64(55));
+        let data = random_bytes(&mut rng, 5 * STRIPE + 700);
+        // No stripe, part of one, exactly one, and several with a remainder;
+        // split at the stripe seam (0), one entry in (50), beside its end
+        // (1000), and at random.
+        for len in [
+            0,
+            1,
+            63,
+            64,
+            1000,
+            STRIPE - 1,
+            STRIPE,
+            STRIPE + 1,
+            2 * STRIPE,
+            data.len(),
+        ] {
+            let data = &data[..len];
+            let expected = striped_with(compress_blocks_portable, data);
+            let mut splits = vec![0, len];
+            for at in (0..len).filter(|at| [0, 50, 1000].contains(&(at % STRIPE))) {
+                splits.push(at);
+            }
+            splits.extend((0..4).map(|_| rng.gen_range(0..=len)));
+            for (name, stripes) in &paths {
+                for &split in &splits {
+                    let mut h = StripedSha256::with(*stripes);
+                    h.update(&data[..split]);
+                    h.update(&data[split..]);
+                    assert_eq!(h.finalize(), expected, "{name}, len {len}, split {split}");
+                }
+            }
+            let mut dispatched = StripedSha256::new();
+            dispatched.update(data);
+            assert_eq!(dispatched.finalize(), expected, "len {len}");
+        }
+        // Many pieces, some spanning several stripes, some a few bytes.
+        for case in 0..16 {
+            let len = rng.gen_range(0..=data.len());
+            let expected = striped_with(compress_blocks_portable, &data[..len]);
+            for (name, stripes) in &paths {
+                let (mut h, mut rest) = (StripedSha256::with(*stripes), &data[..len]);
+                while !rest.is_empty() {
+                    let most = if rng.gen_bool(0.3) { rest.len() } else { 90 };
+                    let (piece, tail) = rest.split_at(rng.gen_range(0..=most.min(rest.len())));
+                    h.update(piece);
+                    rest = tail;
+                }
+                assert_eq!(h.finalize(), expected, "{name}, case {case}, len {len}");
             }
         }
         let (best, _) = *paths.last().unwrap();

@@ -1,10 +1,11 @@
 //! The SHA-256 block function on the x86-64 SHA extensions, the miner's
-//! sixteen-nonce double SHA-256 on AVX-512 lanes, and the crate's whole
-//! `unsafe` surface: two calls, one into each `#[target_feature]` kernel,
-//! each made right after the running CPU reported every feature that
-//! kernel is compiled with. The kernels themselves are safe code — words
-//! go in and out by value (`_mm*_set*` / `_mm*_extract*` compile to
-//! unaligned loads and stores), so there is no pointer in them.
+//! sixteen-nonce double SHA-256 and the striped hasher's sixteen lanes on
+//! AVX-512, and the crate's whole `unsafe` surface: three calls, one into
+//! each `#[target_feature]` kernel, each made right after the running CPU
+//! reported every feature that kernel is compiled with. The kernels
+//! themselves are safe code — words go in and out by value (`_mm*_set*` /
+//! `_mm*_insert*` / `_mm*_extract*` compile to unaligned loads and stores),
+//! so there is no pointer in them.
 
 use super::{digest_bytes, H0, K};
 use crate::hash::Hash256;
@@ -82,8 +83,8 @@ fn kernel(state: &mut [u32; 8], blocks: &[u8]) {
     .map(|word| word as u32);
 }
 
-/// Whether the running CPU has AVX-512F, the extension [`lanes_kernel`] is
-/// compiled with.
+/// Whether the running CPU has AVX-512F, the extension [`lanes_kernel`] and
+/// [`stripes_kernel`] are compiled with.
 pub(super) fn lanes_available() -> bool {
     is_x86_feature_detected!("avx512f")
 }
@@ -222,8 +223,14 @@ fn lanes_kernel(state: &[u32; 8], last: &[u8; 64], base: u64) -> [[u32; 8]; 16] 
     (block[8], block[15]) = (splat(0x8000_0000), splat(256));
     let second = compress(H0.map(|word| splat(word)), block);
 
+    unpack(second)
+}
+
+/// Each lane's state out of eight word vectors.
+#[target_feature(enable = "avx512f")]
+fn unpack(words: [Lanes; 8]) -> [[u32; 8]; 16] {
     let mut states = [[0u32; 8]; 16];
-    for (word, lanes) in second.into_iter().enumerate() {
+    for (word, lanes) in words.into_iter().enumerate() {
         let quarters = [
             _mm512_extracti32x4_epi32::<0>(lanes),
             _mm512_extracti32x4_epi32::<1>(lanes),
@@ -243,4 +250,97 @@ fn lanes_kernel(state: &[u32; 8], last: &[u8; 64], base: u64) -> [[u32; 8]; 16] 
         }
     }
     states
+}
+
+/// `stripes`, whole 1 KiB stripes, through the compression function of
+/// sixteen lanes — block `j` of every stripe into `lanes[j]` — or `false`,
+/// having touched nothing, on a CPU without AVX-512F.
+pub(super) fn compress_stripes(lanes: &mut [[u32; 8]; 16], stripes: &[u8]) -> bool {
+    if !lanes_available() {
+        return false;
+    }
+    // SAFETY: `stripes_kernel` is a safe function; the call is `unsafe` only
+    // because it is compiled with `avx512f` enabled, which `lanes_available`
+    // has just seen on this CPU (with everything it implies, as above).
+    unsafe { stripes_kernel(lanes, stripes) };
+    true
+}
+
+/// One block's sixteen words as they lie, little-endian, word `i` in lane
+/// `i`: four 16-byte values inserted by value, so no pointer is read.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn load(block: &[u8; 64]) -> Lanes {
+    let quad = |i: usize| {
+        let bytes = u128::from_le_bytes(block.as_chunks::<16>().0[i]);
+        _mm_set_epi64x((bytes >> 64) as i64, bytes as i64)
+    };
+    let row = _mm512_castsi128_si512(quad(0));
+    let row = _mm512_inserti32x4::<1>(row, quad(1));
+    let row = _mm512_inserti32x4::<2>(row, quad(2));
+    _mm512_inserti32x4::<3>(row, quad(3))
+}
+
+/// The 16×16 word matrix `rows` transposed: lane `i` of row `j` becomes
+/// lane `j` of row `i`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn transpose(rows: [Lanes; 16]) -> [Lanes; 16] {
+    // Inside each 128-bit quarter, rows interleave in pairs by word and
+    // those pairs in pairs by two words: quarter `k` of `quads[4g + c]` then
+    // holds lane `4k + c` of rows `4g..4g + 4`.
+    let mut pairs = rows;
+    for i in (0..16).step_by(2) {
+        pairs[i] = _mm512_unpacklo_epi32(rows[i], rows[i + 1]);
+        pairs[i + 1] = _mm512_unpackhi_epi32(rows[i], rows[i + 1]);
+    }
+    let mut quads = pairs;
+    for g in (0..16).step_by(4) {
+        quads[g] = _mm512_unpacklo_epi64(pairs[g], pairs[g + 2]);
+        quads[g + 1] = _mm512_unpackhi_epi64(pairs[g], pairs[g + 2]);
+        quads[g + 2] = _mm512_unpacklo_epi64(pairs[g + 1], pairs[g + 3]);
+        quads[g + 3] = _mm512_unpackhi_epi64(pairs[g + 1], pairs[g + 3]);
+    }
+    // Then output `4k + c` gathers quarter `k` of `quads[c]`, `quads[4 + c]`,
+    // `quads[8 + c]` and `quads[12 + c]`, in that order.
+    let mut out = quads;
+    for c in 0..4 {
+        let low01 = _mm512_shuffle_i32x4::<0x44>(quads[c], quads[4 + c]);
+        let high01 = _mm512_shuffle_i32x4::<0xee>(quads[c], quads[4 + c]);
+        let low23 = _mm512_shuffle_i32x4::<0x44>(quads[8 + c], quads[12 + c]);
+        let high23 = _mm512_shuffle_i32x4::<0xee>(quads[8 + c], quads[12 + c]);
+        out[c] = _mm512_shuffle_i32x4::<0x88>(low01, low23);
+        out[4 + c] = _mm512_shuffle_i32x4::<0xdd>(low01, low23);
+        out[8 + c] = _mm512_shuffle_i32x4::<0x88>(high01, high23);
+        out[12 + c] = _mm512_shuffle_i32x4::<0xdd>(high01, high23);
+    }
+    out
+}
+
+/// Every stripe's sixteen blocks, transposed so that word vector `i` holds
+/// word `i` of each lane's block, through one sixteen-lane compression.
+#[target_feature(enable = "avx512f")]
+fn stripes_kernel(lanes: &mut [[u32; 8]; 16], stripes: &[u8]) {
+    let mut state = [splat(0); 8];
+    for (word, vector) in state.iter_mut().enumerate() {
+        let w = lanes.map(|lane| lane[word] as i32);
+        *vector = _mm512_set_epi32(
+            w[15], w[14], w[13], w[12], w[11], w[10], w[9], w[8], w[7], w[6], w[5], w[4], w[3],
+            w[2], w[1], w[0],
+        );
+    }
+    for stripe in stripes.as_chunks::<1024>().0 {
+        let mut rows = [splat(0); 16];
+        for (row, block) in rows.iter_mut().zip(stripe.as_chunks::<64>().0) {
+            *row = load(block);
+        }
+        // A loop, not `map`: through `array::map` the byte swap is not
+        // inlined, and a stripe costs two thirds more.
+        let mut w = transpose(rows);
+        for word in &mut w {
+            *word = byte_swap(*word);
+        }
+        state = compress(state, w);
+    }
+    *lanes = unpack(state);
 }
